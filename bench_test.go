@@ -13,12 +13,17 @@ package dhqp_test
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"dhqp"
+	"dhqp/internal/rowset"
 	"dhqp/internal/rules"
+	"dhqp/internal/storage"
 	"dhqp/internal/workload"
 )
 
@@ -903,4 +908,133 @@ func BenchmarkE14_FaultTolerance(b *testing.B) {
 			}
 		}
 	})
+}
+
+// ---------------------------------------------------------------------
+// Keyed DML: UPDATE/DELETE by primary key and by a 100-key range, plus a
+// snapshot seek that commits have overtaken, at 10k / 100k / 1M rows.
+// Every statement is timed on its own and the median reported as ns/stmt;
+// a case whose 1M-row median exceeds three times its 10k-row median fails
+// the benchmark. The ratio is taken inside one run, so host speed cancels.
+// ---------------------------------------------------------------------
+
+func BenchmarkKeyedDML(b *testing.B) {
+	const stmtsPerOp, span = 200, 100
+	type fixture struct {
+		s    *dhqp.Server
+		fact *storage.Table
+		n    int
+		rng  *rand.Rand
+	}
+	exec := func(b *testing.B, f *fixture, want int64, sql string, kv ...any) time.Duration {
+		start := time.Now()
+		got, err := f.s.ExecParams(sql, dhqp.Params(kv...))
+		d := time.Since(start)
+		if err != nil || got != want {
+			b.Fatalf("%s: %d rows, err %v; want %d rows", sql, got, err, want)
+		}
+		return d
+	}
+	// reinsert puts deleted rows back (untimed) so the table keeps its size.
+	reinsert := func(b *testing.B, f *fixture, lo, hi int) {
+		for id := lo; id < hi; id++ {
+			r := rowset.Row{dhqp.Int(int64(id)), dhqp.Int(0), dhqp.Int(1), dhqp.Int(2), dhqp.Float(3)}
+			if _, err := f.fact.Insert(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name  string
+		gated bool
+		stmt  func(b *testing.B, f *fixture) time.Duration
+	}{
+		{"UpdatePK", true, func(b *testing.B, f *fixture) time.Duration {
+			return exec(b, f, 1, `UPDATE fact SET f_val = @v WHERE f_id = @id`, "v", dhqp.Int(7), "id", dhqp.Int(f.rng.Int63n(int64(f.n))))
+		}},
+		{"UpdateRange", true, func(b *testing.B, f *fixture) time.Duration {
+			lo := f.rng.Int63n(int64(f.n - span))
+			return exec(b, f, span, `UPDATE fact SET f_val = f_val + 1 WHERE f_id >= @lo AND f_id < @hi`, "lo", dhqp.Int(lo), "hi", dhqp.Int(lo+span))
+		}},
+		// The deletes take the top of the key space, as a workload that
+		// deletes what it inserted last does (TPC-C new-order rows, the
+		// repository benchmark's write cycle): removing an entry from the
+		// sorted-slice index shifts every entry above it.
+		{"DeletePK", true, func(b *testing.B, f *fixture) time.Duration {
+			d := exec(b, f, 1, `DELETE FROM fact WHERE f_id = @id`, "id", dhqp.Int(int64(f.n-1)))
+			reinsert(b, f, f.n-1, f.n)
+			return d
+		}},
+		{"DeleteRange", true, func(b *testing.B, f *fixture) time.Duration {
+			d := exec(b, f, span, `DELETE FROM fact WHERE f_id >= @lo AND f_id < @hi`, "lo", dhqp.Int(int64(f.n-span)), "hi", dhqp.Int(int64(f.n)))
+			reinsert(b, f, f.n-span, f.n)
+			return d
+		}},
+		// Reported, not gated: a delete in mid-table pays that shift, which
+		// grows with the table whatever access path found the row.
+		{"DeletePKMidTable", false, func(b *testing.B, f *fixture) time.Duration {
+			id := f.n/4 + f.rng.Intn(f.n/2)
+			d := exec(b, f, 1, `DELETE FROM fact WHERE f_id = @id`, "id", dhqp.Int(int64(id)))
+			reinsert(b, f, id, id+1)
+			return d
+		}},
+		// A seek at a snapshot that eight commits have since overtaken: the
+		// path a statement takes when it began during another's commit.
+		{"SeekBehindCommits", true, func(b *testing.B, f *fixture) time.Duration {
+			snap := f.s.Store().AcquireSnapshot()
+			defer snap.Release()
+			for i := 0; i < 8; i++ {
+				exec(b, f, 1, `UPDATE fact SET f_val = @v WHERE f_id = @id`, "v", dhqp.Int(9), "id", dhqp.Int(f.rng.Int63n(int64(f.n))))
+			}
+			pk, _ := f.fact.Index("pk_fact")
+			key := storage.Bound{Key: rowset.Row{dhqp.Int(f.rng.Int63n(int64(f.n - span)))}, Inclusive: true}
+			start := time.Now()
+			rs := pk.RangeAt(key, key, snap.CSN())
+			d := time.Since(start)
+			if _, err := rs.Next(); err != nil {
+				b.Fatalf("seek at the snapshot found no row: %v", err)
+			}
+			return d
+		}},
+	}
+	medians := map[string]map[int]float64{}
+	for _, n := range []int{10_000, 100_000, 1_000_000} {
+		s := dhqp.NewServer("bench", "db")
+		if err := workload.LoadFactDim(s, "db", workload.FactDimConfig{FactRows: n, DimRows: 1, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+		db, _ := s.Store().Database("db")
+		fact, _ := db.Table("fact")
+		f := &fixture{s: s, fact: fact, n: n, rng: rand.New(rand.NewSource(int64(n)))}
+		runtime.GC() // the load's garbage is not the statements'
+		for _, c := range cases {
+			b.Run(fmt.Sprintf("%s/rows=%d", c.name, n), func(b *testing.B) {
+				c.stmt(b, f) // warm
+				times := make([]time.Duration, 0, b.N*stmtsPerOp)
+				b.ResetTimer()
+				for i := 0; i < b.N*stmtsPerOp; i++ {
+					times = append(times, c.stmt(b, f))
+				}
+				b.StopTimer()
+				sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
+				med := float64(times[len(times)/2])
+				b.ReportMetric(med, "ns/stmt")
+				if medians[c.name] == nil {
+					medians[c.name] = map[int]float64{}
+				}
+				medians[c.name][n] = med
+			})
+		}
+	}
+	for _, c := range cases {
+		small, large := medians[c.name][10_000], medians[c.name][1_000_000]
+		if !c.gated || small == 0 || large == 0 {
+			continue
+		}
+		if large > 3*small {
+			b.Errorf("%s: %.0f ns/stmt at 1M rows is %.1fx the %.0f ns/stmt at 10k rows; the gate is 3x", c.name, large, large/small, small)
+		} else {
+			b.Logf("%s: 1M/10k = %.2fx (gate 3x)", c.name, large/small)
+		}
+	}
 }

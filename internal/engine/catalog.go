@@ -410,3 +410,47 @@ func (md *metadata) CheckDomains(src *algebra.Source, cols []algebra.OutCol) con
 	}
 	return binder.CheckDomains(src.Def, cols)
 }
+
+// invalidateLocal drops every cached cardinality and histogram: DDL,
+// recovery and topology cutovers can change any table. Cached plans stay
+// valid across DML (they reference catalog objects, not data);
+// invalidatePlans clears them on DDL.
+func (s *Server) invalidateLocal() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.cardCache = map[string]float64{}
+	s.histCache = map[string]*stats.Histogram{}
+}
+
+// invalidateTable drops the cached cardinality and histograms of the one
+// table a DML statement wrote (server "" is local). Every other table's and
+// every linked server's statistics stay cached: refetching a remote one
+// costs link calls at the next compile.
+func (s *Server) invalidateTable(server string, def *schema.Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.dropStatsLocked(server + "|" + def.Catalog + "|" + def.Name)
+}
+
+// dropStatsLocked drops the statistics cached under a "server|catalog|table"
+// key or a "|"-separated extension of it. Caller holds s.mu.
+func (s *Server) dropStatsLocked(key string) {
+	key = strings.ToLower(key)
+	for k := range s.cardCache {
+		if k == key || strings.HasPrefix(k, key+"|") {
+			delete(s.cardCache, k)
+		}
+	}
+	for k := range s.histCache {
+		if k == key || strings.HasPrefix(k, key+"|") {
+			delete(s.histCache, k)
+		}
+	}
+}
+
+// invalidatePlans drops the plan cache (schema changed).
+func (s *Server) invalidatePlans() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.planCache.Clear()
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"dhqp/internal/algebra"
@@ -11,13 +12,14 @@ import (
 	"dhqp/internal/constraint"
 	"dhqp/internal/dtc"
 	"dhqp/internal/expr"
+	"dhqp/internal/oledb"
 	"dhqp/internal/parser"
 	"dhqp/internal/providers/fulltext"
 	"dhqp/internal/providers/native"
 	"dhqp/internal/rowset"
+	"dhqp/internal/rules"
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
-	"dhqp/internal/stats"
 	"dhqp/internal/storage"
 )
 
@@ -177,23 +179,6 @@ func (s *Server) execCreateIndex(st *parser.CreateIndexStmt) error {
 	return err
 }
 
-// invalidateLocal drops statistics caches affected by local DDL/DML.
-// Cached plans stay valid across DML (they reference catalog objects, not
-// data); invalidatePlans clears them on DDL.
-func (s *Server) invalidateLocal() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cardCache = map[string]float64{}
-	s.histCache = map[string]*stats.Histogram{}
-}
-
-// invalidatePlans drops the plan cache (schema changed).
-func (s *Server) invalidatePlans() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.planCache.Clear()
-}
-
 func (s *Server) execProc(st *parser.ExecStmt) error {
 	switch st.Proc {
 	case "sp_addlinkedserver":
@@ -308,7 +293,7 @@ func (s *Server) execInsert(st *parser.InsertStmt, params map[string]sqltypes.Va
 	if err := sess.Commit(); err != nil {
 		return 0, err
 	}
-	s.invalidateLocal()
+	s.invalidateTable("", t.Def())
 	return int64(len(ordered)), nil
 }
 
@@ -447,8 +432,7 @@ func (s *Server) execUpdate(st *parser.UpdateStmt, params map[string]sqltypes.Va
 		}
 		return s.forward(st.Table.Parts[0], text, params)
 	}
-	viewText, isView := s.viewTextFor(st.Table.Name())
-	if isView {
+	if viewText, isView := s.viewTextFor(st.Table.Name()); isView {
 		return s.updateThroughView(viewText, st, params)
 	}
 	_, t, err := s.localTable(st.Table.Parts)
@@ -460,68 +444,17 @@ func (s *Server) execUpdate(st *parser.UpdateStmt, params map[string]sqltypes.Va
 	if err != nil {
 		return 0, err
 	}
-	// The statement's scan and its writes share one transaction snapshot:
-	// rows qualify against a consistent image, writes buffer, and commit
-	// applies all-or-nothing (first-writer-wins on conflict).
-	sess, err := s.txnSession()
-	if err != nil {
-		return 0, err
-	}
-	type change struct {
-		bm  int64
-		row rowset.Row
-	}
-	var changes []change
-	rs, err := sess.OpenRowset(def.Catalog + "." + def.Name)
-	if err != nil {
-		_ = sess.Abort()
-		return 0, err
-	}
-	sc := rs.(rowset.Bookmarked)
-	for {
-		r, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			_ = sess.Abort()
-			return 0, err
-		}
-		env := &expr.Env{Row: r, Params: params, Today: s.today()}
-		if where != nil {
-			ok, err := expr.EvalPredicate(where, env)
-			if err != nil {
-				_ = sess.Abort()
-				return 0, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		newRow := r.Clone()
-		for i, sc2 := range st.Set {
-			ord := def.ColumnIndex(sc2.Column)
+	return s.dmlRows(def, where, params, func(sess *native.Session, table string, bm int64, env *expr.Env) error {
+		newRow := rowset.Row(env.Row).Clone()
+		for i, sc := range st.Set {
 			v, err := setExprs[i].Eval(env)
 			if err != nil {
-				_ = sess.Abort()
-				return 0, err
+				return err
 			}
-			newRow[ord] = v
+			newRow[def.ColumnIndex(sc.Column)] = v
 		}
-		changes = append(changes, change{bm: sc.Bookmark(), row: newRow})
-	}
-	sc.Close()
-	for _, ch := range changes {
-		if err := sess.Update(def.Catalog+"."+def.Name, ch.bm, ch.row); err != nil {
-			_ = sess.Abort()
-			return 0, err
-		}
-	}
-	if err := sess.Commit(); err != nil {
-		return 0, err
-	}
-	s.invalidateLocal()
-	return int64(len(changes)), nil
+		return sess.Update(table, bm, newRow)
+	})
 }
 
 func (s *Server) execDelete(st *parser.DeleteStmt, params map[string]sqltypes.Value) (int64, error) {
@@ -532,64 +465,126 @@ func (s *Server) execDelete(st *parser.DeleteStmt, params map[string]sqltypes.Va
 		}
 		return s.forward(st.Table.Parts[0], text, params)
 	}
-	viewText, isView := s.viewTextFor(st.Table.Name())
-	if isView {
+	if viewText, isView := s.viewTextFor(st.Table.Name()); isView {
 		return s.deleteThroughView(viewText, st, params)
 	}
 	_, t, err := s.localTable(st.Table.Parts)
 	if err != nil {
 		return 0, err
 	}
-	def := t.Def()
-	where, _, err := bindDMLExprs(def, st.Where, nil)
+	where, _, err := bindDMLExprs(t.Def(), st.Where, nil)
 	if err != nil {
 		return 0, err
 	}
+	return s.dmlRows(t.Def(), where, params, func(sess *native.Session, table string, bm int64, _ *expr.Env) error {
+		return sess.Delete(table, bm)
+	})
+}
+
+// dmlRows is the qualifying-rows loop UPDATE and DELETE share. Under a fresh
+// statement transaction — so rows qualify against one consistent snapshot —
+// it reads the table through the access path dmlAccessPath picks, evaluates
+// the whole WHERE on every row read, has write buffer one Update/Delete for
+// each qualifying row (env.Row), and commits all-or-nothing, first writer wins.
+func (s *Server) dmlRows(def *schema.Table, where expr.Expr, params map[string]sqltypes.Value,
+	write func(sess *native.Session, table string, bm int64, env *expr.Env) error) (int64, error) {
 	sess, err := s.txnSession()
 	if err != nil {
 		return 0, err
 	}
-	var bms []int64
-	rs, err := sess.OpenRowset(def.Catalog + "." + def.Name)
+	defer sess.Close() // aborts the transaction on every path that did not commit
+	table := def.Catalog + "." + def.Name
+	env := &expr.Env{Params: params, Today: s.today()}
+	rs, err := dmlAccessPath(sess, def, table, where, env)
 	if err != nil {
-		_ = sess.Abort()
 		return 0, err
 	}
+	defer rs.Close()
 	sc := rs.(rowset.Bookmarked)
+	var examined, affected int64
 	for {
 		r, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			_ = sess.Abort()
 			return 0, err
 		}
+		examined++
+		env.Row = r
 		if where != nil {
-			env := &expr.Env{Row: r, Params: params, Today: s.today()}
 			ok, err := expr.EvalPredicate(where, env)
 			if err != nil {
-				_ = sess.Abort()
 				return 0, err
 			}
 			if !ok {
 				continue
 			}
 		}
-		bms = append(bms, sc.Bookmark())
-	}
-	sc.Close()
-	for _, bm := range bms {
-		if err := sess.Delete(def.Catalog+"."+def.Name, bm); err != nil {
-			_ = sess.Abort()
+		if err := write(sess, table, sc.Bookmark(), env); err != nil {
 			return 0, err
 		}
+		affected++
 	}
 	if err := sess.Commit(); err != nil {
 		return 0, err
 	}
-	s.invalidateLocal()
-	return int64(len(bms)), nil
+	s.invalidateTable("", def)
+	if m := s.instr(); m != nil {
+		m.dmlExamined.Add(examined)
+		m.dmlAffected.Add(affected)
+	}
+	return affected, nil
+}
+
+// dmlAccessPath opens the rows a DML WHERE can qualify: the range of the
+// index its sargable conjuncts bound on most sides (rules.IndexBounds, the
+// matcher SELECT planning uses), else the full scan. dmlRows re-evaluates the
+// WHERE, so a range need only be a superset; an index with an unusable bound
+// is passed over.
+func dmlAccessPath(sess *native.Session, def *schema.Table, table string, where expr.Expr, env *expr.Env) (rowset.Rowset, error) {
+	conjuncts := expr.SplitConjuncts(where)
+	var index string
+	var lo, hi oledb.Bound
+	sides := 0 // bounded ends of the best index so far
+	for _, ix := range def.Indexes {
+		lead := ix.Columns[0]
+		l, h, _ := rules.IndexBounds(conjuncts, func(c *expr.ColRef) bool { return c.Pos() == lead })
+		blo, okLo := seekBound(l, def.Columns[lead].Kind, env)
+		bhi, okHi := seekBound(h, def.Columns[lead].Kind, env)
+		if n := len(blo.Key) + len(bhi.Key); okLo && okHi && n > sides {
+			index, lo, hi, sides = ix.Name, blo, bhi, n
+		}
+	}
+	if sides == 0 {
+		return sess.OpenRowset(table)
+	}
+	return sess.OpenIndexRange(table, index, lo, hi)
+}
+
+// seekBound evaluates one end of a matched range into an index key. The
+// index orders keys as predicates compare them (sqltypes.Compare), so a bound
+// is usable only when its value is present, non-NULL and converts to the key
+// column's kind without changing how it compares: a missing parameter, NULL,
+// '42' or 42.5 against an INT key report false and the statement scans, which
+// is what defines its meaning. An unbounded end is usable as it is.
+func seekBound(b algebra.RangeBound, kind sqltypes.Kind, env *expr.Env) (oledb.Bound, bool) {
+	if b.Vals == nil {
+		return oledb.Bound{}, true
+	}
+	v, err := b.Vals[0].Eval(env)
+	if err != nil {
+		return oledb.Bound{}, false
+	}
+	key, err := sqltypes.Coerce(v, kind)
+	if err != nil || key.IsNull() || sqltypes.Compare(key, v) != 0 {
+		return oledb.Bound{}, false
+	}
+	// Beyond 2^53 a FLOAT compares equal to several INT keys at once.
+	if v.Kind() == sqltypes.KindFloat && kind != sqltypes.KindFloat && math.Abs(v.Float()) >= 1<<53 {
+		return oledb.Bound{}, false
+	}
+	return oledb.Bound{Key: rowset.Row{key}, Inclusive: b.Inclusive}, true
 }
 
 // bindDMLExprs binds a WHERE clause and SET expressions against a table's
@@ -766,7 +761,11 @@ func (s *Server) insertIntoPartitionedView(viewName, viewText string, cols []str
 		}
 		s.shards.NoteKeys(viewName, keys)
 	}
-	s.invalidateLocal()
+	for mi, m := range members {
+		if len(batches[mi]) > 0 {
+			s.invalidateTable(m.server, m.def)
+		}
+	}
 	return total, nil
 }
 

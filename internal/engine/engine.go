@@ -803,16 +803,7 @@ func (s *Server) InvalidateRemoteSchema(name string) {
 		l.tables = nil
 		l.session = nil
 	}
-	for k := range s.cardCache {
-		if strings.HasPrefix(k, strings.ToLower(name)+"|") {
-			delete(s.cardCache, k)
-		}
-	}
-	for k := range s.histCache {
-		if strings.HasPrefix(k, strings.ToLower(name)+"|") {
-			delete(s.histCache, k)
-		}
-	}
+	s.dropStatsLocked(name)
 }
 
 // CreateFullTextIndex builds a full-text catalog over a local table column

@@ -34,6 +34,8 @@ type engineInstruments struct {
 	phaseSeconds  *metrics.HistogramVec // by phase: parse/bind/optimize/decode/execute
 	stmtSeconds   *metrics.Histogram    // whole-statement latency
 	slowQueries   *metrics.Counter      // statements over the slow threshold
+	dmlExamined   *metrics.Counter      // rows committed UPDATE/DELETE statements read
+	dmlAffected   *metrics.Counter      // rows they changed; examined ≫ affected is a scan
 
 	linkCalls   *metrics.CounterVec   // by server
 	linkRows    *metrics.CounterVec   // by server
@@ -64,6 +66,8 @@ func buildInstruments(r *metrics.Registry) *engineInstruments {
 		phaseSeconds:  r.HistogramVec("dhqp_statement_phase_seconds", "Statement pipeline phase latency", "phase", nil),
 		stmtSeconds:   r.Histogram("dhqp_statement_seconds", "Whole-statement latency", nil),
 		slowQueries:   r.Counter("dhqp_slow_queries_total", "Statements over the slow-query threshold"),
+		dmlExamined:   r.Counter("dhqp_dml_rows_examined_total", "Rows read by committed local UPDATE/DELETE statements"),
+		dmlAffected:   r.Counter("dhqp_dml_rows_affected_total", "Rows changed by committed local UPDATE/DELETE statements"),
 
 		linkCalls:   r.CounterVec("dhqp_remote_calls_total", "Remote round trips by linked server", "server"),
 		linkRows:    r.CounterVec("dhqp_remote_rows_total", "Rows shipped from linked servers", "server"),

@@ -135,6 +135,12 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 	if _, err := c.Query(`SELECT y, amount FROM all_sales`, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A local DML whose WHERE has nothing sargable: 4 rows read, 1 changed.
+	head.MustExec(`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`)
+	head.MustExec(`INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
+	if n, err := c.Exec(`UPDATE acct SET bal = 0 WHERE bal = 30`, nil); err != nil || n != 1 {
+		t.Fatalf("update over the wire: %d rows, err %v", n, err)
+	}
 	res, err := c.Query(`SELECT * FROM sys.dm_os_wait_stats`, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -157,13 +163,20 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 		t.Fatal("performance-counters DMV returned no rows")
 	}
 	seen := false
+	dml := map[string]float64{}
 	for _, row := range perf.Rows {
 		if row[0].Str() == "dhqp_statements_total" && row[2].Float() > 0 {
 			seen = true
 		}
+		if strings.HasPrefix(row[0].Str(), "dhqp_dml_rows_") {
+			dml[row[0].Str()] = row[2].Float()
+		}
 	}
 	if !seen {
 		t.Fatal("performance-counters DMV misses dhqp_statements_total")
+	}
+	if dml["dhqp_dml_rows_examined_total"] != 4 || dml["dhqp_dml_rows_affected_total"] != 1 {
+		t.Fatalf("performance-counters DMV shows DML rows %v, want 4 examined and 1 affected", dml)
 	}
 }
 

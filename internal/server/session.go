@@ -36,7 +36,12 @@ type session struct {
 	mu         sync.Mutex
 	login      time.Time
 	lastActive time.Time
-	stmtCount  int64
+	// stmtCount numbers the session's statements; the number also identifies
+	// the statement that owns the in-flight slot: beginStatement hands it out
+	// and endStatement clears the slot only for that owner, so a late release
+	// by statement A cannot cancel statement B begun after A's outcome frame
+	// went out.
+	stmtCount int64
 	// In-flight statement state (active == one statement running or queued).
 	active     bool
 	state      string // "queued" then "running"
@@ -79,12 +84,14 @@ func (sess *session) sendError(qid int64, code, msg string) {
 	_ = sess.writeFrame(&Frame{Type: FrameError, QueryID: qid, Code: code, Msg: msg})
 }
 
-// beginStatement claims the session's single in-flight statement slot.
-func (sess *session) beginStatement(sql string, qid int64, cancel context.CancelFunc) bool {
+// beginStatement claims the session's single in-flight statement slot and
+// returns the statement number (gen) that identifies the claim to
+// endStatement.
+func (sess *session) beginStatement(sql string, qid int64, cancel context.CancelFunc) (gen int64, ok bool) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.active {
-		return false
+		return 0, false
 	}
 	sess.active = true
 	sess.state = "queued"
@@ -95,7 +102,7 @@ func (sess *session) beginStatement(sql string, qid int64, cancel context.Cancel
 	sess.cancelCode = ""
 	sess.cancelMsg = ""
 	sess.stmtCount++
-	return true
+	return sess.stmtCount, true
 }
 
 // markRunning flips the statement from queued (waiting on admission) to
@@ -131,9 +138,16 @@ func (sess *session) cancelReason() (string, string) {
 	return sess.cancelCode, sess.cancelMsg
 }
 
-// endStatement releases the in-flight slot.
-func (sess *session) endStatement() {
+// endStatement releases the in-flight slot if statement gen still owns it.
+// A statement releases before its outcome frame and again from
+// runStatement's defer; by the second call the client may have begun its
+// next statement, which a release without the owner check would cancel.
+func (sess *session) endStatement(gen int64) {
 	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	if !sess.active || sess.stmtCount != gen {
+		return
+	}
 	if sess.cancel != nil {
 		sess.cancel()
 	}
@@ -143,7 +157,6 @@ func (sess *session) endStatement() {
 	sess.queryID = 0
 	sess.cancel = nil
 	sess.lastActive = time.Now()
-	sess.mu.Unlock()
 }
 
 // handleConn runs one session: handshake, register, then the frame loop.
@@ -191,13 +204,14 @@ func (s *Server) handleConn(rawConn net.Conn) {
 		switch f.Type {
 		case FrameQuery:
 			qctx, cancel := context.WithCancel(context.Background())
-			if !sess.beginStatement(f.SQL, f.QueryID, cancel) {
+			gen, ok := sess.beginStatement(f.SQL, f.QueryID, cancel)
+			if !ok {
 				cancel()
 				sess.sendError(f.QueryID, CodeProtocol, "a statement is already in flight on this session")
 				continue
 			}
 			s.wg.Add(1)
-			go s.runStatement(sess, f, qctx)
+			go s.runStatement(sess, gen, f, qctx)
 		case FrameCancel:
 			sess.cancelRunning(CodeCancelled, "cancelled by client")
 		case FrameInfo:
@@ -214,9 +228,9 @@ func (s *Server) handleConn(rawConn net.Conn) {
 // runStatement executes one statement frame and streams its outcome. KILL
 // and DMV statements bypass admission — observability and the ability to
 // shoot a runaway query must keep working on a saturated server.
-func (s *Server) runStatement(sess *session, f *Frame, qctx context.Context) {
+func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.Context) {
 	defer s.wg.Done()
-	defer sess.endStatement()
+	defer sess.endStatement(gen)
 	qid := f.QueryID
 	params, perr := decodeParams(f.Params)
 	if perr != nil {
@@ -233,38 +247,38 @@ func (s *Server) runStatement(sess *session, f *Frame, qctx context.Context) {
 	switch kind {
 	case stmtKill:
 		if err := s.kill(killID, sess.id); err != nil {
-			sess.endStatement()
+			sess.endStatement(gen)
 			sess.sendError(qid, CodeQuery, err.Error())
 			return
 		}
-		sess.endStatement()
+		sess.endStatement(gen)
 		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid})
 		return
 	case stmtDMVSessions:
-		_ = sess.streamResult(qid, s.sessionsDMV(), 0, nil)
+		_ = sess.streamResult(gen, qid, s.sessionsDMV(), 0, nil)
 		return
 	case stmtDMVRequests:
-		_ = sess.streamResult(qid, s.requestsDMV(), 0, nil)
+		_ = sess.streamResult(gen, qid, s.requestsDMV(), 0, nil)
 		return
 	case stmtDMVQueryStats:
-		_ = sess.streamResult(qid, QueryStatsResult(s.eng), 0, nil)
+		_ = sess.streamResult(gen, qid, QueryStatsResult(s.eng), 0, nil)
 		return
 	case stmtDMVPlanCache:
-		_ = sess.streamResult(qid, PlanCacheResult(s.eng), 0, nil)
+		_ = sess.streamResult(gen, qid, PlanCacheResult(s.eng), 0, nil)
 		return
 	case stmtDMVPerfCounters:
-		_ = sess.streamResult(qid, PerformanceCountersResult(s.eng), 0, nil)
+		_ = sess.streamResult(gen, qid, PerformanceCountersResult(s.eng), 0, nil)
 		return
 	case stmtDMVWaitStats:
-		_ = sess.streamResult(qid, WaitStatsResult(s.eng), 0, nil)
+		_ = sess.streamResult(gen, qid, WaitStatsResult(s.eng), 0, nil)
 		return
 	case stmtDMVShardMap:
-		_ = sess.streamResult(qid, ShardMapResult(s.eng), 0, nil)
+		_ = sess.streamResult(gen, qid, ShardMapResult(s.eng), 0, nil)
 		return
 	}
 	// Engine statements pass admission control.
 	if err := s.admit(qctx); err != nil {
-		sess.sendStatementError(qid, err)
+		sess.sendStatementError(gen, qid, err)
 		return
 	}
 	sess.markRunning()
@@ -289,14 +303,14 @@ func (s *Server) runStatement(sess *session, f *Frame, qctx context.Context) {
 		s.running.Add(-1)
 		s.release()
 		if err != nil {
-			sess.sendStatementError(qid, err)
+			sess.sendStatementError(gen, qid, err)
 			return
 		}
 		var spans []WireSpan
 		if tr != nil {
 			spans = encodeSpans(tr.Spans())
 		}
-		_ = sess.streamResult(qid, res, elapsed, spans)
+		_ = sess.streamResult(gen, qid, res, elapsed, spans)
 		return
 	}
 	// DML/DDL runs to completion; the engine's write path is not
@@ -310,16 +324,16 @@ func (s *Server) runStatement(sess *session, f *Frame, qctx context.Context) {
 	s.running.Add(-1)
 	s.release()
 	if err != nil {
-		sess.sendStatementError(qid, err)
+		sess.sendStatementError(gen, qid, err)
 	} else {
-		sess.endStatement()
+		sess.endStatement(gen)
 		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid, RowCount: affected, ElapsedUS: elapsed.Microseconds()})
 	}
 	s.writers.Add(-1)
 }
 
 // sendStatementError maps an execution error onto a typed error frame.
-func (sess *session) sendStatementError(qid int64, err error) {
+func (sess *session) sendStatementError(gen, qid int64, err error) {
 	code, msg := CodeQuery, err.Error()
 	var qe *QueryError
 	switch {
@@ -341,12 +355,12 @@ func (sess *session) sendStatementError(qid int64, err error) {
 	// Release the statement slot before the outcome frame goes out: the
 	// moment the client reads it, its next query is legal, and the frame
 	// loop must not race the deferred cleanup into a protocol error.
-	sess.endStatement()
+	sess.endStatement(gen)
 	sess.sendError(qid, code, msg)
 }
 
 // streamResult sends cols, row batches, then done for one result set.
-func (sess *session) streamResult(qid int64, res *engine.Result, elapsed time.Duration, spans []WireSpan) error {
+func (sess *session) streamResult(gen, qid int64, res *engine.Result, elapsed time.Duration, spans []WireSpan) error {
 	if err := sess.writeFrame(&Frame{Type: FrameCols, QueryID: qid, Cols: encodeCols(res.Cols)}); err != nil {
 		return err
 	}
@@ -364,7 +378,7 @@ func (sess *session) streamResult(qid int64, res *engine.Result, elapsed time.Du
 	// Release the statement slot before done goes out (see
 	// sendStatementError); endStatement is idempotent, so the runStatement
 	// defer remains a backstop for error paths.
-	sess.endStatement()
+	sess.endStatement(gen)
 	return sess.writeFrame(&Frame{
 		Type:      FrameDone,
 		QueryID:   qid,

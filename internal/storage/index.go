@@ -51,34 +51,37 @@ func compareKeys(a, b rowset.Row) int {
 	return 0
 }
 
+// posLocked is where entry (key, bm) sits or would be inserted.
+func (ix *Index) posLocked(e indexEntry) int {
+	return sort.Search(len(ix.entries), func(i int) bool { return !entryLess(ix.entries[i], e) })
+}
+
 // insertLocked adds an entry; caller holds the table lock.
 func (ix *Index) insertLocked(r rowset.Row, bm int64) {
-	key := ix.keyOf(r)
-	pos := sort.Search(len(ix.entries), func(i int) bool {
-		c := compareKeys(ix.entries[i].key, key)
-		if c != 0 {
-			return c > 0
-		}
-		return ix.entries[i].bm >= bm
-	})
+	e := indexEntry{key: ix.keyOf(r), bm: bm}
+	pos := ix.posLocked(e)
 	ix.entries = append(ix.entries, indexEntry{})
 	copy(ix.entries[pos+1:], ix.entries[pos:])
-	ix.entries[pos] = indexEntry{key: key, bm: bm}
+	ix.entries[pos] = e
 }
 
 // deleteLocked removes an entry; caller holds the table lock.
 func (ix *Index) deleteLocked(r rowset.Row, bm int64) {
-	key := ix.keyOf(r)
-	pos := sort.Search(len(ix.entries), func(i int) bool {
-		c := compareKeys(ix.entries[i].key, key)
-		if c != 0 {
-			return c > 0
-		}
-		return ix.entries[i].bm >= bm
-	})
+	pos := ix.posLocked(indexEntry{key: ix.keyOf(r), bm: bm})
 	if pos < len(ix.entries) && ix.entries[pos].bm == bm {
 		ix.entries = append(ix.entries[:pos], ix.entries[pos+1:]...)
 	}
+}
+
+// sameKey reports whether two images of one row carry the same index key,
+// in which case the row's entry need not move.
+func (ix *Index) sameKey(a, b rowset.Row) bool {
+	for _, ord := range ix.def.Columns {
+		if sqltypes.Compare(a[ord], b[ord]) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Bound describes one end of a key range. A nil Key means unbounded.
@@ -94,102 +97,101 @@ func (ix *Index) Range(lo, hi Bound) rowset.Bookmarked {
 	return ix.RangeAt(lo, hi, Latest)
 }
 
-// RangeAt is Range as of snapshot csn. When nothing newer than csn has
-// committed on the table it is exactly the fast Range path over the live
-// index; otherwise the row image is rewound through the undo tail and the
-// range is rebuilt from the reconstructed rows (correct but slower — it
-// only happens while a pinned snapshot races a writer).
+// RangeAt is Range as of snapshot csn: the live index range, patched by the
+// undo tail. Every slot a commit newer than csn touched is dropped from the
+// live range and replaced by its image as of the snapshot (the before-image
+// of the oldest such commit; none if that commit inserted the slot) when
+// that image's key falls in range — the same rows in the same (key,
+// bookmark) order as filtering and sorting ScanAt(csn), at a cost of
+// O(matches + undo records newer than csn) instead of a copy of the heap.
 func (ix *Index) RangeAt(lo, hi Bound, csn uint64) rowset.Bookmarked {
 	t := ix.table
 	t.mu.RLock()
-	if csn == Latest || len(t.undo) == t.undoHead || t.undo[len(t.undo)-1].csn <= csn {
-		defer t.mu.RUnlock()
-		return ix.rangeLatestLocked(lo, hi)
+	defer t.mu.RUnlock()
+	start, end := ix.searchLocked(lo, hi)
+	out := &rangeScan{cols: t.def.Columns, pos: -1,
+		rows: make([]rowset.Row, 0, end-start), bms: make([]int64, 0, end-start)}
+	// past maps each slot written after the snapshot to its row as of the
+	// snapshot; walking newest to oldest leaves the oldest before-image.
+	var past map[int64]rowset.Row
+	if csn != Latest {
+		for i := len(t.undo) - 1; i >= t.undoHead && t.undo[i].csn > csn; i-- {
+			if past == nil {
+				past = map[int64]rowset.Row{}
+			}
+			past[t.undo[i].bm] = t.undo[i].row
+		}
 	}
-	rows := make([]rowset.Row, len(t.rows))
-	copy(rows, t.rows)
-	t.rollbackLocked(rows, csn)
-	t.mu.RUnlock()
-	var outRows []rowset.Row
-	var bms []int64
-	var keys []rowset.Row
-	for bm, r := range rows {
+	var old []indexEntry // snapshot images in range, in index order
+	for bm, r := range past {
 		if r == nil {
 			continue
 		}
-		key := ix.keyOf(r)
-		if lo.Key != nil {
-			c := compareKeys(key, lo.Key)
-			if c < 0 || (c == 0 && !lo.Inclusive) {
+		if key := ix.keyOf(r); lo.above(key) && hi.below(key) {
+			old = append(old, indexEntry{key: key, bm: bm})
+		}
+	}
+	if len(old) > 1 {
+		sort.Slice(old, func(a, b int) bool { return entryLess(old[a], old[b]) })
+	}
+	for _, e := range ix.entries[start:end] {
+		if past != nil { // nil when nothing is newer than the snapshot: the plain live range
+			if _, rewritten := past[e.bm]; rewritten {
 				continue
 			}
-		}
-		if hi.Key != nil {
-			c := compareKeys(key, hi.Key)
-			if c > 0 || (c == 0 && !hi.Inclusive) {
-				continue
+			for len(old) > 0 && entryLess(old[0], e) {
+				out.add(past[old[0].bm], old[0].bm)
+				old = old[1:]
 			}
 		}
-		outRows = append(outRows, r)
-		bms = append(bms, int64(bm))
-		keys = append(keys, key)
+		out.add(t.rows[e.bm], e.bm)
 	}
-	idx := make([]int, len(outRows))
-	for i := range idx {
-		idx[i] = i
+	for _, e := range old {
+		out.add(past[e.bm], e.bm)
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if c := compareKeys(keys[idx[a]], keys[idx[b]]); c != 0 {
-			return c < 0
-		}
-		return bms[idx[a]] < bms[idx[b]]
-	})
-	sortedRows := make([]rowset.Row, len(idx))
-	sortedBms := make([]int64, len(idx))
-	for i, j := range idx {
-		sortedRows[i] = outRows[j]
-		sortedBms[i] = bms[j]
-	}
-	return &rangeScan{cols: t.def.Columns, rows: sortedRows, bms: sortedBms, pos: -1}
+	return out
 }
 
-// rangeLatestLocked is the live-index range scan; caller holds the table
-// read lock.
-func (ix *Index) rangeLatestLocked(lo, hi Bound) rowset.Bookmarked {
-	start := 0
-	if lo.Key != nil {
-		start = sort.Search(len(ix.entries), func(i int) bool {
-			c := compareKeys(ix.entries[i].key, lo.Key)
-			if lo.Inclusive {
-				return c >= 0
-			}
-			return c > 0
-		})
+// above reports whether key lies at or after b taken as a lower bound;
+// an absent bound admits every key.
+func (b Bound) above(key rowset.Row) bool {
+	if b.Key == nil {
+		return true
 	}
-	end := len(ix.entries)
-	if hi.Key != nil {
-		end = sort.Search(len(ix.entries), func(i int) bool {
-			c := compareKeys(ix.entries[i].key, hi.Key)
-			if hi.Inclusive {
-				return c > 0
-			}
-			return c >= 0
-		})
+	c := compareKeys(key, b.Key)
+	return c > 0 || (c == 0 && b.Inclusive)
+}
+
+// below is above for an upper bound.
+func (b Bound) below(key rowset.Row) bool {
+	if b.Key == nil {
+		return true
 	}
+	c := compareKeys(key, b.Key)
+	return c < 0 || (c == 0 && b.Inclusive)
+}
+
+// entryLess is index order: by key, then bookmark.
+func entryLess(a, b indexEntry) bool {
+	if c := compareKeys(a.key, b.key); c != 0 {
+		return c < 0
+	}
+	return a.bm < b.bm
+}
+
+// searchLocked returns the half-open span of entries within the bounds;
+// caller holds the table lock.
+func (ix *Index) searchLocked(lo, hi Bound) (start, end int) {
+	start = sort.Search(len(ix.entries), func(i int) bool {
+		return lo.above(ix.entries[i].key)
+	})
+	end = sort.Search(len(ix.entries), func(i int) bool {
+		return !hi.below(ix.entries[i].key)
+	})
 	if end < start {
 		end = start
 	}
-	// Snapshot the row pointers for the range.
-	rows := make([]rowset.Row, 0, end-start)
-	bms := make([]int64, 0, end-start)
-	for i := start; i < end; i++ {
-		bm := ix.entries[i].bm
-		if r := ix.table.rows[bm]; r != nil {
-			rows = append(rows, r)
-			bms = append(bms, bm)
-		}
-	}
-	return &rangeScan{cols: ix.table.def.Columns, rows: rows, bms: bms, pos: -1}
+	return start, end
 }
 
 // Seek returns the rows whose index key equals key exactly.
@@ -213,6 +215,14 @@ type rangeScan struct {
 }
 
 func (s *rangeScan) Columns() []schema.Column { return s.cols }
+
+// add appends a row and its bookmark; a nil row (a dead slot) is skipped.
+func (s *rangeScan) add(r rowset.Row, bm int64) {
+	if r != nil {
+		s.rows = append(s.rows, r)
+		s.bms = append(s.bms, bm)
+	}
+}
 
 func (s *rangeScan) Next() (rowset.Row, error) {
 	if s.pos+1 >= len(s.rows) {

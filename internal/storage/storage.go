@@ -391,7 +391,10 @@ func (t *Table) insertAtLocked(bm int64, stored rowset.Row, csn uint64, needUndo
 	}
 }
 
-// updateLocked replaces the row at a valid slot. Caller holds t.mu.
+// updateLocked replaces the row at a valid slot. An index whose key columns
+// did not change keeps its entry where it is: moving it would cost two
+// shifts of the sorted entry slice per index, on the live path and again on
+// every replayed record. Caller holds t.mu.
 func (t *Table) updateLocked(bm int64, stored rowset.Row, csn uint64, needUndo bool) {
 	t.version++
 	old := t.rows[bm]
@@ -399,8 +402,10 @@ func (t *Table) updateLocked(bm int64, stored rowset.Row, csn uint64, needUndo b
 	t.rows[bm] = stored
 	t.csns[bm] = csn
 	for _, ix := range t.indexes {
-		ix.deleteLocked(old, bm)
-		ix.insertLocked(stored, bm)
+		if !ix.sameKey(old, stored) {
+			ix.deleteLocked(old, bm)
+			ix.insertLocked(stored, bm)
+		}
 	}
 }
 
