@@ -1038,3 +1038,133 @@ func BenchmarkKeyedDML(b *testing.B) {
 		}
 	}
 }
+
+// ---------------------------------------------------------------------
+// Statement allocation budget: what a statement allocates must follow the
+// rows it holds, not the batch ceiling. Three statements — a cached
+// one-row point read, a 32-member partial-aggregate scatter (links do not
+// sleep) and a pruned 4 000-row scan as a member runs it — report
+// B/stmt, and three gates that do not depend on host speed fail the
+// benchmark: the point read at SetBatchSize(4096) within 1.25x of
+// SetBatchSize(64), the point read at the default size ≤ 16 KiB, and the
+// scatter ≤ 350 KiB per member touched.
+// ---------------------------------------------------------------------
+
+// loadRows fills a table through 1 000-row INSERT statements.
+func loadRows(b *testing.B, s *dhqp.Server, table string, n int, row func(i int) string) {
+	b.Helper()
+	for lo := 0; lo < n; lo += 1000 {
+		vals := make([]string, 0, 1000)
+		for i := lo; i < lo+1000 && i < n; i++ {
+			vals = append(vals, row(i))
+		}
+		mustExec(b, s, "INSERT INTO "+table+" VALUES "+strings.Join(vals, ", "))
+	}
+}
+
+func BenchmarkStatementAllocs(b *testing.B) {
+	const stmtsPerOp = 50
+	// measure runs stmt stmtsPerOp times per op and returns bytes allocated
+	// per statement, process-wide (members allocate on their own goroutines).
+	measure := func(b *testing.B, stmt func(i int)) float64 {
+		b.Helper()
+		stmt(0) // warm: compile, columnar images, remote metadata
+		b.ReportAllocs()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 1; i <= b.N*stmtsPerOp; i++ {
+			stmt(i)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N*stmtsPerOp)
+		b.ReportMetric(perStmt, "B/stmt")
+		return perStmt
+	}
+
+	bank := dhqp.NewServer("bench", "db")
+	mustExec(b, bank, `CREATE TABLE acct (id INT PRIMARY KEY, owner VARCHAR(24), bal INT)`)
+	loadRows(b, bank, "acct", 10_000, func(i int) string { return fmt.Sprintf("(%d, 'owner-%06d', %d)", i, i, i%9973) })
+	pointRead := func(i int) {
+		id := int64(i*37) % 10_000
+		res := mustQuery(b, bank, `SELECT owner, bal FROM acct WHERE id = @id`, dhqp.Params("id", dhqp.Int(id)))
+		if len(res.Rows) != 1 || res.Rows[0][1].Int() != id%9973 {
+			b.Fatalf("point read of %d: %v", id, res.Rows)
+		}
+	}
+	point := map[int]float64{}
+	for _, size := range []int{64, 0, 4096} {
+		b.Run(fmt.Sprintf("PointRead/batch=%d", size), func(b *testing.B) {
+			bank.SetBatchSize(size)
+			point[size] = measure(b, pointRead)
+		})
+	}
+	bank.SetBatchSize(0)
+
+	const members, perMember = 32, 1000
+	head := dhqp.NewServer("head", "fed")
+	var placements []dhqp.ShardPlacement
+	for i := 0; i < members; i++ {
+		m := dhqp.NewServer(fmt.Sprintf("w%d", i), "fed")
+		mustExec(b, m, `CREATE TABLE bootstrap (x INT)`) // the database must exist before forwarded DDL lands
+		link := dhqp.LAN()
+		name := fmt.Sprintf("server%d", i+1)
+		if err := head.AddLinkedServer(name, dhqp.SQLProvider(m, link), link); err != nil {
+			b.Fatal(err)
+		}
+		placements = append(placements, dhqp.ShardPlacement{Server: name, Lo: int64(i * perMember), Hi: int64((i + 1) * perMember)})
+	}
+	cols := []dhqp.Column{
+		{Name: "o_id", Kind: dhqp.KindInt}, {Name: "o_cust", Kind: dhqp.KindInt},
+		{Name: "o_region", Kind: dhqp.KindInt}, {Name: "amount", Kind: dhqp.KindInt},
+	}
+	if err := head.CreateElasticView("orders", "o_id", cols, placements); err != nil {
+		b.Fatal(err)
+	}
+	loadRows(b, head, "orders", members*perMember, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d, %d)", i, i%977, i%5, i%1000)
+	})
+	for i := 0; i < members; i++ {
+		head.InvalidateRemoteSchema(fmt.Sprintf("server%d", i+1))
+	}
+	var scatter float64
+	b.Run("Scatter32", func(b *testing.B) {
+		scatter = measure(b, func(i int) {
+			// The always-true second conjunct makes every text new, so each
+			// statement compiles, as in the repository benchmark.
+			sql := fmt.Sprintf(`SELECT o_region, COUNT(o_id), SUM(amount), AVG(amount) FROM orders WHERE amount >= 100 AND o_cust < %d GROUP BY o_region`, 1000+i)
+			if res := mustQuery(b, head, sql, nil); len(res.Rows) != 5 {
+				b.Fatalf("scatter: %d groups, want 5", len(res.Rows))
+			}
+		}) / members
+		b.ReportMetric(scatter, "B/member")
+	})
+
+	member := dhqp.NewServer("w0", "fed")
+	mustExec(b, member, `CREATE TABLE orders (o_id INT PRIMARY KEY, o_cust INT, o_region INT, amount INT)`)
+	loadRows(b, member, "orders", 4000, func(i int) string { return fmt.Sprintf("(%d, %d, %d, %d)", i, i%977, i%5, i%1000) })
+	b.Run("PrunedMemberScan4000", func(b *testing.B) {
+		measure(b, func(int) {
+			if res := mustQuery(b, member, `SELECT o_id, o_cust, amount FROM orders`, nil); len(res.Rows) != 4000 {
+				b.Fatalf("member scan: %d rows", len(res.Rows))
+			}
+		})
+	})
+
+	if point[64] == 0 || point[4096] == 0 || point[0] == 0 || scatter == 0 {
+		return // a -bench filter selected only some cases: nothing to gate
+	}
+	if r := point[4096] / point[64]; r > 1.25 {
+		b.Errorf("point read: %.0f B/stmt at batch size 4096 is %.2fx the %.0f B/stmt at 64; the gate is 1.25x", point[4096], r, point[64])
+	}
+	if point[0] > 16<<10 {
+		b.Errorf("point read: %.0f B/stmt, the gate is %d", point[0], 16<<10)
+	}
+	if scatter > 350<<10 {
+		b.Errorf("scatter: %.0f B per member touched, the gate is %d", scatter, 350<<10)
+	}
+	b.Logf("point read 4096/64 = %.2fx (gate 1.25x), %.1f KiB/stmt (gate 16), scatter %.0f KiB/member (gate 350)",
+		point[4096]/point[64], point[0]/1024, scatter/1024)
+}

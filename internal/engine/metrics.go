@@ -86,7 +86,7 @@ func buildInstruments(r *metrics.Registry) *engineInstruments {
 		Retries:      r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
 		BreakerTrips: m.breakerTrips,
 		Batches:      r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
-		Spills:       r.Counter("dhqp_exec_spills_total", "Operator spill events"),
+		BatchRows:    r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
 		Waits:        m.waits,
 	}
 	m.storageIns = &storage.Instrumentation{

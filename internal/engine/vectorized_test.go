@@ -87,6 +87,15 @@ func TestVectorizedRowEquivalence(t *testing.T) {
 		`SELECT t3.s, t2.v FROM t3, t2 WHERE t3.i = t2.k`,
 		`SELECT COUNT(*) AS n, SUM(f) AS sf, MIN(d) AS md FROM t3`,
 	}
+	checkModeGrid(t, s, queries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
+}
+
+// checkModeGrid runs every query through run under the seven executor
+// modes — the row path, then typed and generic batches at sizes 1, 3 and
+// 1024 — and requires each mode to return the row path's rows in the row
+// path's order. The knobs are restored to their defaults afterwards.
+func checkModeGrid(t *testing.T, s *Server, queries []string, run func(sql string) (*Result, error)) {
+	t.Helper()
 	modes := []struct {
 		name  string
 		apply func()
@@ -104,7 +113,7 @@ func TestVectorizedRowEquivalence(t *testing.T) {
 		var refName string
 		for _, mode := range modes {
 			mode.apply()
-			res, err := s.Query(sql, nil)
+			res, err := run(sql)
 			if err != nil {
 				t.Fatalf("query %d under %s: %v", qi, mode.name, err)
 			}

@@ -327,6 +327,7 @@ func Run(n *algebra.Node, ctx *Context, outCols []algebra.OutCol) (*rowset.Mater
 			}
 			if ctx.Ins != nil {
 				ctx.Ins.Batches.Inc()
+				ctx.Ins.BatchRows.Add(int64(b.Len()))
 			}
 			out.AppendBatch(b)
 		}

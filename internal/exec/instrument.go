@@ -16,7 +16,7 @@ type Instruments struct {
 	Retries      *metrics.Counter   // retried remote attempts
 	BreakerTrips *metrics.Counter   // circuit-breaker closed→open transitions
 	Batches      *metrics.Counter   // vectorized batches drained at the root
-	Spills       *metrics.Counter   // operator spill events (reserved: no spilling operator yet)
+	BatchRows    *metrics.Counter   // live rows in those batches (rows per batch = BatchRows / Batches)
 	Waits        *metrics.WaitTable // RETRY_BACKOFF wait point
 }
 

@@ -82,11 +82,8 @@ func BenchmarkHashKeyEncodingTyped(b *testing.B) {
 	batch := rowset.NewBatch(n)
 	batch.ResetTyped(kinds)
 	for i := 0; i < n; i++ {
-		batch.Col(0).SetValue(i, sqltypes.NewInt(int64(i)))
-		batch.Col(1).SetValue(i, sqltypes.NewString("nation"))
-		batch.Col(2).SetValue(i, sqltypes.NewFloat(float64(i)+0.5))
+		batch.AppendRow(rowset.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("nation"), sqltypes.NewFloat(float64(i) + 0.5)})
 	}
-	batch.SetNumRows(n)
 	positions := []int{0, 1, 2}
 	cols := batch.Cols()
 

@@ -146,7 +146,7 @@ func (c *computeIter) NextBatch(b *rowset.Batch) error {
 	}
 	b.Reset(len(c.exprs))
 	for i, e := range c.exprs {
-		if err := expr.EvalVec(e, c.venv, c.in.Cols(), sel, b.Col(i), b.CapRows(), b.TypedEnabled(), c.rowBuf[:c.in.Width()]); err != nil {
+		if err := expr.EvalVec(e, c.venv, c.in.Cols(), sel, b.Col(i), b.TypedEnabled(), c.rowBuf[:c.in.Width()]); err != nil {
 			return err
 		}
 	}

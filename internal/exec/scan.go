@@ -116,41 +116,20 @@ func (s *scanIter) Next() (rowset.Row, error) {
 	return r, nil
 }
 
-// NextBatch fills a column batch straight from the underlying rowset (the
-// storage engine's table scan fills it without per-row interface calls) and
-// projects it down to the plan's scan width. A pruned (non-prefix) scan
-// falls back to row-at-a-time projection into the batch.
+// NextBatch fills a column batch straight from the underlying rowset,
+// narrowed to the plan's scan columns: an identity-prefix scan truncates a
+// full-width fill, a pruned one hands its projection to the rowset. The
+// storage engine's scans fill either shape from the columnar image without
+// per-row calls; only remote rowsets are drained row by row, and those
+// project each row straight into the batch columns.
 func (s *scanIter) NextBatch(b *rowset.Batch) error {
 	if s.rs == nil {
 		return io.EOF
 	}
-	if s.proj != nil {
-		return fillBatchProjected(s.rs, b, s.proj)
-	}
-	if err := rowset.FillBatch(s.rs, b); err != nil {
+	if err := rowset.FillBatch(s.rs, b, s.proj); err != nil {
 		return err
 	}
 	b.Truncate(s.width)
-	return nil
-}
-
-// fillBatchProjected drains rows into the batch through a column
-// projection (the pruned-scan batch path).
-func fillBatchProjected(rs rowset.Rowset, b *rowset.Batch, proj []int) error {
-	b.Reset(0)
-	for !b.Full() {
-		r, err := rs.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		b.AppendRow(projectRow(r, proj))
-	}
-	if b.NumRows() == 0 {
-		return io.EOF
-	}
 	return nil
 }
 
@@ -277,10 +256,7 @@ func (s *indexRangeIter) NextBatch(b *rowset.Batch) error {
 	if s.rs == nil {
 		return io.EOF
 	}
-	if s.proj != nil {
-		return fillBatchProjected(s.rs, b, s.proj)
-	}
-	if err := rowset.FillBatch(s.rs, b); err != nil {
+	if err := rowset.FillBatch(s.rs, b, s.proj); err != nil {
 		return err
 	}
 	b.Truncate(s.width)

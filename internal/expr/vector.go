@@ -477,19 +477,19 @@ func flipCmp(op Op) Op {
 
 // EvalVec evaluates e once per selected row, writing results densely into
 // out: position k receives the k-th selected row's value. out is reset by
-// the kernel — typed to the result kind when the inputs allow it and
-// typedOK is set, generic otherwise — with capacity capRows. Direct loops
+// the kernel to exactly len(sel) rows — typed to the result kind when the
+// inputs allow it and typedOK is set, generic otherwise. Direct loops
 // serve bound column references (a payload copy), row-independent leaves
 // (a broadcast) and one-level arithmetic over typed columns; other shapes
 // gather into rowBuf and run the interpreter with a reused Env.
-func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, capRows int, typedOK bool, rowBuf []sqltypes.Value) error {
+func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, typedOK bool, rowBuf []sqltypes.Value) error {
 	if pos := boundCol(e); pos >= 0 {
 		src := &cols[pos]
 		if typedOK && src.IsTyped() {
-			copyVecDense(src, sel, out, capRows)
+			copyVecDense(src, sel, out)
 			return nil
 		}
-		out.ResetGeneric(capRows)
+		out.ResetGeneric(len(sel))
 		gen := out.Gen()
 		for k, idx := range sel {
 			gen[k] = src.Value(idx)
@@ -500,15 +500,15 @@ func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, ca
 		if err != nil {
 			return err
 		}
-		broadcastDense(v, len(sel), out, capRows, typedOK)
+		broadcastDense(v, len(sel), out, typedOK)
 		return nil
 	}
 	if b, ok := e.(*Binary); ok && b.Op.IsArith() {
-		if done, err := evalArithVec(b, env, cols, sel, out, capRows, typedOK); done || err != nil {
+		if done, err := evalArithVec(b, env, cols, sel, out, typedOK); done || err != nil {
 			return err
 		}
 	}
-	out.ResetGeneric(capRows)
+	out.ResetGeneric(len(sel))
 	gen := out.Gen()
 	saved := env.Row
 	defer func() { env.Row = saved }()
@@ -529,8 +529,8 @@ func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, ca
 
 // copyVecDense gathers src's selected elements densely into out, preserving
 // the typed representation and validity.
-func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec, capRows int) {
-	out.ResetTyped(src.Kind(), capRows)
+func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec) {
+	out.ResetTyped(src.Kind(), len(sel))
 	switch src.Kind() {
 	case sqltypes.KindFloat:
 		xs, ox := src.Float64s(), out.Float64s()
@@ -558,9 +558,9 @@ func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec, capRows int) {
 }
 
 // broadcastDense fills out's first n positions with v.
-func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec, capRows int, typedOK bool) {
+func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec, typedOK bool) {
 	if typedOK && !v.IsNull() {
-		out.ResetTyped(v.Kind(), capRows)
+		out.ResetTyped(v.Kind(), n)
 		switch v.Kind() {
 		case sqltypes.KindFloat:
 			ox := out.Float64s()
@@ -582,7 +582,7 @@ func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec, capRows int, typed
 		}
 		return
 	}
-	out.ResetGeneric(capRows)
+	out.ResetGeneric(n)
 	gen := out.Gen()
 	for k := 0; k < n; k++ {
 		gen[k] = v
@@ -647,7 +647,7 @@ func resolveArithSide(e Expr, env *Env, cols []rowset.Vec) (arithSide, bool, err
 // interpreter routes them through the float path too). done is false when
 // the shape or kind pair is not fast-pathable and the caller must fall
 // back to the interpreter.
-func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, capRows int, typedOK bool) (bool, error) {
+func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, typedOK bool) (bool, error) {
 	if !typedOK {
 		return false, nil
 	}
@@ -664,13 +664,13 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 	}
 	if l.kind == sqltypes.KindNull || r.kind == sqltypes.KindNull {
 		// NULL leaf operand: arithmetic yields NULL for every row.
-		broadcastDense(sqltypes.Null, len(sel), out, capRows, false)
+		broadcastDense(sqltypes.Null, len(sel), out, false)
 		return true, nil
 	}
 	nullable := l.hasNulls() || r.hasNulls()
 	switch {
 	case l.kind == sqltypes.KindInt && r.kind == sqltypes.KindInt:
-		out.ResetTyped(sqltypes.KindInt, capRows)
+		out.ResetTyped(sqltypes.KindInt, len(sel))
 		ox := out.Int64s()
 		for k, idx := range sel {
 			if nullable && (!l.valid(idx) || !r.valid(idx)) {
@@ -699,7 +699,7 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 		}
 		return true, nil
 	case l.kind == sqltypes.KindDate && r.kind == sqltypes.KindInt && (b.Op == OpAdd || b.Op == OpSub):
-		out.ResetTyped(sqltypes.KindDate, capRows)
+		out.ResetTyped(sqltypes.KindDate, len(sel))
 		ox := out.Int64s()
 		for k, idx := range sel {
 			if nullable && (!l.valid(idx) || !r.valid(idx)) {
@@ -714,7 +714,7 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 		}
 		return true, nil
 	case l.kind == sqltypes.KindDate && r.kind == sqltypes.KindDate && b.Op == OpSub:
-		out.ResetTyped(sqltypes.KindInt, capRows)
+		out.ResetTyped(sqltypes.KindInt, len(sel))
 		ox := out.Int64s()
 		for k, idx := range sel {
 			if nullable && (!l.valid(idx) || !r.valid(idx)) {
@@ -725,7 +725,7 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 		}
 		return true, nil
 	case l.kind == sqltypes.KindString && r.kind == sqltypes.KindString && b.Op == OpAdd:
-		out.ResetTyped(sqltypes.KindString, capRows)
+		out.ResetTyped(sqltypes.KindString, len(sel))
 		ox := out.Strings()
 		for k, idx := range sel {
 			if nullable && (!l.valid(idx) || !r.valid(idx)) {
@@ -747,7 +747,7 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 		} else {
 			rn = numConstOf(r.val)
 		}
-		out.ResetTyped(sqltypes.KindFloat, capRows)
+		out.ResetTyped(sqltypes.KindFloat, len(sel))
 		ox := out.Float64s()
 		for k, idx := range sel {
 			if nullable && (!l.valid(idx) || !r.valid(idx)) {

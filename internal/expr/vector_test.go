@@ -42,12 +42,13 @@ func buildVecs(valsByCol [][]sqltypes.Value, kinds []sqltypes.Kind, typed bool) 
 	} else {
 		b.Reset(len(valsByCol))
 	}
-	for j, col := range valsByCol {
-		for i, v := range col {
-			b.Col(j).SetValue(i, v)
+	row := make(rowset.Row, len(valsByCol))
+	for i := 0; i < n; i++ {
+		for j, col := range valsByCol {
+			row[j] = col[i]
 		}
+		b.AppendRow(row)
 	}
-	b.SetNumRows(n)
 	return b.Cols()
 }
 
@@ -205,7 +206,7 @@ func TestEvalVec(t *testing.T) {
 		out := new(rowset.Vec)
 		for i, e := range exprs {
 			for _, sel := range sels {
-				vecErr := EvalVec(e, env, cols, sel, out, 16, typed, rowBuf)
+				vecErr := EvalVec(e, env, cols, sel, out, typed, rowBuf)
 				var rowErr error
 				want := make([]sqltypes.Value, len(sel))
 				for k, idx := range sel {
@@ -250,7 +251,7 @@ func TestEvalVecDivZeroErrors(t *testing.T) {
 	col0 := BoundColRef(1, "a", 0)
 	e := NewBinary(OpDiv, col0, NewConst(sqltypes.NewInt(0)))
 	out := new(rowset.Vec)
-	err := EvalVec(e, env, cols, []int{0, 1}, out, 8, true, make([]sqltypes.Value, len(cols)))
+	err := EvalVec(e, env, cols, []int{0, 1}, out, true, make([]sqltypes.Value, len(cols)))
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("want division-by-zero error, got %v", err)
 	}
@@ -262,11 +263,10 @@ func TestVecDegradeMixedKinds(t *testing.T) {
 	b := rowset.NewBatch(8)
 	b.ResetTyped([]sqltypes.Kind{sqltypes.KindInt})
 	v := b.Col(0)
-	v.SetValue(0, sqltypes.NewInt(7))
-	v.SetValue(1, sqltypes.Null)
-	v.SetValue(2, sqltypes.NewString("x")) // degrade point
-	v.SetValue(3, sqltypes.NewFloat(1.5))
-	b.SetNumRows(4)
+	b.AppendRow(rowset.Row{sqltypes.NewInt(7)})
+	b.AppendRow(rowset.Row{sqltypes.Null})
+	b.AppendRow(rowset.Row{sqltypes.NewString("x")}) // degrade point
+	b.AppendRow(rowset.Row{sqltypes.NewFloat(1.5)})
 	if v.IsTyped() {
 		t.Fatal("vec should have degraded to generic mode")
 	}

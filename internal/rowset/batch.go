@@ -16,10 +16,19 @@ import (
 
 // Batch sizing. DefaultBatchSize balances cache residency against
 // amortization; MaxBatchSize caps memory per operator regardless of the
-// session knob.
+// session knob. The batch size is a ceiling on rows per fill, not an
+// allocation: columns are sized by what a fill holds. Producers that know
+// their row count (FillCols, FillRows, Materialized.NextBatch, the
+// expression kernels) size columns to it exactly; AppendRow, which does
+// not, grows them from minAppendRows by appendGrowth up to the ceiling. A
+// reused batch keeps the buffers of its largest fill, so refilling it to
+// that size again allocates nothing.
 const (
 	DefaultBatchSize = 1024
 	MaxBatchSize     = 4096
+
+	minAppendRows = 16
+	appendGrowth  = 8
 )
 
 // ClampBatchSize normalizes a batch-size knob value: 0 (or negative) means
@@ -46,10 +55,11 @@ func ClampBatchSize(n int) int {
 type Batch struct {
 	cols    []Vec
 	n       int // physical row count
+	room    int // rows the columns are sized for; AppendRow grows at n == room
 	capRows int
 	sel     []int
 	useSel  bool
-	ident   []int // cached identity selection, grown lazily
+	ident   []int // cached identity selection, grown to the largest fill
 	noTyped bool  // session knob: force generic columns on ResetTyped
 }
 
@@ -84,16 +94,13 @@ func (b *Batch) SetTypedEnabled(on bool) { b.noTyped = !on }
 func (b *Batch) TypedEnabled() bool { return !b.noTyped }
 
 // Reset clears the batch to zero rows with the given width, all columns in
-// generic (boxed) mode. width 0 defers the shape to the first AppendRow
-// (generic adapters over children whose width is unknown until a row
-// arrives).
+// generic (boxed) mode and empty: it allocates nothing once the batch has
+// held that width. width 0 defers the shape to the first AppendRow (generic
+// adapters over children whose width is unknown until a row arrives).
 func (b *Batch) Reset(width int) {
-	b.n = 0
-	b.useSel = false
-	b.sel = b.sel[:0]
-	b.setWidth(width)
+	b.clear(width)
 	for j := range b.cols {
-		b.cols[j].resetGeneric(b.capRows)
+		b.cols[j].ResetGeneric(0)
 	}
 }
 
@@ -107,17 +114,18 @@ func (b *Batch) ResetTyped(kinds []sqltypes.Kind) {
 		b.Reset(len(kinds))
 		return
 	}
-	b.n = 0
+	b.clear(len(kinds))
+	for j := range b.cols {
+		b.cols[j].ResetTyped(kinds[j], 0)
+	}
+}
+
+// clear empties the batch to width columns; the caller resets each one.
+func (b *Batch) clear(width int) {
+	b.n, b.room = 0, 0
 	b.useSel = false
 	b.sel = b.sel[:0]
-	b.setWidth(len(kinds))
-	for j := range b.cols {
-		if kinds[j] == sqltypes.KindNull {
-			b.cols[j].resetGeneric(b.capRows)
-		} else {
-			b.cols[j].resetTyped(kinds[j], b.capRows)
-		}
-	}
+	b.setWidth(width)
 }
 
 // setWidth resizes the column set, recovering previously allocated column
@@ -160,17 +168,19 @@ func (b *Batch) Col(j int) *Vec { return &b.cols[j] }
 // Cols returns the column vectors (the expression kernels' input form).
 func (b *Batch) Cols() []Vec { return b.cols }
 
-// SetNumRows declares the physical row count after direct column writes.
-func (b *Batch) SetNumRows(n int) { b.n = n }
+// SetNumRows declares the physical row count after direct column writes
+// (the producer sized the columns itself, to at least n).
+func (b *Batch) SetNumRows(n int) { b.n, b.room = n, n }
 
 // AppendRow copies r into the batch as the next physical row. On a
-// width-0 batch the first row fixes the width (generic columns).
+// width-0 batch the first row fixes the width (generic columns). Room is
+// checked once per row, not per value.
 func (b *Batch) AppendRow(r Row) {
 	if len(b.cols) == 0 && len(r) > 0 {
-		b.setWidth(len(r))
-		for j := range b.cols {
-			b.cols[j].resetGeneric(b.capRows)
-		}
+		b.Reset(len(r))
+	}
+	if b.n == b.room {
+		b.grow()
 	}
 	for j := range b.cols {
 		b.cols[j].SetValue(b.n, r[j])
@@ -178,33 +188,76 @@ func (b *Batch) AppendRow(r Row) {
 	b.n++
 }
 
-// FillRows loads row-major rows (at most CapRows of them) into the batch
-// column-major, columns typed per kinds. The per-column kind dispatch
-// hoists out of the row loop, so a million-row scan pays it once per
-// column per batch instead of once per value — the bulk fill path for
-// storage scans over schema-typed tables.
-func (b *Batch) FillRows(kinds []sqltypes.Kind, rows []Row) {
-	b.ResetTyped(kinds)
-	for j := range b.cols {
-		b.cols[j].fillFromRows(rows, j)
+// AppendProjected appends the row whose column j is r[proj[j]], proj
+// naming every column of the batch — a row-at-a-time source projects
+// straight into the columns.
+func (b *Batch) AppendProjected(r Row, proj []int) {
+	if b.n == b.room {
+		b.grow()
 	}
-	b.n = len(rows)
+	for j, src := range proj {
+		b.cols[j].SetValue(b.n, r[src])
+	}
+	b.n++
+}
+
+// grow makes room for more appended rows: minAppendRows, then appendGrowth
+// times the room so far, up to the ceiling.
+func (b *Batch) grow() {
+	b.room = min(max(minAppendRows, appendGrowth*b.room), b.capRows)
+	for j := range b.cols {
+		b.cols[j].grow(b.n, b.room)
+	}
+}
+
+// srcCol maps output column j through an optional projection.
+func srcCol(proj []int, j int) int {
+	if proj == nil {
+		return j
+	}
+	return proj[j]
+}
+
+// projWidth is the width of a fill through an optional projection of a
+// full-column source.
+func projWidth(proj []int, full int) int {
+	if proj == nil {
+		return full
+	}
+	return len(proj)
+}
+
+// FillRows loads row-major rows (at most CapRows of them) into the batch
+// column-major: column j holds source column proj[j], typed to its entry
+// in kinds (proj nil: every column of kinds, in order). The per-column
+// kind dispatch hoists out of the row loop, so a million-row scan pays it
+// once per column per batch instead of once per value — the bulk fill path
+// for storage scans over schema-typed tables.
+func (b *Batch) FillRows(kinds []sqltypes.Kind, proj []int, rows []Row) {
+	b.clear(projWidth(proj, len(kinds)))
+	for j := range b.cols {
+		src, kind := srcCol(proj, j), sqltypes.KindNull
+		if !b.noTyped {
+			kind = kinds[src]
+		}
+		b.cols[j].ResetTyped(kind, len(rows))
+		b.cols[j].fillFromRows(rows, src)
+	}
+	b.SetNumRows(len(rows))
 }
 
 // FillCols loads rows [off, off+k) of a columnar image — one full-table
-// Vec per column — into the batch. Typed source columns transfer by
-// payload copy (no per-value conversion); when typed columns are disabled
-// on this batch the copy boxes instead, so the differential path sees
-// identical values.
-func (b *Batch) FillCols(src []Vec, off, k int) {
-	b.n = 0
-	b.useSel = false
-	b.sel = b.sel[:0]
-	b.setWidth(len(src))
+// Vec per column — into the batch: column j is a copy of src[proj[j]]
+// (proj nil: every column, in order), so a pruned scan copies only what
+// the plan reads. Typed source columns transfer by payload copy (no
+// per-value conversion); when typed columns are disabled on this batch
+// the copy boxes instead, so the differential path sees identical values.
+func (b *Batch) FillCols(src []Vec, proj []int, off, k int) {
+	b.clear(projWidth(proj, len(src)))
 	for j := range b.cols {
-		b.cols[j].copyRange(&src[j], off, k, b.capRows, b.noTyped)
+		b.cols[j].copyRange(&src[srcCol(proj, j)], off, k, b.noTyped)
 	}
-	b.n = k
+	b.SetNumRows(k)
 }
 
 // Full reports whether the batch has reached its physical capacity.
@@ -216,8 +269,11 @@ func (b *Batch) Indices() []int {
 	if b.useSel {
 		return b.sel
 	}
-	for len(b.ident) < b.n {
-		b.ident = append(b.ident, len(b.ident))
+	if had := len(b.ident); had < b.n {
+		b.ident = resize(b.ident, had, b.n)
+		for i := had; i < b.n; i++ {
+			b.ident[i] = i
+		}
 	}
 	return b.ident[:b.n]
 }
@@ -263,14 +319,26 @@ type BatchReader interface {
 	NextBatch(b *Batch) error
 }
 
-// FillBatch fills b from rs — directly when rs is a BatchReader, otherwise
-// by pulling rows one at a time. Returns io.EOF when rs is exhausted and
-// nothing was filled.
-func FillBatch(rs Rowset, b *Batch) error {
-	if br, ok := rs.(BatchReader); ok {
+// ProjectedBatchReader is a BatchReader that can deliver a subset of its
+// columns in the caller's order: output column j is source column proj[j]
+// (nil: every column). A pruned scan over such a rowset stays columnar
+// instead of projecting row by row.
+type ProjectedBatchReader interface {
+	NextBatchProjected(b *Batch, proj []int) error
+}
+
+// FillBatch fills b from rs with the columns proj names (nil: all of them)
+// — directly when rs can batch-read that shape, otherwise by pulling rows
+// one at a time and projecting each straight into the columns. Returns
+// io.EOF when rs is exhausted and nothing was filled.
+func FillBatch(rs Rowset, b *Batch, proj []int) error {
+	if pr, ok := rs.(ProjectedBatchReader); ok {
+		return pr.NextBatchProjected(b, proj)
+	}
+	if br, ok := rs.(BatchReader); ok && proj == nil {
 		return br.NextBatch(b)
 	}
-	b.Reset(0)
+	b.Reset(len(proj))
 	for !b.Full() {
 		r, err := rs.Next()
 		if err == io.EOF {
@@ -279,7 +347,11 @@ func FillBatch(rs Rowset, b *Batch) error {
 		if err != nil {
 			return err
 		}
-		b.AppendRow(r)
+		if proj == nil {
+			b.AppendRow(r)
+		} else {
+			b.AppendProjected(r, proj)
+		}
 	}
 	if b.NumRows() == 0 {
 		return io.EOF
@@ -294,11 +366,14 @@ func (m *Materialized) NextBatch(b *Batch) error {
 	if m.pos >= len(m.rows) {
 		return io.EOF
 	}
-	b.Reset(0)
-	for !b.Full() && m.pos < len(m.rows) {
-		b.AppendRow(m.rows[m.pos])
-		m.pos++
+	rows := m.rows[m.pos:min(m.pos+b.capRows, len(m.rows))]
+	b.clear(len(rows[0]))
+	for j := range b.cols {
+		b.cols[j].ResetGeneric(len(rows))
+		b.cols[j].fillFromRows(rows, j)
 	}
+	b.SetNumRows(len(rows))
+	m.pos += len(rows)
 	return nil
 }
 

@@ -76,7 +76,7 @@ func TestFillBatchAndMaterializedRoundTrip(t *testing.T) {
 	b := NewBatch(3)
 	total := 0
 	for {
-		err := FillBatch(src, b)
+		err := FillBatch(src, b, nil)
 		if err == io.EOF {
 			break
 		}
@@ -110,13 +110,13 @@ func TestFillBatchPullPath(t *testing.T) {
 		},
 	}
 	b := NewBatch(8)
-	if err := FillBatch(f, b); err != nil {
+	if err := FillBatch(f, b, nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 5 {
 		t.Fatalf("len = %d, want 5", b.Len())
 	}
-	if err := FillBatch(f, b); err != io.EOF {
+	if err := FillBatch(f, b, nil); err != io.EOF {
 		t.Fatalf("second fill err = %v, want io.EOF", err)
 	}
 }

@@ -84,17 +84,6 @@ func (v *Vec) SetNull(i int) {
 	v.hasNulls = true
 }
 
-// SetInt64 stores a valid int-family payload at i (kinds Int, Bool, Date).
-// The producer must have reset the vec typed; the validity bit is already
-// set after a reset, so the hot path touches only the payload slice.
-func (v *Vec) SetInt64(i int, x int64) { v.i64[i] = x }
-
-// SetFloat64 stores a valid float payload at i.
-func (v *Vec) SetFloat64(i int, x float64) { v.f64[i] = x }
-
-// SetString stores a valid string payload at i.
-func (v *Vec) SetString(i int, s string) { v.str[i] = s }
-
 // Value boxes element i back into sqltypes.Value form.
 func (v *Vec) Value(i int) sqltypes.Value {
 	switch v.kind {
@@ -288,9 +277,8 @@ func (v *Vec) boxInto(dst []sqltypes.Value, stride int, idxs []int) {
 }
 
 // BuildColVec builds a full-length typed vector over column j of rows —
-// the storage engine's columnar-image constructor. The vector is sized to
-// len(rows) exactly; a kind-mismatched value degrades it to generic just
-// like a batch fill would.
+// the storage engine's columnar-image constructor. A kind-mismatched value
+// degrades it to generic just like a batch fill would.
 func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 	var v Vec
 	v.ResetTyped(kind, len(rows))
@@ -298,27 +286,27 @@ func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 	return v
 }
 
-// copyRange refills v (capacity capRows) with elements [off, off+k) of
-// src — the columnar-image scan path, where filling a batch is a payload
-// memcpy instead of a per-value conversion. When boxed is set the copy
-// boxes into generic mode regardless of src's representation (the
-// DisableTypedVectors differential path).
-func (v *Vec) copyRange(src *Vec, off, k, capRows int, boxed bool) {
+// copyRange refills v with exactly the k elements [off, off+k) of src — the
+// columnar-image scan path, where filling a batch is a payload memcpy
+// instead of a per-value conversion. When boxed is set the copy boxes into
+// generic mode regardless of src's representation (the DisableTypedVectors
+// differential path). src is only read: scans share one image.
+func (v *Vec) copyRange(src *Vec, off, k int, boxed bool) {
 	if src.kind == sqltypes.KindNull || boxed {
-		v.resetGeneric(capRows)
+		v.ResetGeneric(k)
 		for i := 0; i < k; i++ {
 			v.gen[i] = src.Value(off + i)
 		}
 		return
 	}
-	v.resetTyped(src.kind, capRows)
+	v.resetTyped(src.kind, k)
 	switch src.kind {
 	case sqltypes.KindFloat:
-		copy(v.f64[:k], src.f64[off:off+k])
+		copy(v.f64, src.f64[off:off+k])
 	case sqltypes.KindString:
-		copy(v.str[:k], src.str[off:off+k])
+		copy(v.str, src.str[off:off+k])
 	default:
-		copy(v.i64[:k], src.i64[off:off+k])
+		copy(v.i64, src.i64[off:off+k])
 	}
 	if !src.hasNulls {
 		return
@@ -336,8 +324,8 @@ func (v *Vec) copyRange(src *Vec, off, k, capRows int, boxed bool) {
 	}
 }
 
-// typedCap reports the capacity of the active typed payload.
-func (v *Vec) typedCap() int {
+// typedLen reports the length of the active typed payload.
+func (v *Vec) typedLen() int {
 	switch v.kind {
 	case sqltypes.KindFloat:
 		return len(v.f64)
@@ -351,11 +339,7 @@ func (v *Vec) typedCap() int {
 // degrade converts a typed column to generic mode, boxing the first n
 // elements (the sequentially written prefix).
 func (v *Vec) degrade(n int) {
-	capRows := v.typedCap()
-	if cap(v.gen) < capRows {
-		v.gen = make([]sqltypes.Value, capRows)
-	}
-	v.gen = v.gen[:capRows]
+	v.gen = resize(v.gen, 0, v.typedLen())
 	for j := 0; j < n; j++ {
 		v.gen[j] = v.Value(j)
 	}
@@ -363,60 +347,66 @@ func (v *Vec) degrade(n int) {
 	v.hasNulls = false
 }
 
-// ResetGeneric prepares the column for a generic fill of up to capRows rows
-// (the expression kernels reset their output columns directly).
-func (v *Vec) ResetGeneric(capRows int) { v.resetGeneric(capRows) }
-
-// ResetTyped prepares the column for a typed fill of up to capRows rows of
-// the given kind; kind sqltypes.KindNull resets generic instead.
-func (v *Vec) ResetTyped(kind sqltypes.Kind, capRows int) {
+// ResetTyped prepares the column for a typed fill of exactly n rows of the
+// given kind; kind sqltypes.KindNull resets generic instead.
+func (v *Vec) ResetTyped(kind sqltypes.Kind, n int) {
 	if kind == sqltypes.KindNull {
-		v.resetGeneric(capRows)
+		v.ResetGeneric(n)
 		return
 	}
-	v.resetTyped(kind, capRows)
+	v.resetTyped(kind, n)
 }
 
-// resetGeneric prepares the column for a generic fill of up to capRows rows,
+// ResetGeneric prepares the column for a generic fill of exactly n rows
+// (the expression kernels size their output columns to the selection),
 // reusing the boxed buffer when it is large enough.
-func (v *Vec) resetGeneric(capRows int) {
+func (v *Vec) ResetGeneric(n int) {
 	v.kind = sqltypes.KindNull
 	v.hasNulls = false
-	if cap(v.gen) < capRows {
-		v.gen = make([]sqltypes.Value, capRows)
-	}
-	v.gen = v.gen[:capRows]
+	v.gen = resize(v.gen, 0, n)
 }
 
-// resetTyped prepares the column for a typed fill of up to capRows rows of
-// the given kind, reusing payload and bitmap buffers across fills. All
-// validity bits start set (every row valid until SetNull).
-func (v *Vec) resetTyped(kind sqltypes.Kind, capRows int) {
+// resetTyped prepares the column for a typed fill of n rows of the given
+// kind, reusing payload and bitmap buffers across fills. All validity bits
+// start set (every row valid until SetNull).
+func (v *Vec) resetTyped(kind sqltypes.Kind, n int) {
 	v.kind = kind
 	v.hasNulls = false
-	words := (capRows + 63) / 64
-	if cap(v.valid) < words {
-		v.valid = make([]uint64, words)
+	v.valid = v.valid[:0]
+	v.grow(0, n)
+}
+
+// grow extends the active payload to hold `to` rows, keeping the first n
+// (the rows written so far). Newly exposed validity words start all-set, so
+// rows written before the column's first NULL read valid without having
+// touched the bitmap.
+func (v *Vec) grow(n, to int) {
+	switch v.kind {
+	case sqltypes.KindNull:
+		v.gen = resize(v.gen, n, to)
+		return
+	case sqltypes.KindFloat:
+		v.f64 = resize(v.f64, n, to)
+	case sqltypes.KindString:
+		v.str = resize(v.str, n, to)
+	default:
+		v.i64 = resize(v.i64, n, to)
 	}
-	v.valid = v.valid[:words]
-	for i := range v.valid {
+	had := len(v.valid)
+	v.valid = resize(v.valid, had, (to+63)/64)
+	for i := had; i < len(v.valid); i++ {
 		v.valid[i] = ^uint64(0)
 	}
-	switch kind {
-	case sqltypes.KindFloat:
-		if cap(v.f64) < capRows {
-			v.f64 = make([]float64, capRows)
-		}
-		v.f64 = v.f64[:capRows]
-	case sqltypes.KindString:
-		if cap(v.str) < capRows {
-			v.str = make([]string, capRows)
-		}
-		v.str = v.str[:capRows]
-	default:
-		if cap(v.i64) < capRows {
-			v.i64 = make([]int64, capRows)
-		}
-		v.i64 = v.i64[:capRows]
+}
+
+// resize returns s with length `to`, its first n elements kept: a reslice
+// when the buffer already has the room, otherwise a new buffer of exactly
+// `to` elements.
+func resize[T any](s []T, n, to int) []T {
+	if cap(s) >= to {
+		return s[:to]
 	}
+	grown := make([]T, to)
+	copy(grown, s[:n])
+	return grown
 }

@@ -163,20 +163,24 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 		t.Fatal("performance-counters DMV returned no rows")
 	}
 	seen := false
-	dml := map[string]float64{}
+	counters := map[string]float64{}
 	for _, row := range perf.Rows {
 		if row[0].Str() == "dhqp_statements_total" && row[2].Float() > 0 {
 			seen = true
 		}
-		if strings.HasPrefix(row[0].Str(), "dhqp_dml_rows_") {
-			dml[row[0].Str()] = row[2].Float()
+		if strings.HasPrefix(row[0].Str(), "dhqp_dml_rows_") || strings.HasPrefix(row[0].Str(), "dhqp_exec_") {
+			counters[row[0].Str()] = row[2].Float()
 		}
 	}
 	if !seen {
 		t.Fatal("performance-counters DMV misses dhqp_statements_total")
 	}
-	if dml["dhqp_dml_rows_examined_total"] != 4 || dml["dhqp_dml_rows_affected_total"] != 1 {
-		t.Fatalf("performance-counters DMV shows DML rows %v, want 4 examined and 1 affected", dml)
+	if counters["dhqp_dml_rows_examined_total"] != 4 || counters["dhqp_dml_rows_affected_total"] != 1 {
+		t.Fatalf("performance-counters DMV shows DML rows %v, want 4 examined and 1 affected", counters)
+	}
+	// Rows per root batch is derivable: both counters are present and move.
+	if b, r := counters["dhqp_exec_batches_total"], counters["dhqp_exec_batch_rows_total"]; b < 1 || r < b {
+		t.Fatalf("performance-counters DMV shows %v batches holding %v rows", b, r)
 	}
 }
 

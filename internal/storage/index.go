@@ -248,7 +248,10 @@ func columnKinds(cols []schema.Column) []sqltypes.Kind {
 // NextBatch implements rowset.BatchReader: index range scans fill typed
 // column batches the same way table scans do (the range snapshot already
 // excluded deleted slots).
-func (s *rangeScan) NextBatch(b *rowset.Batch) error {
+func (s *rangeScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
+
+// NextBatchProjected implements rowset.ProjectedBatchReader.
+func (s *rangeScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
 	if s.kinds == nil {
 		s.kinds = columnKinds(s.cols)
 	}
@@ -260,7 +263,7 @@ func (s *rangeScan) NextBatch(b *rowset.Batch) error {
 	if end > len(s.rows) {
 		end = len(s.rows)
 	}
-	b.FillRows(s.kinds, s.rows[start:end])
+	b.FillRows(s.kinds, proj, s.rows[start:end])
 	s.pos = end - 1
 	return nil
 }

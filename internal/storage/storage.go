@@ -576,7 +576,11 @@ func (s *tableScan) Close() error {
 // an interface call per row. Columns are typed to the table's declared
 // kinds — Insert coerces stored values to those kinds, so every non-NULL
 // value lands in a flat payload slot with no degrade.
-func (s *tableScan) NextBatch(b *rowset.Batch) error {
+func (s *tableScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
+
+// NextBatchProjected implements rowset.ProjectedBatchReader: both fill
+// paths copy only the columns proj names, in its order (nil: all of them).
+func (s *tableScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
 	if b.TypedEnabled() && s.table != nil {
 		// Columnar-image path: the typed column vectors for the whole
 		// table are cached per version, so each batch is a payload copy.
@@ -590,7 +594,7 @@ func (s *tableScan) NextBatch(b *rowset.Batch) error {
 		if rem := s.img.n - s.ipos; k > rem {
 			k = rem
 		}
-		b.FillCols(s.img.cols, s.ipos, k)
+		b.FillCols(s.img.cols, proj, s.ipos, k)
 		s.ipos += k
 		s.pos = int(s.img.bms[s.ipos-1])
 		return nil
@@ -609,7 +613,7 @@ func (s *tableScan) NextBatch(b *rowset.Batch) error {
 	if len(live) == 0 {
 		return errEOF
 	}
-	b.FillRows(s.kinds, live)
+	b.FillRows(s.kinds, proj, live)
 	return nil
 }
 
