@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/netsim"
 	"dhqp/internal/rowset"
 	"dhqp/internal/rules"
 	"dhqp/internal/storage"
@@ -1167,4 +1168,151 @@ func BenchmarkStatementAllocs(b *testing.B) {
 	}
 	b.Logf("point read 4096/64 = %.2fx (gate 1.25x), %.1f KiB/stmt (gate 16), scatter %.0f KiB/member (gate 350)",
 		point[4096]/point[64], point[0]/1024, scatter/1024)
+}
+
+// BenchmarkShippedWindow counts what a shipped key window costs on the
+// wire: a 32-member elastic view of 4 000 keys per member joined to a local
+// customer table, 1 500-key windows at random offsets (the repository
+// benchmark's fed_row_ship statement). Counts only — no link sleeps — so the
+// gates hold on any host: the statement reaches only the members that own a
+// piece of the window, pays a round trip per fetch of the consumer's batch
+// size rather than per 64 rows, and ships exactly the rows and row bytes the
+// same window ships from those members when nothing is pruned.
+func BenchmarkShippedWindow(b *testing.B) {
+	const members, perMember, custRows, window, stmtsPerOp = 32, 4000, 5000, 1500, 20
+	const pruned = `SELECT o.o_id, c.c_name, o.amount FROM orders o JOIN cust c ON o.o_cust = c.c_id WHERE o.o_id >= @lo AND o.o_id < @hi`
+	// No conjunct compares the shard key itself to a parameter, so no
+	// startup filter is derived; the range still reaches every member.
+	const unpruned = `SELECT o.o_id, c.c_name, o.amount FROM orders o JOIN cust c ON o.o_cust = c.c_id WHERE o.o_id + 0 >= @lo AND o.o_id + 0 < @hi`
+
+	head := dhqp.NewServer("head", "fed")
+	var placements []dhqp.ShardPlacement
+	var links []*dhqp.Link
+	for i := 0; i < members; i++ {
+		m := dhqp.NewServer(fmt.Sprintf("w%d", i), "fed")
+		mustExec(b, m, `CREATE TABLE bootstrap (x INT)`) // the database must exist before forwarded DDL lands
+		link := dhqp.LAN()
+		name := fmt.Sprintf("server%d", i+1)
+		if err := head.AddLinkedServer(name, dhqp.SQLProvider(m, link), link); err != nil {
+			b.Fatal(err)
+		}
+		links = append(links, link)
+		placements = append(placements, dhqp.ShardPlacement{Server: name, Lo: int64(i * perMember), Hi: int64((i + 1) * perMember)})
+	}
+	cols := []dhqp.Column{
+		{Name: "o_id", Kind: dhqp.KindInt}, {Name: "o_cust", Kind: dhqp.KindInt},
+		{Name: "o_region", Kind: dhqp.KindInt}, {Name: "amount", Kind: dhqp.KindInt},
+	}
+	if err := head.CreateElasticView("orders", "o_id", cols, placements); err != nil {
+		b.Fatal(err)
+	}
+	loadRows(b, head, "orders", members*perMember, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d, %d)", i, i*31%custRows, i%5, i%1000)
+	})
+	mustExec(b, head, `CREATE TABLE cust (c_id INT PRIMARY KEY, c_name VARCHAR(24))`)
+	loadRows(b, head, "cust", custRows, func(i int) string { return fmt.Sprintf("(%d, 'cust-%06d')", i, i) })
+	for i := 0; i < members; i++ {
+		head.InvalidateRemoteSchema(fmt.Sprintf("server%d", i+1))
+	}
+
+	// run executes sql over [lo, lo+window) and returns each link's traffic.
+	run := func(b *testing.B, sql string, lo int) []netsim.Stats {
+		for _, l := range links {
+			l.Reset()
+		}
+		res := mustQuery(b, head, sql, dhqp.Params("lo", dhqp.Int(int64(lo)), "hi", dhqp.Int(int64(lo+window))))
+		if len(res.Rows) != window {
+			b.Fatalf("[%d,%d): %d rows", lo, lo+window, len(res.Rows))
+		}
+		out := make([]netsim.Stats, len(links))
+		for i, l := range links {
+			out[i] = l.Stats()
+		}
+		return out
+	}
+	// stmtBytes[sql][i] is what shipping the statement itself to member i
+	// costs: its decoded text and two 16-byte parameters.
+	stmtBytes := map[string][]int64{}
+	for _, sql := range []string{pruned, unpruned} {
+		ea, err := head.ExplainAnalyze(sql, dhqp.Params("lo", dhqp.Int(0), "hi", dhqp.Int(members*perMember)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		per := make([]int64, members)
+		for _, rt := range ea.RemoteSQL {
+			var i int
+			if _, err := fmt.Sscanf(rt.Server, "server%d", &i); err != nil {
+				b.Fatal(err)
+			}
+			per[i-1] = int64(len(rt.Text)) + 2*16
+		}
+		stmtBytes[sql] = per
+		run(b, sql, 0) // warm the plan cache
+	}
+
+	calls := map[int]float64{}
+	for _, size := range []int{64, 0, 4096} {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			head.SetBatchSize(size)
+			rng := rand.New(rand.NewSource(15))
+			var nCalls, nRows, nBytes, nMembers, maxMembers int64
+			b.ResetTimer()
+			for i := 0; i < b.N*stmtsPerOp; i++ {
+				lo := rng.Intn(members*perMember - window + 1)
+				reached := int64(0)
+				for m, s := range run(b, pruned, lo) {
+					if s.Calls == 0 {
+						continue
+					}
+					reached++
+					nCalls, nRows, nBytes = nCalls+s.Calls, nRows+s.Rows, nBytes+s.Bytes
+					if mlo, mhi := m*perMember, (m+1)*perMember; lo >= mhi || lo+window <= mlo {
+						b.Fatalf("[%d,%d) reached server%d, which owns [%d,%d)", lo, lo+window, m+1, mlo, mhi)
+					}
+				}
+				nMembers += reached
+				maxMembers = max(maxMembers, reached)
+			}
+			b.StopTimer()
+			n := float64(b.N * stmtsPerOp)
+			calls[size] = float64(nCalls) / n
+			b.ReportMetric(calls[size], "calls/stmt")
+			b.ReportMetric(float64(nRows)/n, "rows-shipped/stmt")
+			b.ReportMetric(float64(nBytes)/n, "bytes-shipped/stmt")
+			b.ReportMetric(float64(nMembers)/n, "members/stmt")
+			if maxMembers > 2 {
+				b.Errorf("a %d-key window reached %d members; it can meet at most 2", window, maxMembers)
+			}
+		})
+	}
+	head.SetBatchSize(0)
+
+	b.Run("parity", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(16))
+		for i := 0; i < b.N*stmtsPerOp; i++ {
+			lo := rng.Intn(members*perMember - window + 1)
+			with, without := run(b, pruned, lo), run(b, unpruned, lo)
+			for m := range links {
+				if with[m].Calls == 0 {
+					continue
+				}
+				rowBytes := with[m].Bytes - stmtBytes[pruned][m]
+				if want := without[m].Bytes - stmtBytes[unpruned][m]; with[m].Rows != without[m].Rows || rowBytes != want {
+					b.Fatalf("[%d,%d) server%d: shipped %d rows / %d row bytes, unpruned ships %d / %d",
+						lo, lo+window, m+1, with[m].Rows, rowBytes, without[m].Rows, want)
+				}
+			}
+		}
+	})
+
+	if calls[64] == 0 || calls[0] == 0 || calls[4096] == 0 {
+		return // a -bench filter selected only some cases: nothing to gate
+	}
+	if calls[0] > 6 {
+		b.Errorf("%.1f link calls per statement at the default batch size; the gate is 6", calls[0])
+	}
+	if calls[4096] > calls[64] {
+		b.Errorf("%.1f calls per statement at batch size 4096, %.1f at 64: a larger fetch must not cost more round trips", calls[4096], calls[64])
+	}
+	b.Logf("calls/stmt: %.1f at batch size 64, %.1f at the default (gate 6), %.1f at 4096", calls[64], calls[0], calls[4096])
 }

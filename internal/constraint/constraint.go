@@ -392,42 +392,64 @@ func DerivePredicateDomainTarget(c expr.Expr) *ColDomain {
 }
 
 // StartupPredicate builds the runtime startup-filter predicate for a member
-// whose partitioning column has domain d, against the parameter expression
-// valExpr (e.g. @customerId): the filter admits execution only when the
-// parameter value lies inside the member's domain (§4.1.5's
-// "STARTUP(@customerId > 50)" example generalized to interval sets).
-// The returned expression references only valExpr's parameters.
-func StartupPredicate(d *Domain, valExpr expr.Expr) expr.Expr {
-	var terms []expr.Expr
-	for _, iv := range d.Intervals {
-		var conj []expr.Expr
-		if !iv.LoUnbounded {
-			op := expr.OpGe
-			if iv.LoOpen {
-				op = expr.OpGt
-			}
-			conj = append(conj, expr.NewBinary(op, valExpr, expr.NewConst(iv.Lo)))
+// whose partitioning column has domain d, against the conjunct "col op
+// valExpr" with valExpr a parameter expression (e.g. @customerId): the
+// filter admits execution only when some value of the domain can satisfy
+// the conjunct (§4.1.5's "STARTUP(@customerId > 50)" example generalized to
+// interval sets). For = that is "the parameter lies inside the domain"; for
+// an inequality only the domain's far end matters — col < @p is satisfiable
+// in [lo, hi] exactly when lo < @p. Open and closed ends are exact over a
+// dense order; over integers (lo, hi) with @p = lo+1 still admits, which
+// costs a probe, never a row. The intervals' terms are ORed. A NULL
+// parameter makes every term NULL, so the member is pruned — col op NULL
+// holds for no row. The result references only valExpr's parameters; nil
+// means the conjunct cannot prune this domain (some interval is unbounded
+// on the side that matters, or op is not one of = < <= > >=).
+func StartupPredicate(d *Domain, op expr.Op, valExpr expr.Expr) expr.Expr {
+	// above / below are "valExpr clears the interval's lower / upper end";
+	// strict demands it even when the end itself belongs to the interval.
+	above := func(iv Interval, strict bool) expr.Expr {
+		if iv.LoUnbounded {
+			return nil
 		}
-		if !iv.HiUnbounded {
-			op := expr.OpLe
-			if iv.HiOpen {
-				op = expr.OpLt
-			}
-			conj = append(conj, expr.NewBinary(op, valExpr, expr.NewConst(iv.Hi)))
+		cmp := expr.OpGe
+		if strict || iv.LoOpen {
+			cmp = expr.OpGt
 		}
-		t := expr.Conjoin(conj)
+		return expr.NewBinary(cmp, valExpr, expr.NewConst(iv.Lo))
+	}
+	below := func(iv Interval, strict bool) expr.Expr {
+		if iv.HiUnbounded {
+			return nil
+		}
+		cmp := expr.OpLe
+		if strict || iv.HiOpen {
+			cmp = expr.OpLt
+		}
+		return expr.NewBinary(cmp, valExpr, expr.NewConst(iv.Hi))
+	}
+	if op != expr.OpEq && op != expr.OpLt && op != expr.OpLe && op != expr.OpGt && op != expr.OpGe {
+		return nil
+	}
+	var out expr.Expr = expr.NewConst(sqltypes.NewBool(false))
+	for i, iv := range d.Intervals {
+		var t expr.Expr
+		switch op {
+		case expr.OpEq:
+			t = expr.Conjoin([]expr.Expr{above(iv, false), below(iv, false)})
+		case expr.OpLt, expr.OpLe:
+			t = above(iv, op == expr.OpLt)
+		default:
+			t = below(iv, op == expr.OpGt)
+		}
 		if t == nil {
-			// Unbounded interval: always true.
-			return expr.NewConst(sqltypes.NewBool(true))
+			return nil // this interval admits every parameter value
 		}
-		terms = append(terms, t)
-	}
-	if len(terms) == 0 {
-		return expr.NewConst(sqltypes.NewBool(false))
-	}
-	out := terms[0]
-	for _, t := range terms[1:] {
-		out = expr.NewBinary(expr.OpOr, out, t)
+		if i == 0 {
+			out = t
+		} else {
+			out = expr.NewBinary(expr.OpOr, out, t)
+		}
 	}
 	return out
 }

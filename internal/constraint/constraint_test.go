@@ -225,7 +225,7 @@ func TestDeriveOrDifferentColumns(t *testing.T) {
 func TestStartupPredicate(t *testing.T) {
 	// Member holds (50, 100]; parameter @cid.
 	d := &Domain{Intervals: []Interval{{Lo: sqltypes.NewInt(50), LoOpen: true, Hi: sqltypes.NewInt(100)}}}
-	p := StartupPredicate(d, expr.NewParam("cid"))
+	p := StartupPredicate(d, expr.OpEq, expr.NewParam("cid"))
 	eval := func(v int64) bool {
 		got, err := expr.EvalPredicate(p, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(v)}})
 		if err != nil {
@@ -238,20 +238,18 @@ func TestStartupPredicate(t *testing.T) {
 	}
 	// Multi-interval domain.
 	d2 := &Domain{Intervals: []Interval{Point(sqltypes.NewInt(1)), iv(50, 60)}}
-	p2 := StartupPredicate(d2, expr.NewParam("cid"))
+	p2 := StartupPredicate(d2, expr.OpEq, expr.NewParam("cid"))
 	ok1, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(1)}})
 	ok2, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(55)}})
 	ok3, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(10)}})
 	if !ok1 || !ok2 || ok3 {
 		t.Errorf("multi-interval startup broken: %s", p2)
 	}
-	// Full domain → constant true; empty → constant false.
-	pTrue := StartupPredicate(FullDomain(), expr.NewParam("x"))
-	v, _ := pTrue.Eval(&expr.Env{})
-	if !v.Bool() {
-		t.Error("full-domain startup should be true")
+	// Full domain → nothing to prune with; empty → constant false.
+	if p := StartupPredicate(FullDomain(), expr.OpEq, expr.NewParam("x")); p != nil {
+		t.Errorf("full-domain startup should be nil, got %s", p)
 	}
-	pFalse := StartupPredicate(EmptyDomain(), expr.NewParam("x"))
+	pFalse := StartupPredicate(EmptyDomain(), expr.OpEq, expr.NewParam("x"))
 	v2, _ := pFalse.Eval(&expr.Env{})
 	if v2.Bool() {
 		t.Error("empty-domain startup should be false")

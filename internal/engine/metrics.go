@@ -83,11 +83,13 @@ func buildInstruments(r *metrics.Registry) *engineInstruments {
 		rebalanceRows: r.Counter("dhqp_rebalance_rows_copied_total", "Rows copied by online shard moves"),
 	}
 	m.execIns = &exec.Instruments{
-		Retries:      r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
-		BreakerTrips: m.breakerTrips,
-		Batches:      r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
-		BatchRows:    r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
-		Waits:        m.waits,
+		Retries:       r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
+		BreakerTrips:  m.breakerTrips,
+		Batches:       r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
+		BatchRows:     r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
+		StartupPruned: r.Counter("dhqp_exec_startup_pruned_total", "Startup filters whose predicate was false: subtrees never opened"),
+		StartupOpened: r.Counter("dhqp_exec_startup_opened_total", "Startup filters whose predicate held: subtrees opened"),
+		Waits:         m.waits,
 	}
 	m.storageIns = &storage.Instrumentation{
 		WALAppends:     r.Counter("dhqp_wal_appends_total", "WAL records appended"),

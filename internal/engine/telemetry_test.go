@@ -148,9 +148,12 @@ func TestExplainAnalyzeBatchLoopJoin(t *testing.T) {
 
 // TestExplainAnalyzeUnderFaults runs the fan-out under 10% injected
 // transient faults: retries must absorb the faults without double-counting
-// actual rows, and the fault-handling events must surface per server.
+// actual rows, and the fault-handling events must surface per server. The
+// fetch size is cut to 16 rows so each 100-row member is seven fetches —
+// enough round trips for the 10% plan to fire, and to fire mid-stream.
 func TestExplainAnalyzeUnderFaults(t *testing.T) {
 	head, links := buildFanOut(t, 3, 100)
+	head.SetBatchSize(16)
 	head.SetRemoteRetries(8)
 	head.SetBreaker(1000, time.Hour)
 	const query = `SELECT y, amount FROM all_sales`
@@ -333,5 +336,55 @@ func TestDisplayAlignment(t *testing.T) {
 		"bartholomew | 22222\n"
 	if out != want {
 		t.Errorf("Display:\n%q\nwant:\n%q", out, want)
+	}
+}
+
+// TestBatchTransportFaultParity sweeps fault seeds over a multi-fetch
+// fan-out: whichever fetches the 10% plan hits, rows and actuals stay exact
+// (a replayed fetch is discarded whole, never counted), every faulted round
+// trip is one retry, and the statement's per-link attribution equals the
+// links' own counters.
+func TestBatchTransportFaultParity(t *testing.T) {
+	head, links := buildFanOut(t, 3, 100)
+	head.SetBatchSize(16) // seven fetches per member
+	head.SetRemoteRetries(8)
+	head.SetBreaker(1000, time.Hour)
+	const query = `SELECT y, amount FROM all_sales`
+	q(t, head, query)
+	midStream := 0
+	for seed := int64(1); seed <= 40; seed++ {
+		for i, l := range links {
+			l.SetFaults(netsim.Faults{Seed: seed*10 + int64(i), TransientProb: 0.10})
+			l.Reset()
+		}
+		ea, err := head.ExplainAnalyze(query, nil)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ea.Stats.Rows != 300 || ea.Actual(ea.Plan).ActualRows() != 300 {
+			t.Errorf("seed %d: rows = %d, root actual = %d, want 300 and 300", seed, ea.Stats.Rows, ea.Actual(ea.Plan).ActualRows())
+		}
+		var faults, retries, shipped int64
+		for i, ls := range ea.Stats.Links {
+			raw := links[i].Stats()
+			if ls.Calls != raw.Calls || ls.Rows != raw.Rows || ls.Bytes != raw.Bytes || ls.Faults != raw.Faults {
+				t.Errorf("seed %d %s: tracked %d/%d/%d/%d vs link %d/%d/%d/%d (calls/rows/bytes/faults)", seed, ls.Server,
+					ls.Calls, ls.Rows, ls.Bytes, ls.Faults, raw.Calls, raw.Rows, raw.Bytes, raw.Faults)
+			}
+			faults += ls.Faults
+			retries += ls.Retries
+			shipped += ls.Rows
+		}
+		if retries != ea.Stats.Retries || retries != faults {
+			t.Errorf("seed %d: %d faults, %d per-server retries, %d statement retries: want all equal", seed, faults, retries, ea.Stats.Retries)
+		}
+		// Rows shipped beyond the 300 delivered (and the three statements)
+		// are replays of fetches that had already crossed: a mid-stream fault.
+		if shipped > 303 {
+			midStream++
+		}
+	}
+	if midStream < 10 {
+		t.Errorf("only %d of 40 seeds faulted mid-stream: the sweep is not exercising restart-and-discard", midStream)
 	}
 }

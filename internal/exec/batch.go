@@ -1,10 +1,10 @@
 // Vectorized iterator protocol. Batch-capable operators implement
-// NextBatch alongside Next; a generic row⇄batch adapter bridges the
-// remaining operators (sorts, spools, remote and provider iterators) so
-// the network and provider layers did not have to change. Each parent
-// commits to one protocol — row or batch — for the lifetime of an
-// Open/Close cycle; the adapters keep no cross-call buffering, so the
-// choice is safe to make per execution.
+// NextBatch alongside Next; a generic row→batch adapter bridges the
+// remaining operators (sorts, spools, loop and merge joins). Remote
+// rowsets and the parallel exchange move batches whichever protocol their
+// parent speaks: their Next reads rows out of the current batch. Each
+// parent commits to one protocol — row or batch — for the lifetime of an
+// Open/Close cycle, so the choice is safe to make per execution.
 
 package exec
 
@@ -34,8 +34,8 @@ func asBatchIterator(it Iterator) BatchIterator {
 
 // rowToBatch adapts a row-only iterator into the batch protocol by pulling
 // rows until the batch fills. It is the adapter boundary named in the
-// design: everything below it (sort buffers, remote rowsets, parallel
-// exchange) runs row-at-a-time unchanged.
+// design: everything below it (sort buffers, spools, loop joins) runs
+// row-at-a-time unchanged.
 type rowToBatch struct {
 	it Iterator
 }

@@ -231,7 +231,7 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &startupFilterIter{ctx: ctx, child: child, pred: pred}, nil
+		return &startupFilterIter{ctx: ctx, child: child, pred: pred, stats: ctx.Stats.OpStats(n)}, nil
 	case *algebra.Compute:
 		child, err := Build(n.Kids[0], ctx)
 		if err != nil {

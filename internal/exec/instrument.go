@@ -13,11 +13,13 @@ import (
 // from Diagnostics, which is per-statement: these accumulate across the
 // server's lifetime.
 type Instruments struct {
-	Retries      *metrics.Counter   // retried remote attempts
-	BreakerTrips *metrics.Counter   // circuit-breaker closed→open transitions
-	Batches      *metrics.Counter   // vectorized batches drained at the root
-	BatchRows    *metrics.Counter   // live rows in those batches (rows per batch = BatchRows / Batches)
-	Waits        *metrics.WaitTable // RETRY_BACKOFF wait point
+	Retries       *metrics.Counter   // retried remote attempts
+	BreakerTrips  *metrics.Counter   // circuit-breaker closed→open transitions
+	Batches       *metrics.Counter   // vectorized batches drained at the root
+	BatchRows     *metrics.Counter   // live rows in those batches (rows per batch = BatchRows / Batches)
+	StartupPruned *metrics.Counter   // startup filters that kept their subtree closed
+	StartupOpened *metrics.Counter   // startup filters that opened it
+	Waits         *metrics.WaitTable // RETRY_BACKOFF wait point
 }
 
 // noteRetry records one retried remote attempt in both the statement's

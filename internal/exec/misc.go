@@ -11,6 +11,7 @@ import (
 	"dhqp/internal/expr"
 	"dhqp/internal/rowset"
 	"dhqp/internal/sqltypes"
+	"dhqp/internal/telemetry"
 )
 
 // filterIter applies a predicate.
@@ -81,7 +82,9 @@ func (f *filterIter) Close() error { return f.child.Close() }
 type startupFilterIter struct {
 	ctx     *Context
 	child   Iterator
+	bchild  BatchIterator
 	pred    expr.Expr
+	stats   *telemetry.OpStats // nil unless the execution collects stats
 	enabled bool
 }
 
@@ -91,7 +94,15 @@ func (s *startupFilterIter) Open() error {
 		return err
 	}
 	s.enabled = ok
+	if ins := s.ctx.Ins; ins != nil {
+		if ok {
+			ins.StartupOpened.Inc()
+		} else {
+			ins.StartupPruned.Inc()
+		}
+	}
 	if !ok {
+		s.stats.RecordPruned()
 		return nil
 	}
 	return s.child.Open()
@@ -102,6 +113,16 @@ func (s *startupFilterIter) Next() (rowset.Row, error) {
 		return nil, io.EOF
 	}
 	return s.child.Next()
+}
+
+func (s *startupFilterIter) NextBatch(b *rowset.Batch) error {
+	if !s.enabled {
+		return io.EOF
+	}
+	if s.bchild == nil {
+		s.bchild = asBatchIterator(s.child)
+	}
+	return s.bchild.NextBatch(b)
 }
 
 func (s *startupFilterIter) Close() error {
@@ -601,50 +622,78 @@ func (c *concatIter) Open() error {
 	return nil
 }
 
-func (c *concatIter) Next() (rowset.Row, error) {
+// next runs pull against the current child, opening children in turn and
+// moving past the exhausted and the skippable; pull reports how many rows it
+// delivered.
+func (c *concatIter) next(pull func(kid Iterator) (int, error)) error {
 	for {
 		if c.idx >= len(c.kids) {
-			return nil, io.EOF
+			return io.EOF
 		}
+		kid := c.kids[c.idx]
 		if !c.open {
 			c.sent = 0
-			if err := c.kids[c.idx].Open(); err != nil {
+			if err := kid.Open(); err != nil {
 				if skippableBranch(c.ctx, err, c.sent) {
 					recordSkip(c.ctx, c.labels[c.idx])
 					c.idx++
 					continue
 				}
-				return nil, branchErr(c.idx, c.labels[c.idx], err)
+				return branchErr(c.idx, c.labels[c.idx], err)
 			}
 			c.open = true
 		}
-		r, err := c.kids[c.idx].Next()
+		n, err := pull(kid)
+		if err == nil {
+			c.sent += n
+			return nil
+		}
 		if err == io.EOF {
 			c.open = false
-			if cerr := c.kids[c.idx].Close(); cerr != nil {
-				return nil, cerr
+			if cerr := kid.Close(); cerr != nil {
+				return cerr
 			}
 			c.idx++
 			continue
 		}
-		if err != nil {
-			if skippableBranch(c.ctx, err, c.sent) {
-				recordSkip(c.ctx, c.labels[c.idx])
-				c.open = false
-				_ = c.kids[c.idx].Close()
-				c.idx++
-				continue
-			}
-			return nil, branchErr(c.idx, c.labels[c.idx], err)
+		if skippableBranch(c.ctx, err, c.sent) {
+			recordSkip(c.ctx, c.labels[c.idx])
+			c.open = false
+			_ = kid.Close()
+			c.idx++
+			continue
 		}
-		c.sent++
+		return branchErr(c.idx, c.labels[c.idx], err)
+	}
+}
+
+func (c *concatIter) Next() (rowset.Row, error) {
+	var out rowset.Row
+	err := c.next(func(kid Iterator) (int, error) {
+		r, err := kid.Next()
+		if err != nil {
+			return 0, err
+		}
 		m := c.maps[c.idx]
-		out := make(rowset.Row, len(m))
+		out = make(rowset.Row, len(m))
 		for j, p := range m {
 			out[j] = r[p]
 		}
-		return out, nil
-	}
+		return 1, nil
+	})
+	return out, err
+}
+
+// NextBatch hands up the current child's batch with its vectors moved into
+// the output column order.
+func (c *concatIter) NextBatch(b *rowset.Batch) error {
+	return c.next(func(kid Iterator) (int, error) {
+		if err := asBatchIterator(kid).NextBatch(b); err != nil {
+			return 0, err
+		}
+		b.Project(c.maps[c.idx])
+		return b.Len(), nil
+	})
 }
 
 func (c *concatIter) Close() error { return c.closeCurrent() }

@@ -16,10 +16,11 @@ import (
 	"dhqp/internal/schema"
 )
 
-// exchangeBufferPerChild sizes the exchange's row channel: enough slack per
-// worker that producers stay busy while the consumer drains, small enough
-// to bound memory on wide fan-outs.
-const exchangeBufferPerChild = 64
+// exchangeBatchesPerWorker sizes the exchange's batch pool: one batch for a
+// worker to fill while another waits in the channel for the consumer, so
+// producers stay busy while the consumer drains and memory stays bounded
+// on wide fan-outs.
+const exchangeBatchesPerWorker = 2
 
 // exchangeMinDOP floors the default worker count. Exchange children are
 // remote by construction and spend most of their time blocked on link round
@@ -28,17 +29,21 @@ const exchangeBufferPerChild = 64
 // host would serialize a latency-bound fan-out for no benefit.
 const exchangeMinDOP = 8
 
-// parItem is one exchange message: a remapped row or a child's error.
+// parItem is one exchange message: a remapped batch or a child's error.
 type parItem struct {
-	row rowset.Row
+	b   *rowset.Batch
 	err error
 }
 
 // parallelConcatIter is UNION ALL over concurrent children: a bounded
-// worker pool drives the children, remaps their rows to the output column
-// order, and feeds a shared channel. Row order is interleaved arbitrarily —
-// UNION ALL guarantees a multiset, and the optimizer's sort enforcer sits
-// above the concat when the parent needs an ordering.
+// worker pool drives the children a batch at a time, remaps each batch to
+// the output column order by moving its vectors, and feeds a shared
+// channel; the consumer takes a batch by swapping buffers with its own and
+// hands the spent one back to the pool. Row order is interleaved
+// arbitrarily — UNION ALL guarantees a multiset, and the optimizer's sort
+// enforcer sits above the concat when the parent needs an ordering.
+// Row-mode consumers read rows out of the current batch, and the workers
+// then pull their children row by row.
 //
 // Lifecycle invariants: every child a worker opens is closed exactly once
 // (deferred in the worker); the first error cancels the siblings, which
@@ -52,10 +57,13 @@ type parallelConcatIter struct {
 	labels  []string   // per child: server(s) the branch reaches
 	dop     int
 
+	pool    []*rowset.Batch // the exchange's batches, exchangeBatchesPerWorker per worker
 	ch      chan parItem
+	free    chan *rowset.Batch // pool batches waiting for a fill
 	cancel  chan struct{}
 	running bool
 	err     error // sticky first error
+	rows    rowset.BatchRows
 }
 
 // newParallelConcat assembles the exchange over already-built children.
@@ -79,6 +87,7 @@ func newParallelConcat(parent *Context, kids []Iterator, kidCtxs []*Context, map
 func (p *parallelConcatIter) Open() error {
 	p.stop() // tear down a previous run (re-Open after partial consumption)
 	p.err = nil
+	p.rows.Reset()
 	// Resnapshot parameters: a parameterized parent (loop join) may have
 	// rebound values since the children's contexts were forked.
 	for _, kctx := range p.kidCtxs {
@@ -86,8 +95,17 @@ func (p *parallelConcatIter) Open() error {
 			kctx.syncParams(p.parent)
 		}
 	}
+	for len(p.pool) < p.dop*exchangeBatchesPerWorker {
+		p.pool = append(p.pool, p.parent.newBatch())
+	}
 	p.cancel = make(chan struct{})
-	p.ch = make(chan parItem, p.dop*exchangeBufferPerChild)
+	// Both channels hold the whole pool, so handing a batch on never blocks
+	// a worker, and handing one back never blocks the consumer.
+	p.ch = make(chan parItem, len(p.pool))
+	p.free = make(chan *rowset.Batch, len(p.pool))
+	for _, b := range p.pool {
+		p.free <- b
+	}
 	queue := make(chan int, len(p.kids))
 	for i := range p.kids {
 		queue <- i
@@ -96,10 +114,10 @@ func (p *parallelConcatIter) Open() error {
 	var wg sync.WaitGroup
 	for w := 0; w < p.dop; w++ {
 		wg.Add(1)
-		go p.worker(queue, p.ch, p.cancel, &wg)
+		go p.worker(queue, p.ch, p.free, p.cancel, &wg)
 	}
-	// The channel closes once every worker has exited; Next reads that as
-	// EOF and stop's drain loop terminates on it.
+	// The channel closes once every worker has exited; NextBatch reads that
+	// as EOF and stop's drain loop terminates on it.
 	go func(ch chan parItem) {
 		wg.Wait()
 		close(ch)
@@ -111,10 +129,10 @@ func (p *parallelConcatIter) Open() error {
 // worker drains child indices from the queue, streaming each child into the
 // exchange channel until the queue empties, a child fails, or the exchange
 // is cancelled.
-func (p *parallelConcatIter) worker(queue chan int, ch chan parItem, cancel chan struct{}, wg *sync.WaitGroup) {
+func (p *parallelConcatIter) worker(queue chan int, ch chan parItem, free chan *rowset.Batch, cancel chan struct{}, wg *sync.WaitGroup) {
 	defer wg.Done()
 	for idx := range queue {
-		if p.runChild(idx, ch, cancel) {
+		if p.runChild(idx, ch, free, cancel) {
 			return
 		}
 	}
@@ -126,7 +144,7 @@ func (p *parallelConcatIter) worker(queue chan int, ch chan parItem, cancel chan
 // which linked server failed; under partial-results execution a branch
 // rejected by an open circuit breaker (before delivering any rows) is
 // skipped — recorded, not fatal — and the worker moves on.
-func (p *parallelConcatIter) runChild(idx int, ch chan parItem, cancel chan struct{}) (stop bool) {
+func (p *parallelConcatIter) runChild(idx int, ch chan parItem, free chan *rowset.Batch, cancel chan struct{}) (stop bool) {
 	select {
 	case <-cancel:
 		return true
@@ -142,14 +160,24 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, cancel chan stru
 		return true
 	}
 	defer kid.Close()
-	m := p.maps[idx]
+	bkid := asBatchIterator(kid)
+	if !p.parent.vectorized() {
+		bkid = &rowToBatch{it: kid}
+	}
 	sent := 0
 	for {
-		r, err := kid.Next()
-		if err == io.EOF {
-			return false
+		var b *rowset.Batch
+		select {
+		case b = <-free:
+		case <-cancel:
+			return true
 		}
+		err := bkid.NextBatch(b)
 		if err != nil {
+			free <- b
+			if err == io.EOF {
+				return false
+			}
 			if skippableBranch(p.parent, err, sent) {
 				recordSkip(p.parent, p.labels[idx])
 				return false
@@ -157,14 +185,11 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, cancel chan stru
 			sendItem(ch, cancel, parItem{err: branchErr(idx, p.labels[idx], err)})
 			return true
 		}
-		out := make(rowset.Row, len(m))
-		for j, pos := range m {
-			out[j] = r[pos]
-		}
-		if sendItem(ch, cancel, parItem{row: out}) {
+		sent += b.Len()
+		b.Project(p.maps[idx])
+		if sendItem(ch, cancel, parItem{b: b}) {
 			return true
 		}
-		sent++
 	}
 }
 
@@ -178,25 +203,35 @@ func sendItem(ch chan parItem, cancel chan struct{}, it parItem) (cancelled bool
 	}
 }
 
-func (p *parallelConcatIter) Next() (rowset.Row, error) {
+// NextBatch takes the next batch any child produced.
+func (p *parallelConcatIter) NextBatch(b *rowset.Batch) error {
 	if p.err != nil {
-		return nil, p.err
+		return p.err
 	}
 	if !p.running {
-		return nil, io.EOF
+		return io.EOF
 	}
 	it, ok := <-p.ch
 	if !ok {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if it.err != nil {
 		// First-error propagation: remember it, cancel the siblings and
 		// wait for them to wind down before surfacing it.
 		p.err = it.err
 		p.stop()
-		return nil, it.err
+		return it.err
 	}
-	return it.row, nil
+	b.Swap(it.b)
+	p.free <- it.b
+	return nil
+}
+
+func (p *parallelConcatIter) Next() (rowset.Row, error) {
+	if p.rows.B == nil {
+		p.rows.B = p.parent.newBatch()
+	}
+	return p.rows.Next(p.NextBatch)
 }
 
 func (p *parallelConcatIter) Close() error {
@@ -217,51 +252,67 @@ func (p *parallelConcatIter) stop() {
 	p.running = false
 }
 
-// prefetchDepth is how many rows a remote rowset's producer goroutine
-// buffers ahead of the consumer: two 64-row metered fetch batches, so the
-// next batch's link round trip overlaps the consumer processing the
-// current one (double buffering).
-const prefetchDepth = 128
+// prefetchDepth is how many fetches a remote rowset's producer goroutine
+// runs ahead of the consumer: two batches, so the next fetch's link round
+// trip overlaps the consumer processing the current one (double buffering).
+const prefetchDepth = 2
 
-// prefetchItem is one produced row or the producer's terminal error.
+// prefetchItem is one fetched batch or the producer's terminal error.
 type prefetchItem struct {
-	row rowset.Row
+	b   *rowset.Batch
 	err error
 }
 
-// prefetchRowset overlaps remote link latency with upstream processing: a
-// producer goroutine pulls the underlying rowset (paying the simulated
-// round trips) into a bounded channel while the consumer computes. The
-// producer stops at the first error (io.EOF included) or when Close
-// cancels it; Close then releases the underlying rowset exactly once.
-type prefetchRowset struct {
-	rs     rowset.Rowset
-	cols   []schema.Column
+// remoteRowset is the rowset every remote access operator reads: the
+// fault-tolerant stream, served a batch at a time — one fetch per batch
+// the consumer asks for, the batch's capacity being the fetch size. When
+// prefetching, a producer goroutine fetches (paying the simulated round
+// trips) into its own two batches while the consumer computes, and a
+// fetched batch reaches the consumer's by swapping buffers; the producer
+// stops at the first error (io.EOF included) or when Close cancels it.
+// Row-mode consumers read rows out of the current batch.
+type remoteRowset struct {
+	ctx  *Context
+	src  *retryRowset
+	cols []schema.Column
+	rows rowset.BatchRows
+
+	// Prefetch state; a nil ch means fetches are synchronous.
 	ch     chan prefetchItem
+	free   chan *rowset.Batch // the producer's batches, waiting for a fill
 	cancel chan struct{}
 	done   chan struct{}
 	err    error // sticky terminal error
 	closed bool
 }
 
-func newPrefetchRowset(rs rowset.Rowset) *prefetchRowset {
-	p := &prefetchRowset{
-		rs:     rs,
-		cols:   rs.Columns(),
-		ch:     make(chan prefetchItem, prefetchDepth),
-		cancel: make(chan struct{}),
-		done:   make(chan struct{}),
+func newRemoteRowset(ctx *Context, src *retryRowset, prefetch bool) *remoteRowset {
+	p := &remoteRowset{ctx: ctx, src: src, cols: src.rs.Columns()}
+	if prefetch {
+		p.ch = make(chan prefetchItem, 1)
+		p.free = make(chan *rowset.Batch, prefetchDepth) // holds every batch: returning one never blocks
+		for i := 0; i < prefetchDepth; i++ {
+			p.free <- ctx.newBatch()
+		}
+		p.cancel = make(chan struct{})
+		p.done = make(chan struct{})
+		go p.produce()
 	}
-	go p.produce()
 	return p
 }
 
-func (p *prefetchRowset) produce() {
+func (p *remoteRowset) produce() {
 	defer close(p.done)
 	for {
-		r, err := p.rs.Next()
+		var b *rowset.Batch
 		select {
-		case p.ch <- prefetchItem{row: r, err: err}:
+		case b = <-p.free:
+		case <-p.cancel:
+			return
+		}
+		err := p.src.NextBatch(b)
+		select {
+		case p.ch <- prefetchItem{b: b, err: err}:
 		case <-p.cancel:
 			return
 		}
@@ -271,38 +322,56 @@ func (p *prefetchRowset) produce() {
 	}
 }
 
-func (p *prefetchRowset) Columns() []schema.Column { return p.cols }
+func (p *remoteRowset) Columns() []schema.Column { return p.cols }
 
-func (p *prefetchRowset) Next() (rowset.Row, error) {
+// NextBatch implements rowset.BatchReader.
+func (p *remoteRowset) NextBatch(b *rowset.Batch) error {
 	if p.err != nil {
-		return nil, p.err
+		return p.err
 	}
 	if p.closed {
-		return nil, io.EOF
+		return io.EOF
+	}
+	if p.ch == nil {
+		return p.src.NextBatch(b)
 	}
 	it := <-p.ch
 	if it.err != nil {
 		p.err = it.err
-		return nil, it.err
+		return it.err
 	}
-	return it.row, nil
+	b.Swap(it.b)
+	p.free <- it.b
+	return nil
 }
 
-func (p *prefetchRowset) Close() error {
+// NextBatchProjected implements rowset.ProjectedBatchReader: a pruned
+// remote scan keeps the fetched vectors it reads and drops the rest.
+func (p *remoteRowset) NextBatchProjected(b *rowset.Batch, proj []int) error {
+	if err := p.NextBatch(b); err != nil {
+		return err
+	}
+	if proj != nil {
+		b.Project(proj)
+	}
+	return nil
+}
+
+func (p *remoteRowset) Next() (rowset.Row, error) {
+	if p.rows.B == nil {
+		p.rows.B = p.ctx.newBatch()
+	}
+	return p.rows.Next(p.NextBatch)
+}
+
+func (p *remoteRowset) Close() error {
 	if p.closed {
 		return nil
 	}
 	p.closed = true
-	close(p.cancel)
-	<-p.done
-	return p.rs.Close()
-}
-
-// maybePrefetch wraps rowsets of remote sources with the asynchronous
-// prefetcher; local rowsets pay no round trips and stay synchronous.
-func maybePrefetch(ctx *Context, remote bool, rs rowset.Rowset) rowset.Rowset {
-	if !remote || ctx.NoPrefetch {
-		return rs
+	if p.ch != nil {
+		close(p.cancel)
+		<-p.done
 	}
-	return newPrefetchRowset(rs)
+	return p.src.Close()
 }

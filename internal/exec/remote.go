@@ -19,7 +19,6 @@ import (
 	"dhqp/internal/circuit"
 	"dhqp/internal/oledb"
 	"dhqp/internal/rowset"
-	"dhqp/internal/schema"
 	"dhqp/internal/telemetry"
 )
 
@@ -243,14 +242,17 @@ func (c *Context) withRetry(server string, fn func() error) error {
 	return fmt.Errorf("exec: server %s: %d attempts exhausted: %w", server, attempts, err)
 }
 
-// retryRowset is a remote rowset with restart-and-discard recovery: when
-// the stream fails with a transient error mid-flight, it closes the broken
-// rowset, re-executes the statement (through the same breaker + retry
-// gate), silently discards the rows already delivered downstream, and
-// resumes. The discipline is sound because the simulated providers are
-// deterministic: re-executing the same statement against the same snapshot
-// returns the same rows in the same order. A replay that comes up short is
-// reported as a permanent error rather than papered over.
+// retryRowset is a remote rowset, read a fetch at a time, with
+// restart-and-discard recovery: when a fetch fails with a transient error,
+// it closes the broken rowset, re-executes the statement (through the same
+// breaker + retry gate), fetches and discards the rows already delivered
+// downstream, and resumes. A fetch is delivered whole or not at all, so
+// the delivered count always stands at a fetch boundary. The discipline is
+// sound because the simulated providers are deterministic: re-executing
+// the same statement against the same snapshot returns the same rows in
+// the same order, cut into the same fetches. A replay that does not come
+// back to that boundary is reported as a permanent error rather than
+// papered over.
 type retryRowset struct {
 	ctx    *Context
 	server string
@@ -258,21 +260,20 @@ type retryRowset struct {
 	open   func(sess oledb.Session) (rowset.Rowset, error)
 
 	rs        rowset.Rowset
-	cols      []schema.Column
 	delivered int64
-	closed    bool
 }
 
 // openRemoteRowset opens a remote rowset fault-tolerantly. The open
 // closure runs against a fresh context-bound session view on every
 // attempt; the returned rowset recovers from mid-stream transients by
-// re-executing it.
+// re-executing it, and — when prefetch is set and the statement allows
+// it — fetches ahead of its consumer.
 //
 // Under a traced statement each remote open records a "remote call"
 // span, and the span's context rides into the session — an in-process
 // member joining the trace nests its own statement span under it, which
 // is what assembles the cross-member span tree.
-func openRemoteRowset(ctx *Context, server, what string, open func(sess oledb.Session) (rowset.Rowset, error)) (rowset.Rowset, error) {
+func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open func(sess oledb.Session) (rowset.Rowset, error)) (*remoteRowset, error) {
 	if server != "" {
 		if sctx, end := telemetry.StartSpan(ctx.Ctx, ctx.Server, "remote "+what, server); sctx != ctx.Ctx {
 			spanned := *ctx
@@ -282,16 +283,16 @@ func openRemoteRowset(ctx *Context, server, what string, open func(sess oledb.Se
 		}
 	}
 	r := &retryRowset{ctx: ctx, server: server, what: what, open: open}
-	if err := r.reopen(0); err != nil {
+	if err := r.reopen(nil, 0); err != nil {
 		return nil, err
 	}
-	r.cols = r.rs.Columns()
-	return r, nil
+	return newRemoteRowset(ctx, r, prefetch && !ctx.NoPrefetch), nil
 }
 
-// reopen (re-)executes the statement and fast-forwards past the rows
-// already delivered downstream.
-func (r *retryRowset) reopen(discard int64) error {
+// reopen (re-)executes the statement and fetches past the rows already
+// delivered downstream, using b (the consumer's batch, so the replay cuts
+// the same fetches) as scratch.
+func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 	return r.ctx.withRetry(r.server, func() error {
 		sess, err := r.ctx.sessionFor(r.server)
 		if err != nil {
@@ -301,34 +302,35 @@ func (r *retryRowset) reopen(discard int64) error {
 		if err != nil {
 			return err
 		}
-		for i := int64(0); i < discard; i++ {
-			if _, err := rs.Next(); err != nil {
+		skipped := int64(0)
+		for skipped < discard {
+			if err := rowset.FillBatch(rs, b, nil); err == io.EOF {
+				break
+			} else if err != nil {
 				rs.Close()
-				if err == io.EOF {
-					return fmt.Errorf("exec: %s on %s: replay returned %d rows, %d already delivered (non-deterministic source?)", r.what, r.server, i, discard)
-				}
 				return err
 			}
+			skipped += int64(b.Len())
+		}
+		if skipped != discard {
+			rs.Close()
+			return fmt.Errorf("exec: %s on %s: replay returned %d rows, %d already delivered (non-deterministic source?)", r.what, r.server, skipped, discard)
 		}
 		r.rs = rs
 		return nil
 	})
 }
 
-func (r *retryRowset) Columns() []schema.Column { return r.cols }
-
-func (r *retryRowset) Next() (rowset.Row, error) {
+// NextBatch implements rowset.BatchReader.
+func (r *retryRowset) NextBatch(b *rowset.Batch) error {
 	for {
-		row, err := r.rs.Next()
+		err := rowset.FillBatch(r.rs, b, nil)
 		if err == nil {
-			r.delivered++
-			return row, nil
+			r.delivered += int64(b.Len())
+			return nil
 		}
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		if !oledb.IsTransient(err) {
-			return nil, err
+		if err == io.EOF || !oledb.IsTransient(err) {
+			return err
 		}
 		// Transient mid-stream: the broken attempt counts against the
 		// breaker, then the statement re-executes from scratch.
@@ -337,19 +339,10 @@ func (r *retryRowset) Next() (rowset.Row, error) {
 		}
 		r.ctx.noteRetry(r.server)
 		r.rs.Close()
-		if rerr := r.reopen(r.delivered); rerr != nil {
-			return nil, fmt.Errorf("exec: %s on %s: %w", r.what, r.server, rerr)
+		if rerr := r.reopen(b, r.delivered); rerr != nil {
+			return fmt.Errorf("exec: %s on %s: %w", r.what, r.server, rerr)
 		}
 	}
 }
 
-func (r *retryRowset) Close() error {
-	if r.closed {
-		return nil
-	}
-	r.closed = true
-	if r.rs != nil {
-		return r.rs.Close()
-	}
-	return nil
-}
+func (r *retryRowset) Close() error { return r.rs.Close() }

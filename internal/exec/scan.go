@@ -78,13 +78,13 @@ func (s *scanIter) Open() error {
 		s.rs = nil
 	}
 	if s.src.IsRemote() {
-		rs, err := openRemoteRowset(s.ctx, s.src.Server, "scan", func(sess oledb.Session) (rowset.Rowset, error) {
+		rs, err := openRemoteRowset(s.ctx, s.src.Server, "scan", true, func(sess oledb.Session) (rowset.Rowset, error) {
 			return sess.OpenRowset(objectName(s.src))
 		})
 		if err != nil {
 			return fmt.Errorf("exec: scan %s: %w", s.src, err)
 		}
-		s.rs = maybePrefetch(s.ctx, true, rs)
+		s.rs = rs
 		return nil
 	}
 	sess, err := s.ctx.RT.SessionFor(s.src.Server)
@@ -120,8 +120,7 @@ func (s *scanIter) Next() (rowset.Row, error) {
 // narrowed to the plan's scan columns: an identity-prefix scan truncates a
 // full-width fill, a pruned one hands its projection to the rowset. The
 // storage engine's scans fill either shape from the columnar image without
-// per-row calls; only remote rowsets are drained row by row, and those
-// project each row straight into the batch columns.
+// per-row calls, and a remote rowset delivers one fetch per batch.
 func (s *scanIter) NextBatch(b *rowset.Batch) error {
 	if s.rs == nil {
 		return io.EOF
@@ -197,13 +196,13 @@ func (s *indexRangeIter) Open() error {
 		return err
 	}
 	if s.src.IsRemote() {
-		rs, err := openRemoteRowset(s.ctx, s.src.Server, "index range", func(sess oledb.Session) (rowset.Rowset, error) {
+		rs, err := openRemoteRowset(s.ctx, s.src.Server, "index range", true, func(sess oledb.Session) (rowset.Rowset, error) {
 			return sess.OpenIndexRange(objectName(s.src), s.index, lo, hi)
 		})
 		if err != nil {
 			return fmt.Errorf("exec: index range %s.%s: %w", s.src, s.index, err)
 		}
-		s.rs = maybePrefetch(s.ctx, true, rs)
+		s.rs = rs
 		return nil
 	}
 	sess, err := s.ctx.RT.SessionFor(s.src.Server)
@@ -279,7 +278,7 @@ func (s *indexRangeIter) Close() error {
 type remoteQueryIter struct {
 	ctx *Context
 	op  *algebra.RemoteQuery
-	rs  rowset.Rowset
+	rs  *remoteRowset
 }
 
 func (r *remoteQueryIter) Open() error {
@@ -293,7 +292,7 @@ func (r *remoteQueryIter) Open() error {
 	for name, v := range r.ctx.Params {
 		params[name] = v
 	}
-	rs, err := openRemoteRowset(r.ctx, r.op.Server, "remote query", func(sess oledb.Session) (rowset.Rowset, error) {
+	rs, err := openRemoteRowset(r.ctx, r.op.Server, "remote query", true, func(sess oledb.Session) (rowset.Rowset, error) {
 		cmd, err := sess.CreateCommand()
 		if err != nil {
 			return nil, err
@@ -307,7 +306,7 @@ func (r *remoteQueryIter) Open() error {
 	if err != nil {
 		return fmt.Errorf("exec: remote query on %s: %w", r.op.Server, err)
 	}
-	r.rs = maybePrefetch(r.ctx, true, rs)
+	r.rs = rs
 	return nil
 }
 
@@ -316,6 +315,13 @@ func (r *remoteQueryIter) Next() (rowset.Row, error) {
 		return nil, io.EOF
 	}
 	return r.rs.Next()
+}
+
+func (r *remoteQueryIter) NextBatch(b *rowset.Batch) error {
+	if r.rs == nil {
+		return io.EOF
+	}
+	return r.rs.NextBatch(b)
 }
 
 func (r *remoteQueryIter) Close() error {
@@ -332,7 +338,7 @@ func (r *remoteQueryIter) Close() error {
 type providerCommandIter struct {
 	ctx *Context
 	op  *algebra.ProviderCommand
-	rs  rowset.Rowset
+	rs  *remoteRowset
 }
 
 func (p *providerCommandIter) Open() error {
@@ -344,7 +350,7 @@ func (p *providerCommandIter) Open() error {
 	for name, v := range p.ctx.Params {
 		params[name] = v
 	}
-	rs, err := openRemoteRowset(p.ctx, p.op.Src.Server, "provider command", func(sess oledb.Session) (rowset.Rowset, error) {
+	rs, err := openRemoteRowset(p.ctx, p.op.Src.Server, "provider command", p.op.Src.IsRemote(), func(sess oledb.Session) (rowset.Rowset, error) {
 		cmd, err := sess.CreateCommand()
 		if err != nil {
 			return nil, err
@@ -358,7 +364,7 @@ func (p *providerCommandIter) Open() error {
 	if err != nil {
 		return fmt.Errorf("exec: provider command on %s: %w", p.op.Src.Server, err)
 	}
-	p.rs = maybePrefetch(p.ctx, p.op.Src.IsRemote(), rs)
+	p.rs = rs
 	return nil
 }
 
@@ -367,6 +373,13 @@ func (p *providerCommandIter) Next() (rowset.Row, error) {
 		return nil, io.EOF
 	}
 	return p.rs.Next()
+}
+
+func (p *providerCommandIter) NextBatch(b *rowset.Batch) error {
+	if p.rs == nil {
+		return io.EOF
+	}
+	return p.rs.NextBatch(b)
 }
 
 func (p *providerCommandIter) Close() error {

@@ -1,0 +1,238 @@
+package exec
+
+import (
+	"io"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"dhqp/internal/algebra"
+	"dhqp/internal/expr"
+	"dhqp/internal/netsim"
+	"dhqp/internal/oledb"
+	"dhqp/internal/rowset"
+	"dhqp/internal/schema"
+	"dhqp/internal/sqltypes"
+	"dhqp/internal/telemetry"
+)
+
+// scriptedSession is a linked server whose every OpenRowset (one per
+// execution attempt) streams rows 0..n-1 of a one-column table, with
+// scripted trouble per attempt: attempt a fails its failFetch[a]-th fetch
+// (1-based) with a transient error, after half-filling the batch with
+// poison rows; attempt a holds only short[a] rows when that is set.
+type scriptedSession struct {
+	oledb.Session // the optional interfaces are never reached
+	n             int
+	failFetch     map[int]int
+	short         map[int]int
+
+	mu      sync.Mutex
+	opens   int
+	fetches []int // per attempt: fetches served, the failed one included
+}
+
+const poison = -1
+
+func (s *scriptedSession) OpenRowset(string) (rowset.Rowset, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	attempt := s.opens
+	s.opens++
+	s.fetches = append(s.fetches, 0)
+	n := s.n
+	if m, ok := s.short[attempt]; ok {
+		n = m
+	}
+	return &scriptedRowset{s: s, attempt: attempt, n: n, failFetch: s.failFetch[attempt]}, nil
+}
+
+type scriptedRowset struct {
+	s         *scriptedSession
+	attempt   int
+	n, pos    int
+	failFetch int
+}
+
+func (r *scriptedRowset) Columns() []schema.Column {
+	return []schema.Column{{Name: "k", Kind: sqltypes.KindInt}}
+}
+func (r *scriptedRowset) Next() (rowset.Row, error) {
+	panic("remote rowsets are read a batch at a time")
+}
+func (r *scriptedRowset) Close() error { return nil }
+
+func (r *scriptedRowset) NextBatch(b *rowset.Batch) error {
+	r.s.mu.Lock()
+	r.s.fetches[r.attempt]++
+	fetch := r.s.fetches[r.attempt]
+	r.s.mu.Unlock()
+	b.Reset(1)
+	if fetch == r.failFetch {
+		for i := 0; i < b.CapRows()/2; i++ {
+			b.AppendRow(rowset.Row{sqltypes.NewInt(poison)})
+		}
+		return &netsim.TransientError{Msg: "scripted blip"}
+	}
+	for !b.Full() && r.pos < r.n {
+		b.AppendRow(rowset.Row{sqltypes.NewInt(int64(r.pos))})
+		r.pos++
+	}
+	if b.NumRows() == 0 {
+		return io.EOF
+	}
+	return nil
+}
+
+func scriptedScan(server string) *algebra.Node {
+	def := &schema.Table{Catalog: "db", Name: "t", Columns: []schema.Column{{Name: "k", Kind: sqltypes.KindInt}}}
+	src := &algebra.Source{Server: server, Catalog: "db", Table: "t", Def: def}
+	return algebra.NewNode(&algebra.RemoteScan{Src: src, Cols: []algebra.OutCol{{ID: 1, Name: "k", Kind: sqltypes.KindInt}}})
+}
+
+// transportModes is every way a remote rowset is read: batch or row mode,
+// prefetched or synchronous.
+func transportModes(f func(name string, ctx *Context)) {
+	for _, vec := range []bool{true, false} {
+		for _, prefetch := range []bool{true, false} {
+			name := map[bool]string{true: "batch", false: "row"}[vec] + map[bool]string{true: "+prefetch", false: ""}[prefetch]
+			f(name, &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16, NoVectorized: !vec,
+				NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Diags: &Diagnostics{}, Stats: telemetry.NewCollector()})
+		}
+	}
+}
+
+// TestRemoteFetchFaultRestartsAndDiscards: a transient fault on fetch k of
+// a multi-fetch remote rowset re-executes the statement and discards
+// exactly the rows already delivered — every row reaches the consumer once,
+// in order, nothing of the failed fetch's half-filled batch does, the
+// retry count is the fault count — whichever fetch fails, first and last
+// included, and when the replay itself faults.
+func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
+	const n = 100 // seven fetches of 16
+	scripts := []map[int]int{
+		{0: 1}, {0: 2}, {0: 4}, {0: 7}, {0: 8}, // the 8th fetch is the one that finds EOF
+		{0: 3, 1: 2},       // the replay faults while discarding
+		{0: 3, 1: 5, 2: 7}, // three attempts, each further along
+	}
+	for _, script := range scripts {
+		transportModes(func(mode string, ctx *Context) {
+			sess := &scriptedSession{n: n, failFetch: script}
+			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+			plan := scriptedScan("r")
+			m, err := Run(plan, ctx, plan.OutCols())
+			if err != nil {
+				t.Fatalf("%s %v: %v", mode, script, err)
+			}
+			if m.Len() != n {
+				t.Fatalf("%s %v: %d rows, want %d", mode, script, m.Len(), n)
+			}
+			for i, r := range m.Rows() {
+				if r[0].Int() != int64(i) {
+					t.Fatalf("%s %v: row %d is %d (duplicate, gap or poison)", mode, script, i, r[0].Int())
+				}
+			}
+			if got := ctx.Diags.Retries(); got != int64(len(script)) {
+				t.Errorf("%s %v: %d retries recorded, want %d", mode, script, got, len(script))
+			}
+			if sess.opens != len(script)+1 {
+				t.Errorf("%s %v: statement executed %d times, want %d", mode, script, sess.opens, len(script)+1)
+			}
+			if got := ctx.Stats.Lookup(plan).ActualRows(); got != n {
+				t.Errorf("%s %v: actual rows = %d, want %d (replayed rows must not count)", mode, script, got, n)
+			}
+		})
+	}
+}
+
+// TestRemoteFetchShortReplayIsPermanent: a re-execution that returns fewer
+// rows than were already delivered, or stops short of the fetch boundary
+// they ended on, is an error — not an excuse to deliver a different result.
+func TestRemoteFetchShortReplayIsPermanent(t *testing.T) {
+	for _, short := range []int{0, 16, 40} { // nothing; one fetch of the three delivered; the third comes up half empty
+		transportModes(func(mode string, ctx *Context) {
+			sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 4}, short: map[int]int{1: short}}
+			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+			plan := scriptedScan("r")
+			_, err := Run(plan, ctx, plan.OutCols())
+			if err == nil || !strings.Contains(err.Error(), "replay returned") {
+				t.Fatalf("%s short=%d: err = %v, want the replay error", mode, short, err)
+			}
+			if oledb.IsTransient(err) {
+				t.Errorf("%s short=%d: replay error is classified transient: %v", mode, short, err)
+			}
+		})
+	}
+}
+
+// TestBatchExchangeLifecycle drives the parallel exchange over prefetching
+// remote children through the ways a consumer can walk away — early Close
+// under a TOP, a sibling's permanent error, re-Open after partial
+// consumption — and checks that every producer goroutine is gone each time.
+func TestBatchExchangeLifecycle(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settle := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines leaked: %d > baseline %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+	}
+	fanOut := func(servers ...string) *algebra.Node {
+		kids := make([]*algebra.Node, len(servers))
+		in := make([][]expr.ColumnID, len(servers))
+		for i, s := range servers {
+			kids[i] = scriptedScan(s)
+			in[i] = []expr.ColumnID{1}
+		}
+		return algebra.NewNode(&algebra.Concat{OutColsList: []algebra.OutCol{{ID: 9, Name: "k", Kind: sqltypes.KindInt}}, InMaps: in}, kids...)
+	}
+	for _, vec := range []bool{true, false} {
+		sessions := map[string]oledb.Session{}
+		for _, s := range []string{"a", "b", "c", "d"} {
+			sessions[s] = &scriptedSession{n: 100000}
+		}
+		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: 64, NoVectorized: !vec, Diags: &Diagnostics{}}
+
+		// Early Close under TOP: 400 000 rows on offer, 10 taken.
+		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))
+		m, err := Run(top, ctx, top.OutCols())
+		if err != nil || m.Len() != 10 {
+			t.Fatalf("vec=%v: TOP 10 = %d rows, %v", vec, m.Len(), err)
+		}
+		settle("early Close under TOP")
+
+		// Re-Open after partial consumption, then Close mid-stream.
+		it, err := Build(fanOut("a", "b", "c", "d"), ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := 0; round < 5; round++ {
+			if err := it.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				if _, err := it.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		it.Close()
+		settle("re-Open after partial consumption")
+
+		// First error cancels the siblings: c dies for good on its third fetch.
+		sessions["c"] = &scriptedSession{n: 100000, failFetch: map[int]int{0: 3, 1: 1, 2: 1, 3: 1}}
+		ctx.RetryAttempts = 2
+		ctx.RetryBackoff = time.Microsecond
+		plan := fanOut("a", "b", "c", "d")
+		if _, err := Run(plan, ctx, plan.OutCols()); err == nil || !strings.Contains(err.Error(), "[c]") {
+			t.Fatalf("vec=%v: err = %v, want branch c's failure", vec, err)
+		}
+		settle("first-error cancel")
+	}
+}

@@ -7,73 +7,52 @@ import (
 	"dhqp/internal/schema"
 )
 
-// Metered wraps a rowset so that every batch of rows crossing it is charged
-// to the link (one Call per batch, batching to model streaming fetch
-// buffers). Providers wrap the rowsets they return to the DHQP with it.
-// Calls run without a cancellation context; see MeteredCtx.
-func Metered(rs rowset.Rowset, link *Link, batch int) rowset.Rowset {
-	return MeteredCtx(context.Background(), rs, link, batch)
+// Metered wraps a rowset so that every fetch crossing it is charged to the
+// link: one Call per batch the consumer fills, carrying that fill's rows
+// and their encoded bytes — the IRowset::GetNextRows(cRows) contract, where
+// the consumer's batch capacity is the fetch size. Providers wrap the
+// rowsets they return to the DHQP with it. Calls run without a cancellation
+// context; see MeteredCtx.
+func Metered(rs rowset.Rowset, link *Link) rowset.Rowset {
+	return MeteredCtx(context.Background(), rs, link)
 }
 
-// MeteredCtx is Metered with a context: the per-batch link calls honor the
+// MeteredCtx is Metered with a context: the per-fetch link calls honor the
 // context's cancellation/deadline and surface the link's injected faults as
-// Next errors.
-func MeteredCtx(ctx context.Context, rs rowset.Rowset, link *Link, batch int) rowset.Rowset {
+// fetch errors.
+func MeteredCtx(ctx context.Context, rs rowset.Rowset, link *Link) rowset.Rowset {
 	if link == nil {
 		return rs
 	}
-	if batch <= 0 {
-		batch = 64
-	}
-	return &meteredRowset{ctx: ctx, rs: rs, link: link, batch: batch}
+	return &meteredRowset{ctx: ctx, rs: rs, link: link}
 }
 
 type meteredRowset struct {
-	ctx   context.Context
-	rs    rowset.Rowset
-	link  *Link
-	batch int
-
-	pendingRows  int
-	pendingBytes int
+	ctx  context.Context
+	rs   rowset.Rowset
+	link *Link
+	rows rowset.BatchRows // row-at-a-time consumers read out of its batch
 }
 
 func (m *meteredRowset) Columns() []schema.Column { return m.rs.Columns() }
 
+// NextBatch implements rowset.BatchReader: one fetch, one round trip. A
+// fetch crosses whole or not at all — when the call fails the batch's
+// contents are not to be read. The end of the stream (an empty fetch)
+// costs no call.
+func (m *meteredRowset) NextBatch(b *rowset.Batch) error {
+	if err := rowset.FillBatch(m.rs, b, nil); err != nil {
+		return err
+	}
+	return m.link.Call(m.ctx, b.Len(), b.EncodedSize())
+}
+
+// Next serves rows out of default-sized fetches.
 func (m *meteredRowset) Next() (rowset.Row, error) {
-	r, err := m.rs.Next()
-	if err != nil {
-		// End of stream (or upstream failure): the tail batch still has to
-		// cross the link; a failed tail transfer outranks EOF.
-		if ferr := m.flush(); ferr != nil {
-			return nil, ferr
-		}
-		return nil, err
+	if m.rows.B == nil {
+		m.rows.B = rowset.NewBatch(0)
 	}
-	m.pendingRows++
-	m.pendingBytes += r.EncodedSize()
-	if m.pendingRows >= m.batch {
-		if err := m.flush(); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	return m.rows.Next(m.NextBatch)
 }
 
-func (m *meteredRowset) flush() error {
-	if m.pendingRows > 0 {
-		rows, bytes := m.pendingRows, m.pendingBytes
-		m.pendingRows, m.pendingBytes = 0, 0
-		return m.link.Call(m.ctx, rows, bytes)
-	}
-	return nil
-}
-
-func (m *meteredRowset) Close() error {
-	ferr := m.flush()
-	cerr := m.rs.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
+func (m *meteredRowset) Close() error { return m.rs.Close() }

@@ -18,53 +18,144 @@ func sampleRowset(n int) *rowset.Materialized {
 	return rowset.NewMaterialized(cols, rows)
 }
 
-func TestMeteredCountsRowsAndBytes(t *testing.T) {
-	link := &Link{}
-	rs := Metered(sampleRowset(10), link, 4)
-	n := 0
+// drainBatches fetches rs to its end with the given fetch size and returns
+// the size of every fetch.
+func drainBatches(t *testing.T, rs rowset.Rowset, fetch int) []int {
+	t.Helper()
+	b := rowset.NewBatch(fetch)
+	var fills []int
 	for {
-		if _, err := rs.Next(); err == io.EOF {
-			break
-		} else if err != nil {
+		err := rs.(rowset.BatchReader).NextBatch(b)
+		if err == io.EOF {
+			return fills
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
-		n++
-	}
-	rs.Close()
-	s := link.Stats()
-	if n != 10 || s.Rows != 10 {
-		t.Errorf("rows = %d / %d", n, s.Rows)
-	}
-	// 10 rows, batch 4 → calls at 4, 8, and flush of the final 2 on EOF.
-	if s.Calls != 3 {
-		t.Errorf("calls = %d", s.Calls)
-	}
-	if s.Bytes != 10*10 { // 2 header + 8 int per row
-		t.Errorf("bytes = %d", s.Bytes)
+		fills = append(fills, b.Len())
 	}
 }
 
-func TestMeteredFlushOnClose(t *testing.T) {
+// One call per fetch the consumer makes, sized by the consumer's batch:
+// the same ten rows cost three round trips at fetch size 4 and one at the
+// default, and the same rows and bytes either way.
+func TestMeteredChargesOneCallPerFetch(t *testing.T) {
+	for _, tc := range []struct {
+		fetch int
+		fills []int
+	}{
+		{4, []int{4, 4, 2}},
+		{10, []int{10}}, // an exact fit: the empty fetch that finds EOF is free
+		{0, []int{10}},
+	} {
+		link := &Link{}
+		rs := Metered(sampleRowset(10), link)
+		fills := drainBatches(t, rs, tc.fetch)
+		rs.Close()
+		if len(fills) != len(tc.fills) {
+			t.Fatalf("fetch %d: fills = %v, want %v", tc.fetch, fills, tc.fills)
+		}
+		for i := range fills {
+			if fills[i] != tc.fills[i] {
+				t.Fatalf("fetch %d: fills = %v, want %v", tc.fetch, fills, tc.fills)
+			}
+		}
+		s := link.Stats()
+		if s.Calls != int64(len(tc.fills)) || s.Rows != 10 {
+			t.Errorf("fetch %d: calls = %d rows = %d, want %d and 10", tc.fetch, s.Calls, s.Rows, len(tc.fills))
+		}
+		if s.Bytes != 10*10 { // 2 header + 8 int per row
+			t.Errorf("fetch %d: bytes = %d, want 100", tc.fetch, s.Bytes)
+		}
+	}
+}
+
+// The batch's byte count is the sum of its rows' encoded sizes, typed or
+// boxed, NULLs and strings included.
+func TestMeteredBytesMatchRowEncoding(t *testing.T) {
+	cols := []schema.Column{{Name: "i", Kind: sqltypes.KindInt}, {Name: "s", Kind: sqltypes.KindString},
+		{Name: "f", Kind: sqltypes.KindFloat}, {Name: "b", Kind: sqltypes.KindBool}}
+	var rows []rowset.Row
+	want := 0
+	for i := 0; i < 100; i++ {
+		r := rowset.Row{sqltypes.NewInt(int64(i)), sqltypes.NewString("v" + string(rune('a'+i%7))),
+			sqltypes.NewFloat(float64(i) / 3), sqltypes.NewBool(i%2 == 0)}
+		if i%5 == 0 {
+			r[i%4] = sqltypes.Null
+		}
+		rows = append(rows, r)
+		want += r.EncodedSize()
+	}
+	kinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString, sqltypes.KindFloat, sqltypes.KindBool}
+	for _, typed := range []bool{false, true} {
+		b := rowset.NewBatch(0)
+		b.SetTypedEnabled(typed)
+		b.FillRows(kinds, nil, rows)
+		if got := b.EncodedSize(); got != want {
+			t.Errorf("typed=%v: EncodedSize = %d, want %d", typed, got, want)
+		}
+	}
 	link := &Link{}
-	rs := Metered(sampleRowset(3), link, 100)
-	rs.Next()
-	rs.Next()
-	rs.Close() // two pending rows flush here
-	if s := link.Stats(); s.Rows != 2 || s.Calls != 1 {
-		t.Errorf("stats = %+v", s)
+	rs := Metered(rowset.NewMaterialized(cols, rows), link)
+	drainBatches(t, rs, 32)
+	if s := link.Stats(); s.Bytes != int64(want) || s.Calls != 4 {
+		t.Errorf("link saw %d bytes in %d calls, want %d in 4", s.Bytes, s.Calls, want)
+	}
+}
+
+// Row-at-a-time consumers read out of the current fetch: the fetch crosses
+// whole when its first row is asked for, and an early Close owes nothing.
+func TestMeteredRowsComeOutOfFetches(t *testing.T) {
+	link := &Link{}
+	rs := Metered(sampleRowset(3), link)
+	for want := int64(0); want < 2; want++ {
+		r, err := rs.Next()
+		if err != nil || r[0].Int() != want {
+			t.Fatalf("row %d = %v, %v", want, r, err)
+		}
+	}
+	if s := link.Stats(); s.Rows != 3 || s.Calls != 1 {
+		t.Errorf("after two rows: %+v, want the whole 3-row fetch in 1 call", s)
+	}
+	rs.Close()
+	if s := link.Stats(); s.Rows != 3 || s.Calls != 1 {
+		t.Errorf("Close charged the link: %+v", s)
+	}
+}
+
+// A fetch that fails on the wire delivers nothing, and the rows it would
+// have carried are not counted as shipped.
+func TestMeteredFailedFetchShipsNothing(t *testing.T) {
+	link := &Link{}
+	link.SetFaults(Faults{FailAfter: 1})
+	rs := Metered(sampleRowset(10), link)
+	b := rowset.NewBatch(4)
+	if err := rs.(rowset.BatchReader).NextBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := rs.(rowset.BatchReader).NextBatch(b); err == nil {
+		t.Fatal("second fetch crossed a dead link")
+	}
+	if s := link.Stats(); s.Rows != 4 || s.Calls != 2 || s.Faults != 1 {
+		t.Errorf("stats = %+v, want 4 rows, 2 calls, 1 fault", s)
+	}
+	// The row view surfaces the same error instead of rows.
+	link2 := &Link{}
+	link2.SetFaults(Faults{Down: true})
+	if _, err := Metered(sampleRowset(3), link2).Next(); err == nil {
+		t.Error("Next over a dead link returned a row")
 	}
 }
 
 func TestMeteredNilLinkPassThrough(t *testing.T) {
 	src := sampleRowset(2)
-	if Metered(src, nil, 8) != rowset.Rowset(src) {
+	if Metered(src, nil) != rowset.Rowset(src) {
 		t.Error("nil link should return the source unchanged")
 	}
 }
 
-func TestMeteredColumnsAndDefaultBatch(t *testing.T) {
-	link := &Link{}
-	rs := Metered(sampleRowset(1), link, 0)
+func TestMeteredColumns(t *testing.T) {
+	rs := Metered(sampleRowset(1), &Link{})
 	if len(rs.Columns()) != 1 {
 		t.Error("columns lost")
 	}

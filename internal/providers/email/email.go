@@ -116,7 +116,7 @@ func (s *session) OpenRowset(path string) (rowset.Rowset, error) {
 	if !ok {
 		return nil, fmt.Errorf("email: mailbox %q not found", path)
 	}
-	return netsim.Metered(&messageRowset{msgs: msgs, pos: -1}, s.p.link, 64), nil
+	return netsim.Metered(&messageRowset{msgs: msgs, pos: -1}, s.p.link), nil
 }
 
 // CreateCommand implements oledb.Session.

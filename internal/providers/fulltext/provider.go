@@ -164,7 +164,7 @@ func (c *Command) Execute() (rowset.Rowset, error) {
 		}
 		out = rowset.NewMaterialized(cols, rows)
 	}
-	return netsim.Metered(out, c.s.p.link, 64), nil
+	return netsim.Metered(out, c.s.p.link), nil
 }
 
 // ExecuteNonQuery implements oledb.Command.

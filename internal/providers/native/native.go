@@ -233,9 +233,13 @@ func (s *Session) ColumnHistogram(table, column string) (rowset.Rowset, error) {
 	for i, r := range all.Rows() {
 		vals[i] = r[ord]
 	}
-	h := stats.Build(vals, 64)
+	h := stats.Build(vals, histogramBuckets)
 	return h.ToRowset(), nil
 }
+
+// histogramBuckets is the resolution of the histograms ColumnHistogram
+// builds.
+const histogramBuckets = 64
 
 // Close implements oledb.Session, aborting any transaction left open.
 func (s *Session) Close() error {

@@ -131,7 +131,7 @@ func (s *session) OpenRowset(name string) (rowset.Rowset, error) {
 	if !ok {
 		return nil, fmt.Errorf("simplep: rowset %q not found", name)
 	}
-	return netsim.Metered(rowset.NewMaterialized(t.def.Columns, t.rows), s.p.link, 64), nil
+	return netsim.Metered(rowset.NewMaterialized(t.def.Columns, t.rows), s.p.link), nil
 }
 
 // CreateCommand implements oledb.Session.

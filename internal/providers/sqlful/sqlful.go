@@ -153,7 +153,7 @@ func (s *session) meter(rs rowset.Rowset, err error) (rowset.Rowset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link, 64), nil
+	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link), nil
 }
 
 // OpenRowset implements oledb.Session; rows ship across the link.
@@ -243,7 +243,7 @@ func (c *command) Execute() (rowset.Rowset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlful: remote execution failed: %w", err)
 	}
-	return netsim.MeteredCtx(c.s.callCtx(), m, c.s.p.link, 64), nil
+	return netsim.MeteredCtx(c.s.callCtx(), m, c.s.p.link), nil
 }
 
 // Describe reports the statement's output shape without executing it.

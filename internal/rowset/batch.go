@@ -60,6 +60,7 @@ type Batch struct {
 	sel     []int
 	useSel  bool
 	ident   []int // cached identity selection, grown to the largest fill
+	spare   []Vec // Project's scratch copy of the column set
 	noTyped bool  // session knob: force generic columns on ResetTyped
 }
 
@@ -159,6 +160,57 @@ func (b *Batch) TruncateRows(m int) {
 	} else {
 		b.n = m
 	}
+}
+
+// Project rearranges the columns in place: column j becomes the former
+// column m[j]. Vectors move, values do not, and the columns m leaves out
+// park behind the live ones so the next fill finds their buffers again. A
+// column m names a second time is copied, so no two columns share buffers.
+func (b *Batch) Project(m []int) {
+	identity := len(m) == len(b.cols)
+	for j, src := range m {
+		identity = identity && src == j
+	}
+	if identity {
+		return
+	}
+	old := append(b.spare[:0], b.cols...)
+	b.spare = old
+	b.setWidth(max(len(old), len(m)))
+	taken := make([]bool, len(old))
+	for j, src := range m {
+		if taken[src] {
+			b.cols[j] = Vec{}
+			b.cols[j].copyRange(&old[src], 0, b.n, false)
+			continue
+		}
+		taken[src] = true
+		b.cols[j] = old[src]
+	}
+	rest := len(m)
+	for src := range old {
+		if !taken[src] && rest < len(b.cols) {
+			b.cols[rest] = old[src]
+			rest++
+		}
+	}
+	b.cols = b.cols[:len(m)]
+}
+
+// Swap exchanges the two batches' contents, buffers included: a producer's
+// filled batch reaches the consumer's without a value being copied, and the
+// consumer's spent buffers go back for the next fill.
+func (b *Batch) Swap(o *Batch) { *b, *o = *o, *b }
+
+// EncodedSize approximates the live rows' wire size in bytes: the sum of
+// Row.EncodedSize over them.
+func (b *Batch) EncodedSize() int {
+	idxs := b.Indices()
+	n := 2 * len(idxs) // row headers
+	for j := range b.cols {
+		n += b.cols[j].encodedSize(idxs)
+	}
+	return n
 }
 
 // Col returns column j's vector. Producers write through it (SetValue /
@@ -396,3 +448,30 @@ func (m *Materialized) AppendBatch(b *Batch) {
 		m.rows = append(m.rows, Row(vals[base:base+w:base+w]))
 	}
 }
+
+// BatchRows is the row-at-a-time view of a batch-granular source: Next
+// hands out the rows of the current batch one by one and asks fill for the
+// next batch when they run out. B is the batch fill fills — its capacity
+// is the fetch size — and must be set before the first Next.
+type BatchRows struct {
+	B      *Batch
+	pos, n int // next live row of B, and how many a completed fill left
+}
+
+// Next returns the next row (freshly allocated: callers may retain it), or
+// fill's error — io.EOF at the end.
+func (c *BatchRows) Next(fill func(*Batch) error) (Row, error) {
+	for c.pos >= c.n {
+		c.pos, c.n = 0, 0
+		if err := fill(c.B); err != nil {
+			return nil, err
+		}
+		c.n = c.B.Len()
+	}
+	c.pos++
+	return c.B.RowAt(c.pos-1, nil), nil
+}
+
+// Reset drops the rows of the current batch that were not handed out (a
+// restarted source must not replay them).
+func (c *BatchRows) Reset() { c.pos, c.n = 0, 0 }

@@ -276,6 +276,39 @@ func (v *Vec) boxInto(dst []sqltypes.Value, stride int, idxs []int) {
 	}
 }
 
+// encodedSize sums Value.EncodedSize over the elements at idxs without
+// boxing them.
+func (v *Vec) encodedSize(idxs []int) int {
+	n := 0
+	switch v.kind {
+	case sqltypes.KindNull:
+		for _, idx := range idxs {
+			n += v.gen[idx].EncodedSize()
+		}
+		return n
+	case sqltypes.KindString:
+		for _, idx := range idxs {
+			if v.Valid(idx) {
+				n += 4 + len(v.str[idx])
+			} else {
+				n++
+			}
+		}
+		return n
+	case sqltypes.KindBool:
+		return len(idxs)
+	}
+	n = 8 * len(idxs)
+	if v.hasNulls {
+		for _, idx := range idxs {
+			if !v.Valid(idx) {
+				n -= 7
+			}
+		}
+	}
+	return n
+}
+
 // BuildColVec builds a full-length typed vector over column j of rows —
 // the storage engine's columnar-image constructor. A kind-mismatched value
 // degrades it to generic just like a batch fill would.

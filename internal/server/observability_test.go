@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"dhqp/internal/metrics"
+	"dhqp/internal/sqltypes"
 	"dhqp/internal/telemetry"
 )
 
@@ -135,6 +136,12 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 	if _, err := c.Query(`SELECT y, amount FROM all_sales`, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A parameter range that meets one of the two members' CHECK domains:
+	// one startup filter opens its member, the other keeps its closed.
+	window := map[string]sqltypes.Value{"lo": sqltypes.NewInt(1990), "hi": sqltypes.NewInt(1991)}
+	if res, err := c.Query(`SELECT y, amount FROM all_sales WHERE y >= @lo AND y < @hi`, window); err != nil || len(res.Rows) != 3 {
+		t.Fatalf("range over the wire: %v rows, err %v", res, err)
+	}
 	// A local DML whose WHERE has nothing sargable: 4 rows read, 1 changed.
 	head.MustExec(`CREATE TABLE acct (id INT PRIMARY KEY, bal INT)`)
 	head.MustExec(`INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
@@ -177,6 +184,9 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 	}
 	if counters["dhqp_dml_rows_examined_total"] != 4 || counters["dhqp_dml_rows_affected_total"] != 1 {
 		t.Fatalf("performance-counters DMV shows DML rows %v, want 4 examined and 1 affected", counters)
+	}
+	if p, o := counters["dhqp_exec_startup_pruned_total"], counters["dhqp_exec_startup_opened_total"]; p != 1 || o != 1 {
+		t.Fatalf("performance-counters DMV shows %v startup filters pruned and %v opened, want 1 and 1", p, o)
 	}
 	// Rows per root batch is derivable: both counters are present and move.
 	if b, r := counters["dhqp_exec_batches_total"], counters["dhqp_exec_batch_rows_total"]; b < 1 || r < b {

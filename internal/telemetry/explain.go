@@ -60,9 +60,14 @@ func (e *Explain) annotate(n *algebra.Node) string {
 	if n.Est != nil {
 		parts = append(parts, fmt.Sprintf("est=%.0f", n.Est.Rows))
 	}
-	if s := e.Ops[n]; s != nil {
+	if s := e.Ops[n]; s != nil && s.Pruned() > 0 && s.Pruned() == s.Opens() {
+		parts = append(parts, "pruned at startup")
+	} else if s != nil {
 		parts = append(parts, fmt.Sprintf("actual=%d opens=%d time=%s",
 			s.ActualRows(), s.Opens(), s.WallTime().Round(time.Microsecond)))
+		if s.Pruned() > 0 {
+			parts = append(parts, fmt.Sprintf("pruned=%d", s.Pruned()))
+		}
 	} else {
 		parts = append(parts, "actual=- (not executed)")
 	}

@@ -34,7 +34,21 @@ type OpStats struct {
 	nexts  atomic.Int64
 	rows   atomic.Int64
 	wallNS atomic.Int64
+	pruned atomic.Int64
 }
+
+// RecordPruned counts one Open of a startup filter whose predicate was
+// false, so its subtree stayed closed. Nil-safe: the filter holds no stats
+// on uninstrumented executions.
+func (s *OpStats) RecordPruned() {
+	if s != nil {
+		s.pruned.Add(1)
+	}
+}
+
+// Pruned reports how many of the operator's opens a false startup
+// predicate cut short.
+func (s *OpStats) Pruned() int64 { return s.pruned.Load() }
 
 // RecordOpen counts one Open call and its inclusive wall time.
 func (s *OpStats) RecordOpen(d time.Duration) {
@@ -110,8 +124,12 @@ func NewCollector() *Collector {
 	return &Collector{ops: map[*algebra.Node]*OpStats{}}
 }
 
-// OpStats returns (creating on first use) the counters for a plan node.
+// OpStats returns (creating on first use) the counters for a plan node;
+// nil from a nil collector.
 func (c *Collector) OpStats(n *algebra.Node) *OpStats {
+	if c == nil {
+		return nil
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s, ok := c.ops[n]
