@@ -10,6 +10,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -1047,6 +1048,10 @@ func e16() {
 	const reps = 3
 	measure := func(sql string) (float64, int) {
 		mustQ(s, sql, nil) // warm the plan cache so timing excludes optimization
+		// A collection of the 1M-row heap runs for 100-200 ms — longer than
+		// all three repetitions of a typed cell — and marks with the
+		// allocating statement's help; collect now so none starts mid-cell.
+		runtime.GC()
 		best := time.Duration(1<<62 - 1)
 		outRows := 0
 		for r := 0; r < reps; r++ {

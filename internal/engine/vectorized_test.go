@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -87,7 +88,50 @@ func TestVectorizedRowEquivalence(t *testing.T) {
 		`SELECT t3.s, t2.v FROM t3, t2 WHERE t3.i = t2.k`,
 		`SELECT COUNT(*) AS n, SUM(f) AS sf, MIN(d) AS md FROM t3`,
 	}
+	// The tables above are small enough that every join plans as a loop
+	// join; the star tables are not. A star join into an aggregate, a LEFT
+	// OUTER join whose ON clause leaves a residual beside the equi-key, and
+	// an EXISTS with one put the hash join under the same grid.
+	loadStarTables(s)
+	hashShapes := []string{
+		`SELECT sd1.name, sd2.w, COUNT(*) AS n, SUM(sf.val) AS sv, AVG(sf.fv) AS af FROM sf, sd1, sd2
+			WHERE sf.d1 = sd1.k AND sf.d2 = sd2.k GROUP BY sd1.name, sd2.w`,
+		`SELECT sf.id, sd2.w FROM sf LEFT JOIN sd2 ON sf.d2 = sd2.k AND sd2.w > sf.val`,
+		`SELECT sf.id FROM sf WHERE EXISTS (SELECT * FROM sd2 WHERE sd2.k = sf.d2 AND sd2.w > sf.val)`,
+	}
+	for _, sql := range hashShapes {
+		e, err := s.ExplainAnalyze(sql, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.FindOp("HashJoin") == nil {
+			t.Errorf("no HashJoin in the plan of %s", sql)
+		}
+	}
+	queries = append(queries, hashShapes...)
 	checkModeGrid(t, s, queries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
+}
+
+// loadStarTables adds a 300-row fact table and two small dimensions with
+// NULL and duplicate keys on both sides.
+func loadStarTables(s *Server) {
+	s.MustExec(`CREATE TABLE sf (id INT, d1 INT, d2 INT, val INT, fv FLOAT)`)
+	s.MustExec(`CREATE TABLE sd1 (k INT, name VARCHAR(16))`)
+	s.MustExec(`CREATE TABLE sd2 (k INT, w INT)`)
+	var fact, dim []string
+	for i := 0; i < 300; i++ {
+		d1 := fmt.Sprint(i * 7 % 23)
+		if i%17 == 0 {
+			d1 = "NULL"
+		}
+		fact = append(fact, fmt.Sprintf("(%d, %s, %d, %d, %d.5)", i, d1, i*5%13, i%10, i%7))
+	}
+	for i := 0; i < 20; i++ {
+		dim = append(dim, fmt.Sprintf("(%d, 'n%02d')", i, i%16))
+	}
+	s.MustExec(`INSERT INTO sf VALUES ` + strings.Join(fact, ", "))
+	s.MustExec(`INSERT INTO sd1 VALUES ` + strings.Join(dim, ", ") + `, (NULL, 'nn'), (3, 'dup3')`)
+	s.MustExec(`INSERT INTO sd2 VALUES (0, 3), (1, 5), (2, 7), (2, 2), (4, 9), (5, 1), (NULL, 4), (8, 6), (11, 5)`)
 }
 
 // checkModeGrid runs every query through run under the seven executor

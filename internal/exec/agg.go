@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
@@ -321,8 +320,7 @@ func (h *hashAggIter) Open() error {
 		order = append(order, "")
 	}
 	out := rowset.NewMaterialized(nil, nil)
-	// Deterministic output: insertion order.
-	sortStable(order)
+	// Deterministic output: groups emit in first-seen order.
 	for _, key := range order {
 		g := groups[key]
 		row := make(rowset.Row, 0, len(h.gpos)+len(h.specs))
@@ -335,11 +333,6 @@ func (h *hashAggIter) Open() error {
 	h.out = out
 	return h.child.Close()
 }
-
-// sortStable keeps group output deterministic across runs (map iteration
-// order is randomized); groups emit in first-seen order which `order`
-// already captures, so this is a no-op placeholder kept for clarity.
-func sortStable(keys []string) { _ = sort.SearchStrings }
 
 func (h *hashAggIter) accumulate(accs []*accumulator, r rowset.Row) error {
 	env := h.venv

@@ -63,10 +63,9 @@ func (a *rowToBatch) NextBatch(b *rowset.Batch) error {
 	return nil
 }
 
-// keyEnc builds hash keys into a reusable scratch buffer. The old keyOf
-// allocated a fresh []byte plus a string per row; encode returns a slice
-// of the iterator-owned buffer, valid until the next encode call, so map
-// probes via m[string(key)] compile to zero-allocation lookups and only
+// keyEnc builds hash keys into a reusable scratch buffer: encode returns a
+// slice of the iterator-owned buffer, valid until the next encode call, so
+// map probes via m[string(key)] compile to zero-allocation lookups and only
 // genuinely new map entries pay a string copy.
 type keyEnc struct {
 	buf []byte

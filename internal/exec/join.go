@@ -10,24 +10,6 @@ import (
 	"dhqp/internal/sqltypes"
 )
 
-// keyOf builds a hashable string key from row positions; a trailing flag
-// distinguishes NULL from empty (NULLs never join).
-func keyOf(r rowset.Row, positions []int) (string, bool) {
-	key := make([]byte, 0, 16*len(positions))
-	for _, p := range positions {
-		v := r[p]
-		if v.IsNull() {
-			return "", false
-		}
-		h := v.Hash()
-		for i := 0; i < 8; i++ {
-			key = append(key, byte(h>>(8*i)))
-		}
-		key = append(key, '|')
-	}
-	return string(key), true
-}
-
 func buildHashJoin(n *algebra.Node, op *algebra.HashJoin, ctx *Context) (Iterator, error) {
 	left, err := Build(n.Kids[0], ctx)
 	if err != nil {
@@ -71,118 +53,124 @@ type hashJoinIter struct {
 	lwidth      int
 	rwidth      int
 
-	// The bucket values are pointers so appending to an existing bucket
-	// never re-assigns the map entry: probes and grows both go through
-	// m[string(key)] lookups, which the compiler keeps allocation-free, and
-	// only genuinely new keys pay the string copy.
-	table   map[string]*[]rowset.Row
-	kenc    keyEnc
-	cur     rowset.Row // current left row
-	matches []rowset.Row
-	midx    int
+	// The build side, column-wise: build[j] is column j of every build row
+	// with a non-NULL key, in arrival order and in the representation the
+	// child delivered, and a row's id is its position. heads maps the key
+	// bytes to the first id with that key and next chains equal-keyed ids in
+	// build order; tails, indexed by a chain's head, is its last id (used
+	// while building only). Probes are m[string(key)] lookups, which the
+	// compiler keeps allocation-free; only a new key pays the string copy.
+	build       []rowset.Vec
+	nbuild      int
+	heads       map[string]int32
+	next, tails []int32
+	kenc        keyEnc
+
+	// The probe row in progress, for Next and NextBatch alike: chain is the
+	// next build id to try for it (-1: none left), matched whether it has
+	// joined yet.
+	chain   int32
 	matched bool
+	cur     rowset.Row // Next's copy of that row
 
-	// Vectorized-path state.
-	bleft    BatchIterator
-	in       *rowset.Batch // probe-side input batch
-	inPos    int           // next live row in `in`
-	leftDone bool
-	buildBuf *rowset.Batch // build-side drain batch
-	curBuf   rowset.Row    // gather scratch backing cur
-	combBuf  rowset.Row    // combined-row scratch
-	nullR    rowset.Row    // cached all-NULL right row for outer joins
-	venv     *expr.Env
+	// NextBatch state. An output row is a pair: the probe row's physical
+	// index in `in` and a build id, -1 for the NULL-extended side of an
+	// unmatched LEFT OUTER row (neg: some pending pair has one). SEMI and
+	// ANTI record the probe index alone. Between probes the build borrows
+	// pidx to list a build batch's rows.
+	bleft      BatchIterator
+	in         *rowset.Batch // probe-side input batch
+	inPos      int           // live row of `in` in progress
+	leftDone   bool
+	buildBuf   *rowset.Batch // build-side drain batch
+	pidx, bidx []int32
+	neg        bool
+	scratch    rowset.Row // the candidate row a residual is evaluated on
+	venv       *expr.Env
 }
 
-// insert adds one build-side row to the hash table.
-func (h *hashJoinIter) insert(r rowset.Row) {
-	kb, ok := h.kenc.encode(r, h.rpos)
-	if !ok {
-		return // NULL keys never join
-	}
-	h.insertKeyed(kb, r)
+// semi reports whether the join emits probe rows alone (SEMI, ANTI).
+func (h *hashJoinIter) semi() bool {
+	return h.typ == algebra.SemiJoin || h.typ == algebra.AntiJoin
 }
 
-// insertKeyed adds one build-side row under a precomputed key (cloned:
-// build rows must survive their source batch or rowset buffer).
-func (h *hashJoinIter) insertKeyed(kb []byte, r rowset.Row) {
-	if rows := h.table[string(kb)]; rows != nil {
-		*rows = append(*rows, r.Clone())
-		return
-	}
-	rows := []rowset.Row{r.Clone()}
-	h.table[string(kb)] = &rows
-}
-
-// probe points h.matches at the bucket for the current left row's key.
-func (h *hashJoinIter) probe(l rowset.Row) {
-	h.matches = nil
-	if kb, ok := h.kenc.encode(l, h.lpos); ok {
-		if rows := h.table[string(kb)]; rows != nil {
-			h.matches = *rows
+// lookup returns the first build id filed under an encoded key, -1 when the
+// key has a NULL (ok false: NULLs never join) or no build row carries it.
+func (h *hashJoinIter) lookup(kb []byte, ok bool) int32 {
+	if ok {
+		if id, hit := h.heads[string(kb)]; hit {
+			return id
 		}
 	}
+	return -1
 }
 
-// probeVec is probe hashing straight off the probe batch's columns at
-// physical index idx — typed payloads never box for key building.
-func (h *hashJoinIter) probeVec(cols []rowset.Vec, idx int) {
-	h.matches = nil
-	if kb, ok := h.kenc.encodeVec(cols, idx, h.lpos); ok {
-		if rows := h.table[string(kb)]; rows != nil {
-			h.matches = *rows
+// insertBatch appends the batch's live rows with non-NULL keys to the build
+// store, one gather per column, and links each into its key's chain.
+func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
+	cols := b.Cols()
+	live := h.pidx[:0]
+	for _, idx := range b.Indices() {
+		kb, ok := h.kenc.encodeVec(cols, idx, h.rpos)
+		if !ok {
+			continue // NULL keys never join
+		}
+		id := int32(h.nbuild + len(live))
+		live = append(live, int32(idx))
+		h.next, h.tails = append(h.next, -1), append(h.tails, id)
+		if head, dup := h.heads[string(kb)]; dup {
+			h.next[h.tails[head]] = id
+			h.tails[head] = id
+		} else {
+			h.heads[string(kb)] = id
 		}
 	}
+	for j := range h.build {
+		h.build[j].Gather(h.nbuild, &cols[j], live, false, h.ctx.NoTypedVectors)
+	}
+	h.nbuild += len(live)
+	h.pidx = live[:0]
+}
+
+// joined boxes probe row l and build row id (-1: NULLs) into one new row.
+func (h *hashJoinIter) joined(l rowset.Row, id int32) rowset.Row {
+	out := make(rowset.Row, len(l)+h.rwidth) // the zero Value is NULL
+	copy(out, l)
+	for j := 0; id >= 0 && j < h.rwidth; j++ {
+		out[len(l)+j] = h.build[j].Value(int(id))
+	}
+	return out
 }
 
 func (h *hashJoinIter) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
 	}
-	h.table = map[string]*[]rowset.Row{}
-	if h.ctx.vectorized() {
-		// Batch-drain the build side: keys hash straight off the batch
-		// columns, and the row is gathered only after its key is known to
-		// be non-NULL (NULL-keyed rows never enter the table).
-		bright := asBatchIterator(h.right)
-		if h.buildBuf == nil {
-			h.buildBuf = h.ctx.newBatch()
-		}
-		var rbuf rowset.Row
-		for {
-			err := bright.NextBatch(h.buildBuf)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			cols := h.buildBuf.Cols()
-			n := h.buildBuf.Len()
-			for i := 0; i < n; i++ {
-				idx := h.buildBuf.PhysIdx(i)
-				kb, ok := h.kenc.encodeVec(cols, idx, h.rpos)
-				if !ok {
-					continue // NULL keys never join
-				}
-				rbuf = h.buildBuf.RowAt(i, rbuf)
-				h.insertKeyed(kb, rbuf)
-			}
-		}
-	} else {
-		for {
-			r, err := h.right.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			h.insert(r)
-		}
+	// Row mode pulls the build child by Next, vectorized mode by NextBatch;
+	// either way the rows land in the store a batch at a time.
+	bright := asBatchIterator(h.right)
+	if !h.ctx.vectorized() {
+		bright = &rowToBatch{it: h.right}
 	}
-	h.cur, h.matches, h.midx = nil, nil, 0
+	if h.buildBuf == nil {
+		h.buildBuf = h.ctx.newBatch()
+		h.build = make([]rowset.Vec, h.rwidth)
+	}
+	h.heads, h.nbuild = map[string]int32{}, 0
+	h.next, h.tails = h.next[:0], h.tails[:0]
+	for {
+		err := bright.NextBatch(h.buildBuf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		h.insertBatch(h.buildBuf)
+	}
+	h.cur, h.chain, h.matched = nil, -1, false
 	h.inPos, h.leftDone = 0, false
+	h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
 	if h.in != nil {
 		h.in.Reset(0)
 	}
@@ -192,10 +180,9 @@ func (h *hashJoinIter) Open() error {
 func (h *hashJoinIter) Next() (rowset.Row, error) {
 	for {
 		// Emit pending matches for the current left row.
-		for h.midx < len(h.matches) {
-			rrow := h.matches[h.midx]
-			h.midx++
-			combined := combineRows(h.cur, rrow)
+		for h.chain >= 0 {
+			combined := h.joined(h.cur, h.chain)
+			h.chain = h.next[h.chain]
 			if h.residual != nil {
 				ok, err := expr.EvalPredicate(h.residual, h.ctx.env(combined))
 				if err != nil {
@@ -208,78 +195,112 @@ func (h *hashJoinIter) Next() (rowset.Row, error) {
 			h.matched = true
 			switch h.typ {
 			case algebra.SemiJoin:
-				h.matches = nil // one match suffices
+				h.chain = -1 // one match suffices
 				return h.cur, nil
 			case algebra.AntiJoin:
-				h.matches = nil
-				// Matched: skip this left row entirely.
+				h.chain = -1 // matched: the left row is dropped below
 			default:
 				return combined, nil
 			}
-			break
 		}
 		// Finish the previous left row for outer/anti semantics.
-		if h.cur != nil && h.midx >= len(h.matches) {
-			prev := h.cur
-			prevMatched := h.matched
+		if prev := h.cur; prev != nil {
 			h.cur = nil
-			switch h.typ {
-			case algebra.LeftOuterJoin:
-				if !prevMatched {
-					return combineRows(prev, nullRow(h.rwidth)), nil
-				}
-			case algebra.AntiJoin:
-				if !prevMatched {
-					return prev, nil
-				}
+			switch {
+			case h.typ == algebra.LeftOuterJoin && !h.matched:
+				return h.joined(prev, -1), nil
+			case h.typ == algebra.AntiJoin && !h.matched:
+				return prev, nil
 			}
 		}
 		// Advance left.
 		l, err := h.left.Next()
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		if err != nil {
 			return nil, err
 		}
-		h.cur = l.Clone()
-		h.matched = false
-		h.midx = 0
-		h.probe(l)
+		h.cur, h.matched = l.Clone(), false
+		h.chain = h.lookup(h.kenc.encode(l, h.lpos))
 	}
 }
 
-// NextBatch is the vectorized probe: it gathers left rows from an input
-// batch and emits join output rows into the caller's batch until it fills.
-// Match lists that span output batches carry over via the same
-// cur/matches/midx state the row path uses, so all four join types behave
-// identically to the row-at-a-time state machine.
+// NextBatch is the columnar probe: each input batch is probed into a list of
+// (probe index, build id) pairs, and every output column is then one gather
+// of its source column through that list, appended to the caller's batch —
+// so the output is typed exactly as its sources are, and fills to its
+// ceiling however few rows a probe batch contributes.
 func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 	if h.bleft == nil {
 		h.bleft = asBatchIterator(h.left)
 		h.in = h.ctx.newBatch()
 		h.venv = &expr.Env{}
+		h.scratch = make(rowset.Row, h.lwidth+h.rwidth)
 	}
 	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
-	outW := h.lwidth + h.rwidth
-	if h.typ == algebra.SemiJoin || h.typ == algebra.AntiJoin {
-		outW = h.lwidth
+	width := h.lwidth
+	if !h.semi() {
+		width += h.rwidth
 	}
-	b.Reset(outW)
-	for {
-		// Emit pending matches for the current left row.
-		for h.cur != nil && h.midx < len(h.matches) {
-			if b.Full() {
+	b.Reset(width)
+	boxed := !b.TypedEnabled()
+	for !b.Full() && !h.leftDone {
+		if h.inPos >= h.in.Len() {
+			err := h.bleft.NextBatch(h.in)
+			if err == io.EOF {
+				h.leftDone = true
+				break
+			}
+			if err != nil {
+				return err
+			}
+			h.inPos = 0
+		}
+		n := b.NumRows()
+		if err := h.probe(b.CapRows() - n); err != nil {
+			return err
+		}
+		in := h.in.Cols()
+		for j := 0; j < h.lwidth; j++ {
+			b.Col(j).Gather(n, &in[j], h.pidx, false, boxed)
+		}
+		for j := h.lwidth; j < width; j++ {
+			b.Col(j).Gather(n, &h.build[j-h.lwidth], h.bidx, h.neg, boxed)
+		}
+		b.SetNumRows(n + len(h.pidx))
+		h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
+	}
+	if b.NumRows() == 0 {
+		return io.EOF
+	}
+	return nil
+}
+
+// probe joins the input batch's live rows from inPos on, recording output
+// rows in pidx/bidx until the input is exhausted or room of them are
+// pending. A match list that outruns the room is resumed, on the next call,
+// at the build id left in chain.
+func (h *hashJoinIter) probe(room int) error {
+	cols, live, semi := h.in.Cols(), h.in.Indices(), h.semi()
+	for h.inPos < len(live) && len(h.pidx) < room {
+		p := live[h.inPos]
+		id := h.chain
+		if id < 0 { // a fresh probe row
+			id, h.matched = h.lookup(h.kenc.encodeVec(cols, p, h.lpos)), false
+			if id >= 0 && h.residual != nil {
+				h.scratch = h.in.RowAt(h.inPos, h.scratch)[:h.lwidth+h.rwidth]
+			}
+		}
+		for h.chain = -1; id >= 0; id = h.next[id] {
+			if len(h.pidx) == room {
+				h.chain = id
 				return nil
 			}
-			rrow := h.matches[h.midx]
-			h.midx++
-			comb := append(append(h.combBuf[:0], h.cur...), rrow...)
-			h.combBuf = comb
 			if h.residual != nil {
-				h.venv.Row = comb
+				// The one place a row is assembled: the candidate pair.
+				for j := range h.build {
+					h.scratch[h.lwidth+j] = h.build[j].Value(int(id))
+				}
+				h.venv.Row = h.scratch
 				ok, err := expr.EvalPredicate(h.residual, h.venv)
-				h.venv.Row = nil
 				if err != nil {
 					return err
 				}
@@ -288,71 +309,24 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 				}
 			}
 			h.matched = true
-			switch h.typ {
-			case algebra.SemiJoin:
-				h.matches = nil // one match suffices
-				b.AppendRow(h.cur)
-			case algebra.AntiJoin:
-				h.matches = nil // matched: left row is dropped below
-			default:
-				b.AppendRow(comb)
+			if semi {
+				break // existence is all that is asked
 			}
+			h.pidx, h.bidx = append(h.pidx, int32(p)), append(h.bidx, id)
 		}
-		// Finish the current left row for outer/anti semantics.
-		if h.cur != nil {
-			switch h.typ {
-			case algebra.LeftOuterJoin:
-				if !h.matched {
-					if b.Full() {
-						return nil
-					}
-					if h.nullR == nil {
-						h.nullR = nullRow(h.rwidth)
-					}
-					comb := append(append(h.combBuf[:0], h.cur...), h.nullR...)
-					h.combBuf = comb
-					b.AppendRow(comb)
-				}
-			case algebra.AntiJoin:
-				if !h.matched {
-					if b.Full() {
-						return nil
-					}
-					b.AppendRow(h.cur)
-				}
-			}
-			h.cur = nil
+		switch {
+		case h.typ == algebra.LeftOuterJoin && !h.matched:
+			h.pidx, h.bidx, h.neg = append(h.pidx, int32(p)), append(h.bidx, -1), true
+		case h.typ == algebra.SemiJoin && h.matched, h.typ == algebra.AntiJoin && !h.matched:
+			h.pidx = append(h.pidx, int32(p))
 		}
-		// Advance to the next left row, refilling the input batch as needed.
-		for h.inPos >= h.in.Len() {
-			if h.leftDone {
-				if b.NumRows() == 0 {
-					return io.EOF
-				}
-				return nil
-			}
-			err := h.bleft.NextBatch(h.in)
-			if err == io.EOF {
-				h.leftDone = true
-				continue
-			}
-			if err != nil {
-				return err
-			}
-			h.inPos = 0
-		}
-		idx := h.in.PhysIdx(h.inPos)
-		h.curBuf = h.in.RowAt(h.inPos, h.curBuf)
 		h.inPos++
-		h.cur = h.curBuf
-		h.matched = false
-		h.midx = 0
-		h.probeVec(h.in.Cols(), idx)
 	}
+	return nil
 }
 
 func (h *hashJoinIter) Close() error {
-	h.table = nil
+	h.heads = nil
 	err1 := h.left.Close()
 	err2 := h.right.Close()
 	if err1 != nil {
@@ -436,6 +410,16 @@ func (m *mergeJoinIter) Open() error {
 	m.lrow, m.rgroup, m.rnext = nil, nil, nil
 	m.gidx, m.rdone, m.started = 0, false, false
 	return nil
+}
+
+// hasNull reports whether any of r's values at positions is NULL.
+func hasNull(r rowset.Row, positions []int) bool {
+	for _, p := range positions {
+		if r[p].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 func compareKey(l rowset.Row, lpos []int, r rowset.Row, rpos []int) int {
@@ -522,7 +506,7 @@ func (m *mergeJoinIter) Next() (rowset.Row, error) {
 		}
 		m.started = true
 		// NULL keys never match: skip left rows with NULL keys.
-		if _, ok := keyOf(m.lrow, m.lpos); !ok {
+		if hasNull(m.lrow, m.lpos) {
 			m.rgroup = m.rgroup[:0]
 			m.gidx = 0
 			continue
@@ -752,6 +736,7 @@ type batchLoopJoinIter struct {
 	rwidth      int
 
 	pending   []rowset.Row // current batch of outer rows
+	kenc      keyEnc       // join keys of both sides, as the hash join encodes them
 	out       []rowset.Row // matched output queue for the current batch
 	outPos    int
 	leftDone  bool
@@ -819,8 +804,8 @@ func (b *batchLoopJoinIter) probeBatch() error {
 	index := make(map[string][]int, len(b.pending))
 	firstKeyed := -1
 	for i, row := range b.pending {
-		if key, ok := keyOf(row, b.lpos); ok {
-			index[key] = append(index[key], i)
+		if kb, ok := b.kenc.encode(row, b.lpos); ok {
+			index[string(kb)] = append(index[string(kb)], i)
 			if firstKeyed < 0 {
 				firstKeyed = i
 			}
@@ -891,11 +876,11 @@ func (b *batchLoopJoinIter) executeBatch(index map[string][]int, matches [][]row
 		if err != nil {
 			return err
 		}
-		key, ok := keyOf(rrow, b.rpos)
+		kb, ok := b.kenc.encode(rrow, b.rpos)
 		if !ok {
 			continue
 		}
-		idxs := index[key]
+		idxs := index[string(kb)] // no allocation: a lookup, not an insert
 		if len(idxs) == 0 {
 			// Prefiltered superset (multi-column keys cross-product in the
 			// shipped IN lists): not an actual match.

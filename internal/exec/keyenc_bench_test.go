@@ -8,23 +8,12 @@ import (
 	"dhqp/internal/sqltypes"
 )
 
-// BenchmarkHashKeyEncoding contrasts the legacy per-row key builder (a
-// fresh []byte plus a string per call) with the iterator-scoped scratch
-// encoder the hash join and hash aggregate now use. Run with -benchmem:
-// keyOf allocates every call; keyEnc probes allocate nothing.
+// BenchmarkHashKeyEncoding measures the iterator-scoped scratch encoder the
+// hash join, batch loop join and hash aggregate build their keys with. Run
+// with -benchmem: neither encoding nor probing allocates.
 func BenchmarkHashKeyEncoding(b *testing.B) {
 	row := rowset.Row{sqltypes.NewInt(42), sqltypes.NewString("nation"), sqltypes.NewFloat(3.5)}
 	positions := []int{0, 1, 2}
-
-	b.Run("keyOf", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			k, ok := keyOf(row, positions)
-			if !ok || len(k) == 0 {
-				b.Fatal("bad key")
-			}
-		}
-	})
 
 	b.Run("keyEnc", func(b *testing.B) {
 		b.ReportAllocs()
@@ -39,31 +28,17 @@ func BenchmarkHashKeyEncoding(b *testing.B) {
 
 	// The shape that matters end-to-end: probing a populated hash table.
 	// m[string(scratch)] compiles to a zero-allocation lookup.
-	table := map[string]*[]rowset.Row{}
+	table := map[string]int32{}
 	var enc keyEnc
 	if kb, ok := enc.encode(row, positions); ok {
-		rows := []rowset.Row{row}
-		table[string(kb)] = &rows
+		table[string(kb)] = 7
 	}
-	b.Run("keyOf-probe", func(b *testing.B) {
-		b.ReportAllocs()
-		var hits int
-		for i := 0; i < b.N; i++ {
-			k, _ := keyOf(row, positions)
-			if table[k] != nil {
-				hits++
-			}
-		}
-		if hits != b.N {
-			b.Fatal("missed probes")
-		}
-	})
 	b.Run("keyEnc-probe", func(b *testing.B) {
 		b.ReportAllocs()
 		var hits int
 		for i := 0; i < b.N; i++ {
 			kb, _ := enc.encode(row, positions)
-			if table[string(kb)] != nil {
+			if table[string(kb)] == 7 {
 				hits++
 			}
 		}

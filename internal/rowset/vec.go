@@ -357,22 +357,96 @@ func (v *Vec) copyRange(src *Vec, off, k int, boxed bool) {
 	}
 }
 
-// typedLen reports the length of the active typed payload.
-func (v *Vec) typedLen() int {
+// Gather appends one element per entry of idxs to the column, whose first n
+// elements are in use: src's element at that index, or NULL where the index
+// is negative (neg tells whether any is — the NULL-extended side of an outer
+// join). An empty column takes src's representation, typed staying typed
+// unless boxed forces generic; a later src of another kind degrades it as
+// SetValue would. The kind switch sits outside the element loop and validity
+// is consulted only when src has NULLs or neg is set. Buffers at least double
+// when they grow, so a long run of appends (a hash-join build) moves each
+// element O(1) times, and a column refilled to a size it has held allocates
+// nothing.
+func (v *Vec) Gather(n int, src *Vec, idxs []int32, neg, boxed bool) {
+	if n == 0 {
+		kind := src.kind
+		if boxed {
+			kind = sqltypes.KindNull
+		}
+		v.ResetTyped(kind, 0)
+	} else if v.kind != sqltypes.KindNull && v.kind != src.kind {
+		v.degrade(n)
+	}
+	need := n + len(idxs)
+	if have, room := v.room(); have < need {
+		to := need
+		if room < need {
+			to = max(need, 2*n) // reallocating: at least double
+		}
+		v.grow(n, to)
+	}
+	nulls := neg || src.hasNulls
 	switch v.kind {
+	case sqltypes.KindNull:
+		out := v.gen[n:need]
+		if src.kind == sqltypes.KindNull && !neg {
+			for k, idx := range idxs {
+				out[k] = src.gen[idx]
+			}
+			return
+		}
+		for k, idx := range idxs {
+			out[k] = sqltypes.Null
+			if idx >= 0 {
+				out[k] = src.Value(int(idx))
+			}
+		}
 	case sqltypes.KindFloat:
-		return len(v.f64)
+		gather(v, n, v.f64[n:need], src, src.f64, idxs, nulls)
 	case sqltypes.KindString:
-		return len(v.str)
+		gather(v, n, v.str[n:need], src, src.str, idxs, nulls)
 	default:
-		return len(v.i64)
+		gather(v, n, v.i64[n:need], src, src.i64, idxs, nulls)
+	}
+}
+
+// gather is Gather's typed element loop over one payload type: out is v's
+// payload from element n on, in is src's.
+func gather[T any](v *Vec, n int, out []T, src *Vec, in []T, idxs []int32, nulls bool) {
+	if !nulls {
+		for k, idx := range idxs {
+			out[k] = in[idx]
+		}
+		return
+	}
+	for k, idx := range idxs {
+		if idx < 0 || !src.Valid(int(idx)) {
+			v.SetNull(n + k)
+			continue
+		}
+		out[k] = in[idx]
+	}
+}
+
+// room reports the active payload's length and capacity.
+func (v *Vec) room() (int, int) {
+	switch v.kind {
+	case sqltypes.KindNull:
+		return len(v.gen), cap(v.gen)
+	case sqltypes.KindFloat:
+		return len(v.f64), cap(v.f64)
+	case sqltypes.KindString:
+		return len(v.str), cap(v.str)
+	default:
+		return len(v.i64), cap(v.i64)
 	}
 }
 
 // degrade converts a typed column to generic mode, boxing the first n
 // elements (the sequentially written prefix).
 func (v *Vec) degrade(n int) {
-	v.gen = resize(v.gen, 0, v.typedLen())
+	held, _ := v.room()
+	v.gen = resize(v.gen, 0, held)
 	for j := 0; j < n; j++ {
 		v.gen[j] = v.Value(j)
 	}
