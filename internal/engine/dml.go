@@ -351,7 +351,9 @@ func (s *Server) querySelect(sel *parser.SelectStmt, params map[string]sqltypes.
 	}
 	// INSERT ... SELECT has no standalone statement text; an empty key keeps
 	// it out of the query-stats registry.
-	return s.runPlan(context.Background(), "", plan, cols, params, false, nil)
+	return materialize(func(sink ResultSink) (*Result, error) {
+		return s.runPlan(context.Background(), "", plan, cols, params, false, nil, sink)
+	})
 }
 
 // bindStandaloneExpr binds a scalar AST with no columns in scope.

@@ -445,7 +445,9 @@ func (s *Server) readMemberRange(mp *shardmap.Map, m shardmap.Member, lo, hi int
 	if pred := rangePredicate(mp.KeyCol, lo, hi); pred != "" {
 		text += " WHERE " + pred
 	}
-	res, err := s.queryContext(context.Background(), text, nil)
+	res, err := materialize(func(sink ResultSink) (*Result, error) {
+		return s.queryContext(context.Background(), text, nil, sink)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("engine: move copy read from %s: %w", m.Table, err)
 	}

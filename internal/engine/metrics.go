@@ -31,7 +31,7 @@ type engineInstruments struct {
 	planHits      *metrics.Counter      // plan-cache probes served from cache
 	planMisses    *metrics.Counter      // probes that compiled
 	planEvictions *metrics.Counter      // plans evicted by the LRU bound
-	phaseSeconds  *metrics.HistogramVec // by phase: parse/bind/optimize/decode/execute
+	phaseSeconds  *metrics.HistogramVec // by phase: parse/bind/optimize/decode/execute/serialize
 	stmtSeconds   *metrics.Histogram    // whole-statement latency
 	slowQueries   *metrics.Counter      // statements over the slow threshold
 	dmlExamined   *metrics.Counter      // rows committed UPDATE/DELETE statements read

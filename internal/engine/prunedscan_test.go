@@ -9,6 +9,7 @@ import (
 	"dhqp/internal/algebra"
 	"dhqp/internal/exec"
 	"dhqp/internal/providers/native"
+	"dhqp/internal/rowset"
 )
 
 // prunedServer is vecServer plus td, a table whose slot array has holes:
@@ -116,8 +117,8 @@ func TestPrunedScanEquivalence(t *testing.T) {
 			Ctx: context.Background(), Diags: &exec.Diagnostics{},
 		}
 		s.mu.Unlock()
-		m, err := exec.Run(plan, ctx, plan.OutCols())
-		if err != nil {
+		var m rowset.Materialized
+		if err := exec.Stream(plan, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
 			return nil, err
 		}
 		return &Result{Cols: cols, Rows: m.Rows()}, nil

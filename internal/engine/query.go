@@ -247,6 +247,39 @@ func (rt *runtime) SessionFor(server string) (oledb.Session, error) {
 	return s.sessionOf(l)
 }
 
+// ResultSink receives a streamed SELECT result: Columns once, after the
+// statement compiles and before it executes, then every non-empty root
+// batch in order. A batch is valid only for the duration of the call; an
+// error from either method aborts the statement and is returned by it.
+// Time spent inside Batch is the statement's serialize phase.
+type ResultSink interface {
+	Columns(cols []schema.Column) error
+	Batch(b *rowset.Batch) error
+}
+
+// materializer is the ResultSink behind every materializing entry point:
+// it boxes each batch into rows through Materialized.AppendBatch.
+type materializer struct{ m rowset.Materialized }
+
+func (mz *materializer) Columns([]schema.Column) error { return nil }
+
+func (mz *materializer) Batch(b *rowset.Batch) error {
+	mz.m.AppendBatch(b)
+	return nil
+}
+
+// materialize runs a streaming entry point into a materializer and returns
+// its result with Rows filled.
+func materialize(run func(ResultSink) (*Result, error)) (*Result, error) {
+	var mz materializer
+	res, err := run(&mz)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = mz.m.Rows()
+	return res, nil
+}
+
 // Query parses, optimizes and executes a SELECT. Compiled plans cache by
 // statement text; parameters bind at execution time (startup filters and
 // parameterized access paths re-evaluate per run), so one cached plan
@@ -258,25 +291,36 @@ func (s *Server) Query(sql string, params map[string]sqltypes.Value) (*Result, e
 // QueryContext is Query under a caller-supplied context: cancelling it (or
 // its deadline passing) aborts the statement mid-execution with a
 // cancelled-class error — remote transfers, retry backoffs and the row loop
-// all observe it. The serving layer threads each network session's query
-// context through here, which is what makes client-initiated cancel and
-// KILL work. A configured SetQueryTimeout still applies on top.
-//
-// The statement pins the shard-map statement gate for its whole lifetime
-// (plan-cache probe through execution), so an elastic topology cutover can
-// never flip the map under a running statement: results always reflect
-// exactly one map version.
+// all observe it. A configured SetQueryTimeout still applies on top. It is
+// QueryStreamContext into a materializer.
 func (s *Server) QueryContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
-	defer s.shards.PinStatement()()
-	return s.queryContext(ctx, sql, params)
+	return materialize(func(sink ResultSink) (*Result, error) {
+		return s.QueryStreamContext(ctx, sql, params, sink)
+	})
 }
 
-// queryContext is QueryContext without the shard-map statement pin — the
-// inner entry point for callers that already coordinate with the gate (the
-// rebalance copier runs inside the topology lock; re-entrant statement work
-// like partitioned-view DML fan-out must not re-acquire a gate its outer
-// statement already holds).
-func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
+// QueryStreamContext is QueryContext handing the result to sink one root
+// batch at a time instead of materializing it: the returned Result carries
+// everything but Rows (Stats.Rows counts them). The serving layer threads
+// each network session's query context and frame encoder through here,
+// which is what makes client-initiated cancel and KILL work and keeps a
+// large result from ever being held whole.
+//
+// The statement pins the shard-map statement gate for its whole lifetime
+// (plan-cache probe through the last batch), so an elastic topology
+// cutover can never flip the map under a running statement: results always
+// reflect exactly one map version.
+func (s *Server) QueryStreamContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
+	defer s.shards.PinStatement()()
+	return s.queryContext(ctx, sql, params, sink)
+}
+
+// queryContext is QueryStreamContext without the shard-map statement pin —
+// the inner entry point for callers that already coordinate with the gate
+// (the rebalance copier runs inside the topology lock; re-entrant statement
+// work like partitioned-view DML fan-out must not re-acquire a gate its
+// outer statement already holds).
+func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
 	var col *telemetry.Collector
 	if s.CollectStats() {
 		col = telemetry.NewCollector()
@@ -305,7 +349,7 @@ func (s *Server) queryContext(ctx context.Context, sql string, params map[string
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
 		col.CaptureRemoteSQL(cached.plan)
-		return s.runPlan(ctx, sql, cached.plan, cached.cols, params, true, col)
+		return s.runPlan(ctx, sql, cached.plan, cached.cols, params, true, col, sink)
 	}
 	plan, cols, _, err := s.planSQL(sql, col)
 	if err != nil {
@@ -322,7 +366,7 @@ func (s *Server) queryContext(ctx context.Context, sql string, params map[string
 			m.planEvictions.Inc()
 		}
 	}
-	return s.runPlan(ctx, sql, plan, cols, params, false, col)
+	return s.runPlan(ctx, sql, plan, cols, params, false, col, sink)
 }
 
 // ExplainAnalyze compiles and executes a SELECT with full statistics
@@ -357,7 +401,9 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 		tr = telemetry.NewTrace()
 		ctx = telemetry.WithTrace(ctx, tr, 0)
 	}
-	res, err := s.runPlan(ctx, sql, plan, cols, params, false, col)
+	res, err := materialize(func(sink ResultSink) (*Result, error) {
+		return s.runPlan(ctx, sql, plan, cols, params, false, col, sink)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -371,7 +417,10 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 	}, nil
 }
 
-func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector) (*Result, error) {
+// runPlan executes a compiled plan into sink. Execution and serialization
+// interleave a batch at a time; the time spent inside sink.Batch is
+// reported as the serialize phase and the rest as execute.
+func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
 	if params == nil {
 		params = map[string]sqltypes.Value{}
 	}
@@ -433,15 +482,27 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	if ins != nil {
 		ctx.Ins = ins.execIns
 	}
-	out := plan.OutCols()
+	if err := sink.Columns(cols); err != nil {
+		return nil, err
+	}
+	var rows int64
+	var serialize time.Duration
 	start := time.Now()
-	m, err := exec.Run(plan, ctx, out)
+	err := exec.Stream(plan, ctx, func(b *rowset.Batch) error {
+		t0 := time.Now()
+		rows += int64(b.Len())
+		err := sink.Batch(b)
+		serialize += time.Since(t0)
+		return err
+	})
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
-	col.RecordSpan("execute", elapsed)
-	s.notePhase("execute", elapsed)
+	col.RecordSpan("execute", elapsed-serialize)
+	s.notePhase("execute", elapsed-serialize)
+	col.RecordSpan("serialize", serialize)
+	s.notePhase("serialize", serialize)
 	tracker.AddRetries(diags.RetriesByServer())
 	for server, after := range s.breakerTrips() {
 		if d := after - tripsBefore[server]; d > 0 {
@@ -453,13 +514,13 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	}
 	if ins != nil {
 		ins.statements.With("select").Inc()
-		ins.rowsReturned.Add(int64(len(m.Rows())))
+		ins.rowsReturned.Add(rows)
 		ins.stmtSeconds.ObserveDuration(elapsed)
 	}
 	qs := &telemetry.QueryStats{
 		QueryText:    queryText,
 		PlanCacheHit: cacheHit,
-		Rows:         int64(len(m.Rows())),
+		Rows:         rows,
 		Elapsed:      elapsed,
 		Links:        tracker.Snapshot(),
 		Retries:      diags.Retries(),
@@ -468,17 +529,13 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	s.queryStats.Record(qs)
 	tr, _ := telemetry.TraceFrom(qctx)
 	s.maybeLogSlow(qs, tr)
-	return &Result{Cols: cols, Rows: m.Rows(), Retries: diags.Retries(), Skipped: diags.Skipped(), Stats: qs}, nil
+	return &Result{Cols: cols, Retries: diags.Retries(), Skipped: diags.Skipped(), Stats: qs}, nil
 }
 
 // QuerySQL implements sqlful.Target, making this server usable as a linked
 // server by its peers.
 func (s *Server) QuerySQL(sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
-	res, err := s.Query(sql, params)
-	if err != nil {
-		return nil, err
-	}
-	return rowset.NewMaterialized(res.Cols, res.Rows), nil
+	return s.QuerySQLContext(context.Background(), sql, params)
 }
 
 // QuerySQLContext implements sqlful.ContextTarget: an in-process federation

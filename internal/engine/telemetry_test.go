@@ -290,7 +290,7 @@ func TestCollectStatsSpans(t *testing.T) {
 	for _, sp := range res.Stats.Spans {
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"parse", "bind", "optimize", "decode", "execute"} {
+	for _, want := range []string{"parse", "bind", "optimize", "decode", "execute", "serialize"} {
 		if !names[want] {
 			t.Errorf("compiling run missing %q span: %+v", want, res.Stats.Spans)
 		}

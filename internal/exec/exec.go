@@ -296,54 +296,72 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 	}
 }
 
-// Run drains a plan into a materialized rowset with the given output
-// columns.
-func Run(n *algebra.Node, ctx *Context, outCols []algebra.OutCol) (*rowset.Materialized, error) {
+// Stream executes a plan and hands each non-empty root batch to sink as it
+// is produced, so a consumer (the serving layer's frame encoder, a
+// materializer) holds O(batch) of the result, never all of it. A batch is
+// valid only for the duration of the call; a sink error aborts execution
+// and is returned. Row-mode execution (NoVectorized) gathers its rows into
+// batches of the statement's batch size before handing them over.
+func Stream(n *algebra.Node, ctx *Context, sink func(*rowset.Batch) error) error {
 	it, err := Build(n, ctx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := it.Open(); err != nil {
 		it.Close()
-		return nil, err
+		return err
 	}
 	defer it.Close()
-	out := rowset.NewMaterialized(toSchemaCols(outCols), nil)
+	b := ctx.newBatch()
 	if ctx.vectorized() {
 		// Batch drain: one NextBatch call and one cancellation check per
 		// batch instead of per row.
 		bi := asBatchIterator(it)
-		b := ctx.newBatch()
 		for {
 			if err := ctx.canceled(); err != nil {
-				return nil, err
+				return err
 			}
 			err := bi.NextBatch(b)
 			if err == io.EOF {
-				return out, nil
+				return nil
 			}
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if ctx.Ins != nil {
 				ctx.Ins.Batches.Inc()
 				ctx.Ins.BatchRows.Add(int64(b.Len()))
 			}
-			out.AppendBatch(b)
+			if b.Len() == 0 {
+				continue
+			}
+			if err := sink(b); err != nil {
+				return err
+			}
 		}
 	}
+	b.Reset(0)
 	for {
 		if err := ctx.canceled(); err != nil {
-			return nil, err
+			return err
 		}
 		r, err := it.Next()
 		if err == io.EOF {
-			return out, nil
+			if b.NumRows() == 0 {
+				return nil
+			}
+			return sink(b)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
-		out.Append(r)
+		b.AppendRow(r)
+		if b.Full() {
+			if err := sink(b); err != nil {
+				return err
+			}
+			b.Reset(0)
+		}
 	}
 }
 

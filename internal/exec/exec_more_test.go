@@ -200,7 +200,7 @@ func TestRunPropagatesChildErrors(t *testing.T) {
 			expr.NewBinary(expr.OpDiv, expr.NewColRef(1, "id"), expr.NewConst(sqltypes.NewInt(0))),
 			expr.NewConst(sqltypes.NewInt(1))),
 	}, f.empScan())
-	if _, err := Run(bad, f.ctx, bad.OutCols()); err == nil {
+	if _, err := materialize(bad, f.ctx); err == nil {
 		t.Error("runtime error swallowed")
 	}
 }

@@ -113,11 +113,20 @@ func (f *fixture) deptScan() *algebra.Node {
 	return algebra.NewNode(&algebra.TableScan{Src: f.deptSrc, Cols: f.dptCols})
 }
 
+// materialize drains a plan into rows: Stream with AppendBatch as the sink.
+func materialize(n *algebra.Node, ctx *Context) (*rowset.Materialized, error) {
+	var m rowset.Materialized
+	if err := Stream(n, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
 func run(t *testing.T, f *fixture, n *algebra.Node) *rowset.Materialized {
 	t.Helper()
-	m, err := Run(n, f.ctx, n.OutCols())
+	m, err := materialize(n, f.ctx)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("materialize: %v", err)
 	}
 	return m
 }

@@ -8,7 +8,6 @@ import (
 	"dhqp/internal/expr"
 	"dhqp/internal/oledb"
 	"dhqp/internal/rowset"
-	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 )
 
@@ -482,11 +481,3 @@ func (r *remoteFetchIter) Next() (rowset.Row, error) {
 }
 
 func (r *remoteFetchIter) Close() error { return r.child.Close() }
-
-func toSchemaCols(cols []algebra.OutCol) []schema.Column {
-	out := make([]schema.Column, len(cols))
-	for i, c := range cols {
-		out[i] = schema.Column{Name: c.Name, Kind: c.Kind, Nullable: true}
-	}
-	return out
-}

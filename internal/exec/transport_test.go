@@ -122,7 +122,7 @@ func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
 			sess := &scriptedSession{n: n, failFetch: script}
 			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
 			plan := scriptedScan("r")
-			m, err := Run(plan, ctx, plan.OutCols())
+			m, err := materialize(plan, ctx)
 			if err != nil {
 				t.Fatalf("%s %v: %v", mode, script, err)
 			}
@@ -156,7 +156,7 @@ func TestRemoteFetchShortReplayIsPermanent(t *testing.T) {
 			sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 4}, short: map[int]int{1: short}}
 			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
 			plan := scriptedScan("r")
-			_, err := Run(plan, ctx, plan.OutCols())
+			_, err := materialize(plan, ctx)
 			if err == nil || !strings.Contains(err.Error(), "replay returned") {
 				t.Fatalf("%s short=%d: err = %v, want the replay error", mode, short, err)
 			}
@@ -201,7 +201,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 
 		// Early Close under TOP: 400 000 rows on offer, 10 taken.
 		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))
-		m, err := Run(top, ctx, top.OutCols())
+		m, err := materialize(top, ctx)
 		if err != nil || m.Len() != 10 {
 			t.Fatalf("vec=%v: TOP 10 = %d rows, %v", vec, m.Len(), err)
 		}
@@ -230,7 +230,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		ctx.RetryAttempts = 2
 		ctx.RetryBackoff = time.Microsecond
 		plan := fanOut("a", "b", "c", "d")
-		if _, err := Run(plan, ctx, plan.OutCols()); err == nil || !strings.Contains(err.Error(), "[c]") {
+		if _, err := materialize(plan, ctx); err == nil || !strings.Contains(err.Error(), "[c]") {
 			t.Fatalf("vec=%v: err = %v, want branch c's failure", vec, err)
 		}
 		settle("first-error cancel")

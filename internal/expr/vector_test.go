@@ -188,10 +188,10 @@ func TestEvalVec(t *testing.T) {
 		col3,                          // float copy with NULL
 		NewConst(sqltypes.NewInt(42)), // broadcast
 		NewParam("p"),                 // broadcast
-		NewBinary(OpAdd, col0, NewConst(sqltypes.NewInt(1))),     // int arith
-		NewBinary(OpMul, col0, col1),                             // int col×col with NULLs
-		NewBinary(OpSub, col3, NewConst(sqltypes.NewFloat(0.5))), // float arith
-		NewBinary(OpDiv, col3, col0),                             // float promote int col... div-by-zero? col0[0]=0 → but col3/col0: float path, c==0 at row 0
+		NewBinary(OpAdd, col0, NewConst(sqltypes.NewInt(1))),      // int arith
+		NewBinary(OpMul, col0, col1),                              // int col×col with NULLs
+		NewBinary(OpSub, col3, NewConst(sqltypes.NewFloat(0.5))),  // float arith
+		NewBinary(OpDiv, col3, col0),                              // float promote int col... div-by-zero? col0[0]=0 → but col3/col0: float path, c==0 at row 0
 		NewBinary(OpAdd, col2, NewConst(sqltypes.NewString("!"))), // concat
 		NewBinary(OpAdd, col4, NewConst(sqltypes.NewInt(7))),      // date + int
 		NewBinary(OpSub, col4, col4),                              // date - date

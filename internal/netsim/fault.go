@@ -117,7 +117,9 @@ var ErrDown = errors.New("netsim: server unreachable")
 // downError wraps ErrDown and marks it transient.
 type downError struct{ calls int64 }
 
-func (e *downError) Error() string   { return fmt.Sprintf("netsim: server unreachable (call %d)", e.calls) }
+func (e *downError) Error() string {
+	return fmt.Sprintf("netsim: server unreachable (call %d)", e.calls)
+}
 func (e *downError) Transient() bool { return true }
 func (e *downError) Unwrap() error   { return ErrDown }
 

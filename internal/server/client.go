@@ -54,16 +54,18 @@ func (r *Result) Display() string {
 // from another goroutine while a Query is in flight.
 type Client struct {
 	conn      net.Conn
-	br        *bufio.Reader
-	bw        *bufio.Writer
 	sessionID int64
 	server    string
 
 	// writeMu serializes outbound frames so Cancel can interleave safely
-	// with a request in flight.
+	// with a request in flight; it guards wbuf, the reused outbound
+	// payload buffer.
 	writeMu sync.Mutex
-	// reqMu serializes request/response exchanges.
+	wbuf    []byte
+	// reqMu serializes request/response exchanges; it guards fr, the
+	// inbound frame reader.
 	reqMu   sync.Mutex
+	fr      frameReader
 	nextQID atomic.Int64
 	closed  atomic.Bool
 	// trace, when on, stamps every query frame with a fresh trace ID so the
@@ -82,13 +84,13 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	c := &Client{conn: conn, fr: frameReader{br: bufio.NewReader(conn)}}
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 	if err := c.writeFrame(&Frame{Type: FrameHello}); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	f, err := ReadFrame(c.br)
+	f, _, err := c.fr.next(nil)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -116,21 +118,28 @@ func (c *Client) ServerName() string { return c.server }
 func (c *Client) writeFrame(f *Frame) error {
 	c.writeMu.Lock()
 	defer c.writeMu.Unlock()
-	if err := WriteFrame(c.bw, f); err != nil {
+	buf, err := appendFrame(frameStart(c.wbuf), f)
+	if err == nil {
+		c.wbuf = retainBuf(buf)
+		err = sealFrame(buf, f.Type)
+	}
+	if err != nil {
 		return err
 	}
-	return c.bw.Flush()
+	_, err = c.conn.Write(buf)
+	return err
 }
 
 // Query executes one statement — SELECT, DML, KILL or a DMV select — and
 // collects the streamed result. Errors carry their wire code: IsBusy
 // detects admission rejections, IsKilled a peer's KILL, and a cancelled or
-// killed statement classifies as ClassCancelled through errors.Is.
+// killed statement classifies as ClassCancelled through errors.Is. An
+// error that arrives after some rows frames discards those rows.
 func (c *Client) Query(sql string, params map[string]sqltypes.Value) (*Result, error) {
 	c.reqMu.Lock()
 	defer c.reqMu.Unlock()
 	qid := c.nextQID.Add(1)
-	req := &Frame{Type: FrameQuery, QueryID: qid, SQL: sql, Params: encodeParams(params)}
+	req := &Frame{Type: FrameQuery, QueryID: qid, SQL: sql, Params: params}
 	if c.trace.Load() {
 		// Parent span 0: the server's statement span roots the tree.
 		req.TraceID = telemetry.NewTrace().ID()
@@ -140,19 +149,16 @@ func (c *Client) Query(sql string, params map[string]sqltypes.Value) (*Result, e
 	}
 	res := &Result{TraceID: req.TraceID}
 	for {
-		f, err := ReadFrame(c.br)
+		// Rows frames decode straight onto res.Rows.
+		f, rows, err := c.fr.next(res.Rows)
 		if err != nil {
 			return nil, err
 		}
+		res.Rows = rows
 		switch f.Type {
 		case FrameCols:
 			res.Cols = decodeCols(f.Cols)
 		case FrameRows:
-			rows, err := decodeRows(f.Rows)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, rows...)
 		case FrameDone:
 			if len(res.Cols) == 0 {
 				res.RowsAffected = f.RowCount
@@ -200,7 +206,7 @@ func (c *Client) ServerInfo() (*ServerInfo, error) {
 	if err := c.writeFrame(&Frame{Type: FrameInfo}); err != nil {
 		return nil, err
 	}
-	f, err := ReadFrame(c.br)
+	f, _, err := c.fr.next(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 // Package server implements the network serving layer: a TCP endpoint that
-// exposes one engine.Server to remote clients over a length-prefixed JSON
-// frame protocol, with per-connection sessions, admission control over a
-// bounded pool of concurrent-query slots, client-initiated cancellation,
-// KILL <session_id> from any peer session, and graceful drain on Close.
+// exposes one engine.Server to remote clients over a length-prefixed frame
+// protocol — binary columnar statement frames streamed from the root
+// iterator's batches, JSON control frames — with per-connection sessions,
+// admission control over a bounded pool of concurrent-query slots,
+// client-initiated cancellation, KILL <session_id> from any peer session,
+// and graceful drain on Close.
 //
 // The paper's DHQP lives inside a server product — SQL Server accepts
 // concurrent client sessions, each issuing distributed queries. This
@@ -40,7 +42,7 @@ const (
 	// Server → client.
 	FrameWelcome = "welcome" // session established (carries SessionID)
 	FrameCols    = "cols"    // result-set shape; row batches follow
-	FrameRows    = "rows"    // one batch of rows
+	FrameRows    = "rows"    // one root batch of rows
 	FrameDone    = "done"    // statement finished (row count / rows affected)
 	FrameError   = "error"   // statement or protocol failure (typed Code)
 )
@@ -56,14 +58,18 @@ const (
 	CodeProtocol  = "PROTOCOL_ERROR" // malformed or out-of-order frame
 )
 
-// MaxFrameBytes bounds a single frame (both directions). Row batches are
-// far smaller; the bound exists so a corrupt or hostile length prefix
-// cannot make the peer allocate without limit.
+// MaxFrameBytes bounds a single frame (both directions). A root batch that
+// would encode past it is split; the bound exists so a corrupt or hostile
+// length prefix cannot make the peer allocate without limit.
 const MaxFrameBytes = 16 << 20
 
 // Frame is the single wire message shape; Type selects which fields are
-// meaningful. JSON keeps the protocol debuggable (`nc` + eyeballs) — the
-// length prefix, not the payload encoding, is what makes framing robust.
+// meaningful. The four statement frames (query, cols, rows, done) have one
+// binary layout each (codec.go); the six control frames are one JSON
+// object, which keeps the handshake and errors debuggable with `nc`. A
+// payload's first byte tells them apart: JSON starts with '{', a binary
+// frame with its type tag. Fields tagged json:"-" exist only in binary
+// frames.
 type Frame struct {
 	Type      string `json:"type"`
 	SessionID int64  `json:"session_id,omitempty"`
@@ -72,22 +78,24 @@ type Frame struct {
 	// Query request. TraceID/SpanID propagate the client's distributed
 	// trace: the server joins the trace (with a disjoint span-ID range) and
 	// nests the statement's span tree under the given parent span.
-	SQL     string               `json:"sql,omitempty"`
-	Params  map[string]WireValue `json:"params,omitempty"`
-	TraceID string               `json:"trace_id,omitempty"`
-	SpanID  uint64               `json:"span_id,omitempty"`
+	SQL     string                    `json:"-"`
+	Params  map[string]sqltypes.Value `json:"-"`
+	TraceID string                    `json:"-"`
+	SpanID  uint64                    `json:"-"`
 
-	// Result stream.
-	Cols      []WireCol     `json:"cols,omitempty"`
-	Rows      [][]WireValue `json:"rows,omitempty"`
-	RowCount  int64         `json:"row_count,omitempty"` // done: result rows (SELECT) or rows affected (DML)
-	ElapsedUS int64         `json:"elapsed_us,omitempty"`
-	Retries   int64         `json:"retries,omitempty"`
-	Skipped   []string      `json:"skipped,omitempty"`
+	// Result stream. Rows is the boxed view ReadFrame fills and WriteFrame
+	// encodes; the session encodes rows frames straight from batches and
+	// the client decodes them straight into rowset rows.
+	Cols      []WireCol     `json:"-"`
+	Rows      [][]WireValue `json:"-"`
+	RowCount  int64         `json:"-"` // done: result rows (SELECT) or rows affected (DML)
+	ElapsedUS int64         `json:"-"`
+	Retries   int64         `json:"-"`
+	Skipped   []string      `json:"-"`
 	// Spans rides the done frame of a traced statement: every span the
 	// server side recorded (statement, remote calls, member statements),
 	// for the client to graft into its trace.
-	Spans []WireSpan `json:"spans,omitempty"`
+	Spans []WireSpan `json:"-"`
 
 	// Error frames.
 	Code string `json:"code,omitempty"`
@@ -96,6 +104,15 @@ type Frame struct {
 	// Welcome / info.
 	Server string      `json:"server,omitempty"`
 	Info   *ServerInfo `json:"info,omitempty"`
+}
+
+// controlFrame reports whether a frame type travels as JSON.
+func controlFrame(typ string) bool {
+	switch typ {
+	case FrameHello, FrameWelcome, FrameInfo, FrameBye, FrameCancel, FrameError:
+		return true
+	}
+	return false
 }
 
 // ServerInfo is the server-info frame payload: a point-in-time snapshot of
@@ -111,13 +128,13 @@ type ServerInfo struct {
 
 // WireSpan is one trace span on the wire.
 type WireSpan struct {
-	ID        uint64 `json:"id"`
-	Parent    uint64 `json:"parent,omitempty"`
-	Server    string `json:"server,omitempty"`
-	Name      string `json:"name,omitempty"`
-	Detail    string `json:"detail,omitempty"`
-	StartUS   int64  `json:"start_us,omitempty"`   // unix microseconds
-	ElapsedUS int64  `json:"elapsed_us,omitempty"` // span duration
+	ID        uint64
+	Parent    uint64
+	Server    string
+	Name      string
+	Detail    string
+	StartUS   int64 // unix microseconds
+	ElapsedUS int64 // span duration
 }
 
 // encodeSpans converts trace spans for the wire.
@@ -156,20 +173,20 @@ func decodeSpans(spans []WireSpan) []telemetry.TraceSpan {
 
 // WireCol is one result column.
 type WireCol struct {
-	Name string `json:"name"`
-	Kind uint8  `json:"kind"`
+	Name string
+	Kind uint8
 }
 
-// WireValue is one SQL value on the wire. K is a one-letter kind tag; an
-// empty K is SQL NULL, so NULL costs two bytes of payload.
+// WireValue is one SQL value in a Frame's boxed Rows view. K is a
+// one-letter kind tag; an empty K is SQL NULL.
 type WireValue struct {
-	K string  `json:"k,omitempty"` // "", "b", "i", "f", "s", "d"
-	I int64   `json:"i,omitempty"` // bool (0/1), int, date (days since epoch)
-	F float64 `json:"f,omitempty"`
-	S string  `json:"s,omitempty"`
+	K string // "", "b", "i", "f", "s", "d"
+	I int64  // bool (0/1), int, date (days since epoch)
+	F float64
+	S string
 }
 
-// encodeValue converts an engine value for the wire.
+// encodeValue converts an engine value into the boxed view.
 func encodeValue(v sqltypes.Value) WireValue {
 	switch v.Kind() {
 	case sqltypes.KindBool:
@@ -191,7 +208,7 @@ func encodeValue(v sqltypes.Value) WireValue {
 	}
 }
 
-// decodeValue converts a wire value back to an engine value.
+// decodeValue converts a boxed-view value back to an engine value.
 func decodeValue(w WireValue) (sqltypes.Value, error) {
 	switch w.K {
 	case "":
@@ -211,30 +228,53 @@ func decodeValue(w WireValue) (sqltypes.Value, error) {
 	}
 }
 
-// encodeRow converts one result row.
-func encodeRow(r rowset.Row) []WireValue {
-	out := make([]WireValue, len(r))
-	for i, v := range r {
-		out[i] = encodeValue(v)
+// wireRows boxes decoded rows into a Frame's Rows view.
+func wireRows(rows []rowset.Row) [][]WireValue {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([][]WireValue, len(rows))
+	for i, r := range rows {
+		out[i] = make([]WireValue, len(r))
+		for j, v := range r {
+			out[i][j] = encodeValue(v)
+		}
 	}
 	return out
 }
 
-// decodeRows converts row batches back into engine rows.
-func decodeRows(batch [][]WireValue) ([]rowset.Row, error) {
-	out := make([]rowset.Row, len(batch))
-	for i, wr := range batch {
-		row := make(rowset.Row, len(wr))
-		for j, wv := range wr {
+// wireColumns loads a Frame's boxed Rows view into generic column vectors
+// (WriteFrame's path to the one rows encoder).
+func wireColumns(rows [][]WireValue) ([]rowset.Vec, []int, error) {
+	if len(rows) == 0 {
+		return nil, nil, nil
+	}
+	w := len(rows[0])
+	if w == 0 {
+		return nil, nil, fmt.Errorf("server: rows frame with zero-width rows")
+	}
+	if len(rows)*w > maxFrameValues {
+		return nil, nil, fmt.Errorf("server: %d rows of %d values exceed the %d-value frame bound", len(rows), w, maxFrameValues)
+	}
+	cols := make([]rowset.Vec, w)
+	for j := range cols {
+		cols[j].ResetGeneric(len(rows))
+	}
+	idxs := make([]int, len(rows))
+	for i, r := range rows {
+		if len(r) != w {
+			return nil, nil, fmt.Errorf("server: rows frame row %d has %d values, want %d", i, len(r), w)
+		}
+		for j, wv := range r {
 			v, err := decodeValue(wv)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			row[j] = v
+			cols[j].SetValue(i, v)
 		}
-		out[i] = row
+		idxs[i] = i
 	}
-	return out, nil
+	return cols, idxs, nil
 }
 
 // encodeCols converts a result-set shape.
@@ -255,71 +295,153 @@ func decodeCols(cols []WireCol) []schema.Column {
 	return out
 }
 
-// encodeParams converts query parameters for the wire.
-func encodeParams(params map[string]sqltypes.Value) map[string]WireValue {
-	if len(params) == 0 {
+// appendFrame appends f's payload: its binary layout for a statement frame,
+// one JSON object for a control frame.
+func appendFrame(dst []byte, f *Frame) ([]byte, error) {
+	switch f.Type {
+	case FrameQuery:
+		return appendQuery(dst, f), nil
+	case FrameCols:
+		return appendCols(dst, f.QueryID, f.Cols), nil
+	case FrameRows:
+		cols, idxs, err := wireColumns(f.Rows)
+		if err != nil {
+			return dst, err
+		}
+		return appendRows(dst, f.QueryID, cols, idxs), nil
+	case FrameDone:
+		return appendDone(dst, f), nil
+	}
+	if !controlFrame(f.Type) {
+		return dst, fmt.Errorf("server: unknown frame type %q", f.Type)
+	}
+	p, err := json.Marshal(f)
+	if err != nil {
+		return dst, fmt.Errorf("server: encoding %s frame: %w", f.Type, err)
+	}
+	return append(dst, p...), nil
+}
+
+// decodeFrame decodes one payload. A rows frame's rows are appended to dst
+// (one backing value array per frame) and the extended slice is returned;
+// its Frame carries no Rows.
+func decodeFrame(p []byte, dst []rowset.Row) (*Frame, []rowset.Row, error) {
+	if len(p) == 0 {
+		return nil, dst, fmt.Errorf("server: empty frame")
+	}
+	if p[0] != '{' {
+		return decodeBinary(p, dst)
+	}
+	f := &Frame{}
+	if err := json.Unmarshal(p, f); err != nil {
+		return nil, dst, fmt.Errorf("server: decoding frame: %w", err)
+	}
+	if !controlFrame(f.Type) {
+		return nil, dst, fmt.Errorf("server: %q is not a JSON frame type", f.Type)
+	}
+	return f, dst, nil
+}
+
+// A frame on the wire is a 4-byte big-endian payload length, then the
+// payload. Encoders append the payload to frameStart's placeholder prefix
+// and sealFrame fills it in, so a frame goes out in one Write.
+const prefixLen = 4
+
+// frameStart resets buf to an unfilled length prefix.
+func frameStart(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// sealFrame fills in the length prefix of a frame built on frameStart,
+// rejecting a payload past MaxFrameBytes.
+func sealFrame(buf []byte, typ string) error {
+	n := len(buf) - prefixLen
+	if n > MaxFrameBytes {
+		return fmt.Errorf("server: %s frame of %d bytes exceeds the %d-byte frame bound", typ, n, MaxFrameBytes)
+	}
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	return nil
+}
+
+// maxRetainedBuf caps the frame buffer a connection keeps for reuse between
+// frames: a rare wide frame is paid for once, not pinned (up to
+// MaxFrameBytes) for as long as the connection stays open.
+const maxRetainedBuf = 256 << 10
+
+// retainBuf returns buf for reuse, or nil if it grew past maxRetainedBuf.
+func retainBuf(buf []byte) []byte {
+	if cap(buf) > maxRetainedBuf {
 		return nil
 	}
-	out := make(map[string]WireValue, len(params))
-	for k, v := range params {
-		out[k] = encodeValue(v)
-	}
-	return out
+	return buf
 }
 
-// decodeParams converts wire parameters back.
-func decodeParams(params map[string]WireValue) (map[string]sqltypes.Value, error) {
-	if len(params) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]sqltypes.Value, len(params))
-	for k, w := range params {
-		v, err := decodeValue(w)
-		if err != nil {
-			return nil, err
+// frameReader reads frames through one reused payload buffer (decoded
+// frames copy everything they keep out of it).
+type frameReader struct {
+	br  *bufio.Reader
+	buf []byte
+	// queriesOnly marks the server's reader. The only binary frame a client
+	// sends is query, so any other binary tag is refused before it is
+	// decoded: a rows frame from a peer that has not even said hello must
+	// not size an allocation.
+	queriesOnly bool
+}
+
+// next reads one length-prefixed frame; a rows frame's rows are decoded
+// onto dst.
+func (fr *frameReader) next(dst []rowset.Row) (*Frame, []rowset.Row, error) {
+	f, dst, err := fr.read(dst)
+	fr.buf = retainBuf(fr.buf)
+	return f, dst, err
+}
+
+func (fr *frameReader) read(dst []rowset.Row) (*Frame, []rowset.Row, error) {
+	hdr, err := fr.br.Peek(prefixLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
 		}
-		out[k] = v
+		return nil, dst, err
 	}
-	return out, nil
+	n := binary.BigEndian.Uint32(hdr)
+	if n > MaxFrameBytes {
+		return nil, dst, fmt.Errorf("server: frame length %d exceeds the %d-byte frame bound", n, MaxFrameBytes)
+	}
+	_, _ = fr.br.Discard(prefixLen)
+	if cap(fr.buf) < int(n) {
+		fr.buf = make([]byte, n)
+	}
+	fr.buf = fr.buf[:n]
+	if _, err := io.ReadFull(fr.br, fr.buf); err != nil {
+		return nil, dst, err
+	}
+	if fr.queriesOnly && n > 0 && fr.buf[0] != '{' && fr.buf[0] != tagQuery {
+		return nil, dst, fmt.Errorf("server: a client may not send binary frame tag %#x", fr.buf[0])
+	}
+	return decodeFrame(fr.buf, dst)
 }
 
-// WriteFrame marshals and writes one length-prefixed frame. Callers
+// WriteFrame encodes and writes one length-prefixed frame. Callers
 // serialize writes per connection themselves (sessions hold a write mutex:
 // a streaming result and a concurrent error reply must not interleave).
 func WriteFrame(w io.Writer, f *Frame) error {
-	payload, err := json.Marshal(f)
+	buf, err := appendFrame(frameStart(nil), f)
+	if err == nil {
+		err = sealFrame(buf, f.Type)
+	}
 	if err != nil {
-		return fmt.Errorf("server: encoding %s frame: %w", f.Type, err)
-	}
-	if len(payload) > MaxFrameBytes {
-		return fmt.Errorf("server: %s frame of %d bytes exceeds the %d-byte frame bound", f.Type, len(payload), MaxFrameBytes)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err = w.Write(payload)
+	_, err = w.Write(buf)
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame.
+// ReadFrame reads one length-prefixed frame; a rows frame's rows come back
+// boxed in Rows.
 func ReadFrame(r *bufio.Reader) (*Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f, rows, err := (&frameReader{br: r}).next(nil)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrameBytes {
-		return nil, fmt.Errorf("server: frame length %d exceeds the %d-byte frame bound", n, MaxFrameBytes)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	f := &Frame{}
-	if err := json.Unmarshal(payload, f); err != nil {
-		return nil, fmt.Errorf("server: decoding frame: %w", err)
-	}
+	f.Rows = wireRows(rows)
 	return f, nil
 }

@@ -34,8 +34,6 @@ type Options struct {
 	// DrainTimeout bounds graceful drain: Close stops accepting, lets
 	// in-flight statements finish this long, then cancels them (default 5s).
 	DrainTimeout time.Duration
-	// RowBatch is how many rows ride in one rows frame (default 256).
-	RowBatch int
 	// HandshakeTimeout bounds how long a fresh connection may take to send
 	// hello (default 10s); it keeps half-open connections from pinning
 	// sessions.
@@ -61,9 +59,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 5 * time.Second
-	}
-	if o.RowBatch < 1 {
-		o.RowBatch = 256
 	}
 	if o.HandshakeTimeout <= 0 {
 		o.HandshakeTimeout = 10 * time.Second

@@ -498,7 +498,7 @@ func TestDoubleStatementRejected(t *testing.T) {
 	}
 	sawProtocolError := false
 	for frames := 0; frames < 1000; frames++ {
-		f, err := ReadFrame(c.br)
+		f, err := ReadFrame(c.fr.br)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,15 @@ type session struct {
 
 	// writeMu serializes outbound frames: a streaming result and an
 	// asynchronous error (janitor, KILL of an idle session) must not
-	// interleave bytes.
+	// interleave bytes. It guards wbuf, the reused payload buffer.
 	writeMu sync.Mutex
 	bw      *bufio.Writer
+	wbuf    []byte
+
+	// wdMu guards wdOwner, the statement whose cancellation armed the
+	// connection's write deadline (0: none armed); see armWriteDeadline.
+	wdMu    sync.Mutex
+	wdOwner int64
 
 	mu         sync.Mutex
 	login      time.Time
@@ -68,20 +74,133 @@ func (sess *session) idleSince(cutoff time.Time) bool {
 	return !sess.active && sess.lastActive.Before(cutoff)
 }
 
-// writeFrame sends one frame under the session's write mutex.
-func (sess *session) writeFrame(f *Frame) error {
+// writeFrame encodes one frame into the session's buffered writer under
+// the write mutex. Only a frame that ends an exchange (welcome, info,
+// done, error) flushes: a result's cols and rows frames leave as the
+// buffer fills, so a statement costs one flush.
+func (sess *session) writeFrame(f *Frame, flush bool) error {
 	sess.writeMu.Lock()
 	defer sess.writeMu.Unlock()
-	if err := WriteFrame(sess.bw, f); err != nil {
+	buf, err := appendFrame(frameStart(sess.wbuf), f)
+	if err != nil {
 		return err
 	}
+	if err := sess.put(buf, f.Type); err != nil {
+		return err
+	}
+	if flush {
+		return sess.broken(sess.bw.Flush())
+	}
+	return nil
+}
+
+// writeRows encodes the rows idxs of a root batch's columns as one rows
+// frame, split in halves only where a frame would pass MaxFrameBytes or
+// maxFrameValues.
+func (sess *session) writeRows(qid int64, cols []rowset.Vec, idxs []int) error {
+	sess.writeMu.Lock()
+	defer sess.writeMu.Unlock()
+	return sess.putRows(qid, cols, idxs)
+}
+
+func (sess *session) putRows(qid int64, cols []rowset.Vec, idxs []int) error {
+	if len(idxs)*len(cols) <= maxFrameValues {
+		buf := appendRows(frameStart(sess.wbuf), qid, cols, idxs)
+		if len(buf)-prefixLen <= MaxFrameBytes || len(idxs) == 1 {
+			return sess.put(buf, FrameRows)
+		}
+	} else if len(idxs) == 1 {
+		return fmt.Errorf("server: a row of %d columns exceeds the %d values a rows frame holds", len(cols), maxFrameValues)
+	}
+	h := len(idxs) / 2
+	if err := sess.putRows(qid, cols, idxs[:h]); err != nil {
+		return err
+	}
+	return sess.putRows(qid, cols, idxs[h:])
+}
+
+// put seals and writes one frame built on frameStart; caller holds
+// writeMu. A buffer a rare wide frame grew is dropped afterwards rather
+// than pinned for the connection's life.
+func (sess *session) put(buf []byte, typ string) error {
+	sess.wbuf = retainBuf(buf)
+	if err := sealFrame(buf, typ); err != nil {
+		return err // nothing written: the stream is intact
+	}
+	if _, err := sess.bw.Write(buf); err != nil {
+		return sess.broken(err)
+	}
 	sess.srv.sm.framesWritten.Inc()
-	return sess.bw.Flush()
+	return nil
+}
+
+// broken closes the connection after a failed write: the peer may hold
+// part of a frame, so the stream cannot continue (the writer's error is
+// sticky anyway). The read loop then ends the session.
+func (sess *session) broken(err error) error {
+	if err != nil {
+		sess.conn.Close()
+	}
+	return err
 }
 
 // sendError sends an error frame (best effort — the peer may be gone).
 func (sess *session) sendError(qid int64, code, msg string) {
-	_ = sess.writeFrame(&Frame{Type: FrameError, QueryID: qid, Code: code, Msg: msg})
+	_ = sess.writeFrame(&Frame{Type: FrameError, QueryID: qid, Code: code, Msg: msg}, true)
+}
+
+// resultStream is a statement's engine.ResultSink: the cols frame, then
+// one rows frame per root batch, encoded from the batch's column vectors
+// into the session's buffered writer as the root iterator produces them.
+// Once the statement's context is cancelled it writes nothing more, so the
+// statement ends in its error frame on an intact stream.
+type resultStream struct {
+	ctx  context.Context
+	sess *session
+	qid  int64
+}
+
+func (st *resultStream) Columns(cols []schema.Column) error {
+	if err := st.ctx.Err(); err != nil {
+		return err
+	}
+	return st.sess.writeFrame(&Frame{Type: FrameCols, QueryID: st.qid, Cols: encodeCols(cols)}, false)
+}
+
+func (st *resultStream) Batch(b *rowset.Batch) error {
+	if err := st.ctx.Err(); err != nil {
+		return err
+	}
+	return st.sess.writeRows(st.qid, b.Cols(), b.Indices())
+}
+
+// cancelWriteGrace is how long a write may still take once its statement is
+// cancelled. A client that reads finishes a frame well inside it; one that
+// stopped reading leaves the statement blocked in a socket write, holding
+// its admission slot, snapshot and shard-map pin, and cancel, KILL and
+// drain must still end it.
+const cancelWriteGrace = 250 * time.Millisecond
+
+// armWriteDeadline gives the connection's writes cancelWriteGrace from now
+// on behalf of statement gen: a write still blocked then fails, and the
+// session closes the connection (the peer may hold part of a frame).
+func (sess *session) armWriteDeadline(gen int64) {
+	sess.wdMu.Lock()
+	defer sess.wdMu.Unlock()
+	sess.wdOwner = gen
+	_ = sess.conn.SetWriteDeadline(time.Now().Add(cancelWriteGrace))
+}
+
+// disarmWriteDeadline clears the write deadline if statement gen armed it
+// last; it runs after gen's outcome frame, when the client may already have
+// begun (and cancelled) its next statement.
+func (sess *session) disarmWriteDeadline(gen int64) {
+	sess.wdMu.Lock()
+	defer sess.wdMu.Unlock()
+	if sess.wdOwner == gen {
+		sess.wdOwner = 0
+		_ = sess.conn.SetWriteDeadline(time.Time{})
+	}
 }
 
 // beginStatement claims the session's single in-flight statement slot and
@@ -166,11 +285,11 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	defer conn.Close()
 	now := time.Now()
 	sess := &session{srv: s, conn: conn, bw: bufio.NewWriter(conn), login: now, lastActive: now}
-	br := bufio.NewReader(conn)
+	fr := frameReader{br: bufio.NewReader(conn), queriesOnly: true}
 	// The handshake runs under a read deadline so half-open connections
 	// cannot pin a serving goroutine forever.
 	_ = conn.SetReadDeadline(now.Add(s.opt.HandshakeTimeout))
-	f, err := ReadFrame(br)
+	f, _, err := fr.next(nil)
 	if err != nil {
 		return
 	}
@@ -191,11 +310,11 @@ func (s *Server) handleConn(rawConn net.Conn) {
 	defer s.unregister(id)
 	// A vanished client must not strand its statement holding a slot.
 	defer sess.cancelRunning(CodeCancelled, "session closed")
-	if err := sess.writeFrame(&Frame{Type: FrameWelcome, SessionID: id, Server: s.eng.Name()}); err != nil {
+	if err := sess.writeFrame(&Frame{Type: FrameWelcome, SessionID: id, Server: s.eng.Name()}, true); err != nil {
 		return
 	}
 	for {
-		f, err := ReadFrame(br)
+		f, _, err := fr.next(nil)
 		if err != nil {
 			return
 		}
@@ -216,7 +335,7 @@ func (s *Server) handleConn(rawConn net.Conn) {
 			sess.cancelRunning(CodeCancelled, "cancelled by client")
 		case FrameInfo:
 			info := s.Info()
-			_ = sess.writeFrame(&Frame{Type: FrameInfo, Info: &info})
+			_ = sess.writeFrame(&Frame{Type: FrameInfo, Info: &info}, true)
 		case FrameBye:
 			return
 		default:
@@ -232,48 +351,24 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 	defer s.wg.Done()
 	defer sess.endStatement(gen)
 	qid := f.QueryID
-	params, perr := decodeParams(f.Params)
-	if perr != nil {
-		sess.sendError(qid, CodeProtocol, perr.Error())
-		return
-	}
 	kind, killID := classifyStatement(f.SQL)
-	if kind != stmtSelect && kind != stmtExec {
-		// No admission wait for KILL and the DMVs; they are running the
-		// moment they start — observability and the ability to shoot a
-		// runaway query must keep working on a saturated server.
-		sess.markRunning()
-	}
 	switch kind {
+	case stmtSelect, stmtExec:
 	case stmtKill:
+		sess.markRunning()
 		if err := s.kill(killID, sess.id); err != nil {
 			sess.endStatement(gen)
 			sess.sendError(qid, CodeQuery, err.Error())
 			return
 		}
 		sess.endStatement(gen)
-		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid})
+		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid}, true)
 		return
-	case stmtDMVSessions:
-		_ = sess.streamResult(gen, qid, s.sessionsDMV(), 0, nil)
-		return
-	case stmtDMVRequests:
-		_ = sess.streamResult(gen, qid, s.requestsDMV(), 0, nil)
-		return
-	case stmtDMVQueryStats:
-		_ = sess.streamResult(gen, qid, QueryStatsResult(s.eng), 0, nil)
-		return
-	case stmtDMVPlanCache:
-		_ = sess.streamResult(gen, qid, PlanCacheResult(s.eng), 0, nil)
-		return
-	case stmtDMVPerfCounters:
-		_ = sess.streamResult(gen, qid, PerformanceCountersResult(s.eng), 0, nil)
-		return
-	case stmtDMVWaitStats:
-		_ = sess.streamResult(gen, qid, WaitStatsResult(s.eng), 0, nil)
-		return
-	case stmtDMVShardMap:
-		_ = sess.streamResult(gen, qid, ShardMapResult(s.eng), 0, nil)
+	default:
+		// No admission wait for the DMVs either; they are running the
+		// moment they start.
+		sess.markRunning()
+		sess.sendResult(qctx, gen, qid, s.dmv(kind))
 		return
 	}
 	// Engine statements pass admission control.
@@ -284,9 +379,6 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 	sess.markRunning()
 	s.running.Add(1)
 	start := time.Now()
-	var res *engine.Result
-	var affected int64
-	var err error
 	if kind == stmtSelect {
 		// A client-propagated trace joins here: this server (and every
 		// in-process federation member below it) records spans with a
@@ -298,7 +390,15 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 			tr = telemetry.JoinTrace(f.TraceID)
 			ectx = telemetry.WithTrace(qctx, tr, f.SpanID)
 		}
-		res, err = s.eng.QueryContext(ectx, f.SQL, params)
+		// The result streams while the statement runs: it holds its slot
+		// until the last rows frame is in the writer. Cancellation bounds
+		// the write in flight, then the outcome frame, by cancelWriteGrace.
+		stopWatch := context.AfterFunc(qctx, func() { sess.armWriteDeadline(gen) })
+		defer sess.disarmWriteDeadline(gen)
+		res, err := s.eng.QueryStreamContext(ectx, f.SQL, f.Params, &resultStream{ctx: qctx, sess: sess, qid: qid})
+		if !stopWatch() {
+			sess.armWriteDeadline(gen) // a fresh window for the outcome frame
+		}
 		elapsed := time.Since(start)
 		s.running.Add(-1)
 		s.release()
@@ -310,7 +410,12 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 		if tr != nil {
 			spans = encodeSpans(tr.Spans())
 		}
-		_ = sess.streamResult(gen, qid, res, elapsed, spans)
+		// Release the statement slot before done goes out (see
+		// sendStatementError); endStatement is idempotent, so the deferred
+		// call remains a backstop for error paths.
+		sess.endStatement(gen)
+		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid, RowCount: res.Stats.Rows,
+			ElapsedUS: elapsed.Microseconds(), Retries: res.Retries, Skipped: res.Skipped, Spans: spans}, true)
 		return
 	}
 	// DML/DDL runs to completion; the engine's write path is not
@@ -319,7 +424,7 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 	// AND the outcome frame: a draining server must not close this
 	// connection before the client learns whether its commit happened.
 	s.writers.Add(1)
-	affected, err = s.eng.ExecParams(f.SQL, params)
+	affected, err := s.eng.ExecParams(f.SQL, f.Params)
 	elapsed := time.Since(start)
 	s.running.Add(-1)
 	s.release()
@@ -327,7 +432,7 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 		sess.sendStatementError(gen, qid, err)
 	} else {
 		sess.endStatement(gen)
-		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid, RowCount: affected, ElapsedUS: elapsed.Microseconds()})
+		_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid, RowCount: affected, ElapsedUS: elapsed.Microseconds()}, true)
 	}
 	s.writers.Add(-1)
 }
@@ -359,35 +464,42 @@ func (sess *session) sendStatementError(gen, qid int64, err error) {
 	sess.sendError(qid, code, msg)
 }
 
-// streamResult sends cols, row batches, then done for one result set.
-func (sess *session) streamResult(gen, qid int64, res *engine.Result, elapsed time.Duration, spans []WireSpan) error {
-	if err := sess.writeFrame(&Frame{Type: FrameCols, QueryID: qid, Cols: encodeCols(res.Cols)}); err != nil {
-		return err
+// sendResult sends a materialized result (a DMV) through the statement
+// encoder: cols, one rows frame per Materialized.NextBatch, then done.
+func (sess *session) sendResult(ctx context.Context, gen, qid int64, res *engine.Result) {
+	st := &resultStream{ctx: ctx, sess: sess, qid: qid}
+	err := st.Columns(res.Cols)
+	m := rowset.NewMaterialized(res.Cols, res.Rows)
+	b := rowset.NewBatch(rowset.DefaultBatchSize)
+	for err == nil && m.NextBatch(b) == nil {
+		err = st.Batch(b)
 	}
-	batch := sess.srv.opt.RowBatch
-	for i := 0; i < len(res.Rows); i += batch {
-		j := min(i+batch, len(res.Rows))
-		rows := make([][]WireValue, 0, j-i)
-		for _, r := range res.Rows[i:j] {
-			rows = append(rows, encodeRow(r))
-		}
-		if err := sess.writeFrame(&Frame{Type: FrameRows, QueryID: qid, Rows: rows}); err != nil {
-			return err
-		}
+	if err != nil {
+		sess.sendStatementError(gen, qid, err)
+		return
 	}
-	// Release the statement slot before done goes out (see
-	// sendStatementError); endStatement is idempotent, so the runStatement
-	// defer remains a backstop for error paths.
 	sess.endStatement(gen)
-	return sess.writeFrame(&Frame{
-		Type:      FrameDone,
-		QueryID:   qid,
-		RowCount:  int64(len(res.Rows)),
-		ElapsedUS: elapsed.Microseconds(),
-		Retries:   res.Retries,
-		Skipped:   res.Skipped,
-		Spans:     spans,
-	})
+	_ = sess.writeFrame(&Frame{Type: FrameDone, QueryID: qid, RowCount: int64(len(res.Rows))}, true)
+}
+
+// dmv renders the DMV a statement selects.
+func (s *Server) dmv(kind statementKind) *engine.Result {
+	switch kind {
+	case stmtDMVSessions:
+		return s.sessionsDMV()
+	case stmtDMVRequests:
+		return s.requestsDMV()
+	case stmtDMVQueryStats:
+		return QueryStatsResult(s.eng)
+	case stmtDMVPlanCache:
+		return PlanCacheResult(s.eng)
+	case stmtDMVPerfCounters:
+		return PerformanceCountersResult(s.eng)
+	case stmtDMVWaitStats:
+		return WaitStatsResult(s.eng)
+	default:
+		return ShardMapResult(s.eng)
+	}
 }
 
 // sessionsDMV renders sys.dm_exec_sessions from the session registry.

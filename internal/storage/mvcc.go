@@ -92,10 +92,15 @@ type TxnManager struct {
 	wal        *WAL
 	durability Durability
 	walBroken  bool
+	// walGate is held shared by every append from choosing the log
+	// through writing it (appendLog) and exclusively by DetachWAL and
+	// AttachWAL while they swap it: a swap waits for the commits that
+	// already hold the log instead of closing the file under them.
+	walGate sync.RWMutex
 
 	// logging is the fast-path gate: true iff a WAL is attached, the
 	// durability level is not Off, and the WAL has not failed. Autocommit
-	// writes check it with one atomic load before touching walFor.
+	// writes check it with one atomic load before touching appendLog.
 	logging atomic.Bool
 
 	// indoubt holds transactions recovered in the prepared state, awaiting
@@ -109,7 +114,7 @@ type TxnManager struct {
 
 // updateLoggingLocked recomputes the fast-path logging gate; caller holds
 // tm.mu. A broken WAL keeps the gate up on purpose: writes must route
-// through walFor and fail with ErrWALBroken rather than silently landing
+// through appendLog and fail with ErrWALBroken rather than silently landing
 // in memory unlogged.
 func (tm *TxnManager) updateLoggingLocked() {
 	tm.logging.Store(tm.wal != nil && tm.durability != DurabilityOff)
@@ -131,12 +136,7 @@ func (tm *TxnManager) logDDL(rec walRecord) error {
 	if !tm.logging.Load() {
 		return nil
 	}
-	w, sync, err := tm.walFor()
-	if err != nil || w == nil {
-		return err
-	}
-	if err := w.appendAll([]walRecord{rec}, sync); err != nil {
-		tm.breakWAL()
+	if err := tm.appendLog(func() []walRecord { return []walRecord{rec} }); err != nil {
 		return fmt.Errorf("storage: WAL append: %w", err)
 	}
 	return nil
@@ -264,18 +264,29 @@ func (e *Engine) Durability() Durability {
 	return e.tm.durability
 }
 
-// walFor reports the WAL to log through, nil when logging is off. It also
-// reports whether commit must fsync.
-func (tm *TxnManager) walFor() (w *WAL, sync bool, err error) {
+// appendLog write-ahead-logs the records recs builds (called only when a
+// log is attached and durability is not Off), fsyncing under
+// DurabilityFull. It holds walGate shared throughout, so the log it chose
+// is the log it writes. ErrWALBroken comes back as is; a failed append
+// poisons durable writes and comes back as the append's error.
+func (tm *TxnManager) appendLog(recs func() []walRecord) error {
+	tm.walGate.RLock()
+	defer tm.walGate.RUnlock()
 	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if tm.walBroken {
-		return nil, false, ErrWALBroken
+	w, broken, sync := tm.wal, tm.walBroken, tm.durability == DurabilityFull
+	off := w == nil || tm.durability == DurabilityOff
+	tm.mu.Unlock()
+	switch {
+	case broken:
+		return ErrWALBroken
+	case off:
+		return nil
 	}
-	if tm.wal == nil || tm.durability == DurabilityOff {
-		return nil, false, nil
+	if err := w.appendAll(recs(), sync); err != nil {
+		tm.breakWAL()
+		return err
 	}
-	return tm.wal, tm.durability == DurabilityFull, nil
+	return nil
 }
 
 // breakWAL poisons durable writes after a log failure.
@@ -497,19 +508,12 @@ func (t *Txn) Prepare() error {
 		return err
 	}
 	t.prepared = true
-	w, sync, werr := tm.walFor()
-	if werr != nil {
+	err = tm.appendLog(func() []walRecord {
+		return append(t.opRecords(true), walRecord{kind: recPrepare, txn: t.id})
+	})
+	if err != nil {
 		t.rollbackPrepare()
-		return werr
-	}
-	if w != nil {
-		recs := t.opRecords(true)
-		recs = append(recs, walRecord{kind: recPrepare, txn: t.id})
-		if err := w.appendAll(recs, sync); err != nil {
-			tm.breakWAL()
-			t.rollbackPrepare()
-			return fmt.Errorf("storage: txn %d prepare: %w", t.id, err)
-		}
+		return fmt.Errorf("storage: txn %d prepare: %w", t.id, err)
 	}
 	return nil
 }
@@ -596,28 +600,18 @@ func (t *Txn) Commit() error {
 	}
 	t.assignBookmarksLocked()
 	// Log before apply: if the log fails the heap is untouched.
-	w, sync, werr := tm.walFor()
-	if werr != nil {
-		unlock()
-		t.abortLocked()
-		return werr
-	}
-	if w != nil {
-		var recs []walRecord
+	err := tm.appendLog(func() []walRecord {
 		if t.prepared {
 			// Operations are already logged; the commit record resolves the
 			// in-doubt state and pins the insert slots.
-			recs = []walRecord{{kind: recCommit, txn: t.id, bms: t.insertBookmarks()}}
-		} else {
-			recs = t.opRecords(false)
-			recs = append(recs, walRecord{kind: recCommit, txn: t.id})
+			return []walRecord{{kind: recCommit, txn: t.id, bms: t.insertBookmarks()}}
 		}
-		if err := w.appendAll(recs, sync); err != nil {
-			tm.breakWAL()
-			unlock()
-			t.abortLocked()
-			return fmt.Errorf("storage: txn %d commit: %w", t.id, err)
-		}
+		return append(t.opRecords(false), walRecord{kind: recCommit, txn: t.id})
+	})
+	if err != nil {
+		unlock()
+		t.abortLocked()
+		return fmt.Errorf("storage: txn %d commit: %w", t.id, err)
 	}
 	csn := tm.allocPending()
 	for _, op := range t.ops {
@@ -648,9 +642,7 @@ func (t *Txn) Abort() error {
 func (t *Txn) abortLocked() error {
 	if t.prepared {
 		t.unlockRows()
-		if w, sync, err := t.eng.tm.walFor(); err == nil && w != nil {
-			_ = w.appendAll([]walRecord{{kind: recAbort, txn: t.id}}, sync)
-		}
+		_ = t.eng.tm.appendLog(func() []walRecord { return []walRecord{{kind: recAbort, txn: t.id}} })
 	}
 	t.finish()
 	return nil

@@ -97,17 +97,24 @@ func (e *Engine) AttachWAL(b Backend) (*RecoveryInfo, error) {
 			ins.RecoveredTxns.Add(int64(info.Txns))
 		}
 	}
+	// The gate waits out appends still in flight (against a log detached
+	// under them or none at all) before the new log takes over.
+	e.tm.walGate.Lock()
 	e.tm.mu.Lock()
 	e.tm.wal = w
 	e.tm.walBroken = false
 	e.tm.updateLoggingLocked()
 	e.tm.mu.Unlock()
+	e.tm.walGate.Unlock()
 	return info, nil
 }
 
 // DetachWAL closes and detaches the log backend; the engine keeps running
-// in memory only. In-doubt transactions keep their row locks.
+// in memory only. In-doubt transactions keep their row locks. Commits that
+// already hold the log finish their appends first.
 func (e *Engine) DetachWAL() error {
+	e.tm.walGate.Lock()
+	defer e.tm.walGate.Unlock()
 	e.tm.mu.Lock()
 	w := e.tm.wal
 	e.tm.wal = nil

@@ -280,17 +280,14 @@ func (t *Table) validateRow(r rowset.Row) (rowset.Row, error) {
 // (operation record + commit record, one fsync under DurabilityFull).
 // Caller holds t.mu; on error nothing has been applied.
 func (t *Table) logAutoLocked(kind recKind, bm int64, row rowset.Row) error {
-	w, sync, err := t.tm.walFor()
-	if err != nil || w == nil {
-		return err
-	}
-	txn := t.tm.autoTxnID()
-	recs := []walRecord{
-		{kind: kind, txn: txn, table: t.walName(), bm: bm, row: row},
-		{kind: recCommit, txn: txn},
-	}
-	if err := w.appendAll(recs, sync); err != nil {
-		t.tm.breakWAL()
+	err := t.tm.appendLog(func() []walRecord {
+		txn := t.tm.autoTxnID()
+		return []walRecord{
+			{kind: kind, txn: txn, table: t.walName(), bm: bm, row: row},
+			{kind: recCommit, txn: txn},
+		}
+	})
+	if err != nil {
 		return fmt.Errorf("storage: %s: WAL append: %w", t.def.Name, err)
 	}
 	return nil
