@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/engine"
 	"dhqp/internal/netsim"
 	"dhqp/internal/rowset"
 	"dhqp/internal/rules"
@@ -124,7 +125,7 @@ func BenchmarkE2_ProviderLanguages(b *testing.B) {
 	s.FulltextService().AddFile("lit", "a.txt", []byte("database systems"), nil)
 	mustExecB2(b, s, `EXEC sp_addlinkedserver 'ftsrv', 'MSIDXS', 'lit'`)
 	// Mail store.
-	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(20, s.Today, []string{"a@x", "b@y"}, 3))
+	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(20, s.Config().Today, []string{"a@x", "b@y"}, 3))
 
 	queries := []struct {
 		name, sql string
@@ -170,7 +171,7 @@ func e4Fixture(b *testing.B, useStats bool) (*dhqp.Server, int) {
 	mustExec(b, remote, sb.String())
 	link := dhqp.LAN()
 	local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link)
-	local.UseRemoteStatistics = useStats
+	local.Configure(func(c *engine.Config) { c.UseRemoteStatistics = useStats })
 	return local, n
 }
 
@@ -380,10 +381,12 @@ func e7Fixture(b *testing.B, disableSpool bool) (*dhqp.Server, *dhqp.Link, *dhqp
 	}
 	l0 := mk("r0", 120)
 	l1 := mk("r1", 80)
-	local.DisableSpool = disableSpool
 	// Parameterization does not apply to non-equi joins, but disable it for
 	// a clean ablation anyway.
-	local.DisableParameterization = true
+	local.Configure(func(c *engine.Config) {
+		c.DisableSpool = disableSpool
+		c.DisableParameterization = true
+	})
 	return local, l0, l1
 }
 
@@ -435,13 +438,13 @@ func BenchmarkE8_OptimizationPhases(b *testing.B) {
 	}
 	for _, ph := range phases {
 		b.Run(ph.name, func(b *testing.B) {
-			cfg := local.OptConfig
-			cfg.MaxPhase = ph.max
-			cfg.TPThreshold = 0 // never early-exit below the cap
-			cfg.QuickThreshold = 0
-			old := local.OptConfig
-			local.OptConfig = cfg
-			defer func() { local.OptConfig = old }()
+			old := local.Config().OptConfig
+			local.Configure(func(c *engine.Config) {
+				c.OptConfig.MaxPhase = ph.max
+				c.OptConfig.TPThreshold = 0 // never early-exit below the cap
+				c.OptConfig.QuickThreshold = 0
+			})
+			defer local.Configure(func(c *engine.Config) { c.OptConfig = old })
 			var cost float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -477,7 +480,7 @@ func e9Fixture(b *testing.B, disableParam bool) (*dhqp.Server, *dhqp.Link) {
 	mustExec(b, local, `INSERT INTO wanted VALUES (5), (1723), (3001)`)
 	link := dhqp.LAN()
 	local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link)
-	local.DisableParameterization = disableParam
+	local.Configure(func(c *engine.Config) { c.DisableParameterization = disableParam })
 	return local, link
 }
 
@@ -547,9 +550,7 @@ func e9BatchFixture(b *testing.B, disableBatch bool) (*dhqp.Server, *dhqp.Link) 
 	if err := local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link); err != nil {
 		b.Fatal(err)
 	}
-	if disableBatch {
-		local.DisableRemoteBatching()
-	}
+	local.Configure(func(c *engine.Config) { c.DisableRemoteBatching = disableBatch })
 	return local, link
 }
 
@@ -703,7 +704,7 @@ func BenchmarkE11_FanOutWallClock(b *testing.B) {
 	}{{"Serial", 1}, {"Parallel", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			head := buildStockFederation(b, members, totalRows, true)
-			head.SetMaxDOP(mode.dop)
+			head.Configure(func(c *engine.Config) { c.MaxDOP = mode.dop })
 			query := `SELECT s_id, s_qty FROM all_stock`
 			mustQuery(b, head, query, nil)
 			b.ResetTimer()
@@ -724,7 +725,7 @@ func BenchmarkE11_FanOutWallClock(b *testing.B) {
 func BenchmarkE12_EmailFederation(b *testing.B) {
 	s := dhqp.NewServer("local", "db")
 	senders := []string{"ann@nw.com", "bob@nw.com", "cat@nw.com", "dan@s.com"}
-	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(500, s.Today, senders, 5))
+	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(500, s.Config().Today, senders, 5))
 	access := dhqp.SimpleProvider(nil)
 	if err := access.LoadCSV("Customers", "emailaddr,city\nann@nw.com,Seattle\nbob@nw.com,Seattle\ncat@nw.com,Tacoma\ndan@s.com,Austin"); err != nil {
 		b.Fatal(err)
@@ -819,18 +820,14 @@ func BenchmarkE16_VectorizedPipeline(b *testing.B) {
 			FROM fact f, dim d WHERE f.f_dim = d.d_id AND f.f_val < 5000 GROUP BY d.d_name`},
 	}
 	modes := []struct {
-		name  string
-		apply func(s *dhqp.Server)
-	}{
-		{"Typed", func(s *dhqp.Server) { s.SetBatchSize(0); s.EnableTypedVectors() }},
-		{"Generic", func(s *dhqp.Server) { s.SetBatchSize(0); s.DisableTypedVectors() }},
-		{"RowAtATime", func(s *dhqp.Server) { s.DisableVectorized() }},
-	}
+		name string
+		mode engine.ExecMode
+	}{{"Typed", engine.ExecTyped}, {"Generic", engine.ExecGeneric}, {"RowAtATime", engine.ExecRow}}
 	for _, c := range cases {
 		for _, m := range modes {
 			b.Run(c.name+"/"+m.name, func(b *testing.B) {
 				s := e16Fixture(b)
-				m.apply(s)
+				s.Configure(func(c *engine.Config) { c.ExecMode = m.mode })
 				want := len(mustQuery(b, s, c.query, nil).Rows) // warm plan cache
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -888,10 +885,12 @@ func BenchmarkE14_FaultTolerance(b *testing.B) {
 	}
 	b.Run("PartialResults", func(b *testing.B) {
 		head := buildStockFederation(b, members, totalRows, false)
-		head.SetRemoteRetries(2)
-		head.SetRetryBackoff(time.Microsecond)
-		head.SetBreaker(2, time.Hour)
-		head.SetPartialResults(true)
+		head.Configure(func(c *engine.Config) {
+			c.RemoteRetries = 2
+			c.RetryBackoff = time.Microsecond
+			c.BreakerThreshold, c.BreakerCooldown = 2, time.Hour
+			c.PartialResults = true
+		})
 		mustQuery(b, head, query, nil)
 		head.Meter().Link("server4").SetDown(true)
 		// The first failing query pays the retry ladder and trips the
@@ -1098,11 +1097,11 @@ func BenchmarkStatementAllocs(b *testing.B) {
 	point := map[int]float64{}
 	for _, size := range []int{64, 0, 4096} {
 		b.Run(fmt.Sprintf("PointRead/batch=%d", size), func(b *testing.B) {
-			bank.SetBatchSize(size)
+			bank.Configure(func(c *engine.Config) { c.BatchSize = size })
 			point[size] = measure(b, pointRead)
 		})
 	}
-	bank.SetBatchSize(0)
+	bank.Configure(func(c *engine.Config) { c.BatchSize = 0 })
 
 	const members, perMember = 32, 1000
 	head := dhqp.NewServer("head", "fed")
@@ -1253,7 +1252,7 @@ func BenchmarkShippedWindow(b *testing.B) {
 	calls := map[int]float64{}
 	for _, size := range []int{64, 0, 4096} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			head.SetBatchSize(size)
+			head.Configure(func(c *engine.Config) { c.BatchSize = size })
 			rng := rand.New(rand.NewSource(15))
 			var nCalls, nRows, nBytes, nMembers, maxMembers int64
 			b.ResetTimer()
@@ -1285,7 +1284,7 @@ func BenchmarkShippedWindow(b *testing.B) {
 			}
 		})
 	}
-	head.SetBatchSize(0)
+	head.Configure(func(c *engine.Config) { c.BatchSize = 0 })
 
 	b.Run("parity", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(16))

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/engine"
 )
 
 // buildElasticFed assembles a head plus `members` member servers, an
@@ -111,12 +112,12 @@ func e19() {
 		mustQ(head, agg, nil)
 		aggBytes := linkBytes(links) - before
 
-		head.SetDisableAggSplit(true)
+		head.Configure(func(c *engine.Config) { c.DisableAggSplit = true })
 		mustQ(head, agg, nil)
 		before = linkBytes(links)
 		mustQ(head, agg, nil)
 		shipBytes := linkBytes(links) - before
-		head.SetDisableAggSplit(false)
+		head.Configure(func(c *engine.Config) { c.DisableAggSplit = false })
 
 		pct := 100 * float64(aggBytes) / float64(shipBytes)
 		if members == 32 {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/engine"
 	"dhqp/internal/oledb"
 	"dhqp/internal/storage"
 	"dhqp/internal/workload"
@@ -145,7 +146,7 @@ func e2() {
 	s.FulltextService().AddFile("lit", "a.txt", []byte("database systems"), nil)
 	_, err = s.Exec(`EXEC sp_addlinkedserver 'ftsrv', 'MSIDXS', 'lit'`)
 	must(err)
-	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(10, s.Today, []string{"a@x"}, 1))
+	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(10, s.Config().Today, []string{"a@x"}, 1))
 
 	fmt.Println("\nlive checks (one query per language):")
 	fmt.Printf("  Transact-SQL:       %d row(s)\n",
@@ -223,7 +224,7 @@ func e4() {
 		must(err)
 		link := dhqp.LAN()
 		must(local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link))
-		local.UseRemoteStatistics = useStats
+		local.Configure(func(c *engine.Config) { c.UseRemoteStatistics = useStats })
 		return local, float64(n) * 0.9
 	}
 	fmt.Println("predicate: v = 7 over a remote table where 90% of rows share v=7")
@@ -383,8 +384,10 @@ func e7() {
 			must(local.AddLinkedServer(fmt.Sprintf("r%d", i), dhqp.SQLProvider(remote, link), link))
 			links = append(links, link)
 		}
-		local.DisableSpool = disable
-		local.DisableParameterization = true
+		local.Configure(func(c *engine.Config) {
+			c.DisableSpool = disable
+			c.DisableParameterization = true
+		})
 		return local, links
 	}
 	query := `SELECT COUNT(*) AS n FROM r0.rdb.dbo.pts a, r1.rdb.dbo.pts b WHERE a.v < b.v`
@@ -427,13 +430,13 @@ func e8() {
 		FROM remote0.tpch10g.dbo.customer c, remote0.tpch10g.dbo.supplier s, nation n
 		WHERE c.c_nationkey = n.n_nationkey AND n.n_nationkey = s.s_nationkey`
 	// Disable early exit so every phase runs fully.
-	c := local.OptConfig
+	c := local.Config().OptConfig
 	c.TPThreshold, c.QuickThreshold = 0, 0
 	fmt.Printf("  %-26s %14s %12s %10s %10s\n", "phase cap", "plan cost", "opt time", "groups", "exprs")
 	for _, ph := range []int{0, 1, 2} {
 		cc := c
 		cc.MaxPhase = phase(ph)
-		local.OptConfig = cc
+		local.Configure(func(cfg *engine.Config) { cfg.OptConfig = cc })
 		start := time.Now()
 		_, _, report, err := local.Plan(q)
 		must(err)
@@ -471,7 +474,7 @@ func e9() {
 		must(err)
 		link := dhqp.LAN()
 		must(local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link))
-		local.DisableParameterization = disable
+		local.Configure(func(c *engine.Config) { c.DisableParameterization = disable })
 		return local, link
 	}
 	query := `SELECT b.payload FROM wanted w, r0.rdb.dbo.big b WHERE w.k = b.k`
@@ -533,9 +536,7 @@ func e9Batched() {
 		must(err)
 		link := &dhqp.Link{LatencyPerCall: 10 * time.Millisecond, BytesPerSecond: 200e3}
 		must(local.AddLinkedServer("r0", dhqp.SQLProvider(remote, link), link))
-		if disableBatch {
-			local.DisableRemoteBatching()
-		}
+		local.Configure(func(c *engine.Config) { c.DisableRemoteBatching = disableBatch })
 		return local, link
 	}
 	type legStats struct {
@@ -710,7 +711,7 @@ func e11() {
 		dop  int
 	}{{"serial", 1}, {"parallel", 0}} {
 		head, _ := buildStockFed(4, 2000, true)
-		head.SetMaxDOP(mode.dop)
+		head.Configure(func(c *engine.Config) { c.MaxDOP = mode.dop })
 		query := `SELECT s_id, s_qty FROM all_stock`
 		mustQ(head, query, nil)
 		start := time.Now()
@@ -751,7 +752,7 @@ func e12() {
 	header("E12", "§2.4: heterogeneous mail + Access query")
 	s := dhqp.NewServer("local", "db")
 	senders := []string{"ann@nw.com", "bob@nw.com", "cat@nw.com", "dan@s.com"}
-	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(500, s.Today, senders, 5))
+	s.MailStore().AddMailbox("m.mmf", workload.GenMailbox(500, s.Config().Today, senders, 5))
 	access := dhqp.SimpleProvider(nil)
 	must(access.LoadCSV("Customers", "emailaddr,city\nann@nw.com,Seattle\nbob@nw.com,Seattle\ncat@nw.com,Tacoma\ndan@s.com,Austin"))
 	s.RegisterProviderFactory("access", dhqp.StaticProviderFactory(access))
@@ -841,8 +842,10 @@ func e14() {
 		// Deep retry budget and a patient breaker: this sweep isolates the
 		// retry ladder (restart-and-discard replays whole fetch units, so at
 		// 10%% the per-attempt failure rate is well above the raw fault rate).
-		head.SetRemoteRetries(8)
-		head.SetBreaker(1000, time.Hour)
+		head.Configure(func(c *engine.Config) {
+			c.RemoteRetries = 8
+			c.BreakerThreshold, c.BreakerCooldown = 1000, time.Hour
+		})
 		mustQ(head, query, nil) // warm plan + schema
 		for i, l := range links {
 			l.SetFaults(dhqp.Faults{Seed: int64(i + 1), TransientProb: prob})
@@ -888,9 +891,11 @@ func e14() {
 
 	fmt.Println("\ndowned member: server4 fails forever; breaker threshold 2, partial results on")
 	head, links := buildStockFed(members, totalRows, false)
-	head.SetRemoteRetries(2)
-	head.SetBreaker(2, time.Hour)
-	head.SetPartialResults(true)
+	head.Configure(func(c *engine.Config) {
+		c.RemoteRetries = 2
+		c.BreakerThreshold, c.BreakerCooldown = 2, time.Hour
+		c.PartialResults = true
+	})
 	mustQ(head, query, nil)
 	links[members-1].SetDown(true)
 	if _, err := head.Query(query, nil); err != nil {
@@ -1070,16 +1075,15 @@ func e16() {
 	fmt.Printf("  %-18s %14s %14s %14s %9s %9s\n",
 		"pipeline", "row r/s", "generic r/s", "typed r/s", "vec/row", "typ/gen")
 	var points []e16point
+	setMode := func(m engine.ExecMode) { s.Configure(func(c *engine.Config) { c.ExecMode = m }) }
 	for _, c := range cases {
-		s.SetBatchSize(0) // vectorized, default batch size
-		s.EnableTypedVectors()
+		setMode(engine.ExecTyped)
 		typed, outRows := measure(c.sql)
-		s.DisableTypedVectors()
+		setMode(engine.ExecGeneric)
 		gen, _ := measure(c.sql)
-		s.DisableVectorized()
+		setMode(engine.ExecRow)
 		row, _ := measure(c.sql)
-		s.SetBatchSize(0)
-		s.EnableTypedVectors()
+		setMode(engine.ExecTyped)
 		vecSpeedup := typed / row
 		typedSpeedup := typed / gen
 		fmt.Printf("  %-18s %14.0f %14.0f %14.0f %8.2fx %8.2fx\n",

@@ -39,6 +39,7 @@ import (
 
 	"dhqp"
 	"dhqp/internal/algebra"
+	"dhqp/internal/engine"
 	"dhqp/internal/metrics"
 	"dhqp/internal/opt"
 	"dhqp/internal/server"
@@ -62,7 +63,9 @@ func main() {
 
 	local := dhqp.NewServer("local", "appdb")
 	if *slowMS > 0 {
-		local.SetSlowQueryThreshold(time.Duration(*slowMS) * time.Millisecond)
+		local.Configure(func(c *engine.Config) {
+			c.SlowQueryThreshold = time.Duration(*slowMS) * time.Millisecond
+		})
 	}
 	if *walDir != "" {
 		info, err := local.SetWALDir(*walDir)

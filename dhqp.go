@@ -44,8 +44,9 @@ type Link = netsim.Link
 
 // Faults is a deterministic, seedable fault plan for a Link — transient
 // error rates, fail-after-N, fail-forever, jitter. Install with
-// Link.SetFaults; see Server.SetRemoteRetries / SetBreaker /
-// SetPartialResults / SetQueryTimeout for the matching tolerance knobs.
+// Link.SetFaults; the matching tolerance knobs are the RemoteRetries,
+// RetryBackoff, Breaker*, PartialResults and QueryTimeout fields of the
+// server's Config (Server.Configure).
 type Faults = netsim.Faults
 
 // Message is a mail message for the mail provider.

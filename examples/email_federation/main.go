@@ -16,7 +16,7 @@ import (
 
 func main() {
 	s := dhqp.NewServer("local", "db")
-	today := s.Today
+	today := s.Config().Today
 
 	// The mailbox file d:\mail\smith.mmf.
 	senders := []string{

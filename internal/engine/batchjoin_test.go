@@ -128,7 +128,7 @@ func TestBatchLoopJoinCallCountAndVirtualTime(t *testing.T) {
 		t.Errorf("batched execution made %d remote calls, want ≤ 35", bStats.Calls)
 	}
 
-	head.DisableRemoteBatching()
+	head.Configure(func(c *Config) { c.DisableRemoteBatching = true })
 	plan, _, _, err := head.Plan(batchProbeQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestBatchLoopJoinParityAllJoinTypes(t *testing.T) {
 				t.Errorf("batched plan (want batch=%v):\n%s", tc.wantBatch, plan.String())
 			}
 			serial := buildParityFixture(t)
-			serial.DisableRemoteBatching()
+			serial.Configure(func(c *Config) { c.DisableRemoteBatching = true })
 			plan, _, _, err = serial.Plan(tc.sql)
 			if err != nil {
 				t.Fatal(err)
@@ -318,12 +318,12 @@ func TestBatchLoopJoinParityAllJoinTypes(t *testing.T) {
 }
 
 // TestSetRemoteBatchSizeKnob: the configured batch size is baked into new
-// plans (cache invalidated) and bounds the remote call count.
+// plans (a new planning generation) and bounds the remote call count.
 func TestSetRemoteBatchSizeKnob(t *testing.T) {
 	link := netsim.WAN()
 	head := buildBatchFixture(t, 1000, 24000, sqlful.FullSQLCapabilities(), link)
-	head.SetRemoteBatchSize(250)
-	if got := head.RemoteBatchSize(); got != 250 {
+	head.Configure(func(c *Config) { c.RemoteBatchSize = 250 })
+	if got := head.Config().RemoteBatchSize; got != 250 {
 		t.Fatalf("RemoteBatchSize = %d", got)
 	}
 	res := q(t, head, batchProbeQuery) // warm metadata + plan
@@ -338,8 +338,8 @@ func TestSetRemoteBatchSizeKnob(t *testing.T) {
 	if stats.Calls > 24 {
 		t.Errorf("calls = %d with batch size 250, want ≤ 24", stats.Calls)
 	}
-	// Setting the size again re-enables batching after a disable.
-	head.DisableRemoteBatching()
+	// Re-enabling batching at the default size restores the batched plan.
+	head.Configure(func(c *Config) { c.DisableRemoteBatching = true })
 	plan, _, _, err := head.Plan(batchProbeQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -347,7 +347,7 @@ func TestSetRemoteBatchSizeKnob(t *testing.T) {
 	if strings.Contains(plan.String(), "BatchLoopJoin") {
 		t.Error("disable did not stick")
 	}
-	head.SetRemoteBatchSize(0)
+	head.Configure(func(c *Config) { c.RemoteBatchSize, c.DisableRemoteBatching = 0, false })
 	plan, _, _, err = head.Plan(batchProbeQuery)
 	if err != nil {
 		t.Fatal(err)

@@ -271,6 +271,8 @@ func (c *catalog) MakeTableSource(provider, path, table string) (*algebra.Source
 // histogram rowsets (§3.2.4) when enabled.
 type metadata struct {
 	s *Server
+	// remoteStats is the statement's Config.UseRemoteStatistics.
+	remoteStats bool
 	// colSources maps each bound ColumnID to its table source and column
 	// name (built per statement from the bound tree).
 	colSources map[expr.ColumnID]colSource
@@ -283,8 +285,8 @@ type colSource struct {
 }
 
 // newMetadata walks a bound tree recording column provenance.
-func (s *Server) newMetadata(root *algebra.Node) *metadata {
-	md := &metadata{s: s, colSources: map[expr.ColumnID]colSource{}}
+func (s *Server) newMetadata(root *algebra.Node, remoteStats bool) *metadata {
+	md := &metadata{s: s, remoteStats: remoteStats, colSources: map[expr.ColumnID]colSource{}}
 	var walk func(n *algebra.Node)
 	walk = func(n *algebra.Node) {
 		if g, ok := n.Op.(*algebra.Get); ok && g.Src.Kind == algebra.SourceBaseTable {
@@ -361,6 +363,9 @@ func (md *metadata) Histogram(col expr.ColumnID) *stats.Histogram {
 	if !ok {
 		return nil
 	}
+	if cs.src.Server != "" && !md.remoteStats {
+		return nil
+	}
 	s := md.s
 	key := strings.ToLower(cs.src.Server + "|" + cs.src.Catalog + "|" + cs.src.Table + "|" + cs.name)
 	s.mu.Lock()
@@ -374,12 +379,6 @@ func (md *metadata) Histogram(col expr.ColumnID) *stats.Histogram {
 	if cs.src.Server == "" {
 		rs, err = s.nativeSess.ColumnHistogram(cs.src.Catalog+"."+cs.src.Table, cs.name)
 	} else {
-		s.mu.Lock()
-		useRemote := s.UseRemoteStatistics
-		s.mu.Unlock()
-		if !useRemote {
-			return nil
-		}
 		l, lerr := s.linkedFor(cs.src.Server)
 		if lerr != nil || !l.caps.SupportsStatistics {
 			return nil

@@ -50,6 +50,7 @@ func (s *Server) ExecParams(sql string, params map[string]sqltypes.Value) (int64
 // local member) and for the rebalance copier, which coordinates with the
 // gate itself.
 func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64, error) {
+	cfg := s.cfg.Load()
 	st, err := parser.Parse(sql)
 	if err != nil {
 		return 0, err
@@ -73,13 +74,13 @@ func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64
 		return 0, s.execProc(v)
 	case *parser.InsertStmt:
 		s.noteStatement("insert")
-		return s.execInsert(v, params)
+		return s.execInsert(cfg, v, params)
 	case *parser.UpdateStmt:
 		s.noteStatement("update")
-		return s.execUpdate(v, params)
+		return s.execUpdate(cfg, v, params)
 	case *parser.DeleteStmt:
 		s.noteStatement("delete")
-		return s.execDelete(v, params)
+		return s.execDelete(cfg, v, params)
 	case *parser.SelectStmt:
 		return 0, fmt.Errorf("engine: use Query for SELECT statements")
 	default:
@@ -250,10 +251,10 @@ func (s *Server) forward(server, text string, params map[string]sqltypes.Value) 
 	return cmd.ExecuteNonQuery()
 }
 
-func (s *Server) execInsert(st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
+func (s *Server) execInsert(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
 	if len(st.Table.Parts) == 4 {
 		if st.Sel != nil {
-			return s.insertSelectRemote(st, params)
+			return s.insertSelectRemote(cfg, st, params)
 		}
 		text, err := renderInsert(st)
 		if err != nil {
@@ -263,7 +264,7 @@ func (s *Server) execInsert(st *parser.InsertStmt, params map[string]sqltypes.Va
 	}
 	// Local: view (partitioned, static or elastic) or table.
 	viewText, isView := s.viewTextFor(st.Table.Name())
-	rows, err := s.insertRows(st, params)
+	rows, err := s.insertRows(cfg, st, params)
 	if err != nil {
 		return 0, err
 	}
@@ -315,15 +316,15 @@ func (s *Server) txnSession() (*native.Session, error) {
 }
 
 // insertRows evaluates VALUES rows or runs the INSERT's SELECT.
-func (s *Server) insertRows(st *parser.InsertStmt, params map[string]sqltypes.Value) ([]rowset.Row, error) {
+func (s *Server) insertRows(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) ([]rowset.Row, error) {
 	if st.Sel != nil {
-		res, err := s.querySelect(st.Sel, params)
+		res, err := s.querySelect(cfg, st.Sel, params)
 		if err != nil {
 			return nil, err
 		}
 		return res.Rows, nil
 	}
-	env := &expr.Env{Params: params, Today: s.today()}
+	env := &expr.Env{Params: params, Today: cfg.Today}
 	var rows []rowset.Row
 	for _, astRow := range st.Rows {
 		row := make(rowset.Row, len(astRow))
@@ -344,15 +345,15 @@ func (s *Server) insertRows(st *parser.InsertStmt, params map[string]sqltypes.Va
 }
 
 // querySelect runs a parsed SELECT (INSERT ... SELECT path).
-func (s *Server) querySelect(sel *parser.SelectStmt, params map[string]sqltypes.Value) (*Result, error) {
-	plan, cols, _, err := s.planSelect(sel)
+func (s *Server) querySelect(cfg *Config, sel *parser.SelectStmt, params map[string]sqltypes.Value) (*Result, error) {
+	plan, cols, _, err := s.planSelectWith(cfg, sel, nil)
 	if err != nil {
 		return nil, err
 	}
 	// INSERT ... SELECT has no standalone statement text; an empty key keeps
 	// it out of the query-stats registry.
 	return materialize(func(sink ResultSink) (*Result, error) {
-		return s.runPlan(context.Background(), "", plan, cols, params, false, nil, sink)
+		return s.runPlan(context.Background(), cfg, "", plan, cols, params, false, nil, sink)
 	})
 }
 
@@ -399,8 +400,8 @@ func reorderForTable(def *schema.Table, cols []string, rows []rowset.Row) ([]row
 }
 
 // insertSelectRemote materializes the SELECT locally and forwards VALUES.
-func (s *Server) insertSelectRemote(st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
-	res, err := s.querySelect(st.Sel, params)
+func (s *Server) insertSelectRemote(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
+	res, err := s.querySelect(cfg, st.Sel, params)
 	if err != nil {
 		return 0, err
 	}
@@ -426,7 +427,7 @@ func (s *Server) insertSelectRemote(st *parser.InsertStmt, params map[string]sql
 	return s.forward(st.Table.Parts[0], b.String(), nil)
 }
 
-func (s *Server) execUpdate(st *parser.UpdateStmt, params map[string]sqltypes.Value) (int64, error) {
+func (s *Server) execUpdate(cfg *Config, st *parser.UpdateStmt, params map[string]sqltypes.Value) (int64, error) {
 	if len(st.Table.Parts) == 4 {
 		text, err := renderUpdate(st)
 		if err != nil {
@@ -446,7 +447,7 @@ func (s *Server) execUpdate(st *parser.UpdateStmt, params map[string]sqltypes.Va
 	if err != nil {
 		return 0, err
 	}
-	return s.dmlRows(def, where, params, func(sess *native.Session, table string, bm int64, env *expr.Env) error {
+	return s.dmlRows(cfg, def, where, params, func(sess *native.Session, table string, bm int64, env *expr.Env) error {
 		newRow := rowset.Row(env.Row).Clone()
 		for i, sc := range st.Set {
 			v, err := setExprs[i].Eval(env)
@@ -459,7 +460,7 @@ func (s *Server) execUpdate(st *parser.UpdateStmt, params map[string]sqltypes.Va
 	})
 }
 
-func (s *Server) execDelete(st *parser.DeleteStmt, params map[string]sqltypes.Value) (int64, error) {
+func (s *Server) execDelete(cfg *Config, st *parser.DeleteStmt, params map[string]sqltypes.Value) (int64, error) {
 	if len(st.Table.Parts) == 4 {
 		text, err := renderDelete(st)
 		if err != nil {
@@ -478,7 +479,7 @@ func (s *Server) execDelete(st *parser.DeleteStmt, params map[string]sqltypes.Va
 	if err != nil {
 		return 0, err
 	}
-	return s.dmlRows(t.Def(), where, params, func(sess *native.Session, table string, bm int64, _ *expr.Env) error {
+	return s.dmlRows(cfg, t.Def(), where, params, func(sess *native.Session, table string, bm int64, _ *expr.Env) error {
 		return sess.Delete(table, bm)
 	})
 }
@@ -488,7 +489,7 @@ func (s *Server) execDelete(st *parser.DeleteStmt, params map[string]sqltypes.Va
 // it reads the table through the access path dmlAccessPath picks, evaluates
 // the whole WHERE on every row read, has write buffer one Update/Delete for
 // each qualifying row (env.Row), and commits all-or-nothing, first writer wins.
-func (s *Server) dmlRows(def *schema.Table, where expr.Expr, params map[string]sqltypes.Value,
+func (s *Server) dmlRows(cfg *Config, def *schema.Table, where expr.Expr, params map[string]sqltypes.Value,
 	write func(sess *native.Session, table string, bm int64, env *expr.Env) error) (int64, error) {
 	sess, err := s.txnSession()
 	if err != nil {
@@ -496,7 +497,7 @@ func (s *Server) dmlRows(def *schema.Table, where expr.Expr, params map[string]s
 	}
 	defer sess.Close() // aborts the transaction on every path that did not commit
 	table := def.Catalog + "." + def.Name
-	env := &expr.Env{Params: params, Today: s.today()}
+	env := &expr.Env{Params: params, Today: cfg.Today}
 	rs, err := dmlAccessPath(sess, def, table, where, env)
 	if err != nil {
 		return 0, err

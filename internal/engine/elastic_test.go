@@ -214,16 +214,16 @@ func TestElasticSkippedMembersNameShardRanges(t *testing.T) {
 	seedElastic(t, head, "orders", 100)
 	const query = `SELECT o_id, amount FROM orders`
 	q(t, head, query) // warm plan + schema
-	head.SetBreaker(1, time.Hour)
-	head.SetRemoteRetries(1)
-	head.SetRetryBackoff(time.Microsecond)
+	head.Configure(func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 1, time.Hour })
+	head.Configure(func(c *Config) { c.RemoteRetries = 1 })
+	head.Configure(func(c *Config) { c.RetryBackoff = time.Microsecond })
 	links[1].SetDown(true)
 	if _, err := head.Query(query, nil); err == nil {
 		t.Fatal("query with a downed member succeeded")
 	}
 	// Degraded mode: the skipped partition is reported against the shard
 	// map — member range and map version — not a CREATE VIEW member list.
-	head.SetPartialResults(true)
+	head.Configure(func(c *Config) { c.PartialResults = true })
 	res := q(t, head, query)
 	if len(res.Skipped) != 1 {
 		t.Fatalf("skipped = %v", res.Skipped)
@@ -248,7 +248,7 @@ func TestElasticAggSplitDisableKnob(t *testing.T) {
 	seedElastic(t, head, "orders", 100)
 	agg := `SELECT COUNT(o_id) AS n, SUM(amount) AS s, AVG(amount) AS a FROM orders`
 	with := q(t, head, agg)
-	head.SetDisableAggSplit(true)
+	head.Configure(func(c *Config) { c.DisableAggSplit = true })
 	without := q(t, head, agg)
 	for i := 0; i < 2; i++ {
 		if with.Rows[0][i].Int() != without.Rows[0][i].Int() {

@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +31,6 @@ import (
 	"dhqp/internal/providers/email"
 	"dhqp/internal/providers/fulltext"
 	"dhqp/internal/providers/native"
-	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
 	"dhqp/internal/shardmap"
 	"dhqp/internal/sqltypes"
@@ -77,62 +75,20 @@ type Server struct {
 
 	meter *netsim.Meter
 
-	// UseRemoteStatistics gates fetching remote histograms (E4 contrast).
-	UseRemoteStatistics bool
-	// DisableSpool and DisableParameterization turn off the corresponding
-	// remote rules (ablation experiments).
-	DisableSpool            bool
-	DisableParameterization bool
-	// DisableAggSplit turns off partial-aggregation pushdown through UNION
-	// ALL (the aggsplit rule) — the row-shipping baseline of E19.
-	DisableAggSplit bool
-	// DisableRemotePrefetch turns off asynchronous prefetching of remote
-	// rowsets (serial-baseline measurements).
-	DisableRemotePrefetch bool
-
-	// maxDOP caps exchange parallelism; see SetMaxDOP.
-	maxDOP int
-	// remoteBatchSize overrides the batched-remote-access key count
-	// (0 = cost.DefaultRemoteBatch); see SetRemoteBatchSize.
-	remoteBatchSize int
-	// remoteBatchingOff disables batched parameterized joins entirely;
-	// see DisableRemoteBatching.
-	remoteBatchingOff bool
-	// batchSize overrides the vectorized execution batch row count
-	// (0 = rowset.DefaultBatchSize) and vectorizedOff forces row-at-a-time
-	// execution; see SetBatchSize / DisableVectorized. Both are read per
-	// execution — never baked into compiled plans — so changing them does
-	// not invalidate the plan cache.
-	batchSize     int
-	vectorizedOff bool
-	// typedVectorsOff forces generic boxed column vectors inside batch
-	// execution (typed int64/float64/string payloads off); see
-	// DisableTypedVectors. Read per execution, never baked into plans.
-	typedVectorsOff bool
-
-	// Fault-tolerance knobs. All of them are read per execution — never
-	// baked into compiled plans — so changing them does not invalidate the
-	// plan cache.
-	queryTimeout   time.Duration // see SetQueryTimeout
-	partialResults bool          // see SetPartialResults
-	retryAttempts  int           // see SetRemoteRetries (0 = exec default)
-	retryBackoff   time.Duration // see SetRetryBackoff (0 = exec default)
+	// cfg is the current Config, swapped whole by Configure; statements
+	// load it once.
+	cfg atomic.Pointer[Config]
 	// breakers holds one circuit breaker per linked server, created lazily
 	// with the configured threshold/cooldown.
-	breakers         map[string]*circuit.Breaker
-	breakerThreshold int
-	breakerCooldown  time.Duration
-	// OptConfig tunes the optimizer per server.
-	OptConfig opt.Config
-	// Today is the session date for today().
-	Today sqltypes.Value
+	breakers map[string]*circuit.Breaker
 
 	histCache map[string]*stats.Histogram
 	cardCache map[string]float64
 
 	// planCache memoizes compiled plans by statement text; parameters bind
 	// at execution, so cached plans serve any parameter values. DDL and
-	// linked-server changes invalidate it. The cache is a capped LRU —
+	// linked-server changes invalidate it; an entry of another Config
+	// planning generation is a miss. The cache is a capped LRU —
 	// ad-hoc statement traffic from network clients would otherwise grow it
 	// without bound — sized by SetPlanCacheCapacity.
 	planCache *lru.Cache[string, *cachedPlan]
@@ -141,13 +97,9 @@ type Server struct {
 	planCacheHits      int64
 	planCacheMisses    int64
 	planCacheEvictions int64
-	// DisablePlanCache forces re-optimization on every Query.
-	DisablePlanCache bool
 
-	// collectStats gates per-operator runtime counters on Query (see
-	// SetCollectStats); queryStats is the dm_exec_query_stats-style registry.
-	collectStats bool
-	queryStats   *telemetry.Registry
+	// queryStats is the dm_exec_query_stats-style registry.
+	queryStats *telemetry.Registry
 
 	// metricsReg is the server-wide metrics registry (Metrics());
 	// allInstruments holds every engine/exec/storage instrument bundle and
@@ -159,11 +111,8 @@ type Server struct {
 	mx             atomic.Pointer[engineInstruments]
 	linkObs        *linkObserver
 
-	// slowThreshold (ns; 0 = off) gates the structured slow-query log
-	// written to slowWriter (stderr when nil), guarded by slowMu.
-	slowThreshold atomic.Int64
-	slowMu        sync.Mutex
-	slowWriter    io.Writer
+	// slowMu serializes slow-query log lines (Config.SlowQueryThreshold).
+	slowMu sync.Mutex
 
 	lastReport *opt.Report
 }
@@ -171,6 +120,7 @@ type Server struct {
 type cachedPlan struct {
 	plan *algebra.Node
 	cols []schema.Column
+	gen  uint64 // Config.planGen it was compiled under
 }
 
 type linkedServer struct {
@@ -203,17 +153,14 @@ func NewServer(name, defaultDB string) *Server {
 		extraCaps:         map[string]oledb.Capabilities{},
 		providerFactories: map[string]func(string) (oledb.DataSource, *netsim.Link, error){},
 		meter:             netsim.NewMeter(),
-		OptConfig:         opt.DefaultConfig(),
-		Today:             sqltypes.NewDate(2004, 6, 15),
 		histCache:         map[string]*stats.Histogram{},
 		cardCache:         map[string]float64{},
 		planCache:         lru.New[string, *cachedPlan](DefaultPlanCacheCapacity),
 		queryStats:        telemetry.NewRegistry(),
 		breakers:          map[string]*circuit.Breaker{},
-		breakerThreshold:  DefaultBreakerThreshold,
-		breakerCooldown:   DefaultBreakerCooldown,
 	}
-	s.UseRemoteStatistics = true
+	cfg := defaultConfig()
+	s.cfg.Store(&cfg)
 	s.metricsReg = metrics.NewRegistry()
 	s.allInstruments = buildInstruments(s.metricsReg)
 	s.linkObs = newLinkObserver(s.allInstruments, s.meter.NameOf)
@@ -306,41 +253,6 @@ func (s *Server) LastReport() *opt.Report {
 	return s.lastReport
 }
 
-// today snapshots the session date under the engine mutex (expression
-// environments read it per statement; SetToday may flip it concurrently).
-func (s *Server) today() sqltypes.Value {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Today
-}
-
-// SetToday sets the session date for today(), synchronized with concurrent
-// queries (single-threaded setup code may assign the Today field directly).
-func (s *Server) SetToday(v sqltypes.Value) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.Today = v
-}
-
-// SetCollectStats toggles per-operator runtime statistics on Query (the
-// analogue of SET STATISTICS PROFILE ON): with it on, every iterator is
-// wrapped in an instrumented shim and Result.Stats carries phase spans. Off
-// by default — the hot path stays shim-free; cheap per-statement metrics
-// (rows, elapsed, link traffic, retries) are collected either way.
-// ExplainAnalyze always collects, regardless of this knob.
-func (s *Server) SetCollectStats(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.collectStats = on
-}
-
-// CollectStats reports whether per-operator statistics collection is on.
-func (s *Server) CollectStats() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.collectStats
-}
-
 // QueryStats snapshots the server's aggregate per-statement statistics —
 // the reproduction's sys.dm_exec_query_stats: one row per cached plan
 // (statement text), aggregating execution count, rows, elapsed time, link
@@ -372,136 +284,6 @@ func (s *Server) breakerTrips() map[string]int64 {
 		out[name] = b.Trips()
 	}
 	return out
-}
-
-// SetMaxDOP caps the degree of parallelism of exchange operators (the
-// parallel UNION ALL fan-out over remote partitioned-view members). 0
-// restores the default — min(number of children, GOMAXPROCS) per exchange —
-// and 1 forces serial execution.
-func (s *Server) SetMaxDOP(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.maxDOP = n
-}
-
-// SetDisableAggSplit toggles partial-aggregation pushdown through UNION
-// ALL (the row-shipping baseline of E19) and invalidates cached plans so
-// the change takes effect immediately.
-func (s *Server) SetDisableAggSplit(off bool) {
-	s.mu.Lock()
-	s.DisableAggSplit = off
-	s.mu.Unlock()
-	s.invalidatePlans()
-}
-
-// MaxDOP reports the configured degree-of-parallelism cap (0 = default).
-func (s *Server) MaxDOP() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.maxDOP
-}
-
-// SetRemoteBatchSize sets how many outer-row keys a batched remote access
-// (batched key-lookup join, bookmark-fetch batch) ships per call. 0
-// restores the default (cost.DefaultRemoteBatch); any call re-enables
-// batching after DisableRemoteBatching. The batch size is baked into
-// compiled plans, so cached plans are invalidated.
-func (s *Server) SetRemoteBatchSize(k int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if k < 0 {
-		k = 0
-	}
-	s.remoteBatchSize = k
-	s.remoteBatchingOff = false
-	s.planCache.Clear()
-}
-
-// RemoteBatchSize reports the effective batched-remote-access key count.
-func (s *Server) RemoteBatchSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.remoteBatchSize > 0 {
-		return s.remoteBatchSize
-	}
-	return cost.DefaultRemoteBatch
-}
-
-// DisableRemoteBatching turns off batched parameterized joins: the
-// optimizer falls back to serial parameterization (one remote call per
-// outer row). Cached plans are invalidated; bookmark fetches keep their
-// default batching, which predates this knob.
-func (s *Server) DisableRemoteBatching() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.remoteBatchingOff = true
-	s.planCache.Clear()
-}
-
-// SetBatchSize sets the vectorized execution batch row count — how many
-// rows flow between local operators per NextBatch call. 0 restores
-// rowset.DefaultBatchSize; values above rowset.MaxBatchSize clamp down.
-// Any call re-enables vectorized execution after DisableVectorized. The
-// size is read per execution, never baked into compiled plans, so cached
-// plans honor the new value immediately and the plan cache stays warm.
-func (s *Server) SetBatchSize(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	s.batchSize = n
-	s.vectorizedOff = false
-}
-
-// BatchSize reports the effective vectorized batch row count.
-func (s *Server) BatchSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return rowset.ClampBatchSize(s.batchSize)
-}
-
-// DisableVectorized forces row-at-a-time execution (the pre-vectorized
-// engine): operators exchange single rows and the batch kernels are
-// bypassed. Read per execution, so it takes effect on the next statement
-// without invalidating cached plans; SetBatchSize re-enables.
-func (s *Server) DisableVectorized() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.vectorizedOff = true
-}
-
-// VectorizedEnabled reports whether batch execution is on.
-func (s *Server) VectorizedEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.vectorizedOff
-}
-
-// DisableTypedVectors forces batch columns into generic boxed mode: batch
-// execution still runs, but the unboxed int64/float64/string payloads,
-// validity bitmaps, and specialized kernels are bypassed (the typed-vs-
-// generic differential-testing and benchmarking axis). Read per execution,
-// so it takes effect on the next statement without invalidating cached
-// plans.
-func (s *Server) DisableTypedVectors() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.typedVectorsOff = true
-}
-
-// EnableTypedVectors restores typed column vectors (the default).
-func (s *Server) EnableTypedVectors() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.typedVectorsOff = false
-}
-
-// TypedVectorsEnabled reports whether typed column vectors are on.
-func (s *Server) TypedVectorsEnabled() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return !s.typedVectorsOff
 }
 
 // SetDurability sets the local storage engine's commit durability:
@@ -561,94 +343,6 @@ func (s *Server) ResolveInDoubt(id uint64, commit bool) error {
 	return nil
 }
 
-// Circuit-breaker defaults: a server must fail more than a full default
-// retry ladder (4 attempts) before its breaker trips, and it stays open for
-// a cooldown long enough that a burst of concurrent branches fails fast
-// rather than queueing probes.
-const (
-	DefaultBreakerThreshold = 5
-	DefaultBreakerCooldown  = 250 * time.Millisecond
-)
-
-// SetQueryTimeout bounds each statement's wall-clock execution. When the
-// deadline passes, remote waits (simulated link sleeps, retry backoffs)
-// abort and the statement fails with a deadline error. 0 disables the
-// deadline. Read per execution, so cached plans honor the new value.
-func (s *Server) SetQueryTimeout(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	s.queryTimeout = d
-}
-
-// QueryTimeout reports the per-statement deadline (0 = none).
-func (s *Server) QueryTimeout() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queryTimeout
-}
-
-// SetPartialResults toggles degraded partitioned-view execution: with it
-// on, a UNION ALL fan-out skips members whose circuit breaker is open
-// (instead of failing the query) and reports them in Result.Skipped. Off
-// by default — partial answers must be opted into.
-func (s *Server) SetPartialResults(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.partialResults = on
-}
-
-// PartialResults reports whether degraded partitioned-view execution is on.
-func (s *Server) PartialResults() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.partialResults
-}
-
-// SetRemoteRetries sets the remote-call attempt budget per operation,
-// including the first attempt: 1 disables retries, 0 restores the default
-// (exec.DefaultRetryAttempts).
-func (s *Server) SetRemoteRetries(attempts int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if attempts < 0 {
-		attempts = 0
-	}
-	s.retryAttempts = attempts
-}
-
-// SetRetryBackoff sets the base backoff between retry attempts (doubled
-// per retry, with full jitter). 0 restores the default.
-func (s *Server) SetRetryBackoff(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d < 0 {
-		d = 0
-	}
-	s.retryBackoff = d
-}
-
-// SetBreaker reconfigures the per-linked-server circuit breakers: a
-// breaker trips after threshold consecutive transient failures and stays
-// open for cooldown before allowing a half-open probe. Existing breakers
-// are discarded (their streaks reset) so the new configuration applies
-// uniformly.
-func (s *Server) SetBreaker(threshold int, cooldown time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if threshold < 1 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	s.breakerThreshold = threshold
-	s.breakerCooldown = cooldown
-	s.breakers = map[string]*circuit.Breaker{}
-}
-
 // breakerFor returns (creating on demand) the server's circuit breaker.
 // The executor calls it once per remote operation.
 func (s *Server) breakerFor(server string) *circuit.Breaker {
@@ -660,7 +354,8 @@ func (s *Server) breakerFor(server string) *circuit.Breaker {
 	defer s.mu.Unlock()
 	b, ok := s.breakers[key]
 	if !ok {
-		b = circuit.New(server, s.breakerThreshold, s.breakerCooldown)
+		cfg := s.cfg.Load()
+		b = circuit.New(server, cfg.BreakerThreshold, cfg.BreakerCooldown)
 		s.breakers[key] = b
 	}
 	return b
@@ -674,20 +369,6 @@ func (s *Server) BreakerState(server string) circuit.State {
 		return circuit.Closed
 	}
 	return b.State()
-}
-
-// planBatchSize is the batch size handed to the optimizer: 0 when batching
-// is disabled (the exploration rule declines), the effective size otherwise.
-func (s *Server) planBatchSize() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.remoteBatchingOff {
-		return 0
-	}
-	if s.remoteBatchSize > 0 {
-		return s.remoteBatchSize
-	}
-	return cost.DefaultRemoteBatch
 }
 
 // AddLinkedServer registers a linked server over an initialized data

@@ -70,20 +70,20 @@ func TestOptimizerEquivalence(t *testing.T) {
 	configs := []config{
 		{"full", func(s *Server) {}},
 		{"tp-only", func(s *Server) {
-			c := s.OptConfig
-			c.MaxPhase = rules.PhaseTP
-			c.TPThreshold = 0
-			s.OptConfig = c
+			s.Configure(func(c *Config) {
+				c.OptConfig.MaxPhase = rules.PhaseTP
+				c.OptConfig.TPThreshold = 0
+			})
 		}},
 		{"quick-only", func(s *Server) {
-			c := s.OptConfig
-			c.MaxPhase = rules.PhaseQuick
-			c.TPThreshold, c.QuickThreshold = 0, 0
-			s.OptConfig = c
+			s.Configure(func(c *Config) {
+				c.OptConfig.MaxPhase = rules.PhaseQuick
+				c.OptConfig.TPThreshold, c.OptConfig.QuickThreshold = 0, 0
+			})
 		}},
-		{"no-spool", func(s *Server) { s.DisableSpool = true }},
-		{"no-param", func(s *Server) { s.DisableParameterization = true }},
-		{"no-stats", func(s *Server) { s.UseRemoteStatistics = false }},
+		{"no-spool", func(s *Server) { s.Configure(func(c *Config) { c.DisableSpool = true }) }},
+		{"no-param", func(s *Server) { s.Configure(func(c *Config) { c.DisableParameterization = true }) }},
+		{"no-stats", func(s *Server) { s.Configure(func(c *Config) { c.UseRemoteStatistics = false }) }},
 	}
 
 	for qi, sql := range queries {

@@ -30,7 +30,7 @@ func TestFanOutSurvivesTransientFaults(t *testing.T) {
 
 	links[1].SetFaults(netsim.Faults{Seed: 9, TransientProb: 0.10})
 	for _, dop := range []int{1, 0} {
-		head.SetMaxDOP(dop)
+		head.Configure(func(c *Config) { c.MaxDOP = dop })
 		res := q(t, head, query)
 		got := sortedPairs(res)
 		if len(got) != len(want) {
@@ -56,7 +56,7 @@ func TestRetriesExhaustedNamesServer(t *testing.T) {
 	head, links := buildFanOut(t, 2, 10)
 	q(t, head, `SELECT y, amount FROM all_sales`) // warm plan + schema
 	links[1].SetFaults(netsim.Faults{Seed: 1, TransientProb: 1})
-	head.SetMaxDOP(1)
+	head.Configure(func(c *Config) { c.MaxDOP = 1 })
 	_, err := head.Query(`SELECT y, amount FROM all_sales`, nil)
 	if err == nil {
 		t.Fatal("query over an always-failing link succeeded")
@@ -78,9 +78,9 @@ func TestBreakerFailFastAndPartialResults(t *testing.T) {
 	head, links := buildFanOut(t, 3, 50)
 	const query = `SELECT y, amount FROM all_sales`
 	q(t, head, query) // warm plan + schema
-	head.SetBreaker(2, time.Hour)
-	head.SetRemoteRetries(2)
-	head.SetRetryBackoff(time.Microsecond)
+	head.Configure(func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 2, time.Hour })
+	head.Configure(func(c *Config) { c.RemoteRetries = 2 })
+	head.Configure(func(c *Config) { c.RetryBackoff = time.Microsecond })
 	links[0].SetDown(true)
 
 	if _, err := head.Query(query, nil); err == nil {
@@ -101,9 +101,9 @@ func TestBreakerFailFastAndPartialResults(t *testing.T) {
 	}
 
 	// Degraded mode: survivors answer, the dead partition is reported.
-	head.SetPartialResults(true)
+	head.Configure(func(c *Config) { c.PartialResults = true })
 	for _, dop := range []int{1, 0} {
-		head.SetMaxDOP(dop)
+		head.Configure(func(c *Config) { c.MaxDOP = dop })
 		res, err := head.Query(query, nil)
 		if err != nil {
 			t.Fatalf("MaxDOP=%d: partial-results query failed: %v", dop, err)
@@ -124,9 +124,9 @@ func TestBreakerRecovery(t *testing.T) {
 	head, links := buildFanOut(t, 2, 20)
 	const query = `SELECT y, amount FROM all_sales`
 	q(t, head, query)
-	head.SetBreaker(2, 20*time.Millisecond)
-	head.SetRemoteRetries(2)
-	head.SetRetryBackoff(time.Microsecond)
+	head.Configure(func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 2, 20*time.Millisecond })
+	head.Configure(func(c *Config) { c.RemoteRetries = 2 })
+	head.Configure(func(c *Config) { c.RetryBackoff = time.Microsecond })
 
 	links[0].SetDown(true)
 	if _, err := head.Query(query, nil); err == nil {
@@ -175,7 +175,7 @@ func TestQueryTimeoutAborts(t *testing.T) {
 
 	baseline := stdruntime.NumGoroutine()
 	link.Sleep = true
-	head.SetQueryTimeout(50 * time.Millisecond)
+	head.Configure(func(c *Config) { c.QueryTimeout = 50 * time.Millisecond })
 	start := time.Now()
 	_, err := head.Query(query, nil)
 	elapsed := time.Since(start)
@@ -203,7 +203,7 @@ func TestQueryTimeoutAborts(t *testing.T) {
 
 	// Clearing the timeout restores normal execution.
 	link.Sleep = false
-	head.SetQueryTimeout(0)
+	head.Configure(func(c *Config) { c.QueryTimeout = 0 })
 	if res := q(t, head, query); len(res.Rows) != 500 {
 		t.Errorf("rows after clearing timeout = %d", len(res.Rows))
 	}
@@ -216,7 +216,7 @@ func TestConcurrentQueriesWithFaults(t *testing.T) {
 	q(t, head, `SELECT y, amount FROM all_sales`)
 	links[0].SetFaults(netsim.Faults{Seed: 7, TransientProb: 0.05})
 	links[2].SetFaults(netsim.Faults{Seed: 11, TransientProb: 0.05})
-	head.SetRetryBackoff(time.Microsecond)
+	head.Configure(func(c *Config) { c.RetryBackoff = time.Microsecond })
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -248,7 +248,7 @@ func TestConcurrentQueriesWithFaults(t *testing.T) {
 // names that server.
 func TestViewDMLFailureNamesServer(t *testing.T) {
 	head, links := buildFanOut(t, 2, 5)
-	head.SetRemoteRetries(1)
+	head.Configure(func(c *Config) { c.RemoteRetries = 1 })
 	links[1].SetDown(true)
 	_, err := head.Exec(`UPDATE all_sales SET amount = 0`)
 	if err == nil {

@@ -130,7 +130,7 @@ func TestOpenQueryPassThrough(t *testing.T) {
 // customers, joining the mail provider with an Access-class database.
 func TestEmailFederation(t *testing.T) {
 	s := NewServer("local", "db")
-	today := s.Today
+	today := s.Config().Today
 	d := func(daysAgo int64) sqltypes.Value {
 		return sqltypes.NewDateDays(today.DateDays() - daysAgo)
 	}

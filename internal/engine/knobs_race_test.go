@@ -2,23 +2,26 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"dhqp/internal/rules"
 	"dhqp/internal/sqltypes"
 	"dhqp/internal/storage"
 )
 
 // TestKnobFlipsDuringConcurrentQueries is the knob-audit regression: every
-// runtime Set* knob flips continuously while query goroutines run, and the
-// race detector must stay quiet. Query paths may only read knob state
-// through mutex-guarded snapshots; a bare field read here is a -race
-// failure, not a flake.
+// Config field flips continuously through Configure while query, EXPLAIN
+// ANALYZE and DML goroutines run, and the race detector must stay quiet. A
+// statement reads its knobs from the one Config it loaded; a bare field
+// read of shared state here is a -race failure, not a flake.
 func TestKnobFlipsDuringConcurrentQueries(t *testing.T) {
 	local, _, _ := linkTwo(t)
+	local.MustExec(`CREATE TABLE knob_dates (id int, d date, PRIMARY KEY (id))`)
 	queries := []string{
 		`SELECT COUNT(*) AS n FROM nation`,
 		`SELECT c_name FROM remote0.salesdb.dbo.customer WHERE c_id = 7`,
@@ -28,6 +31,7 @@ func TestKnobFlipsDuringConcurrentQueries(t *testing.T) {
 	for _, sql := range queries {
 		q(t, local, sql)
 	}
+	phases := []rules.Phase{rules.PhaseTP, rules.PhaseQuick, rules.PhaseFull}
 	stop := make(chan struct{})
 	var flipper sync.WaitGroup
 	flipper.Add(1)
@@ -39,27 +43,31 @@ func TestKnobFlipsDuringConcurrentQueries(t *testing.T) {
 				return
 			default:
 			}
-			local.SetMaxDOP(i % 3)
-			local.SetRemoteBatchSize(50 + i%50)
-			if i%2 == 0 {
-				local.SetBatchSize(1 + i%2048)
-			} else {
-				local.DisableVectorized()
-			}
-			if i%3 == 0 {
-				local.DisableTypedVectors()
-			} else {
-				local.EnableTypedVectors()
-			}
-			local.SetQueryTimeout(time.Duration(i%2) * time.Minute)
-			local.SetPartialResults(i%2 == 0)
-			local.SetCollectStats(i%2 == 1)
-			local.SetRemoteRetries(1 + i%3)
-			local.SetRetryBackoff(time.Duration(i%3) * time.Millisecond)
-			local.SetBreaker(5+i%5, time.Second)
+			local.Configure(func(c *Config) {
+				c.OptConfig.MaxPhase = phases[i%3]
+				c.OptConfig.ExploreBudget = 32 + i%64
+				c.UseRemoteStatistics = i%2 == 0
+				c.DisableSpool = i%3 == 0
+				c.DisableParameterization = i%4 == 0
+				c.DisableAggSplit = i%5 == 0
+				c.RemoteBatchSize = 50 + i%50
+				c.DisableRemoteBatching = i%6 == 0
+				c.Today = sqltypes.NewDateDays(int64(19000 + i%100))
+				c.CollectStats = i%2 == 1
+				c.MaxDOP = i % 3
+				c.BatchSize = 1 + i%2048
+				c.ExecMode = ExecMode(i % 3)
+				c.QueryTimeout = time.Duration(i%2) * time.Minute
+				c.PartialResults = i%2 == 0
+				c.RemoteRetries = 1 + i%3
+				c.RetryBackoff = time.Duration(i%3) * time.Millisecond
+				c.SlowQueryThreshold = time.Duration(i % 2)
+				c.SlowQueryWriter = io.Discard
+				c.BreakerThreshold = 5 + i%5
+				c.BreakerCooldown = time.Second
+			})
 			local.SetPlanCacheCapacity(2 + i%8)
 			local.SetQueryStatsCapacity(2 + i%8)
-			local.SetToday(sqltypes.NewDateDays(int64(19000 + i%100)))
 		}
 	}()
 	var wg sync.WaitGroup
@@ -77,6 +85,29 @@ func TestKnobFlipsDuringConcurrentQueries(t *testing.T) {
 			}
 		}(g)
 	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if _, err := local.ExplainAnalyze(queries[i%len(queries)], nil); err != nil {
+				errs <- fmt.Errorf("explain: %w", err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			if _, err := local.Exec(fmt.Sprintf(`INSERT INTO knob_dates VALUES (%d, today())`, i)); err != nil {
+				errs <- fmt.Errorf("insert: %w", err)
+				return
+			}
+			if _, err := local.Exec(fmt.Sprintf(`UPDATE knob_dates SET d = today() WHERE id = %d`, i)); err != nil {
+				errs <- fmt.Errorf("update: %w", err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
 	close(stop)
 	flipper.Wait()

@@ -10,7 +10,6 @@ package engine
 
 import (
 	"encoding/json"
-	"io"
 	"os"
 	"sync"
 	"time"
@@ -221,28 +220,6 @@ func (m multiObserver) ObserveCall(l *netsim.Link, rows, bytes int, fault bool, 
 
 // --- slow-query log -----------------------------------------------------
 
-// SetSlowQueryThreshold enables the structured slow-query log:
-// statements whose total elapsed time meets or exceeds d emit one JSON
-// line to the configured writer (stderr by default). 0 disables.
-func (s *Server) SetSlowQueryThreshold(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.slowThreshold.Store(int64(d))
-}
-
-// SlowQueryThreshold reports the configured threshold (0 = off).
-func (s *Server) SlowQueryThreshold() time.Duration {
-	return time.Duration(s.slowThreshold.Load())
-}
-
-// SetSlowQueryWriter redirects the slow-query log (nil restores stderr).
-func (s *Server) SetSlowQueryWriter(w io.Writer) {
-	s.slowMu.Lock()
-	s.slowWriter = w
-	s.slowMu.Unlock()
-}
-
 // slowQueryRecord is one slow-query log line.
 type slowQueryRecord struct {
 	TS        string  `json:"ts"`
@@ -259,10 +236,9 @@ type slowQueryRecord struct {
 }
 
 // maybeLogSlow emits the slow-query record when the statement crossed
-// the threshold. tr may be nil (untraced statement).
-func (s *Server) maybeLogSlow(qs *telemetry.QueryStats, tr *telemetry.Trace) {
-	thr := s.slowThreshold.Load()
-	if thr <= 0 || int64(qs.Elapsed) < thr {
+// cfg's threshold. tr may be nil (untraced statement).
+func (s *Server) maybeLogSlow(cfg *Config, qs *telemetry.QueryStats, tr *telemetry.Trace) {
+	if cfg.SlowQueryThreshold <= 0 || qs.Elapsed < cfg.SlowQueryThreshold {
 		return
 	}
 	if m := s.instr(); m != nil {
@@ -289,11 +265,11 @@ func (s *Server) maybeLogSlow(qs *telemetry.QueryStats, tr *telemetry.Trace) {
 	if err != nil {
 		return
 	}
-	s.slowMu.Lock()
-	w := s.slowWriter
+	w := cfg.SlowQueryWriter
 	if w == nil {
 		w = os.Stderr
 	}
+	s.slowMu.Lock()
 	w.Write(append(line, '\n'))
 	s.slowMu.Unlock()
 }

@@ -64,13 +64,13 @@ func TestParallelFanOutMatchesSerial(t *testing.T) {
 	head, _ := buildFanOut(t, 4, 100)
 	const query = `SELECT y, amount FROM all_sales`
 
-	head.SetMaxDOP(1)
+	head.Configure(func(c *Config) { c.MaxDOP = 1 })
 	serial := sortedPairs(q(t, head, query))
 	if len(serial) != 400 {
 		t.Fatalf("serial rows = %d", len(serial))
 	}
 
-	head.SetMaxDOP(0)
+	head.Configure(func(c *Config) { c.MaxDOP = 0 })
 	parallel := sortedPairs(q(t, head, query))
 	if len(parallel) != len(serial) {
 		t.Fatalf("parallel rows = %d, want %d", len(parallel), len(serial))

@@ -89,7 +89,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 	checkModeGrid(t, s, prunedQueries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
 
 	// The answers as of now, by the row path.
-	s.DisableVectorized()
+	s.Configure(func(c *Config) { c.ExecMode = ExecRow })
 	before := map[string][]string{}
 	for _, sql := range prunedQueries {
 		res, err := s.Query(sql, nil)
@@ -110,13 +110,12 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
+		cfg := s.cfg.Load()
 		ctx := &exec.Context{
 			RT:        &runtime{s: s, local: s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())},
-			BatchSize: s.batchSize, NoVectorized: s.vectorizedOff, NoTypedVectors: s.typedVectorsOff,
+			BatchSize: cfg.BatchSize, NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
 			Ctx: context.Background(), Diags: &exec.Diagnostics{},
 		}
-		s.mu.Unlock()
 		var m rowset.Materialized
 		if err := exec.Stream(plan, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
 			return nil, err

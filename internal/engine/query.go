@@ -8,6 +8,7 @@ import (
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/binder"
+	"dhqp/internal/cost"
 	"dhqp/internal/exec"
 	"dhqp/internal/netsim"
 	"dhqp/internal/oledb"
@@ -29,7 +30,7 @@ type Result struct {
 	// faults absorbed) while producing this result.
 	Retries int64
 	// Skipped lists linked servers whose partitioned-view members were
-	// skipped under partial-results execution (SetPartialResults), sorted
+	// skipped under partial-results execution (Config.PartialResults), sorted
 	// and deduplicated. Empty means the result is complete.
 	Skipped []string
 	// Stats summarizes the execution (rows, elapsed, per-link traffic,
@@ -85,12 +86,12 @@ func (r *Result) Display() string {
 // returns the plan, the result columns and the optimizer report.
 func (s *Server) Plan(sql string) (*algebra.Node, []schema.Column, *opt.Report, error) {
 	defer s.shards.PinStatement()()
-	return s.planSQL(sql, nil)
+	return s.planSQL(s.cfg.Load(), sql, nil)
 }
 
-// planSQL compiles a SELECT, recording compile-phase spans (parse, bind,
-// optimize, decode) into the collector when one is supplied.
-func (s *Server) planSQL(sql string, col *telemetry.Collector) (*algebra.Node, []schema.Column, *opt.Report, error) {
+// planSQL compiles a SELECT under cfg, recording compile-phase spans (parse,
+// bind, optimize, decode) into the collector when one is supplied.
+func (s *Server) planSQL(cfg *Config, sql string, col *telemetry.Collector) (*algebra.Node, []schema.Column, *opt.Report, error) {
 	start := time.Now()
 	st, err := parser.Parse(sql)
 	d := time.Since(start)
@@ -103,14 +104,10 @@ func (s *Server) planSQL(sql string, col *telemetry.Collector) (*algebra.Node, [
 	if !ok {
 		return nil, nil, nil, fmt.Errorf("engine: Plan expects a SELECT, got %T", st)
 	}
-	return s.planSelectWith(sel, col)
+	return s.planSelectWith(cfg, sel, col)
 }
 
-func (s *Server) planSelect(sel *parser.SelectStmt) (*algebra.Node, []schema.Column, *opt.Report, error) {
-	return s.planSelectWith(sel, nil)
-}
-
-func (s *Server) planSelectWith(sel *parser.SelectStmt, col *telemetry.Collector) (*algebra.Node, []schema.Column, *opt.Report, error) {
+func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *telemetry.Collector) (*algebra.Node, []schema.Column, *opt.Report, error) {
 	start := time.Now()
 	b := binder.New(&catalog{s: s})
 	bound, err := b.BindSelect(sel)
@@ -123,14 +120,14 @@ func (s *Server) planSelectWith(sel *parser.SelectStmt, col *telemetry.Collector
 	// Narrow scans to the columns the statement reads before the tree is
 	// memoized: member servers then materialize and ship only those.
 	binder.PruneColumns(bound)
-	// Snapshot the planning knobs under the engine mutex: admin sessions
-	// may flip them while other sessions compile.
-	s.mu.Lock()
-	disableSpool, disableParam := s.DisableSpool, s.DisableParameterization
-	disableAggSplit := s.DisableAggSplit
-	optCfg := s.OptConfig
-	s.mu.Unlock()
-	md := s.newMetadata(bound.Root)
+	md := s.newMetadata(bound.Root, cfg.UseRemoteStatistics)
+	remoteBatch := cfg.RemoteBatchSize
+	if remoteBatch == 0 {
+		remoteBatch = cost.DefaultRemoteBatch
+	}
+	if cfg.DisableRemoteBatching {
+		remoteBatch = 0 // the batched-join exploration rule declines
+	}
 	rctx := &rules.Context{
 		CapsFor: func(server string) (oledb.Capabilities, bool) {
 			return s.capsFor(server)
@@ -149,16 +146,16 @@ func (s *Server) planSelectWith(sel *parser.SelectStmt, col *telemetry.Collector
 			return rules.FulltextIndexInfo{Server: ftServerName, Catalog: cat}, true
 		},
 		TableCardFn:             md.TableCardinality,
-		DisableSpool:            disableSpool,
-		DisableParameterization: disableParam,
-		DisableAggSplit:         disableAggSplit,
-		RemoteBatchSize:         s.planBatchSize(),
+		DisableSpool:            cfg.DisableSpool,
+		DisableParameterization: cfg.DisableParameterization,
+		DisableAggSplit:         cfg.DisableAggSplit,
+		RemoteBatchSize:         remoteBatch,
 	}
-	cfg := optCfg
-	if cfg.Model == nil {
-		cfg.Model = s.costModel()
+	optCfg := cfg.OptConfig
+	if optCfg.Model == nil {
+		optCfg.Model = s.costModel()
 	}
-	optimizer := opt.New(cfg, rctx)
+	optimizer := opt.New(optCfg, rctx)
 	start = time.Now()
 	plan, report, err := optimizer.Optimize(bound.Root, md, bound.RequiredOrder)
 	d = time.Since(start)
@@ -291,7 +288,7 @@ func (s *Server) Query(sql string, params map[string]sqltypes.Value) (*Result, e
 // QueryContext is Query under a caller-supplied context: cancelling it (or
 // its deadline passing) aborts the statement mid-execution with a
 // cancelled-class error — remote transfers, retry backoffs and the row loop
-// all observe it. A configured SetQueryTimeout still applies on top. It is
+// all observe it. A configured Config.QueryTimeout still applies on top. It is
 // QueryStreamContext into a materializer.
 func (s *Server) QueryContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
 	return materialize(func(sink ResultSink) (*Result, error) {
@@ -320,25 +317,26 @@ func (s *Server) QueryStreamContext(ctx context.Context, sql string, params map[
 // (the rebalance copier runs inside the topology lock; re-entrant statement
 // work like partitioned-view DML fan-out must not re-acquire a gate its
 // outer statement already holds).
+//
+// The statement loads the server's Config once, here, and compiles and
+// executes under it; a cached plan of another planning generation is a miss.
 func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
+	cfg := s.cfg.Load()
 	var col *telemetry.Collector
-	if s.CollectStats() {
+	if cfg.CollectStats {
 		col = telemetry.NewCollector()
 	}
 	m := s.instr()
 	s.mu.Lock()
-	disableCache := s.DisablePlanCache
-	var cached *cachedPlan
-	if !disableCache {
-		if c, ok := s.planCache.Get(sql); ok {
-			s.planCacheHits++
-			cached = c
-		} else {
-			s.planCacheMisses++
-		}
+	cached, ok := s.planCache.Get(sql)
+	if ok && cached.gen == cfg.planGen {
+		s.planCacheHits++
+	} else {
+		cached = nil
+		s.planCacheMisses++
 	}
 	s.mu.Unlock()
-	if m != nil && !disableCache {
+	if m != nil {
 		if cached != nil {
 			m.planHits.Inc()
 		} else {
@@ -349,28 +347,26 @@ func (s *Server) queryContext(ctx context.Context, sql string, params map[string
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
 		col.CaptureRemoteSQL(cached.plan)
-		return s.runPlan(ctx, sql, cached.plan, cached.cols, params, true, col, sink)
+		return s.runPlan(ctx, cfg, sql, cached.plan, cached.cols, params, true, col, sink)
 	}
-	plan, cols, _, err := s.planSQL(sql, col)
+	plan, cols, _, err := s.planSQL(cfg, sql, col)
 	if err != nil {
 		return nil, err
 	}
-	if !disableCache {
-		s.mu.Lock()
-		evicted := s.planCache.Put(sql, &cachedPlan{plan: plan, cols: cols})
-		if evicted {
-			s.planCacheEvictions++
-		}
-		s.mu.Unlock()
-		if evicted && m != nil {
-			m.planEvictions.Inc()
-		}
+	s.mu.Lock()
+	evicted := s.planCache.Put(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
+	if evicted {
+		s.planCacheEvictions++
 	}
-	return s.runPlan(ctx, sql, plan, cols, params, false, col, sink)
+	s.mu.Unlock()
+	if evicted && m != nil {
+		m.planEvictions.Inc()
+	}
+	return s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
 }
 
 // ExplainAnalyze compiles and executes a SELECT with full statistics
-// collection — regardless of SetCollectStats — and returns the physical plan
+// collection — regardless of Config.CollectStats — and returns the physical plan
 // annotated with estimated vs. actual rows per operator, pipeline phase
 // spans, decoded remote statements and per-linked-server network metrics
 // (the reproduction of an actual execution plan / SET STATISTICS PROFILE).
@@ -388,8 +384,9 @@ func (s *Server) ExplainAnalyze(sql string, params map[string]sqltypes.Value) (*
 // the distributed span tree.
 func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*telemetry.Explain, error) {
 	defer s.shards.PinStatement()()
+	cfg := s.cfg.Load()
 	col := telemetry.NewCollector()
-	plan, cols, _, err := s.planSQL(sql, col)
+	plan, cols, _, err := s.planSQL(cfg, sql, col)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +399,7 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 		ctx = telemetry.WithTrace(ctx, tr, 0)
 	}
 	res, err := materialize(func(sink ResultSink) (*Result, error) {
-		return s.runPlan(ctx, sql, plan, cols, params, false, col, sink)
+		return s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
 	})
 	if err != nil {
 		return nil, err
@@ -417,24 +414,17 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 	}, nil
 }
 
-// runPlan executes a compiled plan into sink. Execution and serialization
-// interleave a batch at a time; the time spent inside sink.Batch is
-// reported as the serialize phase and the rest as execute.
-func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
+// runPlan executes a compiled plan into sink under cfg's execution fields.
+// Execution and serialization interleave a batch at a time; the time spent
+// inside sink.Batch is reported as the serialize phase and the rest as
+// execute.
+func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
 	if params == nil {
 		params = map[string]sqltypes.Value{}
 	}
 	if base == nil {
 		base = context.Background()
 	}
-	// Execution knobs are read here under the engine mutex, per execution,
-	// so cached plans always honor the current values and admin-session
-	// flips never race a running statement.
-	s.mu.Lock()
-	timeout, retryA, retryB, partial := s.queryTimeout, s.retryAttempts, s.retryBackoff, s.partialResults
-	today, noPrefetch := s.Today, s.DisableRemotePrefetch
-	batchSize, noVectorized, noTyped := s.batchSize, s.vectorizedOff, s.typedVectorsOff
-	s.mu.Unlock()
 	ins := s.instr()
 	// Per-statement link attribution rides the statement context into every
 	// netsim call this execution makes: links are shared across concurrent
@@ -452,9 +442,9 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	// one statement span; remote calls open child spans below it.
 	qctx, endSpan := telemetry.StartSpan(qctx, s.name, "statement", queryText)
 	defer endSpan()
-	if timeout > 0 {
+	if cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, timeout)
+		qctx, cancel = context.WithTimeout(qctx, cfg.QueryTimeout)
 		defer cancel()
 	}
 	tripsBefore := s.breakerTrips()
@@ -466,12 +456,11 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	defer snap.Release()
 	localView := s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())
 	ctx := &exec.Context{
-		RT: &runtime{s: s, local: localView}, Params: params, Today: today,
-		MaxDOP: s.MaxDOP(), NoPrefetch: noPrefetch,
-		RemoteBatchSize: s.RemoteBatchSize(),
-		BatchSize:       batchSize, NoVectorized: noVectorized, NoTypedVectors: noTyped,
-		Ctx: qctx, RetryAttempts: retryA, RetryBackoff: retryB,
-		BreakerFor: s.breakerFor, PartialResults: partial, Diags: diags,
+		RT: &runtime{s: s, local: localView}, Params: params, Today: cfg.Today,
+		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
+		NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
+		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
+		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults, Diags: diags,
 		Stats: col, Server: s.name,
 	}
 	if s.shards.Active() {
@@ -528,7 +517,7 @@ func (s *Server) runPlan(base context.Context, queryText string, plan *algebra.N
 	}
 	s.queryStats.Record(qs)
 	tr, _ := telemetry.TraceFrom(qctx)
-	s.maybeLogSlow(qs, tr)
+	s.maybeLogSlow(cfg, qs, tr)
 	return &Result{Cols: cols, Retries: diags.Retries(), Skipped: diags.Skipped(), Stats: qs}, nil
 }
 

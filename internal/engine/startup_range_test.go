@@ -228,7 +228,7 @@ func TestRemoteMemberModeGrid(t *testing.T) {
 	}
 	checkModeGrid(t, head, ordered, run)
 	// One member after another, the members' own order is the result's.
-	head.SetMaxDOP(1)
+	head.Configure(func(c *Config) { c.MaxDOP = 1 })
 	checkModeGrid(t, head, []string{shipStmt, `SELECT o_id, amount FROM orders WHERE o_id >= @lo AND o_id < @hi`}, run)
 }
 

@@ -153,9 +153,9 @@ func TestExplainAnalyzeBatchLoopJoin(t *testing.T) {
 // enough round trips for the 10% plan to fire, and to fire mid-stream.
 func TestExplainAnalyzeUnderFaults(t *testing.T) {
 	head, links := buildFanOut(t, 3, 100)
-	head.SetBatchSize(16)
-	head.SetRemoteRetries(8)
-	head.SetBreaker(1000, time.Hour)
+	head.Configure(func(c *Config) { c.BatchSize = 16 })
+	head.Configure(func(c *Config) { c.RemoteRetries = 8 })
+	head.Configure(func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 1000, time.Hour })
 	const query = `SELECT y, amount FROM all_sales`
 	q(t, head, query)
 	for i, l := range links {
@@ -282,7 +282,7 @@ func TestCollectStatsSpans(t *testing.T) {
 	}
 
 	s.SetCollectStats(true)
-	if !s.CollectStats() {
+	if !s.Config().CollectStats {
 		t.Fatal("CollectStats not set")
 	}
 	res = q(t, s, `SELECT a FROM t WHERE a > 1`)
@@ -346,9 +346,9 @@ func TestDisplayAlignment(t *testing.T) {
 // links' own counters.
 func TestBatchTransportFaultParity(t *testing.T) {
 	head, links := buildFanOut(t, 3, 100)
-	head.SetBatchSize(16) // seven fetches per member
-	head.SetRemoteRetries(8)
-	head.SetBreaker(1000, time.Hour)
+	head.Configure(func(c *Config) { c.BatchSize = 16 }) // seven fetches per member
+	head.Configure(func(c *Config) { c.RemoteRetries = 8 })
+	head.Configure(func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 1000, time.Hour })
 	const query = `SELECT y, amount FROM all_sales`
 	q(t, head, query)
 	midStream := 0

@@ -141,22 +141,19 @@ func loadStarTables(s *Server) {
 func checkModeGrid(t *testing.T, s *Server, queries []string, run func(sql string) (*Result, error)) {
 	t.Helper()
 	modes := []struct {
-		name  string
-		apply func()
+		name string
+		mode ExecMode
+		size int
 	}{
-		{"row", func() { s.DisableVectorized() }},
-		{"vec-1", func() { s.EnableTypedVectors(); s.SetBatchSize(1) }},
-		{"vec-3", func() { s.EnableTypedVectors(); s.SetBatchSize(3) }},
-		{"vec-1024", func() { s.EnableTypedVectors(); s.SetBatchSize(1024) }},
-		{"gen-1", func() { s.DisableTypedVectors(); s.SetBatchSize(1) }},
-		{"gen-3", func() { s.DisableTypedVectors(); s.SetBatchSize(3) }},
-		{"gen-1024", func() { s.DisableTypedVectors(); s.SetBatchSize(1024) }},
+		{"row", ExecRow, 0},
+		{"vec-1", ExecTyped, 1}, {"vec-3", ExecTyped, 3}, {"vec-1024", ExecTyped, 1024},
+		{"gen-1", ExecGeneric, 1}, {"gen-3", ExecGeneric, 3}, {"gen-1024", ExecGeneric, 1024},
 	}
 	for qi, sql := range queries {
 		var reference []string
 		var refName string
 		for _, mode := range modes {
-			mode.apply()
+			s.Configure(func(c *Config) { c.ExecMode, c.BatchSize = mode.mode, mode.size })
 			res, err := run(sql)
 			if err != nil {
 				t.Fatalf("query %d under %s: %v", qi, mode.name, err)
@@ -180,13 +177,13 @@ func checkModeGrid(t *testing.T, s *Server, queries []string, run func(sql strin
 			}
 		}
 	}
-	s.SetBatchSize(0) // restore defaults
-	s.EnableTypedVectors()
+	s.Configure(func(c *Config) { c.ExecMode, c.BatchSize = ExecTyped, 0 }) // restore defaults
 }
 
-// TestVectorizedKnobFlipMidQuery flips SetBatchSize/DisableVectorized
+// TestVectorizedKnobFlipMidQuery flips Config.BatchSize and ExecMode
 // continuously while queries run on other goroutines; under -race this
-// proves the knobs are mutex-snapshot reads, never mid-execution flips.
+// proves a statement reads them from the Config it loaded, never
+// mid-execution flips.
 func TestVectorizedKnobFlipMidQuery(t *testing.T) {
 	s := vecServer(t)
 	queries := []string{
@@ -205,15 +202,10 @@ func TestVectorizedKnobFlipMidQuery(t *testing.T) {
 				return
 			default:
 			}
-			switch i % 4 {
-			case 0:
-				s.DisableVectorized()
-			case 1:
-				s.DisableTypedVectors()
-			case 2:
-				s.EnableTypedVectors()
-			default:
-				s.SetBatchSize(1 + i%2048)
+			if i%4 == 3 {
+				s.Configure(func(c *Config) { c.BatchSize = 1 + i%2048 })
+			} else {
+				s.Configure(func(c *Config) { c.ExecMode = ExecMode(i % 4) })
 			}
 		}
 	}()
@@ -248,12 +240,12 @@ func TestVectorizedKnobFlipMidQuery(t *testing.T) {
 func TestVectorizedExplainAnalyzeExact(t *testing.T) {
 	s := vecServer(t)
 	sql := `SELECT b, COUNT(*) AS c FROM t1 WHERE a IS NOT NULL GROUP BY b`
-	s.SetBatchSize(4) // force multiple batches over 12 rows
+	s.Configure(func(c *Config) { c.BatchSize = 4 }) // force multiple batches over 12 rows
 	vec, err := s.ExplainAnalyze(sql, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.DisableVectorized()
+	s.Configure(func(c *Config) { c.ExecMode = ExecRow })
 	row, err := s.ExplainAnalyze(sql, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -118,8 +118,8 @@ func (c *Context) batchSize() int { return rowset.ClampBatchSize(c.BatchSize) }
 func (c *Context) vectorized() bool { return !c.NoVectorized }
 
 // newBatch allocates a batch sized and typed per this statement's knobs;
-// every operator-owned scratch batch must come through here so the
-// DisableTypedVectors knob reaches each fill site.
+// every operator-owned scratch batch must come through here so
+// generic mode (NoTypedVectors) reaches each fill site.
 func (c *Context) newBatch() *rowset.Batch {
 	b := rowset.NewBatch(c.batchSize())
 	b.SetTypedEnabled(!c.NoTypedVectors)

@@ -87,8 +87,8 @@ func (b *Batch) Len() int {
 }
 
 // SetTypedEnabled toggles typed columns for this batch; when disabled,
-// ResetTyped degrades to generic boxed columns (the DisableTypedVectors
-// knob's differential-testing path). The flag persists across resets.
+// ResetTyped degrades to generic boxed columns (the generic execution
+// mode's differential-testing path). The flag persists across resets.
 func (b *Batch) SetTypedEnabled(on bool) { b.noTyped = !on }
 
 // TypedEnabled reports whether ResetTyped will produce typed columns.

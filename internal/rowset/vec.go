@@ -322,7 +322,7 @@ func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 // copyRange refills v with exactly the k elements [off, off+k) of src — the
 // columnar-image scan path, where filling a batch is a payload memcpy
 // instead of a per-value conversion. When boxed is set the copy boxes into
-// generic mode regardless of src's representation (the DisableTypedVectors
+// generic mode regardless of src's representation (the generic ExecMode
 // differential path). src is only read: scans share one image.
 func (v *Vec) copyRange(src *Vec, off, k int, boxed bool) {
 	if src.kind == sqltypes.KindNull || boxed {

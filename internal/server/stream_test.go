@@ -122,13 +122,13 @@ func sameResult(t *testing.T, what string, wantCols []schema.Column, wantRows []
 // zero-row results, every DMV, a traced statement, and partial results.
 func TestTCPMatchesInProcess(t *testing.T) {
 	eng := gridEngine(t)
-	eng.SetMaxDOP(1) // UNION ALL branches in order: results compare row by row
+	eng.Configure(func(c *engine.Config) { c.MaxDOP = 1 }) // UNION ALL branches in order: results compare row by row
 	srv, addr := startServer(t, eng, Options{})
 	defer srv.Close()
 	c := dial(t, addr)
 	defer c.Close()
 	for _, size := range []int{1, 3, 0} {
-		eng.SetBatchSize(size)
+		eng.Configure(func(c *engine.Config) { c.BatchSize = size })
 		for _, sql := range gridQueries {
 			want, err := eng.Query(sql, nil)
 			if err != nil {
@@ -184,18 +184,18 @@ func TestTCPMatchesInProcess(t *testing.T) {
 
 	// Partial results: a downed member is skipped, and both sides say so.
 	head, links := buildFederation(t, 3, 20, 0, false)
-	head.SetMaxDOP(1)
+	head.Configure(func(c *engine.Config) { c.MaxDOP = 1 })
 	const q = `SELECT y, amount FROM all_sales`
 	if _, err := head.Query(q, nil); err != nil {
 		t.Fatal(err)
 	}
-	head.SetBreaker(1, time.Hour)
-	head.SetRemoteRetries(1)
+	head.Configure(func(c *engine.Config) { c.BreakerThreshold, c.BreakerCooldown = 1, time.Hour })
+	head.Configure(func(c *engine.Config) { c.RemoteRetries = 1 })
 	links[1].SetDown(true)
 	if _, err := head.Query(q, nil); err == nil {
 		t.Fatal("query with a downed member succeeded")
 	}
-	head.SetPartialResults(true)
+	head.Configure(func(c *engine.Config) { c.PartialResults = true })
 	fsrv, faddr := startServer(t, head, Options{})
 	defer fsrv.Close()
 	fc := dial(t, faddr)
@@ -494,7 +494,7 @@ func TestCancelWhileReading(t *testing.T) {
 	// a call, so it streams for well over 100 ms whatever the host.
 	t.Run("client", func(t *testing.T) {
 		head, _ := buildFederation(t, 2, 400, 5*time.Millisecond, true)
-		head.SetBatchSize(16)
+		head.Configure(func(c *engine.Config) { c.BatchSize = 16 })
 		fsrv, faddr := startServer(t, head, Options{})
 		defer fsrv.Close()
 		c := dial(t, faddr)
@@ -573,8 +573,8 @@ func TestServerRefusesRowsFrames(t *testing.T) {
 // answer is the in-process one.
 func TestWideBatchSplits(t *testing.T) {
 	eng := bigEngine(t)
-	eng.SetBatchSize(rowset.MaxBatchSize)
-	defer eng.SetBatchSize(0)
+	eng.Configure(func(c *engine.Config) { c.BatchSize = rowset.MaxBatchSize })
+	defer eng.Configure(func(c *engine.Config) { c.BatchSize = 0 })
 	const width = 17 // a 4 096-row batch holds 69 632 values
 	sel := make([]string, width)
 	for j := range sel {

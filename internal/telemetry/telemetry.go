@@ -11,8 +11,8 @@
 // per linked server, and repeated executions aggregate into the registry.
 //
 // Collection is per-execution: the engine hands the executor a Collector
-// (gated by Server.SetCollectStats so the default hot path stays clean) and
-// a LinkTracker rides the statement context into netsim.Link.Call via
+// (gated by engine.Config.CollectStats so the default hot path stays
+// clean) and a LinkTracker rides the statement context into netsim.Link.Call via
 // netsim.WithObserver, so concurrent statements never pollute each other's
 // link accounting.
 package telemetry
