@@ -80,8 +80,6 @@ type Breaker struct {
 	consecutive int
 	openedAt    time.Time
 	probing     bool // a half-open probe is in flight
-
-	trips int64 // closed→open transitions (diagnostics)
 }
 
 // New returns a closed breaker for the named server. threshold is the
@@ -137,27 +135,28 @@ func (b *Breaker) Success() {
 	b.probing = false
 }
 
-// Failure records a failed call. In the closed state it extends the streak
-// and trips the breaker at the threshold; a failed half-open probe re-opens
-// immediately for another cooldown.
-func (b *Breaker) Failure() {
+// Failure records a failed call and reports whether it tripped the breaker.
+// In the closed state it extends the streak and trips the breaker at the
+// threshold; a failed half-open probe re-opens immediately for another
+// cooldown. Exactly one call reports each trip, so the statement that
+// caused it can be charged with it.
+func (b *Breaker) Failure() (tripped bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
 	case HalfOpen:
-		b.state = Open
-		b.openedAt = b.now()
 		b.probing = false
-		b.trips++
+		tripped = true
 	case Closed:
 		b.consecutive++
-		if b.consecutive >= b.threshold {
-			b.state = Open
-			b.openedAt = b.now()
-			b.trips++
-		}
+		tripped = b.consecutive >= b.threshold
 	default: // Open: a straggler finishing after the trip; nothing to do.
 	}
+	if tripped {
+		b.state = Open
+		b.openedAt = b.now()
+	}
+	return tripped
 }
 
 // ProbeAborted releases a half-open probe slot without a health verdict:
@@ -178,11 +177,4 @@ func (b *Breaker) State() State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.state
-}
-
-// Trips reports how many times the breaker has opened.
-func (b *Breaker) Trips() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

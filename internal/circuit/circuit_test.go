@@ -39,15 +39,22 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 		if err := b.Allow(); err != nil {
 			t.Fatalf("closed breaker rejected call %d: %v", i, err)
 		}
-		b.Failure()
+		if b.Failure() {
+			t.Fatalf("failure %d of 3 reported a trip", i+1)
+		}
 	}
 	if b.State() != Closed {
 		t.Fatalf("state after 2/3 failures = %v", b.State())
 	}
 	b.Allow()
-	b.Failure() // third consecutive failure trips it
+	if !b.Failure() { // third consecutive failure trips it
+		t.Error("the tripping failure did not report the trip")
+	}
 	if b.State() != Open {
 		t.Fatalf("state after threshold = %v", b.State())
+	}
+	if b.Failure() {
+		t.Error("a straggler failing on an open breaker reported a second trip")
 	}
 	err := b.Allow()
 	if err == nil || !IsOpen(err) {
@@ -58,9 +65,6 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 	}
 	if IsOpen(errors.New("other")) {
 		t.Error("IsOpen false positive")
-	}
-	if b.Trips() != 1 {
-		t.Errorf("trips = %d", b.Trips())
 	}
 }
 
@@ -82,7 +86,9 @@ func TestBreakerSuccessResetsStreak(t *testing.T) {
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	b, clk := newTestBreaker(1, time.Minute)
 	b.Allow()
-	b.Failure()
+	if !b.Failure() {
+		t.Error("the first failure at threshold 1 did not report its trip")
+	}
 	if b.State() != Open {
 		t.Fatal("threshold 1 should trip on first failure")
 	}
@@ -101,9 +107,11 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		t.Fatalf("second caller during probe = %v, want fail-fast", err)
 	}
 	// Failed probe re-opens for another cooldown.
-	b.Failure()
-	if b.State() != Open || b.Trips() != 2 {
-		t.Fatalf("state after failed probe = %v, trips = %d", b.State(), b.Trips())
+	if !b.Failure() {
+		t.Error("the failed probe did not report its trip")
+	}
+	if b.State() != Open {
+		t.Fatalf("state after failed probe = %v", b.State())
 	}
 	clk.advance(time.Minute)
 	if err := b.Allow(); err != nil {

@@ -346,14 +346,16 @@ func (s *Server) insertRows(cfg *Config, st *parser.InsertStmt, params map[strin
 
 // querySelect runs a parsed SELECT (INSERT ... SELECT path).
 func (s *Server) querySelect(cfg *Config, sel *parser.SelectStmt, params map[string]sqltypes.Value) (*Result, error) {
-	plan, cols, _, err := s.planSelectWith(cfg, sel, nil)
+	col := s.newRecord(false)
+	plan, cols, _, err := s.planSelectWith(cfg, sel, col)
 	if err != nil {
-		return nil, err
+		return s.publish(context.Background(), cfg, col, nil, err)
 	}
 	// INSERT ... SELECT has no standalone statement text; an empty key keeps
 	// it out of the query-stats registry.
 	return materialize(func(sink ResultSink) (*Result, error) {
-		return s.runPlan(context.Background(), cfg, "", plan, cols, params, false, nil, sink)
+		res, err := s.runPlan(context.Background(), cfg, "", plan, cols, params, false, col, sink)
+		return s.publish(context.Background(), cfg, col, res, err)
 	})
 }
 

@@ -102,14 +102,12 @@ type Server struct {
 	queryStats *telemetry.Registry
 
 	// metricsReg is the server-wide metrics registry (Metrics());
-	// allInstruments holds every engine/exec/storage instrument bundle and
-	// mx is the active pointer the hot paths load — nil when metric
-	// recording is disabled (SetMetricsEnabled). linkObs mirrors remote
-	// call traffic into the per-linked-server metrics.
+	// allInstruments holds every engine/storage instrument and mx is the
+	// active pointer the hot paths load — nil when metric recording is
+	// disabled (SetMetricsEnabled).
 	metricsReg     *metrics.Registry
 	allInstruments *engineInstruments
 	mx             atomic.Pointer[engineInstruments]
-	linkObs        *linkObserver
 
 	// slowMu serializes slow-query log lines (Config.SlowQueryThreshold).
 	slowMu sync.Mutex
@@ -163,7 +161,6 @@ func NewServer(name, defaultDB string) *Server {
 	s.cfg.Store(&cfg)
 	s.metricsReg = metrics.NewRegistry()
 	s.allInstruments = buildInstruments(s.metricsReg)
-	s.linkObs = newLinkObserver(s.allInstruments, s.meter.NameOf)
 	s.SetMetricsEnabled(true)
 	// The search service runs on the same machine: cheap, but still a
 	// service boundary (Figure 2).
@@ -264,26 +261,6 @@ func (s *Server) QueryStats() []telemetry.QueryStatRow {
 // ResetQueryStats clears the aggregate statistics registry.
 func (s *Server) ResetQueryStats() {
 	s.queryStats.Reset()
-}
-
-// breakerTrips snapshots every existing breaker's cumulative trip count,
-// keyed by the linked server's display name. Executions diff two snapshots
-// to attribute trips to a statement.
-func (s *Server) breakerTrips() map[string]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.breakers) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(s.breakers))
-	for key, b := range s.breakers {
-		name := key
-		if l, ok := s.linked[key]; ok {
-			name = l.name
-		}
-		out[name] = b.Trips()
-	}
-	return out
 }
 
 // SetDurability sets the local storage engine's commit durability:

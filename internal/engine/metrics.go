@@ -1,6 +1,7 @@
 // Engine-side observability: the per-server metrics registry, the
-// instrument bundles handed to the executor and storage engine, the
-// server-wide link observer, and the structured slow-query log.
+// instrument bundle handed to the storage engine, the fold of each
+// statement's record into the server-wide views, and the structured
+// slow-query log.
 //
 // Each engine instance owns one metrics.Registry — federations run
 // several engines in-process, so nothing here is package-global. The
@@ -9,14 +10,12 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"os"
-	"sync"
 	"time"
 
-	"dhqp/internal/exec"
 	"dhqp/internal/metrics"
-	"dhqp/internal/netsim"
 	"dhqp/internal/storage"
 	"dhqp/internal/telemetry"
 )
@@ -42,14 +41,18 @@ type engineInstruments struct {
 	linkFaults  *metrics.CounterVec   // by server
 	linkSeconds *metrics.HistogramVec // by server
 
-	breakerTrips *metrics.Counter
-	waits        *metrics.WaitTable
+	breakerTrips  *metrics.Counter // each trip once, by the statement that caused it
+	retries       *metrics.Counter // retried remote attempts
+	batches       *metrics.Counter // vectorized batches drained at the root
+	batchRows     *metrics.Counter // live rows in those batches (rows per batch = batchRows / batches)
+	startupPruned *metrics.Counter // startup filters that kept their subtree closed
+	startupOpened *metrics.Counter // startup filters that opened it
+	waits         *metrics.WaitTable
 
 	shardVersion  *metrics.Gauge   // current shard-map version counter
 	shardMoves    *metrics.Counter // completed online shard moves
 	rebalanceRows *metrics.Counter // rows copied by rebalance/split moves
 
-	execIns    *exec.Instruments
 	storageIns *storage.Instrumentation
 }
 
@@ -74,21 +77,17 @@ func buildInstruments(r *metrics.Registry) *engineInstruments {
 		linkFaults:  r.CounterVec("dhqp_remote_faults_total", "Faulted remote round trips", "server"),
 		linkSeconds: r.HistogramVec("dhqp_remote_call_seconds", "Remote round-trip latency", "server", nil),
 
-		breakerTrips: r.Counter("dhqp_breaker_trips_total", "Circuit breaker closed-to-open transitions"),
-		waits:        r.Waits(),
+		breakerTrips:  r.Counter("dhqp_breaker_trips_total", "Circuit breaker closed-to-open transitions"),
+		retries:       r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
+		batches:       r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
+		batchRows:     r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
+		startupPruned: r.Counter("dhqp_exec_startup_pruned_total", "Startup filters whose predicate was false: subtrees never opened"),
+		startupOpened: r.Counter("dhqp_exec_startup_opened_total", "Startup filters whose predicate held: subtrees opened"),
+		waits:         r.Waits(),
 
 		shardVersion:  r.Gauge("dhqp_shardmap_version", "Current shard-map version counter"),
 		shardMoves:    r.Counter("dhqp_shardmap_moves_total", "Completed online shard moves"),
 		rebalanceRows: r.Counter("dhqp_rebalance_rows_copied_total", "Rows copied by online shard moves"),
-	}
-	m.execIns = &exec.Instruments{
-		Retries:       r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
-		BreakerTrips:  m.breakerTrips,
-		Batches:       r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
-		BatchRows:     r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
-		StartupPruned: r.Counter("dhqp_exec_startup_pruned_total", "Startup filters whose predicate was false: subtrees never opened"),
-		StartupOpened: r.Counter("dhqp_exec_startup_opened_total", "Startup filters whose predicate held: subtrees opened"),
-		Waits:         m.waits,
 	}
 	m.storageIns = &storage.Instrumentation{
 		WALAppends:     r.Counter("dhqp_wal_appends_total", "WAL records appended"),
@@ -136,13 +135,6 @@ func (s *Server) noteStatement(verb string) {
 	}
 }
 
-// notePhase records one statement-pipeline phase duration.
-func (s *Server) notePhase(phase string, d time.Duration) {
-	if m := s.instr(); m != nil {
-		m.phaseSeconds.With(phase).ObserveDuration(d)
-	}
-}
-
 // ResetMetrics zeroes every instrument in the registry (counters,
 // histograms, label children, wait stats). Handed-out instruments stay
 // live, mirroring the stats-registry and plan-cache reset semantics.
@@ -158,64 +150,73 @@ func (s *Server) ResetPlanCacheStats() {
 	s.mu.Unlock()
 }
 
-// --- link observer ------------------------------------------------------
+// --- the statement record -----------------------------------------------
 
-// linkObserver mirrors every netsim call of every statement into the
-// server-wide per-linked-server metrics. One per engine; runPlan chains
-// it behind the per-statement LinkTracker.
-type linkObserver struct {
-	m      *engineInstruments
-	nameOf func(*netsim.Link) string
-
-	mu    sync.Mutex
-	names map[*netsim.Link]string
-}
-
-func newLinkObserver(m *engineInstruments, nameOf func(*netsim.Link) string) *linkObserver {
-	return &linkObserver{m: m, nameOf: nameOf, names: map[*netsim.Link]string{}}
-}
-
-func (o *linkObserver) serverName(l *netsim.Link) string {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	name, ok := o.names[l]
-	if !ok {
-		if o.nameOf != nil {
-			name = o.nameOf(l)
-		}
-		if name == "" {
-			// Unregistered (yet): report it without caching so a link
-			// registered after first traffic still resolves later.
-			return "?"
-		}
-		o.names[l] = name
+// newRecord allocates a statement's record. collect turns on its detailed
+// layer; with metrics on, each remote call also reaches the per-linked-
+// server instruments as it happens.
+func (s *Server) newRecord(collect bool) *telemetry.Collector {
+	var sink telemetry.CallSink
+	if m := s.instr(); m != nil {
+		sink = m
 	}
-	return name
+	return telemetry.NewCollector(collect, s.meter, sink)
 }
 
-// ObserveCall implements netsim.CallObserver.
-func (o *linkObserver) ObserveCall(l *netsim.Link, rows, bytes int, fault bool, d time.Duration) {
-	name := o.serverName(l)
-	o.m.linkCalls.With(name).Inc()
+// RemoteCall implements telemetry.CallSink.
+func (m *engineInstruments) RemoteCall(server string, rows, bytes int, fault bool, d time.Duration) {
+	m.linkCalls.With(server).Inc()
 	if fault {
-		o.m.linkFaults.With(name).Inc()
+		m.linkFaults.With(server).Inc()
 	} else {
-		o.m.linkRows.With(name).Add(int64(rows))
-		o.m.linkBytes.With(name).Add(int64(bytes))
+		m.linkRows.With(server).Add(int64(rows))
+		m.linkBytes.With(server).Add(int64(bytes))
 	}
-	o.m.linkSeconds.With(name).ObserveDuration(d)
-	o.m.waits.Record(metrics.WaitRemoteCall, d)
+	m.linkSeconds.With(server).ObserveDuration(d)
+	m.waits.Record(metrics.WaitRemoteCall, d)
 }
 
-// multiObserver fans one call event out to both the per-statement
-// tracker and the server-wide observer.
-type multiObserver struct {
-	a, b netsim.CallObserver
-}
-
-func (m multiObserver) ObserveCall(l *netsim.Link, rows, bytes int, fault bool, d time.Duration) {
-	m.a.ObserveCall(l, rows, bytes, fault, d)
-	m.b.ObserveCall(l, rows, bytes, fault, d)
+// publish folds a statement's record into every server-wide view, once, as
+// the statement ends. res is nil when the statement failed (err) or only
+// compiled (Plan): the phases it reached, the breaker trips it caused and
+// its executor counters count either way, while the result views —
+// statements_total, rows_returned, statement latency, the Result's
+// accounting, the query-stats registry and the slow-query log — see
+// successful statements only. base is the statement's context, whose trace
+// the slow-query line names.
+func (s *Server) publish(base context.Context, cfg *Config, col *telemetry.Collector, res *Result, err error) (*Result, error) {
+	n := col.Counts()
+	if m := s.instr(); m != nil {
+		for p, ran := range n.Ran {
+			if ran {
+				m.phaseSeconds.With(telemetry.Phase(p).String()).ObserveDuration(n.Phases[p])
+			}
+		}
+		m.retries.Add(n.Retries)
+		m.breakerTrips.Add(n.BreakerTrips)
+		m.batches.Add(n.Batches)
+		m.batchRows.Add(n.BatchRows)
+		m.startupOpened.Add(n.StartupOpened)
+		m.startupPruned.Add(n.StartupPruned)
+		for _, d := range n.Backoffs {
+			m.waits.Record(metrics.WaitRetryBackoff, d)
+		}
+		if res != nil {
+			m.statements.With("select").Inc()
+			m.rowsReturned.Add(res.Stats.Rows)
+			m.stmtSeconds.ObserveDuration(res.Stats.Elapsed)
+		}
+	}
+	if res == nil {
+		return nil, err
+	}
+	qs := res.Stats
+	qs.Links, qs.Retries, qs.Spans = col.Links(), n.Retries, col.Spans()
+	res.Retries, res.Skipped = n.Retries, col.Skipped()
+	s.queryStats.Record(qs)
+	tr, _ := telemetry.TraceFrom(base)
+	s.maybeLogSlow(cfg, qs, tr)
+	return res, nil
 }
 
 // --- slow-query log -----------------------------------------------------

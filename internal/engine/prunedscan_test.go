@@ -114,7 +114,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		ctx := &exec.Context{
 			RT:        &runtime{s: s, local: s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())},
 			BatchSize: cfg.BatchSize, NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
-			Ctx: context.Background(), Diags: &exec.Diagnostics{},
+			Ctx: context.Background(), Stats: s.newRecord(false),
 		}
 		var m rowset.Materialized
 		if err := exec.Stream(plan, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {

@@ -86,17 +86,19 @@ func (r *Result) Display() string {
 // returns the plan, the result columns and the optimizer report.
 func (s *Server) Plan(sql string) (*algebra.Node, []schema.Column, *opt.Report, error) {
 	defer s.shards.PinStatement()()
-	return s.planSQL(s.cfg.Load(), sql, nil)
+	cfg := s.cfg.Load()
+	col := s.newRecord(false)
+	plan, cols, report, err := s.planSQL(cfg, sql, col)
+	s.publish(context.Background(), cfg, col, nil, err)
+	return plan, cols, report, err
 }
 
-// planSQL compiles a SELECT under cfg, recording compile-phase spans (parse,
-// bind, optimize, decode) into the collector when one is supplied.
+// planSQL compiles a SELECT under cfg, recording the compile phases (parse,
+// bind, optimize, decode) into the statement's record.
 func (s *Server) planSQL(cfg *Config, sql string, col *telemetry.Collector) (*algebra.Node, []schema.Column, *opt.Report, error) {
 	start := time.Now()
 	st, err := parser.Parse(sql)
-	d := time.Since(start)
-	col.RecordSpan("parse", d)
-	s.notePhase("parse", d)
+	col.RecordPhase(telemetry.PhaseParse, time.Since(start))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -111,9 +113,7 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 	start := time.Now()
 	b := binder.New(&catalog{s: s})
 	bound, err := b.BindSelect(sel)
-	d := time.Since(start)
-	col.RecordSpan("bind", d)
-	s.notePhase("bind", d)
+	col.RecordPhase(telemetry.PhaseBind, time.Since(start))
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -158,9 +158,7 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 	optimizer := opt.New(optCfg, rctx)
 	start = time.Now()
 	plan, report, err := optimizer.Optimize(bound.Root, md, bound.RequiredOrder)
-	d = time.Since(start)
-	col.RecordSpan("optimize", d)
-	s.notePhase("optimize", d)
+	col.RecordPhase(telemetry.PhaseOptimize, time.Since(start))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("engine: optimizing: %w", err)
 	}
@@ -168,9 +166,7 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 	// SQL Server Profiler would show as the remote events of this query).
 	start = time.Now()
 	col.CaptureRemoteSQL(plan)
-	d = time.Since(start)
-	col.RecordSpan("decode", d)
-	s.notePhase("decode", d)
+	col.RecordPhase(telemetry.PhaseDecode, time.Since(start))
 	s.mu.Lock()
 	s.lastReport = report
 	s.mu.Unlock()
@@ -322,10 +318,7 @@ func (s *Server) QueryStreamContext(ctx context.Context, sql string, params map[
 // executes under it; a cached plan of another planning generation is a miss.
 func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
 	cfg := s.cfg.Load()
-	var col *telemetry.Collector
-	if cfg.CollectStats {
-		col = telemetry.NewCollector()
-	}
+	col := s.newRecord(cfg.CollectStats)
 	m := s.instr()
 	s.mu.Lock()
 	cached, ok := s.planCache.Get(sql)
@@ -347,11 +340,12 @@ func (s *Server) queryContext(ctx context.Context, sql string, params map[string
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
 		col.CaptureRemoteSQL(cached.plan)
-		return s.runPlan(ctx, cfg, sql, cached.plan, cached.cols, params, true, col, sink)
+		res, err := s.runPlan(ctx, cfg, sql, cached.plan, cached.cols, params, true, col, sink)
+		return s.publish(ctx, cfg, col, res, err)
 	}
 	plan, cols, _, err := s.planSQL(cfg, sql, col)
 	if err != nil {
-		return nil, err
+		return s.publish(ctx, cfg, col, nil, err)
 	}
 	s.mu.Lock()
 	evicted := s.planCache.Put(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
@@ -362,7 +356,8 @@ func (s *Server) queryContext(ctx context.Context, sql string, params map[string
 	if evicted && m != nil {
 		m.planEvictions.Inc()
 	}
-	return s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
+	res, err := s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
+	return s.publish(ctx, cfg, col, res, err)
 }
 
 // ExplainAnalyze compiles and executes a SELECT with full statistics
@@ -385,13 +380,14 @@ func (s *Server) ExplainAnalyze(sql string, params map[string]sqltypes.Value) (*
 func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*telemetry.Explain, error) {
 	defer s.shards.PinStatement()()
 	cfg := s.cfg.Load()
-	col := telemetry.NewCollector()
-	plan, cols, _, err := s.planSQL(cfg, sql, col)
-	if err != nil {
-		return nil, err
-	}
+	col := s.newRecord(true)
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	plan, cols, _, err := s.planSQL(cfg, sql, col)
+	if err != nil {
+		_, err = s.publish(ctx, cfg, col, nil, err)
+		return nil, err
 	}
 	tr, _ := telemetry.TraceFrom(ctx)
 	if tr == nil {
@@ -399,7 +395,8 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 		ctx = telemetry.WithTrace(ctx, tr, 0)
 	}
 	res, err := materialize(func(sink ResultSink) (*Result, error) {
-		return s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
+		res, err := s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
+		return s.publish(ctx, cfg, col, res, err)
 	})
 	if err != nil {
 		return nil, err
@@ -414,10 +411,11 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 	}, nil
 }
 
-// runPlan executes a compiled plan into sink under cfg's execution fields.
-// Execution and serialization interleave a batch at a time; the time spent
-// inside sink.Batch is reported as the serialize phase and the rest as
-// execute.
+// runPlan executes a compiled plan into sink under cfg's execution fields,
+// recording into col; the caller publishes the record. Execution and
+// serialization interleave a batch at a time; the time spent inside
+// sink.Batch is reported as the serialize phase and the rest as execute.
+// The Result carries the statement's own summary; publish adds the record's.
 func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
 	if params == nil {
 		params = map[string]sqltypes.Value{}
@@ -425,18 +423,10 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 	if base == nil {
 		base = context.Background()
 	}
-	ins := s.instr()
-	// Per-statement link attribution rides the statement context into every
-	// netsim call this execution makes: links are shared across concurrent
-	// statements, but each statement observes only its own calls. With
-	// metrics on, the server-wide per-linked-server observer sees the same
-	// events through the fan-out.
-	tracker := telemetry.NewLinkTracker(s.meter.NameOf)
-	var obs netsim.CallObserver = tracker
-	if ins != nil {
-		obs = multiObserver{a: tracker, b: s.linkObs}
-	}
-	qctx := netsim.WithObserver(base, obs)
+	// The record rides the statement context into every netsim call this
+	// execution makes: links are shared across concurrent statements, but
+	// each statement observes only its own calls.
+	qctx := netsim.WithObserver(base, col)
 	// Under a traced statement (a serving-layer session carrying a client
 	// trace, or EXPLAIN ANALYZE) everything this execution does nests under
 	// one statement span; remote calls open child spans below it.
@@ -447,8 +437,6 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 		qctx, cancel = context.WithTimeout(qctx, cfg.QueryTimeout)
 		defer cancel()
 	}
-	tripsBefore := s.breakerTrips()
-	diags := &exec.Diagnostics{}
 	// Pin the statement to a snapshot: local scans, index ranges and
 	// bookmark fetches all read as of one commit sequence number
 	// (snapshot isolation for readers; writers never block them).
@@ -460,16 +448,13 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
 		NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
 		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
-		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults, Diags: diags,
+		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults,
 		Stats: col, Server: s.name,
 	}
 	if s.shards.Active() {
 		// Skipped-partition diagnostics name shard ranges and the map
 		// version this pinned statement planned against.
 		ctx.SkipLabelFor = s.shards.SkipLabel
-	}
-	if ins != nil {
-		ctx.Ins = ins.execIns
 	}
 	if err := sink.Columns(cols); err != nil {
 		return nil, err
@@ -488,37 +473,14 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 	if err != nil {
 		return nil, err
 	}
-	col.RecordSpan("execute", elapsed-serialize)
-	s.notePhase("execute", elapsed-serialize)
-	col.RecordSpan("serialize", serialize)
-	s.notePhase("serialize", serialize)
-	tracker.AddRetries(diags.RetriesByServer())
-	for server, after := range s.breakerTrips() {
-		if d := after - tripsBefore[server]; d > 0 {
-			tracker.AddBreakerTrips(server, d)
-			if ins != nil {
-				ins.breakerTrips.Add(d)
-			}
-		}
-	}
-	if ins != nil {
-		ins.statements.With("select").Inc()
-		ins.rowsReturned.Add(rows)
-		ins.stmtSeconds.ObserveDuration(elapsed)
-	}
-	qs := &telemetry.QueryStats{
+	col.RecordPhase(telemetry.PhaseExecute, elapsed-serialize)
+	col.RecordPhase(telemetry.PhaseSerialize, serialize)
+	return &Result{Cols: cols, Stats: &telemetry.QueryStats{
 		QueryText:    queryText,
 		PlanCacheHit: cacheHit,
 		Rows:         rows,
 		Elapsed:      elapsed,
-		Links:        tracker.Snapshot(),
-		Retries:      diags.Retries(),
-		Spans:        col.Spans(),
-	}
-	s.queryStats.Record(qs)
-	tr, _ := telemetry.TraceFrom(qctx)
-	s.maybeLogSlow(cfg, qs, tr)
-	return &Result{Cols: cols, Retries: diags.Retries(), Skipped: diags.Skipped(), Stats: qs}, nil
+	}}, nil
 }
 
 // QuerySQL implements sqlful.Target, making this server usable as a linked

@@ -79,28 +79,25 @@ type Context struct {
 	// function or its result) disables breaking for that server.
 	BreakerFor func(server string) *circuit.Breaker
 	// PartialResults lets a UNION ALL fan-out skip branches whose server's
-	// breaker is open, recording them in Diags, instead of failing the
+	// breaker is open, recording them in Stats, instead of failing the
 	// query (degraded partitioned-view mode).
 	PartialResults bool
 	// SkipLabelFor, when set, rewrites a skipped branch's label before it
-	// is recorded in Diags (the engine maps linked-server names onto shard
+	// is recorded in Stats (the engine maps linked-server names onto shard
 	// ranges and the shard-map version the statement is pinned to, so
 	// partial results report against the live topology, not DDL text).
 	SkipLabelFor func(label string) string
-	// Diags accumulates the execution's fault diagnostics (retries,
-	// skipped partitions); nil disables recording.
-	Diags *Diagnostics
-	// Stats, when non-nil, makes Build wrap every iterator in an
-	// instrumented shim recording per-operator actual rows, Open/Next
-	// calls, and wall time (EXPLAIN ANALYZE / SET STATISTICS PROFILE).
-	// Nil keeps the hot path shim-free.
+	// Stats is the statement's record, its one accounting handle: retries,
+	// breaker trips, skipped partitions, backoff waits, root batches and
+	// startup filters land there once each. When its detailed layer is on,
+	// Build also wraps every iterator in an instrumented shim recording
+	// per-operator actual rows, Open/Next calls, and wall time (EXPLAIN
+	// ANALYZE / SET STATISTICS PROFILE); off, the tree stays shim-free. Nil
+	// records nothing.
 	Stats *telemetry.Collector
 	// Server is the executing member's name, used to attribute trace
 	// spans opened by remote access operators ("" = unnamed).
 	Server string
-	// Ins holds the server-wide executor instruments (retry counters,
-	// backoff waits, batch counts); nil disables metric recording.
-	Ins *Instruments
 }
 
 // remoteBatch returns the effective batched-remote-access size.
@@ -142,15 +139,16 @@ func (c *Context) env(row rowset.Row) *expr.Env {
 // fork returns a child context with a private parameter map. Parallel
 // exchange children each execute against their own fork so a correlated
 // loop join binding parameters inside one child cannot race a sibling.
-// Fault-tolerance state (deadline, breakers, diagnostics) is shared: those
-// are per-statement, not per-branch, and are themselves concurrency-safe.
+// Fault-tolerance state (deadline, breakers) and the record are shared:
+// those are per-statement, not per-branch, and are themselves
+// concurrency-safe.
 func (c *Context) fork() *Context {
 	f := &Context{RT: c.RT, Today: c.Today, MaxDOP: c.MaxDOP, NoPrefetch: c.NoPrefetch,
 		RemoteBatchSize: c.RemoteBatchSize,
 		BatchSize:       c.BatchSize, NoVectorized: c.NoVectorized, NoTypedVectors: c.NoTypedVectors,
 		Ctx: c.Ctx, RetryAttempts: c.RetryAttempts, RetryBackoff: c.RetryBackoff,
-		BreakerFor: c.BreakerFor, PartialResults: c.PartialResults, Diags: c.Diags,
-		Stats: c.Stats, Server: c.Server, Ins: c.Ins}
+		BreakerFor: c.BreakerFor, PartialResults: c.PartialResults,
+		Stats: c.Stats, Server: c.Server}
 	f.syncParams(c)
 	return f
 }
@@ -173,13 +171,13 @@ type Iterator interface {
 }
 
 // Build compiles a physical plan into an iterator tree. With stats
-// collection on (ctx.Stats non-nil) every operator's iterator is wrapped in
-// an instrumented shim; the recursion goes through Build, so the whole tree
-// is shimmed uniformly, including exchange children built under forked
+// collection on (ctx.Stats.Collecting) every operator's iterator is wrapped
+// in an instrumented shim; the recursion goes through Build, so the whole
+// tree is shimmed uniformly, including exchange children built under forked
 // contexts.
 func Build(n *algebra.Node, ctx *Context) (Iterator, error) {
 	it, err := buildOp(n, ctx)
-	if err != nil || ctx.Stats == nil {
+	if err != nil || !ctx.Stats.Collecting() {
 		return it, err
 	}
 	return &statsIter{child: it, stats: ctx.Stats.OpStats(n)}, nil
@@ -328,10 +326,7 @@ func Stream(n *algebra.Node, ctx *Context, sink func(*rowset.Batch) error) error
 			if err != nil {
 				return err
 			}
-			if ctx.Ins != nil {
-				ctx.Ins.Batches.Inc()
-				ctx.Ins.BatchRows.Add(int64(b.Len()))
-			}
+			ctx.Stats.RecordBatch(b.Len())
 			if b.Len() == 0 {
 				continue
 			}

@@ -94,13 +94,7 @@ func (s *startupFilterIter) Open() error {
 		return err
 	}
 	s.enabled = ok
-	if ins := s.ctx.Ins; ins != nil {
-		if ok {
-			ins.StartupOpened.Inc()
-		} else {
-			ins.StartupPruned.Inc()
-		}
-	}
+	s.ctx.Stats.RecordStartup(ok)
 	if !ok {
 		s.stats.RecordPruned()
 		return nil
@@ -555,7 +549,7 @@ func recordSkip(ctx *Context, label string) {
 	if ctx.SkipLabelFor != nil {
 		label = ctx.SkipLabelFor(label)
 	}
-	ctx.Diags.RecordSkip(label)
+	ctx.Stats.RecordSkip(label)
 }
 
 func buildConcat(n *algebra.Node, op *algebra.Concat, ctx *Context) (Iterator, error) {

@@ -12,8 +12,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
 	"dhqp/internal/circuit"
@@ -30,90 +28,6 @@ const (
 	DefaultRetryBackoff  = 200 * time.Microsecond
 	maxRetryBackoff      = 20 * time.Millisecond
 )
-
-// Diagnostics accumulates one execution's fault-handling events. Safe for
-// concurrent use — parallel exchange branches record into the shared
-// statement instance.
-type Diagnostics struct {
-	mu        sync.Mutex
-	retries   int64
-	retriesBy map[string]int64
-	skipped   []string
-}
-
-// RecordRetry counts one retried remote call attempt against a server.
-func (d *Diagnostics) RecordRetry(server string) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.retries++
-	if d.retriesBy == nil {
-		d.retriesBy = map[string]int64{}
-	}
-	d.retriesBy[server]++
-	d.mu.Unlock()
-}
-
-// RecordSkip records a partition skipped under partial-results execution.
-func (d *Diagnostics) RecordSkip(server string) {
-	if d == nil {
-		return
-	}
-	d.mu.Lock()
-	d.skipped = append(d.skipped, server)
-	d.mu.Unlock()
-}
-
-// Retries reports how many remote call attempts were retried.
-func (d *Diagnostics) Retries() int64 {
-	if d == nil {
-		return 0
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.retries
-}
-
-// RetriesByServer returns the per-server retry counts (a copy).
-func (d *Diagnostics) RetriesByServer() map[string]int64 {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.retriesBy) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(d.retriesBy))
-	for k, v := range d.retriesBy {
-		out[k] = v
-	}
-	return out
-}
-
-// Skipped lists the servers whose partitions were skipped, deduplicated and
-// sorted (a server can be skipped by several fan-out branches).
-func (d *Diagnostics) Skipped() []string {
-	if d == nil {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.skipped) == 0 {
-		return nil
-	}
-	seen := make(map[string]bool, len(d.skipped))
-	out := make([]string, 0, len(d.skipped))
-	for _, s := range d.skipped {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
 
 // canceled reports the statement context's error, if it has one.
 func (c *Context) canceled() error {
@@ -147,6 +61,14 @@ func (c *Context) breakerOf(server string) *circuit.Breaker {
 	return c.BreakerFor(server)
 }
 
+// failed reports a transient failure to the server's breaker (nil = none)
+// and charges the statement with the trip if this failure caused one.
+func (c *Context) failed(br *circuit.Breaker, server string) {
+	if br != nil && br.Failure() {
+		c.Stats.RecordTrip(server)
+	}
+}
+
 func (c *Context) retryAttempts() int {
 	if c.RetryAttempts > 0 {
 		return c.RetryAttempts
@@ -170,7 +92,7 @@ func (c *Context) backoffWait(a int) error {
 	if d <= 0 {
 		return c.canceled()
 	}
-	defer func(start time.Time) { c.noteBackoff(time.Since(start)) }(time.Now())
+	defer func(start time.Time) { c.Stats.RecordBackoff(time.Since(start)) }(time.Now())
 	if c.Ctx == nil {
 		time.Sleep(d)
 		return nil
@@ -212,9 +134,7 @@ func (c *Context) withRetry(server string, fn func() error) error {
 		}
 		switch oledb.Classify(err) {
 		case oledb.ClassTransient:
-			if br != nil {
-				br.Failure()
-			}
+			c.failed(br, server)
 		case oledb.ClassCancelled, oledb.ClassCircuitOpen:
 			// The caller's own deadline, or a rejection before the server
 			// was reached: no verdict on the server's health. Release any
@@ -233,7 +153,7 @@ func (c *Context) withRetry(server string, fn func() error) error {
 			return err
 		}
 		if a < attempts-1 {
-			c.noteRetry(server)
+			c.Stats.RecordRetry(server)
 			if werr := c.backoffWait(a); werr != nil {
 				return werr
 			}
@@ -334,10 +254,8 @@ func (r *retryRowset) NextBatch(b *rowset.Batch) error {
 		}
 		// Transient mid-stream: the broken attempt counts against the
 		// breaker, then the statement re-executes from scratch.
-		if br := r.ctx.breakerOf(r.server); br != nil {
-			br.Failure()
-		}
-		r.ctx.noteRetry(r.server)
+		r.ctx.failed(r.ctx.breakerOf(r.server), r.server)
+		r.ctx.Stats.RecordRetry(r.server)
 		r.rs.Close()
 		if rerr := r.reopen(b, r.delivered); rerr != nil {
 			return fmt.Errorf("exec: %s on %s: %w", r.what, r.server, rerr)

@@ -99,7 +99,7 @@ func transportModes(f func(name string, ctx *Context)) {
 		for _, prefetch := range []bool{true, false} {
 			name := map[bool]string{true: "batch", false: "row"}[vec] + map[bool]string{true: "+prefetch", false: ""}[prefetch]
 			f(name, &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16, NoVectorized: !vec,
-				NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Diags: &Diagnostics{}, Stats: telemetry.NewCollector()})
+				NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)})
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
 					t.Fatalf("%s %v: row %d is %d (duplicate, gap or poison)", mode, script, i, r[0].Int())
 				}
 			}
-			if got := ctx.Diags.Retries(); got != int64(len(script)) {
+			if got := ctx.Stats.Counts().Retries; got != int64(len(script)) {
 				t.Errorf("%s %v: %d retries recorded, want %d", mode, script, got, len(script))
 			}
 			if sess.opens != len(script)+1 {
@@ -197,7 +197,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		for _, s := range []string{"a", "b", "c", "d"} {
 			sessions[s] = &scriptedSession{n: 100000}
 		}
-		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: 64, NoVectorized: !vec, Diags: &Diagnostics{}}
+		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: 64, NoVectorized: !vec, Stats: telemetry.NewCollector(false, nil, nil)}
 
 		// Early Close under TOP: 400 000 rows on offer, 10 taken.
 		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))

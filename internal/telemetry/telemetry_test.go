@@ -26,16 +26,32 @@ func TestOpStatsCounters(t *testing.T) {
 func TestCollectorNilSafety(t *testing.T) {
 	var c *Collector
 	// Every read/record on a nil collector is a no-op, not a panic.
-	c.RecordSpan("x", time.Second)
+	c.RecordPhase(PhaseParse, time.Second)
 	c.RecordRemoteSQL("s", "q")
 	c.CaptureRemoteSQL(nil)
-	if c.Spans() != nil || c.RemoteSQL() != nil || c.Ops() != nil || c.Lookup(nil) != nil {
+	c.ObserveCall(&netsim.Link{}, 1, 1, false, 0)
+	if c.Spans() != nil || c.RemoteSQL() != nil || c.Ops() != nil || c.Lookup(nil) != nil || c.Links() != nil || c.Collecting() {
 		t.Error("nil collector returned data")
 	}
 }
 
+// TestCollectorDetailedLayerGate: without the detailed layer the record
+// keeps its phases and link accounting but hands out no operator counters,
+// spans or remote SQL.
+func TestCollectorDetailedLayerGate(t *testing.T) {
+	c := NewCollector(false, nil, nil)
+	c.RecordPhase(PhaseExecute, time.Millisecond)
+	c.RecordRemoteSQL("s", "q")
+	if c.OpStats(algebra.NewNode(&algebra.EmptyScan{})) != nil || c.Spans() != nil || len(c.RemoteSQL()) != 0 {
+		t.Error("detailed layer recorded with collection off")
+	}
+	if n := c.Counts(); !n.Ran[PhaseExecute] || n.Phases[PhaseExecute] != time.Millisecond {
+		t.Errorf("phase slot = %v/%v", n.Ran[PhaseExecute], n.Phases[PhaseExecute])
+	}
+}
+
 func TestCollectorOpStatsIdentity(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(true, nil, nil)
 	n := algebra.NewNode(&algebra.EmptyScan{})
 	a, b := c.OpStats(n), c.OpStats(n)
 	if a != b {
@@ -46,16 +62,46 @@ func TestCollectorOpStatsIdentity(t *testing.T) {
 	}
 }
 
-func TestLinkTrackerAttribution(t *testing.T) {
+// TestCollectorSpansInPipelineOrder: spans come back one per phase reached,
+// in pipeline order, whatever order they were recorded in.
+func TestCollectorSpansInPipelineOrder(t *testing.T) {
+	c := NewCollector(true, nil, nil)
+	c.RecordPhase(PhaseSerialize, 3)
+	c.RecordPhase(PhaseExecute, 2)
+	c.RecordPhase(PhaseParse, 1)
+	got := c.Spans()
+	want := []Span{{"parse", 1}, {"execute", 2}, {"serialize", 3}}
+	if len(got) != len(want) {
+		t.Fatalf("spans = %+v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("span %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// sinkCalls is a CallSink tallying what it was handed per server.
+type sinkCalls map[string]int
+
+func (s sinkCalls) RemoteCall(server string, rows, bytes int, fault bool, d time.Duration) {
+	s[server]++
+}
+
+func TestCollectorLinkAttribution(t *testing.T) {
 	la, lb := &netsim.Link{}, &netsim.Link{}
-	names := map[*netsim.Link]string{la: "beta", lb: "alpha"}
-	tr := NewLinkTracker(func(l *netsim.Link) string { return names[l] })
-	tr.ObserveCall(la, 10, 100, false, 2*time.Millisecond)
-	tr.ObserveCall(la, 0, 0, true, time.Millisecond) // fault: call counted, no payload
-	tr.ObserveCall(lb, 5, 50, false, time.Millisecond)
-	tr.AddRetries(map[string]int64{"beta": 2})
-	tr.AddBreakerTrips("alpha", 1)
-	snap := tr.Snapshot()
+	meter := netsim.NewMeter()
+	meter.Register("beta", la)
+	meter.Register("alpha", lb)
+	sink := sinkCalls{}
+	c := NewCollector(false, meter, sink)
+	c.ObserveCall(la, 10, 100, false, 2*time.Millisecond)
+	c.ObserveCall(la, 0, 0, true, time.Millisecond) // fault: call counted, no payload
+	c.ObserveCall(lb, 5, 50, false, time.Millisecond)
+	c.RecordRetry("beta")
+	c.RecordRetry("beta")
+	c.RecordTrip("alpha")
+	snap := c.Links()
 	if len(snap) != 2 || snap[0].Server != "alpha" || snap[1].Server != "beta" {
 		t.Fatalf("snapshot order: %+v", snap)
 	}
@@ -68,12 +114,18 @@ func TestLinkTrackerAttribution(t *testing.T) {
 	if a := snap[0]; a.Calls != 1 || a.BreakerTrips != 1 {
 		t.Errorf("alpha = %+v", a)
 	}
+	if n := c.Counts(); n.Retries != 2 || n.BreakerTrips != 1 {
+		t.Errorf("statement totals: %d retries, %d trips", n.Retries, n.BreakerTrips)
+	}
+	if sink["beta"] != 2 || sink["alpha"] != 1 {
+		t.Errorf("sink saw %v, want every call under its server", sink)
+	}
 }
 
-func TestLinkTrackerUnresolvedName(t *testing.T) {
-	tr := NewLinkTracker(nil)
-	tr.ObserveCall(&netsim.Link{}, 1, 1, false, 0)
-	snap := tr.Snapshot()
+func TestCollectorUnresolvedLinkName(t *testing.T) {
+	c := NewCollector(false, nil, nil)
+	c.ObserveCall(&netsim.Link{}, 1, 1, false, 0)
+	snap := c.Links()
 	if len(snap) != 1 || snap[0].Server != "?" {
 		t.Errorf("unresolved link filed under %+v", snap)
 	}
@@ -123,7 +175,7 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 func TestCaptureRemoteSQL(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(true, nil, nil)
 	inner := algebra.NewNode(&algebra.RemoteQuery{Server: "r0", SQL: "SELECT 1"})
 	root := algebra.NewNode(&algebra.EmptyScan{}, inner)
 	c.CaptureRemoteSQL(root)
