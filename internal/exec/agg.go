@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
@@ -14,35 +15,26 @@ import (
 type accumulator struct {
 	fn       algebra.AggFunc
 	distinct bool
-	seen     map[uint64]bool
+	isF      bool
+	any      bool
+	seen     *distinctSet // DISTINCT only: the values counted so far
 
 	count int64
 	sumI  int64
 	sumF  float64
-	isF   bool
-	min   sqltypes.Value
-	max   sqltypes.Value
-	any   bool
+	ext   sqltypes.Value // MIN's or MAX's value so far
 }
 
-func newAccumulator(spec algebra.AggSpec) *accumulator {
-	a := &accumulator{fn: spec.Func, distinct: spec.Distinct}
-	if spec.Distinct {
-		a.seen = map[uint64]bool{}
-	}
-	return a
+func newAccumulator(spec algebra.AggSpec) accumulator {
+	return accumulator{fn: spec.Func, distinct: spec.Distinct}
 }
 
 func (a *accumulator) add(v sqltypes.Value, isStar bool) error {
 	if !isStar && v.IsNull() {
 		return nil // aggregates skip NULLs
 	}
-	if a.distinct {
-		h := v.Hash()
-		if a.seen[h] {
-			return nil
-		}
-		a.seen[h] = true
+	if a.distinct && !a.firstSeen(v) {
+		return nil
 	}
 	a.count++
 	switch a.fn {
@@ -60,63 +52,40 @@ func (a *accumulator) add(v sqltypes.Value, isStar bool) error {
 			return fmt.Errorf("exec: SUM/AVG over %s", v.Kind())
 		}
 	case algebra.AggMin:
-		if !a.any || sqltypes.Compare(v, a.min) < 0 {
-			a.min = v
+		if !a.any || sqltypes.Compare(v, a.ext) < 0 {
+			a.ext = v
 		}
 	case algebra.AggMax:
-		if !a.any || sqltypes.Compare(v, a.max) > 0 {
-			a.max = v
+		if !a.any || sqltypes.Compare(v, a.ext) > 0 {
+			a.ext = v
 		}
 	}
 	a.any = true
 	return nil
 }
 
-// addVec accumulates element idx of a batch column without boxing it.
-// Generic columns fall back to the boxed path; typed columns feed SUM/AVG
-// straight from the flat payload. Semantics (NULL skip, DISTINCT hashing,
-// kind errors) match add exactly — hashVecAt is defined to produce the
-// same hash Value.Hash would.
-func (a *accumulator) addVec(vec *rowset.Vec, idx int) error {
-	if !vec.IsTyped() {
-		return a.add(vec.Gen()[idx], false)
+// distinctSet is the set of values a DISTINCT aggregate has counted, each
+// filed in a keyTable under its hash.
+type distinctSet struct {
+	tab  keyTable
+	vals []sqltypes.Value
+}
+
+// firstSeen reports whether v compares equal to no value counted before,
+// and files it if so.
+func (a *accumulator) firstSeen(v sqltypes.Value) bool {
+	if a.seen == nil {
+		a.seen = &distinctSet{}
 	}
-	if !vec.Valid(idx) {
-		return nil // aggregates skip NULLs
-	}
-	if a.distinct {
-		h, _ := hashVecAt(vec, idx)
-		if a.seen[h] {
-			return nil
-		}
-		a.seen[h] = true
-	}
-	a.count++
-	switch a.fn {
-	case algebra.AggCount:
-	case algebra.AggSum, algebra.AggAvg:
-		switch vec.Kind() {
-		case sqltypes.KindInt, sqltypes.KindBool:
-			i := vec.Int64s()[idx]
-			a.sumI += i
-			a.sumF += float64(i)
-		case sqltypes.KindFloat:
-			a.isF = true
-			a.sumF += vec.Float64s()[idx]
-		default:
-			return fmt.Errorf("exec: SUM/AVG over %s", vec.Kind())
-		}
-	case algebra.AggMin:
-		if v := vec.Value(idx); !a.any || sqltypes.Compare(v, a.min) < 0 {
-			a.min = v
-		}
-	case algebra.AggMax:
-		if v := vec.Value(idx); !a.any || sqltypes.Compare(v, a.max) > 0 {
-			a.max = v
+	d, h := a.seen, hashValue(&v)
+	for id := d.tab.find(h); id >= 0; id = d.tab.next[id] {
+		if sqltypes.Compare(d.vals[id], v) == 0 {
+			return false
 		}
 	}
-	a.any = true
-	return nil
+	d.tab.insert(h)
+	d.vals = append(d.vals, v)
+	return true
 }
 
 func (a *accumulator) result() sqltypes.Value {
@@ -136,16 +105,8 @@ func (a *accumulator) result() sqltypes.Value {
 			return sqltypes.Null
 		}
 		return sqltypes.NewFloat(a.sumF / float64(a.count))
-	case algebra.AggMin:
-		if !a.any {
-			return sqltypes.Null
-		}
-		return a.min
-	case algebra.AggMax:
-		if !a.any {
-			return sqltypes.Null
-		}
-		return a.max
+	case algebra.AggMin, algebra.AggMax:
+		return a.ext // NULL until a value arrives
 	default:
 		return sqltypes.Null
 	}
@@ -165,56 +126,54 @@ func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpe
 		}
 	}
 	args := make([]expr.Expr, len(aggs))
+	argPos := make([]int, len(aggs))
 	for i, a := range aggs {
+		argPos[i] = -1
 		if a.Arg != nil {
 			bound, err := bindExpr(a.Arg, kidCols)
 			if err != nil {
 				return nil, err
 			}
-			args[i] = bound
+			args[i], argPos[i] = bound, expr.BoundColPos(bound)
 		}
 	}
 	if stream {
 		return &streamAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args}, nil
 	}
-	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args}, nil
+	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos}, nil
 }
 
-// hashAggIter groups with a hash table (no input order requirement).
+// hashAggIter groups with a hash table (no input order requirement). It
+// drains its child a batch at a time, turns each batch into one group id per
+// live row, and then folds each aggregate's argument into the groups'
+// accumulators.
 type hashAggIter struct {
-	ctx   *Context
-	child Iterator
-	gpos  []int
-	specs []algebra.AggSpec
-	args  []expr.Expr
+	ctx    *Context
+	child  Iterator
+	gpos   []int
+	specs  []algebra.AggSpec
+	args   []expr.Expr
+	argPos []int // the input column a plain-column argument is, else -1
 
 	out *rowset.Materialized
 
-	// Scratch reused across rows and executions: the key encoder makes
-	// every existing-group probe an allocation-free m[string(key)] lookup,
-	// and the Env serves every accumulated row instead of one each.
-	kenc keyEnc
-	venv *expr.Env
+	// The groups, by id in first-seen order. keys[k] is grouping column k
+	// of every group, in the representation the input delivered, and kpos
+	// lists keys' positions; accs[g*len(specs)+i] is group g's accumulator
+	// for specs[i]. tab files each group id under its key's hash, and eq
+	// confirms a hit against keys.
+	keys []rowset.Vec
+	kpos []int
+	accs []accumulator
+	tab  keyTable
+	eq   keyEq
+
+	// Scratch reused across batches and executions.
 	in   *rowset.Batch
-}
-
-// aggGroup is one group's key values and accumulator bank.
-type aggGroup struct {
-	key  rowset.Row
-	accs []*accumulator
-}
-
-func (h *hashAggIter) newGroup(r rowset.Row) *aggGroup {
-	g := &aggGroup{accs: make([]*accumulator, len(h.specs))}
-	for i, s := range h.specs {
-		g.accs[i] = newAccumulator(s)
-	}
-	gk := make(rowset.Row, len(h.gpos))
-	for i, p := range h.gpos {
-		gk[i] = r[p]
-	}
-	g.key = gk
-	return g
+	hs   []uint64
+	gids []int32
+	one  [1]int32
+	venv *expr.Env
 }
 
 func (h *hashAggIter) Open() error {
@@ -222,167 +181,179 @@ func (h *hashAggIter) Open() error {
 	if err := h.child.Open(); err != nil {
 		return err
 	}
-	if h.venv == nil {
-		h.venv = &expr.Env{}
+	if h.in == nil {
+		h.in, h.venv = h.ctx.newBatch(), &expr.Env{}
+		h.keys, h.kpos = make([]rowset.Vec, len(h.gpos)), make([]int, len(h.gpos))
+		for k := range h.kpos {
+			h.kpos[k] = k
+		}
 	}
 	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
-	groups := map[string]*aggGroup{}
-	var order []string
-	scalar := len(h.gpos) == 0
-	addRow := func(r rowset.Row) error {
-		// encodeAll (unlike join keys) hashes NULLs like any value: a NULL
-		// grouping key forms its own group. The scalar case uses the empty
-		// key. string(kb) on a lookup does not allocate; only a genuinely
-		// new group pays the string copy.
-		var kb []byte
-		if !scalar {
-			kb = h.kenc.encodeAll(r, h.gpos)
-		}
-		g := groups[string(kb)]
-		if g == nil {
-			g = h.newGroup(r)
-			key := string(kb)
-			groups[key] = g
-			order = append(order, key)
-		}
-		return h.accumulate(g.accs, r)
+	h.tab.reset()
+	h.accs = h.accs[:0]
+	if len(h.gpos) == 0 {
+		h.newGroup(nil, 0, 0) // a scalar aggregate has its one group even over no rows
 	}
-	if h.ctx.vectorized() {
-		// Batch-drain the child: group keys hash straight off the batch
-		// columns (typed payloads or boxed values alike) and plain column
-		// aggregate arguments accumulate via addVec without building a row.
-		// A row is gathered only when a new group needs its key values or a
-		// computed argument needs a full Env.
-		bchild := asBatchIterator(h.child)
-		if h.in == nil {
-			h.in = h.ctx.newBatch()
+	// Row mode pulls the child by Next, vectorized mode by NextBatch; either
+	// way the rows arrive a batch at a time.
+	child := asBatchIterator(h.child)
+	if !h.ctx.vectorized() {
+		child = &rowToBatch{it: h.child}
+	}
+	for {
+		err := child.NextBatch(h.in)
+		if err == io.EOF {
+			break
 		}
-		argPos := make([]int, len(h.args))
-		anyComplex := false
-		for i, a := range h.args {
-			argPos[i] = -1
-			if a != nil {
-				argPos[i] = expr.BoundColPos(a)
-				if argPos[i] < 0 {
-					anyComplex = true
-				}
-			}
+		if err != nil {
+			return err
 		}
-		var rbuf rowset.Row
-		for {
-			err := bchild.NextBatch(h.in)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			cols := h.in.Cols()
-			n := h.in.Len()
-			for i := 0; i < n; i++ {
-				idx := h.in.PhysIdx(i)
-				var kb []byte
-				if !scalar {
-					kb = h.kenc.encodeAllVec(cols, idx, h.gpos)
-				}
-				g := groups[string(kb)]
-				if g == nil || anyComplex {
-					rbuf = h.in.RowAt(i, rbuf)
-				}
-				if g == nil {
-					g = h.newGroup(rbuf)
-					key := string(kb)
-					groups[key] = g
-					order = append(order, key)
-				}
-				if err := h.accumulateVec(g.accs, cols, idx, argPos, rbuf); err != nil {
-					return err
-				}
-			}
-		}
-	} else {
-		for {
-			r, err := h.child.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			if err := addRow(r); err != nil {
-				return err
-			}
+		if err := h.addBatch(); err != nil {
+			return err
 		}
 	}
-	if scalar && len(groups) == 0 {
-		// Scalar aggregate over empty input yields one row.
-		groups[""] = h.newGroup(nil)
-		order = append(order, "")
-	}
-	out := rowset.NewMaterialized(nil, nil)
-	// Deterministic output: groups emit in first-seen order.
-	for _, key := range order {
-		g := groups[key]
-		row := make(rowset.Row, 0, len(h.gpos)+len(h.specs))
-		row = append(row, g.key...)
-		for _, a := range g.accs {
-			row = append(row, a.result())
-		}
-		out.Append(row)
-	}
-	h.out = out
+	h.out = h.groupRows()
 	return h.child.Close()
 }
 
-func (h *hashAggIter) accumulate(accs []*accumulator, r rowset.Row) error {
-	env := h.venv
-	env.Row = r
-	for i, a := range accs {
-		if h.args[i] == nil {
-			if err := a.add(sqltypes.NewInt(1), true); err != nil {
-				return err
+// addBatch folds the input batch into the groups: one pass assigns each
+// live row its group id, opening groups for keys not seen before, and then
+// each aggregate takes its argument over the whole batch.
+func (h *hashAggIter) addBatch() error {
+	cols, live := h.in.Cols(), h.in.Indices()
+	gids := h.gids[:0]
+	if len(h.gpos) == 0 {
+		for range live {
+			gids = append(gids, 0)
+		}
+	} else {
+		h.hs = hashKeys(h.hs, cols, h.gpos, live)
+		h.eq.bind(cols, h.gpos, h.keys, h.kpos)
+		for k, p := range live {
+			g := h.eq.match(&h.tab, p, h.tab.find(h.hs[k]))
+			if g < 0 {
+				g = h.newGroup(cols, p, h.hs[k])
+				h.eq.bind(cols, h.gpos, h.keys, h.kpos) // keys grew
 			}
-			continue
+			gids = append(gids, g)
 		}
-		v, err := h.args[i].Eval(env)
-		if err != nil {
-			return err
-		}
-		if err := a.add(v, false); err != nil {
+	}
+	h.gids = gids
+	for i := range h.specs {
+		if err := h.update(i, cols, live, gids); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// accumulateVec is accumulate for the batch path: plain column arguments
-// read their value straight from the batch column at physical index idx;
-// computed arguments evaluate against row (gathered by the caller).
-func (h *hashAggIter) accumulateVec(accs []*accumulator, cols []rowset.Vec, idx int, argPos []int, row rowset.Row) error {
-	for i, a := range accs {
-		if h.args[i] == nil {
-			if err := a.add(sqltypes.NewInt(1), true); err != nil {
+// newGroup opens a group whose key is row p of cols, filed under hash, and
+// returns its id.
+func (h *hashAggIter) newGroup(cols []rowset.Vec, p int, hash uint64) int32 {
+	g := h.tab.insert(hash)
+	h.one[0] = int32(p)
+	for k, c := range h.gpos {
+		h.keys[k].Gather(int(g), &cols[c], h.one[:], false, false)
+	}
+	if len(h.accs)+len(h.specs) > cap(h.accs) {
+		// Double the room: append grows a long slice by about a quarter,
+		// which would copy every accumulator a dozen times on the way to a
+		// thousand groups.
+		h.accs = slices.Grow(h.accs, len(h.accs)+len(h.specs))
+	}
+	for _, s := range h.specs {
+		h.accs = append(h.accs, newAccumulator(s))
+	}
+	return g
+}
+
+// update folds specs[i]'s argument over the live rows into their groups'
+// accumulators: COUNT(*), and a plain COUNT, SUM or AVG of a typed column,
+// in one typed loop; any other argument, a DISTINCT, MIN and MAX row by row
+// through accumulator.add.
+func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32) error {
+	// accs[g*w] is group g's accumulator for specs[i].
+	accs, w := h.accs[i:], len(h.specs)
+	if h.args[i] == nil { // COUNT(*)
+		for _, g := range gids {
+			accs[int(g)*w].count++
+		}
+		return nil
+	}
+	if h.argPos[i] < 0 { // a computed argument
+		for k := range live {
+			h.venv.Row = h.in.RowAt(k, h.venv.Row)
+			v, err := h.args[i].Eval(h.venv)
+			if err != nil {
 				return err
 			}
-			continue
-		}
-		if p := argPos[i]; p >= 0 {
-			if err := a.addVec(&cols[p], idx); err != nil {
+			if err := accs[int(gids[k])*w].add(v, false); err != nil {
 				return err
 			}
-			continue
 		}
-		env := h.venv
-		env.Row = row
-		v, err := h.args[i].Eval(env)
-		if err != nil {
-			return err
+		return nil
+	}
+	col, fn := &cols[h.argPos[i]], h.specs[i].Func
+	nulls, sum := col.HasNulls(), fn == algebra.AggSum || fn == algebra.AggAvg
+	switch kind := col.Kind(); {
+	case h.specs[i].Distinct || kind == sqltypes.KindNull:
+	case fn == algebra.AggCount:
+		for k, p := range live {
+			if !nulls || col.Valid(p) {
+				accs[int(gids[k])*w].count++
+			}
 		}
-		if err := a.add(v, false); err != nil {
+		return nil
+	case sum && (kind == sqltypes.KindInt || kind == sqltypes.KindBool):
+		xs := col.Int64s()
+		for k, p := range live {
+			if nulls && !col.Valid(p) {
+				continue
+			}
+			a := &accs[int(gids[k])*w]
+			a.count++
+			a.sumI += xs[p]
+			a.sumF += float64(xs[p])
+			a.any = true
+		}
+		return nil
+	case sum && kind == sqltypes.KindFloat:
+		xs := col.Float64s()
+		for k, p := range live {
+			if nulls && !col.Valid(p) {
+				continue
+			}
+			a := &accs[int(gids[k])*w]
+			a.count++
+			a.sumF += xs[p]
+			a.isF, a.any = true, true
+		}
+		return nil
+	}
+	for k, p := range live {
+		if err := accs[int(gids[k])*w].add(col.Value(p), false); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// groupRows materializes one row per group, in first-seen order.
+func (h *hashAggIter) groupRows() *rowset.Materialized {
+	n, nk, na := h.tab.len(), len(h.keys), len(h.specs)
+	w := nk + na
+	vals, rows := make([]sqltypes.Value, n*w), make([]rowset.Row, n)
+	for g := range rows {
+		row := vals[g*w : (g+1)*w : (g+1)*w]
+		for k := range h.keys {
+			row[k] = h.keys[k].Value(g)
+		}
+		for i := range h.specs {
+			row[nk+i] = h.accs[g*na+i].result()
+		}
+		rows[g] = row
+	}
+	return rowset.NewMaterialized(nil, rows)
 }
 
 func (h *hashAggIter) Next() (rowset.Row, error) {
@@ -414,7 +385,7 @@ type streamAggIter struct {
 	args  []expr.Expr
 
 	curKey  rowset.Row
-	accs    []*accumulator
+	accs    []accumulator
 	done    bool
 	started bool
 }
@@ -424,8 +395,8 @@ func (s *streamAggIter) Open() error {
 	return s.child.Open()
 }
 
-func (s *streamAggIter) newAccs() []*accumulator {
-	accs := make([]*accumulator, len(s.specs))
+func (s *streamAggIter) newAccs() []accumulator {
+	accs := make([]accumulator, len(s.specs))
 	for i, sp := range s.specs {
 		accs[i] = newAccumulator(sp)
 	}
@@ -435,8 +406,8 @@ func (s *streamAggIter) newAccs() []*accumulator {
 func (s *streamAggIter) emit() rowset.Row {
 	row := make(rowset.Row, 0, len(s.curKey)+len(s.accs))
 	row = append(row, s.curKey...)
-	for _, a := range s.accs {
-		row = append(row, a.result())
+	for i := range s.accs {
+		row = append(row, s.accs[i].result())
 	}
 	return row
 }
@@ -478,7 +449,8 @@ func (s *streamAggIter) Next() (rowset.Row, error) {
 			s.started = true
 		}
 		env := s.ctx.env(r)
-		for i, a := range s.accs {
+		for i := range s.accs {
+			a := &s.accs[i]
 			if s.args[i] == nil {
 				if err := a.add(sqltypes.NewInt(1), true); err != nil {
 					return nil, err

@@ -55,16 +55,15 @@ type hashJoinIter struct {
 
 	// The build side, column-wise: build[j] is column j of every build row
 	// with a non-NULL key, in arrival order and in the representation the
-	// child delivered, and a row's id is its position. heads maps the key
-	// bytes to the first id with that key and next chains equal-keyed ids in
-	// build order; tails, indexed by a chain's head, is its last id (used
-	// while building only). Probes are m[string(key)] lookups, which the
-	// compiler keeps allocation-free; only a new key pays the string copy.
-	build       []rowset.Vec
-	nbuild      int
-	heads       map[string]int32
-	next, tails []int32
-	kenc        keyEnc
+	// child delivered, and a row's id is its position. tab files each id
+	// under its key's hash, so a chain holds every build row with that hash
+	// in build order; a probe walks it and keeps the ids whose key values
+	// equal its own (eq, bound per probe batch). hs holds a batch's hashes.
+	build  []rowset.Vec
+	nbuild int
+	tab    keyTable
+	eq     keyEq
+	hs     []uint64
 
 	// The probe row in progress, for Next and NextBatch alike: chain is the
 	// next build id to try for it (-1: none left), matched whether it has
@@ -94,11 +93,15 @@ func (h *hashJoinIter) semi() bool {
 	return h.typ == algebra.SemiJoin || h.typ == algebra.AntiJoin
 }
 
-// lookup returns the first build id filed under an encoded key, -1 when the
-// key has a NULL (ok false: NULLs never join) or no build row carries it.
-func (h *hashJoinIter) lookup(kb []byte, ok bool) int32 {
-	if ok {
-		if id, hit := h.heads[string(kb)]; hit {
+// rowMatch returns the first build id from id on along its hash chain whose
+// key equals probe row l's, -1 when none does (row mode's keyEq.match).
+func (h *hashJoinIter) rowMatch(l rowset.Row, id int32) int32 {
+	for ; id >= 0; id = h.tab.next[id] {
+		eq := true
+		for k, p := range h.lpos {
+			eq = eq && sqltypes.Compare(l[p], h.build[h.rpos[k]].Value(int(id))) == 0
+		}
+		if eq {
 			return id
 		}
 	}
@@ -106,24 +109,17 @@ func (h *hashJoinIter) lookup(kb []byte, ok bool) int32 {
 }
 
 // insertBatch appends the batch's live rows with non-NULL keys to the build
-// store, one gather per column, and links each into its key's chain.
+// store, one gather per column, and files each under its key's hash.
 func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
-	cols := b.Cols()
+	cols, idxs := b.Cols(), b.Indices()
+	h.hs = hashKeys(h.hs, cols, h.rpos, idxs)
 	live := h.pidx[:0]
-	for _, idx := range b.Indices() {
-		kb, ok := h.kenc.encodeVec(cols, idx, h.rpos)
-		if !ok {
+	for k, idx := range idxs {
+		if nullKey(cols, h.rpos, idx) {
 			continue // NULL keys never join
 		}
-		id := int32(h.nbuild + len(live))
+		h.tab.insert(h.hs[k])
 		live = append(live, int32(idx))
-		h.next, h.tails = append(h.next, -1), append(h.tails, id)
-		if head, dup := h.heads[string(kb)]; dup {
-			h.next[h.tails[head]] = id
-			h.tails[head] = id
-		} else {
-			h.heads[string(kb)] = id
-		}
 	}
 	for j := range h.build {
 		h.build[j].Gather(h.nbuild, &cols[j], live, false, h.ctx.NoTypedVectors)
@@ -156,8 +152,8 @@ func (h *hashJoinIter) Open() error {
 		h.buildBuf = h.ctx.newBatch()
 		h.build = make([]rowset.Vec, h.rwidth)
 	}
-	h.heads, h.nbuild = map[string]int32{}, 0
-	h.next, h.tails = h.next[:0], h.tails[:0]
+	h.tab.reset()
+	h.nbuild = 0
 	for {
 		err := bright.NextBatch(h.buildBuf)
 		if err == io.EOF {
@@ -182,7 +178,7 @@ func (h *hashJoinIter) Next() (rowset.Row, error) {
 		// Emit pending matches for the current left row.
 		for h.chain >= 0 {
 			combined := h.joined(h.cur, h.chain)
-			h.chain = h.next[h.chain]
+			h.chain = h.rowMatch(h.cur, h.tab.next[h.chain])
 			if h.residual != nil {
 				ok, err := expr.EvalPredicate(h.residual, h.ctx.env(combined))
 				if err != nil {
@@ -218,8 +214,10 @@ func (h *hashJoinIter) Next() (rowset.Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.cur, h.matched = l.Clone(), false
-		h.chain = h.lookup(h.kenc.encode(l, h.lpos))
+		h.cur, h.matched, h.chain = l.Clone(), false, -1
+		if !hasNull(l, h.lpos) { // NULL keys never join
+			h.chain = h.rowMatch(l, h.tab.find(hashRow(l, h.lpos)))
+		}
 	}
 }
 
@@ -253,6 +251,8 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 				return err
 			}
 			h.inPos = 0
+			h.hs = hashKeys(h.hs, h.in.Cols(), h.lpos, h.in.Indices())
+			h.eq.bind(h.in.Cols(), h.lpos, h.build, h.rpos)
 		}
 		n := b.NumRows()
 		if err := h.probe(b.CapRows() - n); err != nil {
@@ -284,12 +284,15 @@ func (h *hashJoinIter) probe(room int) error {
 		p := live[h.inPos]
 		id := h.chain
 		if id < 0 { // a fresh probe row
-			id, h.matched = h.lookup(h.kenc.encodeVec(cols, p, h.lpos)), false
+			id, h.matched = -1, false
+			if !nullKey(cols, h.lpos, p) { // NULL keys never join
+				id = h.eq.match(&h.tab, p, h.tab.find(h.hs[h.inPos]))
+			}
 			if id >= 0 && h.residual != nil {
 				h.scratch = h.in.RowAt(h.inPos, h.scratch)[:h.lwidth+h.rwidth]
 			}
 		}
-		for h.chain = -1; id >= 0; id = h.next[id] {
+		for h.chain = -1; id >= 0; id = h.eq.match(&h.tab, p, h.tab.next[id]) {
 			if len(h.pidx) == room {
 				h.chain = id
 				return nil
@@ -326,7 +329,6 @@ func (h *hashJoinIter) probe(room int) error {
 }
 
 func (h *hashJoinIter) Close() error {
-	h.heads = nil
 	err1 := h.left.Close()
 	err2 := h.right.Close()
 	if err1 != nil {
@@ -736,7 +738,7 @@ type batchLoopJoinIter struct {
 	rwidth      int
 
 	pending   []rowset.Row // current batch of outer rows
-	kenc      keyEnc       // join keys of both sides, as the hash join encodes them
+	tab       keyTable     // pending row i is id i, filed under its key's hash
 	out       []rowset.Row // matched output queue for the current batch
 	outPos    int
 	leftDone  bool
@@ -799,22 +801,21 @@ func (b *batchLoopJoinIter) fillBatch() error {
 // probeBatch executes the inner side once for the buffered outer rows and
 // queues the batch's join output in outer-row order.
 func (b *batchLoopJoinIter) probeBatch() error {
-	// Hash the batch by join key. NULL keys never match (SQL semantics);
-	// their rows skip the probe but still emit for left-outer/anti.
-	index := make(map[string][]int, len(b.pending))
+	// Hash the batch by join key. NULL keys never match (SQL semantics): a
+	// NULL-keyed row is filed but compares equal to no inner row, so it
+	// skips the probe and still emits for left-outer/anti.
+	b.tab.reset()
 	firstKeyed := -1
 	for i, row := range b.pending {
-		if kb, ok := b.kenc.encode(row, b.lpos); ok {
-			index[string(kb)] = append(index[string(kb)], i)
-			if firstKeyed < 0 {
-				firstKeyed = i
-			}
+		b.tab.insert(hashRow(row, b.lpos))
+		if firstKeyed < 0 && !hasNull(row, b.lpos) {
+			firstKeyed = i
 		}
 	}
 	matches := make([][]rowset.Row, len(b.pending))
 	matchedFlag := make([]bool, len(b.pending))
 	if firstKeyed >= 0 {
-		if err := b.executeBatch(index, matches, matchedFlag, firstKeyed); err != nil {
+		if err := b.executeBatch(matches, matchedFlag, firstKeyed); err != nil {
 			return err
 		}
 	}
@@ -847,7 +848,7 @@ func (b *batchLoopJoinIter) probeBatch() error {
 // executeBatch binds the batch's keys into the inner plan's parameter
 // slots, drains the inner, and distributes returned rows to the buffered
 // outer rows they match.
-func (b *batchLoopJoinIter) executeBatch(index map[string][]int, matches [][]rowset.Row, matchedFlag []bool, firstKeyed int) error {
+func (b *batchLoopJoinIter) executeBatch(matches [][]rowset.Row, matchedFlag []bool, firstKeyed int) error {
 	if b.ctx.Params == nil {
 		b.ctx.Params = map[string]sqltypes.Value{}
 	}
@@ -876,18 +877,17 @@ func (b *batchLoopJoinIter) executeBatch(index map[string][]int, matches [][]row
 		if err != nil {
 			return err
 		}
-		kb, ok := b.kenc.encode(rrow, b.rpos)
-		if !ok {
+		if hasNull(rrow, b.rpos) {
 			continue
 		}
-		idxs := index[string(kb)] // no allocation: a lookup, not an insert
-		if len(idxs) == 0 {
+		i := b.match(rrow, b.tab.find(hashRow(rrow, b.rpos)))
+		if i < 0 {
 			// Prefiltered superset (multi-column keys cross-product in the
 			// shipped IN lists): not an actual match.
 			continue
 		}
 		rc := rrow.Clone()
-		for _, i := range idxs {
+		for ; i >= 0; i = b.match(rrow, b.tab.next[i]) {
 			combined := combineRows(b.pending[i], rc)
 			if b.on != nil {
 				ok, err := expr.EvalPredicate(b.on, b.ctx.env(combined))
@@ -909,6 +909,15 @@ func (b *batchLoopJoinIter) executeBatch(index map[string][]int, matches [][]row
 	}
 	b.innerOpen = false
 	return b.right.Close()
+}
+
+// match returns the first pending row from id on along its hash chain whose
+// key equals inner row r's, -1 when none does.
+func (b *batchLoopJoinIter) match(r rowset.Row, id int32) int32 {
+	for id >= 0 && compareKey(b.pending[id], b.lpos, r, b.rpos) != 0 {
+		id = b.tab.next[id]
+	}
+	return id
 }
 
 func (b *batchLoopJoinIter) Close() error {

@@ -10,7 +10,6 @@ package sqltypes
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -289,77 +288,6 @@ func Compare(a, b Value) int {
 
 // Equal reports whether two values are identical under Compare order.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
-
-// FNV-1a parameters shared by Hash and the typed HashOf* primitives.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
-
-func fnvUint64(h uint64, u uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = fnvByte(h, byte(u>>(8*i)))
-	}
-	return h
-}
-
-// HashOfNull returns NULL's hash (the same value Null.Hash() yields).
-func HashOfNull() uint64 { return fnvByte(fnvOffset64, 0) }
-
-// HashOfString hashes a VARCHAR payload, matching NewString(s).Hash().
-func HashOfString(s string) uint64 {
-	h := fnvByte(fnvOffset64, 1)
-	for i := 0; i < len(s); i++ {
-		h = fnvByte(h, s[i])
-	}
-	return h
-}
-
-// HashOfDate hashes a DATE payload (days since epoch), matching
-// NewDateDays(days).Hash().
-func HashOfDate(days int64) uint64 {
-	return fnvUint64(fnvByte(fnvOffset64, 2), uint64(days))
-}
-
-// HashOfInt64 hashes an int-family numeric payload (BIGINT, or BIT as 0/1),
-// matching NewInt(i).Hash(). Numerics hash through their float64 image so
-// that NewInt(3) and NewFloat(3) collide, matching Compare; the float64
-// round trip is part of the hash's definition.
-func HashOfInt64(i int64) uint64 {
-	f := float64(i)
-	return fnvUint64(fnvByte(fnvOffset64, 3), uint64(int64(f)))
-}
-
-// HashOfFloat64 hashes a FLOAT payload, matching NewFloat(f).Hash().
-func HashOfFloat64(f float64) uint64 {
-	if f == math.Trunc(f) && !math.IsInf(f, 0) {
-		return fnvUint64(fnvByte(fnvOffset64, 3), uint64(int64(f)))
-	}
-	return fnvUint64(fnvByte(fnvOffset64, 4), math.Float64bits(f))
-}
-
-// Hash returns a 64-bit hash consistent with Compare equality (values that
-// Compare equal hash equal, including int/float cross-kind equality). The
-// typed HashOf* primitives above produce identical hashes from unboxed
-// payloads; the two must stay in lockstep — hash-join and hash-aggregate
-// key encodings mix typed and boxed sources within one query.
-func (v Value) Hash() uint64 {
-	switch v.kind {
-	case KindNull:
-		return HashOfNull()
-	case KindString:
-		return HashOfString(v.s)
-	case KindDate:
-		return HashOfDate(v.i)
-	case KindFloat:
-		return HashOfFloat64(v.f)
-	default:
-		// Int and Bool share the int64 payload.
-		return HashOfInt64(v.i)
-	}
-}
 
 // EncodedSize approximates the wire size of the value in bytes; the network
 // simulator and the remote cost model charge traffic by this measure.

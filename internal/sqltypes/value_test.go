@@ -1,7 +1,6 @@
 package sqltypes
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,34 +84,6 @@ func TestCompareStringsAndDates(t *testing.T) {
 	b := NewDate(1993, 1, 1)
 	if Compare(a, b) != -1 || Compare(b, a) != 1 || Compare(a, a) != 0 {
 		t.Error("date ordering broken")
-	}
-}
-
-func TestHashConsistentWithEqual(t *testing.T) {
-	pairs := [][2]Value{
-		{NewInt(3), NewFloat(3.0)},
-		{NewBool(true), NewInt(1)},
-		{NewString("hello"), NewString("hello")},
-		{NewDate(2000, 1, 1), NewDate(2000, 1, 1)},
-		{Null, Null},
-	}
-	for _, p := range pairs {
-		if !Equal(p[0], p[1]) {
-			t.Errorf("%v and %v should be equal", p[0], p[1])
-		}
-		if p[0].Hash() != p[1].Hash() {
-			t.Errorf("equal values %v, %v hash differently", p[0], p[1])
-		}
-	}
-}
-
-func TestHashSpread(t *testing.T) {
-	seen := map[uint64]bool{}
-	for i := int64(0); i < 1000; i++ {
-		seen[NewInt(i).Hash()] = true
-	}
-	if len(seen) < 990 {
-		t.Errorf("poor hash spread: %d unique of 1000", len(seen))
 	}
 }
 
@@ -205,7 +176,7 @@ func TestEncodedSize(t *testing.T) {
 }
 
 // Property: Compare is a total order — antisymmetric and transitive over a
-// generated sample, and Equal values hash identically.
+// generated sample.
 func TestCompareProperties(t *testing.T) {
 	gen := func(seed int64) Value {
 		switch seed % 5 {
@@ -230,9 +201,6 @@ func TestCompareProperties(t *testing.T) {
 		if Compare(x, y) <= 0 && Compare(y, z) <= 0 && Compare(x, z) > 0 {
 			return false
 		}
-		if Equal(x, y) && x.Hash() != y.Hash() {
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -255,13 +223,5 @@ func TestAsFloatAsInt(t *testing.T) {
 	}
 	if i, ok := NewDateDays(10).AsInt(); !ok || i != 10 {
 		t.Error("AsInt(date) should expose days")
-	}
-}
-
-func TestFloatHashNonInteger(t *testing.T) {
-	a := NewFloat(math.Pi)
-	b := NewFloat(math.Pi)
-	if a.Hash() != b.Hash() {
-		t.Error("identical non-integer floats hash differently")
 	}
 }
