@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/cost"
 	"dhqp/internal/engine"
 	"dhqp/internal/netsim"
 	"dhqp/internal/rowset"
@@ -554,20 +555,26 @@ func e9BatchFixture(b *testing.B, disableBatch bool) (*dhqp.Server, *dhqp.Link) 
 	return local, link
 }
 
+// BenchmarkE9_BatchedKeyLookup gates on one link call per remote execution:
+// each execution's answer fits one fetch, which rides the round trip that
+// ships the statement, so the batched join makes cost.BatchLoopJoin's
+// ⌈outer / K⌉ calls and the serial one a call per outer row.
 func BenchmarkE9_BatchedKeyLookup(b *testing.B) {
+	const outer = 200
 	query := `SELECT b.payload FROM probe p, r0.rdb.dbo.big b WHERE p.k = b.k`
 	for _, variant := range []struct {
 		name    string
 		disable bool
+		execs   int
 	}{
-		{"Batched", false},
-		{"Serial", true},
+		{"Batched", false, (outer + cost.DefaultRemoteBatch - 1) / cost.DefaultRemoteBatch},
+		{"Serial", true, outer},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
 			local, link := e9BatchFixture(b, variant.disable)
 			res := mustQuery(b, local, query, nil)
-			if len(res.Rows) != 200 {
-				b.Fatalf("rows = %d, want 200", len(res.Rows))
+			if len(res.Rows) != outer {
+				b.Fatalf("rows = %d, want %d", len(res.Rows), outer)
 			}
 			link.Sleep = true // wall-clock from here on
 			link.Reset()
@@ -581,6 +588,9 @@ func BenchmarkE9_BatchedKeyLookup(b *testing.B) {
 			b.ReportMetric(float64(s.Calls)/float64(b.N), "calls/op")
 			b.ReportMetric(float64(s.Rows)/float64(b.N), "rows-shipped/op")
 			b.ReportMetric(float64(s.Bytes)/float64(b.N), "bytes-shipped/op")
+			if want := int64(variant.execs * b.N); s.Calls != want {
+				b.Errorf("%d link calls over %d statements, want one per remote execution: %d", s.Calls, b.N, want)
+			}
 		})
 	}
 }
@@ -1174,9 +1184,11 @@ func BenchmarkStatementAllocs(b *testing.B) {
 // customer table, 1 500-key windows at random offsets (the repository
 // benchmark's fed_row_ship statement). Counts only — no link sleeps — so the
 // gates hold on any host: the statement reaches only the members that own a
-// piece of the window, pays a round trip per fetch of the consumer's batch
-// size rather than per 64 rows, and ships exactly the rows and row bytes the
-// same window ships from those members when nothing is pruned.
+// piece of the window, pays exactly max(1, ⌈rows / batch⌉) round trips per
+// member it opens (the statement rides the first fetch's round trip, and
+// each fetch is one batch of the consumer's size), and ships exactly the
+// rows and row bytes the same window ships from those members when nothing
+// is pruned.
 func BenchmarkShippedWindow(b *testing.B) {
 	const members, perMember, custRows, window, stmtsPerOp = 32, 4000, 5000, 1500, 20
 	const pruned = `SELECT o.o_id, c.c_name, o.amount FROM orders o JOIN cust c ON o.o_cust = c.c_id WHERE o.o_id >= @lo AND o.o_id < @hi`
@@ -1253,6 +1265,7 @@ func BenchmarkShippedWindow(b *testing.B) {
 	for _, size := range []int{64, 0, 4096} {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			head.Configure(func(c *engine.Config) { c.BatchSize = size })
+			fetch := int64(rowset.ClampBatchSize(size))
 			rng := rand.New(rand.NewSource(15))
 			var nCalls, nRows, nBytes, nMembers, maxMembers int64
 			b.ResetTimer()
@@ -1267,6 +1280,10 @@ func BenchmarkShippedWindow(b *testing.B) {
 					nCalls, nRows, nBytes = nCalls+s.Calls, nRows+s.Rows, nBytes+s.Bytes
 					if mlo, mhi := m*perMember, (m+1)*perMember; lo >= mhi || lo+window <= mlo {
 						b.Fatalf("[%d,%d) reached server%d, which owns [%d,%d)", lo, lo+window, m+1, mlo, mhi)
+					}
+					if want := max(1, (s.Rows+fetch-1)/fetch); s.Calls != want {
+						b.Errorf("[%d,%d) server%d: %d rows in %d calls at batch size %d, want max(1, ⌈rows / batch⌉) = %d",
+							lo, lo+window, m+1, s.Rows, s.Calls, fetch, want)
 					}
 				}
 				nMembers += reached
@@ -1307,11 +1324,8 @@ func BenchmarkShippedWindow(b *testing.B) {
 	if calls[64] == 0 || calls[0] == 0 || calls[4096] == 0 {
 		return // a -bench filter selected only some cases: nothing to gate
 	}
-	if calls[0] > 6 {
-		b.Errorf("%.1f link calls per statement at the default batch size; the gate is 6", calls[0])
-	}
 	if calls[4096] > calls[64] {
 		b.Errorf("%.1f calls per statement at batch size 4096, %.1f at 64: a larger fetch must not cost more round trips", calls[4096], calls[64])
 	}
-	b.Logf("calls/stmt: %.1f at batch size 64, %.1f at the default (gate 6), %.1f at 4096", calls[64], calls[0], calls[4096])
+	b.Logf("calls/stmt: %.2f at batch size 64, %.2f at the default, %.2f at 4096 (each member exactly max(1, ⌈rows / batch⌉))", calls[64], calls[0], calls[4096])
 }

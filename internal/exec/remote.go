@@ -1,10 +1,11 @@
 // Fault-tolerant remote access: every remote call the executor makes —
-// shipping a statement, opening a rowset, fetching a bookmark batch —
-// passes through a retry-with-backoff loop gated by the server's circuit
-// breaker. Only errors classified transient (oledb.Classify) are retried;
-// retries are idempotent-safe because they re-execute the statement and
-// discard the failed attempt's partial rowset — a broken rowset is never
-// resumed mid-stream.
+// shipping a statement or opening a rowset (one round trip that brings the
+// first fetch back), a later fetch, a bookmark batch — passes through a
+// retry-with-backoff loop gated by the server's circuit breaker. Only
+// errors classified transient (oledb.Classify) are retried; retries are
+// idempotent-safe because they re-execute the statement and discard the
+// failed attempt's partial rowset — a broken rowset is never resumed
+// mid-stream.
 
 package exec
 
@@ -173,6 +174,11 @@ func (c *Context) withRetry(server string, fn func() error) error {
 // the same order, cut into the same fetches. A replay that does not come
 // back to that boundary is reported as a permanent error rather than
 // papered over.
+//
+// The round trip that opens the rowset brings its first fetch back, so the
+// open takes that fetch inside the retry scope: losing it costs one
+// attempt, like losing the open itself, and the first NextBatch hands the
+// held batch over instead of fetching.
 type retryRowset struct {
 	ctx    *Context
 	server string
@@ -180,6 +186,8 @@ type retryRowset struct {
 	open   func(sess oledb.Session) (rowset.Rowset, error)
 
 	rs        rowset.Rowset
+	first     *rowset.Batch // the open's fetch, until NextBatch hands it over
+	firstErr  error         // io.EOF when the open found the rowset empty
 	delivered int64
 }
 
@@ -209,9 +217,11 @@ func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open fun
 	return newRemoteRowset(ctx, r, prefetch && !ctx.NoPrefetch), nil
 }
 
-// reopen (re-)executes the statement and fetches past the rows already
-// delivered downstream, using b (the consumer's batch, so the replay cuts
-// the same fetches) as scratch.
+// reopen (re-)executes the statement and takes its first fetch. A first
+// open (discard 0) holds that fetch for NextBatch. A replay counts it
+// toward the rows already delivered downstream and fetches past the rest,
+// using b (the consumer's batch, so the replay cuts the same fetches) as
+// scratch.
 func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 	return r.ctx.withRetry(r.server, func() error {
 		sess, err := r.ctx.sessionFor(r.server)
@@ -222,15 +232,23 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 		if err != nil {
 			return err
 		}
-		skipped := int64(0)
-		for skipped < discard {
-			if err := rowset.FillBatch(rs, b, nil); err == io.EOF {
-				break
-			} else if err != nil {
+		first := r.ctx.newBatch()
+		if err = rowset.FillBatch(rs, first, nil); err != nil && err != io.EOF {
+			rs.Close()
+			return err
+		}
+		if discard == 0 {
+			r.rs, r.first, r.firstErr = rs, first, err
+			return nil
+		}
+		skipped := int64(first.Len())
+		for err == nil && skipped < discard {
+			if err = rowset.FillBatch(rs, b, nil); err == nil {
+				skipped += int64(b.Len())
+			} else if err != io.EOF {
 				rs.Close()
 				return err
 			}
-			skipped += int64(b.Len())
 		}
 		if skipped != discard {
 			rs.Close()
@@ -241,10 +259,19 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 	})
 }
 
-// NextBatch implements rowset.BatchReader.
+// NextBatch implements rowset.BatchReader: the open's fetch first, then
+// one fetch per call.
 func (r *retryRowset) NextBatch(b *rowset.Batch) error {
 	for {
-		err := rowset.FillBatch(r.rs, b, nil)
+		var err error
+		if first := r.first; first != nil {
+			r.first = nil
+			if err = r.firstErr; err == nil {
+				b.Swap(first)
+			}
+		} else {
+			err = rowset.FillBatch(r.rs, b, nil)
+		}
 		if err == nil {
 			r.delivered += int64(b.Len())
 			return nil

@@ -22,12 +22,14 @@ import (
 // execution attempt) streams rows 0..n-1 of a one-column table, with
 // scripted trouble per attempt: attempt a fails its failFetch[a]-th fetch
 // (1-based) with a transient error, after half-filling the batch with
-// poison rows; attempt a holds only short[a] rows when that is set.
+// poison rows; attempt a holds only short[a] rows when that is set. With a
+// link set, every fetch that does not fail crosses it.
 type scriptedSession struct {
 	oledb.Session // the optional interfaces are never reached
 	n             int
 	failFetch     map[int]int
 	short         map[int]int
+	link          *netsim.Link
 
 	mu      sync.Mutex
 	opens   int
@@ -46,7 +48,7 @@ func (s *scriptedSession) OpenRowset(string) (rowset.Rowset, error) {
 	if m, ok := s.short[attempt]; ok {
 		n = m
 	}
-	return &scriptedRowset{s: s, attempt: attempt, n: n, failFetch: s.failFetch[attempt]}, nil
+	return netsim.Metered(&scriptedRowset{s: s, attempt: attempt, n: n, failFetch: s.failFetch[attempt]}, s.link), nil
 }
 
 type scriptedRowset struct {
@@ -167,22 +169,99 @@ func TestRemoteFetchShortReplayIsPermanent(t *testing.T) {
 	}
 }
 
+// settleGoroutines waits for the goroutine count to fall back to base.
+func settleGoroutines(t *testing.T, base int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: goroutines leaked: %d > baseline %d", what, runtime.NumGoroutine(), base)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestFirstFetchExhaustsRetries: the round trip that opens a remote rowset
+// brings its first fetch back, inside the retry scope. A first fetch that
+// fails on every attempt therefore fails the open after exactly
+// RetryAttempts executions, each of them a real attempt, with the exhausted
+// error and no producer goroutine left behind.
+func TestFirstFetchExhaustsRetries(t *testing.T) {
+	base := runtime.NumGoroutine()
+	transportModes(func(mode string, ctx *Context) {
+		ctx.RetryAttempts = 3
+		sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 1, 1: 1, 2: 1, 3: 1}}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+		_, err := materialize(scriptedScan("r"), ctx)
+		if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
+			t.Fatalf("%s: err = %v, want 3 attempts exhausted", mode, err)
+		}
+		if sess.opens != 3 {
+			t.Errorf("%s: statement executed %d times, want 3", mode, sess.opens)
+		}
+		if got := ctx.Stats.Counts().Retries; got != 2 {
+			t.Errorf("%s: %d retries recorded, want 2", mode, got)
+		}
+		settleGoroutines(t, base, mode)
+	})
+}
+
+// TestFirstFetchRetriedOnce: a first fetch lost on the first attempt costs
+// one retry, and every row still arrives exactly once, in order — whether
+// the answer fits that one fetch or spans seven. Only the fetches that
+// crossed are charged to the link.
+func TestFirstFetchRetriedOnce(t *testing.T) {
+	for _, n := range []int{10, 100} {
+		transportModes(func(mode string, ctx *Context) {
+			sess := &scriptedSession{n: n, failFetch: map[int]int{0: 1}, link: &netsim.Link{}}
+			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+			m, err := materialize(scriptedScan("r"), ctx)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", mode, n, err)
+			}
+			if m.Len() != n {
+				t.Fatalf("%s n=%d: %d rows", mode, n, m.Len())
+			}
+			for i, r := range m.Rows() {
+				if r[0].Int() != int64(i) {
+					t.Fatalf("%s n=%d: row %d is %d (duplicate, gap or poison)", mode, n, i, r[0].Int())
+				}
+			}
+			if got := ctx.Stats.Counts().Retries; got != 1 || sess.opens != 2 {
+				t.Errorf("%s n=%d: %d retries over %d executions, want 1 over 2", mode, n, got, sess.opens)
+			}
+			if s, want := sess.link.Stats(), int64((n+15)/16); s.Calls != want || s.Rows != int64(n) {
+				t.Errorf("%s n=%d: link = %+v, want %d calls carrying %d rows", mode, n, s, want, n)
+			}
+		})
+	}
+}
+
+// TestFirstFetchEmptyResult: an empty remote answer costs the one round
+// trip that opens it, then reads as the end of the rows.
+func TestFirstFetchEmptyResult(t *testing.T) {
+	transportModes(func(mode string, ctx *Context) {
+		sess := &scriptedSession{link: &netsim.Link{}}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+		m, err := materialize(scriptedScan("r"), ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		if m.Len() != 0 {
+			t.Fatalf("%s: %d rows from an empty answer", mode, m.Len())
+		}
+		if s := sess.link.Stats(); s.Calls != 1 || s.Rows != 0 || sess.opens != 1 {
+			t.Errorf("%s: link = %+v over %d executions, want 1 call and 1 execution", mode, s, sess.opens)
+		}
+	})
+}
+
 // TestBatchExchangeLifecycle drives the parallel exchange over prefetching
 // remote children through the ways a consumer can walk away — early Close
 // under a TOP, a sibling's permanent error, re-Open after partial
 // consumption — and checks that every producer goroutine is gone each time.
 func TestBatchExchangeLifecycle(t *testing.T) {
 	base := runtime.NumGoroutine()
-	settle := func(what string) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > base {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: goroutines leaked: %d > baseline %d", what, runtime.NumGoroutine(), base)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
 	fanOut := func(servers ...string) *algebra.Node {
 		kids := make([]*algebra.Node, len(servers))
 		in := make([][]expr.ColumnID, len(servers))
@@ -205,7 +284,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		if err != nil || m.Len() != 10 {
 			t.Fatalf("vec=%v: TOP 10 = %d rows, %v", vec, m.Len(), err)
 		}
-		settle("early Close under TOP")
+		settleGoroutines(t, base, "early Close under TOP")
 
 		// Re-Open after partial consumption, then Close mid-stream.
 		it, err := Build(fanOut("a", "b", "c", "d"), ctx)
@@ -223,7 +302,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 			}
 		}
 		it.Close()
-		settle("re-Open after partial consumption")
+		settleGoroutines(t, base, "re-Open after partial consumption")
 
 		// First error cancels the siblings: c dies for good on its third fetch.
 		sessions["c"] = &scriptedSession{n: 100000, failFetch: map[int]int{0: 3, 1: 1, 2: 1, 3: 1}}
@@ -233,6 +312,6 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		if _, err := materialize(plan, ctx); err == nil || !strings.Contains(err.Error(), "[c]") {
 			t.Fatalf("vec=%v: err = %v, want branch c's failure", vec, err)
 		}
-		settle("first-error cancel")
+		settleGoroutines(t, base, "first-error cancel")
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -67,6 +68,25 @@ func TestMeteredChargesOneCallPerFetch(t *testing.T) {
 		if s.Bytes != 10*10 { // 2 header + 8 int per row
 			t.Errorf("fetch %d: bytes = %d, want 100", tc.fetch, s.Bytes)
 		}
+	}
+}
+
+// The first fetch is the round trip that opens the rowset: it crosses even
+// when it finds nothing, carries the request bytes, and a fault on it
+// reaches the caller instead of the end of the rows.
+func TestMeteredFirstFetchAlwaysCrosses(t *testing.T) {
+	link := &Link{}
+	rs := MeteredCtx(context.Background(), sampleRowset(0), link, 40)
+	if fills := drainBatches(t, rs, 4); len(fills) != 0 {
+		t.Fatalf("fills = %v from an empty rowset", fills)
+	}
+	if s := link.Stats(); s.Calls != 1 || s.Rows != 0 || s.Bytes != 40 {
+		t.Errorf("empty result: %+v, want 1 call carrying the 40 request bytes", s)
+	}
+	link.SetDown(true)
+	err := Metered(sampleRowset(0), link).(rowset.BatchReader).NextBatch(rowset.NewBatch(0))
+	if err == nil || err == io.EOF {
+		t.Errorf("empty first fetch over a downed link returned %v, want the link's error", err)
 	}
 }
 

@@ -153,7 +153,7 @@ func (s *session) meter(rs rowset.Rowset, err error) (rowset.Rowset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link), nil
+	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link, 0), nil
 }
 
 // OpenRowset implements oledb.Session; rows ship across the link.
@@ -227,12 +227,15 @@ func (c *command) SetText(text string) { c.text = text }
 // SetParam implements oledb.Command.
 func (c *command) SetParam(name string, v sqltypes.Value) { c.params[name] = v }
 
-// Execute implements oledb.Command: the statement and parameters cross the
-// link (one call), execute remotely, and the result rows cross back.
+// requestBytes is what shipping the statement costs on the wire: its text
+// and 16 bytes per parameter.
+func (c *command) requestBytes() int { return len(c.text) + len(c.params)*16 }
+
+// Execute implements oledb.Command: the statement executes remotely and its
+// result rows cross back a fetch at a time. The statement and parameters
+// ride the round trip that brings the first fetch back, so a result that
+// fits one fetch costs one call.
 func (c *command) Execute() (rowset.Rowset, error) {
-	if err := c.s.p.link.Call(c.s.callCtx(), 1, len(c.text)+len(c.params)*16); err != nil {
-		return nil, fmt.Errorf("sqlful: shipping statement: %w", err)
-	}
 	var m *rowset.Materialized
 	var err error
 	if ct, ok := c.s.p.target.(ContextTarget); ok {
@@ -243,7 +246,7 @@ func (c *command) Execute() (rowset.Rowset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sqlful: remote execution failed: %w", err)
 	}
-	return netsim.MeteredCtx(c.s.callCtx(), m, c.s.p.link), nil
+	return netsim.MeteredCtx(c.s.callCtx(), m, c.s.p.link, c.requestBytes()), nil
 }
 
 // Describe reports the statement's output shape without executing it.
@@ -251,10 +254,11 @@ func (c *command) Describe() ([]schema.Column, error) {
 	return c.s.p.target.DescribeSQL(c.text)
 }
 
-// ExecuteNonQuery implements oledb.Command.
+// ExecuteNonQuery implements oledb.Command: one round trip ships the
+// statement and brings its affected-row count back; no rows cross.
 func (c *command) ExecuteNonQuery() (int64, error) {
-	if err := c.s.p.link.Call(c.s.callCtx(), 1, len(c.text)+len(c.params)*16); err != nil {
-		return 0, fmt.Errorf("sqlful: shipping statement: %w", err)
+	if err := c.s.p.link.Call(c.s.callCtx(), 0, c.requestBytes()); err != nil {
+		return 0, fmt.Errorf("sqlful: remote statement: %w", err)
 	}
 	return c.s.p.target.ExecSQL(c.text, c.params)
 }

@@ -147,6 +147,9 @@ func TestCommandShipsTextAndParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if link.Stats().Calls != 0 {
+		t.Errorf("Execute made a call of its own: %+v", link.Stats())
+	}
 	rowset.ReadAll(rs)
 	if target.lastSQL != "SELECT 1 AS one" {
 		t.Errorf("sql = %q", target.lastSQL)
@@ -154,12 +157,65 @@ func TestCommandShipsTextAndParams(t *testing.T) {
 	if target.lastParam["p0"].Int() != 42 {
 		t.Errorf("params = %v", target.lastParam)
 	}
-	if link.Stats().Calls < 2 {
-		t.Errorf("command + results should cross the link: %+v", link.Stats())
+	// One round trip ships the text and its parameter and brings the
+	// one-row answer back.
+	want := netsim.Stats{Calls: 1, Rows: 1, Bytes: int64(len("SELECT 1 AS one") + 16 + 10)}
+	if s := link.Stats(); s.Calls != want.Calls || s.Rows != want.Rows || s.Bytes != want.Bytes {
+		t.Errorf("link = %+v, want %d call, %d row, %d bytes", s, want.Calls, want.Rows, want.Bytes)
 	}
 	n, err := cmd.ExecuteNonQuery()
 	if err != nil || n != 1 || target.execCount != 1 {
 		t.Errorf("non-query: %d %v", n, err)
+	}
+}
+
+// The link's row count is the rows that came back: the statement a command
+// ships is bytes, not a row, and DML returns none.
+func TestLinkRowsAreRowsReturned(t *testing.T) {
+	target := newFakeTarget(t)
+	link := &netsim.Link{}
+	sess, err := New(target, link, FullSQLCapabilities()).CreateSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd, err := sess.CreateCommand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd.SetText("SELECT 1 AS one")
+	for _, tc := range []struct {
+		what string
+		run  func() (int, error)
+	}{
+		{"command", func() (int, error) {
+			rs, err := cmd.Execute()
+			if err != nil {
+				return 0, err
+			}
+			m, err := rowset.ReadAll(rs)
+			return m.Len(), err
+		}},
+		{"OpenRowset", func() (int, error) {
+			rs, err := sess.OpenRowset("rdb.t")
+			if err != nil {
+				return 0, err
+			}
+			m, err := rowset.ReadAll(rs)
+			return m.Len(), err
+		}},
+		{"DML", func() (int, error) {
+			_, err := cmd.ExecuteNonQuery()
+			return 0, err
+		}},
+	} {
+		link.Reset()
+		n, err := tc.run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.what, err)
+		}
+		if s := link.Stats(); s.Rows != int64(n) || s.Calls != 1 {
+			t.Errorf("%s: link = %+v, want %d rows in 1 call", tc.what, s, n)
+		}
 	}
 }
 

@@ -374,12 +374,21 @@ func TestClientCancel(t *testing.T) {
 // session sits idle must cancel the stragglers, close every session, reject
 // new connections and leave no serving goroutines behind.
 func TestGracefulDrainNoLeaks(t *testing.T) {
+	const inflightFor, drain = 30 * time.Millisecond, 50 * time.Millisecond
 	baseline := runtime.NumGoroutine()
-	eng, _ := buildFederation(t, 3, 20, 60*time.Millisecond, true)
-	if _, err := eng.Query(`SELECT y, amount FROM all_sales`, nil); err != nil {
-		t.Fatal(err)
+	// Each member answers in one 150 ms round trip, so the statement runs
+	// past the drain deadline, which falls 80 ms after it starts.
+	eng, _ := buildFederation(t, 3, 20, 150*time.Millisecond, true)
+	for i := 0; i < 2; i++ { // the first run compiles, the second is timed
+		start := time.Now()
+		if _, err := eng.Query(`SELECT y, amount FROM all_sales`, nil); err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); i == 1 && took <= inflightFor+drain {
+			t.Fatalf("precondition: the query takes %v, which does not outlive a drain %v after it starts", took, inflightFor+drain)
+		}
 	}
-	srv, addr := startServer(t, eng, Options{DrainTimeout: 50 * time.Millisecond})
+	srv, addr := startServer(t, eng, Options{DrainTimeout: drain})
 
 	idle := dial(t, addr)
 	defer idle.Close()
@@ -390,7 +399,7 @@ func TestGracefulDrainNoLeaks(t *testing.T) {
 		_, err := busy.Query(`SELECT y, amount FROM all_sales`, nil)
 		inflight <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
+	time.Sleep(inflightFor)
 
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
