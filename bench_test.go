@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"dhqp"
+	"dhqp/internal/algebra"
 	"dhqp/internal/cost"
 	"dhqp/internal/engine"
 	"dhqp/internal/netsim"
@@ -1242,21 +1243,29 @@ func BenchmarkShippedWindow(b *testing.B) {
 		return out
 	}
 	// stmtBytes[sql][i] is what shipping the statement itself to member i
-	// costs: its decoded text and two 16-byte parameters.
+	// costs: its shipped text and 16 bytes per parameter the text names (the
+	// two window bounds, plus the lifted constants of the unpruned form).
 	stmtBytes := map[string][]int64{}
 	for _, sql := range []string{pruned, unpruned} {
-		ea, err := head.ExplainAnalyze(sql, dhqp.Params("lo", dhqp.Int(0), "hi", dhqp.Int(members*perMember)))
+		plan, _, _, err := head.Plan(sql)
 		if err != nil {
 			b.Fatal(err)
 		}
 		per := make([]int64, members)
-		for _, rt := range ea.RemoteSQL {
-			var i int
-			if _, err := fmt.Sscanf(rt.Server, "server%d", &i); err != nil {
-				b.Fatal(err)
+		var walk func(n *algebra.Node)
+		walk = func(n *algebra.Node) {
+			if rq, ok := n.Op.(*algebra.RemoteQuery); ok {
+				var i int
+				if _, err := fmt.Sscanf(rq.Server, "server%d", &i); err != nil {
+					b.Fatal(err)
+				}
+				per[i-1] = int64(len(rq.SQL) + 16*(len(rq.Params)+len(rq.Binds)))
 			}
-			per[i-1] = int64(len(rt.Text)) + 2*16
+			for _, k := range n.Kids {
+				walk(k)
+			}
 		}
+		walk(plan)
 		stmtBytes[sql] = per
 		run(b, sql, 0) // warm the plan cache
 	}
@@ -1328,4 +1337,94 @@ func BenchmarkShippedWindow(b *testing.B) {
 		b.Errorf("%.1f calls per statement at batch size 4096, %.1f at 64: a larger fetch must not cost more round trips", calls[4096], calls[64])
 	}
 	b.Logf("calls/stmt: %.2f at batch size 64, %.2f at the default, %.2f at 4096 (each member exactly max(1, ⌈rows / batch⌉))", calls[64], calls[0], calls[4096])
+}
+
+// BenchmarkScatterMemberCompiles counts member compiles on the repository
+// benchmark's fed_scatter_agg statement: a 32-member elastic view and
+// statements that differ only in their literals. The decoder lifts the
+// pushed predicate's constants into binds, so every member sees one text:
+// it compiles on the first statement and hits its plan cache on every later
+// one. Counts only, so the gate holds on any host: each member's plan cache
+// reads exactly 1 miss and 0 evictions after all statements, and every
+// answer equals the same statement's answer through a dialect without
+// parameters (literal texts, one compile per statement on every member).
+func BenchmarkScatterMemberCompiles(b *testing.B) {
+	const members, perMember, stmtsPerOp = 32, 1000, 50
+	head := dhqp.NewServer("head", "fed")
+	var placements []dhqp.ShardPlacement
+	var arms []string
+	var memberSrv []*dhqp.Server
+	literalCaps := dhqp.FullSQLCapabilities()
+	literalCaps.Profile.Params = false
+	for i := 0; i < members; i++ {
+		m := dhqp.NewServer(fmt.Sprintf("w%d", i), "fed")
+		mustExec(b, m, `CREATE TABLE bootstrap (x INT)`) // the database must exist before forwarded DDL lands
+		link := dhqp.LAN()
+		name := fmt.Sprintf("server%d", i+1)
+		if err := head.AddLinkedServer(name, dhqp.SQLProvider(m, link), link); err != nil {
+			b.Fatal(err)
+		}
+		literal, literalLink := fmt.Sprintf("literal%d", i+1), dhqp.LAN()
+		if err := head.AddLinkedServer(literal, dhqp.SQLProviderWithCaps(m, literalLink, literalCaps), literalLink); err != nil {
+			b.Fatal(err)
+		}
+		placements = append(placements, dhqp.ShardPlacement{Server: name, Lo: int64(i * perMember), Hi: int64((i + 1) * perMember)})
+		// The elastic view names member i's table orders_p<i+1>.
+		arms = append(arms, fmt.Sprintf("SELECT o_id, o_cust, o_region, amount FROM %s.fed.dbo.orders_p%d", literal, i+1))
+		memberSrv = append(memberSrv, m)
+	}
+	cols := []dhqp.Column{
+		{Name: "o_id", Kind: dhqp.KindInt}, {Name: "o_cust", Kind: dhqp.KindInt},
+		{Name: "o_region", Kind: dhqp.KindInt}, {Name: "amount", Kind: dhqp.KindInt},
+	}
+	if err := head.CreateElasticView("orders", "o_id", cols, placements); err != nil {
+		b.Fatal(err)
+	}
+	loadRows(b, head, "orders", members*perMember, func(i int) string {
+		return fmt.Sprintf("(%d, %d, %d, %d)", i, i%977, i%5, i%1000)
+	})
+	for i := 0; i < members; i++ {
+		head.InvalidateRemoteSchema(fmt.Sprintf("server%d", i+1))
+		head.InvalidateRemoteSchema(fmt.Sprintf("literal%d", i+1))
+		memberSrv[i].ResetPlanCacheStats()
+	}
+	mustExec(b, head, "CREATE VIEW orders_literal AS "+strings.Join(arms, " UNION ALL "))
+	stmt := func(view string, i int) string {
+		return fmt.Sprintf(`SELECT o_region, COUNT(o_id), SUM(amount), AVG(amount) FROM %s WHERE amount >= %d AND o_cust < %d GROUP BY o_region`,
+			view, i*7%1000, 1000+i)
+	}
+
+	var answers []string
+	b.ResetTimer()
+	for i := 0; i < b.N*stmtsPerOp; i++ {
+		res := mustQuery(b, head, stmt("orders", i), nil)
+		answers = append(answers, sortedRows(res))
+	}
+	b.StopTimer()
+	var misses, evictions int64
+	for i, m := range memberSrv {
+		st := m.PlanCacheStats()
+		misses += st.Misses
+		evictions += st.Evictions
+		if st.Misses != 1 || st.Evictions != 0 {
+			b.Errorf("w%d after %d statements: %d plan-cache misses and %d evictions, want 1 and 0", i, len(answers), st.Misses, st.Evictions)
+		}
+	}
+	b.ReportMetric(float64(misses-members)/float64(len(answers)-1), "member-misses/stmt")
+	b.ReportMetric(float64(evictions), "member-evictions")
+	for i, got := range answers {
+		if want := sortedRows(mustQuery(b, head, stmt("orders_literal", i), nil)); got != want {
+			b.Fatalf("statement %d: lifted answer %s, literal answer %s", i, got, want)
+		}
+	}
+}
+
+// sortedRows renders a result's rows in a canonical order.
+func sortedRows(res *dhqp.Result) string {
+	rows := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		rows[i] = fmt.Sprint(r)
+	}
+	sort.Strings(rows)
+	return strings.Join(rows, ";")
 }

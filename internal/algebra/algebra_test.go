@@ -126,10 +126,15 @@ func TestDigestsDistinguishPayloads(t *testing.T) {
 	if j1.Digest() == j2.Digest() {
 		t.Error("join types share digest")
 	}
-	rq1 := &RemoteQuery{Server: "r", SQL: "SELECT 1", Params: map[string]expr.ColumnID{"p0": 5}}
-	rq2 := &RemoteQuery{Server: "r", SQL: "SELECT 1"}
+	text := "SELECT t0.a AS c1 FROM t AS t0 WHERE (t0.a = @__k0)"
+	rq1 := &RemoteQuery{Server: "r", SQL: text, Binds: []Bind{{Name: "__k0", Val: sqltypes.NewInt(5), Lit: "5"}}}
+	rq2 := &RemoteQuery{Server: "r", SQL: text, Binds: []Bind{{Name: "__k0", Val: sqltypes.NewInt(6), Lit: "6"}}}
 	if rq1.Digest() == rq2.Digest() {
-		t.Error("params ignored in digest")
+		t.Error("bound values ignored in digest")
+	}
+	rq3 := &RemoteQuery{Server: "r", SQL: text, Binds: []Bind{{Name: "__k0", Val: sqltypes.NewString("5"), Lit: "'5'"}}}
+	if rq1.Digest() == rq3.Digest() {
+		t.Error("bound value kinds ignored in digest")
 	}
 }
 

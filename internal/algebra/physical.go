@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"dhqp/internal/expr"
+	"dhqp/internal/sqltypes"
 )
 
 // RangeBound is one end of an index key range in a physical access path.
@@ -149,15 +150,28 @@ func (r *RemoteFetch) OutCols(kids [][]OutCol) []OutCol {
 }
 
 // RemoteQuery ships a decoded SQL statement to a linked server and consumes
-// the result (§4.1.2 "build remote query"). Params maps parameter names in
-// the SQL text to outer-correlated columns when the query was parameterized.
+// the result (§4.1.2 "build remote query"). The text references two kinds
+// of parameter: the statement's own (Params, valued from the execution
+// context, including the correlation parameters a loop join binds) and the
+// predicate constants the decoder lifted out of the text (Binds, valued
+// here), so the text depends only on the plan's shape.
 type RemoteQuery struct {
 	Server string
 	SQL    string
 	Cols   []OutCol
-	// Params maps SQL parameter names to outer ColumnIDs; empty for
-	// uncorrelated remote queries.
-	Params map[string]expr.ColumnID
+	// Params names the statement parameters the text references.
+	Params []string
+	// Binds are the lifted constants, in the order the text names them.
+	Binds []Bind
+}
+
+// Bind is one predicate constant the decoder lifted into a generated
+// parameter. Lit is the literal the text would hold in its place, in the
+// dialect's form (date format included).
+type Bind struct {
+	Name string
+	Val  sqltypes.Value
+	Lit  string
 }
 
 // OpName implements Operator.
@@ -166,22 +180,91 @@ func (r *RemoteQuery) OpName() string { return "RemoteQuery" }
 // Logical implements Operator.
 func (r *RemoteQuery) Logical() bool { return false }
 
-// Digest implements Operator.
+// Digest implements Operator. The bound values are part of it: two pushed
+// statements that differ only in a lifted constant are different operators.
 func (r *RemoteQuery) Digest() string {
-	ps := ""
-	if len(r.Params) > 0 {
-		names := make([]string, 0, len(r.Params))
-		for n, id := range r.Params {
-			names = append(names, fmt.Sprintf("@%s=col%d", n, id))
-		}
-		sort.Strings(names)
-		ps = " params=" + strings.Join(names, ",")
+	if len(r.Binds) == 0 {
+		return fmt.Sprintf("%s [%s]", r.Server, r.SQL)
 	}
-	return fmt.Sprintf("%s [%s]%s", r.Server, r.SQL, ps)
+	binds := make([]string, len(r.Binds))
+	for i, b := range r.Binds {
+		binds[i] = fmt.Sprintf("@%s=%s %s", b.Name, b.Val.Kind(), b.Val)
+	}
+	return fmt.Sprintf("%s [%s] binds=%s", r.Server, r.SQL, strings.Join(binds, ","))
 }
 
 // OutCols implements Operator.
 func (r *RemoteQuery) OutCols([][]OutCol) []OutCol { return r.Cols }
+
+// LiteralSQL is the statement with every bind written back as its literal:
+// the text a dialect without parameters would receive, runnable on its own.
+// Diagnostics (EXPLAIN ANALYZE, the recorded remote texts) report this form.
+// Quoted strings and quoted identifiers are copied through untouched, so a
+// LIKE pattern or a column name that happens to contain "@" never matches.
+func (r *RemoteQuery) LiteralSQL() string {
+	if len(r.Binds) == 0 {
+		return r.SQL
+	}
+	sql := r.SQL
+	var b strings.Builder
+	b.Grow(len(sql))
+	for i := 0; i < len(sql); {
+		switch c := sql[i]; c {
+		case '\'', '"', '[':
+			end := quotedEnd(sql, i)
+			b.WriteString(sql[i:end])
+			i = end
+		case '@':
+			j := i + 1
+			for j < len(sql) && isParamByte(sql[j]) {
+				j++
+			}
+			b.WriteString(bindLiteral(r.Binds, sql[i:j]))
+			i = j
+		default:
+			b.WriteByte(c)
+			i++
+		}
+	}
+	return b.String()
+}
+
+// quotedEnd returns the index just past the quoted run opening at sql[i]; a
+// doubled closing quote inside a string literal is an escape.
+func quotedEnd(sql string, i int) int {
+	closing := sql[i]
+	if closing == '[' {
+		closing = ']'
+	}
+	for j := i + 1; j < len(sql); j++ {
+		if sql[j] != closing {
+			continue
+		}
+		if closing == '\'' && j+1 < len(sql) && sql[j+1] == '\'' {
+			j++
+			continue
+		}
+		return j + 1
+	}
+	return len(sql)
+}
+
+// bindLiteral returns the literal of the bind token ("@name") names, or the
+// token itself when it names a statement parameter.
+func bindLiteral(binds []Bind, token string) string {
+	for _, b := range binds {
+		if token[1:] == b.Name {
+			return b.Lit
+		}
+	}
+	return token
+}
+
+// isParamByte reports whether c continues a parameter name (the parser's
+// identifier characters).
+func isParamByte(c byte) bool {
+	return c == '_' || c == '#' || c == '$' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
+}
 
 // ProviderCommand executes a command in the provider's own query language
 // (Table 1): full-text CONTAINS queries against the search service, and

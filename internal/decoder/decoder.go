@@ -9,6 +9,7 @@ package decoder
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dhqp/internal/algebra"
@@ -32,27 +33,46 @@ func notRemotable(format string, args ...any) error {
 // Result is a decoded statement.
 type Result struct {
 	// SQL is the statement text in the target dialect. Output columns are
-	// aliased c<ID> positionally matching Cols.
+	// aliased c<ID> positionally matching Cols; lifted constants appear as
+	// their generated parameters.
 	SQL string
 	// Cols are the statement's output columns.
 	Cols []algebra.OutCol
-	// Params lists parameter names referenced by the statement.
+	// Params lists the statement parameters the text references (lifted
+	// constants excluded).
 	Params []string
+	// Binds are the predicate constants lifted into generated parameters,
+	// in the order the text names them.
+	Binds []algebra.Bind
 }
+
+// liftPrefix starts the generated parameter names of lifted constants.
+const liftPrefix = "__k"
 
 // Decode translates a logical tree rooted at n into the dialect described
 // by caps. Every Get in the tree must target the same linked server; the
 // emitted table names drop the server part (the remote resolves its own
 // catalog.schema.table names).
+//
+// When the dialect accepts parameters, every non-NULL constant inside a
+// WHERE, ON or EXISTS predicate — LIKE patterns excepted — is lifted into a
+// generated parameter (@__k0, @__k1, …), so the text depends only on the
+// plan's shape and a member compiles it once. The select list, GROUP BY,
+// ORDER BY and TOP keep their literals.
 func Decode(n *algebra.Node, caps oledb.Capabilities) (*Result, error) {
-	d := &decoder{caps: caps}
-	b, err := d.rel(n)
-	if err != nil {
-		return nil, err
+	for prefix := liftPrefix; ; prefix = "_" + prefix {
+		d := &decoder{caps: caps, prefix: prefix}
+		b, err := d.rel(n)
+		if err != nil {
+			return nil, err
+		}
+		if d.collides() {
+			// A statement parameter could be read as a lifted one: decode
+			// again under a longer prefix no statement parameter starts with.
+			continue
+		}
+		return &Result{SQL: b.render(), Cols: n.OutCols(), Params: d.params, Binds: d.binds}, nil
 	}
-	sql := b.render()
-	cols := n.OutCols()
-	return &Result{SQL: sql, Cols: cols, Params: d.params}, nil
 }
 
 type decoder struct {
@@ -60,6 +80,24 @@ type decoder struct {
 	aliasSeq  int
 	params    []string
 	paramSeen map[string]bool
+	// lift is set while a predicate decodes: constants become binds.
+	lift   bool
+	prefix string
+	binds  []algebra.Bind
+}
+
+// collides reports whether a statement parameter starts with the lifted
+// names' prefix.
+func (d *decoder) collides() bool {
+	if len(d.binds) == 0 {
+		return false
+	}
+	for _, p := range d.params {
+		if strings.HasPrefix(p, d.prefix) {
+			return true
+		}
+	}
+	return false
 }
 
 // box is a SELECT statement under construction. refs maps each in-scope
@@ -205,7 +243,7 @@ func (d *decoder) sel(op *algebra.Select, n *algebra.Node) (*box, error) {
 			return nil, err
 		}
 	}
-	pred, err := d.scalar(op.Filter, b.refs)
+	pred, err := d.predicate(op.Filter, b.refs)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +331,7 @@ func (d *decoder) join(op *algebra.Join, n *algebra.Node) (*box, error) {
 	}
 	onSQL := "1=1"
 	if op.On != nil {
-		onSQL, err = d.scalar(op.On, refs)
+		onSQL, err = d.predicate(op.On, refs)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +383,7 @@ func (d *decoder) existsJoin(op *algebra.Join, n *algebra.Node) (*box, error) {
 	}
 	conds := append([]string{}, rb.where...)
 	if op.On != nil {
-		onSQL, err := d.scalar(op.On, refs)
+		onSQL, err := d.predicate(op.On, refs)
 		if err != nil {
 			return nil, err
 		}
@@ -475,6 +513,22 @@ func (d *decoder) derive(b *box) *box {
 	}
 }
 
+// predicate decodes a WHERE, ON or EXISTS condition, lifting its constants
+// into binds when the dialect accepts parameters.
+func (d *decoder) predicate(e expr.Expr, refs map[expr.ColumnID]string) (string, error) {
+	d.lift = d.caps.Profile.Params
+	s, err := d.scalar(e, refs)
+	d.lift = false
+	return s, err
+}
+
+// bind lifts one constant into a generated parameter and returns its marker.
+func (d *decoder) bind(v sqltypes.Value) string {
+	name := d.prefix + strconv.Itoa(len(d.binds))
+	d.binds = append(d.binds, algebra.Bind{Name: name, Val: v, Lit: d.literal(v)})
+	return "@" + name
+}
+
 // scalar decodes a scalar expression; column references resolve through the
 // box's underlying-expression map.
 func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, error) {
@@ -482,6 +536,11 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 	dec = func(e expr.Expr) (string, error) {
 		switch v := e.(type) {
 		case *expr.Const:
+			// NULL stays literal: it has no value to vary (every
+			// comparison with it is UNKNOWN), so it is part of the shape.
+			if d.lift && !v.Val.IsNull() {
+				return d.bind(v.Val), nil
+			}
 			return d.literal(v.Val), nil
 		case *expr.ColRef:
 			ref, ok := refs[v.ID]
@@ -537,7 +596,13 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 			if err != nil {
 				return "", err
 			}
+			// The pattern stays literal: whether it has a fixed prefix
+			// ('ab%' against '%ab') decides whether a prefix seek applies,
+			// so it belongs to the plan's shape, not to its values.
+			lift := d.lift
+			d.lift = false
 			p, err := dec(v.Pattern)
+			d.lift = lift
 			if err != nil {
 				return "", err
 			}

@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -84,9 +85,7 @@ func TestDecodeSelectUsesUnderlyingRefs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.SQL, "WHERE (t0.c_custkey > 50)") {
-		t.Errorf("SQL = %q", r.SQL)
-	}
+	checkLifted(t, r, "WHERE (t0.c_custkey > @__k0)", "WHERE (t0.c_custkey > 50)", sqltypes.NewInt(50))
 }
 
 func TestDecodeJoinPaperExample(t *testing.T) {
@@ -162,9 +161,8 @@ func TestDecodeSemiAntiJoinAsExists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r3.SQL, "(t1.s_suppkey > 5)") {
-		t.Errorf("SQL = %q", r3.SQL)
-	}
+	checkLifted(t, r3, "WHERE (t1.s_suppkey > @__k0) AND (t0.c_nationkey = t1.s_nationkey))",
+		"WHERE (t1.s_suppkey > 5) AND (t0.c_nationkey = t1.s_nationkey))", sqltypes.NewInt(5))
 }
 
 func TestDecodeGroupBy(t *testing.T) {
@@ -203,9 +201,10 @@ func TestDecodeSelectOverGroupByWrapsDerivedTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.SQL, "FROM (SELECT") || !strings.Contains(r.SQL, "WHERE (d1.c50 > 10)") {
+	if !strings.Contains(r.SQL, "FROM (SELECT") {
 		t.Errorf("SQL = %q", r.SQL)
 	}
+	checkLifted(t, r, "WHERE (d1.c50 > @__k0)", "WHERE (d1.c50 > 10)", sqltypes.NewInt(10))
 	// Without nested selects the same shape must fail.
 	caps := fullCaps()
 	caps.NestedSelects = false
@@ -281,13 +280,19 @@ func TestDecodeDateFormatProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(r.SQL, "{d '1992-01-01'}") {
-		t.Errorf("SQL = %q", r.SQL)
-	}
+	date := sqltypes.NewDate(1992, 1, 1)
+	checkLifted(t, r, "(t0.c_custkey >= @__k0)", "(t0.c_custkey >= {d '1992-01-01'})", date)
 	// Default format.
 	r2, _ := Decode(n, fullCaps())
-	if !strings.Contains(r2.SQL, "'1992-01-01'") {
-		t.Errorf("SQL = %q", r2.SQL)
+	checkLifted(t, r2, "(t0.c_custkey >= @__k0)", "(t0.c_custkey >= '1992-01-01')", date)
+	// A dialect without parameters ships the formatted literal itself.
+	caps.Profile.Params = false
+	r3, err := Decode(n, caps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(r3.SQL, "(t0.c_custkey >= {d '1992-01-01'})") || len(r3.Binds) != 0 {
+		t.Errorf("SQL = %q, binds %v", r3.SQL, r3.Binds)
 	}
 }
 
@@ -303,11 +308,15 @@ func TestDecodeLikeInNullNot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"LIKE 'A%'", "IN (1, 2)", "IS NOT NULL", "NOT ("} {
+	for _, frag := range []string{"LIKE 'A%'", "IS NOT NULL", "NOT ("} {
 		if !strings.Contains(r.SQL, frag) {
 			t.Errorf("SQL missing %q: %q", frag, r.SQL)
 		}
 	}
+	// The LIKE pattern stays literal; the IN items and the comparison lift.
+	checkLifted(t, r, "IN (@__k0, @__k1))) AND (t0.c_nationkey IS NOT NULL)) AND (NOT (t0.c_custkey = @__k2))",
+		"IN (1, 2))) AND (t0.c_nationkey IS NOT NULL)) AND (NOT (t0.c_custkey = 9))",
+		sqltypes.NewInt(1), sqltypes.NewInt(2), sqltypes.NewInt(9))
 	caps := fullCaps()
 	caps.Profile.Like = false
 	if _, err := Decode(n, caps); err == nil {
@@ -399,5 +408,110 @@ func TestDecodeParamInList(t *testing.T) {
 		if !errors.As(err, &nr) {
 			t.Errorf("want ErrNotRemotable, got %v", err)
 		}
+	}
+}
+
+// literalSQL is r's reported form: its binds written back as literals.
+func literalSQL(r *Result) string {
+	return (&algebra.RemoteQuery{SQL: r.SQL, Binds: r.Binds}).LiteralSQL()
+}
+
+// checkLifted asserts the shipped text contains shipped, the binds carry
+// want in order under the generated names, and the literal form — the text
+// diagnostics report — contains literal.
+func checkLifted(t *testing.T, r *Result, shipped, literal string, want ...sqltypes.Value) {
+	t.Helper()
+	if !strings.Contains(r.SQL, shipped) {
+		t.Errorf("shipped SQL missing %q: %q", shipped, r.SQL)
+	}
+	if len(r.Binds) != len(want) {
+		t.Fatalf("binds = %v, want %d", r.Binds, len(want))
+	}
+	for i, b := range r.Binds {
+		if b.Name != liftPrefix+strconv.Itoa(i) || b.Val.Kind() != want[i].Kind() || sqltypes.Compare(b.Val, want[i]) != 0 {
+			t.Errorf("bind %d = %s %v, want %s%d %v", i, b.Name, b.Val, liftPrefix, i, want[i])
+		}
+	}
+	if lit := literalSQL(r); !strings.Contains(lit, literal) || strings.Contains(lit, "@"+liftPrefix) {
+		t.Errorf("literal SQL missing %q: %q", literal, lit)
+	}
+}
+
+// TestDecodeLiftsOnlyPredicateConstants: WHERE, ON and EXISTS constants
+// lift; NULL, the select list, GROUP BY, ORDER BY and TOP stay literal; and
+// the literal form is byte-identical to what a dialect without parameters
+// receives.
+func TestDecodeLiftsOnlyPredicateConstants(t *testing.T) {
+	plus := expr.NewBinary(expr.OpAdd, expr.NewColRef(1, "c_custkey"), expr.NewConst(sqltypes.NewInt(100)))
+	proj := algebra.NewNode(&algebra.Project{Exprs: []algebra.ProjExpr{
+		{Out: algebra.OutCol{ID: 70, Name: "k", Kind: sqltypes.KindInt}, E: plus},
+		{Out: algebra.OutCol{ID: 3, Name: "c_nationkey", Kind: sqltypes.KindInt}, E: expr.NewColRef(3, "c_nationkey")},
+	}}, algebra.NewNode(&algebra.Select{Filter: expr.Conjoin([]expr.Expr{
+		expr.NewBinary(expr.OpEq, expr.NewColRef(2, "c_name"), expr.NewConst(sqltypes.NewString("it's"))),
+		expr.NewBinary(expr.OpEq, expr.NewColRef(3, "c_nationkey"), expr.NewConst(sqltypes.Null)),
+	})}, custGet()))
+	on := expr.Conjoin([]expr.Expr{
+		expr.NewBinary(expr.OpEq, expr.NewColRef(3, "c_nationkey"), expr.NewColRef(11, "s_nationkey")),
+		expr.NewBinary(expr.OpLt, expr.NewColRef(10, "s_suppkey"), expr.NewConst(sqltypes.NewInt(1<<60))),
+	})
+	join := algebra.NewNode(&algebra.Join{Type: algebra.InnerJoin, On: on}, custGet(), suppGet())
+	top := algebra.NewNode(&algebra.Top{N: 7, Ordering: algebra.Ordering{{Col: 70}}}, proj)
+	for _, tc := range []struct {
+		name            string
+		n               *algebra.Node
+		shipped, litFrg string
+		want            []sqltypes.Value
+	}{
+		{"select list and NULL literal", top,
+			"SELECT TOP 7 (t0.c_custkey + 100) AS c70, t0.c_nationkey AS c3 FROM tpch10g.dbo.customer AS t0 WHERE ((t0.c_name = @__k0) AND (t0.c_nationkey = NULL)) ORDER BY (t0.c_custkey + 100)",
+			"WHERE ((t0.c_name = 'it''s') AND (t0.c_nationkey = NULL))",
+			[]sqltypes.Value{sqltypes.NewString("it's")}},
+		{"join condition", join,
+			"ON ((t0.c_nationkey = t1.s_nationkey) AND (t1.s_suppkey < @__k0))",
+			"(t1.s_suppkey < 1152921504606846976)",
+			[]sqltypes.Value{sqltypes.NewInt(1 << 60)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := Decode(tc.n, fullCaps())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkLifted(t, r, tc.shipped, tc.litFrg, tc.want...)
+			off := fullCaps()
+			off.Profile.Params = false
+			plain, err := Decode(tc.n, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plain.Binds) != 0 || plain.SQL != literalSQL(r) {
+				t.Errorf("literal form %q\ndiffers from the parameterless decode %q", literalSQL(r), plain.SQL)
+			}
+		})
+	}
+}
+
+// TestDecodeLiftedNamesAvoidStatementParams: a statement parameter named
+// like a lifted one moves the generated names out of its way, so the text
+// never names one parameter for two values.
+func TestDecodeLiftedNamesAvoidStatementParams(t *testing.T) {
+	pred := expr.Conjoin([]expr.Expr{
+		expr.NewBinary(expr.OpGt, expr.NewColRef(1, "c_custkey"), expr.NewConst(sqltypes.NewInt(3))),
+		expr.NewBinary(expr.OpEq, expr.NewColRef(3, "c_nationkey"), expr.NewParam("__k0")),
+	})
+	r, err := Decode(algebra.NewNode(&algebra.Select{Filter: pred}, custGet()), fullCaps())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Params) != 1 || r.Params[0] != "__k0" {
+		t.Errorf("Params = %v", r.Params)
+	}
+	if len(r.Binds) != 1 || r.Binds[0].Name != "___k0" {
+		t.Fatalf("binds = %v, want one named ___k0", r.Binds)
+	}
+	if !strings.Contains(r.SQL, "((t0.c_custkey > @___k0) AND (t0.c_nationkey = @__k0))") {
+		t.Errorf("SQL = %q", r.SQL)
+	}
+	if lit := literalSQL(r); !strings.Contains(lit, "((t0.c_custkey > 3) AND (t0.c_nationkey = @__k0))") {
+		t.Errorf("literal SQL = %q", lit)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dhqp/internal/algebra"
 	"dhqp/internal/netsim"
 	"dhqp/internal/oledb"
 	"dhqp/internal/providers/sqlful"
@@ -104,12 +105,37 @@ func TestInListPushdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan.String(), "IN (1, 5, 9)") {
-		t.Errorf("IN list not pushed:\n%s", plan.String())
+	rq := findRemoteQuery(plan)
+	if rq == nil || !strings.Contains(rq.SQL, "IN (@__k0, @__k1, @__k2)") {
+		t.Fatalf("IN list not pushed:\n%s", plan.String())
+	}
+	if len(rq.Binds) != 3 {
+		t.Fatalf("binds = %v", rq.Binds)
+	}
+	for i, want := range []int64{1, 5, 9} {
+		if b := rq.Binds[i]; b.Name != "__k"+itoa(i) || b.Val.Int() != want {
+			t.Errorf("bind %d = %s %v, want %d", i, b.Name, b.Val, want)
+		}
+	}
+	if lit := rq.LiteralSQL(); !strings.Contains(lit, "IN (1, 5, 9)") {
+		t.Errorf("literal SQL = %q", lit)
 	}
 	if got := len(q(t, local, query).Rows); got != 3 {
 		t.Errorf("rows = %d", got)
 	}
+}
+
+// findRemoteQuery returns the first pushed statement in a plan, or nil.
+func findRemoteQuery(n *algebra.Node) *algebra.RemoteQuery {
+	if rq, ok := n.Op.(*algebra.RemoteQuery); ok {
+		return rq
+	}
+	for _, k := range n.Kids {
+		if rq := findRemoteQuery(k); rq != nil {
+			return rq
+		}
+	}
+	return nil
 }
 
 func TestLikePushdown(t *testing.T) {

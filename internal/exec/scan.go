@@ -271,9 +271,10 @@ func (s *indexRangeIter) Close() error {
 }
 
 // remoteQueryIter executes decoded SQL on a linked server (§4.1.2 "build
-// remote query"). All current parameter values ship with the command;
-// correlated parameters are bound by the enclosing loop join before each
-// re-open.
+// remote query"). The command carries exactly the parameters its text
+// names: the statement parameters it references, at their current values
+// (correlated ones bound by the enclosing loop join before each re-open),
+// and the decoder's lifted constants.
 type remoteQueryIter struct {
 	ctx *Context
 	op  *algebra.RemoteQuery
@@ -286,10 +287,16 @@ func (r *remoteQueryIter) Open() error {
 		r.rs = nil
 	}
 	// Snapshot the parameter values once: a retry re-executes the same
-	// statement even if a concurrent sibling rebinds shared parameters.
-	params := make(map[string]sqltypes.Value, len(r.ctx.Params))
-	for name, v := range r.ctx.Params {
-		params[name] = v
+	// statement even if a concurrent sibling rebinds shared parameters. A
+	// name missing from the context stays unset, and the target reports it.
+	params := make(map[string]sqltypes.Value, len(r.op.Params)+len(r.op.Binds))
+	for _, name := range r.op.Params {
+		if v, ok := r.ctx.Params[name]; ok {
+			params[name] = v
+		}
+	}
+	for _, b := range r.op.Binds {
+		params[b.Name] = b.Val
 	}
 	rs, err := openRemoteRowset(r.ctx, r.op.Server, "remote query", true, func(sess oledb.Session) (rowset.Rowset, error) {
 		cmd, err := sess.CreateCommand()

@@ -296,3 +296,23 @@ func TestNilMetadataDefaults(t *testing.T) {
 		t.Error("nil metadata histogram")
 	}
 }
+
+// TestRemoteQueryDigestCarriesBinds: two pushed statements with one text
+// and different lifted values are different expressions — the memo must not
+// fold the second into the first's group.
+func TestRemoteQueryDigestCarriesBinds(t *testing.T) {
+	m := New(&testMD{})
+	text := "SELECT t0.a AS c1 FROM t AS t0 WHERE (t0.a = @__k0)"
+	rq := func(v int64) *algebra.RemoteQuery {
+		return &algebra.RemoteQuery{Server: "r", SQL: text, Cols: []algebra.OutCol{col(1, "a")},
+			Binds: []algebra.Bind{{Name: "__k0", Val: sqltypes.NewInt(v), Lit: sqltypes.NewInt(v).String()}}}
+	}
+	g1 := m.InsertExpr(rq(3), nil, -1)
+	g2 := m.InsertExpr(rq(4), nil, -1)
+	if g1 == g2 {
+		t.Fatal("statements differing only in a bound value share a group")
+	}
+	if m.InsertExpr(rq(3), nil, -1) != g1 {
+		t.Error("identical statements produced different groups")
+	}
+}

@@ -463,7 +463,9 @@ func (c *Collector) RemoteSQL() []RemoteText {
 
 // CaptureRemoteSQL walks a physical plan and records every decoded remote
 // statement and provider command (the "decode" phase product: what text
-// will cross each link at execution time) when the detailed layer is on.
+// will cross each link at execution time) when the detailed layer is on. A
+// pushed statement is recorded in its literal form, its binds written back
+// in place, so the recorded text runs on its own.
 func (c *Collector) CaptureRemoteSQL(plan *algebra.Node) {
 	if !c.Collecting() || plan == nil {
 		return
@@ -472,7 +474,7 @@ func (c *Collector) CaptureRemoteSQL(plan *algebra.Node) {
 	walk = func(n *algebra.Node) {
 		switch op := n.Op.(type) {
 		case *algebra.RemoteQuery:
-			c.RecordRemoteSQL(op.Server, op.SQL)
+			c.RecordRemoteSQL(op.Server, op.LiteralSQL())
 		case *algebra.ProviderCommand:
 			if op.Src.IsRemote() {
 				c.RecordRemoteSQL(op.Src.Server, op.Src.Query)

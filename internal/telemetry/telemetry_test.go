@@ -7,6 +7,7 @@ import (
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/netsim"
+	"dhqp/internal/sqltypes"
 )
 
 func TestOpStatsCounters(t *testing.T) {
@@ -182,5 +183,26 @@ func TestCaptureRemoteSQL(t *testing.T) {
 	got := c.RemoteSQL()
 	if len(got) != 1 || got[0].Server != "r0" || got[0].Text != "SELECT 1" {
 		t.Errorf("remote SQL = %+v", got)
+	}
+}
+
+// TestCaptureRemoteSQLWritesBindsBack: a pushed statement with lifted
+// constants is recorded in its literal form, which runs on its own; a
+// statement parameter, a string literal and a quoted identifier that look
+// like a bind stay as they are.
+func TestCaptureRemoteSQLWritesBindsBack(t *testing.T) {
+	c := NewCollector(true, nil, nil)
+	rq := &algebra.RemoteQuery{
+		Server: "r0",
+		SQL:    "SELECT t0.[@__k1] AS c1 FROM t AS t0 WHERE ((t0.a >= @__k1) AND (t0.b LIKE '@__k0%') AND (t0.c IN (@__k0, @p)) AND (t0.d < @__k10))",
+		Binds: []algebra.Bind{
+			{Name: "__k0", Val: sqltypes.NewString("it's"), Lit: "'it''s'"},
+			{Name: "__k1", Val: sqltypes.NewInt(1 << 60), Lit: "1152921504606846976"},
+		},
+	}
+	c.CaptureRemoteSQL(algebra.NewNode(rq))
+	want := "SELECT t0.[@__k1] AS c1 FROM t AS t0 WHERE ((t0.a >= 1152921504606846976) AND (t0.b LIKE '@__k0%') AND (t0.c IN ('it''s', @p)) AND (t0.d < @__k10))"
+	if got := c.RemoteSQL(); len(got) != 1 || got[0].Text != want {
+		t.Errorf("remote SQL = %+v\nwant %q", got, want)
 	}
 }
