@@ -9,6 +9,7 @@ package decoder
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -471,6 +472,11 @@ func (d *decoder) top(op *algebra.Top, n *algebra.Node) (*box, error) {
 		if err != nil {
 			return nil, err
 		}
+		// ORDER BY takes column references only: a computed key is named
+		// by its select-list alias.
+		if alias := colAlias(oc.Col); strings.ContainsAny(ref, "( ") && slices.Contains(b.selectList, ref+" AS "+alias) {
+			ref = alias
+		}
 		if oc.Desc {
 			ref += " DESC"
 		}
@@ -654,8 +660,16 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 // literal renders a value in the dialect, honoring the date format
 // extension property.
 func (d *decoder) literal(v sqltypes.Value) string {
-	if v.Kind() == sqltypes.KindDate && d.caps.DateFormat != "" {
+	switch {
+	case v.Kind() == sqltypes.KindDate && d.caps.DateFormat != "":
 		return v.Time().Format(d.caps.DateFormat)
+	case v.Kind() == sqltypes.KindFloat:
+		// A FLOAT keeps its decimal point, or the target reads an INT.
+		s := strconv.FormatFloat(v.Float(), 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+		return s
 	}
 	return v.String()
 }

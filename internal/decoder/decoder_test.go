@@ -463,7 +463,7 @@ func TestDecodeLiftsOnlyPredicateConstants(t *testing.T) {
 		want            []sqltypes.Value
 	}{
 		{"select list and NULL literal", top,
-			"SELECT TOP 7 (t0.c_custkey + 100) AS c70, t0.c_nationkey AS c3 FROM tpch10g.dbo.customer AS t0 WHERE ((t0.c_name = @__k0) AND (t0.c_nationkey = NULL)) ORDER BY (t0.c_custkey + 100)",
+			"SELECT TOP 7 (t0.c_custkey + 100) AS c70, t0.c_nationkey AS c3 FROM tpch10g.dbo.customer AS t0 WHERE ((t0.c_name = @__k0) AND (t0.c_nationkey = NULL)) ORDER BY c70",
 			"WHERE ((t0.c_name = 'it''s') AND (t0.c_nationkey = NULL))",
 			[]sqltypes.Value{sqltypes.NewString("it's")}},
 		{"join condition", join,
