@@ -830,33 +830,26 @@ func BenchmarkE16_VectorizedPipeline(b *testing.B) {
 		{"ScanJoinAgg", `SELECT d.d_name, COUNT(*) AS n, SUM(f.f_val) AS sv
 			FROM fact f, dim d WHERE f.f_dim = d.d_id AND f.f_val < 5000 GROUP BY d.d_name`},
 	}
-	modes := []struct {
-		name string
-		mode engine.ExecMode
-	}{{"Typed", engine.ExecTyped}, {"Generic", engine.ExecGeneric}, {"RowAtATime", engine.ExecRow}}
 	for _, c := range cases {
-		for _, m := range modes {
-			b.Run(c.name+"/"+m.name, func(b *testing.B) {
-				s := e16Fixture(b)
-				s.Configure(func(c *engine.Config) { c.ExecMode = m.mode })
-				want := len(mustQuery(b, s, c.query, nil).Rows) // warm plan cache
-				b.ReportAllocs()
-				b.ResetTimer()
-				var elapsed time.Duration
-				for i := 0; i < b.N; i++ {
-					start := time.Now()
-					res := mustQuery(b, s, c.query, nil)
-					elapsed += time.Since(start)
-					if len(res.Rows) != want {
-						b.Fatalf("rows = %d, want %d", len(res.Rows), want)
-					}
+		b.Run(c.name+"/Typed", func(b *testing.B) {
+			s := e16Fixture(b)
+			want := len(mustQuery(b, s, c.query, nil).Rows) // warm plan cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			var elapsed time.Duration
+			for i := 0; i < b.N; i++ {
+				start := time.Now()
+				res := mustQuery(b, s, c.query, nil)
+				elapsed += time.Since(start)
+				if len(res.Rows) != want {
+					b.Fatalf("rows = %d, want %d", len(res.Rows), want)
 				}
-				b.StopTimer()
-				if elapsed > 0 {
-					b.ReportMetric(float64(factRows)*float64(b.N)/elapsed.Seconds(), "fact-rows/sec")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			if elapsed > 0 {
+				b.ReportMetric(float64(factRows)*float64(b.N)/elapsed.Seconds(), "fact-rows/sec")
+			}
+		})
 	}
 }
 

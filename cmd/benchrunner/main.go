@@ -1022,24 +1022,19 @@ func e15() {
 	fmt.Println("engine: QPS holds near its plateau while p99 absorbs the queueing delay.")
 }
 
-// --- E16: vectorized batch execution ----------------------------------
+// --- E16: batch execution --------------------------------------------
 
-// e16point is one query shape's throughput across the three execution
-// modes — row-at-a-time, generic boxed batches, typed column batches —
+// e16point is one query shape's throughput through typed column batches,
 // serialized into BENCH_E16.json.
 type e16point struct {
-	Name         string  `json:"name"`
-	Query        string  `json:"query"`
-	OutputRows   int     `json:"output_rows"`
-	RowPerSec    float64 `json:"row_mode_rows_per_sec"`
-	GenPerSec    float64 `json:"generic_vectorized_rows_per_sec"`
-	TypedPerSec  float64 `json:"typed_vectorized_rows_per_sec"`
-	VecSpeedup   float64 `json:"vectorized_vs_row_speedup"`
-	TypedSpeedup float64 `json:"typed_vs_generic_speedup"`
+	Name       string  `json:"name"`
+	Query      string  `json:"query"`
+	OutputRows int     `json:"output_rows"`
+	RowsPerSec float64 `json:"rows_per_sec"`
 }
 
 func e16() {
-	header("E16", "vectorized batch execution: row vs generic batches vs typed column vectors")
+	header("E16", "batch execution: fact rows per second through typed column vectors")
 	const factRows, dimRows = 1_000_000, 1000
 	s := dhqp.NewServer("local", "stardb")
 	must(workload.LoadFactDim(s, "stardb", workload.FactDimConfig{FactRows: factRows, DimRows: dimRows, Seed: 7}))
@@ -1051,75 +1046,41 @@ func e16() {
 			FROM fact f, dim d WHERE f.f_dim = d.d_id AND f.f_val < 5000 GROUP BY d.d_name`},
 	}
 	const reps = 3
-	measure := func(sql string) (float64, int) {
-		mustQ(s, sql, nil) // warm the plan cache so timing excludes optimization
+	fmt.Printf("fact: %d rows, dim: %d rows; rows/sec = fact rows scanned per second, best of %d\n\n",
+		factRows, dimRows, reps)
+	fmt.Printf("  %-18s %14s %12s\n", "pipeline", "rows/s", "output rows")
+	var points []e16point
+	for _, c := range cases {
+		mustQ(s, c.sql, nil) // warm the plan cache so timing excludes optimization
 		// A collection of the 1M-row heap runs for 100-200 ms — longer than
-		// all three repetitions of a typed cell — and marks with the
-		// allocating statement's help; collect now so none starts mid-cell.
+		// all three repetitions — and marks with the allocating statement's
+		// help; collect now so none starts mid-case.
 		runtime.GC()
 		best := time.Duration(1<<62 - 1)
 		outRows := 0
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
-			res := mustQ(s, sql, nil)
+			res := mustQ(s, c.sql, nil)
 			if d := time.Since(t0); d < best {
 				best = d
 			}
 			outRows = len(res.Rows)
 		}
-		return float64(factRows) / best.Seconds(), outRows
+		rate := float64(factRows) / best.Seconds()
+		fmt.Printf("  %-18s %14.0f %12d\n", c.name, rate, outRows)
+		points = append(points, e16point{Name: c.name, Query: c.sql, OutputRows: outRows, RowsPerSec: rate})
 	}
-
-	fmt.Printf("fact: %d rows, dim: %d rows; rows/sec = fact rows scanned per second, best of %d\n\n",
-		factRows, dimRows, reps)
-	fmt.Printf("  %-18s %14s %14s %14s %9s %9s\n",
-		"pipeline", "row r/s", "generic r/s", "typed r/s", "vec/row", "typ/gen")
-	var points []e16point
-	setMode := func(m engine.ExecMode) { s.Configure(func(c *engine.Config) { c.ExecMode = m }) }
-	for _, c := range cases {
-		setMode(engine.ExecTyped)
-		typed, outRows := measure(c.sql)
-		setMode(engine.ExecGeneric)
-		gen, _ := measure(c.sql)
-		setMode(engine.ExecRow)
-		row, _ := measure(c.sql)
-		setMode(engine.ExecTyped)
-		vecSpeedup := typed / row
-		typedSpeedup := typed / gen
-		fmt.Printf("  %-18s %14.0f %14.0f %14.0f %8.2fx %8.2fx\n",
-			c.name, row, gen, typed, vecSpeedup, typedSpeedup)
-		points = append(points, e16point{
-			Name: c.name, Query: c.sql, OutputRows: outRows,
-			RowPerSec: row, GenPerSec: gen, TypedPerSec: typed,
-			VecSpeedup: vecSpeedup, TypedSpeedup: typedSpeedup,
-		})
-	}
-	vecGate := points[0].VecSpeedup >= 1.0
-	typedGate := points[0].TypedSpeedup >= 1.0
 	out, err := json.MarshalIndent(struct {
 		FactRows  int        `json:"fact_rows"`
 		DimRows   int        `json:"dim_rows"`
 		BatchSize int        `json:"default_batch_size"`
 		Cases     []e16point `json:"cases"`
-		GatePass  bool       `json:"gate_pass"`
-		TypedPass bool       `json:"typed_gate_pass"`
-	}{factRows, dimRows, 1024, points, vecGate, typedGate}, "", "  ")
+	}{factRows, dimRows, 1024, points}, "", "  ")
 	must(err)
 	must(os.WriteFile("BENCH_E16.json", append(out, '\n'), 0o644))
 	fmt.Println("  wrote BENCH_E16.json")
-	if vecGate {
-		fmt.Println("  vectorized-vs-row gate: PASS")
-	} else {
-		fmt.Println("  vectorized-vs-row gate: FAIL (vectorized slower than row on scan+filter)")
-	}
-	if typedGate {
-		fmt.Println("  typed-vs-generic gate: PASS")
-	} else {
-		fmt.Println("  typed-vs-generic gate: FAIL (typed vectors slower than generic on scan+filter)")
-	}
-	fmt.Println("\ntyped column vectors keep int64/float64/string payloads unboxed with validity")
-	fmt.Println("bitmaps; the comparison, arithmetic, hash-key, and aggregate kernels run over")
-	fmt.Println("flat slices, so the win over generic batches compounds with batch amortization.")
+	fmt.Println("\nthe comparison, arithmetic, hash-key and aggregate kernels run over flat")
+	fmt.Println("int64/float64/string payloads with validity bitmaps, a batch at a time.")
 }
 
 // --- E17: durability -------------------------------------------------

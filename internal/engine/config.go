@@ -62,8 +62,6 @@ type Config struct {
 	// and the fetch size of a remote rowset; 0 is rowset.DefaultBatchSize,
 	// values above rowset.MaxBatchSize clamp down.
 	BatchSize int
-	// ExecMode selects the executor pipeline.
-	ExecMode ExecMode
 	// QueryTimeout bounds each statement's wall-clock execution; remote
 	// waits abort when it passes. 0 is no deadline.
 	QueryTimeout time.Duration
@@ -95,20 +93,6 @@ type Config struct {
 	// the generation it was compiled under.
 	planGen uint64
 }
-
-// ExecMode is the executor pipeline a statement runs on.
-type ExecMode uint8
-
-const (
-	// ExecTyped is batch execution over unboxed int64/float64/string
-	// column vectors with validity bitmaps (the default).
-	ExecTyped ExecMode = iota
-	// ExecGeneric is batch execution over boxed column vectors: the
-	// typed-vs-generic testing and benchmarking axis.
-	ExecGeneric
-	// ExecRow is row-at-a-time execution; the batch kernels are bypassed.
-	ExecRow
-)
 
 // Circuit-breaker defaults: a server must fail more than a full default
 // retry ladder (4 attempts) before its breaker trips, and it stays open for

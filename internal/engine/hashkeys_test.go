@@ -11,7 +11,7 @@ import (
 // round to the float64 2^53, so they hash alike under the INT = FLOAT rule,
 // but as INTs they are unequal. A hash join of the two keys returns nothing,
 // GROUP BY keeps two groups with their own sums, and COUNT(DISTINCT) counts
-// two, in the typed, generic and row executors alike.
+// two, at batch sizes 1, 3 and the default alike.
 func TestHashKeysCompareValues(t *testing.T) {
 	const lo, hi = "9007199254740992", "9007199254740993"
 	s := NewServer("local", "kdb")
@@ -44,8 +44,9 @@ func TestHashKeysCompareValues(t *testing.T) {
 			[]string{"(" + lo + ", 3, 2)", "(" + hi + ", 60, 3)"}},
 		{`SELECT COUNT(DISTINCT k) AS dk FROM kg`, []string{"(2)"}},
 	}
-	for mode, name := range map[ExecMode]string{ExecTyped: "typed", ExecGeneric: "generic", ExecRow: "row"} {
-		s.Configure(func(c *Config) { c.ExecMode = mode })
+	for _, size := range []int{1, 3, 0} {
+		name := fmt.Sprintf("batch=%d", size)
+		s.Configure(func(c *Config) { c.BatchSize = size })
 		for _, c := range cases {
 			res, err := s.Query(c.sql, nil)
 			if err != nil {

@@ -56,7 +56,6 @@ func TestKnobFlipsDuringConcurrentQueries(t *testing.T) {
 				c.CollectStats = i%2 == 1
 				c.MaxDOP = i % 3
 				c.BatchSize = 1 + i%2048
-				c.ExecMode = ExecMode(i % 3)
 				c.QueryTimeout = time.Duration(i%2) * time.Minute
 				c.PartialResults = i%2 == 0
 				c.RemoteRetries = 1 + i%3

@@ -69,9 +69,9 @@ func countPrunedScans(n *algebra.Node) int {
 	return count
 }
 
-// TestPrunedScanEquivalence extends the seven-mode grid to pruned scans:
-// every projection that is not a prefix of its table must come back from
-// the projected batch read exactly as from the row path — over the
+// TestPrunedScanEquivalence extends the batch-size grid to pruned scans:
+// every projection that is not a prefix of its table must come back the
+// same at batch sizes 1, 3 and 1024 — over the
 // NULL-heavy mixed-kind table, over a table with deleted slots, and at a
 // historical snapshot, where a commit has landed after the statement's
 // snapshot was taken and the scan has to bypass the columnar image.
@@ -86,10 +86,10 @@ func TestPrunedScanEquivalence(t *testing.T) {
 			t.Errorf("%s: no pruned scan in the plan, the query tests nothing", sql)
 		}
 	}
-	checkModeGrid(t, s, prunedQueries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
+	checkBatchGrid(t, s, prunedQueries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
 
-	// The answers as of now, by the row path.
-	s.Configure(func(c *Config) { c.ExecMode = ExecRow })
+	// The answers as of now, one row a batch.
+	s.Configure(func(c *Config) { c.BatchSize = 1 })
 	before := map[string][]string{}
 	for _, sql := range prunedQueries {
 		res, err := s.Query(sql, nil)
@@ -113,8 +113,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		cfg := s.cfg.Load()
 		ctx := &exec.Context{
 			RT:        &runtime{s: s, local: s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())},
-			BatchSize: cfg.BatchSize, NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
-			Ctx: context.Background(), Stats: s.newRecord(false),
+			BatchSize: cfg.BatchSize, Ctx: context.Background(), Stats: s.newRecord(false),
 		}
 		var m rowset.Materialized
 		if err := exec.Stream(plan, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
@@ -122,7 +121,7 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		}
 		return &Result{Cols: cols, Rows: m.Rows()}, nil
 	}
-	checkModeGrid(t, s, prunedQueries, atSnapshot)
+	checkBatchGrid(t, s, prunedQueries, atSnapshot)
 	for _, sql := range prunedQueries {
 		res, err := atSnapshot(sql)
 		if err != nil {

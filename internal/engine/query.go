@@ -446,7 +446,6 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 	ctx := &exec.Context{
 		RT: &runtime{s: s, local: localView}, Params: params, Today: cfg.Today,
 		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
-		NoVectorized: cfg.ExecMode == ExecRow, NoTypedVectors: cfg.ExecMode == ExecGeneric,
 		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
 		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults,
 		Stats: col, Server: s.name,

@@ -192,9 +192,9 @@ func TestRangeStartupPrunesToOwners(t *testing.T) {
 	windows(2)
 }
 
-// TestRemoteMemberModeGrid puts remote members under the seven-mode grid:
-// row mode must read the same rows, in the same order, out of shipped
-// batches that the batch modes consume whole — through pushed statements
+// TestRemoteMemberModeGrid puts remote members under the batch-size grid:
+// one row a batch must read the same rows, in the same order, out of
+// shipped batches that larger sizes consume whole — through pushed statements
 // behind startup filters, through the serial and the parallel exchange, and
 // through a command-less provider's scan narrowed to a reordered pair of
 // its columns (vectors moved, not rows rebuilt).
@@ -226,10 +226,10 @@ func TestRemoteMemberModeGrid(t *testing.T) {
 	if plan, _, _, err := head.Plan(ordered[2]); err != nil || !strings.Contains(plan.String(), "RemoteScan") {
 		t.Fatalf("%s: not a remote scan (%v):\n%v", ordered[2], err, plan)
 	}
-	checkModeGrid(t, head, ordered, run)
+	checkBatchGrid(t, head, ordered, run)
 	// One member after another, the members' own order is the result's.
 	head.Configure(func(c *Config) { c.MaxDOP = 1 })
-	checkModeGrid(t, head, []string{shipStmt, `SELECT o_id, amount FROM orders WHERE o_id >= @lo AND o_id < @hi`}, run)
+	checkBatchGrid(t, head, []string{shipStmt, `SELECT o_id, amount FROM orders WHERE o_id >= @lo AND o_id < @hi`}, run)
 }
 
 // TestExplainRendersPrunedBranches: EXPLAIN ANALYZE says which branches a

@@ -45,13 +45,14 @@ func vecServer(t *testing.T) *Server {
 	return s
 }
 
-// TestVectorizedRowEquivalence is the differential property test for the
-// batch engine: a grid of plan shapes (filters, inner/outer/semi/anti
-// joins, aggregates, sorts, computed projections, NULL keys, empty inputs)
-// runs through the row path and through the vectorized path at batch sizes
-// 1, 3, and 1024, and every mode must return identical rows in identical
-// order. One server serves all modes — the knobs are per-execution, so the
-// same cached plans must honor every flip.
+// TestVectorizedRowEquivalence is the batch-size property test for the
+// executor: a grid of plan shapes (filters, inner/outer/semi/anti joins,
+// aggregates, sorts, computed projections, NULL keys, empty inputs) runs
+// at batch sizes 1, 3 and 1024, and every size must return identical rows
+// in identical order. One server serves all sizes — the knob is
+// per-execution, so the same cached plans must honor every flip. The
+// answers themselves are held to an independent evaluator by
+// TestStatementOracle.
 func TestVectorizedRowEquivalence(t *testing.T) {
 	s := vecServer(t)
 	queries := []string{
@@ -109,7 +110,7 @@ func TestVectorizedRowEquivalence(t *testing.T) {
 		}
 	}
 	queries = append(queries, hashShapes...)
-	checkModeGrid(t, s, queries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
+	checkBatchGrid(t, s, queries, func(sql string) (*Result, error) { return s.Query(sql, nil) })
 }
 
 // loadStarTables adds a 300-row fact table and two small dimensions with
@@ -134,26 +135,20 @@ func loadStarTables(s *Server) {
 	s.MustExec(`INSERT INTO sd2 VALUES (0, 3), (1, 5), (2, 7), (2, 2), (4, 9), (5, 1), (NULL, 4), (8, 6), (11, 5)`)
 }
 
-// checkModeGrid runs every query through run under the seven executor
-// modes — the row path, then typed and generic batches at sizes 1, 3 and
-// 1024 — and requires each mode to return the row path's rows in the row
-// path's order. The knobs are restored to their defaults afterwards.
-func checkModeGrid(t *testing.T, s *Server, queries []string, run func(sql string) (*Result, error)) {
+// checkBatchGrid runs every query through run at batch sizes 1, 3 and
+// 1024 and requires each size to return the first size's rows in its
+// order. The batch size is restored to its default afterwards.
+func checkBatchGrid(t *testing.T, s *Server, queries []string, run func(sql string) (*Result, error)) {
 	t.Helper()
 	modes := []struct {
 		name string
-		mode ExecMode
 		size int
-	}{
-		{"row", ExecRow, 0},
-		{"vec-1", ExecTyped, 1}, {"vec-3", ExecTyped, 3}, {"vec-1024", ExecTyped, 1024},
-		{"gen-1", ExecGeneric, 1}, {"gen-3", ExecGeneric, 3}, {"gen-1024", ExecGeneric, 1024},
-	}
+	}{{"batch-1", 1}, {"batch-3", 3}, {"batch-1024", 1024}}
 	for qi, sql := range queries {
 		var reference []string
 		var refName string
 		for _, mode := range modes {
-			s.Configure(func(c *Config) { c.ExecMode, c.BatchSize = mode.mode, mode.size })
+			s.Configure(func(c *Config) { c.BatchSize = mode.size })
 			res, err := run(sql)
 			if err != nil {
 				t.Fatalf("query %d under %s: %v", qi, mode.name, err)
@@ -177,10 +172,10 @@ func checkModeGrid(t *testing.T, s *Server, queries []string, run func(sql strin
 			}
 		}
 	}
-	s.Configure(func(c *Config) { c.ExecMode, c.BatchSize = ExecTyped, 0 }) // restore defaults
+	s.Configure(func(c *Config) { c.BatchSize = 0 }) // restore the default
 }
 
-// TestVectorizedKnobFlipMidQuery flips Config.BatchSize and ExecMode
+// TestVectorizedKnobFlipMidQuery flips Config.BatchSize and MaxDOP
 // continuously while queries run on other goroutines; under -race this
 // proves a statement reads them from the Config it loaded, never
 // mid-execution flips.
@@ -205,7 +200,7 @@ func TestVectorizedKnobFlipMidQuery(t *testing.T) {
 			if i%4 == 3 {
 				s.Configure(func(c *Config) { c.BatchSize = 1 + i%2048 })
 			} else {
-				s.Configure(func(c *Config) { c.ExecMode = ExecMode(i % 4) })
+				s.Configure(func(c *Config) { c.MaxDOP = i % 3 })
 			}
 		}
 	}()
@@ -234,9 +229,9 @@ func TestVectorizedKnobFlipMidQuery(t *testing.T) {
 }
 
 // TestVectorizedExplainAnalyzeExact asserts per-batch telemetry never
-// over- or under-counts: EXPLAIN ANALYZE actual row counts under vectorized
-// execution must equal the row path's, operator for operator, and match the
-// known table cardinalities.
+// over- or under-counts: EXPLAIN ANALYZE actual row counts at four rows a
+// batch must equal those at one row a batch, operator for operator, and
+// match the known table cardinalities.
 func TestVectorizedExplainAnalyzeExact(t *testing.T) {
 	s := vecServer(t)
 	sql := `SELECT b, COUNT(*) AS c FROM t1 WHERE a IS NOT NULL GROUP BY b`
@@ -245,7 +240,7 @@ func TestVectorizedExplainAnalyzeExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Configure(func(c *Config) { c.ExecMode = ExecRow })
+	s.Configure(func(c *Config) { c.BatchSize = 1 })
 	row, err := s.ExplainAnalyze(sql, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +265,7 @@ func TestVectorizedExplainAnalyzeExact(t *testing.T) {
 			t.Fatalf("op %s: actuals recorded in one mode only", nv.Op.OpName())
 		}
 		if sv != nil && sv.ActualRows() != sr.ActualRows() {
-			t.Errorf("op %s: vectorized actual=%d row-mode actual=%d",
+			t.Errorf("op %s: actual=%d at four rows a batch, %d at one",
 				nv.Op.OpName(), sv.ActualRows(), sr.ActualRows())
 		}
 		for i := range nv.Kids {

@@ -113,10 +113,6 @@ func (a *accumulator) result() sqltypes.Value {
 }
 
 func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpec, ctx *Context, stream bool) (Iterator, error) {
-	child, err := Build(n.Kids[0], ctx)
-	if err != nil {
-		return nil, err
-	}
 	kidCols := n.Kids[0].OutCols()
 	gpos := make([]int, len(groupCols))
 	for i, gc := range groupCols {
@@ -138,7 +134,15 @@ func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpe
 		}
 	}
 	if stream {
-		return &streamAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args}, nil
+		child, err := buildRows(n.Kids[0], ctx)
+		if err != nil {
+			return nil, err
+		}
+		return &rowToBatch{&streamAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args}}, nil
+	}
+	child, err := Build(n.Kids[0], ctx)
+	if err != nil {
+		return nil, err
 	}
 	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos}, nil
 }
@@ -194,14 +198,8 @@ func (h *hashAggIter) Open() error {
 	if len(h.gpos) == 0 {
 		h.newGroup(nil, 0, 0) // a scalar aggregate has its one group even over no rows
 	}
-	// Row mode pulls the child by Next, vectorized mode by NextBatch; either
-	// way the rows arrive a batch at a time.
-	child := asBatchIterator(h.child)
-	if !h.ctx.vectorized() {
-		child = &rowToBatch{it: h.child}
-	}
 	for {
-		err := child.NextBatch(h.in)
+		err := h.child.NextBatch(h.in)
 		if err == io.EOF {
 			break
 		}
@@ -253,7 +251,7 @@ func (h *hashAggIter) newGroup(cols []rowset.Vec, p int, hash uint64) int32 {
 	g := h.tab.insert(hash)
 	h.one[0] = int32(p)
 	for k, c := range h.gpos {
-		h.keys[k].Gather(int(g), &cols[c], h.one[:], false, false)
+		h.keys[k].Gather(int(g), &cols[c], h.one[:], false)
 	}
 	if len(h.accs)+len(h.specs) > cap(h.accs) {
 		// Double the room: append grows a long slice by about a quarter,
@@ -356,13 +354,6 @@ func (h *hashAggIter) groupRows() *rowset.Materialized {
 	return rowset.NewMaterialized(nil, rows)
 }
 
-func (h *hashAggIter) Next() (rowset.Row, error) {
-	if h.out == nil {
-		return nil, io.EOF
-	}
-	return h.out.Next()
-}
-
 // NextBatch drains the materialized group rows batch-at-a-time.
 func (h *hashAggIter) NextBatch(b *rowset.Batch) error {
 	if h.out == nil {
@@ -379,7 +370,7 @@ func (h *hashAggIter) Close() error {
 // streamAggIter aggregates input already ordered by the grouping columns.
 type streamAggIter struct {
 	ctx   *Context
-	child Iterator
+	child *rowChild
 	gpos  []int
 	specs []algebra.AggSpec
 	args  []expr.Expr

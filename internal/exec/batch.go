@@ -1,48 +1,35 @@
-// Vectorized iterator protocol. Batch-capable operators implement
-// NextBatch alongside Next; a generic row→batch adapter bridges the
-// remaining operators (sorts, spools, loop and merge joins). Remote
-// rowsets and the parallel exchange move batches whichever protocol their
-// parent speaks: their Next reads rows out of the current batch. Each
-// parent commits to one protocol — row or batch — for the lifetime of an
-// Open/Close cycle, so the choice is safe to make per execution.
+// The row-internal operators. Sort, spool, the loop and merge joins, the
+// batched loop join, stream aggregation, remote fetch and the constant scan
+// work a row at a time inside, behind one adapter in each direction: each
+// reads its children through rowChild, a row cursor over the child's
+// batches, and buildOp wraps it once in rowToBatch, so its parent sees a
+// batch operator like any other.
 
 package exec
 
 import (
 	"io"
 
+	"dhqp/internal/algebra"
 	"dhqp/internal/rowset"
 )
 
-// BatchIterator is a batch-capable operator cursor: NextBatch fills the
-// caller's batch with up to its capacity in rows and returns io.EOF only
-// on an empty fill.
-type BatchIterator interface {
-	Iterator
-	NextBatch(b *rowset.Batch) error
+// rowIterator is a row-internal operator's cursor: Next returns one row,
+// io.EOF at the end.
+type rowIterator interface {
+	Open() error
+	Next() (rowset.Row, error)
+	Close() error
 }
 
-// asBatchIterator returns it as a BatchIterator, wrapping row-only
-// iterators in the generic row→batch adapter.
-func asBatchIterator(it Iterator) BatchIterator {
-	if bi, ok := it.(BatchIterator); ok {
-		return bi
-	}
-	return &rowToBatch{it: it}
-}
-
-// rowToBatch adapts a row-only iterator into the batch protocol by pulling
-// rows until the batch fills. It is the adapter boundary named in the
-// design: everything below it (sort buffers, spools, loop joins) runs
-// row-at-a-time unchanged.
+// rowToBatch presents a row-internal operator as a batch operator by
+// pulling rows until the batch fills.
 type rowToBatch struct {
-	it Iterator
+	it rowIterator
 }
 
 func (a *rowToBatch) Open() error  { return a.it.Open() }
 func (a *rowToBatch) Close() error { return a.it.Close() }
-
-func (a *rowToBatch) Next() (rowset.Row, error) { return a.it.Next() }
 
 func (a *rowToBatch) NextBatch(b *rowset.Batch) error {
 	b.Reset(0)
@@ -61,3 +48,29 @@ func (a *rowToBatch) NextBatch(b *rowset.Batch) error {
 	}
 	return nil
 }
+
+// rowChild is a row-internal operator's view of one child: the child's
+// batches, handed out a row at a time. The rows are fresh, so the operator
+// may keep them; Open restarts the child and drops whatever of its last
+// batch was not handed out (a loop join re-opens its inner side per outer
+// row).
+type rowChild struct {
+	Iterator
+	rows rowset.BatchRows
+}
+
+// buildRows builds plan node n as a row child.
+func buildRows(n *algebra.Node, ctx *Context) (*rowChild, error) {
+	it, err := Build(n, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &rowChild{Iterator: it, rows: rowset.BatchRows{B: ctx.newBatch()}}, nil
+}
+
+func (c *rowChild) Open() error {
+	c.rows.Reset()
+	return c.Iterator.Open()
+}
+
+func (c *rowChild) Next() (rowset.Row, error) { return c.rows.Next(c.Iterator.NextBatch) }

@@ -37,6 +37,8 @@ func (c *countingIter) Next() (rowset.Row, error) {
 	return r, nil
 }
 
+func (c *countingIter) NextBatch(b *rowset.Batch) error { return (&rowToBatch{c}).NextBatch(b) }
+
 func (c *countingIter) Close() error {
 	c.closes++
 	c.isOpen = false
@@ -58,7 +60,7 @@ func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	left := &countingIter{rows: []rowset.Row{intRow(1), intRow(2)}}
 	right := &countingIter{rows: []rowset.Row{intRow(10), intRow(11)}}
 	ctx := &Context{Params: map[string]sqltypes.Value{}}
-	j := &loopJoinIter{ctx: ctx, typ: algebra.InnerJoin, left: left, right: right, rwidth: 1}
+	j := &loopJoinIter{ctx: ctx, typ: algebra.InnerJoin, left: rowsOf(left), right: rowsOf(right), rwidth: 1}
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +100,11 @@ func TestBatchLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 		BatchSize: 2,
 	}, outer, inner)
 	ctx := &Context{Params: map[string]sqltypes.Value{}}
-	it, err := Build(n, ctx)
+	built, err := Build(n, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	it := rowsOf(built)
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +166,9 @@ func batchTestScans() (*algebra.Node, *algebra.Node) {
 func drainSorted(t *testing.T, it Iterator) []string {
 	t.Helper()
 	var out []string
+	rows := rowsOf(it)
 	for {
-		r, err := it.Next()
+		r, err := rows.Next()
 		if err == io.EOF {
 			break
 		}
@@ -235,7 +239,7 @@ func TestBatchLoopJoinMatchesSerialAllJoinTypes(t *testing.T) {
 func TestSpoolRefillsOnParamChange(t *testing.T) {
 	child := &countingIter{rows: []rowset.Row{intRow(1), intRow(2), intRow(3)}}
 	ctx := &Context{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}
-	sp := &spoolIter{ctx: ctx, child: child}
+	sp := &spoolIter{ctx: ctx, child: rowsOf(child)}
 	drain := func() int {
 		n := 0
 		for {

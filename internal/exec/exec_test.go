@@ -122,6 +122,13 @@ func materialize(n *algebra.Node, ctx *Context) (*rowset.Materialized, error) {
 	return &m, nil
 }
 
+// rowsOf reads an iterator a row at a time, as a row-internal operator
+// does, one row per batch: a test sees exactly the row-by-row lifecycle of
+// its children.
+func rowsOf(it Iterator) *rowChild {
+	return &rowChild{Iterator: it, rows: rowset.BatchRows{B: rowset.NewBatch(1)}}
+}
+
 func run(t *testing.T, f *fixture, n *algebra.Node) *rowset.Materialized {
 	t.Helper()
 	m, err := materialize(n, f.ctx)
@@ -463,10 +470,11 @@ func TestConstAndEmptyScan(t *testing.T) {
 func TestSpoolReplays(t *testing.T) {
 	f := newFixture(t)
 	sp := algebra.NewNode(&algebra.Spool{}, f.empScan())
-	it, err := Build(sp, f.ctx)
+	built, err := Build(sp, f.ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	it := rowsOf(built)
 	count := func() int {
 		n := 0
 		for {

@@ -100,18 +100,22 @@ func keyEqual(a, b cell) bool {
 	return a.kind != 0 && b.kind != 0 && cellCompare(a, b) == 0
 }
 
-// joinSrc is a test source speaking both protocols. NextBatch fills typed
-// columns per kinds (a value of another kind degrades its column, as a
-// storage scan would) and hides the rows keep marks false behind a selection
-// vector; Next skips those rows. With loop set it never reports EOF.
+// joinSrc is a test source. NextBatch fills typed columns per kinds (a
+// value of another kind degrades its column, as a storage scan would), or
+// generic columns when generic is set, and hides the rows keep marks false
+// behind a selection vector. With loop set it never reports EOF.
 type joinSrc struct {
-	kinds []sqltypes.Kind
-	rows  []rowset.Row
-	keep  []bool
-	loop  bool
-	pos   int
-	sel   []int
+	kinds   []sqltypes.Kind
+	rows    []rowset.Row
+	keep    []bool
+	loop    bool
+	generic bool
+	pos     int
+	sel     []int
 }
+
+// genericKinds are all KindNull: FillRows fills generic columns.
+var genericKinds [16]sqltypes.Kind
 
 func newJoinSrc(kinds []sqltypes.Kind, cells [][]cell, keep []bool) *joinSrc {
 	s := &joinSrc{kinds: kinds, keep: keep}
@@ -128,16 +132,6 @@ func newJoinSrc(kinds []sqltypes.Kind, cells [][]cell, keep []bool) *joinSrc {
 func (s *joinSrc) Open() error  { s.pos = 0; return nil }
 func (s *joinSrc) Close() error { return nil }
 
-func (s *joinSrc) Next() (rowset.Row, error) {
-	for s.pos < len(s.rows) {
-		s.pos++
-		if s.keep == nil || s.keep[s.pos-1] {
-			return s.rows[s.pos-1], nil
-		}
-	}
-	return nil, io.EOF
-}
-
 func (s *joinSrc) NextBatch(b *rowset.Batch) error {
 	for {
 		if s.pos >= len(s.rows) {
@@ -148,7 +142,11 @@ func (s *joinSrc) NextBatch(b *rowset.Batch) error {
 		}
 		from := s.pos
 		s.pos = min(from+b.CapRows(), len(s.rows))
-		b.FillRows(s.kinds, nil, s.rows[from:s.pos])
+		kinds := s.kinds
+		if s.generic {
+			kinds = genericKinds[:len(kinds)]
+		}
+		b.FillRows(kinds, nil, s.rows[from:s.pos])
 		if s.keep == nil {
 			return nil
 		}
@@ -304,21 +302,22 @@ func (c *joinCase) expect(typ algebra.JoinType, residual bool) [][]cell {
 }
 
 type joinMode struct {
-	batch             int
-	typed, vectorized bool
-	pullBatch         bool // the parent pulls by NextBatch, else by Next
+	batch   int
+	generic bool // the sources deliver generic columns
 }
 
 func (m joinMode) String() string {
-	return fmt.Sprintf("batch=%d typed=%v vectorized=%v pullBatch=%v", m.batch, m.typed, m.vectorized, m.pullBatch)
+	return fmt.Sprintf("batch=%d generic=%v", m.batch, m.generic)
 }
 
 func (c *joinCase) iter(typ algebra.JoinType, residual bool, m joinMode) (*hashJoinIter, error) {
+	left, right := newJoinSrc(c.pkinds, c.probe, c.pkeep), newJoinSrc(buildKinds, c.build, c.bkeep)
+	left.generic, right.generic = m.generic, m.generic
 	h := &hashJoinIter{
-		ctx:   &Context{BatchSize: m.batch, NoTypedVectors: !m.typed, NoVectorized: !m.vectorized},
+		ctx:   &Context{BatchSize: m.batch},
 		typ:   typ,
-		left:  newJoinSrc(c.pkinds, c.probe, c.pkeep),
-		right: newJoinSrc(buildKinds, c.build, c.bkeep),
+		left:  left,
+		right: right,
 		lpos:  c.lkeys, rpos: c.rkeys,
 		lwidth: joinWidth, rwidth: joinWidth,
 	}
@@ -337,17 +336,10 @@ func (c *joinCase) iter(typ algebra.JoinType, residual bool, m joinMode) (*hashJ
 // drain opens the join, abandons it after one pull, reopens it and reads it
 // to the end — so state a half-read match list leaves behind must not leak
 // into the answer.
-func drainJoin(h *hashJoinIter, m joinMode) ([][]cell, error) {
+func drainJoin(h *hashJoinIter) ([][]cell, error) {
 	b := h.ctx.newBatch()
 	var out [][]cell
 	pull := func() error {
-		if !m.pullBatch {
-			r, err := h.Next()
-			if err == nil {
-				out = append(out, cellsOf(r))
-			}
-			return err
-		}
 		err := h.NextBatch(b)
 		if err != nil {
 			return err
@@ -391,18 +383,14 @@ func drainJoin(h *hashJoinIter, m joinMode) ([][]cell, error) {
 // and two-column keys, INT-vs-FLOAT keys, INT keys past 2^53 that share a
 // float64, a string column, a column that degrades mid-stream, an all-NULL
 // column and selection vectors, under every join type × residual × batch
-// size × typed × vectorized × pull protocol.
+// size × typed or generic source columns.
 func TestHashJoinOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	types := []algebra.JoinType{algebra.InnerJoin, algebra.LeftOuterJoin, algebra.SemiJoin, algebra.AntiJoin}
 	var modes []joinMode
-	for _, batch := range []int{1, 3, 1024} {
-		for _, typed := range []bool{true, false} {
-			for _, vectorized := range []bool{true, false} {
-				for _, pullBatch := range []bool{true, false} {
-					modes = append(modes, joinMode{batch, typed, vectorized, pullBatch})
-				}
-			}
+	for _, batch := range []int{1, 3, 0} {
+		for _, generic := range []bool{false, true} {
+			modes = append(modes, joinMode{batch, generic})
 		}
 	}
 	for n := 0; n < 12; n++ {
@@ -415,7 +403,7 @@ func TestHashJoinOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := drainJoin(h, m)
+					got, err := drainJoin(h)
 					if err != nil {
 						t.Fatalf("case %d %v residual=%v %v: %v", n, typ, residual, m, err)
 					}
@@ -456,11 +444,11 @@ func starJoin(typ algebra.JoinType, typed bool, factRows, dimRows, keepEvery int
 		keep = nil
 	}
 	left := newJoinSrc([]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindInt, sqltypes.KindFloat}, fact, keep)
-	left.loop = loop
+	right := newJoinSrc([]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString}, dim, nil)
+	left.loop, left.generic, right.generic = loop, !typed, !typed
 	return &hashJoinIter{
-		ctx: &Context{NoTypedVectors: !typed}, typ: typ, left: left,
-		right: newJoinSrc([]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString}, dim, nil),
-		lpos:  []int{1}, rpos: []int{0}, lwidth: 3, rwidth: 2,
+		ctx: &Context{}, typ: typ, left: left, right: right,
+		lpos: []int{1}, rpos: []int{0}, lwidth: 3, rwidth: 2,
 	}
 }
 

@@ -65,19 +65,16 @@ type hashJoinIter struct {
 	eq     keyEq
 	hs     []uint64
 
-	// The probe row in progress, for Next and NextBatch alike: chain is the
-	// next build id to try for it (-1: none left), matched whether it has
-	// joined yet.
+	// The probe row in progress: chain is the next build id to try for it
+	// (-1: none left), matched whether it has joined yet.
 	chain   int32
 	matched bool
-	cur     rowset.Row // Next's copy of that row
 
-	// NextBatch state. An output row is a pair: the probe row's physical
-	// index in `in` and a build id, -1 for the NULL-extended side of an
-	// unmatched LEFT OUTER row (neg: some pending pair has one). SEMI and
-	// ANTI record the probe index alone. Between probes the build borrows
-	// pidx to list a build batch's rows.
-	bleft      BatchIterator
+	// An output row is a pair: the probe row's physical index in `in` and a
+	// build id, -1 for the NULL-extended side of an unmatched LEFT OUTER row
+	// (neg: some pending pair has one). SEMI and ANTI record the probe index
+	// alone. Between probes the build borrows pidx to list a build batch's
+	// rows.
 	in         *rowset.Batch // probe-side input batch
 	inPos      int           // live row of `in` in progress
 	leftDone   bool
@@ -91,21 +88,6 @@ type hashJoinIter struct {
 // semi reports whether the join emits probe rows alone (SEMI, ANTI).
 func (h *hashJoinIter) semi() bool {
 	return h.typ == algebra.SemiJoin || h.typ == algebra.AntiJoin
-}
-
-// rowMatch returns the first build id from id on along its hash chain whose
-// key equals probe row l's, -1 when none does (row mode's keyEq.match).
-func (h *hashJoinIter) rowMatch(l rowset.Row, id int32) int32 {
-	for ; id >= 0; id = h.tab.next[id] {
-		eq := true
-		for k, p := range h.lpos {
-			eq = eq && sqltypes.Compare(l[p], h.build[h.rpos[k]].Value(int(id))) == 0
-		}
-		if eq {
-			return id
-		}
-	}
-	return -1
 }
 
 // insertBatch appends the batch's live rows with non-NULL keys to the build
@@ -122,31 +104,15 @@ func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
 		live = append(live, int32(idx))
 	}
 	for j := range h.build {
-		h.build[j].Gather(h.nbuild, &cols[j], live, false, h.ctx.NoTypedVectors)
+		h.build[j].Gather(h.nbuild, &cols[j], live, false)
 	}
 	h.nbuild += len(live)
 	h.pidx = live[:0]
 }
 
-// joined boxes probe row l and build row id (-1: NULLs) into one new row.
-func (h *hashJoinIter) joined(l rowset.Row, id int32) rowset.Row {
-	out := make(rowset.Row, len(l)+h.rwidth) // the zero Value is NULL
-	copy(out, l)
-	for j := 0; id >= 0 && j < h.rwidth; j++ {
-		out[len(l)+j] = h.build[j].Value(int(id))
-	}
-	return out
-}
-
 func (h *hashJoinIter) Open() error {
 	if err := h.right.Open(); err != nil {
 		return err
-	}
-	// Row mode pulls the build child by Next, vectorized mode by NextBatch;
-	// either way the rows land in the store a batch at a time.
-	bright := asBatchIterator(h.right)
-	if !h.ctx.vectorized() {
-		bright = &rowToBatch{it: h.right}
 	}
 	if h.buildBuf == nil {
 		h.buildBuf = h.ctx.newBatch()
@@ -155,7 +121,7 @@ func (h *hashJoinIter) Open() error {
 	h.tab.reset()
 	h.nbuild = 0
 	for {
-		err := bright.NextBatch(h.buildBuf)
+		err := h.right.NextBatch(h.buildBuf)
 		if err == io.EOF {
 			break
 		}
@@ -164,7 +130,7 @@ func (h *hashJoinIter) Open() error {
 		}
 		h.insertBatch(h.buildBuf)
 	}
-	h.cur, h.chain, h.matched = nil, -1, false
+	h.chain, h.matched = -1, false
 	h.inPos, h.leftDone = 0, false
 	h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
 	if h.in != nil {
@@ -173,62 +139,13 @@ func (h *hashJoinIter) Open() error {
 	return h.left.Open()
 }
 
-func (h *hashJoinIter) Next() (rowset.Row, error) {
-	for {
-		// Emit pending matches for the current left row.
-		for h.chain >= 0 {
-			combined := h.joined(h.cur, h.chain)
-			h.chain = h.rowMatch(h.cur, h.tab.next[h.chain])
-			if h.residual != nil {
-				ok, err := expr.EvalPredicate(h.residual, h.ctx.env(combined))
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			h.matched = true
-			switch h.typ {
-			case algebra.SemiJoin:
-				h.chain = -1 // one match suffices
-				return h.cur, nil
-			case algebra.AntiJoin:
-				h.chain = -1 // matched: the left row is dropped below
-			default:
-				return combined, nil
-			}
-		}
-		// Finish the previous left row for outer/anti semantics.
-		if prev := h.cur; prev != nil {
-			h.cur = nil
-			switch {
-			case h.typ == algebra.LeftOuterJoin && !h.matched:
-				return h.joined(prev, -1), nil
-			case h.typ == algebra.AntiJoin && !h.matched:
-				return prev, nil
-			}
-		}
-		// Advance left.
-		l, err := h.left.Next()
-		if err != nil {
-			return nil, err
-		}
-		h.cur, h.matched, h.chain = l.Clone(), false, -1
-		if !hasNull(l, h.lpos) { // NULL keys never join
-			h.chain = h.rowMatch(l, h.tab.find(hashRow(l, h.lpos)))
-		}
-	}
-}
-
 // NextBatch is the columnar probe: each input batch is probed into a list of
 // (probe index, build id) pairs, and every output column is then one gather
 // of its source column through that list, appended to the caller's batch —
 // so the output is typed exactly as its sources are, and fills to its
 // ceiling however few rows a probe batch contributes.
 func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
-	if h.bleft == nil {
-		h.bleft = asBatchIterator(h.left)
+	if h.in == nil {
 		h.in = h.ctx.newBatch()
 		h.venv = &expr.Env{}
 		h.scratch = make(rowset.Row, h.lwidth+h.rwidth)
@@ -239,10 +156,9 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 		width += h.rwidth
 	}
 	b.Reset(width)
-	boxed := !b.TypedEnabled()
 	for !b.Full() && !h.leftDone {
 		if h.inPos >= h.in.Len() {
-			err := h.bleft.NextBatch(h.in)
+			err := h.left.NextBatch(h.in)
 			if err == io.EOF {
 				h.leftDone = true
 				break
@@ -260,10 +176,10 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 		}
 		in := h.in.Cols()
 		for j := 0; j < h.lwidth; j++ {
-			b.Col(j).Gather(n, &in[j], h.pidx, false, boxed)
+			b.Col(j).Gather(n, &in[j], h.pidx, false)
 		}
 		for j := h.lwidth; j < width; j++ {
-			b.Col(j).Gather(n, &h.build[j-h.lwidth], h.bidx, h.neg, boxed)
+			b.Col(j).Gather(n, &h.build[j-h.lwidth], h.bidx, h.neg)
 		}
 		b.SetNumRows(n + len(h.pidx))
 		h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
@@ -352,11 +268,11 @@ func nullRow(width int) rowset.Row {
 }
 
 func buildMergeJoin(n *algebra.Node, op *algebra.MergeJoin, ctx *Context) (Iterator, error) {
-	left, err := Build(n.Kids[0], ctx)
+	left, err := buildRows(n.Kids[0], ctx)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Build(n.Kids[1], ctx)
+	right, err := buildRows(n.Kids[1], ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -381,16 +297,16 @@ func buildMergeJoin(n *algebra.Node, op *algebra.MergeJoin, ctx *Context) (Itera
 	if op.Type != algebra.InnerJoin {
 		return nil, fmt.Errorf("exec: merge join supports inner joins only")
 	}
-	return &mergeJoinIter{
+	return &rowToBatch{&mergeJoinIter{
 		ctx: ctx, left: left, right: right,
 		lpos: lpos, rpos: rpos, residual: residual,
-	}, nil
+	}}, nil
 }
 
 // mergeJoinIter joins two inputs ordered on their key columns.
 type mergeJoinIter struct {
 	ctx         *Context
-	left, right Iterator
+	left, right *rowChild
 	lpos, rpos  []int
 	residual    expr.Expr
 
@@ -443,7 +359,7 @@ func (m *mergeJoinIter) advanceLeft() error {
 	if err != nil {
 		return err
 	}
-	m.lrow = l.Clone()
+	m.lrow = l
 	return nil
 }
 
@@ -459,7 +375,7 @@ func (m *mergeJoinIter) fillRightGroup() error {
 			} else if err != nil {
 				return err
 			} else {
-				m.rnext = r.Clone()
+				m.rnext = r
 			}
 		}
 		if m.rnext == nil {
@@ -529,11 +445,11 @@ func (m *mergeJoinIter) Close() error {
 }
 
 func buildLoopJoin(n *algebra.Node, op *algebra.LoopJoin, ctx *Context) (Iterator, error) {
-	left, err := Build(n.Kids[0], ctx)
+	left, err := buildRows(n.Kids[0], ctx)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Build(n.Kids[1], ctx)
+	right, err := buildRows(n.Kids[1], ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -555,10 +471,10 @@ func buildLoopJoin(n *algebra.Node, op *algebra.LoopJoin, ctx *Context) (Iterato
 		}
 		paramPos[name] = p
 	}
-	return &loopJoinIter{
+	return &rowToBatch{&loopJoinIter{
 		ctx: ctx, typ: op.Type, left: left, right: right, on: on,
 		paramPos: paramPos, rwidth: len(rcols),
-	}, nil
+	}}, nil
 }
 
 // loopJoinIter re-opens its inner side per outer row. With a non-empty
@@ -568,7 +484,7 @@ func buildLoopJoin(n *algebra.Node, op *algebra.LoopJoin, ctx *Context) (Iterato
 type loopJoinIter struct {
 	ctx         *Context
 	typ         algebra.JoinType
-	left, right Iterator
+	left, right *rowChild
 	on          expr.Expr
 	paramPos    map[string]int
 	rwidth      int
@@ -607,7 +523,7 @@ func (l *loopJoinIter) Next() (rowset.Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			l.cur = lrow.Clone()
+			l.cur = lrow
 			l.matched = false
 			// Bind correlation parameters and (re)open the inner side.
 			if l.ctx.Params == nil && len(l.paramPos) > 0 {
@@ -675,11 +591,11 @@ func (l *loopJoinIter) Close() error {
 }
 
 func buildBatchLoopJoin(n *algebra.Node, op *algebra.BatchLoopJoin, ctx *Context) (Iterator, error) {
-	left, err := Build(n.Kids[0], ctx)
+	left, err := buildRows(n.Kids[0], ctx)
 	if err != nil {
 		return nil, err
 	}
-	right, err := Build(n.Kids[1], ctx)
+	right, err := buildRows(n.Kids[1], ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -711,11 +627,11 @@ func buildBatchLoopJoin(n *algebra.Node, op *algebra.BatchLoopJoin, ctx *Context
 	if batch < 1 {
 		batch = 1
 	}
-	return &batchLoopJoinIter{
+	return &rowToBatch{&batchLoopJoinIter{
 		ctx: ctx, typ: op.Type, left: left, right: right, on: on,
 		lpos: lpos, rpos: rpos, paramBase: op.ParamBase,
 		slots: op.BatchSize, batch: batch, rwidth: len(rcols),
-	}, nil
+	}}, nil
 }
 
 // batchLoopJoinIter is the batched parameterized join: it buffers up to
@@ -729,7 +645,7 @@ func buildBatchLoopJoin(n *algebra.Node, op *algebra.BatchLoopJoin, ctx *Context
 type batchLoopJoinIter struct {
 	ctx         *Context
 	typ         algebra.JoinType
-	left, right Iterator
+	left, right *rowChild
 	on          expr.Expr
 	lpos, rpos  []int
 	paramBase   string
@@ -793,7 +709,7 @@ func (b *batchLoopJoinIter) fillBatch() error {
 		if err != nil {
 			return err
 		}
-		b.pending = append(b.pending, lrow.Clone())
+		b.pending = append(b.pending, lrow)
 	}
 	return nil
 }
@@ -886,9 +802,8 @@ func (b *batchLoopJoinIter) executeBatch(matches [][]rowset.Row, matchedFlag []b
 			// shipped IN lists): not an actual match.
 			continue
 		}
-		rc := rrow.Clone()
 		for ; i >= 0; i = b.match(rrow, b.tab.next[i]) {
-			combined := combineRows(b.pending[i], rc)
+			combined := combineRows(b.pending[i], rrow)
 			if b.on != nil {
 				ok, err := expr.EvalPredicate(b.on, b.ctx.env(combined))
 				if err != nil {

@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"dhqp/internal/rowset"
-	"dhqp/internal/schema"
 )
 
 // exchangeBatchesPerWorker sizes the exchange's batch pool: one batch for a
@@ -42,8 +41,6 @@ type parItem struct {
 // hands the spent one back to the pool. Row order is interleaved
 // arbitrarily — UNION ALL guarantees a multiset, and the optimizer's sort
 // enforcer sits above the concat when the parent needs an ordering.
-// Row-mode consumers read rows out of the current batch, and the workers
-// then pull their children row by row.
 //
 // Lifecycle invariants: every child a worker opens is closed exactly once
 // (deferred in the worker); the first error cancels the siblings, which
@@ -63,7 +60,6 @@ type parallelConcatIter struct {
 	cancel  chan struct{}
 	running bool
 	err     error // sticky first error
-	rows    rowset.BatchRows
 }
 
 // newParallelConcat assembles the exchange over already-built children.
@@ -87,7 +83,6 @@ func newParallelConcat(parent *Context, kids []Iterator, kidCtxs []*Context, map
 func (p *parallelConcatIter) Open() error {
 	p.stop() // tear down a previous run (re-Open after partial consumption)
 	p.err = nil
-	p.rows.Reset()
 	// Resnapshot parameters: a parameterized parent (loop join) may have
 	// rebound values since the children's contexts were forked.
 	for _, kctx := range p.kidCtxs {
@@ -160,10 +155,6 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, free chan *rowse
 		return true
 	}
 	defer kid.Close()
-	bkid := asBatchIterator(kid)
-	if !p.parent.vectorized() {
-		bkid = &rowToBatch{it: kid}
-	}
 	sent := 0
 	for {
 		var b *rowset.Batch
@@ -172,7 +163,7 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, free chan *rowse
 		case <-cancel:
 			return true
 		}
-		err := bkid.NextBatch(b)
+		err := kid.NextBatch(b)
 		if err != nil {
 			free <- b
 			if err == io.EOF {
@@ -227,13 +218,6 @@ func (p *parallelConcatIter) NextBatch(b *rowset.Batch) error {
 	return nil
 }
 
-func (p *parallelConcatIter) Next() (rowset.Row, error) {
-	if p.rows.B == nil {
-		p.rows.B = p.parent.newBatch()
-	}
-	return p.rows.Next(p.NextBatch)
-}
-
 func (p *parallelConcatIter) Close() error {
 	p.stop()
 	return nil
@@ -270,12 +254,8 @@ type prefetchItem struct {
 // trips) into its own two batches while the consumer computes, and a
 // fetched batch reaches the consumer's by swapping buffers; the producer
 // stops at the first error (io.EOF included) or when Close cancels it.
-// Row-mode consumers read rows out of the current batch.
 type remoteRowset struct {
-	ctx  *Context
-	src  *retryRowset
-	cols []schema.Column
-	rows rowset.BatchRows
+	src *retryRowset
 
 	// Prefetch state; a nil ch means fetches are synchronous.
 	ch     chan prefetchItem
@@ -287,7 +267,7 @@ type remoteRowset struct {
 }
 
 func newRemoteRowset(ctx *Context, src *retryRowset, prefetch bool) *remoteRowset {
-	p := &remoteRowset{ctx: ctx, src: src, cols: src.rs.Columns()}
+	p := &remoteRowset{src: src}
 	if prefetch {
 		p.ch = make(chan prefetchItem, 1)
 		p.free = make(chan *rowset.Batch, prefetchDepth) // holds every batch: returning one never blocks
@@ -322,10 +302,9 @@ func (p *remoteRowset) produce() {
 	}
 }
 
-func (p *remoteRowset) Columns() []schema.Column { return p.cols }
-
-// NextBatch implements rowset.BatchReader.
-func (p *remoteRowset) NextBatch(b *rowset.Batch) error {
+// NextBatchProjected hands over the next fetch, keeping the vectors proj
+// names (nil: all of them), so a pruned remote scan drops the rest.
+func (p *remoteRowset) NextBatchProjected(b *rowset.Batch, proj []int) error {
 	if p.err != nil {
 		return p.err
 	}
@@ -333,35 +312,22 @@ func (p *remoteRowset) NextBatch(b *rowset.Batch) error {
 		return io.EOF
 	}
 	if p.ch == nil {
-		return p.src.NextBatch(b)
-	}
-	it := <-p.ch
-	if it.err != nil {
-		p.err = it.err
-		return it.err
-	}
-	b.Swap(it.b)
-	p.free <- it.b
-	return nil
-}
-
-// NextBatchProjected implements rowset.ProjectedBatchReader: a pruned
-// remote scan keeps the fetched vectors it reads and drops the rest.
-func (p *remoteRowset) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if err := p.NextBatch(b); err != nil {
-		return err
+		if err := p.src.NextBatch(b); err != nil {
+			return err
+		}
+	} else {
+		it := <-p.ch
+		if it.err != nil {
+			p.err = it.err
+			return it.err
+		}
+		b.Swap(it.b)
+		p.free <- it.b
 	}
 	if proj != nil {
 		b.Project(proj)
 	}
 	return nil
-}
-
-func (p *remoteRowset) Next() (rowset.Row, error) {
-	if p.rows.B == nil {
-		p.rows.B = p.ctx.newBatch()
-	}
-	return p.rows.Next(p.NextBatch)
 }
 
 func (p *remoteRowset) Close() error {

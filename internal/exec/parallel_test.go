@@ -52,6 +52,8 @@ func (f *fakeIter) Next() (rowset.Row, error) {
 	return rowset.Row{sqltypes.NewInt(int64(f.pos))}, nil
 }
 
+func (f *fakeIter) NextBatch(b *rowset.Batch) error { return (&rowToBatch{f}).NextBatch(b) }
+
 func (f *fakeIter) Close() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -86,8 +88,9 @@ func fanOutConcat(f *fixture) *algebra.Node {
 func collectInts(t *testing.T, it Iterator) []int64 {
 	t.Helper()
 	var got []int64
+	rows := rowsOf(it)
 	for {
-		r, err := it.Next()
+		r, err := rows.Next()
 		if err == io.EOF {
 			break
 		}
@@ -157,12 +160,13 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 	maps := [][]int{{0}, {0}, {0}, {0}}
 	ctx := &Context{Params: map[string]sqltypes.Value{}, MaxDOP: 4}
 	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
-	if err := p.Open(); err != nil {
+	rows := rowsOf(p)
+	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
 	var got error
 	for {
-		_, err := p.Next()
+		_, err := rows.Next()
 		if err == io.EOF {
 			break
 		}
@@ -175,7 +179,7 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 		t.Fatalf("surfaced error = %v, want boom", got)
 	}
 	// Sticky: later Nexts keep returning the error.
-	if _, err := p.Next(); !errors.Is(err, boom) {
+	if _, err := rows.Next(); !errors.Is(err, boom) {
 		t.Errorf("second Next = %v, want sticky boom", err)
 	}
 	// Every child a worker opened has been closed; the siblings did not run
@@ -200,13 +204,14 @@ func TestParallelConcatOpenCloseNoGoroutineLeak(t *testing.T) {
 	maps := [][]int{{0}, {0}, {0}, {0}}
 	ctx := &Context{Params: map[string]sqltypes.Value{}}
 	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
+	rows := rowsOf(p)
 	for i := 0; i < 25; i++ {
-		if err := p.Open(); err != nil {
+		if err := rows.Open(); err != nil {
 			t.Fatal(err)
 		}
 		// Partial consumption; alternate between Close and direct re-Open.
 		for j := 0; j < 5; j++ {
-			if _, err := p.Next(); err != nil {
+			if _, err := rows.Next(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -234,15 +239,16 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	a := &fakeIter{total: 3}
 	b := &fakeIter{total: 2}
 	c := &concatIter{kids: []Iterator{a, b}, maps: [][]int{{0}, {0}}}
+	rows := rowsOf(c)
 
 	// Partial consumption then re-Open: the open child must be released.
-	if err := c.Open(); err != nil {
+	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Next(); err != nil {
+	if _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Open(); err != nil {
+	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
 	if opens, closes, open := a.counts(); opens != 1 || closes != 1 || open {
@@ -252,7 +258,7 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	// Full drain closes each child exactly once as it is exhausted.
 	n := 0
 	for {
-		_, err := c.Next()
+		_, err := rows.Next()
 		if err == io.EOF {
 			break
 		}
@@ -275,10 +281,10 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	}
 
 	// Close after partial consumption closes only the in-flight child.
-	if err := c.Open(); err != nil {
+	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Next(); err != nil {
+	if _, err := rows.Next(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -332,7 +338,7 @@ func TestPrefetchMatchesSynchronous(t *testing.T) {
 		if err := preIt.Open(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := preIt.Next(); err != nil {
+		if _, err := rowsOf(preIt).Next(); err != nil {
 			t.Fatal(err)
 		}
 		if err := preIt.Close(); err != nil {

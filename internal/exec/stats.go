@@ -1,6 +1,6 @@
 // Instrumented iterator shim: when stats collection is on, Build wraps
 // every operator's iterator in a statsIter that records actual rows,
-// Open/Next call counts, and inclusive wall time into the execution's
+// Open/NextBatch call counts, and inclusive wall time into the execution's
 // telemetry collector. The shim exists only on instrumented executions —
 // with collection off (the default for Query) the iterator tree is exactly
 // what it was before this layer existed.
@@ -19,9 +19,8 @@ import (
 // a failed attempt's rows before they reach this shim, so ActualRows is
 // exactly what the parent consumed.
 type statsIter struct {
-	child  Iterator
-	stats  *telemetry.OpStats
-	bchild BatchIterator // lazily cached batch view of child
+	child Iterator
+	stats *telemetry.OpStats
 }
 
 func (s *statsIter) Open() error {
@@ -31,23 +30,11 @@ func (s *statsIter) Open() error {
 	return err
 }
 
-func (s *statsIter) Next() (rowset.Row, error) {
-	start := time.Now()
-	r, err := s.child.Next()
-	s.stats.RecordNext(time.Since(start), err == nil)
-	return r, err
-}
-
-// NextBatch keeps an instrumented tree batch-native: one wall-clock sample
-// and one counter update per batch instead of per row, so SetCollectStats
-// costs a fraction of what the per-row shim did, while ActualRows remains
-// exactly the rows the parent consumed.
+// NextBatch takes one wall-clock sample and one counter update per batch,
+// and ActualRows stays exactly the rows the parent consumed.
 func (s *statsIter) NextBatch(b *rowset.Batch) error {
-	if s.bchild == nil {
-		s.bchild = asBatchIterator(s.child)
-	}
 	start := time.Now()
-	err := s.bchild.NextBatch(b)
+	err := s.child.NextBatch(b)
 	n := 0
 	if err == nil {
 		n = b.Len()

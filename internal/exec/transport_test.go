@@ -94,15 +94,13 @@ func scriptedScan(server string) *algebra.Node {
 	return algebra.NewNode(&algebra.RemoteScan{Src: src, Cols: []algebra.OutCol{{ID: 1, Name: "k", Kind: sqltypes.KindInt}}})
 }
 
-// transportModes is every way a remote rowset is read: batch or row mode,
-// prefetched or synchronous.
+// transportModes is every way a remote rowset is read: prefetched or
+// synchronous, 16 rows per fetch.
 func transportModes(f func(name string, ctx *Context)) {
-	for _, vec := range []bool{true, false} {
-		for _, prefetch := range []bool{true, false} {
-			name := map[bool]string{true: "batch", false: "row"}[vec] + map[bool]string{true: "+prefetch", false: ""}[prefetch]
-			f(name, &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16, NoVectorized: !vec,
-				NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)})
-		}
+	for _, prefetch := range []bool{true, false} {
+		name := map[bool]string{true: "prefetch", false: "sync"}[prefetch]
+		f(name, &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16,
+			NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)})
 	}
 }
 
@@ -271,26 +269,27 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		}
 		return algebra.NewNode(&algebra.Concat{OutColsList: []algebra.OutCol{{ID: 9, Name: "k", Kind: sqltypes.KindInt}}, InMaps: in}, kids...)
 	}
-	for _, vec := range []bool{true, false} {
+	for _, batch := range []int{1, 3, 64} {
 		sessions := map[string]oledb.Session{}
 		for _, s := range []string{"a", "b", "c", "d"} {
 			sessions[s] = &scriptedSession{n: 100000}
 		}
-		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: 64, NoVectorized: !vec, Stats: telemetry.NewCollector(false, nil, nil)}
+		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: batch, Stats: telemetry.NewCollector(false, nil, nil)}
 
 		// Early Close under TOP: 400 000 rows on offer, 10 taken.
 		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))
 		m, err := materialize(top, ctx)
 		if err != nil || m.Len() != 10 {
-			t.Fatalf("vec=%v: TOP 10 = %d rows, %v", vec, m.Len(), err)
+			t.Fatalf("batch=%d: TOP 10 = %d rows, %v", batch, m.Len(), err)
 		}
 		settleGoroutines(t, base, "early Close under TOP")
 
 		// Re-Open after partial consumption, then Close mid-stream.
-		it, err := Build(fanOut("a", "b", "c", "d"), ctx)
+		built, err := Build(fanOut("a", "b", "c", "d"), ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
+		it := rowsOf(built)
 		for round := 0; round < 5; round++ {
 			if err := it.Open(); err != nil {
 				t.Fatal(err)
@@ -310,7 +309,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		ctx.RetryBackoff = time.Microsecond
 		plan := fanOut("a", "b", "c", "d")
 		if _, err := materialize(plan, ctx); err == nil || !strings.Contains(err.Error(), "[c]") {
-			t.Fatalf("vec=%v: err = %v, want branch c's failure", vec, err)
+			t.Fatalf("batch=%d: err = %v, want branch c's failure", batch, err)
 		}
 		settleGoroutines(t, base, "first-error cancel")
 	}

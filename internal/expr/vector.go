@@ -3,7 +3,7 @@
 // expression over a whole column batch, with direct loops for the shapes
 // that dominate query predicates (column-vs-constant comparisons, IS NULL,
 // conjunctions) and a shared-Env gather fallback for everything else. The
-// fallback is still far cheaper than the row path: the Env and the row
+// fallback is still far cheaper than one Eval per row: the Env and the row
 // buffer are allocated once per batch, not once per row.
 //
 // When a column is typed (rowset.Vec in unboxed mode) the comparison and
@@ -478,14 +478,14 @@ func flipCmp(op Op) Op {
 // EvalVec evaluates e once per selected row, writing results densely into
 // out: position k receives the k-th selected row's value. out is reset by
 // the kernel to exactly len(sel) rows — typed to the result kind when the
-// inputs allow it and typedOK is set, generic otherwise. Direct loops
+// inputs allow it, generic otherwise. Direct loops
 // serve bound column references (a payload copy), row-independent leaves
 // (a broadcast) and one-level arithmetic over typed columns; other shapes
 // gather into rowBuf and run the interpreter with a reused Env.
-func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, typedOK bool, rowBuf []sqltypes.Value) error {
+func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, rowBuf []sqltypes.Value) error {
 	if pos := boundCol(e); pos >= 0 {
 		src := &cols[pos]
-		if typedOK && src.IsTyped() {
+		if src.IsTyped() {
 			copyVecDense(src, sel, out)
 			return nil
 		}
@@ -500,11 +500,11 @@ func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, ty
 		if err != nil {
 			return err
 		}
-		broadcastDense(v, len(sel), out, typedOK)
+		broadcastDense(v, len(sel), out)
 		return nil
 	}
 	if b, ok := e.(*Binary); ok && b.Op.IsArith() {
-		if done, err := evalArithVec(b, env, cols, sel, out, typedOK); done || err != nil {
+		if done, err := evalArithVec(b, env, cols, sel, out); done || err != nil {
 			return err
 		}
 	}
@@ -558,8 +558,8 @@ func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec) {
 }
 
 // broadcastDense fills out's first n positions with v.
-func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec, typedOK bool) {
-	if typedOK && !v.IsNull() {
+func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec) {
+	if !v.IsNull() {
 		out.ResetTyped(v.Kind(), n)
 		switch v.Kind() {
 		case sqltypes.KindFloat:
@@ -647,10 +647,7 @@ func resolveArithSide(e Expr, env *Env, cols []rowset.Vec) (arithSide, bool, err
 // interpreter routes them through the float path too). done is false when
 // the shape or kind pair is not fast-pathable and the caller must fall
 // back to the interpreter.
-func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, typedOK bool) (bool, error) {
-	if !typedOK {
-		return false, nil
-	}
+func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec) (bool, error) {
 	l, lok, err := resolveArithSide(b.L, env, cols)
 	if err != nil {
 		return false, err
@@ -664,7 +661,7 @@ func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset
 	}
 	if l.kind == sqltypes.KindNull || r.kind == sqltypes.KindNull {
 		// NULL leaf operand: arithmetic yields NULL for every row.
-		broadcastDense(sqltypes.Null, len(sel), out, false)
+		broadcastDense(sqltypes.Null, len(sel), out)
 		return true, nil
 	}
 	nullable := l.hasNulls() || r.hasNulls()

@@ -107,7 +107,7 @@ func BenchmarkEvalVecTyped(b *testing.B) {
 			var out rowset.Vec
 			rowBuf := make([]sqltypes.Value, len(cols))
 			for i := 0; i < b.N; i++ {
-				if err := EvalVec(sum, env, cols, sel, &out, typed, rowBuf); err != nil {
+				if err := EvalVec(sum, env, cols, sel, &out, rowBuf); err != nil {
 					b.Fatal(err)
 				}
 			}

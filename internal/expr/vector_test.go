@@ -206,7 +206,7 @@ func TestEvalVec(t *testing.T) {
 		out := new(rowset.Vec)
 		for i, e := range exprs {
 			for _, sel := range sels {
-				vecErr := EvalVec(e, env, cols, sel, out, typed, rowBuf)
+				vecErr := EvalVec(e, env, cols, sel, out, rowBuf)
 				var rowErr error
 				want := make([]sqltypes.Value, len(sel))
 				for k, idx := range sel {
@@ -251,7 +251,7 @@ func TestEvalVecDivZeroErrors(t *testing.T) {
 	col0 := BoundColRef(1, "a", 0)
 	e := NewBinary(OpDiv, col0, NewConst(sqltypes.NewInt(0)))
 	out := new(rowset.Vec)
-	err := EvalVec(e, env, cols, []int{0, 1}, out, true, make([]sqltypes.Value, len(cols)))
+	err := EvalVec(e, env, cols, []int{0, 1}, out, make([]sqltypes.Value, len(cols)))
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("want division-by-zero error, got %v", err)
 	}

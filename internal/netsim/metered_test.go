@@ -109,8 +109,11 @@ func TestMeteredBytesMatchRowEncoding(t *testing.T) {
 	kinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString, sqltypes.KindFloat, sqltypes.KindBool}
 	for _, typed := range []bool{false, true} {
 		b := rowset.NewBatch(0)
-		b.SetTypedEnabled(typed)
-		b.FillRows(kinds, nil, rows)
+		if typed {
+			b.FillRows(kinds, nil, rows)
+		} else {
+			b.FillRows(make([]sqltypes.Kind, len(kinds)), nil, rows) // generic columns
+		}
 		if got := b.EncodedSize(); got != want {
 			t.Errorf("typed=%v: EncodedSize = %d, want %d", typed, got, want)
 		}

@@ -5,7 +5,7 @@
 // environment allocation, a telemetry sample) amortize over up to
 // MaxBatchSize rows at a time. Columns are typed (flat int64/float64/string
 // payloads with validity bitmaps, see Vec) when the producer knows the
-// column kinds and the session allows it, generic boxed vectors otherwise.
+// column kinds, generic boxed vectors otherwise.
 package rowset
 
 import (
@@ -61,7 +61,6 @@ type Batch struct {
 	useSel  bool
 	ident   []int // cached identity selection, grown to the largest fill
 	spare   []Vec // Project's scratch copy of the column set
-	noTyped bool  // session knob: force generic columns on ResetTyped
 }
 
 // NewBatch returns an empty batch holding up to capRows rows per fill.
@@ -86,14 +85,6 @@ func (b *Batch) Len() int {
 	return b.n
 }
 
-// SetTypedEnabled toggles typed columns for this batch; when disabled,
-// ResetTyped degrades to generic boxed columns (the generic execution
-// mode's differential-testing path). The flag persists across resets.
-func (b *Batch) SetTypedEnabled(on bool) { b.noTyped = !on }
-
-// TypedEnabled reports whether ResetTyped will produce typed columns.
-func (b *Batch) TypedEnabled() bool { return !b.noTyped }
-
 // Reset clears the batch to zero rows with the given width, all columns in
 // generic (boxed) mode and empty: it allocates nothing once the batch has
 // held that width. width 0 defers the shape to the first AppendRow (generic
@@ -107,14 +98,8 @@ func (b *Batch) Reset(width int) {
 
 // ResetTyped clears the batch to zero rows with one column per entry of
 // kinds, each column typed to its kind (a sqltypes.KindNull entry stays
-// generic — the producer doesn't know that column's type). When typed
-// columns are disabled on this batch every column is generic, exactly as
-// Reset(len(kinds)).
+// generic — the producer doesn't know that column's type).
 func (b *Batch) ResetTyped(kinds []sqltypes.Kind) {
-	if b.noTyped {
-		b.Reset(len(kinds))
-		return
-	}
 	b.clear(len(kinds))
 	for j := range b.cols {
 		b.cols[j].ResetTyped(kinds[j], 0)
@@ -181,7 +166,7 @@ func (b *Batch) Project(m []int) {
 	for j, src := range m {
 		if taken[src] {
 			b.cols[j] = Vec{}
-			b.cols[j].copyRange(&old[src], 0, b.n, false)
+			b.cols[j].copyRange(&old[src], 0, b.n)
 			continue
 		}
 		taken[src] = true
@@ -288,11 +273,8 @@ func projWidth(proj []int, full int) int {
 func (b *Batch) FillRows(kinds []sqltypes.Kind, proj []int, rows []Row) {
 	b.clear(projWidth(proj, len(kinds)))
 	for j := range b.cols {
-		src, kind := srcCol(proj, j), sqltypes.KindNull
-		if !b.noTyped {
-			kind = kinds[src]
-		}
-		b.cols[j].ResetTyped(kind, len(rows))
+		src := srcCol(proj, j)
+		b.cols[j].ResetTyped(kinds[src], len(rows))
 		b.cols[j].fillFromRows(rows, src)
 	}
 	b.SetNumRows(len(rows))
@@ -302,12 +284,11 @@ func (b *Batch) FillRows(kinds []sqltypes.Kind, proj []int, rows []Row) {
 // Vec per column — into the batch: column j is a copy of src[proj[j]]
 // (proj nil: every column, in order), so a pruned scan copies only what
 // the plan reads. Typed source columns transfer by payload copy (no
-// per-value conversion); when typed columns are disabled on this batch
-// the copy boxes instead, so the differential path sees identical values.
+// per-value conversion).
 func (b *Batch) FillCols(src []Vec, proj []int, off, k int) {
 	b.clear(projWidth(proj, len(src)))
 	for j := range b.cols {
-		b.cols[j].copyRange(&src[srcCol(proj, j)], off, k, b.noTyped)
+		b.cols[j].copyRange(&src[srcCol(proj, j)], off, k)
 	}
 	b.SetNumRows(k)
 }

@@ -45,8 +45,11 @@ func TestProjectMovesVectors(t *testing.T) {
 	a, b := NewBatch(64), NewBatch(64)
 	for iter := 0; iter < 3000; iter++ {
 		rows := reuseRows(rng, rng.Intn(65), []int{0, 3}[rng.Intn(2)], -1)
-		a.SetTypedEnabled(rng.Intn(3) != 0)
-		a.FillRows(reuseKinds, nil, rows)
+		kinds := reuseKinds
+		if rng.Intn(3) == 0 {
+			kinds = genericKinds
+		}
+		a.FillRows(kinds, nil, rows)
 		if len(rows) > 1 && rng.Intn(2) == 0 {
 			var sel []int
 			for i := range rows {

@@ -42,9 +42,13 @@ func reuseRows(rng *rand.Rand, n, nullEvery, mismatchAt int) []Row {
 }
 
 // reuseImage builds the columnar image of rows, as storage does.
-func reuseImage(rows []Row) []Vec {
-	img := make([]Vec, len(reuseKinds))
-	for j, k := range reuseKinds {
+// genericKinds is reuseKinds' width of KindNull: the producers fill
+// generic columns under it.
+var genericKinds = make([]sqltypes.Kind, len(reuseKinds))
+
+func reuseImage(kinds []sqltypes.Kind, rows []Row) []Vec {
+	img := make([]Vec, len(kinds))
+	for j, k := range kinds {
 		img[j] = BuildColVec(k, rows, j)
 	}
 	return img
@@ -77,6 +81,10 @@ func randomFill(rng *rand.Rand, capRows int) reuseFill {
 		proj = []int{3} // a single column
 	}
 	typed := rng.Intn(4) != 0
+	kinds := reuseKinds
+	if !typed {
+		kinds = genericKinds
+	}
 	project := func(rows []Row) []Row {
 		if proj == nil {
 			return rows
@@ -98,22 +106,19 @@ func randomFill(rng *rand.Rand, capRows int) reuseFill {
 		// A window of a larger image at an aligned or unaligned offset.
 		off := []int{0, 64, 5, 77}[rng.Intn(4)]
 		all := reuseRows(rng, off+n+9, nullEvery, mismatchAt)
-		img := reuseImage(all)
+		img := reuseImage(kinds, all)
 		return reuseFill{name("FillCols"), func(b *Batch) {
-			b.SetTypedEnabled(typed)
 			b.FillCols(img, proj, off, n)
 		}, project(all[off : off+n])}
 	case 1:
 		rows := reuseRows(rng, n, nullEvery, mismatchAt)
 		return reuseFill{name("FillRows"), func(b *Batch) {
-			b.SetTypedEnabled(typed)
-			b.FillRows(reuseKinds, proj, rows)
+			b.FillRows(kinds, proj, rows)
 		}, project(rows)}
 	case 2:
 		rows := reuseRows(rng, n, nullEvery, mismatchAt)
 		return reuseFill{name("ResetTyped+AppendRow"), func(b *Batch) {
-			b.SetTypedEnabled(typed)
-			b.ResetTyped(reuseKinds)
+			b.ResetTyped(kinds)
 			for _, r := range rows {
 				b.AppendRow(r)
 			}
@@ -207,7 +212,7 @@ func TestBatchReuseEqualsFresh(t *testing.T) {
 // checks the image is only read).
 func TestSharedImageConcurrentScans(t *testing.T) {
 	all := reuseRows(rand.New(rand.NewSource(7)), 3000, 5, -1)
-	img := reuseImage(all)
+	imgs := [][]Vec{reuseImage(reuseKinds, all), reuseImage(genericKinds, all)}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
@@ -215,8 +220,7 @@ func TestSharedImageConcurrentScans(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			b, fresh := NewBatch(256), NewBatch(256)
-			b.SetTypedEnabled(g%2 == 0)
-			fresh.SetTypedEnabled(g%2 == 0)
+			img := imgs[g%2]
 			for step := 0; step < 200; step++ {
 				k := 1 + rng.Intn(256)
 				off := rng.Intn(len(all) - k)

@@ -321,11 +321,10 @@ func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 
 // copyRange refills v with exactly the k elements [off, off+k) of src — the
 // columnar-image scan path, where filling a batch is a payload memcpy
-// instead of a per-value conversion. When boxed is set the copy boxes into
-// generic mode regardless of src's representation (the generic ExecMode
-// differential path). src is only read: scans share one image.
-func (v *Vec) copyRange(src *Vec, off, k int, boxed bool) {
-	if src.kind == sqltypes.KindNull || boxed {
+// instead of a per-value conversion. src is only read: scans share one
+// image.
+func (v *Vec) copyRange(src *Vec, off, k int) {
+	if src.kind == sqltypes.KindNull {
 		v.ResetGeneric(k)
 		for i := 0; i < k; i++ {
 			v.gen[i] = src.Value(off + i)
@@ -360,20 +359,15 @@ func (v *Vec) copyRange(src *Vec, off, k int, boxed bool) {
 // Gather appends one element per entry of idxs to the column, whose first n
 // elements are in use: src's element at that index, or NULL where the index
 // is negative (neg tells whether any is — the NULL-extended side of an outer
-// join). An empty column takes src's representation, typed staying typed
-// unless boxed forces generic; a later src of another kind degrades it as
-// SetValue would. The kind switch sits outside the element loop and validity
-// is consulted only when src has NULLs or neg is set. Buffers at least double
-// when they grow, so a long run of appends (a hash-join build) moves each
-// element O(1) times, and a column refilled to a size it has held allocates
-// nothing.
-func (v *Vec) Gather(n int, src *Vec, idxs []int32, neg, boxed bool) {
+// join). An empty column takes src's representation; a later src of
+// another kind degrades it as SetValue would. The kind switch sits outside
+// the element loop and validity is consulted only when src has NULLs or neg
+// is set. Buffers at least double when they grow, so a long run of appends
+// (a hash-join build) moves each element O(1) times, and a column refilled
+// to a size it has held allocates nothing.
+func (v *Vec) Gather(n int, src *Vec, idxs []int32, neg bool) {
 	if n == 0 {
-		kind := src.kind
-		if boxed {
-			kind = sqltypes.KindNull
-		}
-		v.ResetTyped(kind, 0)
+		v.ResetTyped(src.kind, 0)
 	} else if v.kind != sqltypes.KindNull && v.kind != src.kind {
 		v.degrade(n)
 	}

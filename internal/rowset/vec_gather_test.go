@@ -8,11 +8,10 @@ import (
 )
 
 // TestVecGather appends seeded runs of gathers — typed sources of every
-// payload, with and without NULLs, generic sources, negative indices, the
-// boxed override — to one column and checks every element against the
-// values boxed one at a time, and the column's kind against the rule: the
-// first source's kind, generic for good once a source of another kind (or
-// the boxed override on an empty column) has been through.
+// payload, with and without NULLs, generic sources, negative indices — to
+// one column and checks every element against the values boxed one at a
+// time, and the column's kind against the rule: the first source's kind,
+// generic for good once a source of another kind has been through.
 func TestVecGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	mk := func(kind sqltypes.Kind, i int) sqltypes.Value {
@@ -54,7 +53,7 @@ func TestVecGather(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				kind = kinds[rng.Intn(len(kinds))]
 			}
-			generic, boxed := rng.Intn(5) == 0, rng.Intn(8) == 0
+			generic := rng.Intn(5) == 0
 			src, vals := source(kind, generic, rng.Intn(2) == 0)
 			neg := rng.Intn(3) == 0
 			idxs := make([]int32, rng.Intn(40))
@@ -65,12 +64,12 @@ func TestVecGather(t *testing.T) {
 				}
 			}
 			switch {
-			case len(want) == 0 && !boxed:
+			case len(want) == 0:
 				wantKind = src.Kind()
-			case len(want) == 0 || wantKind != src.Kind():
+			case wantKind != src.Kind():
 				wantKind = sqltypes.KindNull
 			}
-			dst.Gather(len(want), &src, idxs, neg, boxed)
+			dst.Gather(len(want), &src, idxs, neg)
 			for _, idx := range idxs {
 				if idx < 0 {
 					want = append(want, sqltypes.Null)
@@ -114,9 +113,9 @@ func TestVecGatherReuse(t *testing.T) {
 		return grew
 	}
 	for split := 8; split < 64; split += 8 {
-		dst.Gather(0, &src, idxs[:split], false, false)
+		dst.Gather(0, &src, idxs[:split], false)
 		grown(&dst)
-		dst.Gather(split, &src, idxs[split:], split%16 == 0, false)
+		dst.Gather(split, &src, idxs[split:], split%16 == 0)
 		grown(&dst)
 	}
 	if grew > 2 {
@@ -127,7 +126,7 @@ func TestVecGatherReuse(t *testing.T) {
 	}
 	grew, held = 0, 0
 	for n := 0; n < 64*1000; n += 64 {
-		store.Gather(n, &src, idxs, false, false)
+		store.Gather(n, &src, idxs, false)
 		grown(&store)
 	}
 	if grew > 12 {

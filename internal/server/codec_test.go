@@ -145,7 +145,9 @@ func randomBatch(rng *rand.Rand) *rowset.Batch {
 		}
 	}
 	b := rowset.NewBatch(rowset.MaxBatchSize)
-	b.SetTypedEnabled(rng.Intn(3) != 0)
+	if rng.Intn(3) == 0 {
+		kinds = make([]sqltypes.Kind, len(kinds)) // generic columns
+	}
 	if rng.Intn(2) == 0 {
 		b.FillRows(kinds, nil, rows)
 	} else {

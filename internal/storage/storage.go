@@ -578,7 +578,7 @@ func (s *tableScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProject
 // NextBatchProjected implements rowset.ProjectedBatchReader: both fill
 // paths copy only the columns proj names, in its order (nil: all of them).
 func (s *tableScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if b.TypedEnabled() && s.table != nil {
+	if s.table != nil {
 		// Columnar-image path: the typed column vectors for the whole
 		// table are cached per version, so each batch is a payload copy.
 		if s.img == nil {

@@ -64,20 +64,9 @@ func (s *OpStats) RecordOpen(d time.Duration) {
 	s.wallNS.Add(int64(d))
 }
 
-// RecordNext counts one Next call and its inclusive wall time; emitted
-// reports whether the call produced a row (EOF and errors do not).
-func (s *OpStats) RecordNext(d time.Duration, emitted bool) {
-	s.nexts.Add(1)
-	if emitted {
-		s.rows.Add(1)
-	}
-	s.wallNS.Add(int64(d))
-}
-
-// RecordNextBatch counts one vectorized NextBatch call, its inclusive wall
-// time, and the rows the batch delivered. One call replaces up to a
-// batch-size worth of RecordNext calls while keeping ActualRows exact: a
-// fill of n rows adds exactly n, and an EOF or error fill adds none.
+// RecordNextBatch counts one NextBatch call, its inclusive wall time, and
+// the rows the batch delivered: a fill of n rows adds exactly n to
+// ActualRows, and an EOF or error fill adds none.
 func (s *OpStats) RecordNextBatch(d time.Duration, rows int) {
 	s.nexts.Add(1)
 	s.rows.Add(int64(rows))
@@ -87,7 +76,7 @@ func (s *OpStats) RecordNextBatch(d time.Duration, rows int) {
 // Opens reports how many times the operator was (re-)opened.
 func (s *OpStats) Opens() int64 { return s.opens.Load() }
 
-// Nexts reports how many Next calls the operator served.
+// Nexts reports how many NextBatch calls the operator served.
 func (s *OpStats) Nexts() int64 { return s.nexts.Load() }
 
 // ActualRows reports how many rows the operator returned to its parent.
@@ -96,7 +85,7 @@ func (s *OpStats) Nexts() int64 { return s.nexts.Load() }
 func (s *OpStats) ActualRows() int64 { return s.rows.Load() }
 
 // WallTime reports the cumulative wall time spent inside the operator's
-// Open and Next calls, children included (the inclusive elapsed time SQL
+// Open and NextBatch calls, children included (the inclusive elapsed time SQL
 // Server actual plans report per operator).
 func (s *OpStats) WallTime() time.Duration { return time.Duration(s.wallNS.Load()) }
 

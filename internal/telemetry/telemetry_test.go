@@ -13,9 +13,9 @@ import (
 func TestOpStatsCounters(t *testing.T) {
 	var s OpStats
 	s.RecordOpen(time.Millisecond)
-	s.RecordNext(time.Millisecond, true)
-	s.RecordNext(time.Millisecond, true)
-	s.RecordNext(time.Millisecond, false) // EOF
+	s.RecordNextBatch(time.Millisecond, 1)
+	s.RecordNextBatch(time.Millisecond, 1)
+	s.RecordNextBatch(time.Millisecond, 0) // EOF
 	if s.Opens() != 1 || s.Nexts() != 3 || s.ActualRows() != 2 {
 		t.Errorf("opens/nexts/rows = %d/%d/%d", s.Opens(), s.Nexts(), s.ActualRows())
 	}
