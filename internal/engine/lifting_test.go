@@ -141,8 +141,10 @@ func TestUnionAllOfBranchesDifferingInConstant(t *testing.T) {
 	if got := strings.Count(plan.String(), "RemoteQuery("); got != 2 {
 		t.Fatalf("%d pushed branches, want 2:\n%s", got, plan)
 	}
+	// The two branches run in the parallel exchange, so either may arrive
+	// first: UNION ALL promises a multiset.
 	res := q(t, head, query)
-	if len(res.Rows) != 2 || res.Rows[0][0].Int() != 100 || res.Rows[1][0].Int() != 200 {
-		t.Errorf("rows = %v, want [[100] [200]]", res.Rows)
+	if got := canonical(res, false); len(got) != 2 || got[0] != "(100)" || got[1] != "(200)" {
+		t.Errorf("rows = %v, want (100) and (200) in either order", res.Rows)
 	}
 }

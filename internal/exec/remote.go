@@ -183,7 +183,7 @@ type retryRowset struct {
 	ctx    *Context
 	server string
 	what   string
-	open   func(sess oledb.Session) (rowset.Rowset, error)
+	open   rowsetOpener
 
 	rs        rowset.Rowset
 	first     *rowset.Batch // the open's fetch, until NextBatch hands it over
@@ -191,9 +191,14 @@ type retryRowset struct {
 	delivered int64
 }
 
-// openRemoteRowset opens a remote rowset fault-tolerantly. The open
-// closure runs against a fresh context-bound session view on every
-// attempt; the returned rowset recovers from mid-stream transients by
+// rowsetOpener opens a provider rowset in a session; a retry opens it
+// again.
+type rowsetOpener interface {
+	openRowset(sess oledb.Session) (rowset.Rowset, error)
+}
+
+// openRemoteRowset opens a remote rowset fault-tolerantly. The opener runs
+// against a fresh context-bound session view on every attempt; the returned rowset recovers from mid-stream transients by
 // re-executing it, and — when prefetch is set and the statement allows
 // it — fetches ahead of its consumer.
 //
@@ -201,7 +206,7 @@ type retryRowset struct {
 // span, and the span's context rides into the session — an in-process
 // member joining the trace nests its own statement span under it, which
 // is what assembles the cross-member span tree.
-func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open func(sess oledb.Session) (rowset.Rowset, error)) (*remoteRowset, error) {
+func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open rowsetOpener) (*remoteRowset, error) {
 	if server != "" {
 		if sctx, end := telemetry.StartSpan(ctx.Ctx, ctx.Server, "remote "+what, server); sctx != ctx.Ctx {
 			spanned := *ctx
@@ -228,7 +233,7 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 		if err != nil {
 			return err
 		}
-		rs, err := r.open(sess)
+		rs, err := r.open.openRowset(sess)
 		if err != nil {
 			return err
 		}
