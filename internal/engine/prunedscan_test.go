@@ -74,9 +74,12 @@ func countPrunedScans(n *algebra.Node) int {
 // same at batch sizes 1, 3 and 1024 — over the
 // NULL-heavy mixed-kind table, over a table with deleted slots, and at a
 // historical snapshot, where a commit has landed after the statement's
-// snapshot was taken and the scan has to bypass the columnar image.
+// snapshot was taken and the scan has to bypass the columnar image. No
+// statement writes into the image of a table it reads, and the DML
+// replaces images without writing into them either.
 func TestPrunedScanEquivalence(t *testing.T) {
 	s := prunedServer(t)
+	defer holdImages(t, s).check(t)
 	for _, sql := range prunedQueries {
 		plan, _, _, err := s.Plan(sql)
 		if err != nil {

@@ -47,10 +47,11 @@ func engineValue(c oracle.Cell) sqltypes.Value {
 }
 
 // oraclePlacement is one way of holding the oracle's tables: in the
-// queried server, or on a linked server behind one view per table.
+// queried server, or on a linked server (member) behind one view per table.
 type oraclePlacement struct {
-	name string
-	s    *Server
+	name   string
+	s      *Server
+	member *Server
 }
 
 // oraclePlacements loads db locally, and behind a sqlful linked server at
@@ -63,7 +64,7 @@ func oraclePlacements(t *testing.T, db *oracle.DB) []oraclePlacement {
 	for _, sql := range db.Script() {
 		local.MustExec(sql)
 	}
-	out := []oraclePlacement{{"local", local}}
+	out := []oraclePlacement{{"local", local, nil}}
 	for _, level := range []struct {
 		name string
 		caps oledb.Capabilities
@@ -84,7 +85,7 @@ func oraclePlacements(t *testing.T, db *oracle.DB) []oraclePlacement {
 		for _, v := range db.Views {
 			head.MustExec(db.ViewSQL(v, remote))
 		}
-		out = append(out, oraclePlacement{level.name, head})
+		out = append(out, oraclePlacement{level.name, head, member})
 	}
 	return out
 }
@@ -125,11 +126,20 @@ func opNames(n *algebra.Node, into map[string]bool) {
 // at batch sizes 1, 3 and the default, with its tables held locally and
 // behind a linked server at SQL-92 full and at SQL-Minimum. Each shape
 // family must put its target operators into at least one drawn local plan,
-// or it tests less than it claims.
+// or it tests less than it claims. No statement writes into the columnar
+// image of a table it reads.
 func TestStatementOracle(t *testing.T) {
 	db := oracle.NewDB()
 	cases := db.Cases(*oracleSeed, oraclePerFamily)
 	places := oraclePlacements(t, db)
+	var stores []*Server
+	for _, p := range places {
+		stores = append(stores, p.s)
+		if p.member != nil {
+			stores = append(stores, p.member)
+		}
+	}
+	defer holdImages(t, stores...).check(t)
 
 	seen := map[string]map[string]bool{}
 	for _, st := range cases[len(oracle.Seeds()):] { // the drawn ones

@@ -217,6 +217,7 @@ func oracleAggregate(fn algebra.AggFunc, args []cell, rows int64, star bool) cel
 type aggMode struct {
 	batch   int
 	generic bool // the source delivers generic columns
+	image   bool // the source delivers windows onto a columnar image
 }
 
 func (c *aggCase) iter(m aggMode) (*hashAggIter, error) {
@@ -226,6 +227,9 @@ func (c *aggCase) iter(m aggMode) (*hashAggIter, error) {
 	}
 	src := newJoinSrc(aggKinds, c.rows, c.keep)
 	src.generic = m.generic
+	if m.image {
+		src.fromImage()
+	}
 	h := &hashAggIter{
 		ctx:   &Context{BatchSize: m.batch},
 		child: src,
@@ -256,16 +260,14 @@ func (c *aggCase) iter(m aggMode) (*hashAggIter, error) {
 // share a float64, one- to three-column and STRING keys, a column that turns
 // generic mid-stream, a scalar aggregate over no rows, COUNT/SUM/AVG/MIN/MAX,
 // DISTINCT and a computed argument, selection vectors, at batch sizes 1, 3
-// and the default over typed and generic source columns. Each aggregate is
-// opened, read once, and opened again, so nothing of one execution may leak
-// into the next.
+// and the default over typed, generic and image-borrowed source columns.
+// Each aggregate is opened, read once, and opened again, so nothing of one
+// execution may leak into the next; none writes into an image it reads.
 func TestHashAggOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	var modes []aggMode
 	for _, batch := range []int{1, 3, 0} {
-		for _, generic := range []bool{false, true} {
-			modes = append(modes, aggMode{batch: batch, generic: generic})
-		}
+		modes = append(modes, aggMode{batch: batch}, aggMode{batch: batch, generic: true}, aggMode{batch: batch, image: true})
 	}
 	for n := 0; n < 12; n++ {
 		c := genAggCase(rng, n)
@@ -275,9 +277,14 @@ func TestHashAggOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			src := h.child.(*joinSrc)
+			sum := src.imageSum()
 			got, err := drainAgg(h)
 			if err != nil {
 				t.Fatalf("case %d %+v: %v", n, m, err)
+			}
+			if src.imageSum() != sum {
+				t.Fatalf("case %d %+v: the aggregate wrote into the image it read", n, m)
 			}
 			if len(got) != len(want) {
 				t.Fatalf("case %d (group by %v, %d rows) %+v: %d groups, oracle has %d", n, c.gcols, len(c.rows), m, len(got), len(want))

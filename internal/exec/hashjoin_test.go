@@ -3,6 +3,7 @@ package exec
 import (
 	"cmp"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand"
 	"slices"
@@ -101,17 +102,43 @@ func keyEqual(a, b cell) bool {
 }
 
 // joinSrc is a test source. NextBatch fills typed columns per kinds (a
-// value of another kind degrades its column, as a storage scan would), or
-// generic columns when generic is set, and hides the rows keep marks false
-// behind a selection vector. With loop set it never reports EOF.
+// value of another kind degrades its column, as a storage scan would),
+// generic columns when generic is set, or, once fromImage has run, windows
+// onto a columnar image of the rows, as a storage scan hands them out; it
+// hides the rows keep marks false behind a selection vector. With loop set
+// it never reports EOF.
 type joinSrc struct {
 	kinds   []sqltypes.Kind
 	rows    []rowset.Row
 	keep    []bool
 	loop    bool
 	generic bool
+	image   []rowset.Vec
 	pos     int
 	sel     []int
+}
+
+// fromImage builds the rows' columnar image, one full-length Vec per
+// column as storage builds it, and makes NextBatch borrow from it.
+func (s *joinSrc) fromImage() {
+	s.image = make([]rowset.Vec, len(s.kinds))
+	for j, k := range s.kinds {
+		s.image[j] = rowset.BuildColVec(k, s.rows, j)
+	}
+}
+
+// imageSum hashes every vector of the source's image: payloads, validity
+// and boxed values, so any write into the image changes it.
+func (s *joinSrc) imageSum() uint64 {
+	h := fnv.New64a()
+	for j := range s.image {
+		v := &s.image[j]
+		fmt.Fprint(h, v.Kind(), v.Int64s(), v.Float64s(), v.Strings())
+		for i := range s.rows {
+			fmt.Fprint(h, v.Valid(i), v.Value(i))
+		}
+	}
+	return h.Sum64()
 }
 
 // genericKinds are all KindNull: FillRows fills generic columns.
@@ -143,10 +170,14 @@ func (s *joinSrc) NextBatch(b *rowset.Batch) error {
 		from := s.pos
 		s.pos = min(from+b.CapRows(), len(s.rows))
 		kinds := s.kinds
-		if s.generic {
-			kinds = genericKinds[:len(kinds)]
+		switch {
+		case s.image != nil:
+			b.FillCols(s.image, nil, from, s.pos-from)
+		case s.generic:
+			b.FillRows(genericKinds[:len(kinds)], nil, s.rows[from:s.pos])
+		default:
+			b.FillRows(kinds, nil, s.rows[from:s.pos])
 		}
-		b.FillRows(kinds, nil, s.rows[from:s.pos])
 		if s.keep == nil {
 			return nil
 		}
@@ -304,15 +335,20 @@ func (c *joinCase) expect(typ algebra.JoinType, residual bool) [][]cell {
 type joinMode struct {
 	batch   int
 	generic bool // the sources deliver generic columns
+	image   bool // the sources deliver windows onto columnar images
 }
 
 func (m joinMode) String() string {
-	return fmt.Sprintf("batch=%d generic=%v", m.batch, m.generic)
+	return fmt.Sprintf("batch=%d generic=%v image=%v", m.batch, m.generic, m.image)
 }
 
 func (c *joinCase) iter(typ algebra.JoinType, residual bool, m joinMode) (*hashJoinIter, error) {
 	left, right := newJoinSrc(c.pkinds, c.probe, c.pkeep), newJoinSrc(buildKinds, c.build, c.bkeep)
 	left.generic, right.generic = m.generic, m.generic
+	if m.image {
+		left.fromImage()
+		right.fromImage()
+	}
 	h := &hashJoinIter{
 		ctx:   &Context{BatchSize: m.batch},
 		typ:   typ,
@@ -383,15 +419,14 @@ func drainJoin(h *hashJoinIter) ([][]cell, error) {
 // and two-column keys, INT-vs-FLOAT keys, INT keys past 2^53 that share a
 // float64, a string column, a column that degrades mid-stream, an all-NULL
 // column and selection vectors, under every join type × residual × batch
-// size × typed or generic source columns.
+// size × typed, generic or image-borrowed source columns. No join writes
+// into an image it reads.
 func TestHashJoinOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
 	types := []algebra.JoinType{algebra.InnerJoin, algebra.LeftOuterJoin, algebra.SemiJoin, algebra.AntiJoin}
 	var modes []joinMode
 	for _, batch := range []int{1, 3, 0} {
-		for _, generic := range []bool{false, true} {
-			modes = append(modes, joinMode{batch, generic})
-		}
+		modes = append(modes, joinMode{batch: batch}, joinMode{batch: batch, generic: true}, joinMode{batch: batch, image: true})
 	}
 	for n := 0; n < 12; n++ {
 		c := genJoinCase(rng, n)
@@ -403,9 +438,14 @@ func TestHashJoinOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					left, right := h.left.(*joinSrc), h.right.(*joinSrc)
+					sums := [2]uint64{left.imageSum(), right.imageSum()}
 					got, err := drainJoin(h)
 					if err != nil {
 						t.Fatalf("case %d %v residual=%v %v: %v", n, typ, residual, m, err)
+					}
+					if sums != [2]uint64{left.imageSum(), right.imageSum()} {
+						t.Fatalf("case %d %v residual=%v %v: the join wrote into an image it read", n, typ, residual, m)
 					}
 					if len(got) != len(want) {
 						t.Fatalf("case %d %v residual=%v %v: %d rows, oracle has %d", n, typ, residual, m, len(got), len(want))

@@ -281,14 +281,15 @@ func (b *Batch) FillRows(kinds []sqltypes.Kind, proj []int, rows []Row) {
 }
 
 // FillCols loads rows [off, off+k) of a columnar image — one full-table
-// Vec per column — into the batch: column j is a copy of src[proj[j]]
-// (proj nil: every column, in order), so a pruned scan copies only what
-// the plan reads. Typed source columns transfer by payload copy (no
-// per-value conversion).
+// Vec per column — into the batch: column j is a read-only window onto
+// src[proj[j]] (proj nil: every column, in order), so a scan moves no
+// payload and src must not change while the batch is in use. Generic
+// columns, and NULL-bearing ranges at offsets that are not multiples of
+// 64, are copied (see Vec.borrow).
 func (b *Batch) FillCols(src []Vec, proj []int, off, k int) {
 	b.clear(projWidth(proj, len(src)))
 	for j := range b.cols {
-		b.cols[j].copyRange(&src[srcCol(proj, j)], off, k)
+		b.cols[j].borrow(&src[srcCol(proj, j)], off, k)
 	}
 	b.SetNumRows(k)
 }

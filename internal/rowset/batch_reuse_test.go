@@ -207,9 +207,9 @@ func TestBatchReuseEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestSharedImageConcurrentScans has several scans copy windows out of one
-// columnar image into their own reused batches at once (the race detector
-// checks the image is only read).
+// TestSharedImageConcurrentScans has several scans fill their own reused
+// batches from one columnar image at once, borrowing its vectors (the race
+// detector checks the image is only read).
 func TestSharedImageConcurrentScans(t *testing.T) {
 	all := reuseRows(rand.New(rand.NewSource(7)), 3000, 5, -1)
 	imgs := [][]Vec{reuseImage(reuseKinds, all), reuseImage(genericKinds, all)}

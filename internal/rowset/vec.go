@@ -22,6 +22,8 @@ import "dhqp/internal/sqltypes"
 // In typed mode NULLs live in the validity bitmap: bit i set means row i is
 // non-NULL. hasNulls lets all-valid columns (the common case for key and
 // fact columns) skip per-element bitmap checks entirely.
+// A borrowed Vec's payload and validity are read-only windows onto a shared
+// table image (borrow): fresh fills drop them, in-place writers copy first.
 type Vec struct {
 	kind     sqltypes.Kind
 	i64      []int64
@@ -29,6 +31,7 @@ type Vec struct {
 	str      []string
 	valid    []uint64
 	hasNulls bool
+	borrowed bool
 	gen      []sqltypes.Value
 }
 
@@ -80,6 +83,7 @@ func (v *Vec) SetNull(i int) {
 		v.gen[i] = sqltypes.Null
 		return
 	}
+	v.own()
 	v.valid[uint(i)>>6] &^= 1 << (uint(i) & 63)
 	v.hasNulls = true
 }
@@ -134,6 +138,7 @@ func (v *Vec) SetValue(i int, val sqltypes.Value) {
 		return
 	}
 	if val.Kind() == v.kind {
+		v.own()
 		switch v.kind {
 		case sqltypes.KindInt, sqltypes.KindBool, sqltypes.KindDate:
 			x, _ := val.AsInt()
@@ -319,10 +324,50 @@ func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 	return v
 }
 
-// copyRange refills v with exactly the k elements [off, off+k) of src — the
-// columnar-image scan path, where filling a batch is a payload memcpy
-// instead of a per-value conversion. src is only read: scans share one
-// image.
+// borrow makes v a read-only window onto elements [off, off+k) of src: the
+// image scan path, which moves no payload. Windows are capped at k, so no
+// append grows into src. Generic columns, and NULL-bearing ranges whose
+// offset is not on a validity word, are copied instead.
+func (v *Vec) borrow(src *Vec, off, k int) {
+	if src.kind == sqltypes.KindNull || src.hasNulls && off&63 != 0 {
+		v.copyRange(src, off, k)
+		return
+	}
+	end := off + k
+	*v = Vec{kind: src.kind, hasNulls: src.hasNulls, borrowed: true, gen: v.gen}
+	switch src.kind {
+	case sqltypes.KindFloat:
+		v.f64 = src.f64[off:end:end]
+	case sqltypes.KindString:
+		v.str = src.str[off:end:end]
+	default:
+		v.i64 = src.i64[off:end:end]
+	}
+	if src.hasNulls {
+		words := (end + 63) >> 6
+		v.valid = src.valid[off>>6 : words : words]
+	}
+}
+
+// drop forgets borrowed buffers before a fresh fill would write into them.
+func (v *Vec) drop() {
+	if v.borrowed {
+		*v = Vec{gen: v.gen}
+	}
+}
+
+// own replaces borrowed buffers with private copies before a write.
+func (v *Vec) own() {
+	if v.borrowed {
+		w := *v
+		n, _ := w.room()
+		*v = Vec{gen: w.gen}
+		v.copyRange(&w, 0, n)
+	}
+}
+
+// copyRange refills v with a copy of exactly the k elements [off, off+k) of
+// src, which is only read.
 func (v *Vec) copyRange(src *Vec, off, k int) {
 	if src.kind == sqltypes.KindNull {
 		v.ResetGeneric(k)
@@ -341,12 +386,6 @@ func (v *Vec) copyRange(src *Vec, off, k int) {
 		copy(v.i64, src.i64[off:off+k])
 	}
 	if !src.hasNulls {
-		return
-	}
-	if off&63 == 0 {
-		// Word-aligned offset: the validity words transfer directly.
-		copy(v.valid, src.valid[off>>6:])
-		v.hasNulls = true
 		return
 	}
 	for i := 0; i < k; i++ {
@@ -368,7 +407,7 @@ func (v *Vec) copyRange(src *Vec, off, k int) {
 func (v *Vec) Gather(n int, src *Vec, idxs []int32, neg bool) {
 	if n == 0 {
 		v.ResetTyped(src.kind, 0)
-	} else if v.kind != sqltypes.KindNull && v.kind != src.kind {
+	} else if v.own(); v.kind != sqltypes.KindNull && v.kind != src.kind {
 		v.degrade(n)
 	}
 	need := n + len(idxs)
@@ -462,6 +501,7 @@ func (v *Vec) ResetTyped(kind sqltypes.Kind, n int) {
 // (the expression kernels size their output columns to the selection),
 // reusing the boxed buffer when it is large enough.
 func (v *Vec) ResetGeneric(n int) {
+	v.drop()
 	v.kind = sqltypes.KindNull
 	v.hasNulls = false
 	v.gen = resize(v.gen, 0, n)
@@ -471,6 +511,7 @@ func (v *Vec) ResetGeneric(n int) {
 // kind, reusing payload and bitmap buffers across fills. All validity bits
 // start set (every row valid until SetNull).
 func (v *Vec) resetTyped(kind sqltypes.Kind, n int) {
+	v.drop()
 	v.kind = kind
 	v.hasNulls = false
 	v.valid = v.valid[:0]
@@ -482,6 +523,7 @@ func (v *Vec) resetTyped(kind sqltypes.Kind, n int) {
 // rows written before the column's first NULL read valid without having
 // touched the bitmap.
 func (v *Vec) grow(n, to int) {
+	v.own()
 	switch v.kind {
 	case sqltypes.KindNull:
 		v.gen = resize(v.gen, n, to)

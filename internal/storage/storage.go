@@ -13,8 +13,10 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
@@ -180,12 +182,11 @@ type Table struct {
 	locks map[int64]uint64
 
 	// img caches the table's columnar image — one full-length typed Vec
-	// per column — keyed by the version it was built from. Typed batch
-	// scans fill from it by payload copy; any DML invalidates it by
-	// bumping version. Guarded by imgMu, not mu, so a cache probe never
-	// contends with row access.
-	imgMu sync.Mutex
-	img   *tableImage
+	// per column — keyed by the version it was built from. An image is
+	// immutable once built: batch scans hand out read-only windows onto
+	// its vectors, and DML replaces it (by bumping version) rather than
+	// writing into it. Atomic: ScanAt probes it under mu, nesting no lock.
+	img atomic.Pointer[tableImage]
 }
 
 // tableImage is a columnar snapshot of a table's live rows: column j of
@@ -198,16 +199,14 @@ type tableImage struct {
 }
 
 // imageFor returns the columnar image matching version, building it from
-// the scan snapshot (and caching it) when the cached one is stale. snap
-// rows are immutable once stored, so the build needs no table lock.
+// the scan snapshot when the cached one is stale. snap rows are immutable
+// once stored, so the build needs no table lock. The build is cached only
+// if no newer image has been installed meanwhile: a slow build of an old
+// version must not evict the image current scans read.
 func (t *Table) imageFor(version int64, snap []rowset.Row) *tableImage {
-	t.imgMu.Lock()
-	if t.img != nil && t.img.version == version {
-		img := t.img
-		t.imgMu.Unlock()
+	if img := t.img.Load(); img != nil && img.version == version {
 		return img
 	}
-	t.imgMu.Unlock()
 	img := &tableImage{version: version}
 	live := make([]rowset.Row, 0, len(snap))
 	for slot, r := range snap {
@@ -221,9 +220,11 @@ func (t *Table) imageFor(version int64, snap []rowset.Row) *tableImage {
 	for j, c := range t.def.Columns {
 		img.cols[j] = rowset.BuildColVec(c.Kind, live, j)
 	}
-	t.imgMu.Lock()
-	t.img = img
-	t.imgMu.Unlock()
+	for cur := t.img.Load(); cur == nil || cur.version < version; cur = t.img.Load() {
+		if t.img.CompareAndSwap(cur, img) {
+			break
+		}
+	}
 	return img
 }
 
@@ -493,59 +494,64 @@ func (t *Table) FetchAt(bm int64, csn uint64) (rowset.Row, error) {
 	return row, nil
 }
 
-// scanSnapPool recycles scan-snapshot slot buffers across queries: a scan
-// of a million-row table snapshots a multi-megabyte pointer slice, and
-// allocating one per query is pure GC churn. Closed scans return their
-// buffer here; Scan reuses it for the next snapshot of similar size.
-var scanSnapPool = sync.Pool{New: func() any { return new(scanSnap) }}
-
-type scanSnap struct{ rows []rowset.Row }
-
 // Scan returns a full-table rowset snapshot at the latest state. The
 // rowset carries bookmarks.
 func (t *Table) Scan() rowset.Bookmarked { return t.ScanAt(Latest) }
 
-// ScanAt returns a full-table rowset as of snapshot csn: the copied slot
-// image is rewound through the undo tail, so the scan sees exactly the
-// rows committed at or below csn. When nothing newer than csn has
-// committed the scan is identical to (and as fast as) a latest scan,
-// including the cached-columnar-image batch path; a rewound historical
-// scan bypasses the image cache, which only ever holds the latest
-// version.
+// ScanAt returns a full-table rowset as of snapshot csn. When nothing
+// newer than csn has committed and the cached columnar image is current,
+// the scan reads that image in place and copies nothing. Otherwise it
+// copies the slot array: rewound through the undo tail for a historical
+// snapshot (which bypasses the image cache, holding only the latest
+// version), or as the source of the image the first batch builds.
 func (t *Table) ScanAt(csn uint64) rowset.Bookmarked {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Snapshot slot references; rows are immutable once stored.
-	snap := scanSnapPool.Get().(*scanSnap)
-	if cap(snap.rows) < len(t.rows) {
-		snap.rows = make([]rowset.Row, len(t.rows))
+	s := &tableScan{cols: t.def.Columns, pos: -1}
+	current := csn == Latest || len(t.undo) == t.undoHead || t.undo[len(t.undo)-1].csn <= csn
+	if img := t.img.Load(); current && img != nil && img.version == t.version {
+		s.img = img
+		return s
 	}
-	rows := snap.rows[:len(t.rows)]
-	copy(rows, t.rows)
-	s := &tableScan{cols: t.def.Columns, rows: rows, snap: snap, pos: -1, table: t, version: t.version}
-	if csn != Latest && t.rollbackLocked(rows, csn) {
-		s.table = nil // historical image: not cacheable
+	// Snapshot slot references; rows are immutable once stored.
+	s.rows = slices.Clone(t.rows)
+	if current || !t.rollbackLocked(s.rows, csn) {
+		s.table, s.version = t, t.version
 	}
 	return s
 }
 
+// tableScan reads the columnar image (img) or a copied slot array (rows).
 type tableScan struct {
 	cols    []schema.Column
 	rows    []rowset.Row
-	snap    *scanSnap // pooled snapshot buffer backing rows; returned on Close
-	pos     int
+	pos     int // slot of the row last returned
 	kinds   []sqltypes.Kind
 	scratch []rowset.Row // non-nil row pointers gathered per batch fill
 
-	table   *Table // for the columnar-image fast path
-	version int64  // table version the snapshot was taken at
+	table   *Table // set when rows may build the table's image
+	version int64  // table version rows were copied at
 	img     *tableImage
 	ipos    int // live-row cursor into img
 }
 
 func (s *tableScan) Columns() []schema.Column { return s.cols }
 
+// Next returns the next live row: boxed from the image on the image path
+// (the row readers are cold), the stored row otherwise.
 func (s *tableScan) Next() (rowset.Row, error) {
+	if img := s.img; img != nil {
+		if s.ipos >= img.n {
+			return nil, errEOF
+		}
+		r := make(rowset.Row, len(img.cols))
+		for j := range r {
+			r[j] = img.cols[j].Value(s.ipos)
+		}
+		s.pos = int(img.bms[s.ipos])
+		s.ipos++
+		return r, nil
+	}
 	for s.pos+1 < len(s.rows) {
 		s.pos++
 		if s.rows[s.pos] != nil {
@@ -555,16 +561,8 @@ func (s *tableScan) Next() (rowset.Row, error) {
 	return nil, errEOF
 }
 
-// Close releases the snapshot buffer back to the pool. Stale slot
-// pointers are left in place — the next Scan overwrites them, and the
-// runtime empties the pool each GC cycle, so they pin rows only briefly.
 func (s *tableScan) Close() error {
-	if s.snap != nil {
-		s.snap.rows = s.rows[:0]
-		scanSnapPool.Put(s.snap)
-		s.snap = nil
-		s.rows = nil
-	}
+	s.rows, s.img = nil, nil
 	return nil
 }
 
@@ -576,24 +574,21 @@ func (s *tableScan) Close() error {
 func (s *tableScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
 
 // NextBatchProjected implements rowset.ProjectedBatchReader: both fill
-// paths copy only the columns proj names, in its order (nil: all of them).
+// paths deliver only the columns proj names, in its order (nil: all).
 func (s *tableScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if s.table != nil {
-		// Columnar-image path: the typed column vectors for the whole
-		// table are cached per version, so each batch is a payload copy.
-		if s.img == nil {
-			s.img = s.table.imageFor(s.version, s.rows)
-		}
-		if s.ipos >= s.img.n {
+	if s.img == nil && s.table != nil {
+		s.img = s.table.imageFor(s.version, s.rows)
+		s.rows = nil
+	}
+	if img := s.img; img != nil {
+		// Image path: each batch is windows onto the image, no copy.
+		if s.ipos >= img.n {
 			return errEOF
 		}
-		k := b.CapRows()
-		if rem := s.img.n - s.ipos; k > rem {
-			k = rem
-		}
-		b.FillCols(s.img.cols, proj, s.ipos, k)
+		k := min(b.CapRows(), img.n-s.ipos)
+		b.FillCols(img.cols, proj, s.ipos, k)
 		s.ipos += k
-		s.pos = int(s.img.bms[s.ipos-1])
+		s.pos = int(img.bms[s.ipos-1])
 		return nil
 	}
 	if s.kinds == nil {

@@ -385,22 +385,12 @@ func TestIndexConsistencyProperty(t *testing.T) {
 // the boxed rows, exercising the columnar-image fast path.
 func drainTyped(t *testing.T, tbl *Table) []rowset.Row {
 	t.Helper()
-	rs := tbl.Scan()
-	defer rs.Close()
-	b := rowset.NewBatch(4) // small batches force unaligned validity copies
-	var out []rowset.Row
-	for {
-		err := rs.(rowset.BatchReader).NextBatch(b)
-		if err == io.EOF {
-			return out
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < b.Len(); i++ {
-			out = append(out, b.RowAt(i, nil))
-		}
+	// Small batches force unaligned validity copies.
+	out, err := scanAll(tbl.Scan(), rowset.NewBatch(4))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
 func TestColumnarImageInvalidation(t *testing.T) {
