@@ -2,7 +2,6 @@ package binder
 
 import (
 	"fmt"
-	"strings"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/parser"
@@ -121,14 +120,4 @@ func (b *Binder) bindJoinRef(t *parser.JoinRef, sc *scope) (*algebra.Node, error
 		jt = algebra.LeftOuterJoin
 	}
 	return algebra.NewNode(&algebra.Join{Type: jt, On: on}, left, right), nil
-}
-
-// normalizeParts lower-cases name parts for catalog lookups (the engine's
-// catalogs are case-insensitive, as SQL Server default collations are).
-func normalizeParts(parts []string) []string {
-	out := make([]string, len(parts))
-	for i, p := range parts {
-		out[i] = strings.ToLower(p)
-	}
-	return out
 }

@@ -56,11 +56,8 @@ func (c *catalog) ResolveObject(parts []string) (*binder.Resolved, error) {
 	// resolve to view text synthesized from the current shard map, so a
 	// topology change re-binds without any CREATE VIEW.
 	object := parts[len(parts)-1]
-	if text, ok := s.views[strings.ToLower(object)]; ok {
+	if text, ok := s.viewTextFor(object); ok {
 		return &binder.Resolved{ViewText: text}, nil
-	}
-	if mp, ok := s.shards.Lookup(object); ok {
-		return &binder.Resolved{ViewText: mp.ViewText()}, nil
 	}
 	catalogName := s.defaultDB
 	if len(parts) == 3 {
@@ -340,7 +337,7 @@ func (md *metadata) TableCardinality(src *algebra.Source) float64 {
 				card = float64(ti.Cardinality)
 			}
 		}
-	} else if sess, ok := s.extraSessions[src.Server]; ok {
+	} else if sess, ok := s.extraSession(src.Server); ok {
 		if infos, err := sess.TablesInfo(); err == nil {
 			for _, ti := range infos {
 				if strings.EqualFold(ti.Def.Name, src.Table) {

@@ -220,16 +220,6 @@ func (s *Server) RemoveShard(view string, key int64) error {
 	return s.moveRange(mp, src, src.Lo, src.Hi, dest, next)
 }
 
-// DropElasticView removes a view's shard map. Member tables are left in
-// place (they are ordinary tables owned by their servers).
-func (s *Server) DropElasticView(view string) {
-	release := s.shards.LockTopology()
-	defer release()
-	defer s.shards.Barrier()()
-	s.shards.Drop(view)
-	s.invalidatePlans()
-}
-
 // ShardMapVersion exposes the manager's monotone version counter.
 func (s *Server) ShardMapVersion() int64 { return s.shards.Version() }
 

@@ -192,7 +192,8 @@ func TestQueryTimeoutAborts(t *testing.T) {
 		t.Errorf("deadline query took %v", elapsed)
 	}
 
-	// No goroutine leaks: the prefetcher and exchange wind down.
+	// No goroutine leaks: the exchange, the only goroutines a statement
+	// starts, winds down.
 	deadline := time.Now().Add(5 * time.Second)
 	for stdruntime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {

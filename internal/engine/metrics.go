@@ -122,9 +122,6 @@ func (s *Server) SetMetricsEnabled(on bool) {
 	}
 }
 
-// MetricsEnabled reports whether metric recording is on.
-func (s *Server) MetricsEnabled() bool { return s.mx.Load() != nil }
-
 // instr returns the active instrument bundle (nil when disabled).
 func (s *Server) instr() *engineInstruments { return s.mx.Load() }
 

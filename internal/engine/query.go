@@ -227,17 +227,23 @@ func (rt *runtime) SessionFor(server string) (oledb.Session, error) {
 	case mailServerName:
 		return mailSessionOf(s)
 	}
-	s.mu.Lock()
-	if sess, ok := s.extraSessions[server]; ok {
-		s.mu.Unlock()
+	if sess, ok := s.extraSession(server); ok {
 		return sess, nil
 	}
-	s.mu.Unlock()
 	l, err := s.linkedFor(server)
 	if err != nil {
 		return nil, err
 	}
 	return s.sessionOf(l)
+}
+
+// extraSession returns an ad-hoc provider session (OPENROWSET, MakeTable)
+// registered under key; binding adds them while other statements compile.
+func (s *Server) extraSession(key string) (oledb.Session, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sess, ok := s.extraSessions[key]
+	return sess, ok
 }
 
 // ResultSink receives a streamed SELECT result: Columns once, after the
@@ -483,16 +489,11 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 }
 
 // QuerySQL implements sqlful.Target, making this server usable as a linked
-// server by its peers.
-func (s *Server) QuerySQL(sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
-	return s.QuerySQLContext(context.Background(), sql, params)
-}
-
-// QuerySQLContext implements sqlful.ContextTarget: an in-process federation
-// member executes the shipped statement under the coordinator's context, so
-// cancellation crosses the boundary and the member's statement span nests
-// under the coordinator's remote-call span in one distributed trace.
-func (s *Server) QuerySQLContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
+// server by its peers: an in-process federation member executes the shipped
+// statement under the coordinator's context, so cancellation crosses the
+// boundary and the member's statement span nests under the coordinator's
+// remote-call span in one distributed trace.
+func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
 	res, err := s.QueryContext(ctx, sql, params)
 	if err != nil {
 		return nil, err

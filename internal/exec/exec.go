@@ -44,8 +44,6 @@ type Context struct {
 	// parallel Concat fan-out). 0 means the default,
 	// min(len(children), GOMAXPROCS); 1 disables parallel execution.
 	MaxDOP int
-	// NoPrefetch disables asynchronous prefetching of remote rowsets.
-	NoPrefetch bool
 	// RemoteBatchSize is the number of keys per batched remote call: it
 	// caps how many outer rows a BatchLoopJoin buffers per probe and sizes
 	// remoteFetchIter's bookmark batches. 0 means cost.DefaultRemoteBatch.
@@ -114,7 +112,7 @@ func (c *Context) env(row rowset.Row) *expr.Env {
 // those are per-statement, not per-branch, and are themselves
 // concurrency-safe.
 func (c *Context) fork() *Context {
-	f := &Context{RT: c.RT, Today: c.Today, MaxDOP: c.MaxDOP, NoPrefetch: c.NoPrefetch,
+	f := &Context{RT: c.RT, Today: c.Today, MaxDOP: c.MaxDOP,
 		RemoteBatchSize: c.RemoteBatchSize, BatchSize: c.BatchSize,
 		Ctx: c.Ctx, RetryAttempts: c.RetryAttempts, RetryBackoff: c.RetryBackoff,
 		BreakerFor: c.BreakerFor, PartialResults: c.PartialResults,

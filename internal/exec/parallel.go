@@ -1,9 +1,11 @@
-// Parallel exchange layer: the concurrent UNION ALL fan-out and the
-// prefetching remote rowset. The paper's federated scale-out workload
-// (§4.1.5) unions independent member-server scans whose cost is dominated
-// by link latency; driving them concurrently — and streaming each remote
-// rowset ahead of the consumer — makes elapsed time track the slowest
-// member instead of the sum of all members.
+// Parallel exchange layer: the concurrent UNION ALL fan-out. The paper's
+// federated scale-out workload (§4.1.5) unions independent member-server
+// scans whose cost is dominated by link latency; driving them concurrently
+// makes elapsed time track the slowest member instead of the sum of all
+// members. The exchange is the executor's only concurrency: a remote
+// rowset below it is read synchronously, one fetch per NextBatch, and a
+// worker that hands a batch on starts the next fetch at once, so fetches
+// overlap the consumer's work.
 
 package exec
 
@@ -234,110 +236,4 @@ func (p *parallelConcatIter) stop() {
 	for range p.ch {
 	}
 	p.running = false
-}
-
-// prefetchDepth is how many fetches a remote rowset's producer goroutine
-// runs ahead of the consumer: two batches, so the next fetch's link round
-// trip overlaps the consumer processing the current one (double buffering).
-const prefetchDepth = 2
-
-// prefetchItem is one fetched batch or the producer's terminal error.
-type prefetchItem struct {
-	b   *rowset.Batch
-	err error
-}
-
-// remoteRowset is the rowset every remote access operator reads: the
-// fault-tolerant stream, served a batch at a time — one fetch per batch
-// the consumer asks for, the batch's capacity being the fetch size. When
-// prefetching, a producer goroutine fetches (paying the simulated round
-// trips) into its own two batches while the consumer computes, and a
-// fetched batch reaches the consumer's by swapping buffers; the producer
-// stops at the first error (io.EOF included) or when Close cancels it.
-type remoteRowset struct {
-	src *retryRowset
-
-	// Prefetch state; a nil ch means fetches are synchronous.
-	ch     chan prefetchItem
-	free   chan *rowset.Batch // the producer's batches, waiting for a fill
-	cancel chan struct{}
-	done   chan struct{}
-	err    error // sticky terminal error
-	closed bool
-}
-
-func newRemoteRowset(ctx *Context, src *retryRowset, prefetch bool) *remoteRowset {
-	p := &remoteRowset{src: src}
-	if prefetch {
-		p.ch = make(chan prefetchItem, 1)
-		p.free = make(chan *rowset.Batch, prefetchDepth) // holds every batch: returning one never blocks
-		for i := 0; i < prefetchDepth; i++ {
-			p.free <- ctx.newBatch()
-		}
-		p.cancel = make(chan struct{})
-		p.done = make(chan struct{})
-		go p.produce()
-	}
-	return p
-}
-
-func (p *remoteRowset) produce() {
-	defer close(p.done)
-	for {
-		var b *rowset.Batch
-		select {
-		case b = <-p.free:
-		case <-p.cancel:
-			return
-		}
-		err := p.src.NextBatch(b)
-		select {
-		case p.ch <- prefetchItem{b: b, err: err}:
-		case <-p.cancel:
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// NextBatchProjected hands over the next fetch, keeping the vectors proj
-// names (nil: all of them), so a pruned remote scan drops the rest.
-func (p *remoteRowset) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if p.err != nil {
-		return p.err
-	}
-	if p.closed {
-		return io.EOF
-	}
-	if p.ch == nil {
-		if err := p.src.NextBatch(b); err != nil {
-			return err
-		}
-	} else {
-		it := <-p.ch
-		if it.err != nil {
-			p.err = it.err
-			return it.err
-		}
-		b.Swap(it.b)
-		p.free <- it.b
-	}
-	if proj != nil {
-		b.Project(proj)
-	}
-	return nil
-}
-
-func (p *remoteRowset) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	if p.ch != nil {
-		close(p.cancel)
-		<-p.done
-	}
-	return p.src.Close()
 }

@@ -297,59 +297,3 @@ func TestSerialConcatLifecycle(t *testing.T) {
 		t.Errorf("after Close: b touched: opens=%d closes=%d", opens, closes)
 	}
 }
-
-func TestPrefetchMatchesSynchronous(t *testing.T) {
-	f := newFixture(t)
-	n := remoteEmpScan(f, "remoteA")
-
-	f.ctx.NoPrefetch = true
-	syncIt, err := Build(n, f.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := syncIt.Open(); err != nil {
-		t.Fatal(err)
-	}
-	want := collectInts(t, syncIt)
-	syncIt.Close()
-
-	f.ctx.NoPrefetch = false
-	preIt, err := Build(n, f.ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := preIt.Open(); err != nil {
-		t.Fatal(err)
-	}
-	got := collectInts(t, preIt)
-	preIt.Close()
-	if len(got) != len(want) {
-		t.Fatalf("prefetch rows = %d, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("prefetch mismatch at %d: %d vs %d", i, got[i], want[i])
-		}
-	}
-
-	// Early Close mid-stream must not deadlock or leak the producer.
-	base := runtime.NumGoroutine()
-	for i := 0; i < 20; i++ {
-		if err := preIt.Open(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rowsOf(preIt).Next(); err != nil {
-			t.Fatal(err)
-		}
-		if err := preIt.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("prefetch goroutines leaked: %d > %d", runtime.NumGoroutine(), base)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}

@@ -198,15 +198,15 @@ type rowsetOpener interface {
 }
 
 // openRemoteRowset opens a remote rowset fault-tolerantly. The opener runs
-// against a fresh context-bound session view on every attempt; the returned rowset recovers from mid-stream transients by
-// re-executing it, and — when prefetch is set and the statement allows
-// it — fetches ahead of its consumer.
+// against a fresh context-bound session view on every attempt; the returned
+// rowset recovers from mid-stream transients by re-executing it, and fetches
+// only when its consumer asks for a batch.
 //
 // Under a traced statement each remote open records a "remote call"
 // span, and the span's context rides into the session — an in-process
 // member joining the trace nests its own statement span under it, which
 // is what assembles the cross-member span tree.
-func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open rowsetOpener) (*remoteRowset, error) {
+func openRemoteRowset(ctx *Context, server, what string, open rowsetOpener) (*retryRowset, error) {
 	if server != "" {
 		if sctx, end := telemetry.StartSpan(ctx.Ctx, ctx.Server, "remote "+what, server); sctx != ctx.Ctx {
 			spanned := *ctx
@@ -219,7 +219,7 @@ func openRemoteRowset(ctx *Context, server, what string, prefetch bool, open row
 	if err := r.reopen(nil, 0); err != nil {
 		return nil, err
 	}
-	return newRemoteRowset(ctx, r, prefetch && !ctx.NoPrefetch), nil
+	return r, nil
 }
 
 // reopen (re-)executes the statement and takes its first fetch. A first

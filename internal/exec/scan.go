@@ -55,19 +55,21 @@ func scanProjection(src *algebra.Source, cols []algebra.OutCol) []int {
 // local or remote, and the fill that narrows it to the plan's columns. The
 // local and remote paths are identical by design (§2); they differ only in
 // the session the rowset came from. An identity-prefix read truncates a
-// full-width fill, a pruned one hands its projection to the rowset.
+// full-width fill, a pruned one keeps only the projected vectors.
 type source struct {
 	width  int
 	proj   []int         // non-nil when outputs are not an identity prefix
 	rs     rowset.Rowset // a local provider rowset, or nil
-	remote *remoteRowset // a remote one, or nil
+	remote *retryRowset  // a remote one, or nil
 }
 
 func (s *source) NextBatch(b *rowset.Batch) error {
 	var err error
 	switch {
 	case s.remote != nil:
-		err = s.remote.NextBatchProjected(b, s.proj)
+		if err = s.remote.NextBatch(b); err == nil && s.proj != nil {
+			b.Project(s.proj)
+		}
 	case s.rs != nil:
 		err = rowset.FillBatch(s.rs, b, s.proj)
 	default:
@@ -93,11 +95,11 @@ func (s *source) Close() error {
 }
 
 // open (re)opens the source on src's server: a remote rowset
-// fault-tolerantly and prefetched, a local one directly.
+// fault-tolerantly, a local one directly.
 func (s *source) open(ctx *Context, src *algebra.Source, what string, open rowsetOpener) error {
 	s.Close()
 	if src.IsRemote() {
-		rs, err := openRemoteRowset(ctx, src.Server, what, true, open)
+		rs, err := openRemoteRowset(ctx, src.Server, what, open)
 		s.remote = rs
 		return err
 	}
@@ -244,7 +246,7 @@ func (r *remoteQueryIter) Open() error {
 	for _, b := range r.op.Binds {
 		params[b.Name] = b.Val
 	}
-	rs, err := openRemoteRowset(r.ctx, r.op.Server, "remote query", true, command{r.op.SQL, params})
+	rs, err := openRemoteRowset(r.ctx, r.op.Server, "remote query", command{r.op.SQL, params})
 	if err != nil {
 		return fmt.Errorf("exec: remote query on %s: %w", r.op.Server, err)
 	}
@@ -266,7 +268,7 @@ func (p *providerCommandIter) Open() error {
 	for name, v := range p.ctx.Params {
 		params[name] = v
 	}
-	rs, err := openRemoteRowset(p.ctx, p.op.Src.Server, "provider command", p.op.Src.IsRemote(), command{p.op.Src.Query, params})
+	rs, err := openRemoteRowset(p.ctx, p.op.Src.Server, "provider command", command{p.op.Src.Query, params})
 	if err != nil {
 		return fmt.Errorf("exec: provider command on %s: %w", p.op.Src.Server, err)
 	}

@@ -94,14 +94,11 @@ func scriptedScan(server string) *algebra.Node {
 	return algebra.NewNode(&algebra.RemoteScan{Src: src, Cols: []algebra.OutCol{{ID: 1, Name: "k", Kind: sqltypes.KindInt}}})
 }
 
-// transportModes is every way a remote rowset is read: prefetched or
-// synchronous, 16 rows per fetch.
-func transportModes(f func(name string, ctx *Context)) {
-	for _, prefetch := range []bool{true, false} {
-		name := map[bool]string{true: "prefetch", false: "sync"}[prefetch]
-		f(name, &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16,
-			NoPrefetch: !prefetch, RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)})
-	}
+// transportCtx reads a remote rowset 16 rows per fetch, with a detailed
+// record and near-zero retry backoff.
+func transportCtx() *Context {
+	return &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16,
+		RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)}
 }
 
 // TestRemoteFetchFaultRestartsAndDiscards: a transient fault on fetch k of
@@ -118,32 +115,31 @@ func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
 		{0: 3, 1: 5, 2: 7}, // three attempts, each further along
 	}
 	for _, script := range scripts {
-		transportModes(func(mode string, ctx *Context) {
-			sess := &scriptedSession{n: n, failFetch: script}
-			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
-			plan := scriptedScan("r")
-			m, err := materialize(plan, ctx)
-			if err != nil {
-				t.Fatalf("%s %v: %v", mode, script, err)
+		ctx := transportCtx()
+		sess := &scriptedSession{n: n, failFetch: script}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+		plan := scriptedScan("r")
+		m, err := materialize(plan, ctx)
+		if err != nil {
+			t.Fatalf("%v: %v", script, err)
+		}
+		if m.Len() != n {
+			t.Fatalf("%v: %d rows, want %d", script, m.Len(), n)
+		}
+		for i, r := range m.Rows() {
+			if r[0].Int() != int64(i) {
+				t.Fatalf("%v: row %d is %d (duplicate, gap or poison)", script, i, r[0].Int())
 			}
-			if m.Len() != n {
-				t.Fatalf("%s %v: %d rows, want %d", mode, script, m.Len(), n)
-			}
-			for i, r := range m.Rows() {
-				if r[0].Int() != int64(i) {
-					t.Fatalf("%s %v: row %d is %d (duplicate, gap or poison)", mode, script, i, r[0].Int())
-				}
-			}
-			if got := ctx.Stats.Counts().Retries; got != int64(len(script)) {
-				t.Errorf("%s %v: %d retries recorded, want %d", mode, script, got, len(script))
-			}
-			if sess.opens != len(script)+1 {
-				t.Errorf("%s %v: statement executed %d times, want %d", mode, script, sess.opens, len(script)+1)
-			}
-			if got := ctx.Stats.Lookup(plan).ActualRows(); got != n {
-				t.Errorf("%s %v: actual rows = %d, want %d (replayed rows must not count)", mode, script, got, n)
-			}
-		})
+		}
+		if got := ctx.Stats.Counts().Retries; got != int64(len(script)) {
+			t.Errorf("%v: %d retries recorded, want %d", script, got, len(script))
+		}
+		if sess.opens != len(script)+1 {
+			t.Errorf("%v: statement executed %d times, want %d", script, sess.opens, len(script)+1)
+		}
+		if got := ctx.Stats.Lookup(plan).ActualRows(); got != n {
+			t.Errorf("%v: actual rows = %d, want %d (replayed rows must not count)", script, got, n)
+		}
 	}
 }
 
@@ -152,18 +148,17 @@ func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
 // they ended on, is an error — not an excuse to deliver a different result.
 func TestRemoteFetchShortReplayIsPermanent(t *testing.T) {
 	for _, short := range []int{0, 16, 40} { // nothing; one fetch of the three delivered; the third comes up half empty
-		transportModes(func(mode string, ctx *Context) {
-			sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 4}, short: map[int]int{1: short}}
-			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
-			plan := scriptedScan("r")
-			_, err := materialize(plan, ctx)
-			if err == nil || !strings.Contains(err.Error(), "replay returned") {
-				t.Fatalf("%s short=%d: err = %v, want the replay error", mode, short, err)
-			}
-			if oledb.IsTransient(err) {
-				t.Errorf("%s short=%d: replay error is classified transient: %v", mode, short, err)
-			}
-		})
+		ctx := transportCtx()
+		sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 4}, short: map[int]int{1: short}}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+		plan := scriptedScan("r")
+		_, err := materialize(plan, ctx)
+		if err == nil || !strings.Contains(err.Error(), "replay returned") {
+			t.Fatalf("short=%d: err = %v, want the replay error", short, err)
+		}
+		if oledb.IsTransient(err) {
+			t.Errorf("short=%d: replay error is classified transient: %v", short, err)
+		}
 	}
 }
 
@@ -183,25 +178,24 @@ func settleGoroutines(t *testing.T, base int, what string) {
 // brings its first fetch back, inside the retry scope. A first fetch that
 // fails on every attempt therefore fails the open after exactly
 // RetryAttempts executions, each of them a real attempt, with the exhausted
-// error and no producer goroutine left behind.
+// error and no goroutine left behind.
 func TestFirstFetchExhaustsRetries(t *testing.T) {
 	base := runtime.NumGoroutine()
-	transportModes(func(mode string, ctx *Context) {
-		ctx.RetryAttempts = 3
-		sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 1, 1: 1, 2: 1, 3: 1}}
-		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
-		_, err := materialize(scriptedScan("r"), ctx)
-		if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
-			t.Fatalf("%s: err = %v, want 3 attempts exhausted", mode, err)
-		}
-		if sess.opens != 3 {
-			t.Errorf("%s: statement executed %d times, want 3", mode, sess.opens)
-		}
-		if got := ctx.Stats.Counts().Retries; got != 2 {
-			t.Errorf("%s: %d retries recorded, want 2", mode, got)
-		}
-		settleGoroutines(t, base, mode)
-	})
+	ctx := transportCtx()
+	ctx.RetryAttempts = 3
+	sess := &scriptedSession{n: 100, failFetch: map[int]int{0: 1, 1: 1, 2: 1, 3: 1}}
+	ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+	_, err := materialize(scriptedScan("r"), ctx)
+	if err == nil || !strings.Contains(err.Error(), "3 attempts exhausted") {
+		t.Fatalf("err = %v, want 3 attempts exhausted", err)
+	}
+	if sess.opens != 3 {
+		t.Errorf("statement executed %d times, want 3", sess.opens)
+	}
+	if got := ctx.Stats.Counts().Retries; got != 2 {
+		t.Errorf("%d retries recorded, want 2", got)
+	}
+	settleGoroutines(t, base, "first fetch exhausted")
 }
 
 // TestFirstFetchRetriedOnce: a first fetch lost on the first attempt costs
@@ -210,54 +204,53 @@ func TestFirstFetchExhaustsRetries(t *testing.T) {
 // crossed are charged to the link.
 func TestFirstFetchRetriedOnce(t *testing.T) {
 	for _, n := range []int{10, 100} {
-		transportModes(func(mode string, ctx *Context) {
-			sess := &scriptedSession{n: n, failFetch: map[int]int{0: 1}, link: &netsim.Link{}}
-			ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
-			m, err := materialize(scriptedScan("r"), ctx)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", mode, n, err)
+		ctx := transportCtx()
+		sess := &scriptedSession{n: n, failFetch: map[int]int{0: 1}, link: &netsim.Link{}}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+		m, err := materialize(scriptedScan("r"), ctx)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if m.Len() != n {
+			t.Fatalf("n=%d: %d rows", n, m.Len())
+		}
+		for i, r := range m.Rows() {
+			if r[0].Int() != int64(i) {
+				t.Fatalf("n=%d: row %d is %d (duplicate, gap or poison)", n, i, r[0].Int())
 			}
-			if m.Len() != n {
-				t.Fatalf("%s n=%d: %d rows", mode, n, m.Len())
-			}
-			for i, r := range m.Rows() {
-				if r[0].Int() != int64(i) {
-					t.Fatalf("%s n=%d: row %d is %d (duplicate, gap or poison)", mode, n, i, r[0].Int())
-				}
-			}
-			if got := ctx.Stats.Counts().Retries; got != 1 || sess.opens != 2 {
-				t.Errorf("%s n=%d: %d retries over %d executions, want 1 over 2", mode, n, got, sess.opens)
-			}
-			if s, want := sess.link.Stats(), int64((n+15)/16); s.Calls != want || s.Rows != int64(n) {
-				t.Errorf("%s n=%d: link = %+v, want %d calls carrying %d rows", mode, n, s, want, n)
-			}
-		})
+		}
+		if got := ctx.Stats.Counts().Retries; got != 1 || sess.opens != 2 {
+			t.Errorf("n=%d: %d retries over %d executions, want 1 over 2", n, got, sess.opens)
+		}
+		if s, want := sess.link.Stats(), int64((n+15)/16); s.Calls != want || s.Rows != int64(n) {
+			t.Errorf("n=%d: link = %+v, want %d calls carrying %d rows", n, s, want, n)
+		}
 	}
 }
 
 // TestFirstFetchEmptyResult: an empty remote answer costs the one round
 // trip that opens it, then reads as the end of the rows.
 func TestFirstFetchEmptyResult(t *testing.T) {
-	transportModes(func(mode string, ctx *Context) {
-		sess := &scriptedSession{link: &netsim.Link{}}
-		ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
-		m, err := materialize(scriptedScan("r"), ctx)
-		if err != nil {
-			t.Fatalf("%s: %v", mode, err)
-		}
-		if m.Len() != 0 {
-			t.Fatalf("%s: %d rows from an empty answer", mode, m.Len())
-		}
-		if s := sess.link.Stats(); s.Calls != 1 || s.Rows != 0 || sess.opens != 1 {
-			t.Errorf("%s: link = %+v over %d executions, want 1 call and 1 execution", mode, s, sess.opens)
-		}
-	})
+	ctx := transportCtx()
+	sess := &scriptedSession{link: &netsim.Link{}}
+	ctx.RT = &testRT{sessions: map[string]oledb.Session{"r": sess}}
+	m, err := materialize(scriptedScan("r"), ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != 0 {
+		t.Fatalf("%d rows from an empty answer", m.Len())
+	}
+	if s := sess.link.Stats(); s.Calls != 1 || s.Rows != 0 || sess.opens != 1 {
+		t.Errorf("link = %+v over %d executions, want 1 call and 1 execution", s, sess.opens)
+	}
 }
 
-// TestBatchExchangeLifecycle drives the parallel exchange over prefetching
-// remote children through the ways a consumer can walk away — early Close
-// under a TOP, a sibling's permanent error, re-Open after partial
-// consumption — and checks that every producer goroutine is gone each time.
+// TestBatchExchangeLifecycle drives the parallel exchange over remote
+// children through the ways a consumer can walk away — early Close under a
+// TOP, a sibling's permanent error, re-Open after partial consumption — and
+// checks that every exchange goroutine (the executor's only ones) is gone
+// each time.
 func TestBatchExchangeLifecycle(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fanOut := func(servers ...string) *algebra.Node {

@@ -75,14 +75,6 @@ func (t *WaitTable) Record(waitType string, d time.Duration) {
 	}
 }
 
-// RecordSince records a wait that began at start.
-func (t *WaitTable) RecordSince(waitType string, start time.Time) {
-	if t == nil {
-		return
-	}
-	t.Record(waitType, time.Since(start))
-}
-
 // WaitStat is one row of the wait-statistics snapshot.
 type WaitStat struct {
 	WaitType     string

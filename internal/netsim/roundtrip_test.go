@@ -1,6 +1,7 @@
 package netsim_test
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -48,7 +49,7 @@ func newRowsTarget(t *testing.T, n int) *rowsTarget {
 	return &rowsTarget{n: n, eng: eng}
 }
 
-func (r *rowsTarget) QuerySQL(string, map[string]sqltypes.Value) (*rowset.Materialized, error) {
+func (r *rowsTarget) QuerySQL(context.Context, string, map[string]sqltypes.Value) (*rowset.Materialized, error) {
 	return rowset.NewMaterialized(oneInt, intRows(r.n)), nil
 }
 func (r *rowsTarget) ExecSQL(string, map[string]sqltypes.Value) (int64, error) { return 0, nil }

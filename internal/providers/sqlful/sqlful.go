@@ -22,8 +22,11 @@ import (
 // Target is the remote engine behind the provider; the engine package
 // implements it (each simulated server instance is a Target for its peers).
 type Target interface {
-	// QuerySQL executes a SELECT and returns its materialized result.
-	QuerySQL(sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error)
+	// QuerySQL executes a SELECT under the caller's context and returns
+	// its materialized result. In-process federation passes the remote
+	// call's context, so cancellation crosses the boundary and a member
+	// nests its statement span under the coordinator's remote-call span.
+	QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error)
 	// ExecSQL executes DML and returns the affected row count.
 	ExecSQL(sql string, params map[string]sqltypes.Value) (int64, error)
 	// NativeSession exposes the target's storage through the base rowset
@@ -32,14 +35,6 @@ type Target interface {
 	// DescribeSQL reports a statement's output columns without executing
 	// it (OPENQUERY pass-through binding).
 	DescribeSQL(sql string) ([]schema.Column, error)
-}
-
-// ContextTarget is an optional Target extension: a target that executes
-// under the caller's context. In-process federation uses it to propagate
-// cancellation and the distributed trace — a member implementing it nests
-// its statement span under the coordinator's remote-call span.
-type ContextTarget interface {
-	QuerySQLContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error)
 }
 
 // Provider is a query-capable linked-server provider.
@@ -236,13 +231,7 @@ func (c *command) requestBytes() int { return len(c.text) + len(c.params)*16 }
 // ride the round trip that brings the first fetch back, so a result that
 // fits one fetch costs one call.
 func (c *command) Execute() (rowset.Rowset, error) {
-	var m *rowset.Materialized
-	var err error
-	if ct, ok := c.s.p.target.(ContextTarget); ok {
-		m, err = ct.QuerySQLContext(c.s.callCtx(), c.text, c.params)
-	} else {
-		m, err = c.s.p.target.QuerySQL(c.text, c.params)
-	}
+	m, err := c.s.p.target.QuerySQL(c.s.callCtx(), c.text, c.params)
 	if err != nil {
 		return nil, fmt.Errorf("sqlful: remote execution failed: %w", err)
 	}

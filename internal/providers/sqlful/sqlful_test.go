@@ -1,6 +1,7 @@
 package sqlful
 
 import (
+	"context"
 	"testing"
 
 	"dhqp/internal/netsim"
@@ -41,7 +42,7 @@ func newFakeTarget(t *testing.T) *fakeTarget {
 	return &fakeTarget{eng: eng}
 }
 
-func (f *fakeTarget) QuerySQL(sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
+func (f *fakeTarget) QuerySQL(_ context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
 	f.lastSQL = sql
 	f.lastParam = params
 	return rowset.NewMaterialized(

@@ -312,14 +312,6 @@ func (b *Batch) Indices() []int {
 	return b.ident[:b.n]
 }
 
-// PhysIdx maps live row i (0 ≤ i < Len) to its physical index.
-func (b *Batch) PhysIdx(i int) int {
-	if b.useSel {
-		return b.sel[i]
-	}
-	return i
-}
-
 // SetSelection installs sel (copied into the batch's own buffer) as the
 // live-row set. Filters call this with the indices that passed.
 func (b *Batch) SetSelection(sel []int) {

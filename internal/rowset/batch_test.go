@@ -96,6 +96,27 @@ func TestFillBatchAndMaterializedRoundTrip(t *testing.T) {
 	}
 }
 
+// Func adapts a pull function into a Rowset with no BatchReader.
+type Func struct {
+	Cols    []schema.Column
+	NextFn  func() (Row, error)
+	CloseFn func() error
+}
+
+// Columns implements Rowset.
+func (f *Func) Columns() []schema.Column { return f.Cols }
+
+// Next implements Rowset.
+func (f *Func) Next() (Row, error) { return f.NextFn() }
+
+// Close implements Rowset.
+func (f *Func) Close() error {
+	if f.CloseFn != nil {
+		return f.CloseFn()
+	}
+	return nil
+}
+
 // funcRowset has no BatchReader, forcing FillBatch's pull path.
 func TestFillBatchPullPath(t *testing.T) {
 	i := int64(0)

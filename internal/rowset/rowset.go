@@ -7,7 +7,6 @@
 package rowset
 
 import (
-	"fmt"
 	"io"
 	"sort"
 
@@ -179,44 +178,4 @@ type Chaptered interface {
 	Rowset
 	// Chapter opens the named child rowset of the current row.
 	Chapter(name string) (Rowset, error)
-}
-
-// Func adapts a pull function into a Rowset (used for streaming providers).
-type Func struct {
-	Cols    []schema.Column
-	NextFn  func() (Row, error)
-	CloseFn func() error
-}
-
-// Columns implements Rowset.
-func (f *Func) Columns() []schema.Column { return f.Cols }
-
-// Next implements Rowset.
-func (f *Func) Next() (Row, error) { return f.NextFn() }
-
-// Close implements Rowset.
-func (f *Func) Close() error {
-	if f.CloseFn != nil {
-		return f.CloseFn()
-	}
-	return nil
-}
-
-// Validate checks that every row matches the declared column count; used in
-// provider conformance tests.
-func Validate(rs Rowset) error {
-	n := len(rs.Columns())
-	defer rs.Close()
-	for i := 0; ; i++ {
-		r, err := rs.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if len(r) != n {
-			return fmt.Errorf("rowset: row %d has %d values, want %d", i, len(r), n)
-		}
-	}
 }

@@ -142,17 +142,6 @@ func TestFuncRowsetNilClose(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	good := NewMaterialized(cols("a", "b"), []Row{intRow(1, 2)})
-	if err := Validate(good); err != nil {
-		t.Errorf("good rowset rejected: %v", err)
-	}
-	bad := NewMaterialized(cols("a", "b"), []Row{intRow(1)})
-	if err := Validate(bad); err == nil {
-		t.Error("ragged rowset accepted")
-	}
-}
-
 func TestRowObject(t *testing.T) {
 	ro := &RowObject{
 		Common: intRow(1),

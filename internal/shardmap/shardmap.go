@@ -317,13 +317,6 @@ func (g *Manager) Install(mp *Map) (int64, error) {
 	return c.Version, nil
 }
 
-// Drop removes a view's map (tests, teardown).
-func (g *Manager) Drop(view string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.maps, strings.ToLower(view))
-}
-
 // Version reports the manager-global map version (0 = never installed).
 func (g *Manager) Version() int64 {
 	g.mu.RLock()

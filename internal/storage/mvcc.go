@@ -182,10 +182,6 @@ func (tm *TxnManager) complete(csn uint64) {
 	tm.mu.Unlock()
 }
 
-// abandonPending releases a pending CSN whose commit failed before apply
-// (WAL error, conflict found late). The CSN is burned, never applied.
-func (tm *TxnManager) abandonPending(csn uint64) { tm.complete(csn) }
-
 // stableLocked is the highest CSN all of whose predecessors are fully
 // applied; snapshots are taken here. Caller holds tm.mu.
 func (tm *TxnManager) stableLocked() uint64 {
@@ -377,9 +373,6 @@ func (t *Txn) Delete(tbl *Table, bm int64) error {
 	t.ops = append(t.ops, txnOp{kind: opDelete, table: tbl, bm: bm})
 	return nil
 }
-
-// Pending reports the buffered operation count.
-func (t *Txn) Pending() int { return len(t.ops) }
 
 // tables returns the distinct tables the transaction touches, in a
 // deterministic lock order (by name) so concurrent commits cannot deadlock.
