@@ -19,28 +19,10 @@ func BindScalar(e parser.Expr) (expr.Expr, error) {
 	return bound, nil
 }
 
-// BindTableScalarIDs binds a scalar AST against a single table, returning
-// the expression in ColumnID form plus the column list whose IDs are the
-// ordinals + 1. The constraint framework consumes this form for DML routing
-// over partitioned views.
-func BindTableScalarIDs(def *schema.Table, e parser.Expr) (expr.Expr, []algebra.OutCol, error) {
-	cols := make([]algebra.OutCol, len(def.Columns))
-	for i, c := range def.Columns {
-		cols[i] = algebra.OutCol{ID: expr.ColumnID(i + 1), Name: c.Name, Kind: c.Kind}
-	}
-	sc := &scope{}
-	sc.addRel(def.Name, cols)
-	eb := &exprBinder{b: New(nil), sc: sc}
-	bound, _, err := eb.bind(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return bound, cols, nil
-}
-
 // BindTableScalar binds a scalar AST against a single table's positional
 // row layout (DML WHERE clauses and SET expressions evaluated row-at-a-time
-// over storage rows).
+// over storage rows). Column i gets ColumnID i+1, so the result also reads
+// against CheckDomains over the same numbering and decodes as a write.
 func BindTableScalar(def *schema.Table, e parser.Expr) (expr.Expr, error) {
 	b := New(nil)
 	cols := make([]algebra.OutCol, len(def.Columns))

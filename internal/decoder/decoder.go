@@ -4,7 +4,9 @@
 // properties — SQL support level, nested-select support, identifier quoting
 // and date literal format. Decode failure is meaningful: the build-remote-
 // query rule treats it as "this alternative is not remotable" and the
-// framework picks another tree from the same Memo group (§4.1.4).
+// framework picks another tree from the same Memo group (§4.1.4). Writes
+// decode here too: DecodeWrite prints one member's INSERT, UPDATE or DELETE
+// through the same scalar and literal writers.
 package decoder
 
 import (
@@ -16,6 +18,7 @@ import (
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
 	"dhqp/internal/oledb"
+	"dhqp/internal/rowset"
 	"dhqp/internal/sqltypes"
 )
 
@@ -74,6 +77,90 @@ func Decode(n *algebra.Node, caps oledb.Capabilities) (*Result, error) {
 		}
 		return &Result{SQL: b.render(), Cols: n.OutCols(), Params: d.params, Binds: d.binds}, nil
 	}
+}
+
+// WriteKind names the statement a Write prints.
+type WriteKind int
+
+// Write kinds.
+const (
+	Insert WriteKind = iota
+	Update
+	Delete
+)
+
+// Write is one INSERT, UPDATE or DELETE against a single table. Where and
+// the Set expressions reference Table.Def's columns as the binder's table
+// scalars number them: column i has ColumnID i+1.
+type Write struct {
+	Kind  WriteKind
+	Table *algebra.Source
+	Rows  []rowset.Row // Insert: one value per Table.Def column
+	Set   []Assign     // Update
+	Where expr.Expr    // Update and Delete; nil writes every row
+}
+
+// Assign is one SET item: a Table.Def column ordinal and its new value.
+type Assign struct {
+	Col int
+	E   expr.Expr
+}
+
+// DecodeWrite prints w in the dialect caps describes, through the same
+// scalar, literal and identifier writers a SELECT decodes with. Constants
+// stay literal: a member does not cache DML plans, so binds buy nothing.
+// Result.Params names the statement parameters the text references. A write
+// the dialect cannot express is ErrNotRemotable.
+func DecodeWrite(w *Write, caps oledb.Capabilities) (*Result, error) {
+	if caps.SQLSupport < oledb.SQLMinimum || caps.SQLSupport > oledb.SQLFull {
+		return nil, notRemotable("dialect %s takes no SQL writes", caps.SQLSupport)
+	}
+	d := &decoder{caps: caps}
+	def := w.Table.Def
+	refs := make(map[expr.ColumnID]string, len(def.Columns))
+	for i, c := range def.Columns {
+		refs[expr.ColumnID(i+1)] = d.ident(c.Name)
+	}
+	var b strings.Builder
+	switch w.Kind {
+	case Insert:
+		b.WriteString("INSERT INTO " + d.tableName(w.Table) + " VALUES ")
+		for i, r := range w.Rows {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteByte('(')
+			for j, v := range r {
+				if j > 0 {
+					b.WriteString(", ")
+				}
+				b.WriteString(d.literal(v))
+			}
+			b.WriteByte(')')
+		}
+	case Update:
+		b.WriteString("UPDATE " + d.tableName(w.Table) + " SET ")
+		for i, a := range w.Set {
+			s, err := d.scalar(a.E, refs)
+			if err != nil {
+				return nil, err
+			}
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(refs[expr.ColumnID(a.Col+1)] + " = " + s)
+		}
+	case Delete:
+		b.WriteString("DELETE FROM " + d.tableName(w.Table))
+	}
+	if w.Where != nil {
+		s, err := d.scalar(w.Where, refs)
+		if err != nil {
+			return nil, err
+		}
+		b.WriteString(" WHERE " + s)
+	}
+	return &Result{SQL: b.String(), Params: d.params}, nil
 }
 
 type decoder struct {

@@ -9,6 +9,7 @@ import (
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
 	"dhqp/internal/oledb"
+	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 )
@@ -513,5 +514,65 @@ func TestDecodeLiftedNamesAvoidStatementParams(t *testing.T) {
 	}
 	if lit := literalSQL(r); !strings.Contains(lit, "((t0.c_custkey > 3) AND (t0.c_nationkey = @__k0))") {
 		t.Errorf("literal SQL = %q", lit)
+	}
+}
+
+// TestDecodeWrite pins the write texts: INSERT VALUES keeps every constant
+// literal (a FLOAT keeps its decimal point whatever its magnitude), UPDATE
+// and DELETE print through the scalar writer, statement parameters are
+// reported, and a level that cannot express the write refuses it.
+func TestDecodeWrite(t *testing.T) {
+	def := &schema.Table{Catalog: "db", Schema: "dbo", Name: "order lines", Columns: []schema.Column{
+		{Name: "id", Kind: sqltypes.KindInt}, {Name: "f", Kind: sqltypes.KindFloat}, {Name: "s", Kind: sqltypes.KindString},
+	}}
+	src := &algebra.Source{Server: "srv", Catalog: "db", Schema: "dbo", Table: "order lines", Def: def}
+	id, f := expr.BoundColRef(1, "id", 0), expr.BoundColRef(2, "f", 1)
+	caps := fullCaps()
+	caps.QuoteChar = "["
+	for _, c := range []struct {
+		w    Write
+		want string
+	}{
+		{Write{Kind: Insert, Table: src, Rows: []rowset.Row{
+			{sqltypes.NewInt(1), sqltypes.NewFloat(1e21), sqltypes.NewString("O'Brien")},
+			{sqltypes.NewInt(2), sqltypes.NewFloat(1e-7), sqltypes.Null},
+		}}, "INSERT INTO db.dbo.[order lines] VALUES (1, 1000000000000000000000.0, 'O''Brien'), (2, 0.0000001, NULL)"},
+		{Write{Kind: Update, Table: src,
+			Set:   []Assign{{Col: 1, E: expr.NewBinary(expr.OpDiv, id, expr.NewConst(sqltypes.NewFloat(2)))}},
+			Where: expr.NewBinary(expr.OpEq, id, expr.NewParam("id"))},
+			"UPDATE db.dbo.[order lines] SET f = (id / 2.0) WHERE (id = @id)"},
+		{Write{Kind: Delete, Table: src, Where: expr.NewBinary(expr.OpGt, f, expr.NewConst(sqltypes.NewFloat(1.5)))},
+			"DELETE FROM db.dbo.[order lines] WHERE (f > 1.5)"},
+		{Write{Kind: Delete, Table: src}, "DELETE FROM db.dbo.[order lines]"},
+	} {
+		res, err := DecodeWrite(&c.w, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SQL != c.want {
+			t.Errorf("got  %s\nwant %s", res.SQL, c.want)
+		}
+		if len(res.Binds) != 0 {
+			t.Errorf("%s lifted binds %v", res.SQL, res.Binds)
+		}
+	}
+	up := &Write{Kind: Update, Table: src, Set: []Assign{{Col: 2, E: expr.NewParam("s")}},
+		Where: expr.NewBinary(expr.OpEq, id, expr.NewParam("id"))}
+	res, err := DecodeWrite(up, caps)
+	if err != nil || strings.Join(res.Params, ",") != "s,id" {
+		t.Errorf("params = %v, err %v; want [s id]", res.Params, err)
+	}
+	var nr *ErrNotRemotable
+	noParams := fullCaps()
+	noParams.Profile.Params = false
+	if _, err := DecodeWrite(up, noParams); !errors.As(err, &nr) {
+		t.Errorf("a parameter without Profile.Params: err = %v, want ErrNotRemotable", err)
+	}
+	for _, level := range []oledb.SQLSupport{oledb.SQLNone, oledb.SQLProprietary} {
+		c := fullCaps()
+		c.SQLSupport = level
+		if _, err := DecodeWrite(&Write{Kind: Delete, Table: src}, c); !errors.As(err, &nr) {
+			t.Errorf("%s: err = %v, want ErrNotRemotable", level, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"dhqp/internal/algebra"
 	"dhqp/internal/binder"
 	"dhqp/internal/constraint"
+	"dhqp/internal/decoder"
 	"dhqp/internal/dtc"
 	"dhqp/internal/expr"
 	"dhqp/internal/oledb"
@@ -46,9 +48,8 @@ func (s *Server) ExecParams(sql string, params map[string]sqltypes.Value) (int64
 }
 
 // execParams is ExecParams without the shard-map statement pin — the inner
-// entry for re-entrant statement work (partitioned-view DML fan-out onto a
-// local member) and for the rebalance copier, which coordinates with the
-// gate itself.
+// entry for the elastic control plane's member DDL, which runs under the
+// topology lock and coordinates with the gate itself.
 func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64, error) {
 	cfg := s.cfg.Load()
 	st, err := parser.Parse(sql)
@@ -77,10 +78,10 @@ func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64
 		return s.execInsert(cfg, v, params)
 	case *parser.UpdateStmt:
 		s.noteStatement("update")
-		return s.execUpdate(cfg, v, params)
+		return s.execFiltered(cfg, decoder.Update, v.Table.Parts, v.Where, v.Set, params)
 	case *parser.DeleteStmt:
 		s.noteStatement("delete")
-		return s.execDelete(cfg, v, params)
+		return s.execFiltered(cfg, decoder.Delete, v.Table.Parts, v.Where, nil, params)
 	case *parser.SelectStmt:
 		return 0, fmt.Errorf("engine: use Query for SELECT statements")
 	default:
@@ -106,11 +107,7 @@ func kindOfType(t string) sqltypes.Kind {
 func (s *Server) execCreateTable(st *parser.CreateTableStmt) error {
 	if len(st.Name.Parts) == 4 {
 		// Forward DDL to the linked server (federation setup).
-		text, err := renderCreateTable(st)
-		if err != nil {
-			return err
-		}
-		_, err = s.forward(st.Name.Parts[0], text, nil)
+		_, err := s.forward(st.Name.Parts[0], renderCreateTable(st), nil)
 		return err
 	}
 	catalogName := s.defaultDB
@@ -150,6 +147,32 @@ func (s *Server) execCreateTable(st *parser.CreateTableStmt) error {
 	return nil
 }
 
+// renderCreateTable forwards a CREATE TABLE (federation setup pushes member
+// DDL to member servers).
+func renderCreateTable(st *parser.CreateTableStmt) string {
+	var parts []string
+	for _, c := range st.Columns {
+		def := c.Name + " " + strings.ToUpper(c.TypeName)
+		if c.NotNull {
+			def += " NOT NULL"
+		}
+		parts = append(parts, def)
+	}
+	if len(st.PrimaryKey) > 0 {
+		parts = append(parts, "PRIMARY KEY ("+strings.Join(st.PrimaryKey, ", ")+")")
+	}
+	for _, text := range st.CheckTexts {
+		parts = append(parts, "CHECK ("+text+")")
+	}
+	return "CREATE TABLE " + stripServer(st.Name.Parts) + " (" + strings.Join(parts, ", ") + ")"
+}
+
+// stripServer removes the leading server part of a four-part name for
+// forwarding.
+func stripServer(parts []string) string {
+	return strings.Join(parts[1:], ".")
+}
+
 func (s *Server) execCreateIndex(st *parser.CreateIndexStmt) error {
 	if len(st.Table.Parts) == 4 {
 		text := "CREATE "
@@ -161,11 +184,10 @@ func (s *Server) execCreateIndex(st *parser.CreateIndexStmt) error {
 		_, err := s.forward(st.Table.Parts[0], text, nil)
 		return err
 	}
-	db, t, err := s.localTable(st.Table.Parts)
+	t, err := s.localTable(st.Table.Parts)
 	if err != nil {
 		return err
 	}
-	_ = db
 	var ords []int
 	for _, c := range st.Columns {
 		ord := t.Def().ColumnIndex(c)
@@ -214,20 +236,20 @@ func (s *Server) execProc(st *parser.ExecStmt) error {
 }
 
 // localTable resolves a local table reference.
-func (s *Server) localTable(parts []string) (*storage.Database, *storage.Table, error) {
+func (s *Server) localTable(parts []string) (*storage.Table, error) {
 	catalogName := s.defaultDB
 	if len(parts) == 3 {
 		catalogName = parts[0]
 	}
 	db, ok := s.store.Database(catalogName)
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: database %q not found", catalogName)
+		return nil, fmt.Errorf("engine: database %q not found", catalogName)
 	}
 	t, ok := db.Table(parts[len(parts)-1])
 	if !ok {
-		return nil, nil, fmt.Errorf("engine: table %q not found in %q", parts[len(parts)-1], catalogName)
+		return nil, fmt.Errorf("engine: table %q not found in %q", parts[len(parts)-1], catalogName)
 	}
-	return db, t, nil
+	return t, nil
 }
 
 // forward ships a statement to a linked server's command object.
@@ -251,51 +273,186 @@ func (s *Server) forward(server, text string, params map[string]sqltypes.Value) 
 	return cmd.ExecuteNonQuery()
 }
 
+// ErrPartitionKeyUpdate reports an UPDATE through a partitioned or elastic
+// view that SETs the partitioning column. Such an update can move a row out
+// of its member's range, so it is refused before any member is called.
+var ErrPartitionKeyUpdate = errors.New("engine: UPDATE through a partitioned view cannot SET its partitioning column")
+
+// The one write path. Every INSERT, UPDATE and DELETE — on a local table, a
+// four-part name, or a partitioned or elastic view — and the rebalance
+// copier's writes resolve their target to member tables, bind against each
+// member, prune, and apply through applyWrites. The view-only and
+// multi-member steps live in functions of their own: a served statement runs
+// on a fresh goroutine, and a single-table write's frames stay small enough
+// that its stack does not grow.
+
 func (s *Server) execInsert(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
-	if len(st.Table.Parts) == 4 {
-		if st.Sel != nil {
-			return s.insertSelectRemote(cfg, st, params)
-		}
-		text, err := renderInsert(st)
-		if err != nil {
-			return 0, err
-		}
-		return s.forward(st.Table.Parts[0], text, params)
+	members, view, err := s.writeMembers(st.Table.Parts)
+	if err != nil {
+		return 0, err
 	}
-	// Local: view (partitioned, static or elastic) or table.
-	viewText, isView := s.viewTextFor(st.Table.Name())
 	rows, err := s.insertRows(cfg, st, params)
 	if err != nil {
 		return 0, err
 	}
-	if isView {
-		return s.insertIntoPartitionedView(st.Table.Name(), viewText, st.Columns, rows)
+	if rows, err = reorderForTable(members[0].src.Def, st.Columns, rows); err != nil {
+		return 0, err
 	}
-	_, t, err := s.localTable(st.Table.Parts)
+	if view != "" {
+		return s.insertIntoView(cfg, params, view, members, rows)
+	}
+	if len(rows) == 0 {
+		return 0, nil
+	}
+	w := s.newWrite(cfg, params, decoder.Insert, members[0].src)
+	w.Rows = rows
+	return s.applyWrites([]*memberWrite{w})
+}
+
+// insertIntoView routes each row to the member whose CHECK domain holds its
+// partitioning value (§4.1.5 partitioned views) and applies the members'
+// shares as one write.
+func (s *Server) insertIntoView(cfg *Config, params map[string]sqltypes.Value, view string,
+	members []pvMember, rows []rowset.Row) (int64, error) {
+	part, err := partitionColumn(view, members)
 	if err != nil {
 		return 0, err
 	}
-	ordered, err := reorderForTable(t.Def(), st.Columns, rows)
+	id := expr.ColumnID(part + 1)
+	batches := make([][]rowset.Row, len(members))
+	for _, r := range rows {
+		target := -1
+		for mi, m := range members {
+			if m.domains[id].Contains(r[part]) {
+				target = mi
+				break
+			}
+		}
+		if target < 0 {
+			return 0, fmt.Errorf("engine: value %s of column %s falls outside every partition",
+				r[part].Display(), members[0].src.Def.Columns[part].Name)
+		}
+		batches[target] = append(batches[target], r)
+	}
+	var writes []*memberWrite
+	for mi, m := range members {
+		if len(batches[mi]) == 0 {
+			continue
+		}
+		// Every row satisfies its member's CHECK constraints before any
+		// member is called.
+		checks, err := binder.CheckPredicate(m.src.Def)
+		if err != nil {
+			return 0, err
+		}
+		for _, r := range batches[mi] {
+			for _, c := range checks {
+				if ok, err := expr.EvalPredicate(c.Pred, &expr.Env{Row: r}); err != nil || !ok {
+					return 0, fmt.Errorf("engine: view %s: CHECK %s fails for %s", view, c.Text, r)
+				}
+			}
+		}
+		w := s.newWrite(cfg, params, decoder.Insert, m.src)
+		w.Rows = batches[mi]
+		writes = append(writes, w)
+	}
+	n, err := s.applyWrites(writes)
+	// A rebalance in flight on this view replays committed keys from its
+	// delta log before cutover; the statement is pinned against the gate, so
+	// the log entry lands strictly before the move's barrier.
+	if err == nil && s.shards.MoveActive(view) {
+		var keys []int64
+		for _, r := range rows {
+			if k, ok := r[part].AsInt(); ok {
+				keys = append(keys, k)
+			}
+		}
+		s.shards.NoteKeys(view, keys)
+	}
+	return n, err
+}
+
+// execFiltered runs an UPDATE or DELETE. It binds WHERE and SET against
+// every member table and keeps only the members whose CHECK domains the
+// WHERE leaves satisfiable under this execution's parameter values — the
+// pruning a startup filter gives SELECT (§4.1.5), so WHERE o_id = @id opens
+// one member and a NULL @id opens none.
+func (s *Server) execFiltered(cfg *Config, kind decoder.WriteKind, parts []string, where parser.Expr,
+	set []parser.SetClause, params map[string]sqltypes.Value) (int64, error) {
+	members, view, err := s.writeMembers(parts)
 	if err != nil {
 		return 0, err
 	}
-	// One transaction per statement: either every row inserts or none do,
-	// and the commit is durable when a WAL is attached.
-	sess, err := s.txnSession()
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range ordered {
-		if _, err := sess.Insert(t.Def().Catalog+"."+t.Def().Name, r); err != nil {
-			_ = sess.Abort()
+	if view != "" && len(set) > 0 {
+		if err := refuseKeyMove(view, members, set); err != nil {
 			return 0, err
 		}
 	}
-	if err := sess.Commit(); err != nil {
-		return 0, err
+	var writes []*memberWrite
+	for _, m := range members {
+		w := s.newWrite(cfg, params, kind, m.src)
+		if w.Where, w.Set, err = bindDMLExprs(m.src.Def, where, set); err != nil {
+			return 0, err
+		}
+		if m.admits(w.Where, params) {
+			writes = append(writes, w)
+		}
 	}
-	s.invalidateTable("", t.Def())
-	return int64(len(ordered)), nil
+	n, err := s.applyWrites(writes)
+	if view != "" {
+		s.noteViewWrite(view, writes)
+	}
+	return n, err
+}
+
+// refuseKeyMove fails an UPDATE through a view that SETs the partitioning
+// column.
+func refuseKeyMove(view string, members []pvMember, set []parser.SetClause) error {
+	part, err := partitionColumn(view, members)
+	if err != nil {
+		return nil // nothing partitions the view, so nothing can move
+	}
+	key := members[0].src.Def.Columns[part].Name
+	for _, sc := range set {
+		if strings.EqualFold(sc.Column, key) {
+			return fmt.Errorf("%w (view %s, column %s)", ErrPartitionKeyUpdate, view, key)
+		}
+	}
+	return nil
+}
+
+// noteViewWrite flags an in-flight rebalance dirty when a predicate
+// UPDATE/DELETE wrote the member it drains: such a write cannot be replayed
+// key by key, so cutover re-copies the whole moving range.
+func (s *Server) noteViewWrite(view string, writes []*memberWrite) {
+	srv, tbl, ok := s.shards.MoveSourceTable(view)
+	if !ok {
+		return
+	}
+	for _, w := range writes {
+		if strings.EqualFold(w.Table.Server, srv) && strings.EqualFold(w.Table.Table, tbl) {
+			s.shards.MarkDirty(view)
+			return
+		}
+	}
+}
+
+// writeMembers resolves a write's target to the member tables it may reach:
+// a partitioned or elastic view's members, or the one local or linked-server
+// table. view names the view, "" for a table.
+func (s *Server) writeMembers(parts []string) (members []pvMember, view string, err error) {
+	res, err := (&catalog{s: s}).ResolveObject(parts)
+	if err != nil {
+		return nil, "", err
+	}
+	if res.Source != nil {
+		return []pvMember{newPVMember(res.Source)}, "", nil
+	}
+	view = parts[len(parts)-1]
+	if members, err = s.partitionedViewMembers(res.ViewText); err != nil {
+		return nil, "", fmt.Errorf("engine: view %s: %w", view, err)
+	}
+	return members, view, nil
 }
 
 // txnSession opens a fresh native session with a transaction begun —
@@ -329,7 +486,7 @@ func (s *Server) insertRows(cfg *Config, st *parser.InsertStmt, params map[strin
 	for _, astRow := range st.Rows {
 		row := make(rowset.Row, len(astRow))
 		for i, e := range astRow {
-			bound, err := bindStandaloneExpr(e)
+			bound, err := binder.BindScalar(e)
 			if err != nil {
 				return nil, err
 			}
@@ -357,11 +514,6 @@ func (s *Server) querySelect(cfg *Config, sel *parser.SelectStmt, params map[str
 		res, err := s.runPlan(context.Background(), cfg, "", plan, cols, params, false, col, sink)
 		return s.publish(context.Background(), cfg, col, res, err)
 	})
-}
-
-// bindStandaloneExpr binds a scalar AST with no columns in scope.
-func bindStandaloneExpr(e parser.Expr) (expr.Expr, error) {
-	return binder.BindScalar(e)
 }
 
 // reorderForTable maps named insert columns onto the table layout, filling
@@ -401,150 +553,207 @@ func reorderForTable(def *schema.Table, cols []string, rows []rowset.Row) ([]row
 	return out, nil
 }
 
-// insertSelectRemote materializes the SELECT locally and forwards VALUES.
-func (s *Server) insertSelectRemote(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
-	res, err := s.querySelect(cfg, st.Sel, params)
-	if err != nil {
-		return 0, err
-	}
-	if len(res.Rows) == 0 {
-		return 0, nil
-	}
-	var b strings.Builder
-	b.WriteString("INSERT INTO " + stripServer(st.Table.Parts))
-	if len(st.Columns) > 0 {
-		b.WriteString(" (" + strings.Join(st.Columns, ", ") + ")")
-	}
-	b.WriteString(" VALUES ")
-	for i, r := range res.Rows {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		vals := make([]string, len(r))
-		for j, v := range r {
-			vals[j] = v.String()
-		}
-		b.WriteString("(" + strings.Join(vals, ", ") + ")")
-	}
-	return s.forward(st.Table.Parts[0], b.String(), nil)
+// memberWrite is one member table's share of a write, and its DTC
+// participant: a local member stages its rows in a storage transaction and
+// prepares it for real in phase one; a remote member runs its decoded text
+// in phase two, voting yes in phase one without preparing.
+type memberWrite struct {
+	decoder.Write
+	s        *Server
+	cfg      *Config
+	params   map[string]sqltypes.Value // a remote member's: only those its text names
+	text     string                    // remote: the decoded statement
+	sess     *native.Session           // local: the statement transaction
+	examined int64
+	n        int64 // rows affected
 }
 
-func (s *Server) execUpdate(cfg *Config, st *parser.UpdateStmt, params map[string]sqltypes.Value) (int64, error) {
-	if len(st.Table.Parts) == 4 {
-		text, err := renderUpdate(st)
-		if err != nil {
+func (s *Server) newWrite(cfg *Config, params map[string]sqltypes.Value, kind decoder.WriteKind, src *algebra.Source) *memberWrite {
+	return &memberWrite{Write: decoder.Write{Kind: kind, Table: src}, s: s, cfg: cfg, params: params}
+}
+
+// applyWrites applies a write's member shares. Every remote member's text is
+// decoded first, so a write its dialect cannot express fails before any
+// member is called. One member commits in one phase; two or more commit
+// under one DTC transaction (§2).
+func (s *Server) applyWrites(writes []*memberWrite) (int64, error) {
+	for _, w := range writes {
+		if err := w.decode(); err != nil {
 			return 0, err
 		}
-		return s.forward(st.Table.Parts[0], text, params)
 	}
-	if viewText, isView := s.viewTextFor(st.Table.Name()); isView {
-		return s.updateThroughView(viewText, st, params)
+	switch len(writes) {
+	case 0:
+		return 0, nil
+	case 1:
+		w := writes[0]
+		defer w.Abort() // a no-op once committed
+		if w.Table.Server == "" {
+			if err := w.stage(); err != nil {
+				return 0, err
+			}
+		}
+		if err := w.Commit(); err != nil {
+			return 0, err
+		}
+	default:
+		if err := commitDistributed(writes); err != nil {
+			return 0, err
+		}
 	}
-	_, t, err := s.localTable(st.Table.Parts)
+	var n int64
+	for _, w := range writes {
+		n += w.n
+		s.invalidateTable(w.Table.Server, w.Table.Def)
+		if m := s.instr(); m != nil && w.Kind != decoder.Insert && w.Table.Server == "" {
+			m.dmlExamined.Add(w.examined)
+			m.dmlAffected.Add(w.n)
+		}
+	}
+	return n, nil
+}
+
+// commitDistributed commits two or more members' shares under one DTC
+// transaction (§2), each memberWrite its own participant.
+func commitDistributed(writes []*memberWrite) error {
+	txn := dtc.New().Begin()
+	for _, w := range writes {
+		txn.Enlist(w)
+	}
+	return txn.Commit()
+}
+
+// decode writes a remote member's statement at its server's capability
+// level and keeps only the parameters the text names.
+func (w *memberWrite) decode() error {
+	if w.Table.Server == "" {
+		return nil
+	}
+	caps, ok := w.s.capsFor(w.Table.Server)
+	if !ok {
+		return fmt.Errorf("engine: linked server %q not found", w.Table.Server)
+	}
+	res, err := decoder.DecodeWrite(&w.Write, caps)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	def := t.Def()
-	where, setExprs, err := bindDMLExprs(def, st.Where, st.Set)
+	w.text = res.SQL
+	named := make(map[string]sqltypes.Value, len(res.Params))
+	for _, p := range res.Params {
+		if v, ok := w.params[p]; ok {
+			named[p] = v
+		}
+	}
+	w.params = named
+	return nil
+}
+
+// stage opens a local member's statement transaction and buffers the write
+// into it: the rows of an INSERT, or one Update or Delete per row the WHERE
+// qualifies. Rows qualify against the transaction's one snapshot: they are
+// read through the access path dmlAccessPath picks and the whole WHERE is
+// evaluated on every row read; commit is all-or-nothing, first writer wins.
+func (w *memberWrite) stage() error {
+	sess, err := w.s.txnSession()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	return s.dmlRows(cfg, def, where, params, func(sess *native.Session, table string, bm int64, env *expr.Env) error {
-		newRow := rowset.Row(env.Row).Clone()
-		for i, sc := range st.Set {
-			v, err := setExprs[i].Eval(env)
-			if err != nil {
+	w.sess = sess
+	def := w.Table.Def
+	table := def.Catalog + "." + def.Name
+	if w.Kind == decoder.Insert {
+		for _, r := range w.Rows {
+			if _, err := sess.Insert(table, r); err != nil {
 				return err
 			}
-			newRow[def.ColumnIndex(sc.Column)] = v
 		}
-		return sess.Update(table, bm, newRow)
-	})
-}
-
-func (s *Server) execDelete(cfg *Config, st *parser.DeleteStmt, params map[string]sqltypes.Value) (int64, error) {
-	if len(st.Table.Parts) == 4 {
-		text, err := renderDelete(st)
-		if err != nil {
-			return 0, err
-		}
-		return s.forward(st.Table.Parts[0], text, params)
+		w.n = int64(len(w.Rows))
+		return nil
 	}
-	if viewText, isView := s.viewTextFor(st.Table.Name()); isView {
-		return s.deleteThroughView(viewText, st, params)
-	}
-	_, t, err := s.localTable(st.Table.Parts)
+	env := &expr.Env{Params: w.params, Today: w.cfg.Today}
+	rs, err := dmlAccessPath(sess, def, table, w.Where, env)
 	if err != nil {
-		return 0, err
-	}
-	where, _, err := bindDMLExprs(t.Def(), st.Where, nil)
-	if err != nil {
-		return 0, err
-	}
-	return s.dmlRows(cfg, t.Def(), where, params, func(sess *native.Session, table string, bm int64, _ *expr.Env) error {
-		return sess.Delete(table, bm)
-	})
-}
-
-// dmlRows is the qualifying-rows loop UPDATE and DELETE share. Under a fresh
-// statement transaction — so rows qualify against one consistent snapshot —
-// it reads the table through the access path dmlAccessPath picks, evaluates
-// the whole WHERE on every row read, has write buffer one Update/Delete for
-// each qualifying row (env.Row), and commits all-or-nothing, first writer wins.
-func (s *Server) dmlRows(cfg *Config, def *schema.Table, where expr.Expr, params map[string]sqltypes.Value,
-	write func(sess *native.Session, table string, bm int64, env *expr.Env) error) (int64, error) {
-	sess, err := s.txnSession()
-	if err != nil {
-		return 0, err
-	}
-	defer sess.Close() // aborts the transaction on every path that did not commit
-	table := def.Catalog + "." + def.Name
-	env := &expr.Env{Params: params, Today: cfg.Today}
-	rs, err := dmlAccessPath(sess, def, table, where, env)
-	if err != nil {
-		return 0, err
+		return err
 	}
 	defer rs.Close()
 	sc := rs.(rowset.Bookmarked)
-	var examined, affected int64
 	for {
 		r, err := sc.Next()
 		if err == io.EOF {
-			break
+			return nil
 		}
 		if err != nil {
-			return 0, err
+			return err
 		}
-		examined++
+		w.examined++
 		env.Row = r
-		if where != nil {
-			ok, err := expr.EvalPredicate(where, env)
+		if w.Where != nil {
+			ok, err := expr.EvalPredicate(w.Where, env)
 			if err != nil {
-				return 0, err
+				return err
 			}
 			if !ok {
 				continue
 			}
 		}
-		if err := write(sess, table, sc.Bookmark(), env); err != nil {
-			return 0, err
+		if w.Kind == decoder.Delete {
+			err = sess.Delete(table, sc.Bookmark())
+		} else {
+			newRow := rowset.Row(r).Clone()
+			for _, a := range w.Set {
+				if newRow[a.Col], err = a.E.Eval(env); err != nil {
+					return err
+				}
+			}
+			err = sess.Update(table, sc.Bookmark(), newRow)
 		}
-		affected++
+		if err != nil {
+			return err
+		}
+		w.n++
 	}
-	if err := sess.Commit(); err != nil {
-		return 0, err
+}
+
+// ParticipantName implements dtc.NamedParticipant.
+func (w *memberWrite) ParticipantName() string {
+	if w.Table.Server == "" {
+		return "local"
 	}
-	s.invalidateTable("", def)
-	if m := s.instr(); m != nil {
-		m.dmlExamined.Add(examined)
-		m.dmlAffected.Add(affected)
+	return w.Table.Server
+}
+
+// Prepare implements dtc.Participant.
+func (w *memberWrite) Prepare() error {
+	if w.Table.Server != "" {
+		return nil
 	}
-	return affected, nil
+	if err := w.stage(); err != nil {
+		return err
+	}
+	return w.sess.Prepare()
+}
+
+// Commit implements dtc.Participant.
+func (w *memberWrite) Commit() error {
+	if w.Table.Server != "" {
+		n, err := w.s.forward(w.Table.Server, w.text, w.params)
+		w.n = n
+		return err
+	}
+	return w.sess.Commit()
+}
+
+// Abort implements dtc.Participant.
+func (w *memberWrite) Abort() error {
+	if w.sess == nil {
+		return nil
+	}
+	return w.sess.Close()
 }
 
 // dmlAccessPath opens the rows a DML WHERE can qualify: the range of the
 // index its sargable conjuncts bound on most sides (rules.IndexBounds, the
-// matcher SELECT planning uses), else the full scan. dmlRows re-evaluates the
+// matcher SELECT planning uses), else the full scan. stage re-evaluates the
 // WHERE, so a range need only be a superset; an index with an unusable bound
 // is passed over.
 func dmlAccessPath(sess *native.Session, def *schema.Table, table string, where expr.Expr, env *expr.Env) (rowset.Rowset, error) {
@@ -593,8 +802,8 @@ func seekBound(b algebra.RangeBound, kind sqltypes.Kind, env *expr.Env) (oledb.B
 }
 
 // bindDMLExprs binds a WHERE clause and SET expressions against a table's
-// positional layout.
-func bindDMLExprs(def *schema.Table, where parser.Expr, set []parser.SetClause) (expr.Expr, []expr.Expr, error) {
+// positional layout; column i has ColumnID i+1.
+func bindDMLExprs(def *schema.Table, where parser.Expr, set []parser.SetClause) (expr.Expr, []decoder.Assign, error) {
 	var boundWhere expr.Expr
 	var err error
 	if where != nil {
@@ -603,175 +812,19 @@ func bindDMLExprs(def *schema.Table, where parser.Expr, set []parser.SetClause) 
 			return nil, nil, err
 		}
 	}
-	var setExprs []expr.Expr
+	var assigns []decoder.Assign
 	for _, sc := range set {
-		if def.ColumnIndex(sc.Column) < 0 {
+		ord := def.ColumnIndex(sc.Column)
+		if ord < 0 {
 			return nil, nil, fmt.Errorf("engine: SET column %q not in table %s", sc.Column, def.Name)
 		}
 		e, err := binder.BindTableScalar(def, sc.E)
 		if err != nil {
 			return nil, nil, err
 		}
-		setExprs = append(setExprs, e)
+		assigns = append(assigns, decoder.Assign{Col: ord, E: e})
 	}
-	return boundWhere, setExprs, nil
-}
-
-// insertIntoPartitionedView routes rows to member tables by their CHECK
-// domains and commits across servers under the DTC (§4.1.5 partitioned
-// views; §2 atomicity via MS DTC).
-func (s *Server) insertIntoPartitionedView(viewName, viewText string, cols []string, rows []rowset.Row) (int64, error) {
-	members, err := s.partitionedViewMembers(viewText)
-	if err != nil {
-		return 0, fmt.Errorf("engine: view %s: %w", viewName, err)
-	}
-	if len(members) == 0 {
-		return 0, fmt.Errorf("engine: view %s is not insertable (no member tables)", viewName)
-	}
-	def := members[0].def
-	ordered, err := reorderForTable(def, cols, rows)
-	if err != nil {
-		return 0, err
-	}
-	// Find the partitioning column: one whose domain is restricted in every
-	// member.
-	partOrd := -1
-	for ord := range def.Columns {
-		restrictedEverywhere := true
-		for _, m := range members {
-			d, ok := m.domains[ord]
-			if !ok || d == nil {
-				restrictedEverywhere = false
-				break
-			}
-		}
-		if restrictedEverywhere {
-			partOrd = ord
-			break
-		}
-	}
-	if partOrd < 0 {
-		return 0, fmt.Errorf("engine: view %s has no partitioning column (members need disjoint CHECK constraints)", viewName)
-	}
-	// Route rows.
-	batches := make([][]rowset.Row, len(members))
-	for _, r := range ordered {
-		v := r[partOrd]
-		target := -1
-		for mi, m := range members {
-			if m.domains[partOrd].Contains(v) {
-				target = mi
-				break
-			}
-		}
-		if target < 0 {
-			return 0, fmt.Errorf("engine: value %s of column %s falls outside every partition",
-				v.Display(), def.Columns[partOrd].Name)
-		}
-		batches[target] = append(batches[target], r)
-	}
-	// Two-phase commit across the member servers.
-	coord := dtc.New()
-	txn := coord.Begin()
-	total := int64(0)
-	for mi, m := range members {
-		if len(batches[mi]) == 0 {
-			continue
-		}
-		member := m
-		batch := batches[mi]
-		total += int64(len(batch))
-		validate := func() error {
-			// Validate CHECK constraints before any member applies.
-			checks, err := binder.CheckPredicate(member.def)
-			if err != nil {
-				return err
-			}
-			for _, r := range batch {
-				for _, c := range checks {
-					ok, err := expr.EvalPredicate(c.Pred, &expr.Env{Row: r})
-					if err != nil {
-						return err
-					}
-					if !ok {
-						return fmt.Errorf("CHECK %s fails for %s", c.Text, r)
-					}
-				}
-			}
-			return nil
-		}
-		if member.server == "" {
-			// The local storage engine is a real resource manager: phase
-			// one buffers the batch into a transaction and durably logs a
-			// prepare record (with a WAL attached, a crash between prepare
-			// and the coordinator's decision recovers the transaction as
-			// in-doubt with its row locks held), so phase two cannot fail.
-			var ns *native.Session
-			txn.Enlist(&dtc.FuncParticipant{
-				Name: memberName(member),
-				PrepareFn: func() error {
-					if err := validate(); err != nil {
-						return err
-					}
-					sess, err := s.txnSession()
-					if err != nil {
-						return err
-					}
-					ns = sess
-					name := member.def.Catalog + "." + member.def.Name
-					for _, r := range batch {
-						if _, err := ns.Insert(name, r); err != nil {
-							_ = ns.Abort()
-							ns = nil
-							return err
-						}
-					}
-					return ns.Prepare()
-				},
-				CommitFn: func() error {
-					if ns == nil {
-						return fmt.Errorf("local participant committed without prepare")
-					}
-					return ns.Commit()
-				},
-				AbortFn: func() error {
-					if ns == nil {
-						return nil
-					}
-					return ns.Abort()
-				},
-			})
-			continue
-		}
-		txn.Enlist(&dtc.FuncParticipant{
-			Name:      memberName(member),
-			PrepareFn: validate,
-			CommitFn: func() error {
-				return s.applyMemberInsert(member, batch)
-			},
-		})
-	}
-	if err := txn.Commit(); err != nil {
-		return 0, err
-	}
-	// A rebalance in flight on this view replays committed keys from its
-	// delta log before cutover; the statement is pinned against the gate, so
-	// the log entry lands strictly before the move's barrier.
-	if s.shards.MoveActive(viewName) {
-		var keys []int64
-		for _, r := range ordered {
-			if k, ok := r[partOrd].AsInt(); ok {
-				keys = append(keys, k)
-			}
-		}
-		s.shards.NoteKeys(viewName, keys)
-	}
-	for mi, m := range members {
-		if len(batches[mi]) > 0 {
-			s.invalidateTable(m.server, m.def)
-		}
-	}
-	return total, nil
+	return boundWhere, assigns, nil
 }
 
 // viewTextFor resolves a DML target to partitioned-view text: CREATE VIEW
@@ -791,38 +844,58 @@ func (s *Server) viewTextFor(name string) (string, bool) {
 	return "", false
 }
 
-// applyMemberInsert forwards a batch to a remote member as a VALUES
-// insert (local members commit through their own prepared transaction).
-func (s *Server) applyMemberInsert(m pvMember, batch []rowset.Row) error {
-	var b strings.Builder
-	b.WriteString("INSERT INTO " + m.def.Catalog + ".dbo." + m.def.Name + " VALUES ")
-	for i, r := range batch {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		vals := make([]string, len(r))
-		for j, v := range r {
-			vals[j] = v.String()
-		}
-		b.WriteString("(" + strings.Join(vals, ", ") + ")")
-	}
-	_, err := s.forward(m.server, b.String(), nil)
-	return err
-}
-
-// pvMember is one partitioned-view member table.
+// pvMember is one member table a write may reach, with the domains its
+// CHECK constraints give its columns (keyed by ColumnID, ordinal + 1).
 type pvMember struct {
-	server  string
-	def     *schema.Table
-	domains map[int]*constraint.Domain // column ordinal -> CHECK domain
+	src     *algebra.Source
+	domains constraint.Map
 }
 
-// memberName names a member's server for DTC participant identification.
-func memberName(m pvMember) string {
-	if m.server == "" {
-		return "local"
+func newPVMember(src *algebra.Source) pvMember {
+	m := pvMember{src: src}
+	if def := src.Def; len(def.Checks) > 0 {
+		cols := make([]algebra.OutCol, len(def.Columns))
+		for i, c := range def.Columns {
+			cols[i] = algebra.OutCol{ID: expr.ColumnID(i + 1), Name: c.Name, Kind: c.Kind}
+		}
+		m.domains = binder.CheckDomains(def, cols)
 	}
-	return m.server
+	return m
+}
+
+// admits reports whether the member can hold a row the bound WHERE
+// qualifies: its CHECK domains, narrowed by the WHERE with this execution's
+// parameter values in place of its parameters, stay satisfiable. A column
+// compared with NULL admits nothing. A member without CHECK domains has
+// nothing to prune by; its own WHERE evaluation finds no rows just as fast.
+func (m pvMember) admits(where expr.Expr, params map[string]sqltypes.Value) bool {
+	if where == nil || len(m.domains) == 0 {
+		return true
+	}
+	valued := expr.Rewrite(where, func(n expr.Expr) expr.Expr {
+		if p, ok := n.(*expr.Param); ok {
+			if v, ok := params[p.Name]; ok {
+				return expr.NewConst(v)
+			}
+		}
+		return nil
+	})
+	return m.domains.Clone().ApplyPredicate(expr.FoldConstants(valued))
+}
+
+// partitionColumn finds a view's partitioning column: the first one every
+// member's CHECK domains restrict.
+func partitionColumn(view string, members []pvMember) (int, error) {
+	for ord := range members[0].src.Def.Columns {
+		every := true
+		for _, m := range members {
+			every = every && m.domains[expr.ColumnID(ord+1)] != nil
+		}
+		if every {
+			return ord, nil
+		}
+	}
+	return -1, fmt.Errorf("engine: view %s has no partitioning column (members need disjoint CHECK constraints)", view)
 }
 
 // partitionedViewMembers parses a view's UNION ALL arms into member tables
@@ -853,17 +926,7 @@ func (s *Server) partitionedViewMembers(viewText string) ([]pvMember, error) {
 		if res.Source == nil {
 			return nil, fmt.Errorf("partitioned view member %s is not a base table", nt.Name())
 		}
-		def := res.Source.Def
-		// Derive CHECK domains keyed by column ordinal.
-		cols := make([]algebra.OutCol, len(def.Columns))
-		for i, c := range def.Columns {
-			cols[i] = algebra.OutCol{ID: expr.ColumnID(i + 1), Name: c.Name, Kind: c.Kind}
-		}
-		domains := map[int]*constraint.Domain{}
-		for id, d := range binder.CheckDomains(def, cols) {
-			domains[int(id)-1] = d
-		}
-		members = append(members, pvMember{server: res.Source.Server, def: def, domains: domains})
+		members = append(members, newPVMember(res.Source))
 	}
 	return members, nil
 }

@@ -57,11 +57,13 @@ func dumpTable(t *testing.T, s *Server, table string) string {
 }
 
 // TestDMLIndexedEqualsUnindexed is the differential test of the DML access
-// path: whatever the WHERE, a statement on the indexed table and the same
-// statement on its index-free twin report the same affected count (or both
-// fail) and leave identical tables.
+// path and the write path: whatever the WHERE, a statement on the indexed
+// table, the same statement on its index-free twin and on a 4-member
+// elastic view of the same rows (one member local, three remote) report the
+// same affected count (or all fail) and leave identical tables.
 func TestDMLIndexedEqualsUnindexed(t *testing.T) {
 	s := dmlTwin(t, 7)
+	addElasticTwin(t, s, "te", "tu")
 	p := func(kv ...any) map[string]sqltypes.Value {
 		m := map[string]sqltypes.Value{}
 		for i := 0; i < len(kv); i += 2 {
@@ -122,6 +124,7 @@ func TestDMLIndexedEqualsUnindexed(t *testing.T) {
 		{`UPDATE %s SET k = 5 WHERE k IS NULL AND g = 1`, nil},
 		{`UPDATE %s SET g = 9, s = 'moved' WHERE g = 2 AND id < 50`, nil},
 		{`UPDATE %s SET f = f + 1 WHERE f >= 4.5`, nil},
+		{`UPDATE %s SET f = v / 2.0 WHERE g = 1`, nil},
 		{`UPDATE %s SET k = '7' WHERE k = 6`, nil},
 		// Deletes through each path.
 		{`DELETE FROM %s WHERE id = 3`, nil},
@@ -162,6 +165,13 @@ func TestDMLIndexedEqualsUnindexed(t *testing.T) {
 		}
 		if di, du := dumpTable(t, s, "ti"), dumpTable(t, s, "tu"); di != du {
 			t.Fatalf("%s: tables diverged\nindexed:\n%s\nunindexed:\n%s", st.sql, di, du)
+		}
+		ne, erre := s.ExecParams(fmt.Sprintf(st.sql, "te"), st.params)
+		if (erre == nil) != (erru == nil) || ne != nu {
+			t.Fatalf("%s: elastic view affected %d (err %v), table %d (err %v)", st.sql, ne, erre, nu, erru)
+		}
+		if de, du := dumpTable(t, s, "te"), dumpTable(t, s, "tu"); de != du {
+			t.Fatalf("%s: elastic view diverged\nview:\n%s\ntable:\n%s", st.sql, de, du)
 		}
 	}
 }

@@ -6,19 +6,21 @@
 // drains them through the shard-map statement gate before the next version
 // becomes visible. Data movement follows the paper's federation mechanics:
 // bulk copy over the link while traffic continues, a delta replay under the
-// drain barrier, and a two-phase commit (internal/dtc) for the source-range
-// delete, so a crash mid-move never leaves a row visible twice.
+// drain barrier, and the source-range delete. The copier's inserts and
+// deletes are ordinary member writes: they take the same write path as an
+// INSERT or DELETE statement.
 package engine
 
 import (
 	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
-	"dhqp/internal/dtc"
-	"dhqp/internal/providers/native"
+	"dhqp/internal/algebra"
+	"dhqp/internal/binder"
+	"dhqp/internal/decoder"
+	"dhqp/internal/parser"
 	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
 	"dhqp/internal/shardmap"
@@ -356,9 +358,9 @@ func (s *Server) installShardMap(mp *shardmap.Map) error {
 //     reader sees the duplicated rows.
 //  3. The statement gate's Barrier drains in-flight statements. Under it,
 //     the delta replays (per-key delete-at-dest + re-copy; a dirty log
-//     forces a full range resync), the source range is deleted under
-//     two-phase commit, and the next map version installs. Statements that
-//     resume after the barrier plan against the new version.
+//     forces a full range resync), the source range is deleted, and the
+//     next map version installs. Statements that resume after the barrier
+//     plan against the new version.
 func (s *Server) moveRange(mp *shardmap.Map, src shardmap.Member, lo, hi int64, dest shardmap.Member, next *shardmap.Map) error {
 	if err := s.shards.BeginMove(mp.View, src.ID, lo, hi); err != nil {
 		return err
@@ -379,7 +381,7 @@ func (s *Server) moveRange(mp *shardmap.Map, src shardmap.Member, lo, hi int64, 
 	if dirty {
 		// A predicate write touched the source mid-copy: discard the copy
 		// and redo the whole range under the barrier, when it is quiescent.
-		if err := s.deleteMemberRange(dest, mp.KeyCol, lo, hi); err != nil {
+		if err := s.deleteMemberRange(mp, dest, lo, hi); err != nil {
 			return err
 		}
 		rows, err := s.readMemberRange(mp, src, lo, hi)
@@ -392,7 +394,7 @@ func (s *Server) moveRange(mp *shardmap.Map, src shardmap.Member, lo, hi int64, 
 		copied += int64(len(rows))
 	} else {
 		for _, k := range keys {
-			if err := s.deleteMemberRange(dest, mp.KeyCol, k, k+1); err != nil {
+			if err := s.deleteMemberRange(mp, dest, k, k+1); err != nil {
 				return err
 			}
 			rows, err := s.readMemberRange(mp, src, k, k+1)
@@ -405,7 +407,7 @@ func (s *Server) moveRange(mp *shardmap.Map, src shardmap.Member, lo, hi int64, 
 			copied += int64(len(rows))
 		}
 	}
-	if err := s.deleteSourceRange2PC(mp, src, lo, hi); err != nil {
+	if err := s.deleteMemberRange(mp, src, lo, hi); err != nil {
 		return err
 	}
 	v, err := s.shards.Install(next)
@@ -444,138 +446,41 @@ func (s *Server) readMemberRange(mp *shardmap.Map, m shardmap.Member, lo, hi int
 	return res.Rows, nil
 }
 
-// writeMemberRows appends rows to a member table: a local member commits
-// through one storage transaction, a remote member through a forwarded
-// VALUES insert.
+// writeMemberRows appends rows to a member table through the one write path.
 func (s *Server) writeMemberRows(mp *shardmap.Map, m shardmap.Member, rows []rowset.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	def := memberTableDef(mp, m)
-	if m.Server != "" {
-		return s.applyMemberInsert(pvMember{server: m.Server, def: def}, rows)
-	}
-	sess, err := s.txnSession()
-	if err != nil {
-		return err
-	}
-	name := def.Catalog + "." + def.Name
-	for _, r := range rows {
-		if _, err := sess.Insert(name, r); err != nil {
-			_ = sess.Abort()
-			return err
-		}
-	}
-	return sess.Commit()
-}
-
-// deleteMemberRange removes a member's rows with key in [lo, hi).
-func (s *Server) deleteMemberRange(m shardmap.Member, keyCol string, lo, hi int64) error {
-	text := "DELETE FROM " + m.Catalog + ".dbo." + m.Table
-	if pred := rangePredicate(keyCol, lo, hi); pred != "" {
-		text += " WHERE " + pred
-	}
-	if m.Server != "" {
-		_, err := s.forward(m.Server, text, nil)
-		return err
-	}
-	_, err := s.execParams(text, nil)
+	w := s.newWrite(s.cfg.Load(), nil, decoder.Insert, memberSource(mp, m))
+	w.Rows = rows
+	_, err := s.applyWrites([]*memberWrite{w})
 	return err
 }
 
-// deleteSourceRange2PC removes the moved range from the source member under
-// two-phase commit. A local source is a real resource manager: phase one
-// stages the deletes in a storage transaction and durably prepares it, so
-// phase two cannot fail; a remote source commits via a forwarded DELETE.
-func (s *Server) deleteSourceRange2PC(mp *shardmap.Map, src shardmap.Member, lo, hi int64) error {
-	txn := dtc.New().Begin()
-	text := "DELETE FROM " + src.Catalog + ".dbo." + src.Table
+// deleteMemberRange removes a member's rows with key in [lo, hi) through the
+// one write path: a local member's delete qualifies rows as any local DELETE
+// does, a remote member's is decoded at its capability level.
+func (s *Server) deleteMemberRange(mp *shardmap.Map, m shardmap.Member, lo, hi int64) error {
+	w := s.newWrite(s.cfg.Load(), nil, decoder.Delete, memberSource(mp, m))
 	if pred := rangePredicate(mp.KeyCol, lo, hi); pred != "" {
-		text += " WHERE " + pred
-	}
-	if src.Server == "" {
-		keyOrd := -1
-		for i, c := range mp.Cols {
-			if strings.EqualFold(c.Name, mp.KeyCol) {
-				keyOrd = i
-			}
+		ast, err := parser.ParseExpr(pred)
+		if err != nil {
+			return err
 		}
-		name := src.Catalog + "." + src.Table
-		var ns *native.Session
-		txn.Enlist(&dtc.FuncParticipant{
-			Name: "local",
-			PrepareFn: func() error {
-				sess, err := s.txnSession()
-				if err != nil {
-					return err
-				}
-				ns = sess
-				rs, err := ns.OpenRowset(name)
-				if err != nil {
-					_ = ns.Abort()
-					ns = nil
-					return err
-				}
-				sc := rs.(rowset.Bookmarked)
-				var bms []int64
-				for {
-					r, err := sc.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						sc.Close()
-						_ = ns.Abort()
-						ns = nil
-						return err
-					}
-					k, ok := r[keyOrd].AsInt()
-					if !ok || k < lo || (hi != shardmap.NoUpperBound && k >= hi) {
-						continue
-					}
-					bms = append(bms, sc.Bookmark())
-				}
-				sc.Close()
-				for _, bm := range bms {
-					if err := ns.Delete(name, bm); err != nil {
-						_ = ns.Abort()
-						ns = nil
-						return err
-					}
-				}
-				return ns.Prepare()
-			},
-			CommitFn: func() error {
-				if ns == nil {
-					return fmt.Errorf("local participant committed without prepare")
-				}
-				return ns.Commit()
-			},
-			AbortFn: func() error {
-				if ns == nil {
-					return nil
-				}
-				return ns.Abort()
-			},
-		})
-	} else {
-		server := src.Server
-		txn.Enlist(&dtc.FuncParticipant{
-			Name: server,
-			CommitFn: func() error {
-				_, err := s.forward(server, text, nil)
-				return err
-			},
-		})
+		if w.Where, err = binder.BindTableScalar(w.Table.Def, ast); err != nil {
+			return err
+		}
 	}
-	return txn.Commit()
+	_, err := s.applyWrites([]*memberWrite{w})
+	return err
 }
 
-// memberTableDef synthesizes a member's table definition from the map's
-// column layout (used by the copy path; the catalog's resolution path
-// builds its own defs with range-check overlays).
-func memberTableDef(mp *shardmap.Map, m shardmap.Member) *schema.Table {
-	return &schema.Table{Catalog: m.Catalog, Schema: "dbo", Name: m.Table, Columns: mp.Cols}
+// memberSource names a member table as a write target, with the map's
+// column layout (the catalog's resolution path builds its own defs with
+// range-check overlays).
+func memberSource(mp *shardmap.Map, m shardmap.Member) *algebra.Source {
+	def := &schema.Table{Catalog: m.Catalog, Schema: "dbo", Name: m.Table, Columns: mp.Cols}
+	return &algebra.Source{Server: m.Server, Catalog: m.Catalog, Schema: "dbo", Table: m.Table, Def: def}
 }
 
 // rangePredicate renders "key >= lo AND key < hi", omitting open bounds;

@@ -498,6 +498,29 @@ func (s *Server) CreateFullTextIndex(catalogName, table, column string) error {
 	return nil
 }
 
+// RefreshFullTextIndex rebuilds a catalog over its source table — the
+// "index creation and maintenance" half of §2.3's full-text support.
+func (s *Server) RefreshFullTextIndex(catalogName string) error {
+	s.mu.Lock()
+	var table, column string
+	for key, cat := range s.ftIndexes {
+		if strings.EqualFold(cat, catalogName) {
+			parts := strings.SplitN(key, ".", 3)
+			if len(parts) == 3 {
+				table, column = parts[1], parts[2]
+			}
+		}
+	}
+	s.mu.Unlock()
+	if table == "" {
+		return fmt.Errorf("engine: no full-text index registered for catalog %q", catalogName)
+	}
+	// Rebuild: replace the catalog's contents.
+	s.ftService.CreateCatalog(catalogName) // ensure it exists
+	s.ftService.DropCatalog(catalogName)
+	return s.CreateFullTextIndex(catalogName, table, column)
+}
+
 // costModel builds the per-server cost model over registered links.
 func (s *Server) costModel() *cost.Model {
 	return &cost.Model{LinkFor: func(server string) *netsim.Link {

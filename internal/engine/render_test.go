@@ -7,94 +7,9 @@ import (
 	"dhqp/internal/parser"
 )
 
-func parseExprT(t *testing.T, src string) parser.Expr {
-	t.Helper()
-	e, err := parser.ParseExpr(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
-}
-
-// TestRenderExprRoundTrip renders parsed expressions back to SQL and
-// re-parses them — the forwarding path for remote DML must stay parseable.
-func TestRenderExprRoundTrip(t *testing.T) {
-	cases := []string{
-		`a + 1`,
-		`(a * 2) - (b / 3)`,
-		`a % 5`,
-		`name = 'O''Brien'`,
-		`a BETWEEN 1 AND 10`,
-		`a NOT BETWEEN 1 AND 10`,
-		`name LIKE 'x%'`,
-		`name NOT LIKE 'x%'`,
-		`a IN (1, 2, 3)`,
-		`a NOT IN (1)`,
-		`a IS NULL`,
-		`a IS NOT NULL`,
-		`NOT a = 1`,
-		`-a`,
-		`upper(name)`,
-		`date(today(), -2)`,
-		`count(*)`,
-		`sum(DISTINCT a)`,
-		`a = @p`,
-		`NULL`,
-		`price > 1.5`,
-		`t.a = u.b AND (x OR y = 2)`,
-	}
-	for _, src := range cases {
-		rendered, err := renderExpr(parseExprT(t, src))
-		if err != nil {
-			t.Errorf("render(%q): %v", src, err)
-			continue
-		}
-		if _, err := parser.ParseExpr(rendered); err != nil {
-			t.Errorf("reparse(%q -> %q): %v", src, rendered, err)
-		}
-	}
-	// IN (SELECT ...) cannot forward.
-	st, err := parser.Parse(`DELETE FROM t WHERE a IN (SELECT b FROM u)`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := renderDelete(st.(*parser.DeleteStmt)); err == nil {
-		t.Error("IN-subquery forwarded")
-	}
-}
-
 func TestRenderStatements(t *testing.T) {
-	ins := mustParseT(t, `INSERT INTO srv.db.dbo.t (a, b) VALUES (1, 'x'), (2, 'y')`).(*parser.InsertStmt)
-	text, err := renderInsert(ins)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, frag := range []string{"INSERT INTO db.dbo.t", "(a, b)", "(1, 'x'), (2, 'y')"} {
-		if !strings.Contains(text, frag) {
-			t.Errorf("insert text missing %q: %q", frag, text)
-		}
-	}
-	up := mustParseT(t, `UPDATE srv.db.dbo.t SET a = a + 1 WHERE b = 'x'`).(*parser.UpdateStmt)
-	text, err = renderUpdate(up)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "UPDATE db.dbo.t SET a = (a + 1) WHERE (b = 'x')") {
-		t.Errorf("update text = %q", text)
-	}
-	del := mustParseT(t, `DELETE FROM srv.db.dbo.t WHERE a > 5`).(*parser.DeleteStmt)
-	text, err = renderDelete(del)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text, "DELETE FROM db.dbo.t WHERE (a > 5)") {
-		t.Errorf("delete text = %q", text)
-	}
 	ct := mustParseT(t, `CREATE TABLE srv.db.dbo.p (k INT NOT NULL CHECK (k >= 0), v VARCHAR(8), PRIMARY KEY (k))`).(*parser.CreateTableStmt)
-	text, err = renderCreateTable(ct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := renderCreateTable(ct)
 	for _, frag := range []string{"CREATE TABLE db.dbo.p", "k INT NOT NULL", "PRIMARY KEY (k)", "CHECK (k >= 0)"} {
 		if !strings.Contains(text, frag) {
 			t.Errorf("ddl text missing %q: %q", frag, text)
@@ -103,11 +18,6 @@ func TestRenderStatements(t *testing.T) {
 	// Rendered DDL re-parses.
 	if _, err := parser.Parse(text); err != nil {
 		t.Errorf("rendered DDL does not reparse: %v", err)
-	}
-	// INSERT ... SELECT cannot render verbatim.
-	insSel := mustParseT(t, `INSERT INTO srv.db.dbo.t SELECT a FROM u`).(*parser.InsertStmt)
-	if _, err := renderInsert(insSel); err == nil {
-		t.Error("insert-select rendered verbatim")
 	}
 }
 
