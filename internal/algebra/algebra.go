@@ -162,6 +162,12 @@ type Source struct {
 	Path string
 }
 
+// Bookmark names the column a local Get, TableScan or IndexRange may output
+// after the table's own: each row's bookmark, the INT that RemoteFetch
+// consumes (§4.1.2) and a write hands back to the storage engine. No SQL
+// identifier can spell it.
+const Bookmark = "%%bookmark%%"
+
 // IsRemote reports whether the source lives behind a linked server.
 func (s *Source) IsRemote() bool { return s.Server != "" }
 

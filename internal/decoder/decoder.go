@@ -108,9 +108,12 @@ type Assign struct {
 
 // DecodeWrite prints w in the dialect caps describes, through the same
 // scalar, literal and identifier writers a SELECT decodes with. Constants
-// stay literal: a member does not cache DML plans, so binds buy nothing.
-// Result.Params names the statement parameters the text references. A write
-// the dialect cannot express is ErrNotRemotable.
+// stay literal. A member caches a write's plan by its text only when its
+// WHERE names a parameter, and compiles a literal one on every execution;
+// lifting a write's constants into binds, as a SELECT's are, is a separate
+// change. Result.Params names the
+// statement parameters the text references. A write the dialect cannot
+// express is ErrNotRemotable.
 func DecodeWrite(w *Write, caps oledb.Capabilities) (*Result, error) {
 	if caps.SQLSupport < oledb.SQLMinimum || caps.SQLSupport > oledb.SQLFull {
 		return nil, notRemotable("dialect %s takes no SQL writes", caps.SQLSupport)

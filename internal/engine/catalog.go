@@ -15,6 +15,7 @@ import (
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 	"dhqp/internal/stats"
+	"dhqp/internal/storage"
 )
 
 // catalog implements binder.Catalog over the server's local store, views,
@@ -352,9 +353,54 @@ func (md *metadata) TableCardinality(src *algebra.Source) float64 {
 	return card
 }
 
+// cachedHistogram is a column histogram and, for a local table, the
+// table's size and modification count when it was built.
+type cachedHistogram struct {
+	h    *stats.Histogram
+	mark tableMark
+}
+
+// tableMark is a local table's live rows and modification count
+// (storage.Table.Version) when a histogram or a write plan was built from
+// it; the zero mark, a remote table's, never goes stale.
+type tableMark struct {
+	t          *storage.Table
+	rows, mods int64
+}
+
+func markTable(t *storage.Table) tableMark {
+	return tableMark{t: t, rows: int64(t.RowCount()), mods: t.Version()}
+}
+
+// stale applies SQL Server's statistics auto-update rule to a histogram:
+// one built from an empty table is stale after any change, any other once
+// more than 500 + 20 % of the rows it saw have changed.
+func (m tableMark) stale() bool {
+	return m.t != nil && past(m.t.Version()-m.mods, m.rows)
+}
+
+// resized applies the same threshold to the table's live rows: a plan
+// costed for one size may pick the wrong access path at another (a scan
+// is cheapest on an empty table). Churn that keeps the size does not
+// count, so a steady insert/delete mix never recompiles.
+func (m tableMark) resized() bool {
+	if m.t == nil {
+		return false
+	}
+	d := int64(m.t.RowCount()) - m.rows
+	return past(max(d, -d), m.rows)
+}
+
+// past reports whether changed of rows passes 500 + 20 % (any change of
+// none).
+func past(changed, rows int64) bool {
+	return changed > 0 && (rows == 0 || changed > 500+rows/5)
+}
+
 // Histogram implements memo.Metadata: local histograms always; remote ones
 // through the statistics extension when the provider supports it and the
-// server has remote statistics enabled.
+// server has remote statistics enabled. A local histogram is rebuilt once
+// its tableMark goes stale.
 func (md *metadata) Histogram(col expr.ColumnID) *stats.Histogram {
 	cs, ok := md.colSources[col]
 	if !ok {
@@ -366,14 +412,18 @@ func (md *metadata) Histogram(col expr.ColumnID) *stats.Histogram {
 	s := md.s
 	key := strings.ToLower(cs.src.Server + "|" + cs.src.Catalog + "|" + cs.src.Table + "|" + cs.name)
 	s.mu.Lock()
-	if h, ok := s.histCache[key]; ok {
-		s.mu.Unlock()
-		return h
-	}
+	c, ok := s.histCache[key]
 	s.mu.Unlock()
+	if ok && !c.mark.stale() {
+		return c.h
+	}
 	var rs rowset.Rowset
 	var err error
+	var mark tableMark
 	if cs.src.Server == "" {
+		if t, terr := s.localTable([]string{cs.src.Catalog, "", cs.src.Table}); terr == nil {
+			mark = markTable(t)
+		}
 		rs, err = s.nativeSess.ColumnHistogram(cs.src.Catalog+"."+cs.src.Table, cs.name)
 	} else {
 		l, lerr := s.linkedFor(cs.src.Server)
@@ -394,7 +444,7 @@ func (md *metadata) Histogram(col expr.ColumnID) *stats.Histogram {
 		return nil
 	}
 	s.mu.Lock()
-	s.histCache[key] = h
+	s.histCache[key] = cachedHistogram{h, mark}
 	s.mu.Unlock()
 	return h
 }
@@ -415,17 +465,22 @@ func (s *Server) invalidateLocal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.cardCache = map[string]float64{}
-	s.histCache = map[string]*stats.Histogram{}
+	s.histCache = map[string]cachedHistogram{}
 }
 
-// invalidateTable drops the cached cardinality and histograms of the one
-// table a DML statement wrote (server "" is local). Every other table's and
-// every linked server's statistics stay cached: refetching a remote one
-// costs link calls at the next compile.
+// invalidateTable drops the cached statistics of the one table a DML
+// statement wrote: a remote table's all, a local one's cardinality (its
+// histograms age by their tableMark). Every other table's stay cached:
+// refetching a remote one costs link calls at the next compile.
 func (s *Server) invalidateTable(server string, def *schema.Table) {
+	key := strings.ToLower(server + "|" + def.Catalog + "|" + def.Name)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropStatsLocked(server + "|" + def.Catalog + "|" + def.Name)
+	if server == "" {
+		delete(s.cardCache, key)
+		return
+	}
+	s.dropStatsLocked(key)
 }
 
 // dropStatsLocked drops the statistics cached under a "server|catalog|table"

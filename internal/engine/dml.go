@@ -4,25 +4,25 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/binder"
 	"dhqp/internal/constraint"
 	"dhqp/internal/decoder"
 	"dhqp/internal/dtc"
+	"dhqp/internal/exec"
 	"dhqp/internal/expr"
-	"dhqp/internal/oledb"
 	"dhqp/internal/parser"
 	"dhqp/internal/providers/fulltext"
 	"dhqp/internal/providers/native"
 	"dhqp/internal/rowset"
-	"dhqp/internal/rules"
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 	"dhqp/internal/storage"
+	"dhqp/internal/telemetry"
 )
 
 // Exec executes a DDL or DML statement.
@@ -52,6 +52,10 @@ func (s *Server) ExecParams(sql string, params map[string]sqltypes.Value) (int64
 // topology lock and coordinates with the gate itself.
 func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64, error) {
 	cfg := s.cfg.Load()
+	if cached := s.lookupPlan(cfg, sql, true); cached != nil {
+		s.noteStatement(writeVerbs[cached.write.kind])
+		return s.execWrite(cfg, cached.write, params)
+	}
 	st, err := parser.Parse(sql)
 	if err != nil {
 		return 0, err
@@ -78,10 +82,10 @@ func (s *Server) execParams(sql string, params map[string]sqltypes.Value) (int64
 		return s.execInsert(cfg, v, params)
 	case *parser.UpdateStmt:
 		s.noteStatement("update")
-		return s.execFiltered(cfg, decoder.Update, v.Table.Parts, v.Where, v.Set, params)
+		return s.execFiltered(cfg, sql, decoder.Update, v.Table.Parts, v.Where, v.Set, params)
 	case *parser.DeleteStmt:
 		s.noteStatement("delete")
-		return s.execFiltered(cfg, decoder.Delete, v.Table.Parts, v.Where, nil, params)
+		return s.execFiltered(cfg, sql, decoder.Delete, v.Table.Parts, v.Where, nil, params)
 	case *parser.SelectStmt:
 		return 0, fmt.Errorf("engine: use Query for SELECT statements")
 	default:
@@ -280,11 +284,13 @@ var ErrPartitionKeyUpdate = errors.New("engine: UPDATE through a partitioned vie
 
 // The one write path. Every INSERT, UPDATE and DELETE — on a local table, a
 // four-part name, or a partitioned or elastic view — and the rebalance
-// copier's writes resolve their target to member tables, bind against each
-// member, prune, and apply through applyWrites. The view-only and
-// multi-member steps live in functions of their own: a served statement runs
-// on a fresh goroutine, and a single-table write's frames stay small enough
-// that its stack does not grow.
+// copier's writes compile a share per member table, prune, and apply through
+// applyWrites. The view-only and multi-member steps live in functions of
+// their own: a served statement runs on a fresh goroutine, and a
+// single-table write's frames stay small enough that its stack does not grow.
+
+// writeVerbs names each write kind as dhqp_statements_total counts it.
+var writeVerbs = [...]string{decoder.Insert: "insert", decoder.Update: "update", decoder.Delete: "delete"}
 
 func (s *Server) execInsert(cfg *Config, st *parser.InsertStmt, params map[string]sqltypes.Value) (int64, error) {
 	members, view, err := s.writeMembers(st.Table.Parts)
@@ -304,9 +310,7 @@ func (s *Server) execInsert(cfg *Config, st *parser.InsertStmt, params map[strin
 	if len(rows) == 0 {
 		return 0, nil
 	}
-	w := s.newWrite(cfg, params, decoder.Insert, members[0].src)
-	w.Rows = rows
-	return s.applyWrites([]*memberWrite{w})
+	return s.applyShares(cfg, nil, params, []decoder.Write{{Kind: decoder.Insert, Table: members[0].src, Rows: rows}})
 }
 
 // insertIntoView routes each row to the member whose CHECK domain holds its
@@ -334,7 +338,7 @@ func (s *Server) insertIntoView(cfg *Config, params map[string]sqltypes.Value, v
 		}
 		batches[target] = append(batches[target], r)
 	}
-	var writes []*memberWrite
+	var ws []decoder.Write
 	for mi, m := range members {
 		if len(batches[mi]) == 0 {
 			continue
@@ -352,11 +356,9 @@ func (s *Server) insertIntoView(cfg *Config, params map[string]sqltypes.Value, v
 				}
 			}
 		}
-		w := s.newWrite(cfg, params, decoder.Insert, m.src)
-		w.Rows = batches[mi]
-		writes = append(writes, w)
+		ws = append(ws, decoder.Write{Kind: decoder.Insert, Table: m.src, Rows: batches[mi]})
 	}
-	n, err := s.applyWrites(writes)
+	n, err := s.applyShares(cfg, nil, params, ws)
 	// A rebalance in flight on this view replays committed keys from its
 	// delta log before cutover; the statement is pinned against the gate, so
 	// the log entry lands strictly before the move's barrier.
@@ -372,12 +374,32 @@ func (s *Server) insertIntoView(cfg *Config, params map[string]sqltypes.Value, v
 	return n, err
 }
 
-// execFiltered runs an UPDATE or DELETE. It binds WHERE and SET against
-// every member table and keeps only the members whose CHECK domains the
-// WHERE leaves satisfiable under this execution's parameter values — the
-// pruning a startup filter gives SELECT (§4.1.5), so WHERE o_id = @id opens
-// one member and a NULL @id opens none.
-func (s *Server) execFiltered(cfg *Config, kind decoder.WriteKind, parts []string, where parser.Expr,
+// writePlan is a compiled UPDATE or DELETE, cached by text beside SELECT
+// plans: a share for every member table the target may reach.
+type writePlan struct {
+	kind       decoder.WriteKind
+	view       string // "" for a table
+	shares     []*memberPlan
+	recompiled atomic.Bool // an execution found the plan stale and recompiles it
+}
+
+// stale reports whether a local member has resized since the plan
+// compiled, so that its access path may no longer be the cheapest (a plan
+// compiled on an empty table scans it). It tells one execution, which
+// recompiles; concurrent ones run this plan until the new one is cached.
+// A nil plan, a SELECT's, never is.
+func (wp *writePlan) stale() bool {
+	if wp == nil || wp.recompiled.Load() {
+		return false
+	}
+	return slices.ContainsFunc(wp.shares, func(m *memberPlan) bool { return m.mark.resized() }) &&
+		wp.recompiled.CompareAndSwap(false, true)
+}
+
+// execFiltered compiles and runs an UPDATE or DELETE text. It caches the
+// plan only when the WHERE names a parameter: a literal text, like an
+// INSERT's, is usually run once, and caching it would evict SELECT plans.
+func (s *Server) execFiltered(cfg *Config, sql string, kind decoder.WriteKind, parts []string, where parser.Expr,
 	set []parser.SetClause, params map[string]sqltypes.Value) (int64, error) {
 	members, view, err := s.writeMembers(parts)
 	if err != nil {
@@ -388,19 +410,41 @@ func (s *Server) execFiltered(cfg *Config, kind decoder.WriteKind, parts []strin
 			return 0, err
 		}
 	}
-	var writes []*memberWrite
+	wp := &writePlan{kind: kind, view: view}
 	for _, m := range members {
-		w := s.newWrite(cfg, params, kind, m.src)
-		if w.Where, w.Set, err = bindDMLExprs(m.src.Def, where, set); err != nil {
+		w, err := bindWrite(kind, m.src, where, set)
+		if err != nil {
 			return 0, err
 		}
-		if m.admits(w.Where, params) {
-			writes = append(writes, w)
+		share, err := s.compileShare(cfg, w)
+		if err != nil {
+			return 0, err
+		}
+		share.pvMember = m
+		wp.shares = append(wp.shares, share)
+	}
+	if w := wp.shares[0].Where; w != nil && expr.HasParams(w) {
+		s.notePlanMiss()
+		s.cachePlan(sql, &cachedPlan{write: wp, gen: cfg.planGen})
+	}
+	return s.execWrite(cfg, wp, params)
+}
+
+// execWrite applies a compiled UPDATE or DELETE to the members whose CHECK
+// domains the WHERE leaves satisfiable under this execution's parameter
+// values — the pruning a startup filter gives SELECT (§4.1.5), so WHERE
+// o_id = @id opens one member and a NULL @id opens none.
+func (s *Server) execWrite(cfg *Config, wp *writePlan, params map[string]sqltypes.Value) (int64, error) {
+	col := s.newRecord(false)
+	var writes []*memberWrite
+	for _, share := range wp.shares {
+		if share.admits(share.Where, params) {
+			writes = append(writes, &memberWrite{memberPlan: share, s: s, cfg: cfg, col: col, params: params})
 		}
 	}
-	n, err := s.applyWrites(writes)
-	if view != "" {
-		s.noteViewWrite(view, writes)
+	n, err := s.applyWrites(col, writes)
+	if wp.view != "" {
+		s.noteViewWrite(wp.view, writes)
 	}
 	return n, err
 }
@@ -453,23 +497,6 @@ func (s *Server) writeMembers(parts []string) (members []pvMember, view string, 
 		return nil, "", fmt.Errorf("engine: view %s: %w", view, err)
 	}
 	return members, view, nil
-}
-
-// txnSession opens a fresh native session with a transaction begun —
-// statement-scoped DML buffers into it and commits atomically. The
-// transaction's snapshot also serves the statement's own reads, so an
-// UPDATE's scan and its writes observe one consistent image (a concurrent
-// autocommit writer surfaces as storage.ErrWriteConflict at commit).
-func (s *Server) txnSession() (*native.Session, error) {
-	sess, err := s.nativeProv.CreateSession()
-	if err != nil {
-		return nil, err
-	}
-	ns := sess.(*native.Session)
-	if err := ns.Begin(); err != nil {
-		return nil, err
-	}
-	return ns, nil
 }
 
 // insertRows evaluates VALUES rows or runs the INSERT's SELECT.
@@ -553,35 +580,96 @@ func reorderForTable(def *schema.Table, cols []string, rows []rowset.Row) ([]row
 	return out, nil
 }
 
-// memberWrite is one member table's share of a write, and its DTC
+// memberPlan is one member table's compiled share of a write: the bound
+// statement and what no parameter value changes about applying it.
+type memberPlan struct {
+	decoder.Write
+	pvMember               // an UPDATE's or DELETE's: its CHECK domains prune it
+	rows     *algebra.Node // local UPDATE/DELETE: the rows WHERE qualifies, each with its bookmark
+	mark     tableMark     // local UPDATE/DELETE: the table as rows was planned against
+	text     string        // remote: the decoded statement
+	named    []string      // remote: the statement parameters the text names
+}
+
+// compileShare compiles one member's share of a write: a remote member's
+// text, decoded at its capability level (a write the dialect cannot express
+// fails before any member is called), or a local UPDATE's or DELETE's
+// qualifying rows, a SELECT plan — Select(WHERE) over a Get of every column
+// and the bookmark — optimized as any SELECT is.
+func (s *Server) compileShare(cfg *Config, w decoder.Write) (*memberPlan, error) {
+	share := &memberPlan{Write: w}
+	if w.Table.Server != "" {
+		caps, ok := s.capsFor(w.Table.Server)
+		if !ok {
+			return nil, fmt.Errorf("engine: linked server %q not found", w.Table.Server)
+		}
+		res, err := decoder.DecodeWrite(&share.Write, caps)
+		if err != nil {
+			return nil, err
+		}
+		share.text, share.named = res.SQL, res.Params
+		return share, nil
+	}
+	if w.Kind == decoder.Insert {
+		return share, nil
+	}
+	def := w.Table.Def
+	t, err := s.localTable([]string{def.Catalog, "", def.Name})
+	if err != nil {
+		return nil, err
+	}
+	share.mark = markTable(t)
+	cols := make([]algebra.OutCol, len(def.Columns), len(def.Columns)+1)
+	for i, c := range def.Columns {
+		cols[i] = algebra.OutCol{ID: expr.ColumnID(i + 1), Name: c.Name, Kind: c.Kind}
+	}
+	next := expr.ColumnID(len(cols) + 1)
+	cols = append(cols, algebra.OutCol{ID: next, Name: algebra.Bookmark, Kind: sqltypes.KindInt})
+	root := algebra.NewNode(&algebra.Get{Src: w.Table, Cols: cols})
+	if w.Where != nil {
+		root = algebra.NewNode(&algebra.Select{Filter: w.Where}, root)
+	}
+	share.rows, _, err = s.optimize(cfg, root, nil, func() expr.ColumnID { next++; return next }, nil)
+	// stage reads each row positionally: the table's columns, then the
+	// bookmark.
+	if err == nil && !slices.Equal(algebra.IDs(share.rows.OutCols()), algebra.IDs(cols)) {
+		err = fmt.Errorf("engine: the plan of %s's qualifying rows does not output its columns in order", def.Name)
+	}
+	return share, err
+}
+
+// applyShares compiles each member's write, uncached, and applies them as
+// one write recording into col (nil for an INSERT, which reads no rows).
+func (s *Server) applyShares(cfg *Config, col *telemetry.Collector, params map[string]sqltypes.Value, ws []decoder.Write) (int64, error) {
+	writes := make([]*memberWrite, len(ws))
+	for i, w := range ws {
+		share, err := s.compileShare(cfg, w)
+		if err != nil {
+			return 0, err
+		}
+		writes[i] = &memberWrite{memberPlan: share, s: s, cfg: cfg, col: col, params: params}
+	}
+	return s.applyWrites(col, writes)
+}
+
+// memberWrite is one execution of a member's share, and its DTC
 // participant: a local member stages its rows in a storage transaction and
 // prepares it for real in phase one; a remote member runs its decoded text
 // in phase two, voting yes in phase one without preparing.
 type memberWrite struct {
-	decoder.Write
-	s        *Server
-	cfg      *Config
-	params   map[string]sqltypes.Value // a remote member's: only those its text names
-	text     string                    // remote: the decoded statement
-	sess     *native.Session           // local: the statement transaction
-	examined int64
-	n        int64 // rows affected
+	*memberPlan
+	s      *Server
+	cfg    *Config
+	col    *telemetry.Collector // the statement's record: the rows local shares read
+	params map[string]sqltypes.Value
+	sess   *native.Session // local: the statement transaction
+	n      int64           // rows affected
 }
 
-func (s *Server) newWrite(cfg *Config, params map[string]sqltypes.Value, kind decoder.WriteKind, src *algebra.Source) *memberWrite {
-	return &memberWrite{Write: decoder.Write{Kind: kind, Table: src}, s: s, cfg: cfg, params: params}
-}
-
-// applyWrites applies a write's member shares. Every remote member's text is
-// decoded first, so a write its dialect cannot express fails before any
-// member is called. One member commits in one phase; two or more commit
-// under one DTC transaction (§2).
-func (s *Server) applyWrites(writes []*memberWrite) (int64, error) {
-	for _, w := range writes {
-		if err := w.decode(); err != nil {
-			return 0, err
-		}
-	}
+// applyWrites applies a write's member shares, recording the rows local
+// UPDATE and DELETE shares read (col) and changed. One member commits in
+// one phase; two or more under one DTC transaction (§2).
+func (s *Server) applyWrites(col *telemetry.Collector, writes []*memberWrite) (int64, error) {
 	switch len(writes) {
 	case 0:
 		return 0, nil
@@ -601,14 +689,17 @@ func (s *Server) applyWrites(writes []*memberWrite) (int64, error) {
 			return 0, err
 		}
 	}
-	var n int64
+	var n, affected int64
 	for _, w := range writes {
 		n += w.n
 		s.invalidateTable(w.Table.Server, w.Table.Def)
-		if m := s.instr(); m != nil && w.Kind != decoder.Insert && w.Table.Server == "" {
-			m.dmlExamined.Add(w.examined)
-			m.dmlAffected.Add(w.n)
+		if w.Kind != decoder.Insert && w.Table.Server == "" {
+			affected += w.n
 		}
+	}
+	if m := s.instr(); m != nil {
+		m.dmlExamined.Add(col.Counts().RowsRead)
+		m.dmlAffected.Add(affected)
 	}
 	return n, nil
 }
@@ -623,95 +714,53 @@ func commitDistributed(writes []*memberWrite) error {
 	return txn.Commit()
 }
 
-// decode writes a remote member's statement at its server's capability
-// level and keeps only the parameters the text names.
-func (w *memberWrite) decode() error {
-	if w.Table.Server == "" {
-		return nil
-	}
-	caps, ok := w.s.capsFor(w.Table.Server)
-	if !ok {
-		return fmt.Errorf("engine: linked server %q not found", w.Table.Server)
-	}
-	res, err := decoder.DecodeWrite(&w.Write, caps)
-	if err != nil {
-		return err
-	}
-	w.text = res.SQL
-	named := make(map[string]sqltypes.Value, len(res.Params))
-	for _, p := range res.Params {
-		if v, ok := w.params[p]; ok {
-			named[p] = v
-		}
-	}
-	w.params = named
-	return nil
-}
-
 // stage opens a local member's statement transaction and buffers the write
-// into it: the rows of an INSERT, or one Update or Delete per row the WHERE
-// qualifies. Rows qualify against the transaction's one snapshot: they are
-// read through the access path dmlAccessPath picks and the whole WHERE is
-// evaluated on every row read; commit is all-or-nothing, first writer wins.
+// into it: the rows of an INSERT, or one Update or Delete per row the
+// qualifying plan reads at the transaction's snapshot, SET evaluated on
+// that row. Commit is all-or-nothing, first writer wins.
 func (w *memberWrite) stage() error {
-	sess, err := w.s.txnSession()
-	if err != nil {
+	sess, _ := w.s.nativeProv.CreateSession() // a native session never fails to open
+	w.sess = sess.(*native.Session)
+	if err := w.sess.Begin(); err != nil {
 		return err
 	}
-	w.sess = sess
 	def := w.Table.Def
 	table := def.Catalog + "." + def.Name
 	if w.Kind == decoder.Insert {
 		for _, r := range w.Rows {
-			if _, err := sess.Insert(table, r); err != nil {
+			if _, err := w.sess.Insert(table, r); err != nil {
 				return err
 			}
 		}
 		w.n = int64(len(w.Rows))
 		return nil
 	}
-	env := &expr.Env{Params: w.params, Today: w.cfg.Today}
-	rs, err := dmlAccessPath(sess, def, table, w.Where, env)
-	if err != nil {
-		return err
-	}
-	defer rs.Close()
-	sc := rs.(rowset.Bookmarked)
-	for {
-		r, err := sc.Next()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		w.examined++
-		env.Row = r
-		if w.Where != nil {
-			ok, err := expr.EvalPredicate(w.Where, env)
+	ctx := w.s.execContext(context.Background(), w.cfg, w.params, w.sess, w.col)
+	env := &expr.Env{Params: ctx.Params, Today: w.cfg.Today}
+	var row rowset.Row
+	return exec.Stream(w.rows, ctx, func(b *rowset.Batch) (err error) {
+		for i := range b.Len() {
+			row = b.RowAt(i, row)
+			bm, _ := row[len(def.Columns)].AsInt() // the bookmark column
+			if w.Kind == decoder.Delete {
+				err = w.sess.Delete(table, bm)
+			} else {
+				env.Row = row
+				newRow := slices.Clone(row[:len(def.Columns)])
+				for _, a := range w.Set {
+					if newRow[a.Col], err = a.E.Eval(env); err != nil {
+						return err
+					}
+				}
+				err = w.sess.Update(table, bm, newRow)
+			}
 			if err != nil {
 				return err
 			}
-			if !ok {
-				continue
-			}
+			w.n++
 		}
-		if w.Kind == decoder.Delete {
-			err = sess.Delete(table, sc.Bookmark())
-		} else {
-			newRow := rowset.Row(r).Clone()
-			for _, a := range w.Set {
-				if newRow[a.Col], err = a.E.Eval(env); err != nil {
-					return err
-				}
-			}
-			err = sess.Update(table, sc.Bookmark(), newRow)
-		}
-		if err != nil {
-			return err
-		}
-		w.n++
-	}
+		return nil
+	})
 }
 
 // ParticipantName implements dtc.NamedParticipant.
@@ -733,14 +782,21 @@ func (w *memberWrite) Prepare() error {
 	return w.sess.Prepare()
 }
 
-// Commit implements dtc.Participant.
+// Commit implements dtc.Participant. A remote member's command carries
+// only the parameters its text names.
 func (w *memberWrite) Commit() error {
-	if w.Table.Server != "" {
-		n, err := w.s.forward(w.Table.Server, w.text, w.params)
-		w.n = n
-		return err
+	if w.Table.Server == "" {
+		return w.sess.Commit()
 	}
-	return w.sess.Commit()
+	named := make(map[string]sqltypes.Value, len(w.named))
+	for _, p := range w.named {
+		if v, ok := w.params[p]; ok {
+			named[p] = v
+		}
+	}
+	n, err := w.s.forward(w.Table.Server, w.text, named)
+	w.n = n
+	return err
 }
 
 // Abort implements dtc.Participant.
@@ -751,80 +807,27 @@ func (w *memberWrite) Abort() error {
 	return w.sess.Close()
 }
 
-// dmlAccessPath opens the rows a DML WHERE can qualify: the range of the
-// index its sargable conjuncts bound on most sides (rules.IndexBounds, the
-// matcher SELECT planning uses), else the full scan. stage re-evaluates the
-// WHERE, so a range need only be a superset; an index with an unusable bound
-// is passed over.
-func dmlAccessPath(sess *native.Session, def *schema.Table, table string, where expr.Expr, env *expr.Env) (rowset.Rowset, error) {
-	conjuncts := expr.SplitConjuncts(where)
-	var index string
-	var lo, hi oledb.Bound
-	sides := 0 // bounded ends of the best index so far
-	for _, ix := range def.Indexes {
-		lead := ix.Columns[0]
-		l, h, _ := rules.IndexBounds(conjuncts, func(c *expr.ColRef) bool { return c.Pos() == lead })
-		blo, okLo := seekBound(l, def.Columns[lead].Kind, env)
-		bhi, okHi := seekBound(h, def.Columns[lead].Kind, env)
-		if n := len(blo.Key) + len(bhi.Key); okLo && okHi && n > sides {
-			index, lo, hi, sides = ix.Name, blo, bhi, n
-		}
-	}
-	if sides == 0 {
-		return sess.OpenRowset(table)
-	}
-	return sess.OpenIndexRange(table, index, lo, hi)
-}
-
-// seekBound evaluates one end of a matched range into an index key. The
-// index orders keys as predicates compare them (sqltypes.Compare), so a bound
-// is usable only when its value is present, non-NULL and converts to the key
-// column's kind without changing how it compares: a missing parameter, NULL,
-// '42' or 42.5 against an INT key report false and the statement scans, which
-// is what defines its meaning. An unbounded end is usable as it is.
-func seekBound(b algebra.RangeBound, kind sqltypes.Kind, env *expr.Env) (oledb.Bound, bool) {
-	if b.Vals == nil {
-		return oledb.Bound{}, true
-	}
-	v, err := b.Vals[0].Eval(env)
-	if err != nil {
-		return oledb.Bound{}, false
-	}
-	key, err := sqltypes.Coerce(v, kind)
-	if err != nil || key.IsNull() || sqltypes.Compare(key, v) != 0 {
-		return oledb.Bound{}, false
-	}
-	// Beyond 2^53 a FLOAT compares equal to several INT keys at once.
-	if v.Kind() == sqltypes.KindFloat && kind != sqltypes.KindFloat && math.Abs(v.Float()) >= 1<<53 {
-		return oledb.Bound{}, false
-	}
-	return oledb.Bound{Key: rowset.Row{key}, Inclusive: b.Inclusive}, true
-}
-
-// bindDMLExprs binds a WHERE clause and SET expressions against a table's
+// bindWrite binds a write's WHERE and SET against a member table's
 // positional layout; column i has ColumnID i+1.
-func bindDMLExprs(def *schema.Table, where parser.Expr, set []parser.SetClause) (expr.Expr, []decoder.Assign, error) {
-	var boundWhere expr.Expr
-	var err error
+func bindWrite(kind decoder.WriteKind, src *algebra.Source, where parser.Expr, set []parser.SetClause) (w decoder.Write, err error) {
+	w = decoder.Write{Kind: kind, Table: src}
 	if where != nil {
-		boundWhere, err = binder.BindTableScalar(def, where)
-		if err != nil {
-			return nil, nil, err
+		if w.Where, err = binder.BindTableScalar(src.Def, where); err != nil {
+			return w, err
 		}
 	}
-	var assigns []decoder.Assign
 	for _, sc := range set {
-		ord := def.ColumnIndex(sc.Column)
+		ord := src.Def.ColumnIndex(sc.Column)
 		if ord < 0 {
-			return nil, nil, fmt.Errorf("engine: SET column %q not in table %s", sc.Column, def.Name)
+			return w, fmt.Errorf("engine: SET column %q not in table %s", sc.Column, src.Def.Name)
 		}
-		e, err := binder.BindTableScalar(def, sc.E)
+		e, err := binder.BindTableScalar(src.Def, sc.E)
 		if err != nil {
-			return nil, nil, err
+			return w, err
 		}
-		assigns = append(assigns, decoder.Assign{Col: ord, E: e})
+		w.Set = append(w.Set, decoder.Assign{Col: ord, E: e})
 	}
-	return boundWhere, assigns, nil
+	return w, nil
 }
 
 // viewTextFor resolves a DML target to partitioned-view text: CREATE VIEW

@@ -178,24 +178,29 @@ func TestDMLIndexedEqualsUnindexed(t *testing.T) {
 
 // TestDMLTakesTheIndex pins the access path itself through the counters
 // the statement leaves: a keyed statement examines the rows it affects, a
-// statement with nothing sargable (or a bound the index cannot take)
-// examines the table.
+// statement with nothing sargable examines the table. The index orders keys
+// as predicates compare them, so a bound of another kind ('4', 4.0, a
+// parameter of either) seeks like any other.
 func TestDMLTakesTheIndex(t *testing.T) {
 	s := dmlTwin(t, 3)
 	examined := s.Metrics().Counter("dhqp_dml_rows_examined_total", "")
 	affected := s.Metrics().Counter("dhqp_dml_rows_affected_total", "")
 	for _, tc := range []struct {
-		sql   string
-		seeks bool
+		sql    string
+		params map[string]sqltypes.Value
+		seeks  bool
 	}{
-		{`UPDATE ti SET v = v + 1 WHERE id = 42`, true},
-		{`UPDATE ti SET v = v + 1 WHERE k = 4`, true},
-		{`UPDATE ti SET v = v + 1 WHERE k = 4.0`, true},
-		{`DELETE FROM ti WHERE id >= 10 AND id < 20`, true},
-		{`UPDATE ti SET v = v + 1 WHERE g = 1 AND id < 0`, true}, // all of g = 1, none qualifies
-		{`UPDATE ti SET v = v + 1 WHERE k = '4'`, false},
-		{`UPDATE ti SET v = v + 1 WHERE v = 4`, false},
-		{`UPDATE tu SET v = v + 1 WHERE id = 42`, false},
+		{`UPDATE ti SET v = v + 1 WHERE id = 42`, nil, true},
+		{`UPDATE ti SET v = v + 1 WHERE k = 4`, nil, true},
+		{`UPDATE ti SET v = v + 1 WHERE k = 4.0`, nil, true},
+		{`DELETE FROM ti WHERE id >= 10 AND id < 20`, nil, true},
+		{`UPDATE ti SET v = v + 1 WHERE g = 1 AND id < 0`, nil, true}, // the empty pk range
+		{`UPDATE ti SET v = v + 1 WHERE k = '4'`, nil, true},          // no INT key compares equal to '4'
+		// One cached plan, two kinds of parameter value.
+		{`UPDATE ti SET v = v + 1 WHERE k = @p`, map[string]sqltypes.Value{"p": sqltypes.NewString("4")}, true},
+		{`UPDATE ti SET v = v + 1 WHERE k = @p`, map[string]sqltypes.Value{"p": sqltypes.NewFloat(4)}, true},
+		{`UPDATE ti SET v = v + 1 WHERE v = 4`, nil, false},
+		{`UPDATE tu SET v = v + 1 WHERE id = 42`, nil, false},
 	} {
 		table := "ti"
 		if strings.Contains(tc.sql, " tu ") {
@@ -203,7 +208,7 @@ func TestDMLTakesTheIndex(t *testing.T) {
 		}
 		rows := int64(len(q(t, s, `SELECT id FROM `+table).Rows))
 		e0, a0 := examined.Value(), affected.Value()
-		n, err := s.Exec(tc.sql)
+		n, err := s.ExecParams(tc.sql, tc.params)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.sql, err)
 		}

@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"dhqp/internal/algebra"
-	"dhqp/internal/binder"
 	"dhqp/internal/decoder"
 	"dhqp/internal/parser"
 	"dhqp/internal/rowset"
@@ -451,27 +450,25 @@ func (s *Server) writeMemberRows(mp *shardmap.Map, m shardmap.Member, rows []row
 	if len(rows) == 0 {
 		return nil
 	}
-	w := s.newWrite(s.cfg.Load(), nil, decoder.Insert, memberSource(mp, m))
-	w.Rows = rows
-	_, err := s.applyWrites([]*memberWrite{w})
+	_, err := s.applyShares(s.cfg.Load(), nil, nil, []decoder.Write{{Kind: decoder.Insert, Table: memberSource(mp, m), Rows: rows}})
 	return err
 }
 
 // deleteMemberRange removes a member's rows with key in [lo, hi) through the
-// one write path: a local member's delete qualifies rows as any local DELETE
-// does, a remote member's is decoded at its capability level.
+// one write path: a local member's share is planned as any local DELETE's
+// is, a remote member's is decoded at its capability level.
 func (s *Server) deleteMemberRange(mp *shardmap.Map, m shardmap.Member, lo, hi int64) error {
-	w := s.newWrite(s.cfg.Load(), nil, decoder.Delete, memberSource(mp, m))
+	var where parser.Expr
 	if pred := rangePredicate(mp.KeyCol, lo, hi); pred != "" {
-		ast, err := parser.ParseExpr(pred)
-		if err != nil {
-			return err
-		}
-		if w.Where, err = binder.BindTableScalar(w.Table.Def, ast); err != nil {
+		var err error
+		if where, err = parser.ParseExpr(pred); err != nil {
 			return err
 		}
 	}
-	_, err := s.applyWrites([]*memberWrite{w})
+	w, err := bindWrite(decoder.Delete, memberSource(mp, m), where, nil)
+	if err == nil {
+		_, err = s.applyShares(s.cfg.Load(), s.newRecord(false), nil, []decoder.Write{w})
+	}
 	return err
 }
 

@@ -34,7 +34,6 @@ import (
 	"dhqp/internal/schema"
 	"dhqp/internal/shardmap"
 	"dhqp/internal/sqltypes"
-	"dhqp/internal/stats"
 	"dhqp/internal/storage"
 	"dhqp/internal/telemetry"
 )
@@ -82,7 +81,7 @@ type Server struct {
 	// with the configured threshold/cooldown.
 	breakers map[string]*circuit.Breaker
 
-	histCache map[string]*stats.Histogram
+	histCache map[string]cachedHistogram
 	cardCache map[string]float64
 
 	// planCache memoizes compiled plans by statement text; parameters bind
@@ -93,9 +92,9 @@ type Server struct {
 	// without bound — sized by SetPlanCacheCapacity.
 	planCache *lru.Cache[string, *cachedPlan]
 	// planCacheHits/Misses/Evictions count cache outcomes (PlanCacheStats);
-	// guarded by mu.
-	planCacheHits      int64
-	planCacheMisses    int64
+	// evictions are guarded by mu.
+	planCacheHits      atomic.Int64
+	planCacheMisses    atomic.Int64
 	planCacheEvictions int64
 
 	// queryStats is the dm_exec_query_stats-style registry.
@@ -115,10 +114,12 @@ type Server struct {
 	lastReport *opt.Report
 }
 
+// cachedPlan is a compiled SELECT (plan, cols) or UPDATE or DELETE (write).
 type cachedPlan struct {
-	plan *algebra.Node
-	cols []schema.Column
-	gen  uint64 // Config.planGen it was compiled under
+	plan  *algebra.Node
+	cols  []schema.Column
+	write *writePlan
+	gen   uint64 // Config.planGen it was compiled under
 }
 
 type linkedServer struct {
@@ -151,7 +152,7 @@ func NewServer(name, defaultDB string) *Server {
 		extraCaps:         map[string]oledb.Capabilities{},
 		providerFactories: map[string]func(string) (oledb.DataSource, *netsim.Link, error){},
 		meter:             netsim.NewMeter(),
-		histCache:         map[string]*stats.Histogram{},
+		histCache:         map[string]cachedHistogram{},
 		cardCache:         map[string]float64{},
 		planCache:         lru.New[string, *cachedPlan](DefaultPlanCacheCapacity),
 		queryStats:        telemetry.NewRegistry(),
@@ -208,8 +209,8 @@ func (s *Server) PlanCacheStats() PlanCacheStats {
 	return PlanCacheStats{
 		Capacity:  s.planCache.Cap(),
 		Size:      s.planCache.Len(),
-		Hits:      s.planCacheHits,
-		Misses:    s.planCacheMisses,
+		Hits:      s.planCacheHits.Load(),
+		Misses:    s.planCacheMisses.Load(),
 		Evictions: s.planCacheEvictions,
 	}
 }

@@ -45,6 +45,7 @@ type engineInstruments struct {
 	retries       *metrics.Counter // retried remote attempts
 	batches       *metrics.Counter // vectorized batches drained at the root
 	batchRows     *metrics.Counter // live rows in those batches (rows per batch = batchRows / batches)
+	rowsRead      *metrics.Counter // rows SELECTs' local scans and index ranges filled
 	startupPruned *metrics.Counter // startup filters that kept their subtree closed
 	startupOpened *metrics.Counter // startup filters that opened it
 	waits         *metrics.WaitTable
@@ -81,6 +82,7 @@ func buildInstruments(r *metrics.Registry) *engineInstruments {
 		retries:       r.Counter("dhqp_exec_retries_total", "Retried remote call attempts"),
 		batches:       r.Counter("dhqp_exec_batches_total", "Vectorized batches drained"),
 		batchRows:     r.Counter("dhqp_exec_batch_rows_total", "Rows in the vectorized batches drained"),
+		rowsRead:      r.Counter("dhqp_exec_rows_read_total", "Rows read by SELECT statements' local scans and index ranges"),
 		startupPruned: r.Counter("dhqp_exec_startup_pruned_total", "Startup filters whose predicate was false: subtrees never opened"),
 		startupOpened: r.Counter("dhqp_exec_startup_opened_total", "Startup filters whose predicate held: subtrees opened"),
 		waits:         r.Waits(),
@@ -143,8 +145,10 @@ func (s *Server) ResetMetrics() { s.metricsReg.Reset() }
 // registry including its eviction counter) and ResetMetrics.
 func (s *Server) ResetPlanCacheStats() {
 	s.mu.Lock()
-	s.planCacheHits, s.planCacheMisses, s.planCacheEvictions = 0, 0, 0
+	s.planCacheEvictions = 0
 	s.mu.Unlock()
+	s.planCacheHits.Store(0)
+	s.planCacheMisses.Store(0)
 }
 
 // --- the statement record -----------------------------------------------
@@ -193,6 +197,7 @@ func (s *Server) publish(base context.Context, cfg *Config, col *telemetry.Colle
 		m.breakerTrips.Add(n.BreakerTrips)
 		m.batches.Add(n.Batches)
 		m.batchRows.Add(n.BatchRows)
+		m.rowsRead.Add(n.RowsRead)
 		m.startupOpened.Add(n.StartupOpened)
 		m.startupPruned.Add(n.StartupPruned)
 		for _, d := range n.Backoffs {

@@ -10,6 +10,7 @@ import (
 	"dhqp/internal/binder"
 	"dhqp/internal/cost"
 	"dhqp/internal/exec"
+	"dhqp/internal/expr"
 	"dhqp/internal/netsim"
 	"dhqp/internal/oledb"
 	"dhqp/internal/opt"
@@ -120,7 +121,31 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 	// Narrow scans to the columns the statement reads before the tree is
 	// memoized: member servers then materialize and ship only those.
 	binder.PruneColumns(bound)
-	md := s.newMetadata(bound.Root, cfg.UseRemoteStatistics)
+	plan, report, err := s.optimize(cfg, bound.Root, bound.RequiredOrder, b.AllocCol, col)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	// Decode: record the remote statement texts the plan will ship (what
+	// SQL Server Profiler would show as the remote events of this query).
+	start = time.Now()
+	col.CaptureRemoteSQL(plan)
+	col.RecordPhase(telemetry.PhaseDecode, time.Since(start))
+	s.mu.Lock()
+	s.lastReport = report
+	s.mu.Unlock()
+	cols := make([]schema.Column, len(bound.ResultCols))
+	for i, c := range bound.ResultCols {
+		cols[i] = schema.Column{Name: c.Name, Kind: c.Kind, Nullable: true}
+	}
+	// Result columns ride on the plan's output in bound.ResultCols order;
+	// the Project at the top of the bound tree guarantees the shape.
+	return plan, cols, report, nil
+}
+
+// optimize runs the Cascades optimizer over a bound tree — a SELECT's, or a
+// write's qualifying rows — under cfg; newCol allocates rules' new columns.
+func (s *Server) optimize(cfg *Config, root *algebra.Node, order algebra.Ordering, newCol func() expr.ColumnID, col *telemetry.Collector) (*algebra.Node, *opt.Report, error) {
+	md := s.newMetadata(root, cfg.UseRemoteStatistics)
 	remoteBatch := cfg.RemoteBatchSize
 	if remoteBatch == 0 {
 		remoteBatch = cost.DefaultRemoteBatch
@@ -132,7 +157,7 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 		CapsFor: func(server string) (oledb.Capabilities, bool) {
 			return s.capsFor(server)
 		},
-		NewCol: b.AllocCol,
+		NewCol: newCol,
 		FulltextIndex: func(src *algebra.Source, column string) (rules.FulltextIndexInfo, bool) {
 			if src.Server != "" {
 				return rules.FulltextIndexInfo{}, false
@@ -155,28 +180,13 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 	if optCfg.Model == nil {
 		optCfg.Model = s.costModel()
 	}
-	optimizer := opt.New(optCfg, rctx)
-	start = time.Now()
-	plan, report, err := optimizer.Optimize(bound.Root, md, bound.RequiredOrder)
+	start := time.Now()
+	plan, report, err := opt.New(optCfg, rctx).Optimize(root, md, order)
 	col.RecordPhase(telemetry.PhaseOptimize, time.Since(start))
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("engine: optimizing: %w", err)
+		return nil, nil, fmt.Errorf("engine: optimizing: %w", err)
 	}
-	// Decode: record the remote statement texts the plan will ship (what
-	// SQL Server Profiler would show as the remote events of this query).
-	start = time.Now()
-	col.CaptureRemoteSQL(plan)
-	col.RecordPhase(telemetry.PhaseDecode, time.Since(start))
-	s.mu.Lock()
-	s.lastReport = report
-	s.mu.Unlock()
-	cols := make([]schema.Column, len(bound.ResultCols))
-	for i, c := range bound.ResultCols {
-		cols[i] = schema.Column{Name: c.Name, Kind: c.Kind, Nullable: true}
-	}
-	// Result columns ride on the plan's output in bound.ResultCols order;
-	// the Project at the top of the bound tree guarantees the shape.
-	return plan, cols, report, nil
+	return plan, report, nil
 }
 
 // capsFor resolves capability sets for any server tag the optimizer sees.
@@ -325,45 +335,61 @@ func (s *Server) QueryStreamContext(ctx context.Context, sql string, params map[
 func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
 	cfg := s.cfg.Load()
 	col := s.newRecord(cfg.CollectStats)
-	m := s.instr()
-	s.mu.Lock()
-	cached, ok := s.planCache.Get(sql)
-	if ok && cached.gen == cfg.planGen {
-		s.planCacheHits++
-	} else {
-		cached = nil
-		s.planCacheMisses++
-	}
-	s.mu.Unlock()
-	if m != nil {
-		if cached != nil {
-			m.planHits.Inc()
-		} else {
-			m.planMisses.Inc()
-		}
-	}
-	if cached != nil {
+	if cached := s.lookupPlan(cfg, sql, false); cached != nil {
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
 		col.CaptureRemoteSQL(cached.plan)
 		res, err := s.runPlan(ctx, cfg, sql, cached.plan, cached.cols, params, true, col, sink)
 		return s.publish(ctx, cfg, col, res, err)
 	}
+	s.notePlanMiss()
 	plan, cols, _, err := s.planSQL(cfg, sql, col)
 	if err != nil {
 		return s.publish(ctx, cfg, col, nil, err)
 	}
-	s.mu.Lock()
-	evicted := s.planCache.Put(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
-	if evicted {
-		s.planCacheEvictions++
-	}
-	s.mu.Unlock()
-	if evicted && m != nil {
-		m.planEvictions.Inc()
-	}
+	s.cachePlan(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
 	res, err := s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
 	return s.publish(ctx, cfg, col, res, err)
+}
+
+// lookupPlan returns sql's cached plan of the kind the caller runs, a
+// write's or a SELECT's, and counts the hit. The caller counts a miss
+// (notePlanMiss) once it knows the text compiles into the cache: Exec must
+// parse it first. A stale write plan is a miss; whether it is stale reads
+// its tables' locks, which a commit holds across its fsync, so not under
+// s.mu.
+func (s *Server) lookupPlan(cfg *Config, sql string, write bool) *cachedPlan {
+	s.mu.Lock()
+	cached, ok := s.planCache.Get(sql)
+	s.mu.Unlock()
+	if !ok || cached.gen != cfg.planGen || (cached.write != nil) != write || cached.write.stale() {
+		return nil
+	}
+	s.planCacheHits.Add(1)
+	if m := s.instr(); m != nil {
+		m.planHits.Inc()
+	}
+	return cached
+}
+
+// notePlanMiss counts a plan-cache probe that found no plan to run.
+func (s *Server) notePlanMiss() {
+	s.planCacheMisses.Add(1)
+	if m := s.instr(); m != nil {
+		m.planMisses.Inc()
+	}
+}
+
+// cachePlan caches a compiled plan under its statement text.
+func (s *Server) cachePlan(sql string, p *cachedPlan) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.planCache.Put(sql, p) {
+		s.planCacheEvictions++
+		if m := s.instr(); m != nil {
+			m.planEvictions.Inc()
+		}
+	}
 }
 
 // ExplainAnalyze compiles and executes a SELECT with full statistics
@@ -423,9 +449,6 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 // sink.Batch is reported as the serialize phase and the rest as execute.
 // The Result carries the statement's own summary; publish adds the record's.
 func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
-	if params == nil {
-		params = map[string]sqltypes.Value{}
-	}
 	if base == nil {
 		base = context.Background()
 	}
@@ -448,19 +471,7 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 	// (snapshot isolation for readers; writers never block them).
 	snap := s.store.AcquireSnapshot()
 	defer snap.Release()
-	localView := s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())
-	ctx := &exec.Context{
-		RT: &runtime{s: s, local: localView}, Params: params, Today: cfg.Today,
-		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
-		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
-		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults,
-		Stats: col, Server: s.name,
-	}
-	if s.shards.Active() {
-		// Skipped-partition diagnostics name shard ranges and the map
-		// version this pinned statement planned against.
-		ctx.SkipLabelFor = s.shards.SkipLabel
-	}
+	ctx := s.execContext(qctx, cfg, params, s.nativeSess.(*native.Session).AtSnapshot(snap.CSN()), col)
 	if err := sink.Columns(cols); err != nil {
 		return nil, err
 	}
@@ -486,6 +497,28 @@ func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, pl
 		Rows:         rows,
 		Elapsed:      elapsed,
 	}}, nil
+}
+
+// execContext is the executor's context for one execution under cfg. local
+// is the native session every local read goes through: a SELECT's snapshot
+// view, or a write's statement transaction.
+func (s *Server) execContext(qctx context.Context, cfg *Config, params map[string]sqltypes.Value, local oledb.Session, col *telemetry.Collector) *exec.Context {
+	if params == nil {
+		params = map[string]sqltypes.Value{}
+	}
+	ctx := &exec.Context{
+		RT: &runtime{s: s, local: local}, Params: params, Today: cfg.Today,
+		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
+		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
+		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults,
+		Stats: col, Server: s.name,
+	}
+	if s.shards.Active() {
+		// Skipped-partition diagnostics name shard ranges and the map
+		// version this pinned statement planned against.
+		ctx.SkipLabelFor = s.shards.SkipLabel
+	}
+	return ctx
 }
 
 // QuerySQL implements sqlful.Target, making this server usable as a linked

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"dhqp/internal/algebra"
@@ -358,4 +359,303 @@ func addElasticTwin(t *testing.T, s *Server, view, from string) {
 		t.Fatal(err)
 	}
 	s.MustExec(`INSERT INTO ` + view + ` SELECT * FROM ` + from)
+}
+
+// keyedTable creates t (id INT PRIMARY KEY, k INT, v INT) holding n rows,
+// k = id % 10, v = 0.
+func keyedTable(t *testing.T, s *Server, n int) {
+	t.Helper()
+	s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)`)
+	var b strings.Builder
+	for id := 0; id < n; id++ {
+		if id > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, 0)", id, id%10)
+	}
+	s.MustExec(`INSERT INTO t VALUES ` + b.String())
+}
+
+// TestWritePlanIsCached pins the cached write plan: a parameterized keyed
+// UPDATE or DELETE compiles once per text, DDL and a topology cutover each
+// make the next execution recompile against what changed, and a cached
+// plan of one kind does not answer a statement of the other.
+func TestWritePlanIsCached(t *testing.T) {
+	s := NewServer("local", "db")
+	keyedTable(t, s, 100)
+	for _, sql := range []string{`UPDATE t SET v = v + 1 WHERE id = @id`, `DELETE FROM t WHERE id = @id`} {
+		before := s.PlanCacheStats()
+		for i := 0; i < 50; i++ {
+			if n, err := s.ExecParams(sql, map[string]sqltypes.Value{"id": sqltypes.NewInt(int64(i))}); err != nil || n != 1 {
+				t.Fatalf("%s with @id = %d: %d rows, err %v", sql, i, n, err)
+			}
+		}
+		after := s.PlanCacheStats()
+		if m, h := after.Misses-before.Misses, after.Hits-before.Hits; m != 1 || h != 49 {
+			t.Errorf("50 executions of %s: %d misses and %d hits, want 1 and 49", sql, m, h)
+		}
+	}
+
+	// DDL: the same text seeks once an index can serve it.
+	examined := s.Metrics().Counter("dhqp_dml_rows_examined_total", "")
+	byK := func() int64 {
+		t.Helper()
+		e0 := examined.Value()
+		n, err := s.ExecParams(`UPDATE t SET v = v + 1 WHERE k = @k`, map[string]sqltypes.Value{"k": sqltypes.NewInt(3)})
+		if err != nil || n != 5 {
+			t.Fatalf("UPDATE … WHERE k = 3: %d rows, err %v; want 5", n, err)
+		}
+		return examined.Value() - e0
+	}
+	if e := byK(); e != 50 {
+		t.Errorf("without an index on k the UPDATE examined %d rows, want all 50", e)
+	}
+	s.MustExec(`CREATE INDEX t_k ON t (k)`)
+	if e := byK(); e != 5 {
+		t.Errorf("after CREATE INDEX the cached UPDATE examined %d rows, want the 5 it changes", e)
+	}
+
+	// A cached plan of the other kind: the statement fails as an uncached
+	// one does.
+	fresh := NewServer("fresh", "db")
+	keyedTable(t, fresh, 1)
+	const upd, sel = `UPDATE t SET v = 1 WHERE id = @id`, `SELECT v FROM t WHERE id = @id`
+	id := map[string]sqltypes.Value{"id": sqltypes.NewInt(60)}
+	_, want := fresh.Query(upd, id)
+	if _, err := s.ExecParams(upd, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Query(upd, id); err == nil || err.Error() != want.Error() {
+		t.Errorf("Query of a cached UPDATE: %v, want %v", err, want)
+	}
+	_, want = fresh.ExecParams(sel, id)
+	if _, err := s.Query(sel, id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecParams(sel, id); err == nil || err.Error() != want.Error() {
+		t.Errorf("Exec of a cached SELECT: %v, want %v", err, want)
+	}
+
+	// A topology cutover: after the split, the cached UPDATE reaches the
+	// key on its new member.
+	head, _ := buildElasticHead(t, 1)
+	if err := head.CreateElasticView("orders", "o_id", orderCols(), []ShardPlacement{{Server: "", Lo: 0, Hi: 100}}); err != nil {
+		t.Fatal(err)
+	}
+	seedElastic(t, head, "orders", 100)
+	const move = `UPDATE orders SET amount = @a WHERE o_id = @id`
+	set := func(a int64) {
+		t.Helper()
+		n, err := head.ExecParams(move, map[string]sqltypes.Value{"a": sqltypes.NewInt(a), "id": sqltypes.NewInt(70)})
+		if err != nil || n != 1 {
+			t.Fatalf("%s with @a = %d: %d rows, err %v", move, a, n, err)
+		}
+	}
+	set(-1)
+	if err := head.SplitShard("orders", 50, ShardPlacement{Server: "server1"}); err != nil {
+		t.Fatal(err)
+	}
+	set(-2)
+	if got := q(t, head, `SELECT amount FROM orders WHERE o_id = 70`).Rows; len(got) != 1 || got[0][0].Int() != -2 {
+		t.Errorf("o_id 70 after the split and the cached UPDATE: %v, want amount -2", got)
+	}
+}
+
+// TestCachedWritesUnderDDLAndConfigure: eight goroutines run one cached
+// UPDATE text and one cached DELETE text on disjoint keys while another
+// creates indexes, flips a planning field and grows the table past its
+// plans' resize threshold, so plans recompile under them. The table ends
+// as a serial run leaves it.
+func TestCachedWritesUnderDDLAndConfigure(t *testing.T) {
+	const workers, rows = 8, 400
+	// grow inserts 700 rows with keys no worker touches.
+	grow := func(s *Server, i int) error {
+		var vals []string
+		for id := rows + 700*i; id < rows+700*(i+1); id++ {
+			vals = append(vals, fmt.Sprintf("(%d, %d, 0)", id, id%10))
+		}
+		_, err := s.Exec(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
+		return err
+	}
+	const upd, del = `UPDATE t SET v = v + @d WHERE id = @id`, `DELETE FROM t WHERE id = @id`
+	// run updates worker w's keys four times, then updates or deletes them.
+	run := func(s *Server, w int) error {
+		for pass := 0; pass < 5; pass++ {
+			for id := w; id < rows; id += workers {
+				p := map[string]sqltypes.Value{"id": sqltypes.NewInt(int64(id)), "d": sqltypes.NewInt(int64(id % 7))}
+				sql := upd
+				if pass == 4 && id%5 == 0 {
+					sql = del
+				}
+				if n, err := s.ExecParams(sql, p); err != nil || n != 1 {
+					return fmt.Errorf("%s with @id = %d: %d rows, err %v", sql, id, n, err)
+				}
+			}
+		}
+		return nil
+	}
+	serial := NewServer("serial", "db")
+	keyedTable(t, serial, rows)
+	for w := 0; w < workers; w++ {
+		if err := run(serial, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if err := grow(serial, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	s := NewServer("local", "db")
+	keyedTable(t, s, rows)
+	errs := make(chan error, workers+1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs <- run(s, w)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, col := range []string{"k", "v", "k, v"} {
+			if err := grow(s, i); err != nil {
+				errs <- err
+				return
+			}
+			if _, err := s.Exec(fmt.Sprintf(`CREATE INDEX t_%d ON t (%s)`, i, col)); err != nil {
+				errs <- err
+				return
+			}
+			s.Configure(func(c *Config) { c.DisableSpool = !c.DisableSpool })
+		}
+		errs <- nil
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := dumpKeyed(t, s), dumpKeyed(t, serial); got != want {
+		t.Fatalf("concurrent run left\n%s\nthe serial run\n%s", got, want)
+	}
+}
+
+func dumpKeyed(t *testing.T, s *Server) string {
+	t.Helper()
+	return fmt.Sprint(q(t, s, `SELECT id, k, v FROM t ORDER BY id`).Rows)
+}
+
+// TestContainsWriteOnIndexedColumn: a write whose WHERE is a CONTAINS over
+// a full-text indexed column finds its rows by scan — the search-and-fetch
+// plan a SELECT takes cannot hand back bookmarks — and changes exactly the
+// matching rows.
+func TestContainsWriteOnIndexedColumn(t *testing.T) {
+	s := NewServer("local", "db")
+	s.MustExec(`CREATE TABLE docs (id INT PRIMARY KEY, body VARCHAR(100), v INT)`)
+	var vals []string
+	for i := 0; i < 500; i++ {
+		body := "lazy dogs sleep"
+		if i%50 == 0 {
+			body = "the quick brown fox"
+		}
+		vals = append(vals, fmt.Sprintf("(%d, '%s', 0)", i, body))
+	}
+	s.MustExec(`INSERT INTO docs VALUES ` + strings.Join(vals, ", "))
+	if err := s.CreateFullTextIndex("ftdocs", "docs", "body"); err != nil {
+		t.Fatal(err)
+	}
+	if plan, _, _, err := s.Plan(`SELECT id FROM docs WHERE CONTAINS(body, 'fox')`); err != nil || !strings.Contains(plan.String(), "RemoteFetch") {
+		t.Fatalf("the SELECT does not search the index (err %v):\n%s", err, plan)
+	}
+	if n, err := s.Exec(`UPDATE docs SET v = id WHERE CONTAINS(body, 'fox')`); err != nil || n != 10 {
+		t.Fatalf("UPDATE: %d rows, err %v; want 10", n, err)
+	}
+	if got := q(t, s, `SELECT SUM(v) FROM docs`).Rows[0][0].Int(); got != 2250 {
+		t.Fatalf("SUM(v) = %d after the UPDATE, want 2250", got)
+	}
+	if n, err := s.Exec(`DELETE FROM docs WHERE CONTAINS(body, 'fox')`); err != nil || n != 10 {
+		t.Fatalf("DELETE: %d rows, err %v; want 10", n, err)
+	}
+}
+
+// TestWritePlanRecompilesAsTableGrows: a keyed UPDATE first compiled on an
+// empty table, where a scan is cheapest, recompiles once the table has
+// grown and then seeks instead of scanning every row.
+func TestWritePlanRecompilesAsTableGrows(t *testing.T) {
+	s := NewServer("local", "db")
+	s.MustExec(`CREATE TABLE t (id INT PRIMARY KEY, k INT, v INT)`)
+	const upd = `UPDATE t SET v = v + 1 WHERE id = @id`
+	examined := s.Metrics().Counter("dhqp_dml_rows_examined_total", "")
+	exec := func(id int64) int64 {
+		t.Helper()
+		e0 := examined.Value()
+		if _, err := s.ExecParams(upd, map[string]sqltypes.Value{"id": sqltypes.NewInt(id)}); err != nil {
+			t.Fatal(err)
+		}
+		return examined.Value() - e0
+	}
+	exec(1)
+	var vals []string
+	for id := 0; id < 10000; id++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d, 0)", id, id%10))
+	}
+	s.MustExec(`INSERT INTO t VALUES ` + strings.Join(vals, ", "))
+	if e := exec(5000); e != 1 {
+		t.Errorf("after 10 000 inserts the keyed UPDATE examined %d rows, want 1", e)
+	}
+}
+
+// TestHistogramOfEmptyTableRebuilt: a histogram built while its table was
+// empty estimates every predicate at 0 rows, so the first rows written make
+// the next compile rebuild it.
+func TestHistogramOfEmptyTableRebuilt(t *testing.T) {
+	s := NewServer("local", "db")
+	s.MustExec(`CREATE TABLE h (id INT, g INT)`)
+	if _, _, _, err := s.Plan(`SELECT id FROM h WHERE g = 3`); err != nil {
+		t.Fatal(err)
+	}
+	var vals []string
+	for id := 0; id < 300; id++ {
+		vals = append(vals, fmt.Sprintf("(%d, %d)", id, id%10))
+	}
+	s.MustExec(`INSERT INTO h VALUES ` + strings.Join(vals, ", "))
+	_, _, report, err := s.Plan(`SELECT id FROM h WHERE g = 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := report.RootCard; est < 20 || est > 40 {
+		t.Errorf("g = 4 over 300 rows with 10 values of g estimated at %.1f rows, want about 30", est)
+	}
+}
+
+// TestLiteralWritesStayUncached: an UPDATE or DELETE whose WHERE names no
+// parameter compiles on every execution outside the plan cache, as INSERT
+// does, so ad-hoc literal writes cannot evict cached SELECT plans.
+func TestLiteralWritesStayUncached(t *testing.T) {
+	s := NewServer("local", "db")
+	keyedTable(t, s, 100)
+	s.SetPlanCacheCapacity(1)
+	sel := func() {
+		t.Helper()
+		if _, err := s.Query(`SELECT v FROM t WHERE id = @id`, map[string]sqltypes.Value{"id": sqltypes.NewInt(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel()
+	before := s.PlanCacheStats()
+	for id := 0; id < 20; id++ {
+		s.MustExec(fmt.Sprintf(`UPDATE t SET v = %d WHERE id = %d`, id, id))
+		s.MustExec(fmt.Sprintf(`DELETE FROM t WHERE id = %d`, id+50))
+	}
+	sel()
+	after := s.PlanCacheStats()
+	if after.Misses != before.Misses || after.Evictions != before.Evictions || after.Hits != before.Hits+1 {
+		t.Errorf("plan cache %+v after 40 literal writes and the SELECT again, was %+v: want only one more hit", after, before)
+	}
 }

@@ -165,9 +165,9 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 	case *algebra.RemoteRange:
 		return newIndexRange(ctx, op.Src, op.Index, op.Lo, op.Hi, op.Cols)
 	case *algebra.RemoteQuery:
-		return &remoteQueryIter{ctx: ctx, op: op}, nil
+		return &remoteQueryIter{source: source{ctx: ctx}, op: op}, nil
 	case *algebra.ProviderCommand:
-		return &providerCommandIter{ctx: ctx, op: op}, nil
+		return &providerCommandIter{source: source{ctx: ctx}, op: op}, nil
 	case *algebra.RemoteFetch:
 		child, err := buildRows(n.Kids[0], ctx)
 		if err != nil {

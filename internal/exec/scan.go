@@ -26,8 +26,10 @@ func objectName(src *algebra.Source) string {
 // scanProjection maps a scan's output columns to the source row's ordinals
 // by name. Column pruning can narrow a scan to a non-prefix subset of the
 // table's columns; the projection re-addresses the full-width rows the
-// rowset delivers. A nil result means the outputs are an identity prefix
-// (or the source has no definition to map by) and plain truncation applies.
+// rowset delivers. The bookmark column maps to the ordinal one past the
+// table's last, which a local rowset fills with each row's bookmark. A nil
+// result means the outputs are an identity prefix (or the source has no
+// definition to map by) and plain truncation applies.
 func scanProjection(src *algebra.Source, cols []algebra.OutCol) []int {
 	if src.Def == nil {
 		return nil
@@ -36,6 +38,9 @@ func scanProjection(src *algebra.Source, cols []algebra.OutCol) []int {
 	identity := true
 	for i, c := range cols {
 		ord := src.Def.ColumnIndex(c.Name)
+		if c.Name == algebra.Bookmark {
+			ord, identity = len(src.Def.Columns), false
+		}
 		if ord < 0 {
 			return nil
 		}
@@ -55,8 +60,10 @@ func scanProjection(src *algebra.Source, cols []algebra.OutCol) []int {
 // local or remote, and the fill that narrows it to the plan's columns. The
 // local and remote paths are identical by design (§2); they differ only in
 // the session the rowset came from. An identity-prefix read truncates a
-// full-width fill, a pruned one keeps only the projected vectors.
+// full-width fill, a pruned one keeps only the projected vectors. The rows
+// a local rowset fills are the rows the statement read.
 type source struct {
+	ctx    *Context
 	width  int
 	proj   []int         // non-nil when outputs are not an identity prefix
 	rs     rowset.Rowset // a local provider rowset, or nil
@@ -71,7 +78,9 @@ func (s *source) NextBatch(b *rowset.Batch) error {
 			b.Project(s.proj)
 		}
 	case s.rs != nil:
-		err = rowset.FillBatch(s.rs, b, s.proj)
+		if err = rowset.FillBatch(s.rs, b, s.proj); err == nil {
+			s.ctx.Stats.RecordRowsRead(b.Len())
+		}
 	default:
 		return io.EOF
 	}
@@ -96,14 +105,14 @@ func (s *source) Close() error {
 
 // open (re)opens the source on src's server: a remote rowset
 // fault-tolerantly, a local one directly.
-func (s *source) open(ctx *Context, src *algebra.Source, what string, open rowsetOpener) error {
+func (s *source) open(src *algebra.Source, what string, open rowsetOpener) error {
 	s.Close()
 	if src.IsRemote() {
-		rs, err := openRemoteRowset(ctx, src.Server, what, open)
+		rs, err := openRemoteRowset(s.ctx, src.Server, what, open)
 		s.remote = rs
 		return err
 	}
-	sess, err := ctx.RT.SessionFor(src.Server)
+	sess, err := s.ctx.RT.SessionFor(src.Server)
 	if err != nil {
 		return err
 	}
@@ -114,12 +123,11 @@ func (s *source) open(ctx *Context, src *algebra.Source, what string, open rowse
 // scanIter reads a whole table through OpenRowset.
 type scanIter struct {
 	source
-	ctx *Context
 	src *algebra.Source
 }
 
 func newScan(ctx *Context, src *algebra.Source, cols []algebra.OutCol) *scanIter {
-	return &scanIter{source: source{width: len(cols), proj: scanProjection(src, cols)}, ctx: ctx, src: src}
+	return &scanIter{source: source{ctx: ctx, width: len(cols), proj: scanProjection(src, cols)}, src: src}
 }
 
 func (s *scanIter) openRowset(sess oledb.Session) (rowset.Rowset, error) {
@@ -127,7 +135,7 @@ func (s *scanIter) openRowset(sess oledb.Session) (rowset.Rowset, error) {
 }
 
 func (s *scanIter) Open() error {
-	if err := s.open(s.ctx, s.src, "scan", s); err != nil {
+	if err := s.open(s.src, "scan", s); err != nil {
 		return fmt.Errorf("exec: scan %s: %w", s.src, err)
 	}
 	return nil
@@ -140,7 +148,6 @@ func (s *scanIter) Open() error {
 // after the NULL keys, which sort first.
 type indexRangeIter struct {
 	source
-	ctx    *Context
 	src    *algebra.Source
 	index  string
 	lo, hi algebra.RangeBound
@@ -156,8 +163,8 @@ func newIndexRange(ctx *Context, src *algebra.Source, index string, lo, hi algeb
 	if err != nil {
 		return nil, err
 	}
-	return &indexRangeIter{source: source{width: len(cols), proj: scanProjection(src, cols)},
-		ctx: ctx, src: src, index: index, lo: blo, hi: bhi}, nil
+	return &indexRangeIter{source: source{ctx: ctx, width: len(cols), proj: scanProjection(src, cols)},
+		src: src, index: index, lo: blo, hi: bhi}, nil
 }
 
 func (s *indexRangeIter) Open() error {
@@ -177,7 +184,7 @@ func (s *indexRangeIter) Open() error {
 		lo.Key = rowset.Row{sqltypes.Null} // exclusive: lo.Inclusive is false
 	}
 	s.keys = [2]rowset.Row{lo.Key, hi.Key}
-	if err := s.open(s.ctx, s.src, "index range", s); err != nil {
+	if err := s.open(s.src, "index range", s); err != nil {
 		return fmt.Errorf("exec: index range %s.%s: %w", s.src, s.index, err)
 	}
 	return nil
@@ -228,8 +235,7 @@ func evalBound(ctx *Context, b algebra.RangeBound) (oledb.Bound, error) {
 // and the decoder's lifted constants.
 type remoteQueryIter struct {
 	source
-	ctx *Context
-	op  *algebra.RemoteQuery
+	op *algebra.RemoteQuery
 }
 
 func (r *remoteQueryIter) Open() error {
@@ -258,8 +264,7 @@ func (r *remoteQueryIter) Open() error {
 // (full-text queries, OPENQUERY pass-through).
 type providerCommandIter struct {
 	source
-	ctx *Context
-	op  *algebra.ProviderCommand
+	op *algebra.ProviderCommand
 }
 
 func (p *providerCommandIter) Open() error {

@@ -225,13 +225,13 @@ func (s *Session) ColumnHistogram(table, column string) (rowset.Rowset, error) {
 	if ord < 0 {
 		return nil, fmt.Errorf("native: column %q not found on %q", column, table)
 	}
-	all, err := rowset.ReadAll(t.Scan())
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]sqltypes.Value, all.Len())
-	for i, r := range all.Rows() {
-		vals[i] = r[ord]
+	// Read the one column through the table's columnar image.
+	vals := make([]sqltypes.Value, 0, t.RowCount())
+	rs, b := t.Scan().(rowset.ProjectedBatchReader), rowset.NewBatch(rowset.MaxBatchSize)
+	for rs.NextBatchProjected(b, []int{ord}) == nil {
+		for i := range b.Len() {
+			vals = append(vals, b.Col(0).Value(i))
+		}
 	}
 	h := stats.Build(vals, histogramBuckets)
 	return h.ToRowset(), nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +148,22 @@ func TestWaitStatsDMVOverWire(t *testing.T) {
 	head.MustExec(`INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30), (4, 40)`)
 	if n, err := c.Exec(`UPDATE acct SET bal = 0 WHERE bal = 30`, nil); err != nil || n != 1 {
 		t.Fatalf("update over the wire: %d rows, err %v", n, err)
+	}
+	// Its SELECT-side twin: a primary-key point read reads the one row (of
+	// a table large enough that the optimizer prefers the seek).
+	head.MustExec(`CREATE TABLE keyed (id INT PRIMARY KEY, v INT)`)
+	var vals []string
+	for i := 0; i < 64; i++ {
+		vals = append(vals, "("+strconv.Itoa(i)+", 0)")
+	}
+	head.MustExec(`INSERT INTO keyed VALUES ` + strings.Join(vals, ", "))
+	rowsRead := head.Metrics().Counter("dhqp_exec_rows_read_total", "")
+	read0 := rowsRead.Value()
+	if res, err := c.Query(`SELECT v FROM keyed WHERE id = @id`, map[string]sqltypes.Value{"id": sqltypes.NewInt(2)}); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("point read over the wire: %v, err %v", res, err)
+	}
+	if n := rowsRead.Value() - read0; n != 1 {
+		t.Fatalf("a primary-key point SELECT read %d rows, want 1", n)
 	}
 	res, err := c.Query(`SELECT * FROM sys.dm_os_wait_stats`, nil)
 	if err != nil {

@@ -8,7 +8,7 @@ package stats
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dhqp/internal/expr"
 	"dhqp/internal/rowset"
@@ -66,9 +66,7 @@ func Build(values []sqltypes.Value, maxBuckets int) *Histogram {
 	if len(nonNull) == 0 {
 		return h
 	}
-	sort.Slice(nonNull, func(i, j int) bool {
-		return sqltypes.Compare(nonNull[i], nonNull[j]) < 0
-	})
+	slices.SortFunc(nonNull, sqltypes.Compare)
 	h.MinValue = nonNull[0]
 	if maxBuckets < 1 {
 		maxBuckets = 1

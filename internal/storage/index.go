@@ -109,8 +109,13 @@ func (ix *Index) RangeAt(lo, hi Bound, csn uint64) rowset.Bookmarked {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	start, end := ix.searchLocked(lo, hi)
-	out := &rangeScan{cols: t.def.Columns, pos: -1,
+	out := &tableScan{cols: t.Def().Columns, pos: -1,
 		rows: make([]rowset.Row, 0, end-start), bms: make([]int64, 0, end-start)}
+	add := func(r rowset.Row, bm int64) { // a nil row (a dead slot) is skipped
+		if r != nil {
+			out.rows, out.bms = append(out.rows, r), append(out.bms, bm)
+		}
+	}
 	// past maps each slot written after the snapshot to its row as of the
 	// snapshot; walking newest to oldest leaves the oldest before-image.
 	var past map[int64]rowset.Row
@@ -140,14 +145,14 @@ func (ix *Index) RangeAt(lo, hi Bound, csn uint64) rowset.Bookmarked {
 				continue
 			}
 			for len(old) > 0 && entryLess(old[0], e) {
-				out.add(past[old[0].bm], old[0].bm)
+				add(past[old[0].bm], old[0].bm)
 				old = old[1:]
 			}
 		}
-		out.add(t.rows[e.bm], e.bm)
+		add(t.rows[e.bm], e.bm)
 	}
 	for _, e := range old {
-		out.add(past[e.bm], e.bm)
+		add(past[e.bm], e.bm)
 	}
 	return out
 }
@@ -205,68 +210,3 @@ func (ix *Index) Len() int {
 	defer ix.table.mu.RUnlock()
 	return len(ix.entries)
 }
-
-type rangeScan struct {
-	cols  []schema.Column
-	rows  []rowset.Row
-	bms   []int64
-	pos   int
-	kinds []sqltypes.Kind
-}
-
-func (s *rangeScan) Columns() []schema.Column { return s.cols }
-
-// add appends a row and its bookmark; a nil row (a dead slot) is skipped.
-func (s *rangeScan) add(r rowset.Row, bm int64) {
-	if r != nil {
-		s.rows = append(s.rows, r)
-		s.bms = append(s.bms, bm)
-	}
-}
-
-func (s *rangeScan) Next() (rowset.Row, error) {
-	if s.pos+1 >= len(s.rows) {
-		return nil, errEOF
-	}
-	s.pos++
-	return s.rows[s.pos], nil
-}
-
-func (s *rangeScan) Close() error { return nil }
-
-// columnKinds maps declared schema column kinds into the batch-reset form.
-// Insert coerces stored values to these kinds, so typed columns built from
-// them always receive their exact kind and never degrade.
-func columnKinds(cols []schema.Column) []sqltypes.Kind {
-	kinds := make([]sqltypes.Kind, len(cols))
-	for i, c := range cols {
-		kinds[i] = c.Kind
-	}
-	return kinds
-}
-
-// NextBatch implements rowset.BatchReader: index range scans fill typed
-// column batches the same way table scans do (the range snapshot already
-// excluded deleted slots).
-func (s *rangeScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
-
-// NextBatchProjected implements rowset.ProjectedBatchReader.
-func (s *rangeScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if s.kinds == nil {
-		s.kinds = columnKinds(s.cols)
-	}
-	start := s.pos + 1
-	if start >= len(s.rows) {
-		return errEOF
-	}
-	end := start + b.CapRows()
-	if end > len(s.rows) {
-		end = len(s.rows)
-	}
-	b.FillRows(s.kinds, proj, s.rows[start:end])
-	s.pos = end - 1
-	return nil
-}
-
-// Bookmark implements rowset.Bookmarked.
-func (s *rangeScan) Bookmark() int64 { return s.bms[s.pos] }

@@ -358,8 +358,8 @@ func (t *Txn) Update(tbl *Table, bm int64, r rowset.Row) error {
 	if t.done {
 		return fmt.Errorf("storage: txn %d already finished", t.id)
 	}
-	if len(r) != len(tbl.def.Columns) {
-		return fmt.Errorf("storage: %s: row has %d values, want %d", tbl.def.Name, len(r), len(tbl.def.Columns))
+	if len(r) != len(tbl.Def().Columns) {
+		return fmt.Errorf("storage: %s: row has %d values, want %d", tbl.Def().Name, len(r), len(tbl.Def().Columns))
 	}
 	t.ops = append(t.ops, txnOp{kind: opUpdate, table: tbl, bm: bm, row: r.Clone()})
 	return nil
@@ -402,23 +402,23 @@ func (t *Txn) validateLocked() error {
 		}
 		tbl := op.table
 		if op.bm < 0 || op.bm >= int64(len(tbl.rows)) {
-			return fmt.Errorf("storage: %s: bad bookmark %d", tbl.def.Name, op.bm)
+			return fmt.Errorf("storage: %s: bad bookmark %d", tbl.Def().Name, op.bm)
 		}
 		if owner, locked := tbl.locks[op.bm]; locked && owner != t.id {
 			if ins := t.eng.tm.instr(); ins != nil {
 				ins.RowLockWaits.Inc()
 				ins.Waits.Record(metrics.WaitRowLock, 0)
 			}
-			return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, tbl.def.Name, op.bm)
+			return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, tbl.Def().Name, op.bm)
 		}
 		if tbl.csns[op.bm] > t.snap.csn {
 			if ins := t.eng.tm.instr(); ins != nil {
 				ins.WriteConflicts.Inc()
 			}
-			return fmt.Errorf("%w: %s bookmark %d", ErrWriteConflict, tbl.def.Name, op.bm)
+			return fmt.Errorf("%w: %s bookmark %d", ErrWriteConflict, tbl.Def().Name, op.bm)
 		}
 		if tbl.rows[op.bm] == nil {
-			return fmt.Errorf("storage: %s: bad bookmark %d", tbl.def.Name, op.bm)
+			return fmt.Errorf("storage: %s: bad bookmark %d", tbl.Def().Name, op.bm)
 		}
 	}
 	return nil

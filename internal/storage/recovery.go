@@ -254,7 +254,7 @@ func (e *Engine) applyDDL(rec walRecord, info *RecoveryInfo) error {
 			return err
 		}
 		db, _ := e.Database(t.db)
-		return db.DropTable(t.def.Name)
+		return db.DropTable(t.Def().Name)
 	}
 	return nil
 }
@@ -287,26 +287,26 @@ func (e *Engine) applyGroup(g *replayGroup, commitBms []int64, info *RecoveryInf
 			if bm < 0 {
 				if insertIdx >= len(commitBms) {
 					t.mu.Unlock()
-					return fmt.Errorf("%s: insert without assigned bookmark", t.def.Name)
+					return fmt.Errorf("%s: insert without assigned bookmark", t.Def().Name)
 				}
 				bm = commitBms[insertIdx]
 				insertIdx++
 			}
 			if bm < int64(len(t.rows)) && t.rows[bm] != nil {
 				t.mu.Unlock()
-				return fmt.Errorf("%s: insert into occupied slot %d", t.def.Name, bm)
+				return fmt.Errorf("%s: insert into occupied slot %d", t.Def().Name, bm)
 			}
 			t.insertAtLocked(bm, op.row, csn, false)
 		case recUpdate:
 			if op.bm < 0 || op.bm >= int64(len(t.rows)) || t.rows[op.bm] == nil {
 				t.mu.Unlock()
-				return fmt.Errorf("%s: update of missing slot %d", t.def.Name, op.bm)
+				return fmt.Errorf("%s: update of missing slot %d", t.Def().Name, op.bm)
 			}
 			t.updateLocked(op.bm, op.row, csn, false)
 		case recDelete:
 			if op.bm < 0 || op.bm >= int64(len(t.rows)) || t.rows[op.bm] == nil {
 				t.mu.Unlock()
-				return fmt.Errorf("%s: delete of missing slot %d", t.def.Name, op.bm)
+				return fmt.Errorf("%s: delete of missing slot %d", t.Def().Name, op.bm)
 			}
 			t.deleteLockedMVCC(op.bm, csn, false)
 		}
@@ -391,7 +391,7 @@ func (e *Engine) checkpointRecords() []walRecord {
 		recs = append(recs, walRecord{kind: recCreateDB, txn: txn, table: dbName})
 		for _, tn := range db.Tables() {
 			t, _ := db.Table(tn)
-			defJSON, err := marshalTableDef(t.def)
+			defJSON, err := marshalTableDef(t.Def())
 			if err != nil {
 				continue
 			}

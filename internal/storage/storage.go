@@ -110,7 +110,8 @@ func (d *Database) CreateTable(def *schema.Table) (*Table, error) {
 			return nil, err
 		}
 	}
-	t := &Table{def: def, db: d.name, tm: d.txns()}
+	t := &Table{db: d.name, tm: d.txns()}
+	t.def.Store(def)
 	for _, ix := range def.Indexes {
 		t.indexes = append(t.indexes, &Index{def: ix, table: t})
 	}
@@ -149,7 +150,7 @@ func (d *Database) Tables() []string {
 	defer d.mu.RUnlock()
 	out := make([]string, 0, len(d.tables))
 	for _, t := range d.tables {
-		out = append(out, t.def.Name)
+		out = append(out, t.Def().Name)
 	}
 	sort.Strings(out)
 	return out
@@ -161,11 +162,11 @@ func (d *Database) Tables() []string {
 // remote-fetch path relies on).
 type Table struct {
 	mu      sync.RWMutex
-	def     *schema.Table
-	db      string       // owning database name (WAL identity, lock order)
-	tm      *TxnManager  // owning engine's transaction manager (nil in bare fixtures)
-	rows    []rowset.Row // slot = bookmark; nil = deleted
-	csns    []uint64     // per-slot CSN of the commit that last wrote it
+	def     atomic.Pointer[schema.Table] // replaced whole by AddIndex
+	db      string                       // owning database name (WAL identity, lock order)
+	tm      *TxnManager                  // owning engine's transaction manager (nil in bare fixtures)
+	rows    []rowset.Row                 // slot = bookmark; nil = deleted
+	csns    []uint64                     // per-slot CSN of the commit that last wrote it
 	live    int
 	version int64 // bumped by every successful Insert/Delete/Update; invalidates img
 	indexes []*Index
@@ -189,14 +190,42 @@ type Table struct {
 	img atomic.Pointer[tableImage]
 }
 
-// tableImage is a columnar snapshot of a table's live rows: column j of
-// live row i is cols[j] element i, and bms[i] is that row's bookmark.
+// tableImage is a columnar snapshot of live rows — a table's, or an index
+// range's: column j of live row i is cols[j] element i, and the INT column
+// after the table's last holds that row's bookmark.
 type tableImage struct {
 	version int64
 	n       int
-	bms     []int64
 	cols    []rowset.Vec
 }
+
+// newImage builds the image of rows. Without bms, rows is a copied slot
+// array: slot i holds bookmark i's row, nil where deleted. With bms, rows
+// are live and bms[i] is row i's bookmark. Rows are typed to the table's
+// declared kinds, which Insert coerces every stored value to.
+func newImage(cols []schema.Column, rows []rowset.Row, bms []int64) *tableImage {
+	if bms == nil {
+		live := make([]rowset.Row, 0, len(rows))
+		for slot, r := range rows {
+			if r != nil {
+				live = append(live, r)
+				bms = append(bms, int64(slot))
+			}
+		}
+		rows = live
+	}
+	img := &tableImage{n: len(rows), cols: make([]rowset.Vec, len(cols)+1)}
+	for j, c := range cols {
+		img.cols[j] = rowset.BuildColVec(c.Kind, rows, j)
+	}
+	bm := &img.cols[len(cols)]
+	bm.ResetTyped(sqltypes.KindInt, len(bms))
+	copy(bm.Int64s(), bms)
+	return img
+}
+
+// bookmark returns live row i's bookmark.
+func (img *tableImage) bookmark(i int) int64 { return img.cols[len(img.cols)-1].Int64s()[i] }
 
 // imageFor returns the columnar image matching version, building it from
 // the scan snapshot when the cached one is stale. snap rows are immutable
@@ -207,19 +236,8 @@ func (t *Table) imageFor(version int64, snap []rowset.Row) *tableImage {
 	if img := t.img.Load(); img != nil && img.version == version {
 		return img
 	}
-	img := &tableImage{version: version}
-	live := make([]rowset.Row, 0, len(snap))
-	for slot, r := range snap {
-		if r != nil {
-			live = append(live, r)
-			img.bms = append(img.bms, int64(slot))
-		}
-	}
-	img.n = len(live)
-	img.cols = make([]rowset.Vec, len(t.def.Columns))
-	for j, c := range t.def.Columns {
-		img.cols[j] = rowset.BuildColVec(c.Kind, live, j)
-	}
+	img := newImage(t.Def().Columns, snap, nil)
+	img.version = version
 	for cur := t.img.Load(); cur == nil || cur.version < version; cur = t.img.Load() {
 		if t.img.CompareAndSwap(cur, img) {
 			break
@@ -229,7 +247,7 @@ func (t *Table) imageFor(version int64, snap []rowset.Row) *tableImage {
 }
 
 // Def returns the schema descriptor.
-func (t *Table) Def() *schema.Table { return t.def }
+func (t *Table) Def() *schema.Table { return t.def.Load() }
 
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int {
@@ -239,7 +257,7 @@ func (t *Table) RowCount() int {
 }
 
 // walName is the table's log identity, "db.table".
-func (t *Table) walName() string { return t.db + "." + t.def.Name }
+func (t *Table) walName() string { return t.db + "." + t.Def().Name }
 
 // lockName orders tables deterministically for multi-table commits.
 func (t *Table) lockName() string { return lower(t.walName()) }
@@ -257,20 +275,20 @@ func (t *Table) Version() int64 {
 // validateRow checks arity, nullability and kind coercion, returning the
 // cloned, coerced row ready to store. The caller's slice is not mutated.
 func (t *Table) validateRow(r rowset.Row) (rowset.Row, error) {
-	if len(r) != len(t.def.Columns) {
-		return nil, fmt.Errorf("storage: %s: row has %d values, want %d", t.def.Name, len(r), len(t.def.Columns))
+	if len(r) != len(t.Def().Columns) {
+		return nil, fmt.Errorf("storage: %s: row has %d values, want %d", t.Def().Name, len(r), len(t.Def().Columns))
 	}
 	stored := r.Clone()
-	for i, c := range t.def.Columns {
+	for i, c := range t.Def().Columns {
 		if stored[i].IsNull() {
 			if !c.Nullable {
-				return nil, fmt.Errorf("storage: %s.%s: NULL not allowed", t.def.Name, c.Name)
+				return nil, fmt.Errorf("storage: %s.%s: NULL not allowed", t.Def().Name, c.Name)
 			}
 			continue
 		}
 		coerced, err := sqltypes.Coerce(stored[i], c.Kind)
 		if err != nil {
-			return nil, fmt.Errorf("storage: %s.%s: %w", t.def.Name, c.Name, err)
+			return nil, fmt.Errorf("storage: %s.%s: %w", t.Def().Name, c.Name, err)
 		}
 		stored[i] = coerced
 	}
@@ -289,7 +307,7 @@ func (t *Table) logAutoLocked(kind recKind, bm int64, row rowset.Row) error {
 		}
 	})
 	if err != nil {
-		return fmt.Errorf("storage: %s: WAL append: %w", t.def.Name, err)
+		return fmt.Errorf("storage: %s: WAL append: %w", t.Def().Name, err)
 	}
 	return nil
 }
@@ -324,10 +342,10 @@ func (t *Table) Delete(bm int64) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if bm < 0 || bm >= int64(len(t.rows)) || t.rows[bm] == nil {
-		return fmt.Errorf("storage: %s: bad bookmark %d", t.def.Name, bm)
+		return fmt.Errorf("storage: %s: bad bookmark %d", t.Def().Name, bm)
 	}
 	if _, locked := t.locks[bm]; locked {
-		return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, t.def.Name, bm)
+		return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, t.Def().Name, bm)
 	}
 	if t.tm != nil {
 		if t.tm.logging.Load() {
@@ -345,16 +363,16 @@ func (t *Table) Delete(bm int64) error {
 
 // Update replaces the row at the bookmark.
 func (t *Table) Update(bm int64, r rowset.Row) error {
-	if len(r) != len(t.def.Columns) {
-		return fmt.Errorf("storage: %s: row has %d values, want %d", t.def.Name, len(r), len(t.def.Columns))
+	if len(r) != len(t.Def().Columns) {
+		return fmt.Errorf("storage: %s: row has %d values, want %d", t.Def().Name, len(r), len(t.Def().Columns))
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if bm < 0 || bm >= int64(len(t.rows)) || t.rows[bm] == nil {
-		return fmt.Errorf("storage: %s: bad bookmark %d", t.def.Name, bm)
+		return fmt.Errorf("storage: %s: bad bookmark %d", t.Def().Name, bm)
 	}
 	if _, locked := t.locks[bm]; locked {
-		return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, t.def.Name, bm)
+		return fmt.Errorf("%w: %s bookmark %d", ErrRowLocked, t.Def().Name, bm)
 	}
 	stored := r.Clone()
 	if t.tm != nil {
@@ -478,7 +496,7 @@ func (t *Table) FetchAt(bm int64, csn uint64) (rowset.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if bm < 0 || bm >= int64(len(t.rows)) {
-		return nil, fmt.Errorf("storage: %s: bad bookmark %d", t.def.Name, bm)
+		return nil, fmt.Errorf("storage: %s: bad bookmark %d", t.Def().Name, bm)
 	}
 	row := t.rows[bm]
 	if csn != Latest {
@@ -489,7 +507,7 @@ func (t *Table) FetchAt(bm int64, csn uint64) (rowset.Row, error) {
 		}
 	}
 	if row == nil {
-		return nil, fmt.Errorf("storage: %s: bad bookmark %d", t.def.Name, bm)
+		return nil, fmt.Errorf("storage: %s: bad bookmark %d", t.Def().Name, bm)
 	}
 	return row, nil
 }
@@ -501,13 +519,14 @@ func (t *Table) Scan() rowset.Bookmarked { return t.ScanAt(Latest) }
 // ScanAt returns a full-table rowset as of snapshot csn. When nothing
 // newer than csn has committed and the cached columnar image is current,
 // the scan reads that image in place and copies nothing. Otherwise it
-// copies the slot array: rewound through the undo tail for a historical
-// snapshot (which bypasses the image cache, holding only the latest
-// version), or as the source of the image the first batch builds.
+// copies the slot array, which the first read turns into an image: the
+// table's cached one, or — for a snapshot rewound through the undo tail,
+// which the cache (holding only the latest version) does not serve — the
+// scan's own.
 func (t *Table) ScanAt(csn uint64) rowset.Bookmarked {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	s := &tableScan{cols: t.def.Columns, pos: -1}
+	s := &tableScan{cols: t.Def().Columns, pos: -1}
 	current := csn == Latest || len(t.undo) == t.undoHead || t.undo[len(t.undo)-1].csn <= csn
 	if img := t.img.Load(); current && img != nil && img.version == t.version {
 		s.img = img
@@ -521,91 +540,79 @@ func (t *Table) ScanAt(csn uint64) rowset.Bookmarked {
 	return s
 }
 
-// tableScan reads the columnar image (img) or a copied slot array (rows).
+// tableScan reads a columnar image: the table's, or one the first read
+// builds from the rows ScanAt or an index range collected.
 type tableScan struct {
-	cols    []schema.Column
-	rows    []rowset.Row
-	pos     int // slot of the row last returned
-	kinds   []sqltypes.Kind
-	scratch []rowset.Row // non-nil row pointers gathered per batch fill
+	cols []schema.Column
+	img  *tableImage
+	ipos int // live-row cursor into img
+	pos  int // bookmark of the row last returned
 
-	table   *Table // set when rows may build the table's image
-	version int64  // table version rows were copied at
-	img     *tableImage
-	ipos    int // live-row cursor into img
+	// Until the first read: the rows to build img from (see newImage).
+	rows    []rowset.Row
+	bms     []int64
+	table   *Table // set when the image is the table's at version
+	version int64
 }
 
 func (s *tableScan) Columns() []schema.Column { return s.cols }
 
-// Next returns the next live row: boxed from the image on the image path
-// (the row readers are cold), the stored row otherwise.
+// image returns the image the scan reads, building it on first use.
+func (s *tableScan) image() *tableImage {
+	if s.img == nil {
+		if s.table != nil {
+			s.img = s.table.imageFor(s.version, s.rows)
+		} else {
+			s.img = newImage(s.cols, s.rows, s.bms)
+		}
+		s.rows, s.bms = nil, nil
+	}
+	return s.img
+}
+
+// Next returns the next live row, boxed from the image (the row readers
+// are cold).
 func (s *tableScan) Next() (rowset.Row, error) {
-	if img := s.img; img != nil {
-		if s.ipos >= img.n {
-			return nil, errEOF
-		}
-		r := make(rowset.Row, len(img.cols))
-		for j := range r {
-			r[j] = img.cols[j].Value(s.ipos)
-		}
-		s.pos = int(img.bms[s.ipos])
-		s.ipos++
-		return r, nil
+	img := s.image()
+	if s.ipos >= img.n {
+		return nil, errEOF
 	}
-	for s.pos+1 < len(s.rows) {
-		s.pos++
-		if s.rows[s.pos] != nil {
-			return s.rows[s.pos], nil
-		}
+	r := make(rowset.Row, len(s.cols))
+	for j := range r {
+		r[j] = img.cols[j].Value(s.ipos)
 	}
-	return nil, errEOF
+	s.pos = int(img.bookmark(s.ipos))
+	s.ipos++
+	return r, nil
 }
 
 func (s *tableScan) Close() error {
-	s.rows, s.img = nil, nil
+	s.rows, s.bms, s.img = nil, nil, nil
 	return nil
 }
 
 // NextBatch implements rowset.BatchReader: the vectorized scan path fills
-// a whole column batch per call, skipping deleted slots, instead of paying
-// an interface call per row. Columns are typed to the table's declared
-// kinds — Insert coerces stored values to those kinds, so every non-NULL
-// value lands in a flat payload slot with no degrade.
+// a whole column batch per call instead of paying an interface call per
+// row.
 func (s *tableScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
 
-// NextBatchProjected implements rowset.ProjectedBatchReader: both fill
-// paths deliver only the columns proj names, in its order (nil: all).
+// NextBatchProjected implements rowset.ProjectedBatchReader: each batch is
+// read-only windows onto the image, no copy, of the columns proj names in
+// its order (nil: all of the table's). The ordinal one past the table's
+// last column is the bookmark.
 func (s *tableScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
-	if s.img == nil && s.table != nil {
-		s.img = s.table.imageFor(s.version, s.rows)
-		s.rows = nil
-	}
-	if img := s.img; img != nil {
-		// Image path: each batch is windows onto the image, no copy.
-		if s.ipos >= img.n {
-			return errEOF
-		}
-		k := min(b.CapRows(), img.n-s.ipos)
-		b.FillCols(img.cols, proj, s.ipos, k)
-		s.ipos += k
-		s.pos = int(img.bms[s.ipos-1])
-		return nil
-	}
-	if s.kinds == nil {
-		s.kinds = columnKinds(s.cols)
-	}
-	live := s.scratch[:0]
-	for len(live) < b.CapRows() && s.pos+1 < len(s.rows) {
-		s.pos++
-		if r := s.rows[s.pos]; r != nil {
-			live = append(live, r)
-		}
-	}
-	s.scratch = live
-	if len(live) == 0 {
+	img := s.image()
+	if s.ipos >= img.n {
 		return errEOF
 	}
-	b.FillRows(s.kinds, proj, live)
+	k := min(b.CapRows(), img.n-s.ipos)
+	cols := img.cols
+	if proj == nil {
+		cols = cols[:len(s.cols)]
+	}
+	b.FillCols(cols, proj, s.ipos, k)
+	s.ipos += k
+	s.pos = int(img.bookmark(s.ipos - 1))
 	return nil
 }
 
@@ -614,6 +621,8 @@ func (s *tableScan) Bookmark() int64 { return int64(s.pos) }
 
 // Index returns the named secondary index.
 func (t *Table) Index(name string) (*Index, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	for _, ix := range t.indexes {
 		if lower(ix.def.Name) == lower(name) {
 			return ix, true
@@ -628,15 +637,15 @@ func (t *Table) Indexes() []*Index { return t.indexes }
 // AddIndex creates and backfills a secondary index.
 func (t *Table) AddIndex(def schema.Index) (*Index, error) {
 	for _, ord := range def.Columns {
-		if ord < 0 || ord >= len(t.def.Columns) {
-			return nil, fmt.Errorf("storage: %s: index ordinal %d out of range", t.def.Name, ord)
+		if ord < 0 || ord >= len(t.Def().Columns) {
+			return nil, fmt.Errorf("storage: %s: index ordinal %d out of range", t.Def().Name, ord)
 		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, ix := range t.indexes {
 		if lower(ix.def.Name) == lower(def.Name) {
-			return nil, fmt.Errorf("storage: %s: index %s already exists", t.def.Name, def.Name)
+			return nil, fmt.Errorf("storage: %s: index %s already exists", t.Def().Name, def.Name)
 		}
 	}
 	if t.tm != nil && t.tm.logging.Load() {
@@ -655,7 +664,11 @@ func (t *Table) AddIndex(def schema.Index) (*Index, error) {
 		}
 	}
 	t.indexes = append(t.indexes, ix)
-	t.def.Indexes = append(t.def.Indexes, def)
+	// The definition is replaced, never edited: a statement compiling
+	// against the one it read keeps a consistent copy.
+	next := *t.Def()
+	next.Indexes = append(slices.Clip(next.Indexes), def)
+	t.def.Store(&next)
 	return ix, nil
 }
 

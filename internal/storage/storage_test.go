@@ -352,7 +352,7 @@ func TestIndexConsistencyProperty(t *testing.T) {
 				id++
 				live = append(live, bm)
 			} else {
-				i := int(-op) % len(live)
+				i := -int(op) % len(live) // int16(-32768) has no positive int16
 				if err := tbl.Delete(live[i]); err != nil {
 					return false
 				}

@@ -159,6 +159,7 @@ type Counts struct {
 	BreakerTrips  int64           // breakers this statement's failures opened
 	Batches       int64           // vectorized batches drained at the root
 	BatchRows     int64           // live rows in those batches
+	RowsRead      int64           // rows local scans and index ranges filled
 	StartupOpened int64           // startup filters that opened their subtree
 	StartupPruned int64           // startup filters that kept it closed
 	Backoffs      []time.Duration // each wait between retry attempts
@@ -370,6 +371,16 @@ func (c *Collector) RecordBatch(rows int) {
 	c.mu.Lock()
 	c.n.Batches++
 	c.n.BatchRows += int64(rows)
+	c.mu.Unlock()
+}
+
+// RecordRowsRead counts rows a local scan or index range filled.
+func (c *Collector) RecordRowsRead(rows int) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.n.RowsRead += int64(rows)
 	c.mu.Unlock()
 }
 
