@@ -190,7 +190,7 @@ func TestLogicalFlag(t *testing.T) {
 	physicals := []Operator{
 		&TableScan{Src: &Source{}}, &IndexRange{Src: &Source{}}, &RemoteScan{Src: &Source{}},
 		&RemoteRange{Src: &Source{}}, &RemoteFetch{Src: &Source{}}, &RemoteQuery{},
-		&Filter{}, &StartupFilter{}, &Compute{}, &HashJoin{}, &MergeJoin{}, &LoopJoin{},
+		&Filter{}, &StartupFilter{}, &Compute{}, &HashJoin{}, &LoopJoin{},
 		&StreamAgg{}, &HashAgg{}, &Sort{}, &TopN{}, &Concat{}, &Spool{}, &ConstScan{}, &EmptyScan{},
 	}
 	for _, op := range physicals {

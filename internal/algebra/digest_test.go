@@ -41,7 +41,6 @@ func TestAllOperatorsDigestAndName(t *testing.T) {
 		&StartupFilter{Pred: pred},
 		&Compute{Exprs: proj},
 		&HashJoin{Type: InnerJoin, Pairs: []expr.EquiPair{{Left: 1, Right: 10}}},
-		&MergeJoin{Type: InnerJoin, Pairs: []expr.EquiPair{{Left: 1, Right: 10}}},
 		&LoopJoin{Type: LeftOuterJoin, On: on, ParamMap: map[string]expr.ColumnID{"p0": 1}},
 		&StreamAgg{GroupCols: colsA, Aggs: aggs},
 		&HashAgg{GroupCols: colsA, Aggs: aggs},
@@ -91,8 +90,7 @@ func TestOutColsPassThroughOps(t *testing.T) {
 		}
 	}
 	for _, op := range []Operator{
-		&Join{Type: InnerJoin}, &HashJoin{Type: InnerJoin},
-		&MergeJoin{Type: InnerJoin}, &LoopJoin{Type: InnerJoin},
+		&Join{Type: InnerJoin}, &HashJoin{Type: InnerJoin}, &LoopJoin{Type: InnerJoin},
 	} {
 		if got := op.OutCols(kid); len(got) != 3 {
 			t.Errorf("%s OutCols = %v", op.OpName(), got)

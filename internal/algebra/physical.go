@@ -367,29 +367,6 @@ func (h *HashJoin) OutCols(kids [][]OutCol) []OutCol {
 	return (&Join{Type: h.Type}).OutCols(kids)
 }
 
-// MergeJoin joins two inputs ordered on the key pairs.
-type MergeJoin struct {
-	Type     JoinType
-	Pairs    []expr.EquiPair
-	Residual expr.Expr
-}
-
-// OpName implements Operator.
-func (m *MergeJoin) OpName() string { return "MergeJoin" }
-
-// Logical implements Operator.
-func (m *MergeJoin) Logical() bool { return false }
-
-// Digest implements Operator.
-func (m *MergeJoin) Digest() string {
-	return fmt.Sprintf("%s pairs=%v res=%s", m.Type, m.Pairs, exprDigest(m.Residual))
-}
-
-// OutCols implements Operator.
-func (m *MergeJoin) OutCols(kids [][]OutCol) []OutCol {
-	return (&Join{Type: m.Type}).OutCols(kids)
-}
-
 // LoopJoin re-executes its right child per left row. When ParamMap is
 // non-empty the right child is parameterized: left-row column values bind
 // to the named parameters before each re-execution (the paper's

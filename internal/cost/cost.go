@@ -26,7 +26,6 @@ const (
 	ComputeCost     = 0.3  // evaluate a projection
 	HashBuildCost   = 1.8  // insert one row into a hash table
 	HashProbeCost   = 1.1  // probe one row
-	MergeRowCost    = 0.9  // advance a merge join
 	LoopJoinCost    = 0.4  // per (outer row × inner row) pairing overhead
 	SortRowFactor   = 0.8  // × n log2 n
 	AggRowCost      = 1.2  // accumulate one row
@@ -154,11 +153,6 @@ func (m *Model) Compute(inRows float64) float64 { return inRows * ComputeCost }
 // HashJoin builds on the right input and probes with the left.
 func (m *Model) HashJoin(leftRows, rightRows, outRows float64) float64 {
 	return rightRows*HashBuildCost + leftRows*HashProbeCost + outRows*OutputRowCost
-}
-
-// MergeJoin advances both ordered inputs.
-func (m *Model) MergeJoin(leftRows, rightRows, outRows float64) float64 {
-	return (leftRows+rightRows)*MergeRowCost + outRows*OutputRowCost
 }
 
 // LoopJoin charges the outer side once plus one inner execution per outer

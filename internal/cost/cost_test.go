@@ -129,7 +129,7 @@ func TestAggAndSpool(t *testing.T) {
 
 func TestJoinModels(t *testing.T) {
 	m := &Model{}
-	if m.HashJoin(100, 100, 50) <= 0 || m.MergeJoin(100, 100, 50) <= 0 {
+	if m.HashJoin(100, 100, 50) <= 0 {
 		t.Error("join costs must be positive")
 	}
 	if m.Filter(100) <= 0 || m.Compute(100) <= 0 || m.IndexRange(10) <= 0 {

@@ -54,10 +54,20 @@ type oraclePlacement struct {
 	member *Server
 }
 
+// headTable is the one table a linked placement's head holds itself: a
+// small local outer joined to a remote table is the shape a batched
+// parameterized join serves.
+const headTable = "dim2"
+
+// linkedTargets are the operators at least one drawn plan of the linked
+// placements must contain: the spool over a rescanned remote inner and the
+// batched remote lookup exist only there.
+var linkedTargets = []string{"Spool", "BatchLoopJoin"}
+
 // oraclePlacements loads db locally, and behind a sqlful linked server at
-// SQL-92 full and at SQL-Minimum, where the head reaches every table
-// through a view of the same name and the partitioned view's members
-// directly.
+// SQL-92 full and at SQL-Minimum, where the head holds headTable itself and
+// reaches every other table through a view of the same name and the
+// partitioned view's members directly.
 func oraclePlacements(t *testing.T, db *oracle.DB) []oraclePlacement {
 	t.Helper()
 	local := NewServer("local", "odb")
@@ -80,6 +90,12 @@ func oraclePlacements(t *testing.T, db *oracle.DB) []oraclePlacement {
 		}
 		remote := func(name string) string { return "m.odb.dbo." + name }
 		for _, tab := range db.Tables {
+			if tab.Name == headTable {
+				for _, sql := range tab.Script {
+					head.MustExec(sql)
+				}
+				continue
+			}
 			head.MustExec("CREATE VIEW " + tab.Name + " AS SELECT * FROM " + remote(tab.Name))
 		}
 		for _, v := range db.Views {
@@ -126,7 +142,8 @@ func opNames(n *algebra.Node, into map[string]bool) {
 // at batch sizes 1, 3 and the default, with its tables held locally and
 // behind a linked server at SQL-92 full and at SQL-Minimum. Each shape
 // family must put its target operators into at least one drawn local plan,
-// or it tests less than it claims. No statement writes into the columnar
+// and the linked placements theirs into at least one drawn plan, or the
+// test covers less than it claims. No statement writes into the columnar
 // image of a table it reads.
 func TestStatementOracle(t *testing.T) {
 	db := oracle.NewDB()
@@ -141,22 +158,33 @@ func TestStatementOracle(t *testing.T) {
 	}
 	defer holdImages(t, stores...).check(t)
 
-	seen := map[string]map[string]bool{}
+	seen, linked := map[string]map[string]bool{}, map[string]bool{}
 	for _, st := range cases[len(oracle.Seeds()):] { // the drawn ones
-		plan, _, _, err := places[0].s.Plan(st.SQL())
-		if err != nil {
-			t.Fatalf("%s: %v", st.SQL(), err)
+		for i, p := range places {
+			plan, _, _, err := p.s.Plan(st.SQL())
+			if err != nil {
+				t.Fatalf("%s: %s: %v", p.name, st.SQL(), err)
+			}
+			if i > 0 {
+				opNames(plan, linked)
+				continue
+			}
+			if seen[st.Family] == nil {
+				seen[st.Family] = map[string]bool{}
+			}
+			opNames(plan, seen[st.Family])
 		}
-		if seen[st.Family] == nil {
-			seen[st.Family] = map[string]bool{}
-		}
-		opNames(plan, seen[st.Family])
 	}
 	for _, fam := range oracle.Families {
 		for _, op := range fam.Targets {
 			if !seen[fam.Name][op] {
 				t.Errorf("family %s: no local plan has a %s", fam.Name, op)
 			}
+		}
+	}
+	for _, op := range linkedTargets {
+		if !linked[op] {
+			t.Errorf("no linked placement's plan has a %s", op)
 		}
 	}
 

@@ -29,8 +29,8 @@ func newAccumulator(spec algebra.AggSpec) accumulator {
 	return accumulator{fn: spec.Func, distinct: spec.Distinct}
 }
 
-func (a *accumulator) add(v sqltypes.Value, isStar bool) error {
-	if !isStar && v.IsNull() {
+func (a *accumulator) add(v sqltypes.Value) error {
+	if v.IsNull() {
 		return nil // aggregates skip NULLs
 	}
 	if a.distinct && !a.firstSeen(v) {
@@ -133,24 +133,19 @@ func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpe
 			args[i], argPos[i] = bound, expr.BoundColPos(bound)
 		}
 	}
-	if stream {
-		child, err := buildRows(n.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &rowToBatch{&streamAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args}}, nil
-	}
 	child, err := Build(n.Kids[0], ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos}, nil
+	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos, stream: stream}, nil
 }
 
-// hashAggIter groups with a hash table (no input order requirement). It
-// drains its child a batch at a time, turns each batch into one group id per
-// live row, and then folds each aggregate's argument into the groups'
-// accumulators.
+// hashAggIter is both aggregates. It drains its child a batch at a time,
+// turns each batch into one group id per live row, and then folds each
+// aggregate's argument into the groups' accumulators. The hash aggregate
+// finds a row's group in a key table; the stream aggregate, whose input
+// arrives ordered by the grouping columns, compares the row's key with the
+// last group's alone, so a group is a run of adjacent equal keys.
 type hashAggIter struct {
 	ctx    *Context
 	child  Iterator
@@ -158,19 +153,21 @@ type hashAggIter struct {
 	specs  []algebra.AggSpec
 	args   []expr.Expr
 	argPos []int // the input column a plain-column argument is, else -1
+	stream bool  // group ids by adjacency (StreamAgg), not by hash
 
-	out *rowset.Materialized
-
-	// The groups, by id in first-seen order. keys[k] is grouping column k
-	// of every group, in the representation the input delivered, and kpos
-	// lists keys' positions; accs[g*len(specs)+i] is group g's accumulator
-	// for specs[i]. tab files each group id under its key's hash, and eq
-	// confirms a hit against keys.
-	keys []rowset.Vec
-	kpos []int
-	accs []accumulator
-	tab  keyTable
-	eq   keyEq
+	// The groups, by id in first-seen order. Column k of groups is grouping
+	// column k of every group, in the representation the input delivered,
+	// kpos lists those columns' positions, and once the input is drained
+	// column len(gpos)+i holds specs[i]'s results, so the store is the
+	// output. accs[g*len(specs)+i] is group g's accumulator for specs[i].
+	// tab files each group id under its key's hash, and eq confirms a hit
+	// against the stored keys.
+	groups rowStore
+	kpos   []int
+	accs   []accumulator
+	tab    keyTable
+	eq     keyEq
+	pos    int // the next group to emit
 
 	// Scratch reused across batches and executions.
 	in   *rowset.Batch
@@ -181,37 +178,25 @@ type hashAggIter struct {
 }
 
 func (h *hashAggIter) Open() error {
-	h.out = nil
-	if err := h.child.Open(); err != nil {
-		return err
-	}
 	if h.in == nil {
 		h.in, h.venv = h.ctx.newBatch(), &expr.Env{}
-		h.keys, h.kpos = make([]rowset.Vec, len(h.gpos)), make([]int, len(h.gpos))
+		h.kpos = make([]int, len(h.gpos))
 		for k := range h.kpos {
 			h.kpos[k] = k
 		}
 	}
 	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
+	h.groups.reset(len(h.gpos) + len(h.specs))
 	h.tab.reset()
-	h.accs = h.accs[:0]
+	h.accs, h.pos = h.accs[:0], 0
 	if len(h.gpos) == 0 {
 		h.newGroup(nil, 0, 0) // a scalar aggregate has its one group even over no rows
 	}
-	for {
-		err := h.child.NextBatch(h.in)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if err := h.addBatch(); err != nil {
-			return err
-		}
+	if err := drain(h.child, h.in, h.addBatch); err != nil {
+		return err
 	}
-	h.out = h.groupRows()
-	return h.child.Close()
+	h.results()
+	return nil
 }
 
 // addBatch folds the input batch into the groups: one pass assigns each
@@ -220,18 +205,29 @@ func (h *hashAggIter) Open() error {
 func (h *hashAggIter) addBatch() error {
 	cols, live := h.in.Cols(), h.in.Indices()
 	gids := h.gids[:0]
-	if len(h.gpos) == 0 {
+	switch {
+	case len(h.gpos) == 0:
 		for range live {
 			gids = append(gids, 0)
 		}
-	} else {
+	case h.stream:
+		h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos)
+		for _, p := range live {
+			g := int32(h.groups.n - 1)
+			if g < 0 || !h.eq.equal(p, int(g)) {
+				g = h.newGroup(cols, p, 0)
+				h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos) // keys grew
+			}
+			gids = append(gids, g)
+		}
+	default:
 		h.hs = hashKeys(h.hs, cols, h.gpos, live)
-		h.eq.bind(cols, h.gpos, h.keys, h.kpos)
+		h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos)
 		for k, p := range live {
 			g := h.eq.match(&h.tab, p, h.tab.find(h.hs[k]))
 			if g < 0 {
 				g = h.newGroup(cols, p, h.hs[k])
-				h.eq.bind(cols, h.gpos, h.keys, h.kpos) // keys grew
+				h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos) // keys grew
 			}
 			gids = append(gids, g)
 		}
@@ -245,14 +241,15 @@ func (h *hashAggIter) addBatch() error {
 	return nil
 }
 
-// newGroup opens a group whose key is row p of cols, filed under hash, and
-// returns its id.
+// newGroup opens a group whose key is row p of cols, filed under hash
+// unless the groups are runs, and returns its id.
 func (h *hashAggIter) newGroup(cols []rowset.Vec, p int, hash uint64) int32 {
-	g := h.tab.insert(hash)
-	h.one[0] = int32(p)
-	for k, c := range h.gpos {
-		h.keys[k].Gather(int(g), &cols[c], h.one[:], false)
+	g := int32(h.groups.n)
+	if !h.stream {
+		h.tab.insert(hash)
 	}
+	h.one[0] = int32(p)
+	h.groups.add(cols, h.gpos, h.one[:])
 	if len(h.accs)+len(h.specs) > cap(h.accs) {
 		// Double the room: append grows a long slice by about a quarter,
 		// which would copy every accumulator a dozen times on the way to a
@@ -285,7 +282,7 @@ func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32)
 			if err != nil {
 				return err
 			}
-			if err := accs[int(gids[k])*w].add(v, false); err != nil {
+			if err := accs[int(gids[k])*w].add(v); err != nil {
 				return err
 			}
 		}
@@ -329,146 +326,35 @@ func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32)
 		return nil
 	}
 	for k, p := range live {
-		if err := accs[int(gids[k])*w].add(col.Value(p), false); err != nil {
+		if err := accs[int(gids[k])*w].add(col.Value(p)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// groupRows materializes one row per group, in first-seen order.
-func (h *hashAggIter) groupRows() *rowset.Materialized {
-	n, nk, na := h.tab.len(), len(h.keys), len(h.specs)
-	w := nk + na
-	vals, rows := make([]sqltypes.Value, n*w), make([]rowset.Row, n)
-	for g := range rows {
-		row := vals[g*w : (g+1)*w : (g+1)*w]
-		for k := range h.keys {
-			row[k] = h.keys[k].Value(g)
+// results writes each aggregate's result column, one value per group.
+func (h *hashAggIter) results() {
+	n, nk, na := h.groups.n, len(h.gpos), len(h.specs)
+	for i, spec := range h.specs {
+		col := &h.groups.cols[nk+i]
+		col.ResetTyped(spec.Out.Kind, n)
+		for g := 0; g < n; g++ {
+			col.SetValue(g, h.accs[g*na+i].result())
 		}
-		for i := range h.specs {
-			row[nk+i] = h.accs[g*na+i].result()
-		}
-		rows[g] = row
 	}
-	return rowset.NewMaterialized(nil, rows)
 }
 
-// NextBatch drains the materialized group rows batch-at-a-time.
+// NextBatch hands up the groups, a batch at a time.
 func (h *hashAggIter) NextBatch(b *rowset.Batch) error {
-	if h.out == nil {
+	if h.pos >= h.groups.n {
 		return io.EOF
 	}
-	return h.out.NextBatch(b)
-}
-
-func (h *hashAggIter) Close() error {
-	h.out = nil
+	h.pos += h.groups.emit(b, h.pos)
 	return nil
 }
 
-// streamAggIter aggregates input already ordered by the grouping columns.
-type streamAggIter struct {
-	ctx   *Context
-	child *rowChild
-	gpos  []int
-	specs []algebra.AggSpec
-	args  []expr.Expr
-
-	curKey  rowset.Row
-	accs    []accumulator
-	done    bool
-	started bool
+func (h *hashAggIter) Close() error {
+	h.pos = h.groups.n
+	return nil
 }
-
-func (s *streamAggIter) Open() error {
-	s.curKey, s.accs, s.done, s.started = nil, nil, false, false
-	return s.child.Open()
-}
-
-func (s *streamAggIter) newAccs() []accumulator {
-	accs := make([]accumulator, len(s.specs))
-	for i, sp := range s.specs {
-		accs[i] = newAccumulator(sp)
-	}
-	return accs
-}
-
-func (s *streamAggIter) emit() rowset.Row {
-	row := make(rowset.Row, 0, len(s.curKey)+len(s.accs))
-	row = append(row, s.curKey...)
-	for i := range s.accs {
-		row = append(row, s.accs[i].result())
-	}
-	return row
-}
-
-func (s *streamAggIter) Next() (rowset.Row, error) {
-	if s.done {
-		return nil, io.EOF
-	}
-	for {
-		r, err := s.child.Next()
-		if err == io.EOF {
-			s.done = true
-			if s.started {
-				return s.emit(), nil
-			}
-			if len(s.gpos) == 0 {
-				// Scalar aggregate over empty input.
-				s.curKey = nil
-				s.accs = s.newAccs()
-				return s.emit(), nil
-			}
-			return nil, io.EOF
-		}
-		if err != nil {
-			return nil, err
-		}
-		key := make(rowset.Row, len(s.gpos))
-		for i, p := range s.gpos {
-			key[i] = r[p]
-		}
-		var flush rowset.Row
-		if s.started && !keysEqual(key, s.curKey) {
-			flush = s.emit()
-			s.started = false
-		}
-		if !s.started {
-			s.curKey = key.Clone()
-			s.accs = s.newAccs()
-			s.started = true
-		}
-		env := s.ctx.env(r)
-		for i := range s.accs {
-			a := &s.accs[i]
-			if s.args[i] == nil {
-				if err := a.add(sqltypes.NewInt(1), true); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			v, err := s.args[i].Eval(env)
-			if err != nil {
-				return nil, err
-			}
-			if err := a.add(v, false); err != nil {
-				return nil, err
-			}
-		}
-		if flush != nil {
-			return flush, nil
-		}
-	}
-}
-
-func keysEqual(a, b rowset.Row) bool {
-	for i := range a {
-		if !sqltypes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *streamAggIter) Close() error { return s.child.Close() }

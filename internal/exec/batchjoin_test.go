@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"io"
 	"sort"
 	"strings"
@@ -12,10 +13,14 @@ import (
 	"dhqp/internal/sqltypes"
 )
 
-// countingIter serves fixed rows and tracks its Open/Close lifecycle.
+// countingIter serves fixed rows a batch at a time and tracks its
+// Open/Close lifecycle; with fail set, the fetch that reaches row failAt
+// returns fail instead.
 type countingIter struct {
 	rows   []rowset.Row
 	pos    int
+	fail   error
+	failAt int
 	opens  int
 	closes int
 	isOpen bool
@@ -28,16 +33,19 @@ func (c *countingIter) Open() error {
 	return nil
 }
 
-func (c *countingIter) Next() (rowset.Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, io.EOF
+func (c *countingIter) NextBatch(b *rowset.Batch) error {
+	b.Reset(0)
+	for ; c.pos < len(c.rows) && !b.Full(); c.pos++ {
+		if c.fail != nil && c.pos == c.failAt {
+			return c.fail
+		}
+		b.AppendRow(c.rows[c.pos])
 	}
-	r := c.rows[c.pos]
-	c.pos++
-	return r, nil
+	if b.NumRows() == 0 {
+		return io.EOF
+	}
+	return nil
 }
-
-func (c *countingIter) NextBatch(b *rowset.Batch) error { return (&rowToBatch{c}).NextBatch(b) }
 
 func (c *countingIter) Close() error {
 	c.closes++
@@ -53,23 +61,26 @@ func intRow(vals ...int64) rowset.Row {
 	return r
 }
 
-// Re-Open after partial consumption must tear down the in-flight inner
-// side; before the fix the old inner cursor silently lingered until the
-// next outer row re-opened it.
+// Re-Open after an inner execution failed mid-drain must tear down the
+// in-flight inner side rather than leave it open until the next outer row
+// re-opens it, and the restarted join returns its whole result.
 func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
+	boom := errors.New("inner failed")
 	left := &countingIter{rows: []rowset.Row{intRow(1), intRow(2)}}
-	right := &countingIter{rows: []rowset.Row{intRow(10), intRow(11)}}
-	ctx := &Context{Params: map[string]sqltypes.Value{}}
-	j := &loopJoinIter{ctx: ctx, typ: algebra.InnerJoin, left: rowsOf(left), right: rowsOf(right), rwidth: 1}
+	right := &countingIter{rows: []rowset.Row{intRow(10), intRow(11)}, fail: boom, failAt: 1}
+	ctx := &Context{Params: map[string]sqltypes.Value{}, BatchSize: 1}
+	j := &batchLoopJoinIter{ctx: ctx, typ: algebra.InnerJoin, left: rowFeed{child: left}, right: right, batch: 1, lwidth: 1, rwidth: 1}
+	rows := rowsOf(j)
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Next(); err != nil {
-		t.Fatal(err)
+	if _, err := rows.Next(); !errors.Is(err, boom) {
+		t.Fatalf("first row: %v, want the inner's failure", err)
 	}
 	if !right.isOpen {
-		t.Fatal("test setup: inner should be mid-stream after one Next")
+		t.Fatal("test setup: the failed execution should leave the inner open")
 	}
+	right.fail = nil
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,15 +89,15 @@ func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	}
 	n := 0
 	for {
-		if _, err := j.Next(); err == io.EOF {
+		if _, err := rows.Next(); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
 		}
 		n++
 	}
-	if n != 4 {
-		t.Errorf("rows after re-Open = %d, want 4 (2x2 cross)", n)
+	if n != 4 || right.opens != 3 || right.isOpen {
+		t.Errorf("after re-Open: %d rows, %d inner opens, inner open %v; want 4 (2x2 cross), 3, false", n, right.opens, right.isOpen)
 	}
 }
 
@@ -239,7 +250,7 @@ func TestBatchLoopJoinMatchesSerialAllJoinTypes(t *testing.T) {
 func TestSpoolRefillsOnParamChange(t *testing.T) {
 	child := &countingIter{rows: []rowset.Row{intRow(1), intRow(2), intRow(3)}}
 	ctx := &Context{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}
-	sp := &spoolIter{ctx: ctx, child: rowsOf(child)}
+	sp := rowsOf(&spoolIter{ctx: ctx, child: child, width: 1})
 	drain := func() int {
 		n := 0
 		for {
@@ -259,8 +270,8 @@ func TestSpoolRefillsOnParamChange(t *testing.T) {
 	if err := sp.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if drain(); child.opens != 1 {
-		t.Errorf("replay under unchanged binding re-opened the child (%d opens)", child.opens)
+	if got := drain(); got != 3 || child.opens != 1 {
+		t.Errorf("replay under unchanged binding: %d rows, %d child opens; want 3, 1", got, child.opens)
 	}
 	// Changed binding: the buffer is stale; refill.
 	ctx.Params["k"] = sqltypes.NewInt(2)

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"dhqp/internal/algebra"
@@ -169,15 +170,20 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 	case *algebra.ProviderCommand:
 		return &providerCommandIter{source: source{ctx: ctx}, op: op}, nil
 	case *algebra.RemoteFetch:
-		child, err := buildRows(n.Kids[0], ctx)
+		child, err := Build(n.Kids[0], ctx)
 		if err != nil {
 			return nil, err
 		}
-		keyPos := posOf(n.Kids[0].OutCols(), op.KeyCol)
+		kidCols := n.Kids[0].OutCols()
+		keyPos := posOf(kidCols, op.KeyCol)
 		if keyPos < 0 {
 			return nil, fmt.Errorf("exec: RemoteFetch key col%d not in child output", op.KeyCol)
 		}
-		return &rowToBatch{&remoteFetchIter{ctx: ctx, op: op, child: child, keyPos: keyPos}}, nil
+		cpos := make([]int, len(kidCols))
+		for i := range cpos {
+			cpos[i] = i
+		}
+		return &remoteFetchIter{ctx: ctx, op: op, feed: rowFeed{child: child}, keyPos: keyPos, cpos: cpos}, nil
 	case *algebra.Filter:
 		child, err := Build(n.Kids[0], ctx)
 		if err != nil {
@@ -217,44 +223,24 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 		return &computeIter{ctx: ctx, child: child, exprs: exprs}, nil
 	case *algebra.HashJoin:
 		return buildHashJoin(n, op, ctx)
-	case *algebra.MergeJoin:
-		return buildMergeJoin(n, op, ctx)
-	case *algebra.LoopJoin:
-		return buildLoopJoin(n, op, ctx)
-	case *algebra.BatchLoopJoin:
-		return buildBatchLoopJoin(n, op, ctx)
+	case *algebra.LoopJoin, *algebra.BatchLoopJoin:
+		return buildLoopJoin(n, ctx)
 	case *algebra.HashAgg:
 		return buildAgg(n, op.GroupCols, op.Aggs, ctx, false)
 	case *algebra.StreamAgg:
 		return buildAgg(n, op.GroupCols, op.Aggs, ctx, true)
 	case *algebra.Sort:
-		child, err := buildRows(n.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		ords, descs, err := orderPositions(op.Order, n.Kids[0].OutCols())
-		if err != nil {
-			return nil, err
-		}
-		return &rowToBatch{&sortIter{child: child, ordinals: ords, desc: descs}}, nil
+		return buildTop(n, op.Order, math.MaxInt64, ctx)
 	case *algebra.TopN:
+		return buildTop(n, op.Order, op.N, ctx)
+	case *algebra.Concat:
+		return buildConcat(n, op, ctx)
+	case *algebra.Spool:
 		child, err := Build(n.Kids[0], ctx)
 		if err != nil {
 			return nil, err
 		}
-		ords, descs, err := orderPositions(op.Order, n.Kids[0].OutCols())
-		if err != nil {
-			return nil, err
-		}
-		return &topIter{ctx: ctx, child: child, n: op.N, ordinals: ords, desc: descs}, nil
-	case *algebra.Concat:
-		return buildConcat(n, op, ctx)
-	case *algebra.Spool:
-		child, err := buildRows(n.Kids[0], ctx)
-		if err != nil {
-			return nil, err
-		}
-		return &rowToBatch{&spoolIter{ctx: ctx, child: child}}, nil
+		return &spoolIter{ctx: ctx, child: child, width: len(n.Kids[0].OutCols())}, nil
 	case *algebra.ConstScan:
 		return buildConstScan(op, ctx)
 	case *algebra.EmptyScan:
@@ -322,16 +308,18 @@ func posOf(cols []algebra.OutCol, id expr.ColumnID) int {
 	return -1
 }
 
-func orderPositions(order algebra.Ordering, cols []algebra.OutCol) ([]int, []bool, error) {
-	ords := make([]int, len(order))
-	descs := make([]bool, len(order))
-	for i, oc := range order {
-		p := posOf(cols, oc.Col)
-		if p < 0 {
-			return nil, nil, fmt.Errorf("exec: ordering column col%d not in input", oc.Col)
-		}
-		ords[i] = p
-		descs[i] = oc.Desc
+// buildTop builds a TopN, or a Sort as a top-N with no limit.
+func buildTop(n *algebra.Node, order algebra.Ordering, limit int64, ctx *Context) (Iterator, error) {
+	child, err := Build(n.Kids[0], ctx)
+	if err != nil {
+		return nil, err
 	}
-	return ords, descs, nil
+	t := &topIter{ctx: ctx, child: child, n: limit, ordinals: make([]int, len(order)), desc: make([]bool, len(order))}
+	for i, oc := range order {
+		if t.ordinals[i] = posOf(n.Kids[0].OutCols(), oc.Col); t.ordinals[i] < 0 {
+			return nil, fmt.Errorf("exec: ordering column col%d not in input", oc.Col)
+		}
+		t.desc[i] = oc.Desc
+	}
+	return t, nil
 }

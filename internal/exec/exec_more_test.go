@@ -67,45 +67,6 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 	}
 }
 
-func TestMergeJoinDuplicateRuns(t *testing.T) {
-	f := newFixture(t)
-	mk := func(vals ...int64) *algebra.Node {
-		rows := make([][]expr.Expr, len(vals))
-		for i, v := range vals {
-			rows[i] = []expr.Expr{expr.NewConst(sqltypes.NewInt(v))}
-		}
-		return algebra.NewNode(&algebra.ConstScan{
-			Cols: []algebra.OutCol{{ID: expr.ColumnID(80 + len(vals)), Name: "k", Kind: sqltypes.KindInt}},
-			Rows: rows,
-		})
-	}
-	left := mk(1, 2, 2, 3)  // ID 84
-	right := mk(2, 2, 3, 4) // ID 84? no: 80+4 = 84 collision!
-	_ = left
-	_ = right
-	// Rebuild with distinct IDs to avoid collision.
-	mk2 := func(id expr.ColumnID, vals ...int64) *algebra.Node {
-		rows := make([][]expr.Expr, len(vals))
-		for i, v := range vals {
-			rows[i] = []expr.Expr{expr.NewConst(sqltypes.NewInt(v))}
-		}
-		return algebra.NewNode(&algebra.ConstScan{
-			Cols: []algebra.OutCol{{ID: id, Name: "k", Kind: sqltypes.KindInt}},
-			Rows: rows,
-		})
-	}
-	l := mk2(70, 1, 2, 2, 3)
-	r := mk2(71, 2, 2, 3, 4)
-	join := algebra.NewNode(&algebra.MergeJoin{
-		Type:  algebra.InnerJoin,
-		Pairs: []expr.EquiPair{{Left: 70, Right: 71}},
-	}, l, r)
-	// 2x2 duplicates on key 2 = 4 rows, plus 1 row for key 3 = 5.
-	if got := run(t, f, join).Len(); got != 5 {
-		t.Errorf("merge rows = %d, want 5", got)
-	}
-}
-
 func TestTopWithoutOrderIsStreamingLimit(t *testing.T) {
 	f := newFixture(t)
 	top := algebra.NewNode(&algebra.TopN{N: 3}, f.empScan())

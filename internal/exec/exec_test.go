@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"dhqp/internal/algebra"
@@ -122,11 +123,34 @@ func materialize(n *algebra.Node, ctx *Context) (*rowset.Materialized, error) {
 	return &m, nil
 }
 
-// rowsOf reads an iterator a row at a time, as a row-internal operator
-// does, one row per batch: a test sees exactly the row-by-row lifecycle of
-// its children.
-func rowsOf(it Iterator) *rowChild {
-	return &rowChild{Iterator: it, rows: rowset.BatchRows{B: rowset.NewBatch(1)}}
+// rowReader reads an iterator a row at a time, out of batches of one row
+// where the iterator fills the caller's batch: a test sees the row-by-row
+// lifecycle of its children.
+type rowReader struct {
+	Iterator
+	b   *rowset.Batch
+	pos int // the next live row of b
+}
+
+func rowsOf(it Iterator) *rowReader { return &rowReader{Iterator: it, b: rowset.NewBatch(1)} }
+
+// Open restarts the iterator and drops the rows of its last batch.
+func (r *rowReader) Open() error {
+	r.b.Reset(0)
+	return r.Iterator.Open()
+}
+
+// Next returns the next row, io.EOF at the end.
+func (r *rowReader) Next() (rowset.Row, error) {
+	for r.pos >= r.b.Len() {
+		r.pos = 0
+		if err := r.NextBatch(r.b); err != nil {
+			r.b.Reset(0)
+			return nil, err
+		}
+	}
+	r.pos++
+	return r.b.RowAt(r.pos-1, nil), nil
 }
 
 func run(t *testing.T, f *fixture, n *algebra.Node) *rowset.Materialized {
@@ -265,24 +289,6 @@ func TestHashJoinResidual(t *testing.T) {
 	}
 }
 
-func TestMergeJoin(t *testing.T) {
-	f := newFixture(t)
-	// Sort both sides on the join keys first.
-	left := algebra.NewNode(&algebra.Sort{Order: algebra.Ordering{{Col: 2}}}, f.empScan())
-	right := algebra.NewNode(&algebra.Sort{Order: algebra.Ordering{{Col: 10}}}, f.deptScan())
-	n := algebra.NewNode(&algebra.MergeJoin{Type: algebra.InnerJoin, Pairs: joinOn()}, left, right)
-	m := run(t, f, n)
-	if m.Len() != 8 {
-		t.Errorf("merge rows = %d", m.Len())
-	}
-	// Cross-check against hash join results.
-	hj := algebra.NewNode(&algebra.HashJoin{Type: algebra.InnerJoin, Pairs: joinOn()},
-		f.empScan(), f.deptScan())
-	if run(t, f, hj).Len() != m.Len() {
-		t.Error("merge and hash join disagree")
-	}
-}
-
 func TestLoopJoinParameterized(t *testing.T) {
 	f := newFixture(t)
 	// Inner side: index range on emp.dept driven by @p0 bound from dept.id.
@@ -366,6 +372,39 @@ func TestStreamAggMatchesHashAgg(t *testing.T) {
 	}
 	if total != 8 {
 		t.Errorf("count sum = %d", total)
+	}
+
+	// Over keys with NULLs and an INT and a FLOAT that compare equal, the
+	// stream aggregate's runs are the hash aggregate's groups: all NULLs
+	// one group, 1 and 1.0 another.
+	var rows [][]expr.Expr
+	for i, k := range []sqltypes.Value{sqltypes.Null, sqltypes.NewInt(1), sqltypes.Null, sqltypes.NewInt(2),
+		sqltypes.NewFloat(1), sqltypes.Null, sqltypes.NewInt(1)} {
+		rows = append(rows, []expr.Expr{expr.NewConst(k), expr.NewConst(sqltypes.NewInt(int64(i)))})
+	}
+	keys := func() *algebra.Node {
+		return algebra.NewNode(&algebra.ConstScan{Cols: []algebra.OutCol{
+			{ID: 70, Name: "k", Kind: sqltypes.KindInt}, {ID: 71, Name: "v", Kind: sqltypes.KindInt},
+		}, Rows: rows})
+	}
+	group := []algebra.OutCol{{ID: 70, Name: "k", Kind: sqltypes.KindInt}}
+	aggs := []algebra.AggSpec{
+		{Out: algebra.OutCol{ID: 72, Name: "cnt", Kind: sqltypes.KindInt}, Func: algebra.AggCount},
+		{Out: algebra.OutCol{ID: 73, Name: "sum", Kind: sqltypes.KindInt}, Func: algebra.AggSum, Arg: expr.NewColRef(71, "v")},
+	}
+	groups := func(n *algebra.Node) []string {
+		var out []string
+		for _, r := range run(t, f, n).Rows() {
+			out = append(out, fmt.Sprintf("%v %v %v", r[0].Display(), r[1], r[2]))
+		}
+		slices.Sort(out)
+		return out
+	}
+	stream := groups(algebra.NewNode(&algebra.StreamAgg{GroupCols: group, Aggs: aggs},
+		algebra.NewNode(&algebra.Sort{Order: algebra.Ordering{{Col: 70}}}, keys())))
+	hash := groups(algebra.NewNode(&algebra.HashAgg{GroupCols: group, Aggs: aggs}, keys()))
+	if len(stream) != 3 || !slices.Equal(stream, hash) {
+		t.Errorf("stream aggregate groups %v, hash aggregate %v; want the same 3", stream, hash)
 	}
 }
 

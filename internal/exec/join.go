@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
@@ -53,17 +54,15 @@ type hashJoinIter struct {
 	lwidth      int
 	rwidth      int
 
-	// The build side, column-wise: build[j] is column j of every build row
-	// with a non-NULL key, in arrival order and in the representation the
-	// child delivered, and a row's id is its position. tab files each id
-	// under its key's hash, so a chain holds every build row with that hash
-	// in build order; a probe walks it and keeps the ids whose key values
-	// equal its own (eq, bound per probe batch). hs holds a batch's hashes.
-	build  []rowset.Vec
-	nbuild int
-	tab    keyTable
-	eq     keyEq
-	hs     []uint64
+	// The build side: every build row with a non-NULL key, stored in
+	// arrival order. tab files each row's id under its key's hash, so a
+	// chain holds every build row with that hash in build order; a probe
+	// walks it and keeps the ids whose key values equal its own (eq, bound
+	// per probe batch). hs holds a batch's hashes.
+	build rowStore
+	tab   keyTable
+	eq    keyEq
+	hs    []uint64
 
 	// The probe row in progress: chain is the next build id to try for it
 	// (-1: none left), matched whether it has joined yet.
@@ -85,13 +84,14 @@ type hashJoinIter struct {
 	venv       *expr.Env
 }
 
-// semi reports whether the join emits probe rows alone (SEMI, ANTI).
-func (h *hashJoinIter) semi() bool {
-	return h.typ == algebra.SemiJoin || h.typ == algebra.AntiJoin
+// semi reports whether a join of type typ emits its left rows alone (SEMI,
+// ANTI).
+func semi(typ algebra.JoinType) bool {
+	return typ == algebra.SemiJoin || typ == algebra.AntiJoin
 }
 
 // insertBatch appends the batch's live rows with non-NULL keys to the build
-// store, one gather per column, and files each under its key's hash.
+// store and files each under its key's hash.
 func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
 	cols, idxs := b.Cols(), b.Indices()
 	h.hs = hashKeys(h.hs, cols, h.rpos, idxs)
@@ -103,10 +103,7 @@ func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
 		h.tab.insert(h.hs[k])
 		live = append(live, int32(idx))
 	}
-	for j := range h.build {
-		h.build[j].Gather(h.nbuild, &cols[j], live, false)
-	}
-	h.nbuild += len(live)
+	h.build.add(cols, nil, live)
 	h.pidx = live[:0]
 }
 
@@ -116,10 +113,9 @@ func (h *hashJoinIter) Open() error {
 	}
 	if h.buildBuf == nil {
 		h.buildBuf = h.ctx.newBatch()
-		h.build = make([]rowset.Vec, h.rwidth)
 	}
+	h.build.reset(h.rwidth)
 	h.tab.reset()
-	h.nbuild = 0
 	for {
 		err := h.right.NextBatch(h.buildBuf)
 		if err == io.EOF {
@@ -152,7 +148,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 	}
 	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
 	width := h.lwidth
-	if !h.semi() {
+	if !semi(h.typ) {
 		width += h.rwidth
 	}
 	b.Reset(width)
@@ -168,7 +164,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 			}
 			h.inPos = 0
 			h.hs = hashKeys(h.hs, h.in.Cols(), h.lpos, h.in.Indices())
-			h.eq.bind(h.in.Cols(), h.lpos, h.build, h.rpos)
+			h.eq.bind(h.in.Cols(), h.lpos, h.build.cols, h.rpos)
 		}
 		n := b.NumRows()
 		if err := h.probe(b.CapRows() - n); err != nil {
@@ -179,7 +175,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 			b.Col(j).Gather(n, &in[j], h.pidx, false)
 		}
 		for j := h.lwidth; j < width; j++ {
-			b.Col(j).Gather(n, &h.build[j-h.lwidth], h.bidx, h.neg)
+			b.Col(j).Gather(n, &h.build.cols[j-h.lwidth], h.bidx, h.neg)
 		}
 		b.SetNumRows(n + len(h.pidx))
 		h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
@@ -195,7 +191,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 // pending. A match list that outruns the room is resumed, on the next call,
 // at the build id left in chain.
 func (h *hashJoinIter) probe(room int) error {
-	cols, live, semi := h.in.Cols(), h.in.Indices(), h.semi()
+	cols, live, leftOnly := h.in.Cols(), h.in.Indices(), semi(h.typ)
 	for h.inPos < len(live) && len(h.pidx) < room {
 		p := live[h.inPos]
 		id := h.chain
@@ -215,8 +211,8 @@ func (h *hashJoinIter) probe(room int) error {
 			}
 			if h.residual != nil {
 				// The one place a row is assembled: the candidate pair.
-				for j := range h.build {
-					h.scratch[h.lwidth+j] = h.build[j].Value(int(id))
+				for j := range h.build.cols {
+					h.scratch[h.lwidth+j] = h.build.cols[j].Value(int(id))
 				}
 				h.venv.Row = h.scratch
 				ok, err := expr.EvalPredicate(h.residual, h.venv)
@@ -228,7 +224,7 @@ func (h *hashJoinIter) probe(room int) error {
 				}
 			}
 			h.matched = true
-			if semi {
+			if leftOnly {
 				break // existence is all that is asked
 			}
 			h.pidx, h.bidx = append(h.pidx, int32(p)), append(h.bidx, id)
@@ -253,559 +249,268 @@ func (h *hashJoinIter) Close() error {
 	return err2
 }
 
-func combineRows(l, r rowset.Row) rowset.Row {
-	out := make(rowset.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
-}
-
-func nullRow(width int) rowset.Row {
-	r := make(rowset.Row, width)
-	for i := range r {
-		r[i] = sqltypes.Null
-	}
-	return r
-}
-
-func buildMergeJoin(n *algebra.Node, op *algebra.MergeJoin, ctx *Context) (Iterator, error) {
-	left, err := buildRows(n.Kids[0], ctx)
+func buildLoopJoin(n *algebra.Node, ctx *Context) (Iterator, error) {
+	left, err := Build(n.Kids[0], ctx)
 	if err != nil {
 		return nil, err
 	}
-	right, err := buildRows(n.Kids[1], ctx)
+	right, err := Build(n.Kids[1], ctx)
 	if err != nil {
 		return nil, err
 	}
 	lcols, rcols := n.Kids[0].OutCols(), n.Kids[1].OutCols()
-	lpos := make([]int, len(op.Pairs))
-	rpos := make([]int, len(op.Pairs))
-	for i, pr := range op.Pairs {
-		lpos[i] = posOf(lcols, pr.Left)
-		rpos[i] = posOf(rcols, pr.Right)
-		if lpos[i] < 0 || rpos[i] < 0 {
-			return nil, fmt.Errorf("exec: merge join pair %v not found in inputs", pr)
-		}
-	}
-	var residual expr.Expr
-	if op.Residual != nil {
-		all := append(append([]algebra.OutCol{}, lcols...), rcols...)
-		residual, err = bindExpr(op.Residual, all)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if op.Type != algebra.InnerJoin {
-		return nil, fmt.Errorf("exec: merge join supports inner joins only")
-	}
-	return &rowToBatch{&mergeJoinIter{
-		ctx: ctx, left: left, right: right,
-		lpos: lpos, rpos: rpos, residual: residual,
-	}}, nil
-}
-
-// mergeJoinIter joins two inputs ordered on their key columns.
-type mergeJoinIter struct {
-	ctx         *Context
-	left, right *rowChild
-	lpos, rpos  []int
-	residual    expr.Expr
-
-	lrow    rowset.Row
-	rgroup  []rowset.Row // buffered right rows with equal keys
-	rnext   rowset.Row   // lookahead
-	gidx    int
-	rdone   bool
-	started bool
-}
-
-func (m *mergeJoinIter) Open() error {
-	if err := m.left.Open(); err != nil {
-		return err
-	}
-	if err := m.right.Open(); err != nil {
-		return err
-	}
-	m.lrow, m.rgroup, m.rnext = nil, nil, nil
-	m.gidx, m.rdone, m.started = 0, false, false
-	return nil
-}
-
-// hasNull reports whether any of r's values at positions is NULL.
-func hasNull(r rowset.Row, positions []int) bool {
-	for _, p := range positions {
-		if r[p].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func compareKey(l rowset.Row, lpos []int, r rowset.Row, rpos []int) int {
-	for i := range lpos {
-		c := sqltypes.Compare(l[lpos[i]], r[rpos[i]])
-		if c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-func (m *mergeJoinIter) advanceLeft() error {
-	l, err := m.left.Next()
-	if err == io.EOF {
-		m.lrow = nil
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	m.lrow = l
-	return nil
-}
-
-// fillRightGroup buffers the run of right rows whose key equals m.lrow's.
-func (m *mergeJoinIter) fillRightGroup() error {
-	m.rgroup = m.rgroup[:0]
-	m.gidx = 0
-	for {
-		if m.rnext == nil && !m.rdone {
-			r, err := m.right.Next()
-			if err == io.EOF {
-				m.rdone = true
-			} else if err != nil {
-				return err
-			} else {
-				m.rnext = r
-			}
-		}
-		if m.rnext == nil {
-			return nil
-		}
-		c := compareKey(m.lrow, m.lpos, m.rnext, m.rpos)
-		switch {
-		case c > 0:
-			m.rnext = nil // right behind: discard and pull more
-		case c == 0:
-			m.rgroup = append(m.rgroup, m.rnext)
-			m.rnext = nil
-		default:
-			return nil // right ahead: group complete (possibly empty)
-		}
-	}
-}
-
-func (m *mergeJoinIter) Next() (rowset.Row, error) {
-	for {
-		if m.lrow != nil && m.gidx < len(m.rgroup) {
-			combined := combineRows(m.lrow, m.rgroup[m.gidx])
-			m.gidx++
-			if m.residual != nil {
-				ok, err := expr.EvalPredicate(m.residual, m.ctx.env(combined))
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			return combined, nil
-		}
-		prev := m.lrow
-		if err := m.advanceLeft(); err != nil {
-			return nil, err
-		}
-		if m.lrow == nil {
-			return nil, io.EOF
-		}
-		// Key-equal left runs reuse the buffered right group.
-		if m.started && prev != nil && compareKey(m.lrow, m.lpos, prev, m.lpos) == 0 {
-			m.gidx = 0
-			continue
-		}
-		m.started = true
-		// NULL keys never match: skip left rows with NULL keys.
-		if hasNull(m.lrow, m.lpos) {
-			m.rgroup = m.rgroup[:0]
-			m.gidx = 0
-			continue
-		}
-		if err := m.fillRightGroup(); err != nil {
-			return nil, err
-		}
-	}
-}
-
-func (m *mergeJoinIter) Close() error {
-	err1 := m.left.Close()
-	err2 := m.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-func buildLoopJoin(n *algebra.Node, op *algebra.LoopJoin, ctx *Context) (Iterator, error) {
-	left, err := buildRows(n.Kids[0], ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := buildRows(n.Kids[1], ctx)
-	if err != nil {
-		return nil, err
-	}
-	lcols, rcols := n.Kids[0].OutCols(), n.Kids[1].OutCols()
+	j := &batchLoopJoinIter{ctx: ctx, left: rowFeed{child: left}, right: right, batch: 1, lwidth: len(lcols), rwidth: len(rcols)}
 	var on expr.Expr
-	if op.On != nil {
-		all := append(append([]algebra.OutCol{}, lcols...), rcols...)
-		on, err = bindExpr(op.On, all)
+	switch op := n.Op.(type) {
+	case *algebra.LoopJoin:
+		j.typ, on = op.Type, op.On
+		for name, id := range op.ParamMap {
+			p := posOf(lcols, id)
+			if p < 0 {
+				return nil, fmt.Errorf("exec: loop join parameter @%s references col%d not in outer input", name, id)
+			}
+			j.binds = append(j.binds, paramBind{name: name, pos: p})
+		}
+	case *algebra.BatchLoopJoin:
+		j.typ, on = op.Type, op.On
+		j.lpos, j.rpos = make([]int, len(op.Pairs)), make([]int, len(op.Pairs))
+		for i, pr := range op.Pairs {
+			j.lpos[i], j.rpos[i] = posOf(lcols, pr.Left), posOf(rcols, pr.Right)
+			if j.lpos[i] < 0 || j.rpos[i] < 0 {
+				return nil, fmt.Errorf("exec: batch loop join pair col%d=col%d not in inputs", pr.Left, pr.Right)
+			}
+		}
+		// The plan was compiled with op.BatchSize parameter slots; the
+		// session knob can only shrink how many outer rows fill them (spare
+		// slots are padded with an already-shipped key), never grow past
+		// the slot count.
+		j.batch = max(1, min(op.BatchSize, ctx.remoteBatch()))
+		for s := 0; s < op.BatchSize; s++ {
+			for k, pos := range j.lpos {
+				j.binds = append(j.binds, paramBind{name: fmt.Sprintf("%s_%d_%d", op.ParamBase, k, s), slot: s, pos: pos})
+			}
+		}
+	}
+	if on != nil {
+		j.on, err = bindExpr(on, append(append([]algebra.OutCol{}, lcols...), rcols...))
 		if err != nil {
 			return nil, err
 		}
 	}
-	// Parameter bindings: param name -> left row position.
-	paramPos := map[string]int{}
-	for name, id := range op.ParamMap {
-		p := posOf(lcols, id)
-		if p < 0 {
-			return nil, fmt.Errorf("exec: loop join parameter @%s references col%d not in outer input", name, id)
-		}
-		paramPos[name] = p
-	}
-	return &rowToBatch{&loopJoinIter{
-		ctx: ctx, typ: op.Type, left: left, right: right, on: on,
-		paramPos: paramPos, rwidth: len(rcols),
-	}}, nil
+	return j, nil
 }
 
-// loopJoinIter re-opens its inner side per outer row. With a non-empty
-// paramPos it is the parameterized plan of §4.1.2: outer column values bind
-// to @p<i> parameters, and the inner side (remote range, remote query,
-// index range) uses them in its access path.
-type loopJoinIter struct {
-	ctx         *Context
-	typ         algebra.JoinType
-	left, right *rowChild
-	on          expr.Expr
-	paramPos    map[string]int
-	rwidth      int
-
-	cur       rowset.Row
-	innerOpen bool
-	matched   bool
-	leftDone  bool
+// paramBind binds parameter name to column pos of the outer row in slot.
+type paramBind struct {
+	name      string
+	slot, pos int
 }
 
-func (l *loopJoinIter) Open() error {
-	// Re-Open after partial consumption: the previous outer row's inner
-	// side may still be mid-stream; tear it down before restarting so the
-	// old cursor (and any remote rowset behind it) is released now rather
-	// than silently lingering until the next outer row re-opens it.
-	if l.innerOpen {
-		if err := l.right.Close(); err != nil {
-			return err
-		}
-	}
-	l.cur, l.innerOpen, l.matched, l.leftDone = nil, false, false, false
-	return l.left.Open()
-}
-
-func (l *loopJoinIter) Next() (rowset.Row, error) {
-	for {
-		if l.cur == nil {
-			if l.leftDone {
-				return nil, io.EOF
-			}
-			lrow, err := l.left.Next()
-			if err == io.EOF {
-				l.leftDone = true
-				return nil, io.EOF
-			}
-			if err != nil {
-				return nil, err
-			}
-			l.cur = lrow
-			l.matched = false
-			// Bind correlation parameters and (re)open the inner side.
-			if l.ctx.Params == nil && len(l.paramPos) > 0 {
-				l.ctx.Params = map[string]sqltypes.Value{}
-			}
-			for name, pos := range l.paramPos {
-				l.ctx.Params[name] = l.cur[pos]
-			}
-			if err := l.right.Open(); err != nil {
-				return nil, err
-			}
-			l.innerOpen = true
-		}
-		rrow, err := l.right.Next()
-		if err == io.EOF {
-			prev, prevMatched := l.cur, l.matched
-			l.cur = nil
-			switch l.typ {
-			case algebra.LeftOuterJoin:
-				if !prevMatched {
-					return combineRows(prev, nullRow(l.rwidth)), nil
-				}
-			case algebra.AntiJoin:
-				if !prevMatched {
-					return prev, nil
-				}
-			}
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		combined := combineRows(l.cur, rrow)
-		if l.on != nil {
-			ok, err := expr.EvalPredicate(l.on, l.ctx.env(combined))
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		l.matched = true
-		switch l.typ {
-		case algebra.SemiJoin:
-			out := l.cur
-			l.cur = nil
-			return out, nil
-		case algebra.AntiJoin:
-			l.cur = nil // matched: drop left row
-			continue
-		default:
-			return combined, nil
-		}
-	}
-}
-
-func (l *loopJoinIter) Close() error {
-	err1 := l.left.Close()
-	err2 := l.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-func buildBatchLoopJoin(n *algebra.Node, op *algebra.BatchLoopJoin, ctx *Context) (Iterator, error) {
-	left, err := buildRows(n.Kids[0], ctx)
-	if err != nil {
-		return nil, err
-	}
-	right, err := buildRows(n.Kids[1], ctx)
-	if err != nil {
-		return nil, err
-	}
-	lcols, rcols := n.Kids[0].OutCols(), n.Kids[1].OutCols()
-	var on expr.Expr
-	if op.On != nil {
-		all := append(append([]algebra.OutCol{}, lcols...), rcols...)
-		on, err = bindExpr(op.On, all)
-		if err != nil {
-			return nil, err
-		}
-	}
-	lpos := make([]int, len(op.Pairs))
-	rpos := make([]int, len(op.Pairs))
-	for i, pr := range op.Pairs {
-		lpos[i] = posOf(lcols, pr.Left)
-		rpos[i] = posOf(rcols, pr.Right)
-		if lpos[i] < 0 || rpos[i] < 0 {
-			return nil, fmt.Errorf("exec: batch loop join pair col%d=col%d not in inputs", pr.Left, pr.Right)
-		}
-	}
-	// The plan was compiled with op.BatchSize parameter slots; the session
-	// knob can only shrink how many outer rows fill them (spare slots are
-	// padded with already-shipped keys), never grow past the slot count.
-	batch := op.BatchSize
-	if b := ctx.remoteBatch(); b < batch {
-		batch = b
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	return &rowToBatch{&batchLoopJoinIter{
-		ctx: ctx, typ: op.Type, left: left, right: right, on: on,
-		lpos: lpos, rpos: rpos, paramBase: op.ParamBase,
-		slots: op.BatchSize, batch: batch, rwidth: len(rcols),
-	}}, nil
-}
-
-// batchLoopJoinIter is the batched parameterized join: it buffers up to
-// `batch` outer rows, binds their join-key values into the inner side's
-// IN-list parameter slots, executes the inner once for the whole batch, and
-// hash-matches the returned rows back to the buffered outer rows. The
-// IN-list the remote sees is only a prefilter — every match decision
-// (equi-key equality, residual predicate, duplicate keys, NULL keys,
-// outer/semi/anti accounting) replays locally, so results are row-for-row
-// what the serial loopJoinIter produces, in outer-major order per batch.
+// batchLoopJoinIter runs both loop joins. It buffers up to batch outer rows,
+// binds their values into the inner side's parameters, executes the inner
+// once for all of them, and matches each inner row back to the buffered
+// rows whose keys equal its own — to every one when the join has no key
+// pairs. A LoopJoin is one outer row per execution with its ParamMap bound:
+// the parameterized plan of §4.1.2, the inner side (remote range, remote
+// query, index range) using the values in its access path. A BatchLoopJoin
+// binds up to batch rows' keys into the inner's IN-list slots, which only
+// prefilter: every match decision (key equality, the ON predicate,
+// duplicate and NULL keys, outer/semi/anti accounting) is made here, so
+// each execution returns row-for-row what one execution per outer row
+// would, outer-major.
 type batchLoopJoinIter struct {
-	ctx         *Context
-	typ         algebra.JoinType
-	left, right *rowChild
-	on          expr.Expr
-	lpos, rpos  []int
-	paramBase   string
-	slots       int // parameter slots compiled into the inner plan
-	batch       int // outer rows buffered per inner execution (≤ slots)
-	rwidth      int
+	ctx            *Context
+	typ            algebra.JoinType
+	left           rowFeed
+	right          Iterator
+	on             expr.Expr
+	lpos, rpos     []int // key pairs; none for a LoopJoin
+	binds          []paramBind
+	batch          int // outer rows per inner execution
+	lwidth, rwidth int
 
-	pending   []rowset.Row // current batch of outer rows
-	tab       keyTable     // pending row i is id i, filed under its key's hash
-	out       []rowset.Row // matched output queue for the current batch
-	outPos    int
-	leftDone  bool
-	innerOpen bool
+	inner *rowset.Batch // inner drain batch
+	open  bool          // the inner side is open
+	venv  *expr.Env
+	row   rowset.Row // the candidate pair the ON predicate reads
+	hs    []uint64
+	ids   []int32
+	seq   []int // 0, 1, 2, …: the pending rows' ids
+
+	// One execution: pending holds its outer rows, each filed in tab under
+	// its key's hash; matches holds the inner rows that joined, and pairs
+	// who joined whom, in the order the inner side returned them. hit tells
+	// which outer rows joined. pidx/bidx list the output rows, outer-major,
+	// as (pending id, match id or -1: NULL-extended); pos is the next one to
+	// emit.
+	pending, matches rowStore
+	tab              keyTable
+	eq               keyEq
+	pairs            []joinPair
+	hit              []bool
+	nhit             int
+	pidx, bidx       []int32
+	neg              bool
+	pos              int
 }
 
-func (b *batchLoopJoinIter) Open() error {
-	// Tear down an in-flight inner before restarting (re-Open after
-	// partial consumption or after a mid-batch error).
-	if b.innerOpen {
-		if err := b.right.Close(); err != nil {
+// joinPair is pending row p joined with match m.
+type joinPair struct{ p, m int32 }
+
+func (j *batchLoopJoinIter) Open() error {
+	// Re-Open after an execution failed mid-drain: release the inner side
+	// now rather than leave its cursor (and any remote rowset behind it)
+	// open until the next execution re-opens it.
+	if j.open {
+		j.open = false
+		if err := j.right.Close(); err != nil {
 			return err
 		}
-		b.innerOpen = false
 	}
-	b.pending, b.out = nil, nil
-	b.outPos, b.leftDone = 0, false
-	return b.left.Open()
+	if j.inner == nil {
+		j.inner, j.venv = j.ctx.newBatch(), &expr.Env{}
+	}
+	j.pidx, j.bidx, j.pos = j.pidx[:0], j.bidx[:0], 0
+	return j.left.open(j.ctx)
 }
 
-func (b *batchLoopJoinIter) Next() (rowset.Row, error) {
-	for {
-		if b.outPos < len(b.out) {
-			r := b.out[b.outPos]
-			b.outPos++
-			return r, nil
-		}
-		if b.leftDone {
-			return nil, io.EOF
-		}
-		if err := b.fillBatch(); err != nil {
-			return nil, err
-		}
-		if len(b.pending) == 0 {
-			continue // leftDone is now set; loop exits via EOF
-		}
-		if err := b.probeBatch(); err != nil {
-			return nil, err
-		}
+// NextBatch gathers output rows from the executions' stores into b,
+// running the next execution whenever one is emitted.
+func (j *batchLoopJoinIter) NextBatch(b *rowset.Batch) error {
+	width := j.lwidth
+	if !semi(j.typ) {
+		width += j.rwidth
 	}
-}
-
-// fillBatch buffers the next run of outer rows.
-func (b *batchLoopJoinIter) fillBatch() error {
-	b.pending = b.pending[:0]
-	for len(b.pending) < b.batch {
-		lrow, err := b.left.Next()
-		if err == io.EOF {
-			b.leftDone = true
-			return nil
+	b.Reset(width)
+	for !b.Full() {
+		if j.pos == len(j.pidx) {
+			if j.left.done {
+				break
+			}
+			if err := j.execute(); err != nil {
+				return err
+			}
+			continue
 		}
-		if err != nil {
-			return err
+		n := b.NumRows()
+		k := min(b.CapRows()-n, len(j.pidx)-j.pos)
+		pidx := j.pidx[j.pos : j.pos+k]
+		for c := 0; c < j.lwidth; c++ {
+			b.Col(c).Gather(n, &j.pending.cols[c], pidx, false)
 		}
-		b.pending = append(b.pending, lrow)
+		if !semi(j.typ) {
+			bidx := j.bidx[j.pos : j.pos+k]
+			for c := 0; c < j.rwidth; c++ {
+				b.Col(j.lwidth+c).Gather(n, &j.matches.cols[c], bidx, j.neg)
+			}
+		}
+		b.SetNumRows(n + k)
+		j.pos += k
+	}
+	if b.NumRows() == 0 {
+		return io.EOF
 	}
 	return nil
 }
 
-// probeBatch executes the inner side once for the buffered outer rows and
-// queues the batch's join output in outer-row order.
-func (b *batchLoopJoinIter) probeBatch() error {
-	// Hash the batch by join key. NULL keys never match (SQL semantics): a
-	// NULL-keyed row is filed but compares equal to no inner row, so it
-	// skips the probe and still emits for left-outer/anti.
-	b.tab.reset()
-	firstKeyed := -1
-	for i, row := range b.pending {
-		b.tab.insert(hashRow(row, b.lpos))
-		if firstKeyed < 0 && !hasNull(row, b.lpos) {
-			firstKeyed = i
-		}
-	}
-	matches := make([][]rowset.Row, len(b.pending))
-	matchedFlag := make([]bool, len(b.pending))
-	if firstKeyed >= 0 {
-		if err := b.executeBatch(matches, matchedFlag, firstKeyed); err != nil {
-			return err
-		}
-	}
-	// Emit outer-major: each buffered outer row's matches in arrival order.
-	b.out = b.out[:0]
-	b.outPos = 0
-	for i, row := range b.pending {
-		switch b.typ {
-		case algebra.LeftOuterJoin:
-			if len(matches[i]) == 0 {
-				b.out = append(b.out, combineRows(row, nullRow(b.rwidth)))
-			} else {
-				b.out = append(b.out, matches[i]...)
-			}
-		case algebra.SemiJoin:
-			if matchedFlag[i] {
-				b.out = append(b.out, row)
-			}
-		case algebra.AntiJoin:
-			if !matchedFlag[i] {
-				b.out = append(b.out, row)
-			}
-		default:
-			b.out = append(b.out, matches[i]...)
-		}
-	}
-	return nil
-}
-
-// executeBatch binds the batch's keys into the inner plan's parameter
-// slots, drains the inner, and distributes returned rows to the buffered
-// outer rows they match.
-func (b *batchLoopJoinIter) executeBatch(matches [][]rowset.Row, matchedFlag []bool, firstKeyed int) error {
-	if b.ctx.Params == nil {
-		b.ctx.Params = map[string]sqltypes.Value{}
-	}
-	// Slot s carries pending[s]'s key columns; unfilled slots repeat an
-	// already-shipped key (duplicate IN-list members are harmless). A
-	// NULL-keyed row's values may ship too — a NULL IN-list member can
-	// never equal anything, so it only wastes a slot.
-	for s := 0; s < b.slots; s++ {
-		src := b.pending[firstKeyed]
-		if s < len(b.pending) {
-			src = b.pending[s]
-		}
-		for j, pos := range b.lpos {
-			b.ctx.Params[fmt.Sprintf("%s_%d_%d", b.paramBase, j, s)] = src[pos]
-		}
-	}
-	if err := b.right.Open(); err != nil {
+// execute buffers the next outer rows, runs the inner side once for them
+// and lists their output rows.
+func (j *batchLoopJoinIter) execute() error {
+	if err := j.fill(); err != nil {
 		return err
 	}
-	b.innerOpen = true
-	for {
-		rrow, err := b.right.Next()
+	n := j.pending.n
+	j.matches.reset(j.rwidth)
+	j.hit = slices.Grow(j.hit[:0], n)[:n]
+	clear(j.hit)
+	j.pairs, j.nhit = j.pairs[:0], 0
+	// The first outer row whose key has no NULL pads the spare slots; when
+	// there is none, nothing can join and the inner side does not run.
+	first := -1
+	for i := 0; i < n && first < 0; i++ {
+		if !nullKey(j.pending.cols, j.lpos, i) {
+			first = i
+		}
+	}
+	if first >= 0 {
+		if err := j.run(first); err != nil {
+			return err
+		}
+	}
+	j.order()
+	return nil
+}
+
+// fill buffers up to batch outer rows, each filed under its key's hash.
+func (j *batchLoopJoinIter) fill() error {
+	j.pending.reset(j.lwidth)
+	if err := j.left.take(&j.pending, nil, j.batch); err != nil {
+		return err
+	}
+	for len(j.seq) < j.pending.n {
+		j.seq = append(j.seq, len(j.seq))
+	}
+	j.tab.reset()
+	j.hs = hashKeys(j.hs, j.pending.cols, j.lpos, j.seq[:j.pending.n])
+	for _, h := range j.hs {
+		j.tab.insert(h)
+	}
+	return nil
+}
+
+// run binds the parameters, executes the inner side and matches what it
+// returns. Slot s carries pending row s's values; unfilled slots repeat
+// row first's (duplicate IN-list members are harmless).
+func (j *batchLoopJoinIter) run(first int) error {
+	if j.ctx.Params == nil && len(j.binds) > 0 {
+		j.ctx.Params = map[string]sqltypes.Value{}
+	}
+	for _, pb := range j.binds {
+		id := pb.slot
+		if id >= j.pending.n {
+			id = first
+		}
+		j.ctx.Params[pb.name] = j.pending.cols[pb.pos].Value(id)
+	}
+	j.venv.Params, j.venv.Today = j.ctx.Params, j.ctx.Today
+	if err := j.right.Open(); err != nil {
+		return err
+	}
+	j.open = true
+	// SEMI and ANTI stop reading once every outer row has joined.
+	for !semi(j.typ) || j.nhit < j.pending.n {
+		err := j.right.NextBatch(j.inner)
 		if err == io.EOF {
 			break
 		}
+		if err == nil {
+			err = j.match()
+		}
 		if err != nil {
 			return err
 		}
-		if hasNull(rrow, b.rpos) {
-			continue
+	}
+	j.open = false
+	return j.right.Close()
+}
+
+// match joins the inner batch's live rows to the pending rows: every pair
+// whose keys are equal and that satisfies ON. An inner row that joins is
+// stored once, however many outer rows it joins.
+func (j *batchLoopJoinIter) match() error {
+	cols, live := j.inner.Cols(), j.inner.Indices()
+	j.hs = hashKeys(j.hs, cols, j.rpos, live)
+	j.eq.bind(cols, j.rpos, j.pending.cols, j.lpos)
+	keep := j.ids[:0]
+	for k, p := range live {
+		if nullKey(cols, j.rpos, p) {
+			continue // NULL keys never join
 		}
-		i := b.match(rrow, b.tab.find(hashRow(rrow, b.rpos)))
-		if i < 0 {
-			// Prefiltered superset (multi-column keys cross-product in the
-			// shipped IN lists): not an actual match.
-			continue
-		}
-		for ; i >= 0; i = b.match(rrow, b.tab.next[i]) {
-			combined := combineRows(b.pending[i], rrow)
-			if b.on != nil {
-				ok, err := expr.EvalPredicate(b.on, b.ctx.env(combined))
+		m := int32(j.matches.n + len(keep))
+		joined := false
+		for id := j.eq.match(&j.tab, p, j.tab.find(j.hs[k])); id >= 0; id = j.eq.match(&j.tab, p, j.tab.next[id]) {
+			if j.on != nil {
+				ok, err := j.test(int(id), cols, p)
 				if err != nil {
 					return err
 				}
@@ -813,32 +518,63 @@ func (b *batchLoopJoinIter) executeBatch(matches [][]rowset.Row, matchedFlag []b
 					continue
 				}
 			}
-			matchedFlag[i] = true
-			switch b.typ {
-			case algebra.SemiJoin, algebra.AntiJoin:
-				// Existence only; no combined rows.
-			default:
-				matches[i] = append(matches[i], combined)
+			if !j.hit[id] {
+				j.hit[id] = true
+				j.nhit++
+			}
+			if !semi(j.typ) { // SEMI and ANTI ask only whether a row joins
+				j.pairs = append(j.pairs, joinPair{id, m})
+				joined = true
 			}
 		}
+		if joined {
+			keep = append(keep, int32(p))
+		}
 	}
-	b.innerOpen = false
-	return b.right.Close()
+	j.matches.add(cols, nil, keep)
+	j.ids = keep[:0]
+	return nil
 }
 
-// match returns the first pending row from id on along its hash chain whose
-// key equals inner row r's, -1 when none does.
-func (b *batchLoopJoinIter) match(r rowset.Row, id int32) int32 {
-	for id >= 0 && compareKey(b.pending[id], b.lpos, r, b.rpos) != 0 {
-		id = b.tab.next[id]
+// test evaluates ON over the pair of pending row id and row p of cols.
+func (j *batchLoopJoinIter) test(id int, cols []rowset.Vec, p int) (bool, error) {
+	if j.row == nil {
+		j.row = make(rowset.Row, j.lwidth+j.rwidth)
 	}
-	return id
+	for c := range j.pending.cols {
+		j.row[c] = j.pending.cols[c].Value(id)
+	}
+	for c := range cols {
+		j.row[j.lwidth+c] = cols[c].Value(p)
+	}
+	j.venv.Row = j.row
+	return expr.EvalPredicate(j.on, j.venv)
 }
 
-func (b *batchLoopJoinIter) Close() error {
-	b.innerOpen = false
-	err1 := b.left.Close()
-	err2 := b.right.Close()
+// order lists the execution's output rows, outer-major: each pending row's
+// matches in the order the inner side returned them, a NULL-extended row
+// for an unmatched LEFT OUTER one, the row alone for SEMI and ANTI.
+func (j *batchLoopJoinIter) order() {
+	slices.SortStableFunc(j.pairs, func(a, b joinPair) int { return int(a.p - b.p) })
+	j.pidx, j.bidx, j.neg, j.pos = j.pidx[:0], j.bidx[:0], false, 0
+	k := 0
+	for i := range int32(j.pending.n) {
+		switch hit := j.hit[i]; {
+		case j.typ == algebra.SemiJoin && hit, j.typ == algebra.AntiJoin && !hit:
+			j.pidx = append(j.pidx, i)
+		case j.typ == algebra.LeftOuterJoin && !hit:
+			j.pidx, j.bidx, j.neg = append(j.pidx, i), append(j.bidx, -1), true
+		}
+		for ; k < len(j.pairs) && j.pairs[k].p == i; k++ {
+			j.pidx, j.bidx = append(j.pidx, i), append(j.bidx, j.pairs[k].m)
+		}
+	}
+}
+
+func (j *batchLoopJoinIter) Close() error {
+	j.open = false
+	err1 := j.left.child.Close()
+	err2 := j.right.Close()
 	if err1 != nil {
 		return err1
 	}

@@ -68,15 +68,6 @@ func hashValue(v *sqltypes.Value) uint64 {
 	}
 }
 
-// hashRow hashes r's values at pos, as hashKeys hashes a batch row.
-func hashRow(r rowset.Row, pos []int) uint64 {
-	var h uint64
-	for _, p := range pos {
-		h = h*hashMul ^ hashValue(&r[p])
-	}
-	return h
-}
-
 // hashKeys returns hs sized to idxs, hs[k] the hash of row idxs[k]'s values
 // in the columns at pos: one pass per column, the kind switch outside the
 // row loop.

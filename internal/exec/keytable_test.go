@@ -58,8 +58,8 @@ func TestHashConsistentWithEqual(t *testing.T) {
 		typed := hashKeys(nil, b.Cols(), []int{0}, b.Indices())
 		boxed := hashKeys(nil, b.Cols(), []int{1}, b.Indices())
 		for i, r := range rows {
-			if typed[i] != boxed[i] || typed[i] != hashRow(r, []int{0}) {
-				t.Errorf("%v %v: typed %x, generic %x, row %x", kind, r[0], typed[i], boxed[i], hashRow(r, []int{0}))
+			if typed[i] != boxed[i] || typed[i] != hashValue(&r[0]) {
+				t.Errorf("%v %v: typed %x, generic %x, value %x", kind, r[0], typed[i], boxed[i], hashValue(&r[0]))
 			}
 		}
 	}

@@ -139,53 +139,13 @@ func (c *computeIter) NextBatch(b *rowset.Batch) error {
 
 func (c *computeIter) Close() error { return c.child.Close() }
 
-// sortIter materializes and orders its input.
-type sortIter struct {
-	child    *rowChild
-	ordinals []int
-	desc     []bool
-	buf      *rowset.Materialized
-}
-
-func (s *sortIter) Open() error {
-	s.buf = nil
-	if err := s.child.Open(); err != nil {
-		return err
-	}
-	buf := rowset.NewMaterialized(nil, nil)
-	for {
-		r, err := s.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		buf.Append(r)
-	}
-	buf.Sort(s.ordinals, s.desc)
-	s.buf = buf
-	return nil
-}
-
-func (s *sortIter) Next() (rowset.Row, error) {
-	if s.buf == nil {
-		return nil, io.EOF
-	}
-	return s.buf.Next()
-}
-
-func (s *sortIter) Close() error {
-	s.buf = nil
-	return s.child.Close()
-}
-
 // topIter returns the first N rows under an ordering (bounded top-N when
 // an ordering is specified; pass-through limit otherwise). The ordered
 // case keeps a max-heap of the best N rows seen so far — O(rows·log N)
 // time and O(N) memory instead of materializing and sorting the whole
 // input — with arrival sequence as the final tiebreak, so ties resolve
-// exactly as the stable full sort they replace did.
+// exactly as a stable full sort does. A Sort is a topIter whose N is
+// unlimited.
 type topIter struct {
 	ctx      *Context
 	child    Iterator
@@ -356,10 +316,13 @@ func (t *topIter) Close() error {
 // one binding (the common inner-loop amplification) still replay.
 type spoolIter struct {
 	ctx        *Context
-	child      *rowChild
-	buf        *rowset.Materialized
+	child      Iterator
+	width      int
+	buf        rowStore
+	pos        int // the next row to replay
 	filled     bool
 	fillParams map[string]sqltypes.Value // param bindings at fill time
+	in         *rowset.Batch
 }
 
 // staleBindings reports whether any parameter changed since the fill.
@@ -377,40 +340,32 @@ func (s *spoolIter) staleBindings() bool {
 }
 
 func (s *spoolIter) Open() error {
+	s.pos = 0
 	if s.filled && !s.staleBindings() {
-		s.buf.Reset()
 		return nil
 	}
 	s.filled = false
-	if err := s.child.Open(); err != nil {
+	if s.in == nil {
+		s.in = s.ctx.newBatch()
+	}
+	s.buf.reset(s.width)
+	if err := drain(s.child, s.in, func() error { s.buf.addBatch(s.in); return nil }); err != nil {
 		return err
 	}
-	buf := rowset.NewMaterialized(nil, nil)
-	for {
-		r, err := s.child.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		buf.Append(r)
-	}
-	s.buf = buf
 	s.filled = true
 	s.fillParams = make(map[string]sqltypes.Value, len(s.ctx.Params))
 	for k, v := range s.ctx.Params {
 		s.fillParams[k] = v
 	}
-	// The child's resources are no longer needed.
-	return s.child.Close()
+	return nil
 }
 
-func (s *spoolIter) Next() (rowset.Row, error) {
-	if s.buf == nil {
-		return nil, io.EOF
+func (s *spoolIter) NextBatch(b *rowset.Batch) error {
+	if !s.filled || s.pos >= s.buf.n {
+		return io.EOF
 	}
-	return s.buf.Next()
+	s.pos += s.buf.emit(b, s.pos)
+	return nil
 }
 
 func (s *spoolIter) Close() error { return nil }
@@ -587,12 +542,13 @@ func (c *concatIter) closeCurrent() error {
 	return nil
 }
 
-// constScanIter yields literal rows.
+// constScanIter yields literal rows, evaluated into its batches' columns.
 type constScanIter struct {
 	ctx   *Context
 	rows  [][]expr.Expr
 	pos   int
 	width int
+	env   expr.Env
 }
 
 func buildConstScan(op *algebra.ConstScan, ctx *Context) (Iterator, error) {
@@ -607,7 +563,7 @@ func buildConstScan(op *algebra.ConstScan, ctx *Context) (Iterator, error) {
 			rows[i][j] = bound
 		}
 	}
-	return &rowToBatch{&constScanIter{ctx: ctx, rows: rows, width: len(op.Cols)}}, nil
+	return &constScanIter{ctx: ctx, rows: rows, width: len(op.Cols)}, nil
 }
 
 func (c *constScanIter) Open() error {
@@ -615,22 +571,28 @@ func (c *constScanIter) Open() error {
 	return nil
 }
 
-func (c *constScanIter) Next() (rowset.Row, error) {
-	if c.pos >= len(c.rows) {
-		return nil, io.EOF
+func (c *constScanIter) NextBatch(b *rowset.Batch) error {
+	k := min(b.CapRows(), len(c.rows)-c.pos)
+	if k <= 0 {
+		return io.EOF
 	}
-	exprs := c.rows[c.pos]
-	c.pos++
-	env := c.ctx.env(nil)
-	out := make(rowset.Row, len(exprs))
-	for i, e := range exprs {
-		v, err := e.Eval(env)
-		if err != nil {
-			return nil, err
+	c.env = expr.Env{Params: c.ctx.Params, Today: c.ctx.Today}
+	b.Reset(c.width)
+	for j := 0; j < c.width; j++ {
+		b.Col(j).ResetGeneric(k)
+	}
+	for i, exprs := range c.rows[c.pos : c.pos+k] {
+		for j, e := range exprs {
+			v, err := e.Eval(&c.env)
+			if err != nil {
+				return err
+			}
+			b.Col(j).SetValue(i, v)
 		}
-		out[i] = v
 	}
-	return out, nil
+	b.SetNumRows(k)
+	c.pos += k
+	return nil
 }
 
 func (c *constScanIter) Close() error { return nil }

@@ -39,20 +39,25 @@ func (f *fakeIter) Open() error {
 	return nil
 }
 
-func (f *fakeIter) Next() (rowset.Row, error) {
+func (f *fakeIter) NextBatch(b *rowset.Batch) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.failAt > 0 && f.pos >= f.failAt {
-		return nil, f.fail
+	b.Reset(1)
+	for !b.Full() {
+		if f.failAt > 0 && f.pos >= f.failAt {
+			return f.fail
+		}
+		if f.pos >= f.total {
+			break
+		}
+		f.pos++
+		b.AppendRow(rowset.Row{sqltypes.NewInt(int64(f.pos))})
 	}
-	if f.pos >= f.total {
-		return nil, io.EOF
+	if b.NumRows() == 0 {
+		return io.EOF
 	}
-	f.pos++
-	return rowset.Row{sqltypes.NewInt(int64(f.pos))}, nil
+	return nil
 }
-
-func (f *fakeIter) NextBatch(b *rowset.Batch) error { return (&rowToBatch{f}).NextBatch(b) }
 
 func (f *fakeIter) Close() error {
 	f.mu.Lock()

@@ -300,93 +300,102 @@ func (c command) openRowset(sess oledb.Session) (rowset.Rowset, error) {
 }
 
 // remoteFetchIter locates base rows from child bookmarks in batches
-// (IRowsetLocate; §4.1.2 "remote fetch").
+// (IRowsetLocate; §4.1.2 "remote fetch"). Each output row is its child row
+// followed by the located base row's columns.
 type remoteFetchIter struct {
 	ctx    *Context
 	op     *algebra.RemoteFetch
-	child  *rowChild
+	feed   rowFeed // the child
 	keyPos int
+	cpos   []int // the child's column positions, in order
 
-	buf     []rowset.Row
-	bufPos  int
-	pending []rowset.Row // child rows awaiting fetch
-	done    bool
+	fetched *rowset.Batch
+	bms     []int64
+	ids     []int32
+	rows    rowStore // the batch: pending child rows, then their base rows
+	pos     int      // the next row of rows to emit
 }
 
 func (r *remoteFetchIter) Open() error {
-	r.buf, r.pending, r.bufPos, r.done = nil, nil, 0, false
-	return r.child.Open()
-}
-
-func (r *remoteFetchIter) Next() (rowset.Row, error) {
-	for {
-		if r.bufPos < len(r.buf) {
-			row := r.buf[r.bufPos]
-			r.bufPos++
-			return row, nil
-		}
-		if r.done {
-			return nil, io.EOF
-		}
-		// Refill: gather a batch of child rows and fetch their bookmarks.
-		// The batch size is the session's batched-remote-access knob — the
-		// same setting that sizes batched key-lookup joins.
-		fetchBatch := r.ctx.remoteBatch()
-		r.pending = r.pending[:0]
-		for len(r.pending) < fetchBatch {
-			row, err := r.child.Next()
-			if err == io.EOF {
-				r.done = true
-				break
-			}
-			if err != nil {
-				return nil, err
-			}
-			r.pending = append(r.pending, row)
-		}
-		if len(r.pending) == 0 {
-			return nil, io.EOF
-		}
-		bms := make([]int64, len(r.pending))
-		for i, row := range r.pending {
-			v := row[r.keyPos]
-			bm, ok := v.AsInt()
-			if !ok {
-				return nil, fmt.Errorf("exec: bookmark value %v is not numeric", v)
-			}
-			bms[i] = bm
-		}
-		// The fetch + drain retries as one unit: nothing from the batch is
-		// delivered until the whole batch has crossed the link, so a
-		// transient failure anywhere in it simply re-fetches the batch.
-		var fetched *rowset.Materialized
-		err := r.ctx.withRetry(r.op.Src.Server, func() error {
-			sess, err := r.ctx.sessionFor(r.op.Src.Server)
-			if err != nil {
-				return err
-			}
-			rs, err := sess.FetchByBookmarks(objectName(r.op.Src), bms)
-			if err != nil {
-				return err
-			}
-			fetched, err = rowset.ReadAll(rs)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("exec: remote fetch %s: %w", r.op.Src, err)
-		}
-		if fetched.Len() != len(r.pending) {
-			return nil, fmt.Errorf("exec: remote fetch returned %d rows for %d bookmarks", fetched.Len(), len(r.pending))
-		}
-		r.buf = r.buf[:0]
-		for i, base := range fetched.Rows() {
-			combined := make(rowset.Row, 0, len(r.pending[i])+len(r.op.Cols))
-			combined = append(combined, r.pending[i]...)
-			combined = append(combined, base[:len(r.op.Cols)]...)
-			r.buf = append(r.buf, combined)
-		}
-		r.bufPos = 0
+	if r.fetched == nil {
+		r.fetched = r.ctx.newBatch()
 	}
+	r.rows.reset(0)
+	r.pos = 0
+	return r.feed.open(r.ctx)
 }
 
-func (r *remoteFetchIter) Close() error { return r.child.Close() }
+func (r *remoteFetchIter) NextBatch(b *rowset.Batch) error {
+	if r.pos >= r.rows.n {
+		if err := r.fetch(); err != nil {
+			return err
+		}
+		if r.rows.n == 0 {
+			return io.EOF
+		}
+	}
+	r.pos += r.rows.emit(b, r.pos)
+	return nil
+}
+
+// fetch gathers the next batch of child rows — the batch size is the
+// session's batched-remote-access knob, the same setting that sizes batched
+// key-lookup joins — and locates their bookmarks in one unit.
+func (r *remoteFetchIter) fetch() error {
+	cw := len(r.cpos)
+	r.rows.reset(cw + len(r.op.Cols))
+	r.pos = 0
+	if err := r.feed.take(&r.rows, r.cpos, r.ctx.remoteBatch()); err != nil {
+		return err
+	}
+	if r.rows.n == 0 {
+		return nil
+	}
+	key := &r.rows.cols[r.keyPos]
+	r.bms = r.bms[:0]
+	for i := 0; i < r.rows.n; i++ {
+		v := key.Value(i)
+		bm, ok := v.AsInt()
+		if !ok {
+			return fmt.Errorf("exec: bookmark value %v is not numeric", v)
+		}
+		r.bms = append(r.bms, bm)
+	}
+	// The fetch and its drain retry as one unit: nothing from the batch is
+	// delivered until the whole batch has crossed the link, so a transient
+	// failure anywhere in it simply re-fetches the batch. The base rows
+	// land beside their child rows.
+	got := 0
+	err := r.ctx.withRetry(r.op.Src.Server, func() error {
+		sess, err := r.ctx.sessionFor(r.op.Src.Server)
+		if err != nil {
+			return err
+		}
+		rs, err := sess.FetchByBookmarks(objectName(r.op.Src), r.bms)
+		if err != nil {
+			return err
+		}
+		defer rs.Close()
+		for got = 0; ; {
+			if err := rowset.FillBatch(rs, r.fetched, nil); err == io.EOF {
+				return nil
+			} else if err != nil {
+				return err
+			}
+			r.ids = int32s(r.ids, r.fetched.Indices())
+			for j := range r.op.Cols {
+				r.rows.cols[cw+j].Gather(got, r.fetched.Col(j), r.ids, false)
+			}
+			got += len(r.ids)
+		}
+	})
+	if err != nil {
+		return fmt.Errorf("exec: remote fetch %s: %w", r.op.Src, err)
+	}
+	if got != r.rows.n {
+		return fmt.Errorf("exec: remote fetch returned %d rows for %d bookmarks", got, r.rows.n)
+	}
+	return nil
+}
+
+func (r *remoteFetchIter) Close() error { return r.feed.child.Close() }

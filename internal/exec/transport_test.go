@@ -143,6 +143,89 @@ func TestRemoteFetchFaultRestartsAndDiscards(t *testing.T) {
 	}
 }
 
+// bookmarkSession locates rows by bookmark: bookmark b's row is (b * 10).
+// Attempt a of a located batch fails its failFetch[a]-th fetch (1-based)
+// with a transient error, after filling the batch with a poison row.
+type bookmarkSession struct {
+	oledb.Session // the other methods are never reached
+	failFetch     map[int]int
+	attempts      int
+}
+
+func (s *bookmarkSession) FetchByBookmarks(_ string, bms []int64) (rowset.Rowset, error) {
+	rows := make([]rowset.Row, len(bms))
+	for i, bm := range bms {
+		rows[i] = rowset.Row{sqltypes.NewInt(bm * 10)}
+	}
+	s.attempts++
+	return &locatedRows{rows: rows, failFetch: s.failFetch[s.attempts-1]}, nil
+}
+
+type locatedRows struct {
+	rows                    []rowset.Row
+	pos, fetches, failFetch int
+}
+
+func (r *locatedRows) Columns() []schema.Column {
+	return []schema.Column{{Name: "v", Kind: sqltypes.KindInt}}
+}
+func (r *locatedRows) Next() (rowset.Row, error) {
+	panic("located rows are read a batch at a time")
+}
+func (r *locatedRows) Close() error { return nil }
+
+func (r *locatedRows) NextBatch(b *rowset.Batch) error {
+	r.fetches++
+	b.Reset(1)
+	if r.fetches == r.failFetch {
+		b.AppendRow(rowset.Row{sqltypes.NewInt(poison)})
+		return &netsim.TransientError{Msg: "scripted blip"}
+	}
+	for ; r.pos < len(r.rows) && !b.Full(); r.pos++ {
+		b.AppendRow(r.rows[r.pos])
+	}
+	if b.NumRows() == 0 {
+		return io.EOF
+	}
+	return nil
+}
+
+// TestRemoteFetchRetriesWholeBookmarkBatch: the rows located for one batch
+// of bookmarks cross the link in several fetches, and a transient fault on
+// any of them re-locates the whole batch — nothing of a failed attempt is
+// delivered, so every child row meets its base row exactly once.
+func TestRemoteFetchRetriesWholeBookmarkBatch(t *testing.T) {
+	var keys [][]expr.Expr
+	for k := int64(1); k <= 5; k++ {
+		keys = append(keys, []expr.Expr{expr.NewConst(sqltypes.NewInt(k))})
+	}
+	def := &schema.Table{Catalog: "db", Name: "t", Columns: []schema.Column{{Name: "v", Kind: sqltypes.KindInt}}}
+	plan := algebra.NewNode(&algebra.RemoteFetch{
+		Src:    &algebra.Source{Server: "bm", Catalog: "db", Table: "t", Def: def},
+		KeyCol: 97, Cols: []algebra.OutCol{{ID: 98, Name: "v", Kind: sqltypes.KindInt}},
+	}, algebra.NewNode(&algebra.ConstScan{Cols: []algebra.OutCol{{ID: 97, Name: "k", Kind: sqltypes.KindInt}}, Rows: keys}))
+	for _, script := range []map[int]int{{0: 1}, {0: 2}, {0: 3}, {0: 2, 1: 3}} {
+		ctx := transportCtx()
+		ctx.BatchSize = 2 // three fetches locate the five rows
+		sess := &bookmarkSession{failFetch: script}
+		ctx.RT = &testRT{sessions: map[string]oledb.Session{"bm": sess}}
+		m, err := materialize(plan, ctx)
+		if err != nil {
+			t.Fatalf("%v: %v", script, err)
+		}
+		var got []string
+		for _, r := range m.Rows() {
+			got = append(got, r.String())
+		}
+		if want := "(1, 10) (2, 20) (3, 30) (4, 40) (5, 50)"; strings.Join(got, " ") != want {
+			t.Errorf("%v: rows %v, want %s", script, got, want)
+		}
+		if sess.attempts != len(script)+1 || ctx.Stats.Counts().Retries != int64(len(script)) {
+			t.Errorf("%v: %d attempts, %d retries; want %d, %d", script, sess.attempts, ctx.Stats.Counts().Retries, len(script)+1, len(script))
+		}
+	}
+}
+
 // TestRemoteFetchShortReplayIsPermanent: a re-execution that returns fewer
 // rows than were already delivered, or stops short of the fetch boundary
 // they ended on, is an error — not an excuse to deliver a different result.

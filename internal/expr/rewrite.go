@@ -257,7 +257,7 @@ type EquiPair struct {
 // ExtractEquiJoin partitions a join predicate's conjuncts into equi-join
 // column pairs (left-side column = right-side column) and a residual
 // predicate. leftCols/rightCols identify which relation each column belongs
-// to. Hash and merge join implementation rules consume the pairs.
+// to. The hash and batched loop join implementation rules consume the pairs.
 func ExtractEquiJoin(pred Expr, leftCols, rightCols ColSet) (pairs []EquiPair, residual Expr) {
 	var rest []Expr
 	for _, c := range SplitConjuncts(pred) {

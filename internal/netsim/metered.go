@@ -35,9 +35,10 @@ type meteredRowset struct {
 	ctx    context.Context
 	rs     rowset.Rowset
 	link   *Link
-	req    int              // bytes the opening round trip carries out
-	opened bool             // the first fetch's round trip has been made
-	rows   rowset.BatchRows // row-at-a-time consumers read out of its batch
+	req    int           // bytes the opening round trip carries out
+	opened bool          // the first fetch's round trip has been made
+	b      *rowset.Batch // the fetch a row-at-a-time consumer reads out of
+	pos    int           // the next live row of b to hand out
 }
 
 func (m *meteredRowset) Columns() []schema.Column { return m.rs.Columns() }
@@ -66,12 +67,21 @@ func (m *meteredRowset) NextBatch(b *rowset.Batch) error {
 	return err
 }
 
-// Next serves rows out of default-sized fetches.
+// Next serves rows out of default-sized fetches, each row freshly
+// allocated, so callers may keep it.
 func (m *meteredRowset) Next() (rowset.Row, error) {
-	if m.rows.B == nil {
-		m.rows.B = rowset.NewBatch(0)
+	if m.b == nil {
+		m.b = rowset.NewBatch(0)
 	}
-	return m.rows.Next(m.NextBatch)
+	for m.pos >= m.b.Len() {
+		m.pos = 0
+		if err := m.NextBatch(m.b); err != nil {
+			m.b.Reset(0) // a failed fetch's contents are not to be read
+			return nil, err
+		}
+	}
+	m.pos++
+	return m.b.RowAt(m.pos-1, nil), nil
 }
 
 func (m *meteredRowset) Close() error { return m.rs.Close() }

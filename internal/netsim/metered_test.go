@@ -2,7 +2,9 @@ package netsim
 
 import (
 	"context"
+	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"dhqp/internal/rowset"
@@ -143,6 +145,75 @@ func TestMeteredRowsComeOutOfFetches(t *testing.T) {
 	rs.Close()
 	if s := link.Stats(); s.Rows != 3 || s.Calls != 1 {
 		t.Errorf("Close charged the link: %+v", s)
+	}
+}
+
+// scriptRowset serves its rows 64 per fetch with each fetch's first row
+// deselected, and fails its third fetch after filling the batch with a
+// poison row.
+type scriptRowset struct {
+	rows       []rowset.Row
+	pos, calls int
+}
+
+var errScript = errors.New("scripted fetch failure")
+
+func (s *scriptRowset) Columns() []schema.Column { return nil }
+func (s *scriptRowset) Next() (rowset.Row, error) {
+	panic("a metered rowset reads its source a batch at a time")
+}
+func (s *scriptRowset) Close() error { return nil }
+
+func (s *scriptRowset) NextBatch(b *rowset.Batch) error {
+	s.calls++
+	b.Reset(1)
+	if s.calls == 3 {
+		b.AppendRow(rowset.Row{sqltypes.NewString("poison")})
+		return errScript
+	}
+	for ; s.pos < len(s.rows) && b.NumRows() < 64; s.pos++ {
+		b.AppendRow(s.rows[s.pos])
+	}
+	if b.NumRows() == 0 {
+		return io.EOF
+	}
+	if b.NumRows() > 2 {
+		b.SetSelection(b.Indices()[1:])
+	}
+	return nil
+}
+
+// A row-at-a-time reader of a metered rowset gets each fetched row once,
+// in order, across fetch boundaries and selections; a failed fetch
+// surfaces as an error instead of a row, leaves nothing of it readable,
+// and the next call fetches again.
+func TestMeteredRowsServeEveryRowOnce(t *testing.T) {
+	src := &scriptRowset{rows: sampleRowset(200).Rows()}
+	rs := Metered(src, &Link{})
+	var got []int64
+	failed := false
+	for {
+		r, err := rs.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == errScript {
+			failed = true
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, r[0].Int())
+	}
+	var want []int64
+	for i := int64(0); i < 200; i++ {
+		if i%64 != 0 {
+			want = append(want, i)
+		}
+	}
+	if !failed || !slices.Equal(got, want) {
+		t.Fatalf("failure seen = %v; served %v, want %v", failed, got, want)
 	}
 }
 

@@ -166,8 +166,6 @@ func (o *Optimizer) finishCost(p *planned, c *rules.Candidate, grp *memo.Group) 
 		rescan = rescanOf(p.kids) + self
 	case *algebra.HashJoin:
 		self = m.HashJoin(childCard(0), childCard(1), p.card)
-	case *algebra.MergeJoin:
-		self = m.MergeJoin(childCard(0), childCard(1), p.card)
 	case *algebra.LoopJoin:
 		if len(p.kids) != 2 {
 			return fmt.Errorf("opt: loop join with %d kids", len(p.kids))

@@ -222,7 +222,7 @@ var Families = []struct {
 	{"project", []string{"Compute"}},
 	{"join", []string{"HashJoin", "LoopJoin"}},
 	{"subquery", []string{"LoopJoin"}},
-	{"group", []string{"HashAgg"}},
+	{"group", []string{"HashAgg", "StreamAgg"}},
 	{"top", []string{"Sort", "TopN"}},
 	{"union", []string{"Concat", "StartupFilter"}},
 }
@@ -352,6 +352,7 @@ var joinPairs = [][4]string{
 	{"fact", "k1", "dim1", "k"}, {"fact", "k2", "dim2", "k"}, {"dim1", "k", "dim2", "k"},
 	{"t1", "a", "t2", "k"}, {"t3", "i", "t2", "k"}, {"td", "d", "t2", "k"}, {"fact", "k2", "t1", "a"},
 	{"dim2", "k", "dim1", "k"}, {"t2", "k", "dim1", "k"}, {"dim1", "k", "fact", "k1"},
+	{"dim2", "k", "fact", "k2"},
 }
 
 func (g *gen) draw(family string) *Stmt {

@@ -422,30 +422,3 @@ func (m *Materialized) AppendBatch(b *Batch) {
 		m.rows = append(m.rows, Row(vals[base:base+w:base+w]))
 	}
 }
-
-// BatchRows is the row-at-a-time view of a batch-granular source: Next
-// hands out the rows of the current batch one by one and asks fill for the
-// next batch when they run out. B is the batch fill fills — its capacity
-// is the fetch size — and must be set before the first Next.
-type BatchRows struct {
-	B      *Batch
-	pos, n int // next live row of B, and how many a completed fill left
-}
-
-// Next returns the next row (freshly allocated: callers may retain it), or
-// fill's error — io.EOF at the end.
-func (c *BatchRows) Next(fill func(*Batch) error) (Row, error) {
-	for c.pos >= c.n {
-		c.pos, c.n = 0, 0
-		if err := fill(c.B); err != nil {
-			return nil, err
-		}
-		c.n = c.B.Len()
-	}
-	c.pos++
-	return c.B.RowAt(c.pos-1, nil), nil
-}
-
-// Reset drops the rows of the current batch that were not handed out (a
-// restarted source must not replay them).
-func (c *BatchRows) Reset() { c.pos, c.n = 0, 0 }

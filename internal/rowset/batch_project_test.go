@@ -1,8 +1,6 @@
 package rowset
 
 import (
-	"errors"
-	"io"
 	"math/rand"
 	"testing"
 
@@ -96,67 +94,5 @@ func TestProjectMovesVectors(t *testing.T) {
 		if got := liveRows(b); !sameRows(got, want) {
 			t.Fatalf("iter %d: rows changed under a refill of the batch they were swapped out of: %v, want %v", iter, got, want)
 		}
-	}
-}
-
-// TestBatchRowsServesEveryRowOnce: the row view hands out each fetched row
-// once, in order, across fetch boundaries and selections; an error from the
-// fill surfaces instead of a row, leaves nothing of that fetch readable, and
-// the next call asks again.
-func TestBatchRowsServesEveryRowOnce(t *testing.T) {
-	rows := reuseRows(rand.New(rand.NewSource(1)), 200, 7, -1)
-	src := NewMaterialized(nil, rows)
-	boom := errors.New("boom")
-	calls := 0
-	fill := func(b *Batch) error {
-		calls++
-		if calls == 3 {
-			b.Reset(0)
-			b.AppendRow(Row{sqltypes.NewString("poison")})
-			return boom
-		}
-		if err := src.NextBatch(b); err != nil {
-			return err
-		}
-		if b.NumRows() > 2 {
-			b.SetSelection(b.Indices()[1:]) // each fetch drops its first row
-		}
-		return nil
-	}
-	view := BatchRows{B: NewBatch(64)}
-	var got, want []Row
-	for i, r := range rows {
-		if i%64 != 0 {
-			want = append(want, r)
-		}
-	}
-	sawBoom := false
-	for {
-		r, err := view.Next(fill)
-		if err == io.EOF {
-			break
-		}
-		if err == boom {
-			sawBoom = true
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, r)
-	}
-	if !sawBoom || !sameRows(got, want) {
-		t.Fatalf("boom seen = %v; %d rows served, want %d matching rows", sawBoom, len(got), len(want))
-	}
-	// Reset forgets the unread remainder.
-	src.Reset()
-	calls = 3
-	if _, err := view.Next(fill); err != nil {
-		t.Fatal(err)
-	}
-	view.Reset()
-	r, err := view.Next(fill)
-	if err != nil || !sameRows([]Row{r}, []Row{rows[65]}) {
-		t.Fatalf("after Reset: %v, %v; want the second fetch's first live row", r, err)
 	}
 }

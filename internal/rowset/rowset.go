@@ -8,7 +8,6 @@ package rowset
 
 import (
 	"io"
-	"sort"
 
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
@@ -109,24 +108,6 @@ func (m *Materialized) Rows() []Row { return m.rows }
 
 // Append adds a row (cloned) to the rowset.
 func (m *Materialized) Append(r Row) { m.rows = append(m.rows, r.Clone()) }
-
-// Sort orders the rows by the given column ordinals (ascending per desc
-// flags; desc[i] true means descending).
-func (m *Materialized) Sort(ordinals []int, desc []bool) {
-	sort.SliceStable(m.rows, func(i, j int) bool {
-		for k, ord := range ordinals {
-			c := sqltypes.Compare(m.rows[i][ord], m.rows[j][ord])
-			if c == 0 {
-				continue
-			}
-			if k < len(desc) && desc[k] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
 
 // ReadAll drains a rowset into a Materialized copy and closes it.
 func ReadAll(rs Rowset) (*Materialized, error) {

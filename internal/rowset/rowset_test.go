@@ -79,20 +79,6 @@ func TestAppendClones(t *testing.T) {
 	}
 }
 
-func TestSort(t *testing.T) {
-	m := NewMaterialized(cols("a", "b"), []Row{
-		intRow(2, 1), intRow(1, 3), intRow(2, 0), intRow(1, 2),
-	})
-	m.Sort([]int{0, 1}, []bool{false, true})
-	want := [][2]int64{{1, 3}, {1, 2}, {2, 1}, {2, 0}}
-	for i, w := range want {
-		got := m.Rows()[i]
-		if got[0].Int() != w[0] || got[1].Int() != w[1] {
-			t.Fatalf("row %d = %v, want %v", i, got, w)
-		}
-	}
-}
-
 func TestReadAll(t *testing.T) {
 	src := NewMaterialized(cols("a"), []Row{intRow(1), intRow(2)})
 	m, err := ReadAll(src)
