@@ -118,11 +118,12 @@ func TestPrunedScanEquivalence(t *testing.T) {
 			RT:        &runtime{s: s, local: s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())},
 			BatchSize: cfg.BatchSize, Ctx: context.Background(), Stats: s.newRecord(false),
 		}
-		var m rowset.Materialized
-		if err := exec.Stream(plan, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
+		var mz materializer
+		mz.Columns(cols)
+		if err := exec.Stream(plan, ctx, mz.Batch); err != nil {
 			return nil, err
 		}
-		return &Result{Cols: cols, Rows: m.Rows()}, nil
+		return &Result{Cols: cols, Rows: rowset.FromStore(cols, &mz.s).Rows()}, nil
 	}
 	checkBatchGrid(t, s, prunedQueries, atSnapshot)
 	for _, sql := range prunedQueries {

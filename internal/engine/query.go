@@ -267,13 +267,22 @@ type ResultSink interface {
 }
 
 // materializer is the ResultSink behind every materializing entry point:
-// it boxes each batch into rows through Materialized.AppendBatch.
-type materializer struct{ m rowset.Materialized }
+// it gathers each root batch into a rowset.Store. The gather copies, since
+// a root batch is valid only during the call and can be a window onto a
+// columnar image.
+type materializer struct {
+	cols []schema.Column
+	s    rowset.Store
+}
 
-func (mz *materializer) Columns([]schema.Column) error { return nil }
+func (mz *materializer) Columns(cols []schema.Column) error {
+	mz.cols = cols
+	mz.s.Reset(len(cols))
+	return nil
+}
 
 func (mz *materializer) Batch(b *rowset.Batch) error {
-	mz.m.AppendBatch(b)
+	mz.s.AddBatch(b)
 	return nil
 }
 
@@ -285,7 +294,7 @@ func materialize(run func(ResultSink) (*Result, error)) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = mz.m.Rows()
+	res.Rows = rowset.FromStore(mz.cols, &mz.s).Rows()
 	return res, nil
 }
 
@@ -526,12 +535,16 @@ func (s *Server) execContext(qctx context.Context, cfg *Config, params map[strin
 // statement under the coordinator's context, so cancellation crosses the
 // boundary and the member's statement span nests under the coordinator's
 // remote-call span in one distributed trace.
+//
+// The result is the store the member's root batches were gathered into,
+// so it crosses the link as the typed columns the member's executor
+// produced.
 func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
-	res, err := s.QueryContext(ctx, sql, params)
-	if err != nil {
+	var mz materializer
+	if _, err := s.QueryStreamContext(ctx, sql, params, &mz); err != nil {
 		return nil, err
 	}
-	return rowset.NewMaterialized(res.Cols, res.Rows), nil
+	return rowset.FromStore(mz.cols, &mz.s), nil
 }
 
 // ExecSQL implements sqlful.Target for remote DML/DDL.

@@ -29,6 +29,10 @@ func oracleCell(v sqltypes.Value) oracle.Cell {
 		return oracle.FloatCell(v.Float())
 	case sqltypes.KindString:
 		return oracle.StrCell(v.Str())
+	case sqltypes.KindBool:
+		return oracle.BitCell(v.Bool())
+	case sqltypes.KindDate:
+		return oracle.DateCell(v.DateDays())
 	}
 	panic("oracle: no cell for a " + v.Kind().String())
 }

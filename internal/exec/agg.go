@@ -162,7 +162,7 @@ type hashAggIter struct {
 	// output. accs[g*len(specs)+i] is group g's accumulator for specs[i].
 	// tab files each group id under its key's hash, and eq confirms a hit
 	// against the stored keys.
-	groups rowStore
+	groups rowset.Store
 	kpos   []int
 	accs   []accumulator
 	tab    keyTable
@@ -186,7 +186,7 @@ func (h *hashAggIter) Open() error {
 		}
 	}
 	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
-	h.groups.reset(len(h.gpos) + len(h.specs))
+	h.groups.Reset(len(h.gpos) + len(h.specs))
 	h.tab.reset()
 	h.accs, h.pos = h.accs[:0], 0
 	if len(h.gpos) == 0 {
@@ -211,23 +211,23 @@ func (h *hashAggIter) addBatch() error {
 			gids = append(gids, 0)
 		}
 	case h.stream:
-		h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos)
+		h.eq.bind(cols, h.gpos, h.groups.Cols(), h.kpos)
 		for _, p := range live {
-			g := int32(h.groups.n - 1)
+			g := int32(h.groups.Len() - 1)
 			if g < 0 || !h.eq.equal(p, int(g)) {
 				g = h.newGroup(cols, p, 0)
-				h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos) // keys grew
+				h.eq.bind(cols, h.gpos, h.groups.Cols(), h.kpos) // keys grew
 			}
 			gids = append(gids, g)
 		}
 	default:
 		h.hs = hashKeys(h.hs, cols, h.gpos, live)
-		h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos)
+		h.eq.bind(cols, h.gpos, h.groups.Cols(), h.kpos)
 		for k, p := range live {
 			g := h.eq.match(&h.tab, p, h.tab.find(h.hs[k]))
 			if g < 0 {
 				g = h.newGroup(cols, p, h.hs[k])
-				h.eq.bind(cols, h.gpos, h.groups.cols, h.kpos) // keys grew
+				h.eq.bind(cols, h.gpos, h.groups.Cols(), h.kpos) // keys grew
 			}
 			gids = append(gids, g)
 		}
@@ -244,12 +244,12 @@ func (h *hashAggIter) addBatch() error {
 // newGroup opens a group whose key is row p of cols, filed under hash
 // unless the groups are runs, and returns its id.
 func (h *hashAggIter) newGroup(cols []rowset.Vec, p int, hash uint64) int32 {
-	g := int32(h.groups.n)
+	g := int32(h.groups.Len())
 	if !h.stream {
 		h.tab.insert(hash)
 	}
 	h.one[0] = int32(p)
-	h.groups.add(cols, h.gpos, h.one[:])
+	h.groups.Add(cols, h.gpos, h.one[:])
 	if len(h.accs)+len(h.specs) > cap(h.accs) {
 		// Double the room: append grows a long slice by about a quarter,
 		// which would copy every accumulator a dozen times on the way to a
@@ -335,9 +335,9 @@ func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32)
 
 // results writes each aggregate's result column, one value per group.
 func (h *hashAggIter) results() {
-	n, nk, na := h.groups.n, len(h.gpos), len(h.specs)
+	n, nk, na := h.groups.Len(), len(h.gpos), len(h.specs)
 	for i, spec := range h.specs {
-		col := &h.groups.cols[nk+i]
+		col := &h.groups.Cols()[nk+i]
 		col.ResetTyped(spec.Out.Kind, n)
 		for g := 0; g < n; g++ {
 			col.SetValue(g, h.accs[g*na+i].result())
@@ -347,14 +347,14 @@ func (h *hashAggIter) results() {
 
 // NextBatch hands up the groups, a batch at a time.
 func (h *hashAggIter) NextBatch(b *rowset.Batch) error {
-	if h.pos >= h.groups.n {
+	if h.pos >= h.groups.Len() {
 		return io.EOF
 	}
-	h.pos += h.groups.emit(b, h.pos)
+	h.pos += h.groups.Emit(b, h.pos)
 	return nil
 }
 
 func (h *hashAggIter) Close() error {
-	h.pos = h.groups.n
+	h.pos = h.groups.Len()
 	return nil
 }

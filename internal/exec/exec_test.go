@@ -114,13 +114,20 @@ func (f *fixture) deptScan() *algebra.Node {
 	return algebra.NewNode(&algebra.TableScan{Src: f.deptSrc, Cols: f.dptCols})
 }
 
-// materialize drains a plan into rows: Stream with AppendBatch as the sink.
+// materialize drains a plan into a store: Stream with AddBatch as the sink.
 func materialize(n *algebra.Node, ctx *Context) (*rowset.Materialized, error) {
-	var m rowset.Materialized
-	if err := Stream(n, ctx, func(b *rowset.Batch) error { m.AppendBatch(b); return nil }); err != nil {
+	var s rowset.Store
+	err := Stream(n, ctx, func(b *rowset.Batch) error {
+		if s.Len() == 0 {
+			s.Reset(b.Width())
+		}
+		s.AddBatch(b)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return rowset.FromStore(nil, &s), nil
 }
 
 // rowReader reads an iterator a row at a time, out of batches of one row

@@ -55,7 +55,7 @@ func fuzzBatch(in *fuzzBytes) (*rowset.Batch, []rowset.Row) {
 		}
 	}
 	b := rowset.NewBatch(rowset.MaxBatchSize)
-	b.FillRows(kinds, nil, rows)
+	storeOf(kinds, rows).Emit(b, 0)
 	if in.next()%2 == 1 {
 		var sel []int
 		for i := 0; i < n; i++ {

@@ -101,8 +101,8 @@ func keyEqual(a, b cell) bool {
 	return a.kind != 0 && b.kind != 0 && cellCompare(a, b) == 0
 }
 
-// joinSrc is a test source. NextBatch fills typed columns per kinds (a
-// value of another kind degrades its column, as a storage scan would),
+// joinSrc is a test source. NextBatch copies out typed columns per kinds
+// (a value of another kind degrades its column, as a storage scan would),
 // generic columns when generic is set, or, once fromImage has run, windows
 // onto a columnar image of the rows, as a storage scan hands them out; it
 // hides the rows keep marks false behind a selection vector. With loop set
@@ -114,6 +114,7 @@ type joinSrc struct {
 	loop    bool
 	generic bool
 	image   []rowset.Vec
+	store   *rowset.Store // the rows NextBatch copies out, once it has run
 	pos     int
 	sel     []int
 }
@@ -141,8 +142,25 @@ func (s *joinSrc) imageSum() uint64 {
 	return h.Sum64()
 }
 
-// genericKinds are all KindNull: FillRows fills generic columns.
+// genericKinds are all KindNull: a store built under them holds generic
+// columns.
 var genericKinds [16]sqltypes.Kind
+
+// storeOf holds rows in a store, column j typed to kinds[j].
+func storeOf(kinds []sqltypes.Kind, rows []rowset.Row) *rowset.Store {
+	img := make([]rowset.Vec, len(kinds))
+	for j, k := range kinds {
+		img[j] = rowset.BuildColVec(k, rows, j)
+	}
+	ids := make([]int32, len(rows))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	var s rowset.Store
+	s.Reset(len(kinds))
+	s.Add(img, nil, ids)
+	return &s
+}
 
 func newJoinSrc(kinds []sqltypes.Kind, cells [][]cell, keep []bool) *joinSrc {
 	s := &joinSrc{kinds: kinds, keep: keep}
@@ -168,15 +186,18 @@ func (s *joinSrc) NextBatch(b *rowset.Batch) error {
 			s.pos = 0
 		}
 		from := s.pos
-		s.pos = min(from+b.CapRows(), len(s.rows))
-		kinds := s.kinds
-		switch {
-		case s.image != nil:
+		if s.image != nil {
+			s.pos = min(from+b.CapRows(), len(s.rows))
 			b.FillCols(s.image, nil, from, s.pos-from)
-		case s.generic:
-			b.FillRows(genericKinds[:len(kinds)], nil, s.rows[from:s.pos])
-		default:
-			b.FillRows(kinds, nil, s.rows[from:s.pos])
+		} else {
+			if s.store == nil {
+				kinds := s.kinds
+				if s.generic {
+					kinds = genericKinds[:len(kinds)]
+				}
+				s.store = storeOf(kinds, s.rows)
+			}
+			s.pos += s.store.Emit(b, from)
 		}
 		if s.keep == nil {
 			return nil

@@ -59,7 +59,7 @@ type hashJoinIter struct {
 	// chain holds every build row with that hash in build order; a probe
 	// walks it and keeps the ids whose key values equal its own (eq, bound
 	// per probe batch). hs holds a batch's hashes.
-	build rowStore
+	build rowset.Store
 	tab   keyTable
 	eq    keyEq
 	hs    []uint64
@@ -103,7 +103,7 @@ func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
 		h.tab.insert(h.hs[k])
 		live = append(live, int32(idx))
 	}
-	h.build.add(cols, nil, live)
+	h.build.Add(cols, nil, live)
 	h.pidx = live[:0]
 }
 
@@ -114,7 +114,7 @@ func (h *hashJoinIter) Open() error {
 	if h.buildBuf == nil {
 		h.buildBuf = h.ctx.newBatch()
 	}
-	h.build.reset(h.rwidth)
+	h.build.Reset(h.rwidth)
 	h.tab.reset()
 	for {
 		err := h.right.NextBatch(h.buildBuf)
@@ -164,7 +164,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 			}
 			h.inPos = 0
 			h.hs = hashKeys(h.hs, h.in.Cols(), h.lpos, h.in.Indices())
-			h.eq.bind(h.in.Cols(), h.lpos, h.build.cols, h.rpos)
+			h.eq.bind(h.in.Cols(), h.lpos, h.build.Cols(), h.rpos)
 		}
 		n := b.NumRows()
 		if err := h.probe(b.CapRows() - n); err != nil {
@@ -175,7 +175,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 			b.Col(j).Gather(n, &in[j], h.pidx, false)
 		}
 		for j := h.lwidth; j < width; j++ {
-			b.Col(j).Gather(n, &h.build.cols[j-h.lwidth], h.bidx, h.neg)
+			b.Col(j).Gather(n, &h.build.Cols()[j-h.lwidth], h.bidx, h.neg)
 		}
 		b.SetNumRows(n + len(h.pidx))
 		h.pidx, h.bidx, h.neg = h.pidx[:0], h.bidx[:0], false
@@ -211,8 +211,8 @@ func (h *hashJoinIter) probe(room int) error {
 			}
 			if h.residual != nil {
 				// The one place a row is assembled: the candidate pair.
-				for j := range h.build.cols {
-					h.scratch[h.lwidth+j] = h.build.cols[j].Value(int(id))
+				for j := range h.build.Cols() {
+					h.scratch[h.lwidth+j] = h.build.Cols()[j].Value(int(id))
 				}
 				h.venv.Row = h.scratch
 				ok, err := expr.EvalPredicate(h.residual, h.venv)
@@ -343,7 +343,7 @@ type batchLoopJoinIter struct {
 	// which outer rows joined. pidx/bidx list the output rows, outer-major,
 	// as (pending id, match id or -1: NULL-extended); pos is the next one to
 	// emit.
-	pending, matches rowStore
+	pending, matches rowset.Store
 	tab              keyTable
 	eq               keyEq
 	pairs            []joinPair
@@ -396,12 +396,12 @@ func (j *batchLoopJoinIter) NextBatch(b *rowset.Batch) error {
 		k := min(b.CapRows()-n, len(j.pidx)-j.pos)
 		pidx := j.pidx[j.pos : j.pos+k]
 		for c := 0; c < j.lwidth; c++ {
-			b.Col(c).Gather(n, &j.pending.cols[c], pidx, false)
+			b.Col(c).Gather(n, &j.pending.Cols()[c], pidx, false)
 		}
 		if !semi(j.typ) {
 			bidx := j.bidx[j.pos : j.pos+k]
 			for c := 0; c < j.rwidth; c++ {
-				b.Col(j.lwidth+c).Gather(n, &j.matches.cols[c], bidx, j.neg)
+				b.Col(j.lwidth+c).Gather(n, &j.matches.Cols()[c], bidx, j.neg)
 			}
 		}
 		b.SetNumRows(n + k)
@@ -419,8 +419,8 @@ func (j *batchLoopJoinIter) execute() error {
 	if err := j.fill(); err != nil {
 		return err
 	}
-	n := j.pending.n
-	j.matches.reset(j.rwidth)
+	n := j.pending.Len()
+	j.matches.Reset(j.rwidth)
 	j.hit = slices.Grow(j.hit[:0], n)[:n]
 	clear(j.hit)
 	j.pairs, j.nhit = j.pairs[:0], 0
@@ -428,7 +428,7 @@ func (j *batchLoopJoinIter) execute() error {
 	// there is none, nothing can join and the inner side does not run.
 	first := -1
 	for i := 0; i < n && first < 0; i++ {
-		if !nullKey(j.pending.cols, j.lpos, i) {
+		if !nullKey(j.pending.Cols(), j.lpos, i) {
 			first = i
 		}
 	}
@@ -443,15 +443,15 @@ func (j *batchLoopJoinIter) execute() error {
 
 // fill buffers up to batch outer rows, each filed under its key's hash.
 func (j *batchLoopJoinIter) fill() error {
-	j.pending.reset(j.lwidth)
+	j.pending.Reset(j.lwidth)
 	if err := j.left.take(&j.pending, nil, j.batch); err != nil {
 		return err
 	}
-	for len(j.seq) < j.pending.n {
+	for len(j.seq) < j.pending.Len() {
 		j.seq = append(j.seq, len(j.seq))
 	}
 	j.tab.reset()
-	j.hs = hashKeys(j.hs, j.pending.cols, j.lpos, j.seq[:j.pending.n])
+	j.hs = hashKeys(j.hs, j.pending.Cols(), j.lpos, j.seq[:j.pending.Len()])
 	for _, h := range j.hs {
 		j.tab.insert(h)
 	}
@@ -467,10 +467,10 @@ func (j *batchLoopJoinIter) run(first int) error {
 	}
 	for _, pb := range j.binds {
 		id := pb.slot
-		if id >= j.pending.n {
+		if id >= j.pending.Len() {
 			id = first
 		}
-		j.ctx.Params[pb.name] = j.pending.cols[pb.pos].Value(id)
+		j.ctx.Params[pb.name] = j.pending.Cols()[pb.pos].Value(id)
 	}
 	j.venv.Params, j.venv.Today = j.ctx.Params, j.ctx.Today
 	if err := j.right.Open(); err != nil {
@@ -478,7 +478,7 @@ func (j *batchLoopJoinIter) run(first int) error {
 	}
 	j.open = true
 	// SEMI and ANTI stop reading once every outer row has joined.
-	for !semi(j.typ) || j.nhit < j.pending.n {
+	for !semi(j.typ) || j.nhit < j.pending.Len() {
 		err := j.right.NextBatch(j.inner)
 		if err == io.EOF {
 			break
@@ -500,13 +500,13 @@ func (j *batchLoopJoinIter) run(first int) error {
 func (j *batchLoopJoinIter) match() error {
 	cols, live := j.inner.Cols(), j.inner.Indices()
 	j.hs = hashKeys(j.hs, cols, j.rpos, live)
-	j.eq.bind(cols, j.rpos, j.pending.cols, j.lpos)
+	j.eq.bind(cols, j.rpos, j.pending.Cols(), j.lpos)
 	keep := j.ids[:0]
 	for k, p := range live {
 		if nullKey(cols, j.rpos, p) {
 			continue // NULL keys never join
 		}
-		m := int32(j.matches.n + len(keep))
+		m := int32(j.matches.Len() + len(keep))
 		joined := false
 		for id := j.eq.match(&j.tab, p, j.tab.find(j.hs[k])); id >= 0; id = j.eq.match(&j.tab, p, j.tab.next[id]) {
 			if j.on != nil {
@@ -531,7 +531,7 @@ func (j *batchLoopJoinIter) match() error {
 			keep = append(keep, int32(p))
 		}
 	}
-	j.matches.add(cols, nil, keep)
+	j.matches.Add(cols, nil, keep)
 	j.ids = keep[:0]
 	return nil
 }
@@ -541,8 +541,8 @@ func (j *batchLoopJoinIter) test(id int, cols []rowset.Vec, p int) (bool, error)
 	if j.row == nil {
 		j.row = make(rowset.Row, j.lwidth+j.rwidth)
 	}
-	for c := range j.pending.cols {
-		j.row[c] = j.pending.cols[c].Value(id)
+	for c := range j.pending.Cols() {
+		j.row[c] = j.pending.Cols()[c].Value(id)
 	}
 	for c := range cols {
 		j.row[j.lwidth+c] = cols[c].Value(p)
@@ -558,7 +558,7 @@ func (j *batchLoopJoinIter) order() {
 	slices.SortStableFunc(j.pairs, func(a, b joinPair) int { return int(a.p - b.p) })
 	j.pidx, j.bidx, j.neg, j.pos = j.pidx[:0], j.bidx[:0], false, 0
 	k := 0
-	for i := range int32(j.pending.n) {
+	for i := range int32(j.pending.Len()) {
 		switch hit := j.hit[i]; {
 		case j.typ == algebra.SemiJoin && hit, j.typ == algebra.AntiJoin && !hit:
 			j.pidx = append(j.pidx, i)

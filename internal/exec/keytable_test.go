@@ -51,7 +51,7 @@ func TestHashConsistentWithEqual(t *testing.T) {
 			}
 		}
 		b := rowset.NewBatch(len(rows))
-		b.FillRows([]sqltypes.Kind{kind, sqltypes.KindNull}, nil, rows)
+		storeOf([]sqltypes.Kind{kind, sqltypes.KindNull}, rows).Emit(b, 0)
 		if !b.Col(0).IsTyped() || b.Col(1).IsTyped() {
 			t.Fatalf("%v: want one typed and one generic column", kind)
 		}
@@ -139,8 +139,8 @@ func BenchmarkKeyTable(b *testing.B) {
 			}
 			kinds := []sqltypes.Kind{kind}
 			sb, pb := rowset.NewBatch(stored), rowset.NewBatch(batch)
-			sb.FillRows(kinds, nil, st)
-			pb.FillRows(kinds, nil, in)
+			storeOf(kinds, st).Emit(sb, 0)
+			storeOf(kinds, in).Emit(pb, 0)
 			var tab keyTable
 			for _, h := range hashKeys(nil, sb.Cols(), []int{0}, sb.Indices()) {
 				tab.insert(h)

@@ -318,7 +318,7 @@ type spoolIter struct {
 	ctx        *Context
 	child      Iterator
 	width      int
-	buf        rowStore
+	buf        rowset.Store
 	pos        int // the next row to replay
 	filled     bool
 	fillParams map[string]sqltypes.Value // param bindings at fill time
@@ -348,8 +348,8 @@ func (s *spoolIter) Open() error {
 	if s.in == nil {
 		s.in = s.ctx.newBatch()
 	}
-	s.buf.reset(s.width)
-	if err := drain(s.child, s.in, func() error { s.buf.addBatch(s.in); return nil }); err != nil {
+	s.buf.Reset(s.width)
+	if err := drain(s.child, s.in, func() error { s.buf.AddBatch(s.in); return nil }); err != nil {
 		return err
 	}
 	s.filled = true
@@ -361,10 +361,10 @@ func (s *spoolIter) Open() error {
 }
 
 func (s *spoolIter) NextBatch(b *rowset.Batch) error {
-	if !s.filled || s.pos >= s.buf.n {
+	if !s.filled || s.pos >= s.buf.Len() {
 		return io.EOF
 	}
-	s.pos += s.buf.emit(b, s.pos)
+	s.pos += s.buf.Emit(b, s.pos)
 	return nil
 }
 

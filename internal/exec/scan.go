@@ -312,29 +312,29 @@ type remoteFetchIter struct {
 	fetched *rowset.Batch
 	bms     []int64
 	ids     []int32
-	rows    rowStore // the batch: pending child rows, then their base rows
-	pos     int      // the next row of rows to emit
+	rows    rowset.Store // the batch: pending child rows, then their base rows
+	pos     int          // the next row of rows to emit
 }
 
 func (r *remoteFetchIter) Open() error {
 	if r.fetched == nil {
 		r.fetched = r.ctx.newBatch()
 	}
-	r.rows.reset(0)
+	r.rows.Reset(0)
 	r.pos = 0
 	return r.feed.open(r.ctx)
 }
 
 func (r *remoteFetchIter) NextBatch(b *rowset.Batch) error {
-	if r.pos >= r.rows.n {
+	if r.pos >= r.rows.Len() {
 		if err := r.fetch(); err != nil {
 			return err
 		}
-		if r.rows.n == 0 {
+		if r.rows.Len() == 0 {
 			return io.EOF
 		}
 	}
-	r.pos += r.rows.emit(b, r.pos)
+	r.pos += r.rows.Emit(b, r.pos)
 	return nil
 }
 
@@ -343,17 +343,17 @@ func (r *remoteFetchIter) NextBatch(b *rowset.Batch) error {
 // key-lookup joins — and locates their bookmarks in one unit.
 func (r *remoteFetchIter) fetch() error {
 	cw := len(r.cpos)
-	r.rows.reset(cw + len(r.op.Cols))
+	r.rows.Reset(cw + len(r.op.Cols))
 	r.pos = 0
 	if err := r.feed.take(&r.rows, r.cpos, r.ctx.remoteBatch()); err != nil {
 		return err
 	}
-	if r.rows.n == 0 {
+	if r.rows.Len() == 0 {
 		return nil
 	}
-	key := &r.rows.cols[r.keyPos]
+	key := &r.rows.Cols()[r.keyPos]
 	r.bms = r.bms[:0]
-	for i := 0; i < r.rows.n; i++ {
+	for i := 0; i < r.rows.Len(); i++ {
 		v := key.Value(i)
 		bm, ok := v.AsInt()
 		if !ok {
@@ -382,9 +382,9 @@ func (r *remoteFetchIter) fetch() error {
 			} else if err != nil {
 				return err
 			}
-			r.ids = int32s(r.ids, r.fetched.Indices())
+			r.ids = rowset.Int32s(r.ids, r.fetched.Indices())
 			for j := range r.op.Cols {
-				r.rows.cols[cw+j].Gather(got, r.fetched.Col(j), r.ids, false)
+				r.rows.Cols()[cw+j].Gather(got, r.fetched.Col(j), r.ids, false)
 			}
 			got += len(r.ids)
 		}
@@ -392,8 +392,8 @@ func (r *remoteFetchIter) fetch() error {
 	if err != nil {
 		return fmt.Errorf("exec: remote fetch %s: %w", r.op.Src, err)
 	}
-	if got != r.rows.n {
-		return fmt.Errorf("exec: remote fetch returned %d rows for %d bookmarks", got, r.rows.n)
+	if got != r.rows.Len() {
+		return fmt.Errorf("exec: remote fetch returned %d rows for %d bookmarks", got, r.rows.Len())
 	}
 	return nil
 }

@@ -108,13 +108,13 @@ func TestMeteredBytesMatchRowEncoding(t *testing.T) {
 		rows = append(rows, r)
 		want += r.EncodedSize()
 	}
-	kinds := []sqltypes.Kind{sqltypes.KindInt, sqltypes.KindString, sqltypes.KindFloat, sqltypes.KindBool}
+	generic := make([]schema.Column, len(cols)) // KindNull: generic columns
 	for _, typed := range []bool{false, true} {
 		b := rowset.NewBatch(0)
 		if typed {
-			b.FillRows(kinds, nil, rows)
+			rowset.NewMaterialized(cols, rows).NextBatch(b)
 		} else {
-			b.FillRows(make([]sqltypes.Kind, len(kinds)), nil, rows) // generic columns
+			rowset.NewMaterialized(generic, rows).NextBatch(b)
 		}
 		if got := b.EncodedSize(); got != want {
 			t.Errorf("typed=%v: EncodedSize = %d, want %d", typed, got, want)

@@ -12,10 +12,11 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 )
 
-// Kind is a cell's type. The generator draws INT, FLOAT and VARCHAR
-// columns; NULL is a kind of its own, as in SQL.
+// Kind is a cell's type. The generator draws INT, FLOAT, VARCHAR, BIT and
+// DATE columns; NULL is a kind of its own, as in SQL.
 type Kind uint8
 
 const (
@@ -23,9 +24,12 @@ const (
 	Int
 	Float
 	Str
+	Bit
+	Date
 )
 
-// Cell is one value.
+// Cell is one value. A BIT holds 0 or 1 in I, a DATE its days since
+// 1970-01-01.
 type Cell struct {
 	K Kind
 	I int64
@@ -33,10 +37,21 @@ type Cell struct {
 	S string
 }
 
-// IntCell, FloatCell and StrCell make non-NULL cells; the zero Cell is NULL.
+// IntCell, FloatCell, StrCell, BitCell and DateCell make non-NULL cells;
+// the zero Cell is NULL.
 func IntCell(i int64) Cell     { return Cell{K: Int, I: i} }
 func FloatCell(f float64) Cell { return Cell{K: Float, F: f} }
 func StrCell(s string) Cell    { return Cell{K: Str, S: s} }
+func DateCell(days int64) Cell { return Cell{K: Date, I: days} }
+func BitCell(b bool) Cell {
+	if b {
+		return Cell{K: Bit, I: 1}
+	}
+	return Cell{K: Bit}
+}
+
+// date formats a DATE cell's days as YYYY-MM-DD.
+func (c Cell) date() string { return time.Unix(c.I*86400, 0).UTC().Format("2006-01-02") }
 
 // String renders the cell with its kind visible: 3 is an INT, 3f a FLOAT.
 func (c Cell) String() string {
@@ -47,6 +62,10 @@ func (c Cell) String() string {
 		return strconv.FormatFloat(c.F, 'g', -1, 64) + "f"
 	case Str:
 		return strconv.Quote(c.S)
+	case Bit:
+		return strconv.FormatInt(c.I, 10) + "b"
+	case Date:
+		return c.date()
 	}
 	return "NULL"
 }
@@ -64,20 +83,24 @@ func (c Cell) literal() string {
 		return s
 	case Str:
 		return "'" + c.S + "'"
+	case Bit:
+		return strconv.FormatInt(c.I, 10)
+	case Date:
+		return "'" + c.date() + "'"
 	}
 	return "NULL"
 }
 
 func (c Cell) num() float64 {
-	if c.K == Int {
-		return float64(c.I)
+	if c.K == Float {
+		return c.F
 	}
-	return c.F
+	return float64(c.I)
 }
 
 // Compare is the total order SQL sorts by: NULL first, then numbers by
-// value (an INT against an INT exactly, through float64 otherwise), then
-// strings by their bytes.
+// value (a BIT is the number 0 or 1; two integers exactly, through float64
+// otherwise), then strings by their bytes, then dates.
 func Compare(a, b Cell) int {
 	rank := func(c Cell) int {
 		switch c.K {
@@ -85,6 +108,8 @@ func Compare(a, b Cell) int {
 			return 0
 		case Str:
 			return 2
+		case Date:
+			return 3
 		}
 		return 1
 	}
@@ -96,7 +121,7 @@ func Compare(a, b Cell) int {
 		return 0
 	case a.K == Str:
 		return strings.Compare(a.S, b.S)
-	case a.K == Int && b.K == Int:
+	case a.K != Float && b.K != Float:
 		return cmp.Compare(a.I, b.I)
 	}
 	return cmp.Compare(a.num(), b.num())

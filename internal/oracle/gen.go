@@ -79,16 +79,19 @@ func (db *DB) Script() []string {
 // table's index once per outer row, and four CHECK-constrained members
 // under a parameter window prune at startup. Columns are NULL-heavy, keys
 // repeat on both sides of every join, FLOATs are multiples of 1/4 so that
-// sums are exact in any order, and two tables carry INT keys past 2^53
-// that agree as float64 and differ as INTs.
+// sums are exact in any order, two tables carry INT keys past 2^53
+// that agree as float64 and differ as INTs, and the fact table carries a
+// BIT and a DATE column.
 func NewDB() *DB {
 	db := &DB{byName: map[string]*Table{}}
 	I, F, S := Int, Float, Str
 	n, i, f, s := Cell{}, IntCell, FloatCell, StrCell
 	strs := []string{"ax", "bx", "ay", "by", "cz"}
-	fact := db.add("fact", []Column{{"id", I}, {"k1", I}, {"k2", I}, {"v", I}, {"f", F}, {"s", S}}, 300, func(r int) []Cell {
-		row := []Cell{i(int64(r)), i(int64(r * 7 % 23)), i(int64(r * 5 % 13)), i(int64(r % 10)), f(float64(r%9-4) / 4), s(strs[r%5])}
-		for j, every := range []int{0, 17, 0, 11, 13, 19} {
+	const jan2024 = 19723 // 2024-01-01 in days since 1970-01-01
+	fact := db.add("fact", []Column{{"id", I}, {"k1", I}, {"k2", I}, {"v", I}, {"f", F}, {"s", S}, {"bt", Bit}, {"dt", Date}}, 300, func(r int) []Cell {
+		row := []Cell{i(int64(r)), i(int64(r * 7 % 23)), i(int64(r * 5 % 13)), i(int64(r % 10)), f(float64(r%9-4) / 4), s(strs[r%5]),
+			BitCell(r%3 == 1), DateCell(jan2024 + int64(r*11%45))}
+		for j, every := range []int{0, 17, 0, 11, 13, 19, 7, 9} {
 			if every > 0 && r%every == j%every {
 				row[j] = n
 			}
@@ -203,7 +206,7 @@ func (db *DB) addView(v *View) {
 func createSQL(t *Table) string {
 	defs := make([]string, len(t.Cols))
 	for i, c := range t.Cols {
-		defs[i] = c.Name + " " + map[Kind]string{Int: "INT", Float: "FLOAT", Str: "VARCHAR(16)"}[c.K]
+		defs[i] = c.Name + " " + map[Kind]string{Int: "INT", Float: "FLOAT", Str: "VARCHAR(16)", Bit: "BIT", Date: "DATE"}[c.K]
 	}
 	if t.Check != "" {
 		defs[0] += " NOT NULL CHECK (" + t.Check + ")"
@@ -281,8 +284,11 @@ func (g *gen) sample(t *Table, name string) Cell {
 			return v
 		}
 	}
-	if t.Cols[j].K == Str {
+	switch t.Cols[j].K {
+	case Str:
 		return StrCell("x")
+	case Date:
+		return DateCell(0)
 	}
 	return IntCell(1)
 }
@@ -307,7 +313,8 @@ func (g *gen) pred(q string, t *Table, depth int) Pred {
 	return g.atom(q, t)
 }
 
-// atom draws one comparison, IS [NOT] NULL or LIKE prefix.
+// atom draws one comparison, IS [NOT] NULL or LIKE prefix. A BIT column
+// compares to the INT 0 or 1, a DATE column to a date literal.
 func (g *gen) atom(q string, t *Table) Pred {
 	c := g.col(q, t)
 	kind := t.Cols[slices.IndexFunc(t.Cols, func(x Column) bool { return x.Name == c.Name })].K
@@ -317,8 +324,10 @@ func (g *gen) atom(q string, t *Table) Pred {
 	case kind == Str && g.r.Intn(2) == 0:
 		v := g.sample(t, c.Name).S
 		return Like{c, v[:1+g.r.Intn(min(2, len(v)))]}
-	case kind == Str:
+	case kind == Str || kind == Date:
 		return Cmp{g.op(), c, Lit{g.sample(t, c.Name)}}
+	case kind == Bit:
+		return Cmp{g.op(), c, Lit{IntCell(int64(g.r.Intn(2)))}}
 	}
 	v := g.sample(t, c.Name)
 	switch g.r.Intn(4) {
@@ -370,6 +379,9 @@ func (g *gen) draw(family string) *Stmt {
 		}
 		if g.r.Intn(3) == 0 {
 			q.Items = append(q.Items, g.items("a", t, 1)...)
+		}
+		if bd := cols(t, Bit, Date); len(bd) > 0 {
+			q.Items = append(q.Items, Item{E: Col{"a", bd[g.r.Intn(len(bd))].Name}})
 		}
 		q.From.Table = t.Name
 		if g.r.Intn(2) == 0 {
@@ -472,7 +484,7 @@ func (g *gen) draw(family string) *Stmt {
 func (g *gen) group(q *Select) {
 	fact := g.db.Table("fact")
 	q.From.Table = "fact"
-	keys := []Expr{Col{"a", "k2"}, Col{"a", "s"}, Col{"a", "v"}, Col{"a", "k1"}}
+	keys := []Expr{Col{"a", "k2"}, Col{"a", "s"}, Col{"a", "v"}, Col{"a", "k1"}, Col{"a", "bt"}, Col{"a", "dt"}}
 	if g.r.Intn(3) == 0 {
 		q.Joins = []Join{{Ref: Ref{"dim1", "b"}, On: Cmp{"=", Col{"a", "k1"}, Col{"b", "k"}}}}
 		keys = append(keys, Col{"b", "name"}, Col{"b", "w"})
@@ -487,6 +499,7 @@ func (g *gen) group(q *Select) {
 		{Fn: "MAX", Arg: Col{"a", "f"}}, {Fn: "MIN", Arg: Col{"a", "v"}}, {Fn: "MAX", Arg: Col{"a", "id"}},
 		{Fn: "COUNT", Arg: Col{"a", "k2"}, Distinct: true}, {Fn: "COUNT", Arg: Col{"a", "s"}, Distinct: true},
 		{Fn: "SUM", Arg: Arith{"*", Col{"a", "v"}, Lit{IntCell(2)}}},
+		{Fn: "MAX", Arg: Col{"a", "dt"}}, {Fn: "MIN", Arg: Col{"a", "dt"}}, {Fn: "COUNT", Arg: Col{"a", "bt"}},
 	}
 	for _, j := range g.r.Perm(len(aggs))[:1+g.r.Intn(3)] {
 		q.Items = append(q.Items, Item{Agg: aggs[j]})

@@ -18,11 +18,11 @@ import (
 // amortization; MaxBatchSize caps memory per operator regardless of the
 // session knob. The batch size is a ceiling on rows per fill, not an
 // allocation: columns are sized by what a fill holds. Producers that know
-// their row count (FillCols, FillRows, Materialized.NextBatch, the
-// expression kernels) size columns to it exactly; AppendRow, which does
-// not, grows them from minAppendRows by appendGrowth up to the ceiling. A
-// reused batch keeps the buffers of its largest fill, so refilling it to
-// that size again allocates nothing.
+// their row count (FillCols, Store.Emit, the expression kernels) size
+// columns to it exactly; AppendRow, which does not, grows them from
+// minAppendRows by appendGrowth up to the ceiling. A reused batch keeps the
+// buffers of its largest fill, so refilling it to that size again
+// allocates nothing.
 const (
 	DefaultBatchSize = 1024
 	MaxBatchSize     = 4096
@@ -264,22 +264,6 @@ func projWidth(proj []int, full int) int {
 	return len(proj)
 }
 
-// FillRows loads row-major rows (at most CapRows of them) into the batch
-// column-major: column j holds source column proj[j], typed to its entry
-// in kinds (proj nil: every column of kinds, in order). The per-column
-// kind dispatch hoists out of the row loop, so a million-row scan pays it
-// once per column per batch instead of once per value — the bulk fill path
-// for storage scans over schema-typed tables.
-func (b *Batch) FillRows(kinds []sqltypes.Kind, proj []int, rows []Row) {
-	b.clear(projWidth(proj, len(kinds)))
-	for j := range b.cols {
-		src := srcCol(proj, j)
-		b.cols[j].ResetTyped(kinds[src], len(rows))
-		b.cols[j].fillFromRows(rows, src)
-	}
-	b.SetNumRows(len(rows))
-}
-
 // FillCols loads rows [off, off+k) of a columnar image — one full-table
 // Vec per column — into the batch: column j is a read-only window onto
 // src[proj[j]] (proj nil: every column, in order), so a scan moves no
@@ -383,42 +367,4 @@ func FillBatch(rs Rowset, b *Batch, proj []int) error {
 		return io.EOF
 	}
 	return nil
-}
-
-// NextBatch implements BatchReader: Materialized buffers (spool replays,
-// remote result sets, aggregate outputs) refill batches without the
-// per-row Next round trip.
-func (m *Materialized) NextBatch(b *Batch) error {
-	if m.pos >= len(m.rows) {
-		return io.EOF
-	}
-	rows := m.rows[m.pos:min(m.pos+b.capRows, len(m.rows))]
-	b.clear(len(rows[0]))
-	for j := range b.cols {
-		b.cols[j].ResetGeneric(len(rows))
-		b.cols[j].fillFromRows(rows, j)
-	}
-	b.SetNumRows(len(rows))
-	m.pos += len(rows)
-	return nil
-}
-
-// AppendBatch appends the batch's live rows, copied, to the rowset. One
-// backing array serves the whole batch (a fraction of the allocations of
-// per-row Append).
-func (m *Materialized) AppendBatch(b *Batch) {
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	w := b.Width()
-	vals := make([]sqltypes.Value, n*w)
-	idxs := b.Indices()
-	for j := 0; j < w; j++ {
-		b.cols[j].boxInto(vals[j:], w, idxs)
-	}
-	for k := 0; k < n; k++ {
-		base := k * w
-		m.rows = append(m.rows, Row(vals[base:base+w:base+w]))
-	}
 }

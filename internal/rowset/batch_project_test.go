@@ -47,7 +47,7 @@ func TestProjectMovesVectors(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			kinds = genericKinds
 		}
-		a.FillRows(kinds, nil, rows)
+		storeOf(kinds, rows).Emit(a, 0)
 		if len(rows) > 1 && rng.Intn(2) == 0 {
 			var sel []int
 			for i := range rows {
@@ -90,7 +90,7 @@ func TestProjectMovesVectors(t *testing.T) {
 		// Hand the batch over and fill the other side of the swap: the
 		// handed-over rows must not move.
 		a.Swap(b)
-		a.FillRows(reuseKinds, nil, reuseRows(rng, 64, 0, -1))
+		storeOf(reuseKinds, reuseRows(rng, 64, 0, -1)).Emit(a, 0)
 		if got := liveRows(b); !sameRows(got, want) {
 			t.Fatalf("iter %d: rows changed under a refill of the batch they were swapped out of: %v, want %v", iter, got, want)
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 )
 
@@ -52,6 +53,27 @@ func reuseImage(kinds []sqltypes.Kind, rows []Row) []Vec {
 		img[j] = BuildColVec(k, rows, j)
 	}
 	return img
+}
+
+// storeOf gathers rows, through their image, into a store.
+func storeOf(kinds []sqltypes.Kind, rows []Row) *Store {
+	ids := make([]int32, len(rows))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	var s Store
+	s.Reset(len(kinds))
+	s.Add(reuseImage(kinds, rows), nil, ids)
+	return &s
+}
+
+// kindCols names one column per kind.
+func kindCols(kinds []sqltypes.Kind) []schema.Column {
+	cols := make([]schema.Column, len(kinds))
+	for j, k := range kinds {
+		cols[j] = schema.Column{Name: fmt.Sprint("c", j), Kind: k}
+	}
+	return cols
 }
 
 // reuseFill is one randomly chosen producer call; applying it to a reused
@@ -111,10 +133,14 @@ func randomFill(rng *rand.Rand, capRows int) reuseFill {
 			b.FillCols(img, proj, off, n)
 		}, project(all[off : off+n])}
 	case 1:
-		rows := reuseRows(rng, n, nullEvery, mismatchAt)
-		return reuseFill{name("FillRows"), func(b *Batch) {
-			b.FillRows(kinds, proj, rows)
-		}, project(rows)}
+		// A store's copying emit from an offset: the refilling buffers' fill.
+		proj = nil
+		off := []int{0, 5}[rng.Intn(2)]
+		all := reuseRows(rng, off+n, nullEvery, mismatchAt)
+		st := storeOf(kinds, all)
+		return reuseFill{name("Store.Emit"), func(b *Batch) {
+			st.Emit(b, off)
+		}, all[off:]}
 	case 2:
 		rows := reuseRows(rng, n, nullEvery, mismatchAt)
 		return reuseFill{name("ResetTyped+AppendRow"), func(b *Batch) {
@@ -142,7 +168,7 @@ func randomFill(rng *rand.Rand, capRows int) reuseFill {
 	default:
 		rows := reuseRows(rng, n, nullEvery, mismatchAt)
 		return reuseFill{name("Materialized.NextBatch"), func(b *Batch) {
-			if err := NewMaterialized(nil, rows).NextBatch(b); err != nil && n > 0 {
+			if err := NewMaterialized(kindCols(kinds), rows).NextBatch(b); err != nil && n > 0 {
 				panic(err)
 			}
 			if n == 0 {
@@ -245,21 +271,21 @@ func TestSharedImageConcurrentScans(t *testing.T) {
 // batch has held a width, Reset and ResetTyped allocate nothing, and a
 // refill no larger than an earlier one reuses its buffers.
 func TestBatchResetAllocatesNothing(t *testing.T) {
-	rows := reuseRows(rand.New(rand.NewSource(1)), 100, 3, -1)
+	st := storeOf(reuseKinds, reuseRows(rand.New(rand.NewSource(1)), 100, 3, -1))
 	b := NewBatch(1024)
-	b.FillRows(reuseKinds, nil, rows)
+	st.Emit(b, 0)
 	if a := testing.AllocsPerRun(100, func() { b.Reset(len(reuseKinds)) }); a != 0 {
 		t.Errorf("Reset allocates %.1f per call, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() { b.ResetTyped(reuseKinds) }); a != 0 {
 		t.Errorf("ResetTyped allocates %.1f per call, want 0", a)
 	}
-	if a := testing.AllocsPerRun(100, func() { b.FillRows(reuseKinds, nil, rows[:40]) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { st.Emit(b, 60) }); a != 0 {
 		t.Errorf("a smaller refill allocates %.1f per call, want 0", a)
 	}
 	// A fresh batch's one-row fill is sized for one row, whatever the ceiling.
 	big := NewBatch(4096)
-	big.FillRows(reuseKinds, nil, rows[:1])
+	st.Emit(big, 99)
 	if c := cap(big.Col(0).Int64s()); c != 1 {
 		t.Errorf("one-row fill under a 4096-row ceiling sized its column for %d rows", c)
 	}

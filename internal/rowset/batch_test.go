@@ -72,7 +72,8 @@ func TestFillBatchAndMaterializedRoundTrip(t *testing.T) {
 		rows = append(rows, intRow(i, 100+i))
 	}
 	src := NewMaterialized(cols, rows)
-	out := NewMaterialized(cols, nil)
+	var out Store
+	out.Reset(len(cols))
 	b := NewBatch(3)
 	total := 0
 	for {
@@ -84,12 +85,15 @@ func TestFillBatchAndMaterializedRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		total += b.Len()
-		out.AppendBatch(b)
+		if b.Col(0).Kind() != sqltypes.KindInt {
+			t.Fatalf("a fill of INT columns is %v", b.Col(0).Kind())
+		}
+		out.AddBatch(b)
 	}
 	if total != 10 || out.Len() != 10 {
-		t.Fatalf("round-tripped %d rows, materialized %d, want 10", total, out.Len())
+		t.Fatalf("round-tripped %d rows, stored %d, want 10", total, out.Len())
 	}
-	for i, r := range out.Rows() {
+	for i, r := range FromStore(cols, &out).Rows() {
 		if r[0].Int() != int64(i) || r[1].Int() != int64(100+i) {
 			t.Fatalf("row %d = %v", i, r)
 		}
@@ -142,16 +146,18 @@ func TestFillBatchPullPath(t *testing.T) {
 	}
 }
 
-func TestAppendBatchHonorsSelection(t *testing.T) {
+func TestStoreAddBatchHonorsSelection(t *testing.T) {
 	b := NewBatch(4)
 	b.Reset(1)
 	for i := int64(0); i < 4; i++ {
 		b.AppendRow(intRow(i))
 	}
 	b.SetSelection([]int{0, 2})
-	m := NewMaterialized(nil, nil)
-	m.AppendBatch(b)
-	if m.Len() != 2 || m.Rows()[0][0].Int() != 0 || m.Rows()[1][0].Int() != 2 {
-		t.Fatalf("AppendBatch rows = %v", m.Rows())
+	var s Store
+	s.Reset(1)
+	s.AddBatch(b)
+	rows := FromStore(cols("a"), &s).Rows()
+	if len(rows) != 2 || rows[0][0].Int() != 0 || rows[1][0].Int() != 2 {
+		t.Fatalf("AddBatch rows = %v", rows)
 	}
 }

@@ -17,7 +17,7 @@ import (
 type Row []sqltypes.Value
 
 // Clone returns a copy of the row that does not alias the original backing
-// array. Operators that buffer rows (sorts, spools, hash tables) must clone.
+// array, for consumers that keep rows a rowset may reuse.
 func (r Row) Clone() Row {
 	out := make(Row, len(r))
 	copy(out, r)
@@ -67,61 +67,101 @@ type Bookmarked interface {
 	Bookmark() int64
 }
 
-// Materialized is an in-memory rowset, used for small metadata/statistics
-// rowsets and test fixtures, and as the spool buffer.
+// Materialized is a rowset held in memory as a Store that no longer
+// changes: a member's result crossing a link, a provider's rows, metadata
+// and statistics rowsets, test fixtures. Batch readers get read-only
+// windows onto its columns; Next and Rows box at the row-oriented edge.
 type Materialized struct {
 	cols []schema.Column
-	rows []Row
+	s    Store
 	pos  int
 }
 
-// NewMaterialized builds a materialized rowset over the given rows. The rows
-// are not copied.
+// NewMaterialized builds a materialized rowset over the given rows, column
+// j typed to cols[j].Kind; a value of another kind degrades its column to
+// boxed values. The rows are not retained.
 func NewMaterialized(cols []schema.Column, rows []Row) *Materialized {
-	return &Materialized{cols: cols, rows: rows}
+	m := &Materialized{cols: cols}
+	m.s.cols = make([]Vec, len(cols))
+	for j, c := range cols {
+		m.s.cols[j] = BuildColVec(c.Kind, rows, j)
+	}
+	m.s.n = len(rows)
+	return m
+}
+
+// FromStore makes a materialized rowset of s's rows, which it takes over:
+// nothing may change s afterwards.
+func FromStore(cols []schema.Column, s *Store) *Materialized {
+	return &Materialized{cols: cols, s: Store{cols: s.cols, n: s.n}}
 }
 
 // Columns implements Rowset.
 func (m *Materialized) Columns() []schema.Column { return m.cols }
 
-// Next implements Rowset.
+// Next implements Rowset; each row is freshly boxed, so callers may keep
+// it.
 func (m *Materialized) Next() (Row, error) {
-	if m.pos >= len(m.rows) {
+	if m.pos >= m.s.n {
 		return nil, io.EOF
 	}
-	r := m.rows[m.pos]
+	r := make(Row, len(m.s.cols))
+	for j := range m.s.cols {
+		r[j] = m.s.cols[j].Value(m.pos)
+	}
 	m.pos++
 	return r, nil
+}
+
+// NextBatch implements BatchReader: each column of b is a read-only window
+// onto the stored column (see Batch.FillCols), so a fill moves no payload.
+func (m *Materialized) NextBatch(b *Batch) error {
+	if m.pos >= m.s.n {
+		return io.EOF
+	}
+	k := min(b.CapRows(), m.s.n-m.pos)
+	b.FillCols(m.s.cols, nil, m.pos, k)
+	m.pos += k
+	return nil
 }
 
 // Close implements Rowset.
 func (m *Materialized) Close() error { return nil }
 
-// Reset rewinds the rowset to its first row (spools rescan this way).
-func (m *Materialized) Reset() { m.pos = 0 }
-
 // Len returns the number of rows.
-func (m *Materialized) Len() int { return len(m.rows) }
+func (m *Materialized) Len() int { return m.s.n }
 
-// Rows exposes the backing rows (read-only by convention).
-func (m *Materialized) Rows() []Row { return m.rows }
-
-// Append adds a row (cloned) to the rowset.
-func (m *Materialized) Append(r Row) { m.rows = append(m.rows, r.Clone()) }
+// Rows boxes every row, all of them in one backing array.
+func (m *Materialized) Rows() []Row {
+	n, w := m.s.n, len(m.s.cols)
+	if n == 0 {
+		return nil
+	}
+	vals := make([]sqltypes.Value, n*w)
+	for j := range m.s.cols {
+		m.s.cols[j].boxInto(vals[j:], w, n)
+	}
+	rows := make([]Row, n)
+	for k := range rows {
+		base := k * w
+		rows[k] = Row(vals[base : base+w : base+w])
+	}
+	return rows
+}
 
 // ReadAll drains a rowset into a Materialized copy and closes it.
 func ReadAll(rs Rowset) (*Materialized, error) {
-	out := NewMaterialized(rs.Columns(), nil)
 	defer rs.Close()
+	var rows []Row
 	for {
 		r, err := rs.Next()
 		if err == io.EOF {
-			return out, nil
+			return NewMaterialized(rs.Columns(), rows), nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		out.Append(r)
+		rows = append(rows, r.Clone())
 	}
 }
 

@@ -38,10 +38,6 @@ func TestMaterializedIteration(t *testing.T) {
 	if _, err = m.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
-	m.Reset()
-	if r, _ := m.Next(); r[0].Int() != 1 {
-		t.Fatal("reset did not rewind")
-	}
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d", m.Len())
 	}
@@ -69,13 +65,19 @@ func TestRowEncodedSizeAndString(t *testing.T) {
 	}
 }
 
-func TestAppendClones(t *testing.T) {
-	m := NewMaterialized(cols("a"), nil)
+// A materialized rowset holds its own columns: the rows it was built from
+// may change afterwards, and the rows Next hands out may be kept.
+func TestMaterializedOwnsItsRows(t *testing.T) {
 	r := intRow(5)
-	m.Append(r)
-	r[0] = sqltypes.NewInt(6)
-	if m.Rows()[0][0].Int() != 5 {
-		t.Error("Append did not clone")
+	m := NewMaterialized(cols("a"), []Row{r, intRow(6)})
+	r[0] = sqltypes.NewInt(7)
+	first, _ := m.Next()
+	second, _ := m.Next()
+	if first[0].Int() != 5 || second[0].Int() != 6 {
+		t.Errorf("rows %v %v, want (5) (6): NewMaterialized kept its input", first, second)
+	}
+	if rows := m.Rows(); rows[0][0].Int() != 5 || rows[0][0].Kind() != sqltypes.KindInt {
+		t.Errorf("Rows()[0] = %v", rows[0])
 	}
 }
 

@@ -1,10 +1,12 @@
-// Typed column vectors: the unboxed representation behind Batch columns.
-// A Vec stores one column either generically (a []sqltypes.Value slice, the
-// PR 6 layout) or typed — a flat payload slice of the column's native Go
-// type plus a validity bitmap — so hot kernels (filter comparisons, hash-key
-// encoding, aggregate accumulation) run over machine words without Kind
-// dispatch or Value struct copies. Values cross back into boxed form only at
-// boundaries: row-based providers, remote decode, the sort/spool adapter.
+// Typed column vectors: the unboxed representation behind Batch columns
+// and Store rows. A Vec stores one column either generically (a
+// []sqltypes.Value slice) or typed — a flat payload slice of the column's
+// native Go type plus a validity bitmap — so hot kernels (filter
+// comparisons, hash-key encoding, aggregate accumulation) run over machine
+// words without Kind dispatch or Value struct copies. Values cross back
+// into boxed form only at row-oriented edges: row-based providers, the
+// Rowset Next and Materialized.Rows views, expression scratch rows and the
+// Top-N heap.
 package rowset
 
 import "dhqp/internal/sqltypes"
@@ -157,126 +159,56 @@ func (v *Vec) SetValue(i int, val sqltypes.Value) {
 	v.gen[i] = val
 }
 
-// fillFromRows writes column j of each row into the vec, with the kind
-// dispatch hoisted out of the row loop — the storage scan's fill path. A
-// value whose kind mismatches a typed column degrades the vec and finishes
-// the fill boxed, exactly as sequential SetValue calls would. Indices are
-// written fresh after a reset, so exact-kind writes touch only the payload
-// slice (their validity bits are still set from the reset).
-func (v *Vec) fillFromRows(rows []Row, j int) {
+// boxInto boxes elements 0..n-1 into dst[0], dst[stride], dst[2*stride],
+// ... — the column→row boxing inner loop with the kind dispatch hoisted out
+// of the element loop. dst's zero value is already NULL, so invalid
+// positions are simply skipped.
+func (v *Vec) boxInto(dst []sqltypes.Value, stride, n int) {
 	switch v.kind {
 	case sqltypes.KindNull:
 		g := v.gen
-		for i, r := range rows {
-			g[i] = r[j]
-		}
-	case sqltypes.KindFloat:
-		f := v.f64
-		for i := 0; i < len(rows); i++ {
-			val := &rows[i][j]
-			if val.Kind() == sqltypes.KindFloat {
-				f[i] = val.RawFloat()
-				continue
-			}
-			if val.IsNull() {
-				v.SetNull(i)
-				continue
-			}
-			v.fillSlow(rows, i, j)
-			return
-		}
-	case sqltypes.KindString:
-		strs := v.str
-		for i := 0; i < len(rows); i++ {
-			val := &rows[i][j]
-			if val.Kind() == sqltypes.KindString {
-				strs[i] = val.RawStr()
-				continue
-			}
-			if val.IsNull() {
-				v.SetNull(i)
-				continue
-			}
-			v.fillSlow(rows, i, j)
-			return
-		}
-	default: // Int, Bool, Date share the int64 payload
-		k := v.kind
-		xs := v.i64
-		for i := 0; i < len(rows); i++ {
-			val := &rows[i][j]
-			if val.Kind() == k {
-				xs[i] = val.RawInt()
-				continue
-			}
-			if val.IsNull() {
-				v.SetNull(i)
-				continue
-			}
-			v.fillSlow(rows, i, j)
-			return
-		}
-	}
-}
-
-// fillSlow finishes a fill through SetValue from position i on (the first
-// kind-mismatched element degrades the column to generic mode).
-func (v *Vec) fillSlow(rows []Row, i, j int) {
-	for ; i < len(rows); i++ {
-		v.SetValue(i, rows[i][j])
-	}
-}
-
-// boxInto boxes the elements at idxs into dst[0], dst[stride],
-// dst[2*stride], ... — the batch→row materialization inner loop with the
-// kind dispatch hoisted out of the element loop. dst's zero value is
-// already NULL, so invalid positions are simply skipped.
-func (v *Vec) boxInto(dst []sqltypes.Value, stride int, idxs []int) {
-	switch v.kind {
-	case sqltypes.KindNull:
-		g := v.gen
-		for k, idx := range idxs {
-			dst[k*stride] = g[idx]
+		for k := range n {
+			dst[k*stride] = g[k]
 		}
 	case sqltypes.KindInt:
 		xs := v.i64
-		for k, idx := range idxs {
-			if v.hasNulls && !v.Valid(idx) {
+		for k := range n {
+			if v.hasNulls && !v.Valid(k) {
 				continue
 			}
-			dst[k*stride] = sqltypes.NewInt(xs[idx])
+			dst[k*stride] = sqltypes.NewInt(xs[k])
 		}
 	case sqltypes.KindBool:
 		xs := v.i64
-		for k, idx := range idxs {
-			if v.hasNulls && !v.Valid(idx) {
+		for k := range n {
+			if v.hasNulls && !v.Valid(k) {
 				continue
 			}
-			dst[k*stride] = sqltypes.NewBool(xs[idx] != 0)
+			dst[k*stride] = sqltypes.NewBool(xs[k] != 0)
 		}
 	case sqltypes.KindDate:
 		xs := v.i64
-		for k, idx := range idxs {
-			if v.hasNulls && !v.Valid(idx) {
+		for k := range n {
+			if v.hasNulls && !v.Valid(k) {
 				continue
 			}
-			dst[k*stride] = sqltypes.NewDateDays(xs[idx])
+			dst[k*stride] = sqltypes.NewDateDays(xs[k])
 		}
 	case sqltypes.KindFloat:
 		fs := v.f64
-		for k, idx := range idxs {
-			if v.hasNulls && !v.Valid(idx) {
+		for k := range n {
+			if v.hasNulls && !v.Valid(k) {
 				continue
 			}
-			dst[k*stride] = sqltypes.NewFloat(fs[idx])
+			dst[k*stride] = sqltypes.NewFloat(fs[k])
 		}
 	case sqltypes.KindString:
 		ss := v.str
-		for k, idx := range idxs {
-			if v.hasNulls && !v.Valid(idx) {
+		for k := range n {
+			if v.hasNulls && !v.Valid(k) {
 				continue
 			}
-			dst[k*stride] = sqltypes.NewString(ss[idx])
+			dst[k*stride] = sqltypes.NewString(ss[k])
 		}
 	}
 }
@@ -315,12 +247,15 @@ func (v *Vec) encodedSize(idxs []int) int {
 }
 
 // BuildColVec builds a full-length typed vector over column j of rows —
-// the storage engine's columnar-image constructor. A kind-mismatched value
-// degrades it to generic just like a batch fill would.
+// the constructor of a table's columnar image and of a Materialized
+// rowset. A kind-mismatched value degrades it to generic, as SetValue
+// does.
 func BuildColVec(kind sqltypes.Kind, rows []Row, j int) Vec {
 	var v Vec
 	v.ResetTyped(kind, len(rows))
-	v.fillFromRows(rows, j)
+	for i, r := range rows {
+		v.SetValue(i, r[j])
+	}
 	return v
 }
 

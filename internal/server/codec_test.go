@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"dhqp/internal/rowset"
+	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 )
 
@@ -149,7 +150,9 @@ func randomBatch(rng *rand.Rand) *rowset.Batch {
 		kinds = make([]sqltypes.Kind, len(kinds)) // generic columns
 	}
 	if rng.Intn(2) == 0 {
-		b.FillRows(kinds, nil, rows)
+		if rowset.NewMaterialized(kindCols(kinds), rows).NextBatch(b) == io.EOF {
+			b.ResetTyped(kinds)
+		}
 	} else {
 		b.ResetTyped(kinds)
 		for _, r := range rows {
@@ -326,6 +329,15 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
+// kindCols describes one column per kind.
+func kindCols(kinds []sqltypes.Kind) []schema.Column {
+	cols := make([]schema.Column, len(kinds))
+	for j, k := range kinds {
+		cols[j] = schema.Column{Name: fmt.Sprintf("c%d", j), Kind: k}
+	}
+	return cols
+}
+
 // resultFrames encodes a result the way a session streams it: cols, one
 // rows frame per root batch of DefaultBatchSize rows, done.
 func resultFrames(kinds []sqltypes.Kind, rows []rowset.Row) [][]byte {
@@ -335,8 +347,7 @@ func resultFrames(kinds []sqltypes.Kind, rows []rowset.Row) [][]byte {
 	}
 	frames := [][]byte{appendCols(frameStart(nil), 1, cols)}
 	b := rowset.NewBatch(rowset.DefaultBatchSize)
-	for lo := 0; lo < len(rows); lo += rowset.DefaultBatchSize {
-		b.FillRows(kinds, nil, rows[lo:min(lo+rowset.DefaultBatchSize, len(rows))])
+	for m := rowset.NewMaterialized(kindCols(kinds), rows); m.NextBatch(b) == nil; {
 		frames = append(frames, appendRows(frameStart(nil), 1, b.Cols(), b.Indices()))
 	}
 	return append(frames, appendDone(frameStart(nil), &Frame{QueryID: 1, RowCount: int64(len(rows))}))
