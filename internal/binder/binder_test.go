@@ -1,6 +1,7 @@
 package binder
 
 import (
+	"dhqp/internal/rowset"
 	"fmt"
 	"strings"
 	"testing"
@@ -524,12 +525,12 @@ func TestCheckPredicate(t *testing.T) {
 	if len(checks) != 1 {
 		t.Fatalf("checks = %d", len(checks))
 	}
-	ok, err := expr.EvalPredicate(checks[0].Pred, &expr.Env{Row: []sqltypes.Value{sqltypes.NewInt(15)}})
-	if err != nil || !ok {
-		t.Errorf("in-range row rejected: %v %v", ok, err)
+	bad, err := expr.FirstRejected(checks[0].Pred, []rowset.Row{{sqltypes.NewInt(15)}})
+	if err != nil || bad >= 0 {
+		t.Errorf("in-range row rejected: %v %v", bad, err)
 	}
-	ok, _ = expr.EvalPredicate(checks[0].Pred, &expr.Env{Row: []sqltypes.Value{sqltypes.NewInt(25)}})
-	if ok {
+	bad, _ = expr.FirstRejected(checks[0].Pred, []rowset.Row{{sqltypes.NewInt(25)}})
+	if bad < 0 {
 		t.Error("out-of-range row accepted")
 	}
 	_ = constraint.FullDomain() // keep import for doc parity

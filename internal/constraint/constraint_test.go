@@ -226,22 +226,21 @@ func TestStartupPredicate(t *testing.T) {
 	// Member holds (50, 100]; parameter @cid.
 	d := &Domain{Intervals: []Interval{{Lo: sqltypes.NewInt(50), LoOpen: true, Hi: sqltypes.NewInt(100)}}}
 	p := StartupPredicate(d, expr.OpEq, expr.NewParam("cid"))
-	eval := func(v int64) bool {
-		got, err := expr.EvalPredicate(p, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(v)}})
+	test := func(p expr.Expr, v int64) bool {
+		got, err := expr.EvalScalar(p, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(v)}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return expr.Truthy(got)
 	}
+	eval := func(v int64) bool { return test(p, v) }
 	if eval(50) || !eval(51) || !eval(100) || eval(101) {
 		t.Errorf("startup predicate bounds broken: %s", p)
 	}
 	// Multi-interval domain.
 	d2 := &Domain{Intervals: []Interval{Point(sqltypes.NewInt(1)), iv(50, 60)}}
 	p2 := StartupPredicate(d2, expr.OpEq, expr.NewParam("cid"))
-	ok1, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(1)}})
-	ok2, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(55)}})
-	ok3, _ := expr.EvalPredicate(p2, &expr.Env{Params: map[string]sqltypes.Value{"cid": sqltypes.NewInt(10)}})
+	ok1, ok2, ok3 := test(p2, 1), test(p2, 55), test(p2, 10)
 	if !ok1 || !ok2 || ok3 {
 		t.Errorf("multi-interval startup broken: %s", p2)
 	}
@@ -250,7 +249,7 @@ func TestStartupPredicate(t *testing.T) {
 		t.Errorf("full-domain startup should be nil, got %s", p)
 	}
 	pFalse := StartupPredicate(EmptyDomain(), expr.OpEq, expr.NewParam("x"))
-	v2, _ := pFalse.Eval(&expr.Env{})
+	v2, _ := expr.EvalScalar(pFalse, &expr.Env{})
 	if v2.Bool() {
 		t.Error("empty-domain startup should be false")
 	}

@@ -349,11 +349,10 @@ func (s *Server) insertIntoView(cfg *Config, params map[string]sqltypes.Value, v
 		if err != nil {
 			return 0, err
 		}
-		for _, r := range batches[mi] {
-			for _, c := range checks {
-				if ok, err := expr.EvalPredicate(c.Pred, &expr.Env{Row: r}); err != nil || !ok {
-					return 0, fmt.Errorf("engine: view %s: CHECK %s fails for %s", view, c.Text, r)
-				}
+		for _, c := range checks {
+			bad, err := expr.FirstRejected(c.Pred, batches[mi])
+			if err != nil || bad >= 0 {
+				return 0, fmt.Errorf("engine: view %s: CHECK %s fails for %s", view, c.Text, batches[mi][max(bad, 0)])
 			}
 		}
 		ws = append(ws, decoder.Write{Kind: decoder.Insert, Table: m.src, Rows: batches[mi]})
@@ -517,7 +516,7 @@ func (s *Server) insertRows(cfg *Config, st *parser.InsertStmt, params map[strin
 			if err != nil {
 				return nil, err
 			}
-			v, err := bound.Eval(env)
+			v, err := expr.EvalScalar(bound, env)
 			if err != nil {
 				return nil, err
 			}
@@ -736,21 +735,25 @@ func (w *memberWrite) stage() error {
 		return nil
 	}
 	ctx := w.s.execContext(context.Background(), w.cfg, w.params, w.sess, w.col)
-	env := &expr.Env{Params: ctx.Params, Today: w.cfg.Today}
-	var row rowset.Row
+	set := make([]rowset.Vec, len(w.Set)) // each SET value over the staged batch
 	return exec.Stream(w.rows, ctx, func(b *rowset.Batch) (err error) {
-		for i := range b.Len() {
-			row = b.RowAt(i, row)
-			bm, _ := row[len(def.Columns)].AsInt() // the bookmark column
+		for i, a := range w.Set {
+			if err := expr.EvalVec(a.E, &ctx.Env, b.Cols(), b.Indices(), &set[i]); err != nil {
+				return err
+			}
+		}
+		bms := b.Col(len(def.Columns)) // the bookmark column
+		for k, p := range b.Indices() {
+			bm, _ := bms.Value(p).AsInt()
 			if w.Kind == decoder.Delete {
 				err = w.sess.Delete(table, bm)
 			} else {
-				env.Row = row
-				newRow := slices.Clone(row[:len(def.Columns)])
-				for _, a := range w.Set {
-					if newRow[a.Col], err = a.E.Eval(env); err != nil {
-						return err
-					}
+				newRow := make(rowset.Row, len(def.Columns))
+				for j := range newRow {
+					newRow[j] = b.Col(j).Value(p)
+				}
+				for i, a := range w.Set {
+					newRow[a.Col] = set[i].Value(k)
 				}
 				err = w.sess.Update(table, bm, newRow)
 			}

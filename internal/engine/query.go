@@ -516,7 +516,7 @@ func (s *Server) execContext(qctx context.Context, cfg *Config, params map[strin
 		params = map[string]sqltypes.Value{}
 	}
 	ctx := &exec.Context{
-		RT: &runtime{s: s, local: local}, Params: params, Today: cfg.Today,
+		RT: &runtime{s: s, local: local}, Env: expr.Env{Params: params, Today: cfg.Today},
 		MaxDOP: cfg.MaxDOP, RemoteBatchSize: cfg.RemoteBatchSize, BatchSize: cfg.BatchSize,
 		Ctx: qctx, RetryAttempts: cfg.RemoteRetries, RetryBackoff: cfg.RetryBackoff,
 		BreakerFor: s.breakerFor, PartialResults: cfg.PartialResults,

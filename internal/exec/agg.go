@@ -130,7 +130,10 @@ func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpe
 			if err != nil {
 				return nil, err
 			}
-			args[i], argPos[i] = bound, expr.BoundColPos(bound)
+			args[i] = bound
+			if cr, ok := bound.(*expr.ColRef); ok {
+				argPos[i] = cr.Pos()
+			}
 		}
 	}
 	child, err := Build(n.Kids[0], ctx)
@@ -174,18 +177,18 @@ type hashAggIter struct {
 	hs   []uint64
 	gids []int32
 	one  [1]int32
-	venv *expr.Env
+	arg  rowset.Vec // a computed argument's values over the live rows
+	seq  []int
 }
 
 func (h *hashAggIter) Open() error {
 	if h.in == nil {
-		h.in, h.venv = h.ctx.newBatch(), &expr.Env{}
+		h.in = h.ctx.newBatch()
 		h.kpos = make([]int, len(h.gpos))
 		for k := range h.kpos {
 			h.kpos[k] = k
 		}
 	}
-	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
 	h.groups.Reset(len(h.gpos) + len(h.specs))
 	h.tab.reset()
 	h.accs, h.pos = h.accs[:0], 0
@@ -263,9 +266,9 @@ func (h *hashAggIter) newGroup(cols []rowset.Vec, p int, hash uint64) int32 {
 }
 
 // update folds specs[i]'s argument over the live rows into their groups'
-// accumulators: COUNT(*), and a plain COUNT, SUM or AVG of a typed column,
-// in one typed loop; any other argument, a DISTINCT, MIN and MAX row by row
-// through accumulator.add.
+// accumulators: COUNT(*), and a COUNT, SUM or AVG of a typed column or of
+// a computed argument that evaluates typed, in one typed loop; any other
+// argument, a DISTINCT, MIN and MAX row by row through accumulator.add.
 func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32) error {
 	// accs[g*w] is group g's accumulator for specs[i].
 	accs, w := h.accs[i:], len(h.specs)
@@ -275,20 +278,16 @@ func (h *hashAggIter) update(i int, cols []rowset.Vec, live []int, gids []int32)
 		}
 		return nil
 	}
-	if h.argPos[i] < 0 { // a computed argument
-		for k := range live {
-			h.venv.Row = h.in.RowAt(k, h.venv.Row)
-			v, err := h.args[i].Eval(h.venv)
-			if err != nil {
-				return err
-			}
-			if err := accs[int(gids[k])*w].add(v); err != nil {
-				return err
-			}
+	var col *rowset.Vec
+	if h.argPos[i] < 0 { // a computed argument, evaluated densely over the live rows
+		if err := expr.EvalVec(h.args[i], &h.ctx.Env, cols, live, &h.arg); err != nil {
+			return err
 		}
-		return nil
+		col, live = &h.arg, firstN(&h.seq, len(live))
+	} else {
+		col = &cols[h.argPos[i]]
 	}
-	col, fn := &cols[h.argPos[i]], h.specs[i].Func
+	fn := h.specs[i].Func
 	nulls, sum := col.HasNulls(), fn == algebra.AggSum || fn == algebra.AggAvg
 	switch kind := col.Kind(); {
 	case h.specs[i].Distinct || kind == sqltypes.KindNull:

@@ -68,7 +68,7 @@ func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	boom := errors.New("inner failed")
 	left := &countingIter{rows: []rowset.Row{intRow(1), intRow(2)}}
 	right := &countingIter{rows: []rowset.Row{intRow(10), intRow(11)}, fail: boom, failAt: 1}
-	ctx := &Context{Params: map[string]sqltypes.Value{}, BatchSize: 1}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: 1}
 	j := &batchLoopJoinIter{ctx: ctx, typ: algebra.InnerJoin, left: rowFeed{child: left}, right: right, batch: 1, lwidth: 1, rwidth: 1}
 	rows := rowsOf(j)
 	if err := j.Open(); err != nil {
@@ -110,7 +110,7 @@ func TestBatchLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 		ParamBase: "tb",
 		BatchSize: 2,
 	}, outer, inner)
-	ctx := &Context{Params: map[string]sqltypes.Value{}}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}}
 	built, err := Build(n, ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -221,11 +221,11 @@ func TestBatchLoopJoinMatchesSerialAllJoinTypes(t *testing.T) {
 			On:   expr.NewBinary(expr.OpEq, expr.NewColRef(80, "k"), expr.NewColRef(90, "ik")),
 		}, outer, inner)
 
-		bit, err := Build(batched, &Context{Params: map[string]sqltypes.Value{}})
+		bit, err := Build(batched, &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}})
 		if err != nil {
 			t.Fatalf("%v: %v", typ, err)
 		}
-		sit, err := Build(serial, &Context{Params: map[string]sqltypes.Value{}})
+		sit, err := Build(serial, &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}})
 		if err != nil {
 			t.Fatalf("%v: %v", typ, err)
 		}
@@ -249,7 +249,7 @@ func TestBatchLoopJoinMatchesSerialAllJoinTypes(t *testing.T) {
 // (the spool sits inside a parameterized apply) must refill from the child.
 func TestSpoolRefillsOnParamChange(t *testing.T) {
 	child := &countingIter{rows: []rowset.Row{intRow(1), intRow(2), intRow(3)}}
-	ctx := &Context{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}}
 	sp := rowsOf(&spoolIter{ctx: ctx, child: child, width: 1})
 	drain := func() int {
 		n := 0

@@ -36,11 +36,10 @@ type Runtime interface {
 // Context carries one statement execution's state.
 type Context struct {
 	RT Runtime
-	// Params holds @name parameter values; loop joins bind correlation
-	// parameters here between inner re-opens.
-	Params map[string]sqltypes.Value
-	// Today is the session date for today().
-	Today sqltypes.Value
+	// Env holds the @name parameter values — loop joins bind correlation
+	// parameters there between inner re-opens — and the session date for
+	// today(); every expression an operator evaluates reads it.
+	expr.Env
 	// MaxDOP caps the degree of parallelism of exchange operators (the
 	// parallel Concat fan-out). 0 means the default,
 	// min(len(children), GOMAXPROCS); 1 disables parallel execution.
@@ -102,8 +101,13 @@ func (c *Context) remoteBatch() int {
 // newBatch allocates a batch of this statement's batch size.
 func (c *Context) newBatch() *rowset.Batch { return rowset.NewBatch(c.BatchSize) }
 
-func (c *Context) env(row rowset.Row) *expr.Env {
-	return &expr.Env{Row: row, Params: c.Params, Today: c.Today}
+// firstN grows seq to hold 0, 1, 2, … and returns its first n entries:
+// the identity selection over n rows.
+func firstN(seq *[]int, n int) []int {
+	for len(*seq) < n {
+		*seq = append(*seq, len(*seq))
+	}
+	return (*seq)[:n]
 }
 
 // fork returns a child context with a private parameter map. Parallel
@@ -113,7 +117,7 @@ func (c *Context) env(row rowset.Row) *expr.Env {
 // those are per-statement, not per-branch, and are themselves
 // concurrency-safe.
 func (c *Context) fork() *Context {
-	f := &Context{RT: c.RT, Today: c.Today, MaxDOP: c.MaxDOP,
+	f := &Context{RT: c.RT, Env: expr.Env{Today: c.Today}, MaxDOP: c.MaxDOP,
 		RemoteBatchSize: c.RemoteBatchSize, BatchSize: c.BatchSize,
 		Ctx: c.Ctx, RetryAttempts: c.RetryAttempts, RetryBackoff: c.RetryBackoff,
 		BreakerFor: c.BreakerFor, PartialResults: c.PartialResults,

@@ -86,7 +86,7 @@ func newFixture(t *testing.T) *fixture {
 	rt := &testRT{sessions: map[string]oledb.Session{"": sess, "remoteA": sess}}
 	f := &fixture{
 		rt:  rt,
-		ctx: &Context{RT: rt, Params: map[string]sqltypes.Value{}},
+		ctx: &Context{RT: rt, Env: expr.Env{Params: map[string]sqltypes.Value{}}},
 		empSrc: &algebra.Source{
 			Catalog: "hr", Table: "emp", Def: empDef,
 		},

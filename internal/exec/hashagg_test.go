@@ -249,7 +249,11 @@ func (c *aggCase) iter(m aggMode) (*hashAggIter, error) {
 		if err != nil {
 			return nil, err
 		}
-		h.args, h.argPos = append(h.args, bound), append(h.argPos, expr.BoundColPos(bound))
+		pos := -1
+		if cr, ok := bound.(*expr.ColRef); ok {
+			pos = cr.Pos()
+		}
+		h.args, h.argPos = append(h.args, bound), append(h.argPos, pos)
 	}
 	return h, nil
 }

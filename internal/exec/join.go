@@ -80,8 +80,14 @@ type hashJoinIter struct {
 	buildBuf   *rowset.Batch // build-side drain batch
 	pidx, bidx []int32
 	neg        bool
-	scratch    rowset.Row // the candidate row a residual is evaluated on
-	venv       *expr.Env
+
+	// The residual's verdicts, made a window of candidate pairs at a time
+	// (see admit): cp/cb list the window's pairs, pairs.keep the positions
+	// among them the residual admits, and cand and kept how far probe has
+	// read each.
+	cp, cb     []int32
+	pairs      pairTest
+	cand, kept int
 }
 
 // semi reports whether a join of type typ emits its left rows alone (SEMI,
@@ -143,10 +149,7 @@ func (h *hashJoinIter) Open() error {
 func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 	if h.in == nil {
 		h.in = h.ctx.newBatch()
-		h.venv = &expr.Env{}
-		h.scratch = make(rowset.Row, h.lwidth+h.rwidth)
 	}
-	h.venv.Params, h.venv.Today = h.ctx.Params, h.ctx.Today
 	width := h.lwidth
 	if !semi(h.typ) {
 		width += h.rwidth
@@ -162,7 +165,7 @@ func (h *hashJoinIter) NextBatch(b *rowset.Batch) error {
 			if err != nil {
 				return err
 			}
-			h.inPos = 0
+			h.inPos, h.cp, h.cand = 0, h.cp[:0], 0
 			h.hs = hashKeys(h.hs, h.in.Cols(), h.lpos, h.in.Indices())
 			h.eq.bind(h.in.Cols(), h.lpos, h.build.Cols(), h.rpos)
 		}
@@ -200,9 +203,6 @@ func (h *hashJoinIter) probe(room int) error {
 			if !nullKey(cols, h.lpos, p) { // NULL keys never join
 				id = h.eq.match(&h.tab, p, h.tab.find(h.hs[h.inPos]))
 			}
-			if id >= 0 && h.residual != nil {
-				h.scratch = h.in.RowAt(h.inPos, h.scratch)[:h.lwidth+h.rwidth]
-			}
 		}
 		for h.chain = -1; id >= 0; id = h.eq.match(&h.tab, p, h.tab.next[id]) {
 			if len(h.pidx) == room {
@@ -210,12 +210,7 @@ func (h *hashJoinIter) probe(room int) error {
 				return nil
 			}
 			if h.residual != nil {
-				// The one place a row is assembled: the candidate pair.
-				for j := range h.build.Cols() {
-					h.scratch[h.lwidth+j] = h.build.Cols()[j].Value(int(id))
-				}
-				h.venv.Row = h.scratch
-				ok, err := expr.EvalPredicate(h.residual, h.venv)
+				ok, err := h.admit(id)
 				if err != nil {
 					return err
 				}
@@ -225,7 +220,10 @@ func (h *hashJoinIter) probe(room int) error {
 			}
 			h.matched = true
 			if leftOnly {
-				break // existence is all that is asked
+				if h.residual == nil {
+					break // existence is all that is asked
+				}
+				continue // admit reads every candidate in turn
 			}
 			h.pidx, h.bidx = append(h.pidx, int32(p)), append(h.bidx, id)
 		}
@@ -238,6 +236,68 @@ func (h *hashJoinIter) probe(room int) error {
 		h.inPos++
 	}
 	return nil
+}
+
+// admit returns the residual's verdict on the pair of probe row inPos and
+// build row id, the next candidate probe visits. Verdicts are made a
+// window at a time: from that pair on, the candidates probe will visit in
+// turn — the rest of this row's chain, then each later live row's — are
+// gathered, up to a batch of them, and the residual is evaluated over them
+// as one batch.
+func (h *hashJoinIter) admit(id int32) (bool, error) {
+	if h.cand == len(h.cp) {
+		cols, live := h.in.Cols(), h.in.Indices()
+		h.cp, h.cb = h.cp[:0], h.cb[:0]
+		for pos := h.inPos; pos < len(live) && len(h.cp) < h.in.CapRows(); pos++ {
+			p := live[pos]
+			if pos > h.inPos {
+				id = -1
+				if !nullKey(cols, h.lpos, p) {
+					id = h.eq.match(&h.tab, p, h.tab.find(h.hs[pos]))
+				}
+			}
+			for ; id >= 0 && len(h.cp) < h.in.CapRows(); id = h.eq.match(&h.tab, p, h.tab.next[id]) {
+				h.cp, h.cb = append(h.cp, int32(p)), append(h.cb, id)
+			}
+		}
+		h.cand, h.kept = 0, 0
+		if err := h.pairs.run(h.ctx, h.residual, cols, h.cp, h.build.Cols(), h.cb); err != nil {
+			return false, err
+		}
+	}
+	c := h.cand
+	h.cand++
+	if h.kept < len(h.pairs.keep) && h.pairs.keep[h.kept] == c {
+		h.kept++
+		return true, nil
+	}
+	return false, nil
+}
+
+// pairTest evaluates a join's ON or residual predicate over candidate
+// pairs as one batch: the pairs' left and right rows are gathered side by
+// side, as the join's emit gathers its output.
+type pairTest struct {
+	b    *rowset.Batch
+	keep []int // the positions of the pairs pred admits, ascending
+}
+
+// run tests the pairs (row lidx[k] of lcols, row ridx[k] of rcols).
+func (t *pairTest) run(ctx *Context, pred expr.Expr, lcols []rowset.Vec, lidx []int32, rcols []rowset.Vec, ridx []int32) error {
+	if t.b == nil {
+		t.b = ctx.newBatch()
+	}
+	t.b.Reset(len(lcols) + len(rcols))
+	for j := range lcols {
+		t.b.Col(j).Gather(0, &lcols[j], lidx, false)
+	}
+	for j := range rcols {
+		t.b.Col(len(lcols)+j).Gather(0, &rcols[j], ridx, false)
+	}
+	t.b.SetNumRows(len(lidx))
+	var err error
+	t.keep, err = expr.FilterSel(pred, &ctx.Env, t.b.Cols(), t.b.Indices(), t.keep[:0])
+	return err
 }
 
 func (h *hashJoinIter) Close() error {
@@ -292,7 +352,7 @@ func buildLoopJoin(n *algebra.Node, ctx *Context) (Iterator, error) {
 		}
 	}
 	if on != nil {
-		j.on, err = bindExpr(on, append(append([]algebra.OutCol{}, lcols...), rcols...))
+		j.pred, err = bindExpr(on, append(append([]algebra.OutCol{}, lcols...), rcols...))
 		if err != nil {
 			return nil, err
 		}
@@ -323,19 +383,22 @@ type batchLoopJoinIter struct {
 	typ            algebra.JoinType
 	left           rowFeed
 	right          Iterator
-	on             expr.Expr
-	lpos, rpos     []int // key pairs; none for a LoopJoin
+	pred           expr.Expr // ON
+	lpos, rpos     []int     // key pairs; none for a LoopJoin
 	binds          []paramBind
 	batch          int // outer rows per inner execution
 	lwidth, rwidth int
 
 	inner *rowset.Batch // inner drain batch
 	open  bool          // the inner side is open
-	venv  *expr.Env
-	row   rowset.Row // the candidate pair the ON predicate reads
 	hs    []uint64
 	ids   []int32
 	seq   []int // 0, 1, 2, …: the pending rows' ids
+
+	// One inner batch's candidates: pending row cp[c] and inner row cm[c]
+	// have equal keys; on tests them.
+	cp, cm []int32
+	on     pairTest
 
 	// One execution: pending holds its outer rows, each filed in tab under
 	// its key's hash; matches holds the inner rows that joined, and pairs
@@ -368,7 +431,7 @@ func (j *batchLoopJoinIter) Open() error {
 		}
 	}
 	if j.inner == nil {
-		j.inner, j.venv = j.ctx.newBatch(), &expr.Env{}
+		j.inner = j.ctx.newBatch()
 	}
 	j.pidx, j.bidx, j.pos = j.pidx[:0], j.bidx[:0], 0
 	return j.left.open(j.ctx)
@@ -447,11 +510,8 @@ func (j *batchLoopJoinIter) fill() error {
 	if err := j.left.take(&j.pending, nil, j.batch); err != nil {
 		return err
 	}
-	for len(j.seq) < j.pending.Len() {
-		j.seq = append(j.seq, len(j.seq))
-	}
 	j.tab.reset()
-	j.hs = hashKeys(j.hs, j.pending.Cols(), j.lpos, j.seq[:j.pending.Len()])
+	j.hs = hashKeys(j.hs, j.pending.Cols(), j.lpos, firstN(&j.seq, j.pending.Len()))
 	for _, h := range j.hs {
 		j.tab.insert(h)
 	}
@@ -472,7 +532,6 @@ func (j *batchLoopJoinIter) run(first int) error {
 		}
 		j.ctx.Params[pb.name] = j.pending.Cols()[pb.pos].Value(id)
 	}
-	j.venv.Params, j.venv.Today = j.ctx.Params, j.ctx.Today
 	if err := j.right.Open(); err != nil {
 		return err
 	}
@@ -495,60 +554,47 @@ func (j *batchLoopJoinIter) run(first int) error {
 }
 
 // match joins the inner batch's live rows to the pending rows: every pair
-// whose keys are equal and that satisfies ON. An inner row that joins is
-// stored once, however many outer rows it joins.
+// whose keys are equal and that satisfies ON, which is evaluated over all
+// of the batch's candidate pairs at once. An inner row that joins is stored
+// once, however many outer rows it joins.
 func (j *batchLoopJoinIter) match() error {
 	cols, live := j.inner.Cols(), j.inner.Indices()
 	j.hs = hashKeys(j.hs, cols, j.rpos, live)
 	j.eq.bind(cols, j.rpos, j.pending.Cols(), j.lpos)
-	keep := j.ids[:0]
+	j.cp, j.cm = j.cp[:0], j.cm[:0]
 	for k, p := range live {
 		if nullKey(cols, j.rpos, p) {
 			continue // NULL keys never join
 		}
-		m := int32(j.matches.Len() + len(keep))
-		joined := false
 		for id := j.eq.match(&j.tab, p, j.tab.find(j.hs[k])); id >= 0; id = j.eq.match(&j.tab, p, j.tab.next[id]) {
-			if j.on != nil {
-				ok, err := j.test(int(id), cols, p)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			if !j.hit[id] {
-				j.hit[id] = true
-				j.nhit++
-			}
-			if !semi(j.typ) { // SEMI and ANTI ask only whether a row joins
-				j.pairs = append(j.pairs, joinPair{id, m})
-				joined = true
-			}
+			j.cp, j.cm = append(j.cp, id), append(j.cm, int32(p))
 		}
-		if joined {
-			keep = append(keep, int32(p))
+	}
+	admitted := firstN(&j.seq, len(j.cp))
+	if j.pred != nil {
+		if err := j.on.run(j.ctx, j.pred, j.pending.Cols(), j.cp, cols, j.cm); err != nil {
+			return err
 		}
+		admitted = j.on.keep
+	}
+	keep := j.ids[:0]
+	for _, c := range admitted {
+		id, p := j.cp[c], j.cm[c]
+		if !j.hit[id] {
+			j.hit[id] = true
+			j.nhit++
+		}
+		if semi(j.typ) { // SEMI and ANTI ask only whether a row joins
+			continue
+		}
+		if len(keep) == 0 || keep[len(keep)-1] != p {
+			keep = append(keep, p)
+		}
+		j.pairs = append(j.pairs, joinPair{id, int32(j.matches.Len() + len(keep) - 1)})
 	}
 	j.matches.Add(cols, nil, keep)
 	j.ids = keep[:0]
 	return nil
-}
-
-// test evaluates ON over the pair of pending row id and row p of cols.
-func (j *batchLoopJoinIter) test(id int, cols []rowset.Vec, p int) (bool, error) {
-	if j.row == nil {
-		j.row = make(rowset.Row, j.lwidth+j.rwidth)
-	}
-	for c := range j.pending.Cols() {
-		j.row[c] = j.pending.Cols()[c].Value(id)
-	}
-	for c := range cols {
-		j.row[j.lwidth+c] = cols[c].Value(p)
-	}
-	j.venv.Row = j.row
-	return expr.EvalPredicate(j.on, j.venv)
 }
 
 // order lists the execution's output rows, outer-major: each pending row's

@@ -20,10 +20,7 @@ type filterIter struct {
 	child Iterator
 	pred  expr.Expr
 
-	// Scratch, allocated once per iterator.
-	venv   *expr.Env
-	selBuf []int
-	rowBuf rowset.Row
+	selBuf []int // scratch, allocated once per iterator
 }
 
 func (f *filterIter) Open() error { return f.child.Open() }
@@ -33,19 +30,11 @@ func (f *filterIter) Open() error { return f.child.Open() }
 // (the selection narrows; values never move). Fully-filtered batches are
 // skipped here so the parent never sees an empty non-EOF fill.
 func (f *filterIter) NextBatch(b *rowset.Batch) error {
-	if f.venv == nil {
-		f.venv = &expr.Env{}
-	}
-	// Refresh per call: exchange forks rebuild the Params map between opens.
-	f.venv.Params, f.venv.Today = f.ctx.Params, f.ctx.Today
 	for {
 		if err := f.child.NextBatch(b); err != nil {
 			return err
 		}
-		if cap(f.rowBuf) < b.Width() {
-			f.rowBuf = make(rowset.Row, b.Width())
-		}
-		sel, err := expr.FilterSel(f.pred, f.venv, b.Cols(), b.Indices(), f.selBuf[:0], f.rowBuf[:b.Width()])
+		sel, err := expr.FilterSel(f.pred, &f.ctx.Env, b.Cols(), b.Indices(), f.selBuf[:0])
 		if err != nil {
 			return err
 		}
@@ -70,13 +59,13 @@ type startupFilterIter struct {
 }
 
 func (s *startupFilterIter) Open() error {
-	ok, err := expr.EvalPredicate(s.pred, s.ctx.env(nil))
+	v, err := expr.EvalScalar(s.pred, &s.ctx.Env)
 	if err != nil {
 		return err
 	}
-	s.enabled = ok
-	s.ctx.Stats.RecordStartup(ok)
-	if !ok {
+	s.enabled = expr.Truthy(v)
+	s.ctx.Stats.RecordStartup(s.enabled)
+	if !s.enabled {
 		s.stats.RecordPruned()
 		return nil
 	}
@@ -103,10 +92,7 @@ type computeIter struct {
 	child Iterator
 	exprs []expr.Expr
 
-	// Scratch.
-	in     *rowset.Batch
-	venv   *expr.Env
-	rowBuf rowset.Row
+	in *rowset.Batch // scratch
 }
 
 func (c *computeIter) Open() error { return c.child.Open() }
@@ -117,19 +103,14 @@ func (c *computeIter) Open() error { return c.child.Open() }
 func (c *computeIter) NextBatch(b *rowset.Batch) error {
 	if c.in == nil {
 		c.in = rowset.NewBatch(b.CapRows())
-		c.venv = &expr.Env{}
 	}
-	c.venv.Params, c.venv.Today = c.ctx.Params, c.ctx.Today
 	if err := c.child.NextBatch(c.in); err != nil {
 		return err
 	}
 	sel := c.in.Indices()
-	if cap(c.rowBuf) < c.in.Width() {
-		c.rowBuf = make(rowset.Row, c.in.Width())
-	}
 	b.Reset(len(c.exprs))
 	for i, e := range c.exprs {
-		if err := expr.EvalVec(e, c.venv, c.in.Cols(), sel, b.Col(i), c.rowBuf[:c.in.Width()]); err != nil {
+		if err := expr.EvalVec(e, &c.ctx.Env, c.in.Cols(), sel, b.Col(i)); err != nil {
 			return err
 		}
 	}
@@ -158,7 +139,7 @@ type topIter struct {
 	pos     int
 	emitted int64
 	scratch *rowset.Batch // ordered-case batch drain scratch
-	rowBuf  rowset.Row
+	cand    rowset.Row    // the row offered to the heap
 	seq     int64
 }
 
@@ -258,8 +239,8 @@ func (t *topIter) Open() error {
 			return err
 		}
 		for i := 0; i < t.scratch.Len(); i++ {
-			t.rowBuf = t.scratch.RowAt(i, t.rowBuf)
-			t.offer(t.rowBuf)
+			t.cand = t.scratch.RowAt(i, t.cand)
+			t.offer(t.cand)
 		}
 	}
 	sort.Slice(t.heap, func(i, j int) bool { return t.topLess(t.heap[i], t.heap[j]) })
@@ -548,7 +529,6 @@ type constScanIter struct {
 	rows  [][]expr.Expr
 	pos   int
 	width int
-	env   expr.Env
 }
 
 func buildConstScan(op *algebra.ConstScan, ctx *Context) (Iterator, error) {
@@ -576,14 +556,13 @@ func (c *constScanIter) NextBatch(b *rowset.Batch) error {
 	if k <= 0 {
 		return io.EOF
 	}
-	c.env = expr.Env{Params: c.ctx.Params, Today: c.ctx.Today}
 	b.Reset(c.width)
 	for j := 0; j < c.width; j++ {
 		b.Col(j).ResetGeneric(k)
 	}
 	for i, exprs := range c.rows[c.pos : c.pos+k] {
 		for j, e := range exprs {
-			v, err := e.Eval(&c.env)
+			v, err := expr.EvalScalar(e, &c.ctx.Env)
 			if err != nil {
 				return err
 			}

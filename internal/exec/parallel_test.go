@@ -163,7 +163,7 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 		&fakeIter{total: 100000},
 	}
 	maps := [][]int{{0}, {0}, {0}, {0}}
-	ctx := &Context{Params: map[string]sqltypes.Value{}, MaxDOP: 4}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}, MaxDOP: 4}
 	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
 	rows := rowsOf(p)
 	if err := rows.Open(); err != nil {
@@ -207,7 +207,7 @@ func TestParallelConcatOpenCloseNoGoroutineLeak(t *testing.T) {
 		&fakeIter{total: 500},
 	}
 	maps := [][]int{{0}, {0}, {0}, {0}}
-	ctx := &Context{Params: map[string]sqltypes.Value{}}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}}
 	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
 	rows := rowsOf(p)
 	for i := 0; i < 25; i++ {

@@ -217,9 +217,8 @@ func evalBound(ctx *Context, b algebra.RangeBound) (oledb.Bound, error) {
 		return oledb.Bound{}, nil
 	}
 	key := make(rowset.Row, len(b.Vals))
-	env := ctx.env(nil)
 	for i, v := range b.Vals {
-		val, err := v.Eval(env)
+		val, err := expr.EvalScalar(v, &ctx.Env)
 		if err != nil {
 			return oledb.Bound{}, err
 		}

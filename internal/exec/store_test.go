@@ -19,7 +19,7 @@ import (
 func TestBlockingDrainFailureClosesChild(t *testing.T) {
 	boom := errors.New("child failed mid-drain")
 	rows := []rowset.Row{intRow(1), intRow(2), intRow(3)}
-	ctx := &Context{Params: map[string]sqltypes.Value{}, BatchSize: 1}
+	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: 1}
 	for _, tc := range []struct {
 		name  string
 		build func(child Iterator) Iterator
@@ -55,7 +55,7 @@ func BenchmarkSpoolReplay(b *testing.B) {
 		cells = append(cells, []cell{{kind: 'i', i: int64(i)}, {kind: 's', s: fmt.Sprintf("s%d", i%100)}, {kind: 'f', f: float64(i) / 4}})
 	}
 	child := newJoinSrc(kinds, cells, nil)
-	sp := &spoolIter{ctx: &Context{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}, child: child, width: len(kinds)}
+	sp := &spoolIter{ctx: &Context{Env: expr.Env{Params: map[string]sqltypes.Value{"k": sqltypes.NewInt(1)}}}, child: child, width: len(kinds)}
 	out := rowset.NewBatch(0)
 	rows, replays := 0, 0
 	replay := func() {

@@ -97,7 +97,7 @@ func scriptedScan(server string) *algebra.Node {
 // transportCtx reads a remote rowset 16 rows per fetch, with a detailed
 // record and near-zero retry backoff.
 func transportCtx() *Context {
-	return &Context{Params: map[string]sqltypes.Value{}, BatchSize: 16,
+	return &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: 16,
 		RetryBackoff: time.Microsecond, Stats: telemetry.NewCollector(true, nil, nil)}
 }
 
@@ -350,7 +350,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		for _, s := range []string{"a", "b", "c", "d"} {
 			sessions[s] = &scriptedSession{n: 100000}
 		}
-		ctx := &Context{RT: &testRT{sessions: sessions}, Params: map[string]sqltypes.Value{}, BatchSize: batch, Stats: telemetry.NewCollector(false, nil, nil)}
+		ctx := &Context{RT: &testRT{sessions: sessions}, Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: batch, Stats: telemetry.NewCollector(false, nil, nil)}
 
 		// Early Close under TOP: 400 000 rows on offer, 10 taken.
 		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))

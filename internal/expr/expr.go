@@ -83,21 +83,30 @@ func (s ColSet) Sorted() []ColumnID {
 	return out
 }
 
-// Env supplies runtime state during evaluation: the current row with its
-// layout, query parameters (@name), and the session date for today().
+// Env supplies what an expression reads besides its input columns: query
+// parameters (@name) and the session date for today().
 type Env struct {
-	Row    []sqltypes.Value
 	Params map[string]sqltypes.Value
 	// Today is the session's current date (deterministic for tests).
 	Today sqltypes.Value
 }
 
+// param returns parameter name's value.
+func (env *Env) param(name string) (sqltypes.Value, error) {
+	if env.Params == nil {
+		return sqltypes.Null, fmt.Errorf("expr: no parameters bound (@%s)", name)
+	}
+	v, ok := env.Params[name]
+	if !ok {
+		return sqltypes.Null, fmt.Errorf("expr: parameter @%s not supplied", name)
+	}
+	return v, nil
+}
+
 // Expr is a scalar expression node. Implementations are immutable after
-// construction; rewrites build new nodes.
+// construction; rewrites build new nodes. EvalVec and FilterSel evaluate
+// them.
 type Expr interface {
-	// Eval evaluates the expression. Bind must have resolved column
-	// references against the row layout first.
-	Eval(env *Env) (sqltypes.Value, error)
 	// String renders the expression in SQL-ish debug syntax.
 	String() string
 }
@@ -140,13 +149,11 @@ func (o Op) IsComparison() bool { return o >= OpEq && o <= OpGe }
 // IsArith reports whether the operator is arithmetic (+ - * / %).
 func (o Op) IsArith() bool { return o >= OpAdd && o <= OpMod }
 
-// errDivZero and errModZero are the arithmetic kernels' errors, spelled
-// identically to evalArith's so vectorized and row execution fail alike.
 func errDivZero() error { return fmt.Errorf("expr: division by zero") }
 func errModZero() error { return fmt.Errorf("expr: modulo by zero") }
 
-// Negate returns the comparison with swapped operand order (a op b ==
-// b op.Negate a), used when normalizing predicates.
+// Commute returns the comparison with swapped operand order (a op b ==
+// b op.Commute() a), used when normalizing predicates.
 func (o Op) Commute() Op {
 	switch o {
 	case OpLt:
@@ -168,14 +175,11 @@ type Const struct{ Val sqltypes.Value }
 // NewConst returns a literal expression.
 func NewConst(v sqltypes.Value) *Const { return &Const{Val: v} }
 
-// Eval implements Expr.
-func (c *Const) Eval(*Env) (sqltypes.Value, error) { return c.Val, nil }
-
 func (c *Const) String() string { return c.Val.String() }
 
 // ColRef references a column by ColumnID. Name carries the display name.
 // pos is the bound position within the execution row layout; -1 when
-// unbound. Eval on an unbound ColRef returns an error, which surfaces
+// unbound. Evaluating an unbound ColRef returns an error, which surfaces
 // binder/optimizer bugs instead of silently reading wrong columns.
 type ColRef struct {
 	ID   ColumnID
@@ -197,17 +201,6 @@ func BoundColRef(id ColumnID, name string, pos int) *ColRef {
 // Pos returns the bound position, or -1.
 func (c *ColRef) Pos() int { return c.pos }
 
-// Eval implements Expr.
-func (c *ColRef) Eval(env *Env) (sqltypes.Value, error) {
-	if c.pos < 0 {
-		return sqltypes.Null, fmt.Errorf("expr: unbound column %s (id %d)", c.Name, c.ID)
-	}
-	if c.pos >= len(env.Row) {
-		return sqltypes.Null, fmt.Errorf("expr: column %s position %d beyond row of %d", c.Name, c.pos, len(env.Row))
-	}
-	return env.Row[c.pos], nil
-}
-
 func (c *ColRef) String() string {
 	if c.Name != "" {
 		return c.Name
@@ -222,21 +215,10 @@ type Param struct{ Name string }
 // NewParam returns a parameter reference; name excludes the '@'.
 func NewParam(name string) *Param { return &Param{Name: name} }
 
-// Eval implements Expr.
-func (p *Param) Eval(env *Env) (sqltypes.Value, error) {
-	if env.Params == nil {
-		return sqltypes.Null, fmt.Errorf("expr: no parameters bound (@%s)", p.Name)
-	}
-	v, ok := env.Params[p.Name]
-	if !ok {
-		return sqltypes.Null, fmt.Errorf("expr: parameter @%s not supplied", p.Name)
-	}
-	return v, nil
-}
-
 func (p *Param) String() string { return "@" + p.Name }
 
-// Binary applies Op to two operands.
+// Binary applies Op to two operands with SQL three-valued logic:
+// comparisons and arithmetic on NULL yield NULL; AND/OR use Kleene logic.
 type Binary struct {
 	Op   Op
 	L, R Expr
@@ -245,79 +227,20 @@ type Binary struct {
 // NewBinary builds a binary expression.
 func NewBinary(op Op, l, r Expr) *Binary { return &Binary{Op: op, L: l, R: r} }
 
-// Eval implements Expr with SQL three-valued logic: comparisons and
-// arithmetic on NULL yield NULL; AND/OR use Kleene logic.
-func (b *Binary) Eval(env *Env) (sqltypes.Value, error) {
-	if b.Op == OpAnd || b.Op == OpOr {
-		return b.evalLogic(env)
-	}
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
+func (b *Binary) String() string {
+	return fmt.Sprintf("(%s %s %s)", b.L.String(), b.Op, b.R.String())
+}
+
+// applyBinary is a comparison's or an arithmetic operator's rule over one
+// row's operand values.
+func applyBinary(op Op, l, r sqltypes.Value) (sqltypes.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqltypes.Null, nil
 	}
-	if b.Op.IsComparison() {
-		c := sqltypes.Compare(l, r)
-		switch b.Op {
-		case OpEq:
-			return sqltypes.NewBool(c == 0), nil
-		case OpNe:
-			return sqltypes.NewBool(c != 0), nil
-		case OpLt:
-			return sqltypes.NewBool(c < 0), nil
-		case OpLe:
-			return sqltypes.NewBool(c <= 0), nil
-		case OpGt:
-			return sqltypes.NewBool(c > 0), nil
-		case OpGe:
-			return sqltypes.NewBool(c >= 0), nil
-		}
+	if op.IsComparison() {
+		return sqltypes.NewBool(cmpSatisfied(op, sqltypes.Compare(l, r))), nil
 	}
-	return evalArith(b.Op, l, r)
-}
-
-func (b *Binary) evalLogic(env *Env) (sqltypes.Value, error) {
-	l, err := b.L.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	lb, lnull := boolOf(l)
-	// Short-circuit where Kleene logic allows.
-	if b.Op == OpAnd && !lnull && !lb {
-		return sqltypes.NewBool(false), nil
-	}
-	if b.Op == OpOr && !lnull && lb {
-		return sqltypes.NewBool(true), nil
-	}
-	r, err := b.R.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	rb, rnull := boolOf(r)
-	if b.Op == OpAnd {
-		switch {
-		case !rnull && !rb:
-			return sqltypes.NewBool(false), nil
-		case lnull || rnull:
-			return sqltypes.Null, nil
-		default:
-			return sqltypes.NewBool(lb && rb), nil
-		}
-	}
-	switch {
-	case !rnull && rb:
-		return sqltypes.NewBool(true), nil
-	case lnull || rnull:
-		return sqltypes.Null, nil
-	default:
-		return sqltypes.NewBool(lb || rb), nil
-	}
+	return evalArith(op, l, r)
 }
 
 func boolOf(v sqltypes.Value) (b, isNull bool) {
@@ -330,6 +253,9 @@ func boolOf(v sqltypes.Value) (b, isNull bool) {
 	return false, true
 }
 
+// evalArith is arithmetic over two non-NULL values: INT with INT stays
+// INT, date ± days and date − date count days, + concatenates strings, and
+// any other numeric pair promotes to FLOAT.
 func evalArith(op Op, l, r sqltypes.Value) (sqltypes.Value, error) {
 	// Date ± integer days (the paper's date(today(), -2) pattern also
 	// flows through here after the date() function evaluates).
@@ -348,54 +274,73 @@ func evalArith(op Op, l, r sqltypes.Value) (sqltypes.Value, error) {
 		return sqltypes.NewString(l.Str() + r.Str()), nil
 	}
 	if l.Kind() == sqltypes.KindInt && r.Kind() == sqltypes.KindInt {
-		a, b := l.Int(), r.Int()
-		switch op {
-		case OpAdd:
-			return sqltypes.NewInt(a + b), nil
-		case OpSub:
-			return sqltypes.NewInt(a - b), nil
-		case OpMul:
-			return sqltypes.NewInt(a * b), nil
-		case OpDiv:
-			if b == 0 {
-				return sqltypes.Null, errDivZero()
-			}
-			return sqltypes.NewInt(a / b), nil
-		case OpMod:
-			if b == 0 {
-				return sqltypes.Null, errModZero()
-			}
-			return sqltypes.NewInt(a % b), nil
-		}
+		v, err := intArith(op, l.Int(), r.Int())
+		return sqltypes.NewInt(v), err
 	}
 	lf, lok := l.AsFloat()
 	rf, rok := r.AsFloat()
 	if !lok || !rok {
 		return sqltypes.Null, fmt.Errorf("expr: %s not defined on %s, %s", op, l.Kind(), r.Kind())
 	}
-	switch op {
-	case OpAdd:
-		return sqltypes.NewFloat(lf + rf), nil
-	case OpSub:
-		return sqltypes.NewFloat(lf - rf), nil
-	case OpMul:
-		return sqltypes.NewFloat(lf * rf), nil
-	case OpDiv:
-		if rf == 0 {
-			return sqltypes.Null, errDivZero()
-		}
-		return sqltypes.NewFloat(lf / rf), nil
-	case OpMod:
-		if rf == 0 {
-			return sqltypes.Null, errModZero()
-		}
-		return sqltypes.NewFloat(float64(int64(lf) % int64(rf))), nil
-	}
-	return sqltypes.Null, fmt.Errorf("expr: unsupported operator %v", op)
+	v, err := floatArith(op, lf, rf)
+	return sqltypes.NewFloat(v), err
 }
 
-func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L.String(), b.Op, b.R.String())
+// intArith and floatArith are the arithmetic operators over unboxed
+// operands; the typed kernels inline + - * and call intDivMod and
+// floatDivMod for the rest.
+func intArith(op Op, a, b int64) (int64, error) {
+	switch op {
+	case OpAdd:
+		return a + b, nil
+	case OpSub:
+		return a - b, nil
+	case OpMul:
+		return a * b, nil
+	}
+	return intDivMod(op, a, b)
+}
+
+func intDivMod(op Op, a, b int64) (int64, error) {
+	switch {
+	case op == OpDiv && b == 0:
+		return 0, errDivZero()
+	case op == OpDiv:
+		return a / b, nil
+	case op == OpMod && b == 0:
+		return 0, errModZero()
+	case op == OpMod:
+		return a % b, nil
+	}
+	return 0, fmt.Errorf("expr: unsupported operator %v", op)
+}
+
+func floatArith(op Op, a, b float64) (float64, error) {
+	switch op {
+	case OpAdd:
+		return a + b, nil
+	case OpSub:
+		return a - b, nil
+	case OpMul:
+		return a * b, nil
+	}
+	return floatDivMod(op, a, b)
+}
+
+// floatDivMod's % truncates both operands to integers first, so a divisor
+// in (-1, 1) is a zero one.
+func floatDivMod(op Op, a, b float64) (float64, error) {
+	switch {
+	case op == OpDiv && b == 0:
+		return 0, errDivZero()
+	case op == OpDiv:
+		return a / b, nil
+	case op == OpMod && int64(b) == 0:
+		return 0, errModZero()
+	case op == OpMod:
+		return float64(int64(a) % int64(b)), nil
+	}
+	return 0, fmt.Errorf("expr: unsupported operator %v", op)
 }
 
 // Unary applies NOT or numeric negation.
@@ -410,12 +355,7 @@ func NewNot(e Expr) *Unary { return &Unary{Op: OpNot, E: e} }
 // NewNeg returns -e.
 func NewNeg(e Expr) *Unary { return &Unary{Op: OpNeg, E: e} }
 
-// Eval implements Expr.
-func (u *Unary) Eval(env *Env) (sqltypes.Value, error) {
-	v, err := u.E.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
+func (u *Unary) apply(v sqltypes.Value) (sqltypes.Value, error) {
 	if v.IsNull() {
 		return sqltypes.Null, nil
 	}
@@ -450,15 +390,6 @@ type IsNull struct {
 	Negate bool
 }
 
-// Eval implements Expr.
-func (n *IsNull) Eval(env *Env) (sqltypes.Value, error) {
-	v, err := n.E.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	return sqltypes.NewBool(v.IsNull() != n.Negate), nil
-}
-
 func (n *IsNull) String() string {
 	if n.Negate {
 		return n.E.String() + " IS NOT NULL"
@@ -473,24 +404,14 @@ type Like struct {
 	Negate  bool
 }
 
-// Eval implements Expr.
-func (l *Like) Eval(env *Env) (sqltypes.Value, error) {
-	v, err := l.E.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
-	p, err := l.Pattern.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
+func (l *Like) apply(v, p sqltypes.Value) (sqltypes.Value, error) {
 	if v.IsNull() || p.IsNull() {
 		return sqltypes.Null, nil
 	}
 	if v.Kind() != sqltypes.KindString || p.Kind() != sqltypes.KindString {
 		return sqltypes.Null, fmt.Errorf("expr: LIKE needs strings, got %s, %s", v.Kind(), p.Kind())
 	}
-	m := likeMatch(v.Str(), p.Str())
-	return sqltypes.NewBool(m != l.Negate), nil
+	return sqltypes.NewBool(likeMatch(v.Str(), p.Str()) != l.Negate), nil
 }
 
 func (l *Like) String() string {
@@ -502,45 +423,32 @@ func (l *Like) String() string {
 }
 
 // likeMatch matches s against a SQL LIKE pattern, case-insensitively (SQL
-// Server default collation behaviour).
+// Server default collation behaviour). A mismatch backtracks only to the
+// last % seen, retrying it one character further on, so the match costs
+// O(len(s)·len(pattern)) however many wildcards the pattern holds.
 func likeMatch(s, pattern string) bool {
-	s = strings.ToLower(s)
-	pattern = strings.ToLower(pattern)
-	var match func(si, pi int) bool
-	match = func(si, pi int) bool {
-		for pi < len(pattern) {
-			switch pattern[pi] {
-			case '%':
-				// Collapse consecutive %.
-				for pi < len(pattern) && pattern[pi] == '%' {
-					pi++
-				}
-				if pi == len(pattern) {
-					return true
-				}
-				for i := si; i <= len(s); i++ {
-					if match(i, pi) {
-						return true
-					}
-				}
-				return false
-			case '_':
-				if si >= len(s) {
-					return false
-				}
-				si++
-				pi++
-			default:
-				if si >= len(s) || s[si] != pattern[pi] {
-					return false
-				}
-				si++
-				pi++
-			}
+	s, p := strings.ToLower(s), strings.ToLower(pattern)
+	si, pi := 0, 0
+	star, mark := -1, 0 // the last % and the position of s it is retried from
+	for si < len(s) {
+		switch {
+		case pi < len(p) && p[pi] == '%':
+			star, mark = pi, si
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
+			pi++
+		case star >= 0:
+			mark++
+			si, pi = mark, star+1
+		default:
+			return false
 		}
-		return si == len(s)
 	}
-	return match(0, 0)
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
 }
 
 // InList tests e IN (v1, v2, ...).
@@ -550,34 +458,26 @@ type InList struct {
 	Negate bool
 }
 
-// Eval implements Expr with SQL NULL semantics: if no member matches and any
-// member (or e) is NULL, the result is NULL.
-func (in *InList) Eval(env *Env) (sqltypes.Value, error) {
-	v, err := in.E.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
+// apply is IN with SQL NULL semantics: if no member matches and any member
+// (or e) is NULL, the result is NULL.
+func (in *InList) apply(v sqltypes.Value, members []sqltypes.Value) sqltypes.Value {
 	if v.IsNull() {
-		return sqltypes.Null, nil
+		return sqltypes.Null
 	}
 	sawNull := false
-	for _, m := range in.List {
-		mv, err := m.Eval(env)
-		if err != nil {
-			return sqltypes.Null, err
-		}
+	for _, mv := range members {
 		if mv.IsNull() {
 			sawNull = true
 			continue
 		}
 		if sqltypes.Equal(v, mv) {
-			return sqltypes.NewBool(!in.Negate), nil
+			return sqltypes.NewBool(!in.Negate)
 		}
 	}
 	if sawNull {
-		return sqltypes.Null, nil
+		return sqltypes.Null
 	}
-	return sqltypes.NewBool(in.Negate), nil
+	return sqltypes.NewBool(in.Negate)
 }
 
 func (in *InList) String() string {
@@ -592,10 +492,11 @@ func (in *InList) String() string {
 	return fmt.Sprintf("%s %s (%s)", in.E.String(), op, strings.Join(parts, ", "))
 }
 
-// Contains is the full-text CONTAINS(col, 'query') predicate. Its direct
-// Eval is the *naive* evaluator — tokenize the column text and match — used
-// when no full-text index serves the table; the optimizer normally replaces
-// it with a join against the search service's (key, rank) rowset (§2.3).
+// Contains is the full-text CONTAINS(col, 'query') predicate. Evaluated
+// directly it is the *naive* evaluator — tokenize the column text and
+// match — used when no full-text index serves the table; the optimizer
+// normally replaces it with a join against the search service's (key,
+// rank) rowset (§2.3).
 type Contains struct {
 	Col   Expr
 	Query string
@@ -616,12 +517,7 @@ func NewContains(col Expr, query string) (*Contains, error) {
 // Node exposes the parsed full-text query (the fulltext provider reuses it).
 func (c *Contains) Node() ftquery.Node { return c.parsed }
 
-// Eval implements Expr (naive path).
-func (c *Contains) Eval(env *Env) (sqltypes.Value, error) {
-	v, err := c.Col.Eval(env)
-	if err != nil {
-		return sqltypes.Null, err
-	}
+func (c *Contains) apply(v sqltypes.Value) (sqltypes.Value, error) {
 	if v.IsNull() {
 		return sqltypes.NewBool(false), nil
 	}
@@ -640,13 +536,4 @@ func (c *Contains) String() string {
 func Truthy(v sqltypes.Value) bool {
 	b, null := boolOf(v)
 	return !null && b
-}
-
-// EvalPredicate evaluates e and applies WHERE semantics.
-func EvalPredicate(e Expr, env *Env) (bool, error) {
-	v, err := e.Eval(env)
-	if err != nil {
-		return false, err
-	}
-	return Truthy(v), nil
 }

@@ -1,14 +1,23 @@
 package expr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"dhqp/internal/rowset"
 	"dhqp/internal/sqltypes"
 )
 
-func env(vals ...sqltypes.Value) *Env {
-	return &Env{Row: vals, Today: sqltypes.NewDate(2004, 6, 15)}
+// row is one input row and the environment an expression is evaluated
+// under.
+type row struct {
+	Env
+	vals []sqltypes.Value
+}
+
+func env(vals ...sqltypes.Value) *row {
+	return &row{Env: Env{Today: sqltypes.NewDate(2004, 6, 15)}, vals: vals}
 }
 
 func col(id ColumnID, pos int) *ColRef { return BoundColRef(id, "", pos) }
@@ -18,11 +27,52 @@ func str(v string) *Const  { return NewConst(sqltypes.NewString(v)) }
 func f64(v float64) *Const { return NewConst(sqltypes.NewFloat(v)) }
 func null() *Const         { return NewConst(sqltypes.Null) }
 func boolc(v bool) *Const  { return NewConst(sqltypes.NewBool(v)) }
-func mustEval(t *testing.T, e Expr, en *Env) sqltypes.Value {
+
+// eval runs e through EvalVec at batch sizes 1 and 3: the row repeated,
+// each copy after a row of NULLs the selection skips, typed columns where
+// the row's values have a kind. Every result must agree; eval returns the
+// first, or the error.
+func eval(e Expr, r *row) (sqltypes.Value, error) {
+	var first sqltypes.Value
+	for _, n := range []int{1, 3} {
+		vals := make([][]sqltypes.Value, len(r.vals))
+		kinds := make([]sqltypes.Kind, len(r.vals))
+		for j, v := range r.vals {
+			kinds[j] = v.Kind()
+			for range n {
+				vals[j] = append(vals[j], sqltypes.Null, v)
+			}
+		}
+		var cols []rowset.Vec
+		if len(vals) > 0 {
+			cols = buildVecs(vals, kinds, true)
+		}
+		sel := make([]int, n)
+		for k := range sel {
+			sel[k] = 2*k + 1
+		}
+		var out rowset.Vec
+		if err := EvalVec(e, &r.Env, cols, sel, &out); err != nil {
+			return sqltypes.Null, err
+		}
+		for k := range sel {
+			if n == 1 && k == 0 {
+				first = out.Value(0)
+				continue
+			}
+			if got := out.Value(k); got.Kind() != first.Kind() || sqltypes.Compare(got, first) != 0 {
+				return sqltypes.Null, fmt.Errorf("row %d of %d is %v, row 0 of 1 %v", k, n, got, first)
+			}
+		}
+	}
+	return first, nil
+}
+
+func mustEval(t *testing.T, e Expr, r *row) sqltypes.Value {
 	t.Helper()
-	v, err := e.Eval(en)
+	v, err := eval(e, r)
 	if err != nil {
-		t.Fatalf("Eval(%s): %v", e, err)
+		t.Fatalf("eval(%s): %v", e, err)
 	}
 	return v
 }
@@ -68,7 +118,7 @@ func TestArithmetic(t *testing.T) {
 	if v := mustEval(t, NewBinary(OpAdd, str("ab"), str("cd")), env()); v.Str() != "abcd" {
 		t.Errorf("string concat = %v", v)
 	}
-	if _, err := NewBinary(OpDiv, i64(1), i64(0)).Eval(env()); err == nil {
+	if _, err := eval(NewBinary(OpDiv, i64(1), i64(0)), env()); err == nil {
 		t.Error("division by zero should error")
 	}
 }
@@ -153,6 +203,13 @@ func TestLike(t *testing.T) {
 		{"abc", "%", true},
 		{"", "%", true},
 		{"abc", "a_", false},
+		{"aXbXc", "a%b%c", true},
+		{"abcabd", "%abd", true},
+		{"ab", "a%%b", true},
+		{"abc", "%b", false},
+		{"mississippi", "m%iss%pi", true},
+		{"ab", "_%_", true},
+		{"a", "_%_", false},
 	}
 	for _, c := range cases {
 		got := mustEval(t, &Like{E: str(c.s), Pattern: str(c.p)}, env())
@@ -165,6 +222,17 @@ func TestLike(t *testing.T) {
 	}
 	if v := mustEval(t, &Like{E: null(), Pattern: str("%")}, env()); !v.IsNull() {
 		t.Error("NULL LIKE should be NULL")
+	}
+	// Eight wildcards against a long run of a's that fails only at the
+	// pattern's last character: a matcher that retries every suffix at each
+	// % takes time exponential in the wildcards; backtracking to the last %
+	// alone keeps it O(len(s)·len(pattern)).
+	long := str(strings.Repeat("a", 10000))
+	if v := mustEval(t, &Like{E: long, Pattern: str("%a%a%a%a%a%a%a%b")}, env()); v.Bool() {
+		t.Error("a run of a's matched a pattern ending in b")
+	}
+	if v := mustEval(t, &Like{E: long, Pattern: str("%a%a%a%a%a%a%a%a")}, env()); !v.Bool() {
+		t.Error("a run of a's missed eight a's between wildcards")
 	}
 }
 
@@ -193,7 +261,7 @@ func TestColRefAndParam(t *testing.T) {
 	if v.Int() != 7 {
 		t.Errorf("col+col = %v", v)
 	}
-	if _, err := NewColRef(9, "x").Eval(env()); err == nil {
+	if _, err := eval(NewColRef(9, "x"), env()); err == nil {
 		t.Error("unbound ColRef should error")
 	}
 	en := env()
@@ -201,7 +269,7 @@ func TestColRefAndParam(t *testing.T) {
 	if v := mustEval(t, NewParam("customerId"), en); v.Int() != 42 {
 		t.Errorf("@customerId = %v", v)
 	}
-	if _, err := NewParam("missing").Eval(en); err == nil {
+	if _, err := eval(NewParam("missing"), en); err == nil {
 		t.Error("missing param should error")
 	}
 }
@@ -292,16 +360,21 @@ func TestContainsNaiveEval(t *testing.T) {
 	}
 }
 
-func TestTruthyAndEvalPredicate(t *testing.T) {
+func TestTruthyAndFilterSel(t *testing.T) {
 	if Truthy(sqltypes.Null) || Truthy(sqltypes.NewBool(false)) || !Truthy(sqltypes.NewBool(true)) {
 		t.Error("Truthy broken")
 	}
 	if Truthy(sqltypes.NewInt(0)) || !Truthy(sqltypes.NewInt(2)) {
 		t.Error("Truthy on ints")
 	}
-	ok, err := EvalPredicate(NewBinary(OpGt, i64(2), i64(1)), env())
-	if err != nil || !ok {
-		t.Error("EvalPredicate")
+	for _, c := range []struct {
+		pred Expr
+		want int
+	}{{NewBinary(OpGt, i64(2), i64(1)), 1}, {NewBinary(OpLt, i64(2), i64(1)), 0}, {NewBinary(OpLt, i64(2), null()), 0}} {
+		got, err := FilterSel(c.pred, &Env{}, nil, []int{0}, nil)
+		if err != nil || len(got) != c.want {
+			t.Errorf("FilterSel(%s) = %v, %v", c.pred, got, err)
+		}
 	}
 }
 

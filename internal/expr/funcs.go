@@ -3,6 +3,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"dhqp/internal/sqltypes"
@@ -151,21 +152,13 @@ var funcs = map[string]funcSpec{
 	}},
 }
 
-// Eval implements Expr.
-func (f *FuncCall) Eval(env *Env) (sqltypes.Value, error) {
+// apply is the function's rule over one row's argument values.
+func (f *FuncCall) apply(env *Env, args []sqltypes.Value) (sqltypes.Value, error) {
 	spec := funcs[f.Name]
-	vals := make([]sqltypes.Value, len(f.Args))
-	for i, a := range f.Args {
-		v, err := a.Eval(env)
-		if err != nil {
-			return sqltypes.Null, err
-		}
-		if v.IsNull() && spec.nullPropagating {
-			return sqltypes.Null, nil
-		}
-		vals[i] = v
+	if spec.nullPropagating && slices.ContainsFunc(args, sqltypes.Value.IsNull) {
+		return sqltypes.Null, nil
 	}
-	return spec.impl(env, vals)
+	return spec.impl(env, args)
 }
 
 func (f *FuncCall) String() string {

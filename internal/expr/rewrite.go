@@ -199,7 +199,7 @@ func FoldConstants(e Expr) Expr {
 		if !foldable(n) {
 			return nil
 		}
-		v, err := n.Eval(&Env{})
+		v, err := EvalScalar(n, &Env{})
 		if err != nil {
 			return nil
 		}

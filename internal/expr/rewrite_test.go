@@ -58,7 +58,7 @@ func TestBind(t *testing.T) {
 		t.Errorf("bound eval = %v", v)
 	}
 	// Original remains unbound.
-	if _, err := e.Eval(env(sqltypes.NewInt(1), sqltypes.NewInt(2))); err == nil {
+	if _, err := eval(e, env(sqltypes.NewInt(1), sqltypes.NewInt(2))); err == nil {
 		t.Error("original was mutated by Bind")
 	}
 	if _, err := Bind(e, map[ColumnID]int{1: 0}); err == nil {

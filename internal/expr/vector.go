@@ -1,26 +1,502 @@
-// Vectorized expression kernels. The tree-walking Eval pays an interface
-// dispatch per node per row plus an Env per row; these kernels evaluate one
-// expression over a whole column batch, with direct loops for the shapes
-// that dominate query predicates (column-vs-constant comparisons, IS NULL,
-// conjunctions) and a shared-Env gather fallback for everything else. The
-// fallback is still far cheaper than one Eval per row: the Env and the row
-// buffer are allocated once per batch, not once per row.
-//
-// When a column is typed (rowset.Vec in unboxed mode) the comparison and
-// arithmetic kernels run directly over the flat int64/float64/string
-// payloads with NULLs checked through the validity bitmap, skipping Value
-// boxing and Kind dispatch entirely. Mixed or generic columns fall back to
-// boxed loops with identical semantics (sqltypes.Compare order, three-valued
-// logic, evalArith's promotion rules).
+// Expression evaluation. There is one evaluator: EvalVec evaluates a node
+// over the selected rows of a column batch with one kernel per node kind,
+// and a predicate (FilterSel) is that kernel plus the selection of its TRUE
+// rows. Column references copy, row-independent leaves broadcast, and the
+// shapes that dominate query predicates and projections — column-vs-column
+// and column-vs-constant comparisons, IS NULL, one-level arithmetic — run
+// typed loops over the flat int64/float64/string payloads with NULLs read
+// from the validity bitmap, skipping Value boxing and Kind dispatch. Every
+// other node, and a typed one whose operands are mixed or generic, runs the
+// generic kernel: its children evaluate over the selection, and the node's
+// rule is applied to their boxed values row by row, with identical
+// semantics (sqltypes.Compare order, three-valued logic, evalArith's
+// promotion rules). AND and OR narrow the selection their right side sees
+// to the rows their left side leaves undecided, as a row-at-a-time
+// evaluator's short circuit would. Callers without a batch — startup
+// predicates, access-path bounds, VALUES rows, constant folding, CHECK
+// constraints — evaluate a one-row selection.
 
 package expr
 
 import (
-	"strings"
+	"fmt"
 
 	"dhqp/internal/rowset"
 	"dhqp/internal/sqltypes"
 )
+
+// EvalVec evaluates e once per selected row, writing results densely into
+// out: position k receives the k-th selected row's value. out is reset by
+// the kernel to exactly len(sel) rows — typed to the result kind when the
+// inputs allow it, generic otherwise. sel lists physical row indices into
+// cols; out must not be one of cols.
+func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec) error {
+	switch t := e.(type) {
+	case *ColRef:
+		if t.pos < 0 {
+			return fmt.Errorf("expr: unbound column %s (id %d)", t.Name, t.ID)
+		}
+		if t.pos >= len(cols) {
+			return fmt.Errorf("expr: column %s position %d beyond row of %d", t.Name, t.pos, len(cols))
+		}
+		copyVecDense(&cols[t.pos], sel, out)
+		return nil
+	case *Const, *Param:
+		v, _, err := leafVal(e, env)
+		if err != nil {
+			return err
+		}
+		broadcastDense(v, len(sel), out)
+		return nil
+	case *Binary:
+		if t.Op == OpAnd || t.Op == OpOr {
+			return evalLogic(t, env, cols, sel, out)
+		}
+	}
+	return evalNode(e, env, cols, sel, out)
+}
+
+// FilterSel appends to dst the members of sel whose rows satisfy pred
+// under SQL WHERE semantics (TRUE admits; FALSE and NULL reject), and
+// returns dst. sel lists physical row indices into cols; dst must not
+// alias sel unless it is sel's own prefix (in-place conjunct chaining
+// writes dst[k] with k ≤ the read position, which is safe).
+func FilterSel(pred Expr, env *Env, cols []rowset.Vec, sel []int, dst []int) ([]int, error) {
+	switch p := pred.(type) {
+	case *Binary:
+		if p.Op == OpAnd {
+			// Conjunction: filter by the left conjunct, then narrow that
+			// result by the right — each conjunct scans only survivors.
+			// Kleene semantics collapse to this because WHERE rejects both
+			// FALSE and NULL.
+			mid, err := FilterSel(p.L, env, cols, sel, dst)
+			if err != nil {
+				return dst, err
+			}
+			return FilterSel(p.R, env, cols, mid, mid[:0])
+		}
+		if p.Op.IsComparison() {
+			if out, ok, err := filterCompare(p, env, cols, sel, dst); ok || err != nil {
+				return out, err
+			}
+		}
+	case *IsNull:
+		if pos := boundCol(p.E, cols); pos >= 0 {
+			vec := &cols[pos]
+			if vec.IsTyped() && !vec.HasNulls() {
+				// Every element valid: IS NULL admits nothing, IS NOT NULL
+				// admits everything.
+				if p.Negate {
+					dst = append(dst, sel...)
+				}
+				return dst, nil
+			}
+			for _, idx := range sel {
+				if !vec.Valid(idx) != p.Negate {
+					dst = append(dst, idx)
+				}
+			}
+			return dst, nil
+		}
+	}
+	var v rowset.Vec
+	if err := EvalVec(pred, env, cols, sel, &v); err != nil {
+		return dst, err
+	}
+	for k, idx := range sel {
+		if Truthy(v.Value(k)) {
+			dst = append(dst, idx)
+		}
+	}
+	return dst, nil
+}
+
+// oneRow is the one-row selection of callers without a batch. Nothing
+// writes a selection it is handed, so it is shared.
+var oneRow = []int{0}
+
+// EvalScalar evaluates an expression that reads no column as a one-row
+// selection.
+func EvalScalar(e Expr, env *Env) (sqltypes.Value, error) {
+	if v, isLeaf, err := leafVal(e, env); isLeaf || err != nil {
+		return v, err
+	}
+	var out rowset.Vec
+	if err := EvalVec(e, env, nil, oneRow, &out); err != nil {
+		return sqltypes.Null, err
+	}
+	return out.Value(0), nil
+}
+
+// FirstRejected returns the index of the first of rows that pred, a
+// CHECK constraint, does not admit (see FilterSel), or -1 when it admits
+// them all. Each row holds one value per column position pred reads; the
+// rows are evaluated as one batch.
+func FirstRejected(pred Expr, rows []rowset.Row) (int, error) {
+	if len(rows) == 0 {
+		return -1, nil
+	}
+	cols := make([]rowset.Vec, len(rows[0]))
+	for j := range cols {
+		cols[j].ResetGeneric(len(rows))
+		for i, r := range rows {
+			cols[j].Gen()[i] = r[j]
+		}
+	}
+	keep, err := FilterSel(pred, &Env{}, cols, ascending(len(rows)), nil)
+	if err != nil {
+		return 0, err
+	}
+	for i, idx := range keep {
+		if idx != i {
+			return i, nil
+		}
+	}
+	if len(keep) < len(rows) {
+		return len(keep), nil
+	}
+	return -1, nil
+}
+
+// evalLogic is the AND/OR kernel. The left side decides a row when it is
+// FALSE under AND or TRUE under OR; only the other rows reach the right
+// side, and the result is a typed BIT column whose NULLs are Kleene's
+// unknowns.
+func evalLogic(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec) error {
+	var l, r rowset.Vec
+	if err := EvalVec(b.L, env, cols, sel, &l); err != nil {
+		return err
+	}
+	or := b.Op == OpOr
+	var rest, at []int // the undecided rows, and their positions in sel
+	for k, idx := range sel {
+		if lb, null := boolOf(l.Value(k)); null || lb != or {
+			rest, at = append(rest, idx), append(at, k)
+		}
+	}
+	if err := EvalVec(b.R, env, cols, rest, &r); err != nil {
+		return err
+	}
+	decided := int64(0)
+	if or {
+		decided = 1
+	}
+	out.ResetTyped(sqltypes.KindBool, len(sel))
+	ox := out.Int64s()
+	for k := range ox {
+		ox[k] = decided
+	}
+	for j, k := range at {
+		_, lnull := boolOf(l.Value(k))
+		switch rb, rnull := boolOf(r.Value(j)); {
+		case !rnull && rb == or: // the right side decides
+		case lnull || rnull:
+			out.SetNull(k)
+		default:
+			ox[k] = 1 - decided
+		}
+	}
+	return nil
+}
+
+// operand is one child of a node as its kernel reads it: a row-independent
+// value, a column of the input read through the selection, or the child
+// evaluated densely over the selection. Its accessors take the k-th
+// selected row's position k and physical index idx.
+type operand struct {
+	val   sqltypes.Value
+	col   *rowset.Vec // an input column
+	dense bool        // own holds the child's values
+	own   rowset.Vec
+}
+
+func (o *operand) resolve(e Expr, env *Env, cols []rowset.Vec, sel []int) error {
+	if v, isLeaf, err := leafVal(e, env); isLeaf || err != nil {
+		o.val = v
+		return err
+	}
+	if pos := boundCol(e, cols); pos >= 0 {
+		o.col = &cols[pos]
+		return nil
+	}
+	o.dense = true
+	return EvalVec(e, env, cols, sel, &o.own)
+}
+
+// read returns the operand's column (nil for a row-independent value)
+// and, for each selected row, the row of the column it is.
+func (o *operand) read(sel []int) (*rowset.Vec, []int) {
+	switch {
+	case o.dense:
+		return &o.own, ascending(len(sel))
+	case o.col != nil:
+		return o.col, sel
+	}
+	return nil, nil
+}
+
+// kind is the operand's typed kind; sqltypes.KindNull for a NULL value or
+// a generic column.
+func (o *operand) kind() sqltypes.Kind {
+	switch {
+	case o.dense:
+		return o.own.Kind()
+	case o.col != nil:
+		return o.col.Kind()
+	}
+	return o.val.Kind()
+}
+
+// at is the operand's value for the k-th selected row, physical row idx.
+func (o *operand) at(k, idx int) sqltypes.Value {
+	switch {
+	case o.dense:
+		return o.own.Value(k)
+	case o.col != nil:
+		return o.col.Value(idx)
+	}
+	return o.val
+}
+
+// ascending returns 0, 1, …, n-1: the rows of a column evaluated densely
+// over a selection.
+func ascending(n int) []int {
+	rows := make([]int, n)
+	for i := range rows {
+		rows[i] = i
+	}
+	return rows
+}
+
+// evalNode is the kernel of every node but a column, a leaf and AND/OR:
+// the children evaluate over the selection, arithmetic over typed operands
+// runs a typed loop, and every other node runs the generic loop, which
+// applies the node's rule to its children's boxed values row by row into a
+// generic column.
+func evalNode(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec) error {
+	var two [2]Expr
+	kids := two[:0]
+	switch t := e.(type) {
+	case *Binary:
+		kids = append(kids, t.L, t.R)
+	case *Unary:
+		kids = append(kids, t.E)
+	case *IsNull:
+		kids = append(kids, t.E)
+	case *Like:
+		kids = append(kids, t.E, t.Pattern)
+	case *InList:
+		kids = append(append(kids, t.E), t.List...)
+	case *FuncCall:
+		kids = t.Args
+	case *Contains:
+		kids = append(kids, t.Col)
+	default:
+		return fmt.Errorf("expr: cannot evaluate %T", e)
+	}
+	var opsBuf [2]operand
+	ops := opsBuf[:0]
+	if len(kids) > len(opsBuf) {
+		ops = make([]operand, 0, len(kids))
+	}
+	ops = ops[:len(kids)]
+	for i, kid := range kids {
+		if err := ops[i].resolve(kid, env, cols, sel); err != nil {
+			return err
+		}
+	}
+	if b, ok := e.(*Binary); ok && b.Op.IsArith() {
+		if done, err := arithTyped(b.Op, &ops[0], &ops[1], sel, out); done || err != nil {
+			return err
+		}
+	}
+	args := make([]sqltypes.Value, len(kids))
+	out.ResetGeneric(len(sel))
+	gen := out.Gen()
+	for k, idx := range sel {
+		for i := range ops {
+			args[i] = ops[i].at(k, idx)
+		}
+		v, err := applyNode(e, env, args)
+		if err != nil {
+			return err
+		}
+		gen[k] = v
+	}
+	return nil
+}
+
+// applyNode is node e's rule over one row's child values.
+func applyNode(e Expr, env *Env, args []sqltypes.Value) (sqltypes.Value, error) {
+	switch t := e.(type) {
+	case *Binary:
+		return applyBinary(t.Op, args[0], args[1])
+	case *Unary:
+		return t.apply(args[0])
+	case *IsNull:
+		return sqltypes.NewBool(args[0].IsNull() != t.Negate), nil
+	case *Like:
+		return t.apply(args[0], args[1])
+	case *InList:
+		return t.apply(args[0], args[1:]), nil
+	case *FuncCall:
+		return t.apply(env, args)
+	default:
+		return e.(*Contains).apply(args[0])
+	}
+}
+
+// arithTyped runs arithmetic over typed operands without boxing, mirroring
+// evalArith's dispatch exactly: INT with INT stays INT, date ± INT and
+// date − date count days, + concatenates strings, and every other numeric
+// pair promotes to FLOAT (BIT included). A NULL value operand makes every
+// row NULL. done is false when an operand is a generic column or the kinds
+// have no typed loop.
+func arithTyped(op Op, l, r *operand, sel []int, out *rowset.Vec) (bool, error) {
+	lk, rk := l.kind(), r.kind()
+	if !l.dense && l.col == nil && lk == sqltypes.KindNull || !r.dense && r.col == nil && rk == sqltypes.KindNull {
+		broadcastDense(sqltypes.Null, len(sel), out)
+		return true, nil
+	}
+	var kind sqltypes.Kind
+	switch {
+	case lk == sqltypes.KindInt && rk == sqltypes.KindInt:
+		kind = sqltypes.KindInt
+	case lk == sqltypes.KindDate && rk == sqltypes.KindInt && (op == OpAdd || op == OpSub):
+		kind = sqltypes.KindDate
+	case lk == sqltypes.KindDate && rk == sqltypes.KindDate && op == OpSub:
+		kind = sqltypes.KindInt
+	case lk == sqltypes.KindString && rk == sqltypes.KindString && op == OpAdd:
+		kind = sqltypes.KindString
+	case numericFamily(lk) && numericFamily(rk):
+		kind = sqltypes.KindFloat
+	default:
+		return false, nil
+	}
+	lv, li := l.read(sel)
+	rv, ri := r.read(sel)
+	nulls := lv != nil && lv.HasNulls() || rv != nil && rv.HasNulls()
+	out.ResetTyped(kind, len(sel))
+	switch kind {
+	case sqltypes.KindString:
+		ls, rs := strSide(lv, li, l.val), strSide(rv, ri, r.val)
+		ox := out.Strings()
+		for k := range ox {
+			if nulls && (ls.null(k) || rs.null(k)) {
+				out.SetNull(k)
+				continue
+			}
+			ox[k] = ls.at(k) + rs.at(k)
+		}
+	case sqltypes.KindFloat:
+		ls, rs := floatSide(lv, li, l.val), floatSide(rv, ri, r.val)
+		ox := out.Float64s()
+		for k := range ox {
+			if nulls && (ls.null(k) || rs.null(k)) {
+				out.SetNull(k)
+				continue
+			}
+			a, c := ls.at(k), rs.at(k)
+			switch op {
+			case OpAdd:
+				ox[k] = a + c
+			case OpSub:
+				ox[k] = a - c
+			case OpMul:
+				ox[k] = a * c
+			default:
+				v, err := floatDivMod(op, a, c)
+				if err != nil {
+					return true, err
+				}
+				ox[k] = v
+			}
+		}
+	default:
+		ls, rs := intSide(lv, li, l.val), intSide(rv, ri, r.val)
+		ox := out.Int64s()
+		for k := range ox {
+			if nulls && (ls.null(k) || rs.null(k)) {
+				out.SetNull(k)
+				continue
+			}
+			a, c := ls.at(k), rs.at(k)
+			switch op {
+			case OpAdd:
+				ox[k] = a + c
+			case OpSub:
+				ox[k] = a - c
+			case OpMul:
+				ox[k] = a * c
+			default:
+				v, err := intDivMod(op, a, c)
+				if err != nil {
+					return true, err
+				}
+				ox[k] = v
+			}
+		}
+	}
+	return true, nil
+}
+
+// side is one operand of a typed arithmetic loop: element rows[k] of xs,
+// NULL where vec says so, for the k-th selected row, or c when xs is nil.
+type side[T int64 | float64 | string] struct {
+	xs   []T
+	vec  *rowset.Vec // set only when it has NULLs
+	rows []int
+	c    T
+}
+
+func (s *side[T]) null(k int) bool { return s.vec != nil && !s.vec.Valid(s.rows[k]) }
+
+// nullsOf is v when it has NULLs, else nil.
+func nullsOf(v *rowset.Vec) *rowset.Vec {
+	if v.HasNulls() {
+		return v
+	}
+	return nil
+}
+
+func (s *side[T]) at(k int) T {
+	if s.xs == nil {
+		return s.c
+	}
+	return s.xs[s.rows[k]]
+}
+
+func intSide(v *rowset.Vec, rows []int, c sqltypes.Value) side[int64] {
+	if v == nil {
+		x, _ := c.AsInt()
+		return side[int64]{c: x}
+	}
+	return side[int64]{xs: v.Int64s(), vec: nullsOf(v), rows: rows}
+}
+
+func strSide(v *rowset.Vec, rows []int, c sqltypes.Value) side[string] {
+	if v == nil {
+		return side[string]{c: c.Str()}
+	}
+	return side[string]{xs: v.Strings(), vec: nullsOf(v), rows: rows}
+}
+
+// floatSide reads a numeric operand as FLOAT; an INT or BIT column is
+// widened first.
+func floatSide(v *rowset.Vec, rows []int, c sqltypes.Value) side[float64] {
+	switch {
+	case v == nil:
+		f, _ := c.AsFloat()
+		return side[float64]{c: f}
+	case v.Kind() == sqltypes.KindFloat:
+		return side[float64]{xs: v.Float64s(), vec: nullsOf(v), rows: rows}
+	}
+	xs := make([]float64, len(v.Int64s()))
+	for i, x := range v.Int64s() {
+		xs[i] = float64(x)
+	}
+	return side[float64]{xs: xs, vec: nullsOf(v), rows: rows}
+}
 
 // cmpSatisfied reports whether Compare's result c satisfies op.
 func cmpSatisfied(op Op, c int) bool {
@@ -41,6 +517,26 @@ func cmpSatisfied(op Op, c int) bool {
 	return false
 }
 
+// satisfied compares unboxed payloads per op; inlined into the selection
+// loops, it replaces sqltypes.Compare's kind dispatch.
+func satisfied[T int64 | float64 | string](op Op, a, b T) bool {
+	switch op {
+	case OpEq:
+		return a == b
+	case OpNe:
+		return a != b
+	case OpLt:
+		return a < b
+	case OpLe:
+		return a <= b
+	case OpGt:
+		return a > b
+	case OpGe:
+		return a >= b
+	}
+	return false
+}
+
 // leafVal resolves an expression that does not depend on the current row
 // (Const, Param) to its value; ok is false for row-dependent expressions.
 func leafVal(e Expr, env *Env) (sqltypes.Value, bool, error) {
@@ -48,89 +544,20 @@ func leafVal(e Expr, env *Env) (sqltypes.Value, bool, error) {
 	case *Const:
 		return t.Val, true, nil
 	case *Param:
-		v, err := t.Eval(env)
+		v, err := env.param(t.Name)
 		return v, true, err
 	}
 	return sqltypes.Null, false, nil
 }
 
-// boundCol returns the column position of a bound ColRef, or -1.
-func boundCol(e Expr) int {
-	if cr, ok := e.(*ColRef); ok && cr.pos >= 0 {
+// boundCol returns the position in cols of a bound ColRef, or -1 (for
+// other nodes, and for a position cols does not have, which EvalVec
+// reports).
+func boundCol(e Expr, cols []rowset.Vec) int {
+	if cr, ok := e.(*ColRef); ok && cr.pos >= 0 && cr.pos < len(cols) {
 		return cr.pos
 	}
 	return -1
-}
-
-// BoundColPos returns the input ordinal a bound column reference reads, or
-// -1 when e is not a plain column reference. Batch operators use it to
-// read aggregate arguments straight out of typed columns.
-func BoundColPos(e Expr) int { return boundCol(e) }
-
-// FilterSel appends to dst the members of sel whose rows satisfy pred
-// under SQL WHERE semantics (TRUE admits; FALSE and NULL reject), and
-// returns dst. sel lists physical row indices into cols; dst must not
-// alias sel unless it is sel's own prefix (in-place conjunct chaining
-// writes dst[k] with k ≤ the read position, which is safe). rowBuf is a
-// caller-owned scratch row at least as wide as cols, used only on the
-// fallback path.
-func FilterSel(pred Expr, env *Env, cols []rowset.Vec, sel []int, dst []int, rowBuf []sqltypes.Value) ([]int, error) {
-	switch p := pred.(type) {
-	case *Binary:
-		if p.Op == OpAnd {
-			// Conjunction: filter by the left conjunct, then narrow that
-			// result by the right — each conjunct scans only survivors.
-			// Kleene semantics collapse to this because WHERE rejects both
-			// FALSE and NULL.
-			mid, err := FilterSel(p.L, env, cols, sel, dst, rowBuf)
-			if err != nil {
-				return dst, err
-			}
-			return FilterSel(p.R, env, cols, mid, mid[:0], rowBuf)
-		}
-		if p.Op.IsComparison() {
-			if out, ok, err := filterCompare(p, env, cols, sel, dst); ok || err != nil {
-				return out, err
-			}
-		}
-	case *IsNull:
-		if pos := boundCol(p.E); pos >= 0 {
-			vec := &cols[pos]
-			if vec.IsTyped() && !vec.HasNulls() {
-				// Every element valid: IS NULL admits nothing, IS NOT NULL
-				// admits everything.
-				if p.Negate {
-					dst = append(dst, sel...)
-				}
-				return dst, nil
-			}
-			for _, idx := range sel {
-				if !vec.Valid(idx) != p.Negate {
-					dst = append(dst, idx)
-				}
-			}
-			return dst, nil
-		}
-	}
-	// Fallback: gather each candidate row and run the interpreter with a
-	// reused Env.
-	saved := env.Row
-	defer func() { env.Row = saved }()
-	width := len(cols)
-	for _, idx := range sel {
-		for j := 0; j < width; j++ {
-			rowBuf[j] = cols[j].Value(idx)
-		}
-		env.Row = rowBuf[:width]
-		ok, err := EvalPredicate(pred, env)
-		if err != nil {
-			return dst, err
-		}
-		if ok {
-			dst = append(dst, idx)
-		}
-	}
-	return dst, nil
 }
 
 // Typed comparison categories: how a (left kind, right kind) pair compares
@@ -169,86 +596,23 @@ func classifyCmp(lk, rk sqltypes.Kind) int {
 	}
 }
 
-// numCol reads a numeric column (or broadcast scalar) as float64 without
-// boxing; isF selects the payload slice since a reused Vec can carry stale
-// slices of both types.
-type numCol struct {
-	i   []int64
-	f   []float64
-	c   float64 // broadcast constant when both slices are nil
-	isF bool
-}
-
-func numColOf(v *rowset.Vec) numCol {
-	if v.Kind() == sqltypes.KindFloat {
-		return numCol{f: v.Float64s(), isF: true}
-	}
-	return numCol{i: v.Int64s()}
-}
-
-func numConstOf(v sqltypes.Value) numCol {
-	f, _ := v.AsFloat()
-	return numCol{c: f}
-}
-
-func (n numCol) at(idx int) float64 {
-	if n.isF {
-		return n.f[idx]
-	}
-	if n.i != nil {
-		return float64(n.i[idx])
-	}
-	return n.c
-}
-
 // filterCompare handles comparison predicates whose operands are bound
 // column references or row-independent leaves. ok is false when the shape
 // does not match and the caller must fall back.
 func filterCompare(p *Binary, env *Env, cols []rowset.Vec, sel []int, dst []int) ([]int, bool, error) {
-	lpos, rpos := boundCol(p.L), boundCol(p.R)
+	lpos, rpos := boundCol(p.L, cols), boundCol(p.R, cols)
 	switch {
 	case lpos >= 0 && rpos >= 0:
 		lv, rv := &cols[lpos], &cols[rpos]
 		switch classifyCmp(lv.Kind(), rv.Kind()) {
 		case cmpI64:
-			lx, rx := lv.Int64s(), rv.Int64s()
-			if lv.HasNulls() || rv.HasNulls() {
-				for _, idx := range sel {
-					if !lv.Valid(idx) || !rv.Valid(idx) {
-						continue
-					}
-					if i64Satisfied(p.Op, lx[idx], rx[idx]) {
-						dst = append(dst, idx)
-					}
-				}
-			} else {
-				for _, idx := range sel {
-					if i64Satisfied(p.Op, lx[idx], rx[idx]) {
-						dst = append(dst, idx)
-					}
-				}
-			}
-			return dst, true, nil
-		case cmpF64:
-			ln, rn := numColOf(lv), numColOf(rv)
-			checkNulls := lv.HasNulls() || rv.HasNulls()
-			for _, idx := range sel {
-				if checkNulls && (!lv.Valid(idx) || !rv.Valid(idx)) {
-					continue
-				}
-				if f64Satisfied(p.Op, ln.at(idx), rn.at(idx)) {
-					dst = append(dst, idx)
-				}
-			}
-			return dst, true, nil
+			return selectCols(p.Op, lv, rv, lv.Int64s(), rv.Int64s(), sel, dst), true, nil
 		case cmpStr:
-			lx, rx := lv.Strings(), rv.Strings()
-			checkNulls := lv.HasNulls() || rv.HasNulls()
-			for _, idx := range sel {
-				if checkNulls && (!lv.Valid(idx) || !rv.Valid(idx)) {
-					continue
-				}
-				if cmpSatisfied(p.Op, strings.Compare(lx[idx], rx[idx])) {
+			return selectCols(p.Op, lv, rv, lv.Strings(), rv.Strings(), sel, dst), true, nil
+		case cmpF64:
+			l, r := floatSide(lv, sel, sqltypes.Null), floatSide(rv, sel, sqltypes.Null)
+			for k, idx := range sel {
+				if lv.Valid(idx) && rv.Valid(idx) && satisfied(p.Op, l.at(k), r.at(k)) {
 					dst = append(dst, idx)
 				}
 			}
@@ -256,10 +620,7 @@ func filterCompare(p *Binary, env *Env, cols []rowset.Vec, sel []int, dst []int)
 		}
 		for _, idx := range sel {
 			l, r := lv.Value(idx), rv.Value(idx)
-			if l.IsNull() || r.IsNull() {
-				continue
-			}
-			if cmpSatisfied(p.Op, sqltypes.Compare(l, r)) {
+			if !l.IsNull() && !r.IsNull() && cmpSatisfied(p.Op, sqltypes.Compare(l, r)) {
 				dst = append(dst, idx)
 			}
 		}
@@ -272,7 +633,7 @@ func filterCompare(p *Binary, env *Env, cols []rowset.Vec, sel []int, dst []int)
 		if rval.IsNull() {
 			return dst, true, nil // col op NULL rejects every row
 		}
-		return filterColConst(p.Op, &cols[lpos], rval, false, sel, dst), true, nil
+		return filterColConst(p.Op, &cols[lpos], rval, sel, dst), true, nil
 	case rpos >= 0:
 		lval, isLeaf, err := leafVal(p.L, env)
 		if err != nil || !isLeaf {
@@ -281,250 +642,104 @@ func filterCompare(p *Binary, env *Env, cols []rowset.Vec, sel []int, dst []int)
 		if lval.IsNull() {
 			return dst, true, nil
 		}
-		return filterColConst(p.Op, &cols[rpos], lval, true, sel, dst), true, nil
+		return filterColConst(p.Op.Commute(), &cols[rpos], lval, sel, dst), true, nil
 	}
 	return dst, false, nil
 }
 
-// i64Satisfied and f64Satisfied compare unboxed payloads per op; inlined
-// into the selection loops, they replace sqltypes.Compare's kind dispatch.
-func i64Satisfied(op Op, a, b int64) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	case OpGe:
-		return a >= b
-	}
-	return false
-}
-
-func f64Satisfied(op Op, a, b float64) bool {
-	switch op {
-	case OpEq:
-		return a == b
-	case OpNe:
-		return a != b
-	case OpLt:
-		return a < b
-	case OpLe:
-		return a <= b
-	case OpGt:
-		return a > b
-	case OpGe:
-		return a >= b
-	}
-	return false
-}
-
-// filterColConst selects rows where `col op const` holds (or `const op col`
-// when constLeft). The headline scan+filter kernel: per-op loops over the
-// flat payload with the constant hoisted out of the loop.
-func filterColConst(op Op, vec *rowset.Vec, cv sqltypes.Value, constLeft bool, sel, dst []int) []int {
-	// Normalize to col-on-the-left by flipping the operator.
-	if constLeft {
-		op = flipCmp(op)
-	}
-	switch classifyCmp(vec.Kind(), cv.Kind()) {
-	case cmpI64:
-		c, _ := cv.AsInt()
-		xs := vec.Int64s()
-		if !vec.HasNulls() {
-			switch op {
-			case OpEq:
-				for _, idx := range sel {
-					if xs[idx] == c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpNe:
-				for _, idx := range sel {
-					if xs[idx] != c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpLt:
-				for _, idx := range sel {
-					if xs[idx] < c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpLe:
-				for _, idx := range sel {
-					if xs[idx] <= c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpGt:
-				for _, idx := range sel {
-					if xs[idx] > c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpGe:
-				for _, idx := range sel {
-					if xs[idx] >= c {
-						dst = append(dst, idx)
-					}
-				}
-			}
-			return dst
-		}
-		for _, idx := range sel {
-			if vec.Valid(idx) && i64Satisfied(op, xs[idx], c) {
-				dst = append(dst, idx)
-			}
-		}
-		return dst
-	case cmpF64:
-		c, _ := cv.AsFloat()
-		n := numColOf(vec)
-		if !vec.HasNulls() {
-			switch op {
-			case OpEq:
-				for _, idx := range sel {
-					if n.at(idx) == c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpNe:
-				for _, idx := range sel {
-					if n.at(idx) != c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpLt:
-				for _, idx := range sel {
-					if n.at(idx) < c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpLe:
-				for _, idx := range sel {
-					if n.at(idx) <= c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpGt:
-				for _, idx := range sel {
-					if n.at(idx) > c {
-						dst = append(dst, idx)
-					}
-				}
-			case OpGe:
-				for _, idx := range sel {
-					if n.at(idx) >= c {
-						dst = append(dst, idx)
-					}
-				}
-			}
-			return dst
-		}
-		for _, idx := range sel {
-			if vec.Valid(idx) && f64Satisfied(op, n.at(idx), c) {
-				dst = append(dst, idx)
-			}
-		}
-		return dst
-	case cmpStr:
-		c := cv.Str()
-		xs := vec.Strings()
-		checkNulls := vec.HasNulls()
-		for _, idx := range sel {
-			if checkNulls && !vec.Valid(idx) {
-				continue
-			}
-			if cmpSatisfied(op, strings.Compare(xs[idx], c)) {
-				dst = append(dst, idx)
-			}
-		}
-		return dst
-	}
-	// Mixed kinds or generic column: boxed loop, identical to the PR 6 path.
+// selectCols selects the members of sel whose lx[idx] op rx[idx] holds.
+func selectCols[T int64 | float64 | string](op Op, lv, rv *rowset.Vec, lx, rx []T, sel, dst []int) []int {
+	nulls := lv.HasNulls() || rv.HasNulls()
 	for _, idx := range sel {
-		v := vec.Value(idx)
-		if v.IsNull() {
-			continue
-		}
-		if cmpSatisfied(op, sqltypes.Compare(v, cv)) {
+		if (!nulls || lv.Valid(idx) && rv.Valid(idx)) && satisfied(op, lx[idx], rx[idx]) {
 			dst = append(dst, idx)
 		}
 	}
 	return dst
 }
 
-// flipCmp mirrors a comparison so `const op col` becomes `col op' const`.
-func flipCmp(op Op) Op {
-	switch op {
-	case OpLt:
-		return OpGt
-	case OpLe:
-		return OpGe
-	case OpGt:
-		return OpLt
-	case OpGe:
-		return OpLe
+// filterColConst selects rows where `col op const` holds. The headline
+// scan+filter kernel.
+func filterColConst(op Op, vec *rowset.Vec, cv sqltypes.Value, sel, dst []int) []int {
+	switch classifyCmp(vec.Kind(), cv.Kind()) {
+	case cmpI64:
+		c, _ := cv.AsInt()
+		return selectConst(op, vec, vec.Int64s(), c, sel, dst)
+	case cmpStr:
+		return selectConst(op, vec, vec.Strings(), cv.Str(), sel, dst)
+	case cmpF64:
+		c, _ := cv.AsFloat()
+		if vec.Kind() == sqltypes.KindFloat {
+			return selectConst(op, vec, vec.Float64s(), c, sel, dst)
+		}
+		xs := vec.Int64s() // an INT or BIT column against a FLOAT compares as FLOAT
+		for _, idx := range sel {
+			if vec.Valid(idx) && satisfied(op, float64(xs[idx]), c) {
+				dst = append(dst, idx)
+			}
+		}
+		return dst
 	}
-	return op // Eq and Ne are symmetric
+	// Mixed kinds or generic column: boxed loop.
+	for _, idx := range sel {
+		if v := vec.Value(idx); !v.IsNull() && cmpSatisfied(op, sqltypes.Compare(v, cv)) {
+			dst = append(dst, idx)
+		}
+	}
+	return dst
 }
 
-// EvalVec evaluates e once per selected row, writing results densely into
-// out: position k receives the k-th selected row's value. out is reset by
-// the kernel to exactly len(sel) rows — typed to the result kind when the
-// inputs allow it, generic otherwise. Direct loops
-// serve bound column references (a payload copy), row-independent leaves
-// (a broadcast) and one-level arithmetic over typed columns; other shapes
-// gather into rowBuf and run the interpreter with a reused Env.
-func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, rowBuf []sqltypes.Value) error {
-	if pos := boundCol(e); pos >= 0 {
-		src := &cols[pos]
-		if src.IsTyped() {
-			copyVecDense(src, sel, out)
-			return nil
+// selectConst selects the members of sel whose xs[idx] op c holds: over a
+// column without NULLs, one loop per operator with the constant hoisted
+// out of it.
+func selectConst[T int64 | float64 | string](op Op, vec *rowset.Vec, xs []T, c T, sel, dst []int) []int {
+	if vec.HasNulls() {
+		for _, idx := range sel {
+			if vec.Valid(idx) && satisfied(op, xs[idx], c) {
+				dst = append(dst, idx)
+			}
 		}
-		out.ResetGeneric(len(sel))
-		gen := out.Gen()
-		for k, idx := range sel {
-			gen[k] = src.Value(idx)
-		}
-		return nil
+		return dst
 	}
-	if v, isLeaf, err := leafVal(e, env); isLeaf || err != nil {
-		if err != nil {
-			return err
+	switch op {
+	case OpEq:
+		for _, idx := range sel {
+			if xs[idx] == c {
+				dst = append(dst, idx)
+			}
 		}
-		broadcastDense(v, len(sel), out)
-		return nil
+	case OpNe:
+		for _, idx := range sel {
+			if xs[idx] != c {
+				dst = append(dst, idx)
+			}
+		}
+	case OpLt:
+		for _, idx := range sel {
+			if xs[idx] < c {
+				dst = append(dst, idx)
+			}
+		}
+	case OpLe:
+		for _, idx := range sel {
+			if xs[idx] <= c {
+				dst = append(dst, idx)
+			}
+		}
+	case OpGt:
+		for _, idx := range sel {
+			if xs[idx] > c {
+				dst = append(dst, idx)
+			}
+		}
+	case OpGe:
+		for _, idx := range sel {
+			if xs[idx] >= c {
+				dst = append(dst, idx)
+			}
+		}
 	}
-	if b, ok := e.(*Binary); ok && b.Op.IsArith() {
-		if done, err := evalArithVec(b, env, cols, sel, out); done || err != nil {
-			return err
-		}
-	}
-	out.ResetGeneric(len(sel))
-	gen := out.Gen()
-	saved := env.Row
-	defer func() { env.Row = saved }()
-	width := len(cols)
-	for k, idx := range sel {
-		for j := 0; j < width; j++ {
-			rowBuf[j] = cols[j].Value(idx)
-		}
-		env.Row = rowBuf[:width]
-		v, err := e.Eval(env)
-		if err != nil {
-			return err
-		}
-		gen[k] = v
-	}
-	return nil
+	return dst
 }
 
 // copyVecDense gathers src's selected elements densely into out, preserving
@@ -532,21 +747,15 @@ func EvalVec(e Expr, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec, ro
 func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec) {
 	out.ResetTyped(src.Kind(), len(sel))
 	switch src.Kind() {
+	case sqltypes.KindNull:
+		gatherDense(out.Gen(), src.Gen(), sel)
+		return
 	case sqltypes.KindFloat:
-		xs, ox := src.Float64s(), out.Float64s()
-		for k, idx := range sel {
-			ox[k] = xs[idx]
-		}
+		gatherDense(out.Float64s(), src.Float64s(), sel)
 	case sqltypes.KindString:
-		xs, ox := src.Strings(), out.Strings()
-		for k, idx := range sel {
-			ox[k] = xs[idx]
-		}
+		gatherDense(out.Strings(), src.Strings(), sel)
 	default:
-		xs, ox := src.Int64s(), out.Int64s()
-		for k, idx := range sel {
-			ox[k] = xs[idx]
-		}
+		gatherDense(out.Int64s(), src.Int64s(), sel)
 	}
 	if src.HasNulls() {
 		for k, idx := range sel {
@@ -557,221 +766,30 @@ func copyVecDense(src *rowset.Vec, sel []int, out *rowset.Vec) {
 	}
 }
 
+func gatherDense[T any](out, xs []T, sel []int) {
+	for k, idx := range sel {
+		out[k] = xs[idx]
+	}
+}
+
 // broadcastDense fills out's first n positions with v.
 func broadcastDense(v sqltypes.Value, n int, out *rowset.Vec) {
-	if !v.IsNull() {
-		out.ResetTyped(v.Kind(), n)
-		switch v.Kind() {
-		case sqltypes.KindFloat:
-			ox := out.Float64s()
-			for k := 0; k < n; k++ {
-				ox[k] = v.Float()
-			}
-		case sqltypes.KindString:
-			ox := out.Strings()
-			s := v.Str()
-			for k := 0; k < n; k++ {
-				ox[k] = s
-			}
-		default:
-			x, _ := v.AsInt()
-			ox := out.Int64s()
-			for k := 0; k < n; k++ {
-				ox[k] = x
-			}
-		}
-		return
-	}
-	out.ResetGeneric(n)
-	gen := out.Gen()
-	for k := 0; k < n; k++ {
-		gen[k] = v
+	out.ResetTyped(v.Kind(), n)
+	switch v.Kind() {
+	case sqltypes.KindNull:
+		fill(out.Gen(), v)
+	case sqltypes.KindFloat:
+		fill(out.Float64s(), v.Float())
+	case sqltypes.KindString:
+		fill(out.Strings(), v.Str())
+	default:
+		x, _ := v.AsInt()
+		fill(out.Int64s(), x)
 	}
 }
 
-// arithSide is one operand of a typed arithmetic kernel: a typed column or
-// a row-independent scalar.
-type arithSide struct {
-	vec  *rowset.Vec // nil for a scalar operand
-	val  sqltypes.Value
-	kind sqltypes.Kind
-}
-
-func (s *arithSide) valid(idx int) bool {
-	if s.vec == nil {
-		return true
+func fill[T any](out []T, x T) {
+	for k := range out {
+		out[k] = x
 	}
-	return s.vec.Valid(idx)
-}
-
-func (s *arithSide) hasNulls() bool { return s.vec != nil && s.vec.HasNulls() }
-
-func (s *arithSide) i64At(idx int) int64 {
-	if s.vec != nil {
-		return s.vec.Int64s()[idx]
-	}
-	x, _ := s.val.AsInt()
-	return x
-}
-
-func (s *arithSide) strAt(idx int) string {
-	if s.vec != nil {
-		return s.vec.Strings()[idx]
-	}
-	return s.val.Str()
-}
-
-// resolveArithSide classifies b's operand e. ok is false when the operand
-// is neither a typed bound column nor a non-NULL leaf (NULL leaves are
-// handled by the caller as an all-NULL result).
-func resolveArithSide(e Expr, env *Env, cols []rowset.Vec) (arithSide, bool, error) {
-	if pos := boundCol(e); pos >= 0 {
-		vec := &cols[pos]
-		if !vec.IsTyped() {
-			return arithSide{}, false, nil
-		}
-		return arithSide{vec: vec, kind: vec.Kind()}, true, nil
-	}
-	v, isLeaf, err := leafVal(e, env)
-	if err != nil || !isLeaf {
-		return arithSide{}, false, err
-	}
-	return arithSide{val: v, kind: v.Kind()}, true, nil
-}
-
-// evalArithVec runs one-level arithmetic unboxed when both operands are
-// typed columns or leaves, mirroring evalArith's dispatch exactly:
-// int×int stays integral (with div/mod-by-zero errors), date±int and
-// date−date use day arithmetic, string+string concatenates, and every
-// other numeric pair promotes to float64 (bool operands included — the
-// interpreter routes them through the float path too). done is false when
-// the shape or kind pair is not fast-pathable and the caller must fall
-// back to the interpreter.
-func evalArithVec(b *Binary, env *Env, cols []rowset.Vec, sel []int, out *rowset.Vec) (bool, error) {
-	l, lok, err := resolveArithSide(b.L, env, cols)
-	if err != nil {
-		return false, err
-	}
-	r, rok, err := resolveArithSide(b.R, env, cols)
-	if err != nil {
-		return false, err
-	}
-	if !lok || !rok {
-		return false, nil
-	}
-	if l.kind == sqltypes.KindNull || r.kind == sqltypes.KindNull {
-		// NULL leaf operand: arithmetic yields NULL for every row.
-		broadcastDense(sqltypes.Null, len(sel), out)
-		return true, nil
-	}
-	nullable := l.hasNulls() || r.hasNulls()
-	switch {
-	case l.kind == sqltypes.KindInt && r.kind == sqltypes.KindInt:
-		out.ResetTyped(sqltypes.KindInt, len(sel))
-		ox := out.Int64s()
-		for k, idx := range sel {
-			if nullable && (!l.valid(idx) || !r.valid(idx)) {
-				out.SetNull(k)
-				continue
-			}
-			a, c := l.i64At(idx), r.i64At(idx)
-			switch b.Op {
-			case OpAdd:
-				ox[k] = a + c
-			case OpSub:
-				ox[k] = a - c
-			case OpMul:
-				ox[k] = a * c
-			case OpDiv:
-				if c == 0 {
-					return true, errDivZero()
-				}
-				ox[k] = a / c
-			case OpMod:
-				if c == 0 {
-					return true, errModZero()
-				}
-				ox[k] = a % c
-			}
-		}
-		return true, nil
-	case l.kind == sqltypes.KindDate && r.kind == sqltypes.KindInt && (b.Op == OpAdd || b.Op == OpSub):
-		out.ResetTyped(sqltypes.KindDate, len(sel))
-		ox := out.Int64s()
-		for k, idx := range sel {
-			if nullable && (!l.valid(idx) || !r.valid(idx)) {
-				out.SetNull(k)
-				continue
-			}
-			if b.Op == OpAdd {
-				ox[k] = l.i64At(idx) + r.i64At(idx)
-			} else {
-				ox[k] = l.i64At(idx) - r.i64At(idx)
-			}
-		}
-		return true, nil
-	case l.kind == sqltypes.KindDate && r.kind == sqltypes.KindDate && b.Op == OpSub:
-		out.ResetTyped(sqltypes.KindInt, len(sel))
-		ox := out.Int64s()
-		for k, idx := range sel {
-			if nullable && (!l.valid(idx) || !r.valid(idx)) {
-				out.SetNull(k)
-				continue
-			}
-			ox[k] = l.i64At(idx) - r.i64At(idx)
-		}
-		return true, nil
-	case l.kind == sqltypes.KindString && r.kind == sqltypes.KindString && b.Op == OpAdd:
-		out.ResetTyped(sqltypes.KindString, len(sel))
-		ox := out.Strings()
-		for k, idx := range sel {
-			if nullable && (!l.valid(idx) || !r.valid(idx)) {
-				out.SetNull(k)
-				continue
-			}
-			ox[k] = l.strAt(idx) + r.strAt(idx)
-		}
-		return true, nil
-	case numericFamily(l.kind) && numericFamily(r.kind):
-		var ln, rn numCol
-		if l.vec != nil {
-			ln = numColOf(l.vec)
-		} else {
-			ln = numConstOf(l.val)
-		}
-		if r.vec != nil {
-			rn = numColOf(r.vec)
-		} else {
-			rn = numConstOf(r.val)
-		}
-		out.ResetTyped(sqltypes.KindFloat, len(sel))
-		ox := out.Float64s()
-		for k, idx := range sel {
-			if nullable && (!l.valid(idx) || !r.valid(idx)) {
-				out.SetNull(k)
-				continue
-			}
-			a, c := ln.at(idx), rn.at(idx)
-			switch b.Op {
-			case OpAdd:
-				ox[k] = a + c
-			case OpSub:
-				ox[k] = a - c
-			case OpMul:
-				ox[k] = a * c
-			case OpDiv:
-				if c == 0 {
-					return true, errDivZero()
-				}
-				ox[k] = a / c
-			case OpMod:
-				if c == 0 {
-					return true, errModZero()
-				}
-				ox[k] = float64(int64(a) % int64(c))
-			}
-		}
-		return true, nil
-	}
-	return false, nil
 }

@@ -29,9 +29,8 @@ func benchCols(nRows int, typed bool) []rowset.Vec {
 }
 
 // BenchmarkFilterSelTyped measures one batch-filter call per op over 1024
-// rows: the typed kernels against the same kernels forced onto generic
-// boxed columns, with the row-at-a-time interpreter as the baseline the
-// vectorized engine replaced.
+// rows: the typed kernels against the same predicate over the same values
+// in generic boxed columns.
 func BenchmarkFilterSelTyped(b *testing.B) {
 	const nRows = 1024
 	env := &Env{}
@@ -48,10 +47,9 @@ func BenchmarkFilterSelTyped(b *testing.B) {
 		b.Run(modeName(typed), func(b *testing.B) {
 			b.ReportAllocs()
 			dst := make([]int, 0, nRows)
-			rowBuf := make([]sqltypes.Value, len(cols))
 			var live int
 			for i := 0; i < b.N; i++ {
-				out, err := FilterSel(pred, env, cols, sel, dst[:0], rowBuf)
+				out, err := FilterSel(pred, env, cols, sel, dst[:0])
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -62,38 +60,11 @@ func BenchmarkFilterSelTyped(b *testing.B) {
 			}
 		})
 	}
-
-	cols := benchCols(nRows, true)
-	b.Run("rowwise", func(b *testing.B) {
-		b.ReportAllocs()
-		row := make([]sqltypes.Value, len(cols))
-		var live int
-		for i := 0; i < b.N; i++ {
-			live = 0
-			for _, idx := range sel {
-				for j := range cols {
-					row[j] = cols[j].Value(idx)
-				}
-				env.Row = row
-				ok, err := EvalPredicate(pred, env)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if ok {
-					live++
-				}
-			}
-			env.Row = nil
-		}
-		if live == 0 {
-			b.Fatal("filter selected nothing")
-		}
-	})
 }
 
 // BenchmarkEvalVecTyped measures one projection evaluation per op over
-// 1024 rows: a + b into a typed output column versus the generic boxed
-// path versus the row-wise interpreter.
+// 1024 rows: a + b into a typed output column versus the generic kernel
+// over the same values in generic boxed columns.
 func BenchmarkEvalVecTyped(b *testing.B) {
 	const nRows = 1024
 	env := &Env{}
@@ -105,30 +76,11 @@ func BenchmarkEvalVecTyped(b *testing.B) {
 		b.Run(modeName(typed), func(b *testing.B) {
 			b.ReportAllocs()
 			var out rowset.Vec
-			rowBuf := make([]sqltypes.Value, len(cols))
 			for i := 0; i < b.N; i++ {
-				if err := EvalVec(sum, env, cols, sel, &out, rowBuf); err != nil {
+				if err := EvalVec(sum, env, cols, sel, &out); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
-
-	cols := benchCols(nRows, true)
-	b.Run("rowwise", func(b *testing.B) {
-		b.ReportAllocs()
-		row := make([]sqltypes.Value, len(cols))
-		for i := 0; i < b.N; i++ {
-			for _, idx := range sel {
-				for j := range cols {
-					row[j] = cols[j].Value(idx)
-				}
-				env.Row = row
-				if _, err := sum.Eval(env); err != nil {
-					b.Fatal(err)
-				}
-			}
-			env.Row = nil
-		}
-	})
 }

@@ -8,24 +8,21 @@ import (
 	"dhqp/internal/sqltypes"
 )
 
-// differential harness: FilterSel / EvalVec must agree with the row-wise
-// interpreter on every row.
-func filterRowWise(t *testing.T, pred Expr, env *Env, cols []rowset.Vec, sel []int) []int {
+// differential harness: FilterSel and EvalVec over typed columns must
+// agree with the generic kernels over the same values in generic columns
+// (testCols(false)), which no typed loop reads.
+
+// filterGeneric is FilterSel's reference: pred's value from the generic
+// kernels, its TRUE rows selected.
+func filterGeneric(t *testing.T, pred Expr, env *Env, sel []int) []int {
 	t.Helper()
+	var v rowset.Vec
+	if err := EvalVec(pred, env, testCols(false), sel, &v); err != nil {
+		t.Fatalf("generic eval of %s: %v", pred, err)
+	}
 	var want []int
-	row := make([]sqltypes.Value, len(cols))
-	saved := env.Row
-	defer func() { env.Row = saved }()
-	for _, idx := range sel {
-		for j := range cols {
-			row[j] = cols[j].Value(idx)
-		}
-		env.Row = row
-		ok, err := EvalPredicate(pred, env)
-		if err != nil {
-			t.Fatalf("row eval: %v", err)
-		}
-		if ok {
+	for k, idx := range sel {
+		if Truthy(v.Value(k)) {
 			want = append(want, idx)
 		}
 	}
@@ -132,11 +129,10 @@ func TestFilterSelMatchesRowPath(t *testing.T) {
 	}
 	for _, typed := range []bool{false, true} {
 		cols := testCols(typed)
-		rowBuf := make([]sqltypes.Value, len(cols))
 		for _, sel := range [][]int{identity(10), {0, 2, 4, 6, 8}, {}} {
 			for i, pred := range preds {
-				want := filterRowWise(t, pred, env, cols, sel)
-				got, err := FilterSel(pred, env, cols, sel, nil, rowBuf)
+				want := filterGeneric(t, pred, env, sel)
+				got, err := FilterSel(pred, env, cols, sel, nil)
 				if err != nil {
 					t.Fatalf("%s pred %d: %v", modeName(typed), i, err)
 				}
@@ -162,13 +158,11 @@ func TestFilterSelInPlaceConjunct(t *testing.T) {
 		NewBinary(OpAnd, NewBinary(OpGe, col0, NewConst(sqltypes.NewInt(0))), NewBinary(OpLe, col0, NewConst(sqltypes.NewInt(9)))),
 		NewBinary(OpNe, col0, NewConst(sqltypes.NewInt(5))))
 	for _, typed := range []bool{false, true} {
-		cols := testCols(typed)
-		rowBuf := make([]sqltypes.Value, len(cols))
-		got, err := FilterSel(pred, env, cols, identity(10), nil, rowBuf)
+		got, err := FilterSel(pred, env, testCols(typed), identity(10), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := filterRowWise(t, pred, env, cols, identity(10))
+		want := filterGeneric(t, pred, env, identity(10))
 		if len(got) != len(want) {
 			t.Fatalf("%s: got %v want %v", modeName(typed), got, want)
 		}
@@ -199,43 +193,28 @@ func TestEvalVec(t *testing.T) {
 		NewBinary(OpAdd, NewConst(sqltypes.Null), col0),           // NULL operand broadcast
 	}
 	sels := [][]int{{1, 2, 5, 9}, identity(10)}
+	generic := testCols(false)
 	for _, typed := range []bool{false, true} {
 		cols := testCols(typed)
-		rowBuf := make([]sqltypes.Value, len(cols))
-		row := make([]sqltypes.Value, len(cols))
-		out := new(rowset.Vec)
+		out, ref := new(rowset.Vec), new(rowset.Vec)
 		for i, e := range exprs {
 			for _, sel := range sels {
-				vecErr := EvalVec(e, env, cols, sel, out, rowBuf)
-				var rowErr error
-				want := make([]sqltypes.Value, len(sel))
-				for k, idx := range sel {
-					for j := range cols {
-						row[j] = cols[j].Value(idx)
-					}
-					env.Row = row
-					v, err := e.Eval(env)
-					env.Row = nil
-					if err != nil {
-						rowErr = err
-						break
-					}
-					want[k] = v
+				vecErr := EvalVec(e, env, cols, sel, out)
+				refErr := EvalVec(e, env, generic, sel, ref)
+				if (vecErr != nil) != (refErr != nil) {
+					t.Fatalf("%s expr %d (%s): err %v, generic err %v", modeName(typed), i, e, vecErr, refErr)
 				}
-				if (vecErr != nil) != (rowErr != nil) {
-					t.Fatalf("%s expr %d (%s): vec err %v, row err %v", modeName(typed), i, e, vecErr, rowErr)
-				}
-				if rowErr != nil {
-					if vecErr.Error() != rowErr.Error() {
-						t.Fatalf("%s expr %d: error text diverged: vec %q row %q", modeName(typed), i, vecErr, rowErr)
+				if refErr != nil {
+					if vecErr.Error() != refErr.Error() {
+						t.Fatalf("%s expr %d: error text diverged: %q, generic %q", modeName(typed), i, vecErr, refErr)
 					}
 					continue
 				}
 				for k, idx := range sel {
-					got := out.Value(k)
-					if sqltypes.Compare(got, want[k]) != 0 || got.IsNull() != want[k].IsNull() || (!got.IsNull() && got.Kind() != want[k].Kind()) {
+					got, want := out.Value(k), ref.Value(k)
+					if sqltypes.Compare(got, want) != 0 || got.IsNull() != want.IsNull() || (!got.IsNull() && got.Kind() != want.Kind()) {
 						t.Fatalf("%s expr %d (%s) row %d: got %v (%v) want %v (%v)",
-							modeName(typed), i, e, idx, got, got.Kind(), want[k], want[k].Kind())
+							modeName(typed), i, e, idx, got, got.Kind(), want, want.Kind())
 					}
 				}
 			}
@@ -244,14 +223,14 @@ func TestEvalVec(t *testing.T) {
 }
 
 func TestEvalVecDivZeroErrors(t *testing.T) {
-	// Typed integer division by a zero constant must produce the
-	// interpreter's exact error.
+	// Typed integer division by a zero constant must produce the generic
+	// kernel's exact error.
 	cols := testCols(true)
 	env := &Env{}
 	col0 := BoundColRef(1, "a", 0)
 	e := NewBinary(OpDiv, col0, NewConst(sqltypes.NewInt(0)))
 	out := new(rowset.Vec)
-	err := EvalVec(e, env, cols, []int{0, 1}, out, make([]sqltypes.Value, len(cols)))
+	err := EvalVec(e, env, cols, []int{0, 1}, out)
 	if err == nil || !strings.Contains(err.Error(), "division by zero") {
 		t.Fatalf("want division-by-zero error, got %v", err)
 	}

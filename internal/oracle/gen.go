@@ -243,6 +243,28 @@ func (db *DB) Cases(seed int64, perFamily int) []*Stmt {
 	return cases
 }
 
+// DrawExpr draws one statement for expression fuzzing from seed: computed
+// columns and a nested search condition over one table, which may also
+// compare a computed value.
+func (db *DB) DrawExpr(seed int64) *Stmt {
+	g := &gen{r: rand.New(rand.NewSource(seed)), db: db}
+	t := g.pick("fact", "t1", "t3", "td")
+	q := &Select{From: Ref{t.Name, "a"}, Where: g.pred("a", t, 3)}
+	for k := 1 + g.r.Intn(3); k > 0; k-- {
+		q.Items = append(q.Items, Item{E: g.arith("a", t)})
+	}
+	q.Items = append(q.Items, g.items("a", t, 2)...)
+	if g.r.Intn(2) == 0 {
+		c := Cmp{g.op(), g.arith("a", t), Lit{IntCell(int64(g.r.Intn(9)))}}
+		if g.r.Intn(2) == 0 {
+			q.Where = And{q.Where, c}
+		} else {
+			q.Where = Or{c, q.Where}
+		}
+	}
+	return &Stmt{Family: "expr", Arms: []*Select{q}}
+}
+
 type gen struct {
 	r  *rand.Rand
 	db *DB

@@ -334,13 +334,12 @@ func (s *Session) enforceChecks(def *schema.Table, r rowset.Row) error {
 	if err != nil {
 		return fmt.Errorf("native: parsing CHECK on %s: %w", def.Name, err)
 	}
-	env := &expr.Env{Row: r}
 	for _, c := range checks {
-		ok, err := expr.EvalPredicate(c.Pred, env)
+		bad, err := expr.FirstRejected(c.Pred, []rowset.Row{r})
 		if err != nil {
 			return err
 		}
-		if !ok {
+		if bad >= 0 {
 			return fmt.Errorf("native: CHECK constraint violated on %s: %s", def.Name, c.Text)
 		}
 	}

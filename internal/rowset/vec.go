@@ -5,8 +5,8 @@
 // comparisons, hash-key encoding, aggregate accumulation) run over machine
 // words without Kind dispatch or Value struct copies. Values cross back
 // into boxed form only at row-oriented edges: row-based providers, the
-// Rowset Next and Materialized.Rows views, expression scratch rows and the
-// Top-N heap.
+// Rowset Next and Materialized.Rows views, the generic expression kernel
+// and the Top-N heap.
 package rowset
 
 import "dhqp/internal/sqltypes"

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"dhqp/internal/rowset"
 	"math/rand"
 	"testing"
 
@@ -113,10 +114,11 @@ func TestStartupPredicateSoundness(t *testing.T) {
 
 		open := true
 		if sp != nil {
-			var err error
-			if open, err = expr.EvalPredicate(sp, &expr.Env{Params: params}); err != nil {
+			v, err := expr.EvalScalar(sp, &expr.Env{Params: params})
+			if err != nil {
 				t.Fatalf("startup predicate %s: %v", sp, err)
 			}
+			open = expr.Truthy(v)
 		}
 		// satisfiable reports whether some value of the domain passes e
 		// (the other column never stands in the way).
@@ -125,11 +127,16 @@ func TestStartupPredicateSoundness(t *testing.T) {
 				if !d.Contains(x) {
 					continue
 				}
-				ok, err := expr.EvalPredicate(e, &expr.Env{Row: []sqltypes.Value{x, sqltypes.NewInt(100)}, Params: params})
+				cols := make([]rowset.Vec, 2)
+				for j, v := range []sqltypes.Value{x, sqltypes.NewInt(100)} {
+					cols[j].ResetGeneric(1)
+					cols[j].Gen()[0] = v
+				}
+				ok, err := expr.FilterSel(e, &expr.Env{Params: params}, cols, []int{0}, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", e, err)
 				}
-				if ok {
+				if len(ok) == 1 {
 					return true
 				}
 			}
