@@ -1050,8 +1050,8 @@ func BenchmarkKeyedDML(b *testing.B) {
 // sleep) and a pruned 4 000-row scan as a member runs it — report
 // B/stmt, and three gates that do not depend on host speed fail the
 // benchmark: the point read at SetBatchSize(4096) within 1.25x of
-// SetBatchSize(64), the point read at the default size ≤ 16 KiB, and the
-// scatter ≤ 350 KiB per member touched.
+// SetBatchSize(64), the point read at the default size ≤ 4 216 B and ≤ 52
+// allocations, and the scatter ≤ 350 KiB per member touched.
 // ---------------------------------------------------------------------
 
 // loadRows fills a table through 1 000-row INSERT statements.
@@ -1067,9 +1067,13 @@ func loadRows(b *testing.B, s *dhqp.Server, table string, n int, row func(i int)
 }
 
 func BenchmarkStatementAllocs(b *testing.B) {
-	const stmtsPerOp = 50
+	// A cached point read boxes its one row straight from the root batch:
+	// at most 4 216 B and 52 objects per statement.
+	const stmtsPerOp, pointBytesGate, pointAllocsGate = 50, 4216, 52
 	// measure runs stmt stmtsPerOp times per op and returns bytes allocated
-	// per statement, process-wide (members allocate on their own goroutines).
+	// per statement, process-wide (members allocate on their own goroutines);
+	// allocs receives the objects allocated per statement.
+	var allocs float64
 	measure := func(b *testing.B, stmt func(i int)) float64 {
 		b.Helper()
 		stmt(0) // warm: compile, columnar images, remote metadata
@@ -1084,7 +1088,9 @@ func BenchmarkStatementAllocs(b *testing.B) {
 		b.StopTimer()
 		runtime.ReadMemStats(&after)
 		perStmt := float64(after.TotalAlloc-before.TotalAlloc) / float64(b.N*stmtsPerOp)
+		allocs = float64(after.Mallocs-before.Mallocs) / float64(b.N*stmtsPerOp)
 		b.ReportMetric(perStmt, "B/stmt")
+		b.ReportMetric(allocs, "allocs/stmt")
 		return perStmt
 	}
 
@@ -1099,10 +1105,14 @@ func BenchmarkStatementAllocs(b *testing.B) {
 		}
 	}
 	point := map[int]float64{}
+	var pointAllocs float64
 	for _, size := range []int{64, 0, 4096} {
 		b.Run(fmt.Sprintf("PointRead/batch=%d", size), func(b *testing.B) {
 			bank.Configure(func(c *engine.Config) { c.BatchSize = size })
 			point[size] = measure(b, pointRead)
+			if size == 0 {
+				pointAllocs = allocs
+			}
 		})
 	}
 	bank.Configure(func(c *engine.Config) { c.BatchSize = 0 })
@@ -1163,14 +1173,14 @@ func BenchmarkStatementAllocs(b *testing.B) {
 	if r := point[4096] / point[64]; r > 1.25 {
 		b.Errorf("point read: %.0f B/stmt at batch size 4096 is %.2fx the %.0f B/stmt at 64; the gate is 1.25x", point[4096], r, point[64])
 	}
-	if point[0] > 16<<10 {
-		b.Errorf("point read: %.0f B/stmt, the gate is %d", point[0], 16<<10)
+	if point[0] > pointBytesGate || pointAllocs > pointAllocsGate {
+		b.Errorf("point read: %.0f B and %.0f allocations per statement, the gates are %d and %d", point[0], pointAllocs, pointBytesGate, pointAllocsGate)
 	}
 	if scatter > 350<<10 {
 		b.Errorf("scatter: %.0f B per member touched, the gate is %d", scatter, 350<<10)
 	}
-	b.Logf("point read 4096/64 = %.2fx (gate 1.25x), %.1f KiB/stmt (gate 16), scatter %.0f KiB/member (gate 350)",
-		point[4096]/point[64], point[0]/1024, scatter/1024)
+	b.Logf("point read 4096/64 = %.2fx (gate 1.25x), %.0f B and %.0f allocations per statement (gates %d and %d), scatter %.0f KiB/member (gate 350)",
+		point[4096]/point[64], point[0], pointAllocs, pointBytesGate, pointAllocsGate, scatter/1024)
 }
 
 // BenchmarkShippedWindow counts what a shipped key window costs on the
@@ -1420,4 +1430,88 @@ func sortedRows(res *dhqp.Result) string {
 	}
 	sort.Strings(rows)
 	return strings.Join(rows, ";")
+}
+
+// ---------------------------------------------------------------------
+// Scatter compile: what the head's compile of fed_scatter_agg's statement
+// costs as the elastic view grows — 4, 32 and 128 members, a new text on
+// every compile so the plan cache never answers. Reports ns, allocations and
+// bytes per compile; two gates count objects, so they hold on any host: at
+// 32 members a compile allocates at most 24 000 objects, and each member
+// past the fourth adds at most 724. Only the plan's own remote statements
+// are written as SQL; every other pushable group is checked without text.
+// ---------------------------------------------------------------------
+
+func BenchmarkScatterCompile(b *testing.B) {
+	const (
+		perMember       = 250
+		compilesPerOp   = 5
+		allocGate32     = 24_000
+		perMemberGate   = 724
+		scatterCompiled = `SELECT o_region, COUNT(o_id), SUM(amount), AVG(amount) FROM orders WHERE amount >= %d AND o_cust < %d GROUP BY o_region`
+	)
+	allocs := map[int]float64{}
+	for _, members := range []int{4, 32, 128} {
+		head := dhqp.NewServer("head", "fed")
+		var placements []dhqp.ShardPlacement
+		for i := 0; i < members; i++ {
+			m := dhqp.NewServer(fmt.Sprintf("w%d", i), "fed")
+			mustExec(b, m, `CREATE TABLE bootstrap (x INT)`) // the database must exist before forwarded DDL lands
+			link := dhqp.LAN()
+			name := fmt.Sprintf("server%d", i+1)
+			if err := head.AddLinkedServer(name, dhqp.SQLProvider(m, link), link); err != nil {
+				b.Fatal(err)
+			}
+			placements = append(placements, dhqp.ShardPlacement{Server: name, Lo: int64(i * perMember), Hi: int64((i + 1) * perMember)})
+		}
+		cols := []dhqp.Column{
+			{Name: "o_id", Kind: dhqp.KindInt}, {Name: "o_cust", Kind: dhqp.KindInt},
+			{Name: "o_region", Kind: dhqp.KindInt}, {Name: "amount", Kind: dhqp.KindInt},
+		}
+		if err := head.CreateElasticView("orders", "o_id", cols, placements); err != nil {
+			b.Fatal(err)
+		}
+		loadRows(b, head, "orders", members*perMember, func(i int) string {
+			return fmt.Sprintf("(%d, %d, %d, %d)", i, i%977, i%5, i*37%1000)
+		})
+		for i := 0; i < members; i++ {
+			head.InvalidateRemoteSchema(fmt.Sprintf("server%d", i+1))
+		}
+		n := 0
+		compile := func() {
+			n++
+			if _, _, _, err := head.Plan(fmt.Sprintf(scatterCompiled, 100, 1000+n)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("members=%d", members), func(b *testing.B) {
+			compile() // warm: remote metadata and statistics
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N*compilesPerOp; i++ {
+				compile()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			per := float64(b.N * compilesPerOp)
+			allocs[members] = float64(after.Mallocs-before.Mallocs) / per
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/compile")
+			b.ReportMetric(allocs[members], "allocs/compile")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/compile")
+		})
+	}
+	if allocs[4] == 0 || allocs[32] == 0 || allocs[128] == 0 {
+		return // a -bench filter selected only some sizes: nothing to gate
+	}
+	added := (allocs[128] - allocs[4]) / 124
+	if allocs[32] > allocGate32 {
+		b.Errorf("32 members: %.0f allocations per compile, the gate is %d", allocs[32], allocGate32)
+	}
+	if added > perMemberGate {
+		b.Errorf("%.0f allocations per additional member, the gate is %d", added, perMemberGate)
+	}
+	b.Logf("allocations per compile %.0f / %.0f / %.0f at 4 / 32 / 128 members (gate %d at 32), %.0f per additional member (gate %d)",
+		allocs[4], allocs[32], allocs[128], allocGate32, added, perMemberGate)
 }

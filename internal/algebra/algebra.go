@@ -12,6 +12,7 @@ package algebra
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dhqp/internal/expr"
@@ -354,19 +355,35 @@ type AggSpec struct {
 	Distinct bool
 }
 
-func (a AggSpec) String() string {
+func (a AggSpec) String() string { return string(a.append(nil)) }
+
+// append appends the aggregate as String prints it. The output ColumnID is
+// part of the identity: two aggregations that compute the same function
+// into different columns are different operators (the Memo dedups by this
+// text).
+func (a AggSpec) append(b []byte) []byte {
+	b = append(append(b, a.Func.String()...), '(')
+	if a.Distinct {
+		b = append(b, "DISTINCT "...)
+	}
 	arg := "*"
 	if a.Arg != nil {
 		arg = a.Arg.String()
 	}
-	d := ""
-	if a.Distinct {
-		d = "DISTINCT "
+	b = append(append(append(append(b, arg...), ") AS "...), a.Out.Name...), '#')
+	return strconv.AppendInt(b, int64(a.Out.ID), 10)
+}
+
+// appendIDs appends ids as fmt's %v prints them: [1 2 3].
+func appendIDs(b []byte, ids []expr.ColumnID) []byte {
+	b = append(b, '[')
+	for i, id := range ids {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	// The output ColumnID is part of the identity: two aggregations that
-	// compute the same function into different columns are different
-	// operators (the Memo dedups by this string).
-	return fmt.Sprintf("%s(%s%s) AS %s#%d", a.Func, d, arg, a.Out.Name, a.Out.ID)
+	return append(b, ']')
 }
 
 // ProjExpr is one projected expression.

@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dhqp/internal/expr"
@@ -26,7 +27,7 @@ func (g *Get) Logical() bool { return true }
 
 // Digest implements Operator.
 func (g *Get) Digest() string {
-	return fmt.Sprintf("%s cols=%v", g.Src, IDs(g.Cols))
+	return string(appendIDs(append([]byte(g.Src.String()), " cols="...), IDs(g.Cols)))
 }
 
 // OutCols implements Operator.
@@ -50,11 +51,15 @@ func (p *Project) Logical() bool { return true }
 
 // Digest implements Operator.
 func (p *Project) Digest() string {
-	parts := make([]string, len(p.Exprs))
+	var b []byte
 	for i, pe := range p.Exprs {
-		parts[i] = fmt.Sprintf("col%d=%s", pe.Out.ID, exprDigest(pe.E))
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(strconv.AppendInt(append(b, "col"...), int64(pe.Out.ID), 10), '=')
+		b = append(b, exprDigest(pe.E)...)
 	}
-	return strings.Join(parts, ", ")
+	return string(b)
 }
 
 // OutCols implements Operator.
@@ -185,11 +190,14 @@ func (g *GroupBy) Logical() bool { return true }
 
 // Digest implements Operator.
 func (g *GroupBy) Digest() string {
-	aggs := make([]string, len(g.Aggs))
+	b := append(appendIDs([]byte("by="), IDs(g.GroupCols)), " aggs=["...)
 	for i, a := range g.Aggs {
-		aggs[i] = a.String()
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = a.append(b)
 	}
-	return fmt.Sprintf("by=%v aggs=[%s]", IDs(g.GroupCols), strings.Join(aggs, ", "))
+	return string(append(b, ']'))
 }
 
 // OutCols implements Operator.
@@ -218,7 +226,14 @@ func (u *UnionAll) Logical() bool { return true }
 
 // Digest implements Operator.
 func (u *UnionAll) Digest() string {
-	return fmt.Sprintf("out=%v in=%v", IDs(u.OutColsList), u.InMaps)
+	b := append(appendIDs([]byte("out="), IDs(u.OutColsList)), " in=["...)
+	for i, m := range u.InMaps {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendIDs(b, m)
+	}
+	return string(append(b, ']'))
 }
 
 // OutCols implements Operator.

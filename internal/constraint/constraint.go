@@ -168,6 +168,20 @@ func (d *Domain) Union(o *Domain) *Domain {
 	return out.normalize()
 }
 
+// UnionOf is the union of every domain in ds, normalized once: what
+// folding Union over them computes, without a domain per step. A lone
+// domain is returned as is.
+func UnionOf(ds []*Domain) *Domain {
+	if len(ds) == 1 {
+		return ds[0]
+	}
+	var ivs []Interval
+	for _, d := range ds {
+		ivs = append(ivs, d.Intervals...)
+	}
+	return (&Domain{Intervals: ivs}).normalize()
+}
+
 // normalize sorts intervals by lower bound and merges overlaps. Adjacent
 // but non-overlapping intervals (e.g. [1,2] and (2,3]) merge as well.
 func (d *Domain) normalize() *Domain {
@@ -301,8 +315,12 @@ func (m Map) DomainOf(id expr.ColumnID) *Domain {
 	if d, ok := m[id]; ok {
 		return d
 	}
-	return FullDomain()
+	return fullDomain
 }
+
+// fullDomain is the domain DomainOf reports for an unrestricted column.
+// No operation modifies a domain it did not build, so it is shared.
+var fullDomain = FullDomain()
 
 // ApplyPredicate narrows m with the domains implied by pred's conjuncts and
 // reports whether the combined constraints are satisfiable. Conjuncts that

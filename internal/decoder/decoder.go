@@ -79,6 +79,19 @@ func Decode(n *algebra.Node, caps oledb.Capabilities) (*Result, error) {
 	}
 }
 
+// Check reports whether Decode would write n in the dialect caps describes,
+// and which statement parameters the text would reference, without writing
+// it: the same traversal under the same rejection rules, with every text
+// left empty. The optimizer checks each group it may push and writes only
+// the statements its plan keeps.
+func Check(n *algebra.Node, caps oledb.Capabilities) ([]string, error) {
+	d := &decoder{caps: caps, check: true}
+	if _, err := d.rel(n); err != nil {
+		return nil, err
+	}
+	return d.params, nil
+}
+
 // WriteKind names the statement a Write prints.
 type WriteKind int
 
@@ -175,6 +188,19 @@ type decoder struct {
 	lift   bool
 	prefix string
 	binds  []algebra.Bind
+	// check leaves every text empty (Check).
+	check bool
+}
+
+// cat concatenates text parts; under check it writes nothing.
+func (d *decoder) cat(parts ...string) string { return d.list(parts, "") }
+
+// list is strings.Join, writing nothing under check.
+func (d *decoder) list(items []string, sep string) string {
+	if d.check {
+		return ""
+	}
+	return strings.Join(items, sep)
 }
 
 // collides reports whether a statement parameter starts with the lifted
@@ -233,7 +259,13 @@ func (b *box) render() string {
 	return s.String()
 }
 
-func colAlias(id expr.ColumnID) string { return fmt.Sprintf("c%d", id) }
+// alias names output column id in a select list.
+func (d *decoder) alias(id expr.ColumnID) string {
+	if d.check {
+		return ""
+	}
+	return "c" + strconv.Itoa(int(id))
+}
 
 // rel decodes a relational subtree into a box.
 func (d *decoder) rel(n *algebra.Node) (*box, error) {
@@ -259,10 +291,10 @@ func (d *decoder) get(op *algebra.Get) (*box, error) {
 	if op.Src.Kind != algebra.SourceBaseTable {
 		return nil, notRemotable("source kind %d is not a base table", op.Src.Kind)
 	}
-	alias := fmt.Sprintf("t%d", d.aliasSeq)
+	alias := d.cat("t", strconv.Itoa(d.aliasSeq))
 	d.aliasSeq++
-	name := d.tableName(op.Src)
-	b := &box{from: name + " AS " + alias, composable: true, refs: map[expr.ColumnID]string{}}
+	b := &box{from: d.cat(d.tableName(op.Src), " AS ", alias), composable: true, refs: map[expr.ColumnID]string{},
+		selectList: make([]string, 0, len(op.Cols))}
 	if op.Src.Def == nil || len(op.Src.Def.Columns) < len(op.Cols) {
 		return nil, notRemotable("missing schema for %s", op.Src)
 	}
@@ -273,15 +305,18 @@ func (d *decoder) get(op *algebra.Get) (*box, error) {
 		if ord < 0 {
 			return nil, notRemotable("column %s not in schema for %s", c.Name, op.Src)
 		}
-		ref := alias + "." + d.ident(op.Src.Def.Columns[ord].Name)
+		ref := d.cat(alias, ".", d.ident(op.Src.Def.Columns[ord].Name))
 		b.refs[c.ID] = ref
-		b.selectList = append(b.selectList, ref+" AS "+colAlias(c.ID))
+		b.selectList = append(b.selectList, d.cat(ref, " AS ", d.alias(c.ID)))
 	}
 	return b, nil
 }
 
 // tableName renders catalog.schema.table without the server part.
 func (d *decoder) tableName(src *algebra.Source) string {
+	if d.check {
+		return ""
+	}
 	parts := []string{}
 	if src.Catalog != "" {
 		parts = append(parts, d.ident(src.Catalog))
@@ -294,7 +329,7 @@ func (d *decoder) tableName(src *algebra.Source) string {
 }
 
 func (d *decoder) ident(name string) string {
-	if d.caps.QuoteChar == "" || isPlainIdent(name) {
+	if d.check || d.caps.QuoteChar == "" || isPlainIdent(name) {
 		return name
 	}
 	q := d.caps.QuoteChar
@@ -360,7 +395,7 @@ func (d *decoder) project(op *algebra.Project, n *algebra.Node) (*box, error) {
 		if err != nil {
 			return nil, err
 		}
-		items[i] = s + " AS " + colAlias(pe.Out.ID)
+		items[i] = d.cat(s, " AS ", d.alias(pe.Out.ID))
 		newRefs[pe.Out.ID] = s
 	}
 	b.selectList = items
@@ -434,7 +469,7 @@ func (d *decoder) join(op *algebra.Join, n *algebra.Node) (*box, error) {
 	out := &box{
 		selectList: append(append([]string{}, lb.selectList...), rb.selectList...),
 		refs:       refs,
-		from:       fmt.Sprintf("%s %s %s ON %s", lb.from, kw, rb.from, onSQL),
+		from:       d.cat(lb.from, " ", kw, " ", rb.from, " ON ", onSQL),
 		where:      append(append([]string{}, lb.where...), rb.where...),
 		composable: true,
 	}
@@ -480,15 +515,15 @@ func (d *decoder) existsJoin(op *algebra.Join, n *algebra.Node) (*box, error) {
 		}
 		conds = append(conds, onSQL)
 	}
-	sub := "SELECT 1 AS one FROM " + rb.from
+	sub := d.cat("SELECT 1 AS one FROM ", rb.from)
 	if len(conds) > 0 {
-		sub += " WHERE " + strings.Join(conds, " AND ")
+		sub = d.cat(sub, " WHERE ", d.list(conds, " AND "))
 	}
 	kw := "EXISTS"
 	if op.Type == algebra.AntiJoin {
 		kw = "NOT EXISTS"
 	}
-	lb.where = append(lb.where, kw+" ("+sub+")")
+	lb.where = append(lb.where, d.cat(kw, " (", sub, ")"))
 	return lb, nil
 }
 
@@ -513,7 +548,7 @@ func (d *decoder) groupBy(op *algebra.GroupBy, n *algebra.Node) (*box, error) {
 		if err != nil {
 			return nil, err
 		}
-		items = append(items, ref+" AS "+colAlias(gc.ID))
+		items = append(items, d.cat(ref, " AS ", d.alias(gc.ID)))
 		b.groupBy = append(b.groupBy, ref)
 		newRefs[gc.ID] = ref
 	}
@@ -530,10 +565,10 @@ func (d *decoder) groupBy(op *algebra.GroupBy, n *algebra.Node) (*box, error) {
 			arg = s
 		}
 		if a.Distinct {
-			arg = "DISTINCT " + arg
+			arg = d.cat("DISTINCT ", arg)
 		}
-		agg := fmt.Sprintf("%s(%s)", a.Func, arg)
-		items = append(items, agg+" AS "+colAlias(a.Out.ID))
+		agg := d.cat(a.Func.String(), "(", arg, ")")
+		items = append(items, d.cat(agg, " AS ", d.alias(a.Out.ID)))
 		newRefs[a.Out.ID] = agg
 	}
 	b.selectList = items
@@ -564,11 +599,11 @@ func (d *decoder) top(op *algebra.Top, n *algebra.Node) (*box, error) {
 		}
 		// ORDER BY takes column references only: a computed key is named
 		// by its select-list alias.
-		if alias := colAlias(oc.Col); strings.ContainsAny(ref, "( ") && slices.Contains(b.selectList, ref+" AS "+alias) {
+		if alias := d.alias(oc.Col); strings.ContainsAny(ref, "( ") && slices.Contains(b.selectList, ref+" AS "+alias) {
 			ref = alias
 		}
 		if oc.Desc {
-			ref += " DESC"
+			ref = d.cat(ref, " DESC")
 		}
 		b.orderBy = append(b.orderBy, ref)
 	}
@@ -587,24 +622,23 @@ func (d *decoder) wrap(b *box, child *algebra.Node) (*box, error) {
 
 // derive wraps a box as "(SELECT ...) AS dN" exposing its cN aliases.
 func (d *decoder) derive(b *box) *box {
-	alias := fmt.Sprintf("d%d", d.aliasSeq)
+	alias := d.cat("d", strconv.Itoa(d.aliasSeq))
 	d.aliasSeq++
 	items := make([]string, len(b.selectList))
 	refs := map[expr.ColumnID]string{}
 	for i, it := range b.selectList {
 		// Each item ends in "AS cN": re-expose the alias from the derived
 		// table.
-		idx := strings.LastIndex(it, " AS ")
-		name := it[idx+4:]
-		items[i] = alias + "." + name + " AS " + name
+		name := strings.TrimPrefix(it[strings.LastIndex(it, " AS ")+1:], "AS ")
+		items[i] = d.cat(alias, ".", name, " AS ", name)
 	}
 	for id := range b.refs {
-		refs[id] = alias + "." + colAlias(id)
+		refs[id] = d.cat(alias, ".", d.alias(id))
 	}
 	return &box{
 		selectList: items,
 		refs:       refs,
-		from:       "(" + b.render() + ") AS " + alias,
+		from:       d.cat("(", b.render(), ") AS ", alias),
 		composable: true,
 	}
 }
@@ -620,6 +654,9 @@ func (d *decoder) predicate(e expr.Expr, refs map[expr.ColumnID]string) (string,
 
 // bind lifts one constant into a generated parameter and returns its marker.
 func (d *decoder) bind(v sqltypes.Value) string {
+	if d.check {
+		return ""
+	}
 	name := d.prefix + strconv.Itoa(len(d.binds))
 	d.binds = append(d.binds, algebra.Bind{Name: name, Val: v, Lit: d.literal(v)})
 	return "@" + name
@@ -655,7 +692,7 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 				d.paramSeen[v.Name] = true
 				d.params = append(d.params, v.Name)
 			}
-			return "@" + v.Name, nil
+			return d.cat("@", v.Name), nil
 		case *expr.Binary:
 			l, err := dec(v.L)
 			if err != nil {
@@ -665,25 +702,25 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 			if err != nil {
 				return "", err
 			}
-			return "(" + l + " " + v.Op.String() + " " + r + ")", nil
+			return d.cat("(", l, " ", v.Op.String(), " ", r, ")"), nil
 		case *expr.Unary:
 			s, err := dec(v.E)
 			if err != nil {
 				return "", err
 			}
 			if v.Op == expr.OpNot {
-				return "(NOT " + s + ")", nil
+				return d.cat("(NOT ", s, ")"), nil
 			}
-			return "(-" + s + ")", nil
+			return d.cat("(-", s, ")"), nil
 		case *expr.IsNull:
 			s, err := dec(v.E)
 			if err != nil {
 				return "", err
 			}
 			if v.Negate {
-				return "(" + s + " IS NOT NULL)", nil
+				return d.cat("(", s, " IS NOT NULL)"), nil
 			}
-			return "(" + s + " IS NULL)", nil
+			return d.cat("(", s, " IS NULL)"), nil
 		case *expr.Like:
 			if !d.caps.Profile.Like {
 				return "", notRemotable("dialect does not accept LIKE")
@@ -706,7 +743,7 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 			if v.Negate {
 				op = "NOT LIKE"
 			}
-			return "(" + s + " " + op + " " + p + ")", nil
+			return d.cat("(", s, " ", op, " ", p, ")"), nil
 		case *expr.InList:
 			if !d.caps.Profile.InList {
 				return "", notRemotable("dialect does not accept IN lists")
@@ -726,7 +763,7 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 			if v.Negate {
 				op = "NOT IN"
 			}
-			return "(" + s + " " + op + " (" + strings.Join(items, ", ") + "))", nil
+			return d.cat("(", s, " ", op, " (", d.list(items, ", "), "))"), nil
 		case *expr.FuncCall:
 			if d.caps.Profile.Funcs == nil || !d.caps.Profile.Funcs[v.Name] {
 				return "", notRemotable("function %s not remotable", v.Name)
@@ -739,7 +776,7 @@ func (d *decoder) scalar(e expr.Expr, refs map[expr.ColumnID]string) (string, er
 					return "", err
 				}
 			}
-			return v.Name + "(" + strings.Join(args, ", ") + ")", nil
+			return d.cat(v.Name, "(", d.list(args, ", "), ")"), nil
 		default:
 			return "", notRemotable("expression %T has no SQL corollary", e)
 		}

@@ -851,22 +851,15 @@ func (s *Server) viewTextFor(name string) (string, bool) {
 }
 
 // pvMember is one member table a write may reach, with the domains its
-// CHECK constraints give its columns (keyed by ColumnID, ordinal + 1).
+// CHECK constraints give its columns (keyed by ColumnID, ordinal + 1;
+// shared with every write to the same definition, so read-only).
 type pvMember struct {
 	src     *algebra.Source
 	domains constraint.Map
 }
 
 func newPVMember(src *algebra.Source) pvMember {
-	m := pvMember{src: src}
-	if def := src.Def; len(def.Checks) > 0 {
-		cols := make([]algebra.OutCol, len(def.Columns))
-		for i, c := range def.Columns {
-			cols[i] = algebra.OutCol{ID: expr.ColumnID(i + 1), Name: c.Name, Kind: c.Kind}
-		}
-		m.domains = binder.CheckDomains(def, cols)
-	}
-	return m
+	return pvMember{src: src, domains: binder.TableDomains(src.Def)}
 }
 
 // admits reports whether the member can hold a row the bound WHERE

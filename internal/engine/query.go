@@ -266,10 +266,45 @@ type ResultSink interface {
 	Batch(b *rowset.Batch) error
 }
 
-// materializer is the ResultSink behind every materializing entry point:
-// it gathers each root batch into a rowset.Store. The gather copies, since
-// a root batch is valid only during the call and can be a window onto a
-// columnar image.
+// boxer is the ResultSink behind Query and the other materializing entry
+// points: it boxes each root batch's live rows straight into Result.Rows,
+// one backing array per batch. The values are copies, since a root batch
+// is valid only during the call and can be a window onto a columnar image.
+type boxer struct {
+	n       int
+	batches [][]rowset.Row
+}
+
+func (bx *boxer) Columns([]schema.Column) error { return nil }
+
+func (bx *boxer) Batch(b *rowset.Batch) error {
+	n, w := b.Len(), b.Width()
+	vals, rows := make([]sqltypes.Value, n*w), make([]rowset.Row, n)
+	for i := range rows {
+		rows[i] = b.RowAt(i, vals[i*w:(i+1)*w:(i+1)*w])
+	}
+	bx.batches, bx.n = append(bx.batches, rows), bx.n+n
+	return nil
+}
+
+// rows returns every boxed row in order.
+func (bx *boxer) rows() []rowset.Row {
+	switch len(bx.batches) {
+	case 0:
+		return nil
+	case 1:
+		return bx.batches[0]
+	}
+	out := make([]rowset.Row, 0, bx.n)
+	for _, rows := range bx.batches {
+		out = append(out, rows...)
+	}
+	return out
+}
+
+// materializer is the ResultSink behind QuerySQL: it gathers each root
+// batch into a rowset.Store, copying for the same reason, so a member's
+// result keeps the typed columns its executor produced.
 type materializer struct {
 	cols []schema.Column
 	s    rowset.Store
@@ -286,15 +321,15 @@ func (mz *materializer) Batch(b *rowset.Batch) error {
 	return nil
 }
 
-// materialize runs a streaming entry point into a materializer and returns
-// its result with Rows filled.
+// materialize runs a streaming entry point into a boxer and returns its
+// result with Rows filled.
 func materialize(run func(ResultSink) (*Result, error)) (*Result, error) {
-	var mz materializer
-	res, err := run(&mz)
+	var bx boxer
+	res, err := run(&bx)
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = rowset.FromStore(mz.cols, &mz.s).Rows()
+	res.Rows = bx.rows()
 	return res, nil
 }
 
@@ -310,7 +345,7 @@ func (s *Server) Query(sql string, params map[string]sqltypes.Value) (*Result, e
 // its deadline passing) aborts the statement mid-execution with a
 // cancelled-class error — remote transfers, retry backoffs and the row loop
 // all observe it. A configured Config.QueryTimeout still applies on top. It is
-// QueryStreamContext into a materializer.
+// QueryStreamContext into a boxer.
 func (s *Server) QueryContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
 	return materialize(func(sink ResultSink) (*Result, error) {
 		return s.QueryStreamContext(ctx, sql, params, sink)

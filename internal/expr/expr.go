@@ -228,7 +228,7 @@ type Binary struct {
 func NewBinary(op Op, l, r Expr) *Binary { return &Binary{Op: op, L: l, R: r} }
 
 func (b *Binary) String() string {
-	return fmt.Sprintf("(%s %s %s)", b.L.String(), b.Op, b.R.String())
+	return "(" + b.L.String() + " " + b.Op.String() + " " + b.R.String() + ")"
 }
 
 // applyBinary is a comparison's or an arithmetic operator's rule over one

@@ -12,6 +12,7 @@ package memo
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"dhqp/internal/algebra"
@@ -46,12 +47,16 @@ func (e *GroupExpr) MarkFired(rule string) {
 
 // digest returns the dedup key for an operator applied to child groups.
 func digest(op algebra.Operator, kids []GroupID) string {
+	name, d := op.OpName(), op.Digest()
 	var b strings.Builder
-	b.WriteString(op.OpName())
+	b.Grow(len(name) + len(d) + 1 + 6*len(kids))
+	b.WriteString(name)
 	b.WriteByte('|')
-	b.WriteString(op.Digest())
+	b.WriteString(d)
+	var num [20]byte
 	for _, k := range kids {
-		fmt.Fprintf(&b, "|g%d", k)
+		b.WriteString("|g")
+		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
 	}
 	return b.String()
 }
@@ -61,9 +66,6 @@ func digest(op algebra.Operator, kids []GroupID) string {
 type PhysProps struct {
 	Order algebra.Ordering
 }
-
-// Digest keys winner caches.
-func (p PhysProps) Digest() string { return p.Order.String() }
 
 // Any is the empty requirement.
 var Any = PhysProps{}
@@ -119,10 +121,11 @@ func (p *LogicalProps) SoleServer() (string, bool) {
 
 // Group is one equivalence class of expressions.
 type Group struct {
-	ID      GroupID
-	Exprs   []*GroupExpr
-	Props   *LogicalProps
-	winners map[string]*Winner
+	ID    GroupID
+	Exprs []*GroupExpr
+	Props *LogicalProps
+	// winners holds one Winner per required property set optimized.
+	winners []winner
 	// ExploredPhase tracks the highest phase whose exploration reached a
 	// fixpoint for this group.
 	ExploredPhase int
@@ -191,7 +194,7 @@ func (m *Memo) InsertExpr(op algebra.Operator, kids []GroupID, target GroupID) G
 	if target >= 0 {
 		g = m.Groups[target]
 	} else {
-		g = &Group{ID: GroupID(len(m.Groups)), winners: map[string]*Winner{}}
+		g = &Group{ID: GroupID(len(m.Groups))}
 		m.Groups = append(m.Groups, g)
 	}
 	e := &GroupExpr{Op: op, Kids: kids, Group: g.ID}
@@ -236,22 +239,38 @@ func (m *Memo) InsertX(x *XNode, target GroupID) GroupID {
 	return m.InsertExpr(x.Op, kids, target)
 }
 
+type winner struct {
+	props PhysProps
+	w     *Winner
+}
+
 // Winner returns the cached winner for (group, props).
 func (m *Memo) Winner(g GroupID, props PhysProps) (*Winner, bool) {
-	w, ok := m.Groups[g].winners[props.Digest()]
-	return w, ok
+	for _, e := range m.Groups[g].winners {
+		if e.props.Order.Equal(props.Order) {
+			return e.w, true
+		}
+	}
+	return nil, false
 }
 
 // SetWinner caches a winner.
 func (m *Memo) SetWinner(g GroupID, props PhysProps, w *Winner) {
-	m.Groups[g].winners[props.Digest()] = w
+	grp := m.Groups[g]
+	for i := range grp.winners {
+		if grp.winners[i].props.Order.Equal(props.Order) {
+			grp.winners[i].w = w
+			return
+		}
+	}
+	grp.winners = append(grp.winners, winner{props, w})
 }
 
 // ClearWinners drops all winner caches (between optimization phases, whose
 // rule sets differ).
 func (m *Memo) ClearWinners() {
 	for _, g := range m.Groups {
-		g.winners = map[string]*Winner{}
+		g.winners = g.winners[:0]
 	}
 }
 

@@ -197,23 +197,17 @@ func (m *Memo) groupByCardinality(op *algebra.GroupBy, kid *LogicalProps) float6
 // members' CHECK ranges.
 func (m *Memo) unionDomains(op *algebra.UnionAll, kids []GroupID) constraint.Map {
 	out := constraint.Map{}
+	ds := make([]*constraint.Domain, 0, len(kids))
 	for j, oc := range op.OutColsList {
-		var d *constraint.Domain
-		complete := true
+		ds = ds[:0]
 		for i, k := range kids {
 			if j >= len(op.InMaps[i]) {
-				complete = false
 				break
 			}
-			kd := m.Groups[k].Props.Domains.DomainOf(op.InMaps[i][j])
-			if d == nil {
-				d = kd
-			} else {
-				d = d.Union(kd)
-			}
+			ds = append(ds, m.Groups[k].Props.Domains.DomainOf(op.InMaps[i][j]))
 		}
-		if complete && d != nil {
-			out[oc.ID] = d
+		if len(ds) == len(kids) && len(ds) > 0 {
+			out[oc.ID] = constraint.UnionOf(ds)
 		}
 	}
 	return out

@@ -13,17 +13,10 @@ import (
 // costCandidate resolves a candidate's children (group winners or fixed
 // subtrees), verifies ordering requirements, and computes cumulative cost.
 // It returns nil when the candidate cannot satisfy the required properties
-// (the sort enforcer covers those groups).
-func (o *Optimizer) costCandidate(c *rules.Candidate, grp *memo.Group, required memo.PhysProps) (*planned, error) {
-	outCard := grp.Props.Cardinality
-	if c.Card > 0 {
-		outCard = c.Card
-	}
-	width := grp.Props.RowWidth
-	if c.Width > 0 {
-		width = c.Width
-	}
-
+// (the sort enforcer covers those groups). A fixed subtree is costed under
+// no requirement, its cardinality defaulting to its first child's (spools,
+// fetch wrappers) rather than the owning group's.
+func (o *Optimizer) costCandidate(c *rules.Candidate, grp *memo.Group, required memo.PhysProps, fixed bool) (*planned, error) {
 	provides := c.Provides
 	if len(required.Order) > 0 && !c.PassOrderThrough && !required.Order.SatisfiedBy(provides) {
 		return nil, nil
@@ -32,12 +25,9 @@ func (o *Optimizer) costCandidate(c *rules.Candidate, grp *memo.Group, required 
 	kids := make([]*planned, len(c.Kids))
 	for i, kid := range c.Kids {
 		if kid.Fixed != nil {
-			kp, err := o.costFixed(kid.Fixed, grp)
-			if err != nil {
+			kp, err := o.costCandidate(kid.Fixed, grp, memo.Any, true)
+			if kp == nil || err != nil {
 				return nil, err
-			}
-			if kp == nil {
-				return nil, nil
 			}
 			kids[i] = kp
 			continue
@@ -61,47 +51,21 @@ func (o *Optimizer) costCandidate(c *rules.Candidate, grp *memo.Group, required 
 	if c.PassOrderThrough && len(required.Order) > 0 {
 		provides = required.Order
 	}
+	card, width := grp.Props.Cardinality, grp.Props.RowWidth
+	if fixed && len(kids) > 0 {
+		card = kids[0].card
+	}
+	if c.Card > 0 {
+		card = c.Card
+	}
+	if c.Width > 0 {
+		width = c.Width
+	}
 
-	p := &planned{op: c.Op, kids: kids, provides: provides, card: outCard, width: width}
-	if err := o.finishCost(p, c, grp); err != nil {
-		return nil, err
+	p := &planned{op: c.Op, kids: kids, provides: provides, card: card, width: width, from: c, remote: algebra.IsRemoteOp(c.Op)}
+	for _, k := range kids {
+		p.remote = p.remote || k.remote
 	}
-	return p, nil
-}
-
-// costFixed costs a rule-determined physical subtree. Defaults: output
-// cardinality follows the first child (spools, fetch wrappers) or the
-// owning group.
-func (o *Optimizer) costFixed(c *rules.Candidate, grp *memo.Group) (*planned, error) {
-	kids := make([]*planned, len(c.Kids))
-	for i, kid := range c.Kids {
-		if kid.Fixed != nil {
-			kp, err := o.costFixed(kid.Fixed, grp)
-			if err != nil {
-				return nil, err
-			}
-			kids[i] = kp
-			continue
-		}
-		w, err := o.optimizeGroup(kid.Group, kid.Required)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = w.Plan.(*planned)
-	}
-	card := c.Card
-	if card <= 0 {
-		if len(kids) > 0 {
-			card = kids[0].card
-		} else {
-			card = grp.Props.Cardinality
-		}
-	}
-	width := c.Width
-	if width <= 0 {
-		width = grp.Props.RowWidth
-	}
-	p := &planned{op: c.Op, kids: kids, provides: c.Provides, card: card, width: width}
 	if err := o.finishCost(p, c, grp); err != nil {
 		return nil, err
 	}
@@ -201,7 +165,7 @@ func (o *Optimizer) finishCost(p *planned, c *rules.Candidate, grp *memo.Group) 
 		var remoteCosts []float64
 		localCost := 0.0
 		for _, k := range p.kids {
-			if k.hasRemote() {
+			if k.remote {
 				remoteCosts = append(remoteCosts, k.cost)
 			} else {
 				localCost += k.cost

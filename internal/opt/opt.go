@@ -1,4 +1,3 @@
-// debug marker
 // Package opt implements the optimizer driver on top of the Memo and the
 // rule engine: normalization, phased exploration (transaction processing /
 // quick plan / full optimization with early exit, §4.1.1), cost-based
@@ -12,6 +11,7 @@ import (
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/cost"
+	"dhqp/internal/decoder"
 	"dhqp/internal/memo"
 	"dhqp/internal/rules"
 )
@@ -69,6 +69,9 @@ type Optimizer struct {
 	model      *cost.Model
 	phase      rules.Phase
 	rulesFired int
+	// impl holds each group expression's implementation candidates for
+	// the running phase: built once, costed under every required ordering.
+	impl map[*memo.GroupExpr][]*rules.Candidate
 }
 
 // New builds an optimizer over a populated rules.Context (whose Memo field
@@ -101,6 +104,7 @@ func (o *Optimizer) Optimize(root *algebra.Node, md memo.Metadata, requiredOrder
 		o.rctx.Phase = p
 		o.explore(p)
 		m.ClearWinners()
+		o.impl = map[*memo.GroupExpr][]*rules.Candidate{}
 		w, err := o.optimizeGroup(rootGroup, required)
 		if err != nil {
 			return nil, nil, err
@@ -124,10 +128,12 @@ func (o *Optimizer) Optimize(root *algebra.Node, md memo.Metadata, requiredOrder
 	report.RulesFired = o.rulesFired
 	report.FinalCost = best.Cost
 	report.RootCard = m.Group(rootGroup).Props.Cardinality
-	return best.Plan.(*planned).toNode(), report, nil
+	plan, err := best.Plan.(*planned).toNode()
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan, report, nil
 }
-
-var debugOpt = false
 
 // Memo exposes the memo after optimization (tests and diagnostics).
 func (o *Optimizer) Memo() *memo.Memo { return o.memo }
@@ -172,33 +178,41 @@ type planned struct {
 	provides algebra.Ordering
 	card     float64
 	width    float64
+	// from is the candidate the node was costed from (nil for enforcers).
+	from *rules.Candidate
+	// remote: some operator in the subtree reaches across a network link
+	// (algebra.HasRemoteOp, the executor's parallel-fan-out decision, so
+	// costing and execution agree).
+	remote bool
 }
 
-// hasRemote reports whether any operator in the planned subtree reaches
-// across a network link (mirrors algebra.HasRemoteOp for the executor's
-// parallel-fan-out decision, so costing and execution agree).
-func (p *planned) hasRemote() bool {
-	if algebra.IsRemoteOp(p.op) {
-		return true
-	}
-	for _, k := range p.kids {
-		if k.hasRemote() {
-			return true
-		}
-	}
-	return false
-}
+// writeSQL writes a kept RemoteQuery's statement; tests count its calls.
+var writeSQL = decoder.Decode
 
-func (p *planned) toNode() *algebra.Node {
+// toNode extracts the plan, writing each kept RemoteQuery's statement.
+func (p *planned) toNode() (*algebra.Node, error) {
 	kids := make([]*algebra.Node, len(p.kids))
 	for i, k := range p.kids {
-		kids[i] = k.toNode()
+		var err error
+		if kids[i], err = k.toNode(); err != nil {
+			return nil, err
+		}
 	}
-	n := algebra.NewNode(p.op, kids...)
+	op := p.op
+	if rq, ok := op.(*algebra.RemoteQuery); ok && p.from.Pushed != nil {
+		res, err := writeSQL(p.from.Pushed, p.from.Caps)
+		if err != nil {
+			return nil, fmt.Errorf("opt: writing the statement pushed to %s: %w", rq.Server, err)
+		}
+		w := *rq
+		w.SQL, w.Params, w.Binds = res.SQL, res.Params, res.Binds
+		op = &w
+	}
+	n := algebra.NewNode(op, kids...)
 	// Annotate the extracted plan with the winner's estimates so EXPLAIN
 	// ANALYZE can show estimated vs. actual rows per operator.
 	n.Est = &algebra.Est{Rows: p.card, Cost: p.cost}
-	return n
+	return n, nil
 }
 
 // optimizeGroup finds the cheapest plan for (group, required) with winner
@@ -229,21 +243,24 @@ func (o *Optimizer) optimizeGroup(g memo.GroupID, required memo.PhysProps) (*mem
 			if !e.Op.Logical() {
 				continue
 			}
-			for _, r := range rules.ImplGuidance(e.Op, o.phase) {
-				for _, c := range r.Candidates(e, o.rctx) {
-					p, err := o.costCandidate(c, grp, required)
-					if err != nil {
-						return nil, err
+			cands, ok := o.impl[e]
+			if !ok {
+				for _, r := range rules.ImplGuidance(e.Op, o.phase) {
+					if cs := r.Candidates(e, o.rctx); cands == nil {
+						cands = cs
+					} else {
+						cands = append(cands, cs...)
 					}
-					if p == nil {
-						continue
-					}
-					if debugOpt {
-						fmt.Printf("G%d %s/%s cost=%.0f\n", g, r.Name(), p.op.OpName(), p.cost)
-					}
-					if best == nil || p.cost < best.cost {
-						best = p
-					}
+				}
+				o.impl[e] = cands
+			}
+			for _, c := range cands {
+				p, err := o.costCandidate(c, grp, required, false)
+				if err != nil {
+					return nil, err
+				}
+				if p != nil && (best == nil || p.cost < best.cost) {
+					best = p
 				}
 			}
 		}
@@ -261,6 +278,7 @@ func (o *Optimizer) optimizeGroup(g memo.GroupID, required memo.PhysProps) (*mem
 					provides: required.Order,
 					card:     base.card,
 					width:    base.width,
+					remote:   base.remote,
 				}
 				sorted.rescan = sorted.cost
 				if best == nil || sorted.cost < best.cost {

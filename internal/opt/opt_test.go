@@ -6,6 +6,7 @@ import (
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/constraint"
+	"dhqp/internal/decoder"
 	"dhqp/internal/expr"
 	"dhqp/internal/oledb"
 	"dhqp/internal/rules"
@@ -240,4 +241,57 @@ func TestNoImplementationError(t *testing.T) {
 	defer func() { recover() }()
 	o := New(DefaultConfig(), rctx())
 	o.Optimize(nil, &md{}, nil)
+}
+
+// TestScatterWritesOnlyKeptStatements optimizes a partial-aggregate
+// scatter over eight linked servers — every member's Get, Select and
+// GroupBy groups can be pushed — and counts the statements written: one
+// per RemoteQuery in the plan, none for the candidates the plan does not
+// keep.
+func TestScatterWritesOnlyKeptStatements(t *testing.T) {
+	const members = 8
+	var arms []*algebra.Node
+	var inMaps [][]expr.ColumnID
+	for i := 0; i < members; i++ {
+		base := expr.ColumnID(10 * (i + 1))
+		arms = append(arms, get("srv"+string(rune('a'+i)), "orders", base, base+1))
+		inMaps = append(inMaps, []expr.ColumnID{base, base + 1})
+	}
+	out := []algebra.OutCol{{ID: 1, Name: "region", Kind: sqltypes.KindInt}, {ID: 2, Name: "amount", Kind: sqltypes.KindInt}}
+	union := algebra.NewNode(&algebra.UnionAll{OutColsList: out, InMaps: inMaps}, arms...)
+	filter := algebra.NewNode(&algebra.Select{Filter: expr.NewBinary(expr.OpGe, expr.NewColRef(2, "amount"), expr.NewConst(sqltypes.NewInt(100)))}, union)
+	root := algebra.NewNode(&algebra.GroupBy{
+		GroupCols: []algebra.OutCol{out[0]},
+		Aggs:      []algebra.AggSpec{{Out: algebra.OutCol{ID: 3, Name: "total", Kind: sqltypes.KindInt}, Func: algebra.AggSum, Arg: expr.NewColRef(2, "amount")}},
+	}, filter)
+
+	writes := 0
+	defer func(w func(*algebra.Node, oledb.Capabilities) (*decoder.Result, error)) { writeSQL = w }(writeSQL)
+	writeSQL = func(n *algebra.Node, caps oledb.Capabilities) (*decoder.Result, error) {
+		writes++
+		return decoder.Decode(n, caps)
+	}
+	plan, _ := optimize(t, root, nil)
+	var kept []*algebra.RemoteQuery
+	var walk func(n *algebra.Node)
+	walk = func(n *algebra.Node) {
+		if rq, ok := n.Op.(*algebra.RemoteQuery); ok {
+			kept = append(kept, rq)
+		}
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(plan)
+	if len(kept) != members {
+		t.Fatalf("%d RemoteQuery operators, want one per member:\n%s", len(kept), plan)
+	}
+	if writes != len(kept) {
+		t.Errorf("%d statements written for %d kept RemoteQuery operators", writes, len(kept))
+	}
+	for _, rq := range kept {
+		if !strings.Contains(rq.SQL, "GROUP BY") || !strings.Contains(rq.SQL, "WHERE") {
+			t.Errorf("%s: pushed %q, want the member's partial aggregate", rq.Server, rq.SQL)
+		}
+	}
 }

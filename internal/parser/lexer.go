@@ -31,7 +31,10 @@ type lexer struct {
 
 // lex tokenizes the whole input up front.
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Presize for the densest common text, a bulk INSERT's VALUES list
+	// ("(1, 2), " is about a token per two bytes): a 1 000-row INSERT then
+	// lexes into one allocation instead of a chain of growing copies.
+	l := &lexer{src: src, toks: make([]token, 0, len(src)/2+2)}
 	for {
 		l.skipSpace()
 		if l.pos >= len(l.src) {

@@ -1,6 +1,8 @@
 package parser
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -394,4 +396,25 @@ func TestParseExprStandalone(t *testing.T) {
 
 func TestSemicolonTolerated(t *testing.T) {
 	mustSelect(t, "SELECT 1 AS one;")
+}
+
+// BenchmarkParseInsert1000 parses one 1 000-row INSERT … VALUES text, the
+// shape every bulk load in the repository benchmark sends.
+func BenchmarkParseInsert1000(b *testing.B) {
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO orders VALUES ")
+	for i := 0; i < 1000; i++ {
+		if i > 0 {
+			sb.WriteString(", ")
+		}
+		fmt.Fprintf(&sb, "(%d, %d, %d, %d)", i, i%977, i%5, i*37%1000)
+	}
+	sql := sb.String()
+	b.ReportAllocs()
+	b.SetBytes(int64(len(sql)))
+	for i := 0; i < b.N; i++ {
+		if _, err := Parse(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

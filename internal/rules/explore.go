@@ -142,6 +142,7 @@ func (*PushSelectIntoUnionAll) MinPhase() Phase { return PhaseTP }
 // Apply implements ExplorationRule.
 func (*PushSelectIntoUnionAll) Apply(e *memo.GroupExpr, ctx *Context) []*memo.XNode {
 	sel := e.Op.(*algebra.Select)
+	read := expr.Cols(sel.Filter)
 	var out []*memo.XNode
 	for _, kid := range ctx.Memo.Group(e.Kids[0]).Exprs {
 		u, ok := kid.Op.(*algebra.UnionAll)
@@ -153,8 +154,9 @@ func (*PushSelectIntoUnionAll) Apply(e *memo.GroupExpr, ctx *Context) []*memo.XN
 			// Rewrite the filter in terms of the arm's own columns.
 			subst := map[expr.ColumnID]expr.Expr{}
 			for j, oc := range u.OutColsList {
-				in := u.InMaps[i][j]
-				subst[oc.ID] = expr.NewColRef(in, oc.Name)
+				if read.Has(oc.ID) {
+					subst[oc.ID] = expr.NewColRef(u.InMaps[i][j], oc.Name)
+				}
 			}
 			armFilter := expr.Substitute(sel.Filter, subst)
 			kids[i] = memo.NodeChild(&memo.XNode{

@@ -103,38 +103,30 @@ type ExplorationRule interface {
 
 // Guidance returns the exploration rules that could match the operator —
 // "each operator contains a routine called Guidance that enumerates rules
-// that could match it" (§4.1.1) — filtered by phase and sorted by promise.
+// that could match it" (§4.1.1) — filtered by phase, in promise order.
 func Guidance(op algebra.Operator, phase Phase) []ExplorationRule {
 	var out []ExplorationRule
 	for _, r := range explorationRules {
-		if r.MinPhase() > phase {
-			continue
-		}
-		if ruleMatchesRoot(r, op) {
+		if r.MinPhase() <= phase && ruleMatchesRoot(r, op) {
 			out = append(out, r)
-		}
-	}
-	// Sort by promise, descending (stable small-N insertion sort).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Promise() > out[j-1].Promise(); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
 	return out
 }
 
-// explorationRules is the registry, in no particular order.
+// explorationRules is the registry, by promise, highest first: Guidance
+// keeps this order.
 var explorationRules = []ExplorationRule{
-	&SelectMerge{},
 	&PushSelectIntoJoin{},
 	&PushSelectIntoUnionAll{},
+	&SelectMerge{},
 	&PruneEmptyUnionArms{},
-	&JoinCommute{},
-	&JoinAssociate{},
 	&GroupJoinsByLocality{},
+	&SplitAggThroughUnion{},
+	&JoinCommute{},
 	&ParameterizeJoin{},
 	&BatchParameterizeJoin{},
-	&SplitAggThroughUnion{},
+	&JoinAssociate{},
 }
 
 func ruleMatchesRoot(r ExplorationRule, op algebra.Operator) bool {

@@ -6,6 +6,7 @@ import (
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/constraint"
+	"dhqp/internal/decoder"
 	"dhqp/internal/expr"
 	"dhqp/internal/memo"
 	"dhqp/internal/oledb"
@@ -77,11 +78,13 @@ func TestGuidanceFiltersByOperatorAndPhase(t *testing.T) {
 		}
 	}
 	// Promise ordering: pushdown outranks commute for selects... check
-	// descending promises generally.
-	sel := Guidance(&algebra.Select{}, PhaseFull)
-	for i := 1; i < len(sel); i++ {
-		if sel[i].Promise() > sel[i-1].Promise() {
-			t.Error("guidance not sorted by promise")
+	// descending promises generally. Guidance keeps the registry's order,
+	// so the registry itself must be sorted.
+	for _, rs := range [][]ExplorationRule{Guidance(&algebra.Select{}, PhaseFull), joinRules, explorationRules} {
+		for i := 1; i < len(rs); i++ {
+			if rs[i].Promise() > rs[i-1].Promise() {
+				t.Errorf("%s (promise %d) follows %s (promise %d)", rs[i].Name(), rs[i].Promise(), rs[i-1].Name(), rs[i-1].Promise())
+			}
 		}
 	}
 }
@@ -267,9 +270,13 @@ func TestBuildRemoteQueryFiresOncePerGroup(t *testing.T) {
 	if len(first) != 1 {
 		t.Fatalf("candidates = %d", len(first))
 	}
-	rq := findRemoteQuery(first[0])
-	if rq == nil || !strings.Contains(rq.SQL, "INNER JOIN") {
-		t.Errorf("SQL = %+v", rq)
+	// The candidate carries the tree; its text is written only if a plan
+	// keeps it.
+	if rq := findRemoteQuery(first[0]); rq == nil || rq.SQL != "" {
+		t.Errorf("RemoteQuery = %+v, want one without text", rq)
+	}
+	if res, err := decoder.Decode(first[0].Pushed, first[0].Caps); err != nil || !strings.Contains(res.SQL, "INNER JOIN") {
+		t.Errorf("pushed tree decodes to %v, %v", res, err)
 	}
 	// Add a commuted alternative; the rule must not fire on it (not the
 	// group's first expression).
