@@ -2,14 +2,11 @@ package engine
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"dhqp/internal/circuit"
 	"dhqp/internal/netsim"
-	"dhqp/internal/rowset"
-	"dhqp/internal/schema"
 	"dhqp/internal/telemetry"
 )
 
@@ -175,22 +172,6 @@ func TestStatementAccountingParity(t *testing.T) {
 	}
 }
 
-// blockingSink holds its statement at the first batch until released.
-type blockingSink struct {
-	reached, release chan struct{}
-	once             sync.Once
-}
-
-func (b *blockingSink) Columns([]schema.Column) error { return nil }
-
-func (b *blockingSink) Batch(*rowset.Batch) error {
-	b.once.Do(func() {
-		close(b.reached)
-		<-b.release
-	})
-	return nil
-}
-
 // TestBreakerTripAccounting: a circuit-breaker trip counts once, against
 // the statement whose failure caused it — whether that statement then
 // fails, and whatever other statement happens to be running meanwhile.
@@ -228,18 +209,17 @@ func TestBreakerTripAccounting(t *testing.T) {
 		head.MustExec(`INSERT INTO loc VALUES (1), (2), (3)`)
 		before := counterValue(head, "dhqp_breaker_trips_total")
 
-		sink := &blockingSink{reached: make(chan struct{}), release: make(chan struct{})}
-		var local *Result
-		var localErr error
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			local, localErr = head.QueryStreamContext(context.Background(), `SELECT a FROM loc`, nil, sink)
-		}()
-		<-sink.reached
+		// The local statement is open, its first batch read, while the
+		// fan-out runs.
+		cur, err := head.OpenQuery(context.Background(), `SELECT a FROM loc`, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cur.Pull(); err != nil {
+			t.Fatal(err)
+		}
 		fan, err := head.Query(query, nil)
-		close(sink.release)
-		<-done
+		local, localErr := cur.Finish(nil)
 		if err != nil {
 			t.Fatalf("partial-results fan-out failed: %v", err)
 		}

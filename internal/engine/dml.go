@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -39,7 +40,7 @@ func (s *Server) MustExec(sql string) {
 
 // ExecParams executes DDL/DML with parameters.
 //
-// Like QueryContext, the statement pins the shard-map statement gate for
+// Like a SELECT's cursor, the statement pins the shard-map statement gate for
 // its whole lifetime, so elastic topology cutovers serialize against every
 // write: a row routed by one map version commits before the map can change.
 func (s *Server) ExecParams(sql string, params map[string]sqltypes.Value) (int64, error) {
@@ -529,17 +530,14 @@ func (s *Server) insertRows(cfg *Config, st *parser.InsertStmt, params map[strin
 
 // querySelect runs a parsed SELECT (INSERT ... SELECT path).
 func (s *Server) querySelect(cfg *Config, sel *parser.SelectStmt, params map[string]sqltypes.Value) (*Result, error) {
-	col := s.newRecord(false)
-	plan, cols, _, err := s.planSelectWith(cfg, sel, col)
+	c := s.newCursor(context.Background(), cfg, s.newRecord(false), nil)
+	plan, cols, _, err := s.planSelectWith(cfg, sel, c.col)
 	if err != nil {
-		return s.publish(context.Background(), cfg, col, nil, err)
+		return nil, c.fail(err)
 	}
 	// INSERT ... SELECT has no standalone statement text; an empty key keeps
 	// it out of the query-stats registry.
-	return materialize(func(sink ResultSink) (*Result, error) {
-		res, err := s.runPlan(context.Background(), cfg, "", plan, cols, params, false, col, sink)
-		return s.publish(context.Background(), cfg, col, res, err)
-	})
+	return readAll(c.exec("", plan, cols, params, false))
 }
 
 // reorderForTable maps named insert columns onto the table layout, filling
@@ -736,7 +734,15 @@ func (w *memberWrite) stage() error {
 	}
 	ctx := w.s.execContext(context.Background(), w.cfg, w.params, w.sess, w.col)
 	set := make([]rowset.Vec, len(w.Set)) // each SET value over the staged batch
-	return exec.Stream(w.rows, ctx, func(b *rowset.Batch) (err error) {
+	run, err := exec.Open(w.rows, ctx)
+	if err != nil {
+		return err
+	}
+	defer run.Close()
+	for b, err := run.Pull(); err != io.EOF; b, err = run.Pull() {
+		if err != nil {
+			return err
+		}
 		for i, a := range w.Set {
 			if err := expr.EvalVec(a.E, &ctx.Env, b.Cols(), b.Indices(), &set[i]); err != nil {
 				return err
@@ -762,8 +768,8 @@ func (w *memberWrite) stage() error {
 			}
 			w.n++
 		}
-		return nil
-	})
+	}
+	return nil
 }
 
 // ParticipantName implements dtc.NamedParticipant.

@@ -436,9 +436,7 @@ func (s *Server) readMemberRange(mp *shardmap.Map, m shardmap.Member, lo, hi int
 	if pred := rangePredicate(mp.KeyCol, lo, hi); pred != "" {
 		text += " WHERE " + pred
 	}
-	res, err := materialize(func(sink ResultSink) (*Result, error) {
-		return s.queryContext(context.Background(), text, nil, sink)
-	})
+	res, err := readAll(s.openQuery(context.Background(), text, nil, nil))
 	if err != nil {
 		return nil, fmt.Errorf("engine: move copy read from %s: %w", m.Table, err)
 	}

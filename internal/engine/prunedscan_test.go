@@ -3,13 +3,13 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/exec"
 	"dhqp/internal/providers/native"
-	"dhqp/internal/rowset"
 )
 
 // prunedServer is vecServer plus td, a table whose slot array has holes:
@@ -118,12 +118,24 @@ func TestPrunedScanEquivalence(t *testing.T) {
 			RT:        &runtime{s: s, local: s.nativeSess.(*native.Session).AtSnapshot(snap.CSN())},
 			BatchSize: cfg.BatchSize, Ctx: context.Background(), Stats: s.newRecord(false),
 		}
-		var mz materializer
-		mz.Columns(cols)
-		if err := exec.Stream(plan, ctx, mz.Batch); err != nil {
+		run, err := exec.Open(plan, ctx)
+		if err != nil {
 			return nil, err
 		}
-		return &Result{Cols: cols, Rows: rowset.FromStore(cols, &mz.s).Rows()}, nil
+		defer run.Close()
+		res := &Result{Cols: cols}
+		for {
+			b, err := run.Pull()
+			if err == io.EOF {
+				return res, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			for i := 0; i < b.Len(); i++ {
+				res.Rows = append(res.Rows, b.RowAt(i, nil))
+			}
+		}
 	}
 	checkBatchGrid(t, s, prunedQueries, atSnapshot)
 	for _, sql := range prunedQueries {

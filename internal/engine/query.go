@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,6 +22,7 @@ import (
 	"dhqp/internal/rules"
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
+	"dhqp/internal/storage"
 	"dhqp/internal/telemetry"
 )
 
@@ -119,7 +122,7 @@ func (s *Server) planSelectWith(cfg *Config, sel *parser.SelectStmt, col *teleme
 		return nil, nil, nil, err
 	}
 	// Narrow scans to the columns the statement reads before the tree is
-	// memoized: member servers then materialize and ship only those.
+	// memoized: member servers then read and ship only those.
 	binder.PruneColumns(bound)
 	plan, report, err := s.optimize(cfg, bound.Root, bound.RequiredOrder, b.AllocCol, col)
 	if err != nil {
@@ -256,81 +259,207 @@ func (s *Server) extraSession(key string) (oledb.Session, bool) {
 	return sess, ok
 }
 
-// ResultSink receives a streamed SELECT result: Columns once, after the
-// statement compiles and before it executes, then every non-empty root
-// batch in order. A batch is valid only for the duration of the call; an
-// error from either method aborts the statement and is returned by it.
-// Time spent inside Batch is the statement's serialize phase.
-type ResultSink interface {
-	Columns(cols []schema.Column) error
-	Batch(b *rowset.Batch) error
+// Cursor is one open SELECT, read by pulls: the rowset a consumer pulls
+// in §3.1.2 (IRowset::GetNextRows). Opening it finds or compiles the plan,
+// then takes a storage snapshot, the statement span and the timeout; the
+// statement pin its opener took is held to Close. Each Pull runs the plan
+// as far as its next root batch. Finish closes the operator tree, releases
+// what the open took and publishes the statement's record, once, whether
+// the consumer read every row, stopped early or failed.
+type Cursor struct {
+	s       *Server
+	cfg     *Config
+	base    context.Context
+	col     *telemetry.Collector
+	unpin   func() // the shard-map statement pin, or nil
+	res     *Result
+	run     *exec.Run
+	snap    storage.Snapshot
+	endSpan func()
+	cancel  context.CancelFunc
+	start   time.Time
+	pulling time.Duration // time spent inside the plan: the execute phase
+	err     error         // the statement's first failure
+	closed  bool
+
+	// NextBatch's place in the root batch it gathers from.
+	root *rowset.Batch
+	at   int
+	ids  []int32
 }
 
-// boxer is the ResultSink behind Query and the other materializing entry
-// points: it boxes each root batch's live rows straight into Result.Rows,
-// one backing array per batch. The values are copies, since a root batch
-// is valid only during the call and can be a window onto a columnar image.
-type boxer struct {
-	n       int
-	batches [][]rowset.Row
-}
-
-func (bx *boxer) Columns([]schema.Column) error { return nil }
-
-func (bx *boxer) Batch(b *rowset.Batch) error {
-	n, w := b.Len(), b.Width()
-	vals, rows := make([]sqltypes.Value, n*w), make([]rowset.Row, n)
-	for i := range rows {
-		rows[i] = b.RowAt(i, vals[i*w:(i+1)*w:(i+1)*w])
+// newCursor starts a statement's cursor under cfg, recording into col;
+// unpin releases the statement pin its caller took (nil: none).
+func (s *Server) newCursor(ctx context.Context, cfg *Config, col *telemetry.Collector, unpin func()) *Cursor {
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	bx.batches, bx.n = append(bx.batches, rows), bx.n+n
+	return &Cursor{s: s, cfg: cfg, base: ctx, col: col, unpin: unpin}
+}
+
+// exec opens a compiled plan and returns the cursor, or finishes it and
+// returns why the open failed. The record rides the statement context into
+// every netsim call the plan makes (links are shared across concurrent
+// statements, but each statement observes only its own calls); under a
+// traced statement everything the plan does nests under one statement
+// span, which lasts until Finish; the snapshot makes every local read see
+// one commit sequence number.
+func (c *Cursor) exec(text string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool) (*Cursor, error) {
+	s := c.s
+	c.res = &Result{Cols: cols, Stats: &telemetry.QueryStats{QueryText: text, PlanCacheHit: cacheHit}}
+	qctx := netsim.WithObserver(c.base, c.col)
+	qctx, c.endSpan = telemetry.StartSpan(qctx, s.name, "statement", text)
+	if c.cfg.QueryTimeout > 0 {
+		qctx, c.cancel = context.WithTimeout(qctx, c.cfg.QueryTimeout)
+	}
+	c.snap = s.store.AcquireSnapshot()
+	ctx := s.execContext(qctx, c.cfg, params, s.nativeSess.(*native.Session).AtSnapshot(c.snap.CSN()), c.col)
+	c.start = time.Now()
+	c.run, c.err = exec.Open(plan, ctx)
+	c.pulling = time.Since(c.start)
+	if c.err != nil {
+		return nil, c.fail(c.err)
+	}
+	return c, nil
+}
+
+// fail finishes the cursor on a failure of its open and returns the error.
+func (c *Cursor) fail(err error) error {
+	_, err = c.Finish(err)
+	return err
+}
+
+// Columns implements rowset.Cursor: the result's shape.
+func (c *Cursor) Columns() []schema.Column { return c.res.Cols }
+
+// Pull returns the statement's next non-empty root batch, valid until the
+// next Pull, or io.EOF after the last. A failure is the statement's, and
+// every later Pull returns it. Nothing may pull a finished cursor.
+func (c *Cursor) Pull() (*rowset.Batch, error) {
+	if c.err != nil {
+		return nil, c.err
+	}
+	t0 := time.Now()
+	b, err := c.run.Pull()
+	c.pulling += time.Since(t0)
+	if err == nil {
+		c.res.Stats.Rows += int64(b.Len())
+	} else if err != io.EOF {
+		c.err = err
+	}
+	return b, err
+}
+
+// NextBatch implements rowset.Cursor, the member side of a link: it fills
+// b to capacity by gathering rows out of as many root batches as that
+// takes, one gather per row, so a fetch is full however the plan cut its
+// batches (GetNextRows(cRows)). What a fetch leaves of a root batch waits
+// for the next one; the member holds that batch, never its whole result.
+func (c *Cursor) NextBatch(b *rowset.Batch) error {
+	b.Reset(len(c.res.Cols))
+	n := 0
+	for n < b.CapRows() {
+		if c.root == nil || c.at == c.root.Len() {
+			root, err := c.Pull()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			c.root, c.at = root, 0
+		}
+		live := c.root.Indices()[c.at:]
+		live = live[:min(len(live), b.CapRows()-n)]
+		c.ids = rowset.Int32s(c.ids, live)
+		for j := range c.res.Cols {
+			b.Col(j).Gather(n, c.root.Col(j), c.ids, false)
+		}
+		n += len(live)
+		c.at += len(live)
+	}
+	if n == 0 {
+		return io.EOF
+	}
+	b.SetNumRows(n)
 	return nil
 }
 
-// rows returns every boxed row in order.
-func (bx *boxer) rows() []rowset.Row {
-	switch len(bx.batches) {
-	case 0:
-		return nil
-	case 1:
-		return bx.batches[0]
-	}
-	out := make([]rowset.Row, 0, bx.n)
-	for _, rows := range bx.batches {
-		out = append(out, rows...)
-	}
-	return out
-}
-
-// materializer is the ResultSink behind QuerySQL: it gathers each root
-// batch into a rowset.Store, copying for the same reason, so a member's
-// result keeps the typed columns its executor produced.
-type materializer struct {
-	cols []schema.Column
-	s    rowset.Store
-}
-
-func (mz *materializer) Columns(cols []schema.Column) error {
-	mz.cols = cols
-	mz.s.Reset(len(cols))
+// Close implements rowset.Cursor: Finish with no failure of the consumer.
+// The statement's own failure already reached the consumer from a pull.
+func (c *Cursor) Close() error {
+	c.Finish(nil)
 	return nil
 }
 
-func (mz *materializer) Batch(b *rowset.Batch) error {
-	mz.s.AddBatch(b)
-	return nil
+// Finish ends the statement. It closes the operator tree, records the
+// execute phase as the time spent inside the plan and the serialize phase
+// as the rest of the time the cursor was open, releases the snapshot,
+// timeout, span and statement pin, and publishes the statement's record.
+// err is the consumer's own failure (a result it could not deliver), or
+// nil; the statement fails if it or a pull failed. Finish returns the
+// statement's summary — a Result without Rows — or its error; a second
+// call returns the same.
+func (c *Cursor) Finish(err error) (*Result, error) {
+	if c.closed {
+		return c.res, c.err
+	}
+	c.closed = true
+	if c.err == nil {
+		c.err = err
+	}
+	if c.run != nil {
+		t0 := time.Now()
+		c.run.Close()
+		c.pulling += time.Since(t0)
+	}
+	if c.err != nil {
+		c.res = nil
+	} else {
+		c.res.Stats.Elapsed = time.Since(c.start)
+		c.col.RecordPhase(telemetry.PhaseExecute, c.pulling)
+		c.col.RecordPhase(telemetry.PhaseSerialize, c.res.Stats.Elapsed-c.pulling)
+	}
+	c.snap.Release()
+	if c.cancel != nil {
+		c.cancel()
+	}
+	if c.endSpan != nil {
+		c.endSpan()
+	}
+	c.res, c.err = c.s.publish(c.base, c.cfg, c.col, c.res, c.err)
+	if c.unpin != nil {
+		c.unpin()
+	}
+	return c.res, c.err
 }
 
-// materialize runs a streaming entry point into a boxer and returns its
-// result with Rows filled.
-func materialize(run func(ResultSink) (*Result, error)) (*Result, error) {
-	var bx boxer
-	res, err := run(&bx)
+// readAll reads a cursor to its end and finishes it, boxing each root
+// batch's rows over one backing array per batch into Result.Rows. The
+// values are copies, since a root batch is valid only until the next pull
+// and can be a window onto a columnar image.
+func readAll(c *Cursor, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Rows = bx.rows()
-	return res, nil
+	var batches [][]rowset.Row
+	for b, err := c.Pull(); err == nil; b, err = c.Pull() { // Finish returns a pull's failure
+		k, w := b.Len(), b.Width()
+		vals, rows := make([]sqltypes.Value, k*w), make([]rowset.Row, k)
+		for i := range rows {
+			rows[i] = b.RowAt(i, vals[i*w:(i+1)*w:(i+1)*w])
+		}
+		batches = append(batches, rows)
+	}
+	res, err := c.Finish(nil)
+	switch {
+	case err != nil || len(batches) == 0:
+	case len(batches) == 1:
+		res.Rows = batches[0]
+	default:
+		res.Rows = slices.Concat(batches...)
+	}
+	return res, err
 }
 
 // Query parses, optimizes and executes a SELECT. Compiled plans cache by
@@ -343,57 +472,47 @@ func (s *Server) Query(sql string, params map[string]sqltypes.Value) (*Result, e
 
 // QueryContext is Query under a caller-supplied context: cancelling it (or
 // its deadline passing) aborts the statement mid-execution with a
-// cancelled-class error — remote transfers, retry backoffs and the row loop
-// all observe it. A configured Config.QueryTimeout still applies on top. It is
-// QueryStreamContext into a boxer.
+// cancelled-class error — remote transfers, retry backoffs and the pulls
+// all observe it. A configured Config.QueryTimeout still applies on top.
+// It reads OpenQuery's cursor to its end.
 func (s *Server) QueryContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Result, error) {
-	return materialize(func(sink ResultSink) (*Result, error) {
-		return s.QueryStreamContext(ctx, sql, params, sink)
-	})
+	return readAll(s.OpenQuery(ctx, sql, params))
 }
 
-// QueryStreamContext is QueryContext handing the result to sink one root
-// batch at a time instead of materializing it: the returned Result carries
-// everything but Rows (Stats.Rows counts them). The serving layer threads
-// each network session's query context and frame encoder through here,
-// which is what makes client-initiated cancel and KILL work and keeps a
-// large result from ever being held whole.
+// OpenQuery opens a SELECT as a cursor under ctx instead of materializing
+// it. The serving layer pulls each network session's statement through
+// one, writing a frame per root batch, which is what makes client-initiated
+// cancel and KILL work and keeps a large result from ever being held whole.
 //
-// The statement pins the shard-map statement gate for its whole lifetime
-// (plan-cache probe through the last batch), so an elastic topology
-// cutover can never flip the map under a running statement: results always
-// reflect exactly one map version.
-func (s *Server) QueryStreamContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
-	defer s.shards.PinStatement()()
-	return s.queryContext(ctx, sql, params, sink)
+// The cursor pins the shard-map statement gate from the plan-cache probe
+// to Close, so an elastic topology cutover can never flip the map under an
+// open statement: results always reflect exactly one map version.
+func (s *Server) OpenQuery(ctx context.Context, sql string, params map[string]sqltypes.Value) (*Cursor, error) {
+	return s.openQuery(ctx, sql, params, s.shards.PinStatement())
 }
 
-// queryContext is QueryStreamContext without the shard-map statement pin —
-// the inner entry point for callers that already coordinate with the gate
-// (the rebalance copier runs inside the topology lock; re-entrant statement
-// work like partitioned-view DML fan-out must not re-acquire a gate its
-// outer statement already holds).
+// openQuery is OpenQuery under the statement pin its caller took; nil
+// means none, for callers that already coordinate with the gate (the
+// rebalance copier runs inside the topology lock).
 //
 // The statement loads the server's Config once, here, and compiles and
 // executes under it; a cached plan of another planning generation is a miss.
-func (s *Server) queryContext(ctx context.Context, sql string, params map[string]sqltypes.Value, sink ResultSink) (*Result, error) {
+func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sqltypes.Value, unpin func()) (*Cursor, error) {
 	cfg := s.cfg.Load()
-	col := s.newRecord(cfg.CollectStats)
+	c := s.newCursor(ctx, cfg, s.newRecord(cfg.CollectStats), unpin)
 	if cached := s.lookupPlan(cfg, sql, false); cached != nil {
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
-		col.CaptureRemoteSQL(cached.plan)
-		res, err := s.runPlan(ctx, cfg, sql, cached.plan, cached.cols, params, true, col, sink)
-		return s.publish(ctx, cfg, col, res, err)
+		c.col.CaptureRemoteSQL(cached.plan)
+		return c.exec(sql, cached.plan, cached.cols, params, true)
 	}
 	s.notePlanMiss()
-	plan, cols, _, err := s.planSQL(cfg, sql, col)
+	plan, cols, _, err := s.planSQL(cfg, sql, c.col)
 	if err != nil {
-		return s.publish(ctx, cfg, col, nil, err)
+		return nil, c.fail(err)
 	}
 	s.cachePlan(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
-	res, err := s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
-	return s.publish(ctx, cfg, col, res, err)
+	return c.exec(sql, plan, cols, params, false)
 }
 
 // lookupPlan returns sql's cached plan of the kind the caller runs, a
@@ -454,93 +573,32 @@ func (s *Server) ExplainAnalyze(sql string, params map[string]sqltypes.Value) (*
 // it, otherwise a fresh trace starts here; either way the report renders
 // the distributed span tree.
 func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params map[string]sqltypes.Value) (*telemetry.Explain, error) {
-	defer s.shards.PinStatement()()
-	cfg := s.cfg.Load()
-	col := s.newRecord(true)
 	if ctx == nil {
 		ctx = context.Background()
-	}
-	plan, cols, _, err := s.planSQL(cfg, sql, col)
-	if err != nil {
-		_, err = s.publish(ctx, cfg, col, nil, err)
-		return nil, err
 	}
 	tr, _ := telemetry.TraceFrom(ctx)
 	if tr == nil {
 		tr = telemetry.NewTrace()
 		ctx = telemetry.WithTrace(ctx, tr, 0)
 	}
-	res, err := materialize(func(sink ResultSink) (*Result, error) {
-		res, err := s.runPlan(ctx, cfg, sql, plan, cols, params, false, col, sink)
-		return s.publish(ctx, cfg, col, res, err)
-	})
+	cfg := s.cfg.Load()
+	c := s.newCursor(ctx, cfg, s.newRecord(true), s.shards.PinStatement())
+	plan, cols, _, err := s.planSQL(cfg, sql, c.col)
+	if err != nil {
+		return nil, c.fail(err)
+	}
+	res, err := readAll(c.exec(sql, plan, cols, params, false))
 	if err != nil {
 		return nil, err
 	}
 	return &telemetry.Explain{
 		Plan:      plan,
-		Ops:       col.Ops(),
+		Ops:       c.col.Ops(),
 		Stats:     res.Stats,
-		RemoteSQL: col.RemoteSQL(),
+		RemoteSQL: c.col.RemoteSQL(),
 		Skipped:   res.Skipped,
 		Trace:     tr,
 	}, nil
-}
-
-// runPlan executes a compiled plan into sink under cfg's execution fields,
-// recording into col; the caller publishes the record. Execution and
-// serialization interleave a batch at a time; the time spent inside
-// sink.Batch is reported as the serialize phase and the rest as execute.
-// The Result carries the statement's own summary; publish adds the record's.
-func (s *Server) runPlan(base context.Context, cfg *Config, queryText string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool, col *telemetry.Collector, sink ResultSink) (*Result, error) {
-	if base == nil {
-		base = context.Background()
-	}
-	// The record rides the statement context into every netsim call this
-	// execution makes: links are shared across concurrent statements, but
-	// each statement observes only its own calls.
-	qctx := netsim.WithObserver(base, col)
-	// Under a traced statement (a serving-layer session carrying a client
-	// trace, or EXPLAIN ANALYZE) everything this execution does nests under
-	// one statement span; remote calls open child spans below it.
-	qctx, endSpan := telemetry.StartSpan(qctx, s.name, "statement", queryText)
-	defer endSpan()
-	if cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		qctx, cancel = context.WithTimeout(qctx, cfg.QueryTimeout)
-		defer cancel()
-	}
-	// Pin the statement to a snapshot: local scans, index ranges and
-	// bookmark fetches all read as of one commit sequence number
-	// (snapshot isolation for readers; writers never block them).
-	snap := s.store.AcquireSnapshot()
-	defer snap.Release()
-	ctx := s.execContext(qctx, cfg, params, s.nativeSess.(*native.Session).AtSnapshot(snap.CSN()), col)
-	if err := sink.Columns(cols); err != nil {
-		return nil, err
-	}
-	var rows int64
-	var serialize time.Duration
-	start := time.Now()
-	err := exec.Stream(plan, ctx, func(b *rowset.Batch) error {
-		t0 := time.Now()
-		rows += int64(b.Len())
-		err := sink.Batch(b)
-		serialize += time.Since(t0)
-		return err
-	})
-	elapsed := time.Since(start)
-	if err != nil {
-		return nil, err
-	}
-	col.RecordPhase(telemetry.PhaseExecute, elapsed-serialize)
-	col.RecordPhase(telemetry.PhaseSerialize, serialize)
-	return &Result{Cols: cols, Stats: &telemetry.QueryStats{
-		QueryText:    queryText,
-		PlanCacheHit: cacheHit,
-		Rows:         rows,
-		Elapsed:      elapsed,
-	}}, nil
 }
 
 // execContext is the executor's context for one execution under cfg. local
@@ -566,20 +624,21 @@ func (s *Server) execContext(qctx context.Context, cfg *Config, params map[strin
 }
 
 // QuerySQL implements sqlful.Target, making this server usable as a linked
-// server by its peers: an in-process federation member executes the shipped
+// server by its peers: an in-process federation member opens the shipped
 // statement under the coordinator's context, so cancellation crosses the
 // boundary and the member's statement span nests under the coordinator's
 // remote-call span in one distributed trace.
 //
-// The result is the store the member's root batches were gathered into,
-// so it crosses the link as the typed columns the member's executor
-// produced.
-func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error) {
-	var mz materializer
-	if _, err := s.QueryStreamContext(ctx, sql, params, &mz); err != nil {
+// The result is the open cursor itself: each fetch the head makes runs the
+// member's plan as far as that fetch needs and crosses the link as the
+// typed columns the member's executor produced, and the head's Close ends
+// the member's statement.
+func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Cursor, error) {
+	c, err := s.OpenQuery(ctx, sql, params)
+	if err != nil {
 		return nil, err
 	}
-	return rowset.FromStore(mz.cols, &mz.s), nil
+	return c, nil
 }
 
 // ExecSQL implements sqlful.Target for remote DML/DDL.

@@ -13,7 +13,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -254,42 +253,49 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 	}
 }
 
-// Stream executes a plan and hands each non-empty root batch to sink as it
-// is produced, so a consumer (the serving layer's frame encoder, a
-// materializer) holds O(batch) of the result, never all of it. A batch is
-// valid only for the duration of the call; a sink error aborts execution
-// and is returned.
-func Stream(n *algebra.Node, ctx *Context, sink func(*rowset.Batch) error) error {
+// Run is an executing plan read by pulls: Open builds and opens the
+// operator tree, each Pull returns the next non-empty root batch, and Close
+// closes the tree. A consumer holds O(batch) of the result, never all of it,
+// and one that stops pulling stops the plan.
+type Run struct {
+	it  Iterator
+	ctx *Context
+	b   *rowset.Batch
+}
+
+// Open builds and opens the plan's operator tree.
+func Open(n *algebra.Node, ctx *Context) (*Run, error) {
 	it, err := Build(n, ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if err := it.Open(); err != nil {
 		it.Close()
-		return err
+		return nil, err
 	}
-	defer it.Close()
-	b := ctx.newBatch()
+	return &Run{it: it, ctx: ctx, b: ctx.newBatch()}, nil
+}
+
+// Pull returns the next non-empty root batch, valid until the next Pull,
+// or io.EOF after the last. It checks the statement's cancellation first
+// and counts every root batch in the record.
+func (r *Run) Pull() (*rowset.Batch, error) {
 	for {
-		if err := ctx.canceled(); err != nil {
-			return err
+		if err := r.ctx.canceled(); err != nil {
+			return nil, err
 		}
-		err := it.NextBatch(b)
-		if err == io.EOF {
-			return nil
+		if err := r.it.NextBatch(r.b); err != nil {
+			return nil, err
 		}
-		if err != nil {
-			return err
-		}
-		ctx.Stats.RecordBatch(b.Len())
-		if b.Len() == 0 {
-			continue
-		}
-		if err := sink(b); err != nil {
-			return err
+		r.ctx.Stats.RecordBatch(r.b.Len())
+		if r.b.Len() > 0 {
+			return r.b, nil
 		}
 	}
 }
+
+// Close closes the operator tree.
+func (r *Run) Close() error { return r.it.Close() }
 
 // bindExpr resolves an expression against a child operator's output layout.
 func bindExpr(e expr.Expr, cols []algebra.OutCol) (expr.Expr, error) {
@@ -318,7 +324,7 @@ func buildTop(n *algebra.Node, order algebra.Ordering, limit int64, ctx *Context
 	if err != nil {
 		return nil, err
 	}
-	t := &topIter{ctx: ctx, child: child, n: limit, ordinals: make([]int, len(order)), desc: make([]bool, len(order))}
+	t := &topIter{ctx: ctx, child: child, n: limit, width: len(n.Kids[0].OutCols()), ordinals: make([]int, len(order)), desc: make([]bool, len(order))}
 	for i, oc := range order {
 		if t.ordinals[i] = posOf(n.Kids[0].OutCols(), oc.Col); t.ordinals[i] < 0 {
 			return nil, fmt.Errorf("exec: ordering column col%d not in input", oc.Col)

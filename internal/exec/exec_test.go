@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"io"
 	"slices"
 	"testing"
 
@@ -114,20 +115,31 @@ func (f *fixture) deptScan() *algebra.Node {
 	return algebra.NewNode(&algebra.TableScan{Src: f.deptSrc, Cols: f.dptCols})
 }
 
-// materialize drains a plan into a store: Stream with AddBatch as the sink.
+// materialize drains a plan through Open and Pull into a materialized
+// rowset whose columns take the kinds of the first root batch.
 func materialize(n *algebra.Node, ctx *Context) (*rowset.Materialized, error) {
-	var s rowset.Store
-	err := Stream(n, ctx, func(b *rowset.Batch) error {
-		if s.Len() == 0 {
-			s.Reset(b.Width())
-		}
-		s.AddBatch(b)
-		return nil
-	})
+	r, err := Open(n, ctx)
 	if err != nil {
 		return nil, err
 	}
-	return rowset.FromStore(nil, &s), nil
+	defer r.Close()
+	var cols []schema.Column
+	var rows []rowset.Row
+	for {
+		b, err := r.Pull()
+		if err == io.EOF {
+			return rowset.NewMaterialized(cols, rows), nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for j := len(cols); j < b.Width(); j++ {
+			cols = append(cols, schema.Column{Kind: b.Col(j).Kind()})
+		}
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.RowAt(i, nil))
+		}
+	}
 }
 
 // rowReader reads an iterator a row at a time, out of batches of one row

@@ -113,24 +113,16 @@ func (h *hashJoinIter) insertBatch(b *rowset.Batch) {
 	h.pidx = live[:0]
 }
 
+// Open builds from the whole right input, which drain closes once read, so
+// a remote build side releases its member statement before the probe.
 func (h *hashJoinIter) Open() error {
-	if err := h.right.Open(); err != nil {
-		return err
-	}
 	if h.buildBuf == nil {
 		h.buildBuf = h.ctx.newBatch()
 	}
 	h.build.Reset(h.rwidth)
 	h.tab.reset()
-	for {
-		err := h.right.NextBatch(h.buildBuf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		h.insertBatch(h.buildBuf)
+	if err := drain(h.right, h.buildBuf, func() error { h.insertBatch(h.buildBuf); return nil }); err != nil {
+		return err
 	}
 	h.chain, h.matched = -1, false
 	h.inPos, h.leftDone = 0, false
@@ -300,14 +292,7 @@ func (t *pairTest) run(ctx *Context, pred expr.Expr, lcols []rowset.Vec, lidx []
 	return err
 }
 
-func (h *hashJoinIter) Close() error {
-	err1 := h.left.Close()
-	err2 := h.right.Close()
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
+func (h *hashJoinIter) Close() error { return h.left.Close() }
 
 func buildLoopJoin(n *algebra.Node, ctx *Context) (Iterator, error) {
 	left, err := Build(n.Kids[0], ctx)

@@ -1,9 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 
 	"dhqp/internal/algebra"
@@ -121,70 +122,61 @@ func (c *computeIter) NextBatch(b *rowset.Batch) error {
 func (c *computeIter) Close() error { return c.child.Close() }
 
 // topIter returns the first N rows under an ordering (bounded top-N when
-// an ordering is specified; pass-through limit otherwise). The ordered
-// case keeps a max-heap of the best N rows seen so far — O(rows·log N)
-// time and O(N) memory instead of materializing and sorting the whole
-// input — with arrival sequence as the final tiebreak, so ties resolve
-// exactly as a stable full sort does. A Sort is a topIter whose N is
-// unlimited.
+// an ordering is specified; pass-through limit otherwise). The ordered case
+// keeps its candidates in a store and a max-heap of the best N row ids —
+// O(rows·log N) time and O(N) memory instead of sorting the whole input. A
+// row id is its arrival order (the store appends, and compaction keeps the
+// ids' order), so the id is the final tiebreak and ties resolve exactly as
+// a stable full sort does. A Sort is a topIter whose N is unlimited.
 type topIter struct {
 	ctx      *Context
 	child    Iterator
 	n        int64
+	width    int
 	ordinals []int
 	desc     []bool
 
-	heap    []topEntry
-	out     []rowset.Row // heap contents sorted ascending, ready to emit
+	rows    rowset.Store  // the candidates, rejected ones until compaction
+	spare   rowset.Store  // compaction's target
+	heap    []int32       // the best N ids so far: a max-heap once full, sorted to emit
+	cand    []int32       // scratch: a batch's rows that beat the heap's max
+	in      *rowset.Batch // the ordered case's drain batch
 	pos     int
 	emitted int64
-	scratch *rowset.Batch // ordered-case batch drain scratch
-	cand    rowset.Row    // the row offered to the heap
-	seq     int64
 }
 
-type topEntry struct {
-	row rowset.Row
-	seq int64
-}
-
-// topLess is the total order the heap maintains: ordering columns first
-// (descending keys inverted), arrival sequence last. "Keep the N smallest
-// under this order" is exactly "stable sort, take the first N".
-func (t *topIter) topLess(a, b topEntry) bool {
+// compare orders row a of cols x against row b of cols y by the ordering
+// columns, descending keys inverted.
+func (t *topIter) compare(x []rowset.Vec, a int, y []rowset.Vec, b int) int {
 	for k, ord := range t.ordinals {
-		c := sqltypes.Compare(a.row[ord], b.row[ord])
+		c := sqltypes.Compare(x[ord].Value(a), y[ord].Value(b))
 		if t.desc[k] {
 			c = -c
 		}
 		if c != 0 {
-			return c < 0
+			return c
 		}
 	}
-	return a.seq < b.seq
+	return 0
 }
 
-func (t *topIter) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !t.topLess(t.heap[p], t.heap[i]) {
-			return
-		}
-		t.heap[p], t.heap[i] = t.heap[i], t.heap[p]
-		i = p
+// order is the total order over stored ids: the ordering, then arrival.
+// "Keep the N smallest under it" is exactly "stable sort, take the first N".
+func (t *topIter) order(a, b int32) int {
+	if c := t.compare(t.rows.Cols(), int(a), t.rows.Cols(), int(b)); c != 0 {
+		return c
 	}
+	return cmp.Compare(a, b)
 }
 
+// siftDown restores the max-heap below slot i.
 func (t *topIter) siftDown(i int) {
-	n := len(t.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < n && t.topLess(t.heap[big], t.heap[l]) {
-			big = l
-		}
-		if r < n && t.topLess(t.heap[big], t.heap[r]) {
-			big = r
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(t.heap) && t.order(t.heap[big], t.heap[c]) < 0 {
+				big = c
+			}
 		}
 		if big == i {
 			return
@@ -194,84 +186,90 @@ func (t *topIter) siftDown(i int) {
 	}
 }
 
-// offer considers one row for the heap. The row is cloned only when it
-// survives, so rejected rows (the vast majority on large inputs) cost a
-// comparison and nothing else.
-func (t *topIter) offer(r rowset.Row) {
-	e := topEntry{row: r, seq: t.seq}
-	t.seq++
-	if t.n <= 0 {
-		return
-	}
-	if int64(len(t.heap)) < t.n {
-		e.row = r.Clone()
-		t.heap = append(t.heap, e)
-		t.siftUp(len(t.heap) - 1)
-		return
-	}
-	if t.topLess(e, t.heap[0]) {
-		e.row = r.Clone()
-		t.heap[0] = e
-		t.siftDown(0)
-	}
-}
-
-func (t *topIter) Open() error {
-	t.heap, t.out, t.pos, t.emitted, t.seq = t.heap[:0], nil, 0, 0, 0
-	if err := t.child.Open(); err != nil {
-		return err
-	}
-	if len(t.ordinals) == 0 {
-		return nil // streaming limit
-	}
-	// Drain the child through the heap. The full input still executes (the
-	// limit does not short-circuit an ordered child — every row is a
-	// candidate), but only the current top N are retained.
-	if t.scratch == nil {
-		t.scratch = t.ctx.newBatch()
-	}
-	for {
-		err := t.child.NextBatch(t.scratch)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		for i := 0; i < t.scratch.Len(); i++ {
-			t.cand = t.scratch.RowAt(i, t.cand)
-			t.offer(t.cand)
+// offer takes the drain batch's rows into the candidates: every row while
+// the heap has room, afterwards only those that beat its max, so a rejected
+// row costs a comparison and nothing else.
+func (t *topIter) offer() error {
+	cols, full := t.in.Cols(), int64(len(t.heap)) == t.n
+	t.cand = t.cand[:0]
+	for _, p := range t.in.Indices() {
+		if !full || t.compare(cols, p, t.rows.Cols(), int(t.heap[0])) < 0 {
+			t.cand = append(t.cand, int32(p))
 		}
 	}
-	sort.Slice(t.heap, func(i, j int) bool { return t.topLess(t.heap[i], t.heap[j]) })
-	t.out = make([]rowset.Row, len(t.heap))
-	for i, e := range t.heap {
-		t.out[i] = e.row
+	from := t.rows.Len()
+	t.rows.Add(cols, nil, t.cand)
+	for id := int32(from); id < int32(t.rows.Len()); id++ {
+		switch {
+		case int64(len(t.heap)) < t.n:
+			if t.heap = append(t.heap, id); int64(len(t.heap)) == t.n {
+				for i := len(t.heap)/2 - 1; i >= 0; i-- {
+					t.siftDown(i)
+				}
+			}
+		case t.order(id, t.heap[0]) < 0:
+			t.heap[0] = id
+			t.siftDown(0)
+		}
+	}
+	if int64(len(t.heap)) == t.n && t.rows.Len() > 2*len(t.heap) {
+		t.compact()
 	}
 	return nil
 }
 
-// NextBatch serves the ordered result from the retained top-N rows, or —
-// for the streaming limit — pulls child batches and truncates the last
-// one in place to the remaining quota.
+// compact drops the rejected rows: the heap's rows move to a fresh store in
+// id order, so ids stay arrival order, and the heap takes their new ids.
+func (t *topIter) compact() {
+	t.cand = append(t.cand[:0], t.heap...)
+	ids := t.cand
+	slices.Sort(ids)
+	t.spare.Reset(t.width)
+	t.spare.Add(t.rows.Cols(), nil, ids)
+	for i, id := range t.heap {
+		k, _ := slices.BinarySearch(ids, id)
+		t.heap[i] = int32(k)
+	}
+	t.rows, t.spare = t.spare, t.rows
+}
+
+func (t *topIter) Open() error {
+	t.heap, t.pos, t.emitted = t.heap[:0], 0, 0
+	if len(t.ordinals) == 0 {
+		return t.child.Open() // streaming limit
+	}
+	// Drain the child through the heap. The full input still executes (the
+	// limit does not short-circuit an ordered child — every row is a
+	// candidate), but only the current top N are retained.
+	if t.in == nil {
+		t.in = t.ctx.newBatch()
+	}
+	t.rows.Reset(t.width)
+	if t.n <= 0 {
+		return nil
+	}
+	if err := drain(t.child, t.in, t.offer); err != nil {
+		return err
+	}
+	slices.SortFunc(t.heap, t.order)
+	return nil
+}
+
+// NextBatch serves the ordered result by gathering the sorted ids out of
+// the store, or — for the streaming limit — pulls child batches and
+// truncates the last one in place to the remaining quota.
 func (t *topIter) NextBatch(b *rowset.Batch) error {
+	if len(t.ordinals) > 0 {
+		k := min(len(t.heap)-t.pos, b.CapRows())
+		if k <= 0 {
+			return io.EOF
+		}
+		t.rows.Gather(b, t.heap[t.pos:t.pos+k])
+		t.pos += k
+		return nil
+	}
 	if t.emitted >= t.n {
 		return io.EOF
-	}
-	if len(t.ordinals) > 0 {
-		if t.pos >= len(t.out) {
-			return io.EOF
-		}
-		b.Reset(len(t.out[t.pos]))
-		for t.pos < len(t.out) && t.emitted < t.n && !b.Full() {
-			b.AppendRow(t.out[t.pos])
-			t.pos++
-			t.emitted++
-		}
-		if b.NumRows() == 0 {
-			return io.EOF
-		}
-		return nil
 	}
 	if err := t.child.NextBatch(b); err != nil {
 		return err
@@ -283,8 +281,13 @@ func (t *topIter) NextBatch(b *rowset.Batch) error {
 	return nil
 }
 
+// Close closes the streaming limit's child; the ordered case's drain
+// closed its child already.
 func (t *topIter) Close() error {
-	t.heap, t.out, t.pos = t.heap[:0], nil, 0
+	t.heap, t.pos = t.heap[:0], 0
+	if len(t.ordinals) > 0 {
+		return nil
+	}
 	return t.child.Close()
 }
 

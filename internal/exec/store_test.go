@@ -13,7 +13,7 @@ import (
 )
 
 // A blocking operator whose drain fails closes its child before the error
-// leaves Open, and its own Close (which exec.Stream calls after a failed
+// leaves Open, and its own Close (which exec.Open calls after a failed
 // Open) closes nothing twice: the aggregate and the spool leave no local or
 // remote rowset open behind a failed statement.
 func TestBlockingDrainFailureClosesChild(t *testing.T) {
@@ -115,6 +115,43 @@ func TestSortIsStable(t *testing.T) {
 		a, b, seq := r[0].Int(), r[1].Int(), r[2].Int()
 		if a < p[0].Int() || a == p[0].Int() && (b > p[1].Int() || b == p[1].Int() && seq < p[2].Int()) {
 			t.Fatalf("row %d %v follows %v: want a ascending, b descending, ties in arrival order", i, r, p)
+		}
+	}
+}
+
+// A bounded top-N, rejecting and compacting its candidates many times over,
+// returns exactly the first N rows of a stable sort at every batch size.
+func TestTopNMatchesStableSort(t *testing.T) {
+	const n = 300
+	var rows [][]expr.Expr
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64(i * 37 % 11)
+		rows = append(rows, []expr.Expr{expr.NewConst(sqltypes.NewInt(keys[i])), expr.NewConst(sqltypes.NewInt(int64(i)))})
+	}
+	var stable []int64 // seq in key-descending, arrival order
+	for k := int64(10); k >= 0; k-- {
+		for i, key := range keys {
+			if key == k {
+				stable = append(stable, int64(i))
+			}
+		}
+	}
+	for _, batch := range []int{1, 7, 0} {
+		for _, limit := range []int64{1, 5, 64, n + 1} {
+			f := newFixture(t)
+			f.ctx.BatchSize = batch
+			scan := algebra.NewNode(&algebra.ConstScan{Cols: []algebra.OutCol{
+				{ID: 70, Name: "k", Kind: sqltypes.KindInt}, {ID: 71, Name: "seq", Kind: sqltypes.KindInt},
+			}, Rows: rows})
+			top := algebra.NewNode(&algebra.TopN{N: limit, Order: algebra.Ordering{{Col: 70, Desc: true}}}, scan)
+			var got []int64
+			for _, r := range run(t, f, top).Rows() {
+				got = append(got, r[1].Int())
+			}
+			if want := stable[:min(int(limit), n)]; fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("batch %d, TOP %d: seq %v, want %v", batch, limit, got, want)
+			}
 		}
 	}
 }

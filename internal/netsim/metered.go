@@ -8,15 +8,16 @@ import (
 	"dhqp/internal/schema"
 )
 
-// Metered wraps a rowset so that every fetch crossing it is charged to the
-// link: one Call per batch the consumer fills, carrying that fill's rows
-// and their encoded bytes — the IRowset::GetNextRows(cRows) contract, where
-// the consumer's batch capacity is the fetch size. The round trip that
-// opens the rowset is the first fetch's: it is charged even when it finds
-// the rowset empty, so n rows cost max(1, ⌈n / fetch⌉) calls. Providers wrap
-// the rowsets they return to the DHQP with it. Calls run without a
-// cancellation context; see MeteredCtx.
-func Metered(rs rowset.Rowset, link *Link) rowset.Rowset {
+// Metered wraps a rowset, read a batch at a time, so that every fetch
+// crossing it is charged to the link: one Call per batch the consumer
+// fills, carrying that fill's rows and their encoded bytes — the
+// IRowset::GetNextRows(cRows) contract, where the consumer's batch
+// capacity is the fetch size. The round trip that opens the rowset is the
+// first fetch's: it is charged even when it finds the rowset empty, so n
+// rows cost max(1, ⌈n / fetch⌉) calls. Providers wrap the rowsets they
+// return to the DHQP with it. Calls run without a cancellation context;
+// see MeteredCtx.
+func Metered(rs rowset.Cursor, link *Link) rowset.Rowset {
 	return MeteredCtx(context.Background(), rs, link, 0)
 }
 
@@ -24,16 +25,17 @@ func Metered(rs rowset.Rowset, link *Link) rowset.Rowset {
 // calls honor the context's cancellation/deadline and surface the link's
 // injected faults as fetch errors, and the first fetch's round trip also
 // carries reqBytes out (the statement text and parameters of a command).
-func MeteredCtx(ctx context.Context, rs rowset.Rowset, link *Link, reqBytes int) rowset.Rowset {
-	if link == nil {
-		return rs
+// With no link a rowset passes through unchanged.
+func MeteredCtx(ctx context.Context, rs rowset.Cursor, link *Link, reqBytes int) rowset.Rowset {
+	if r, ok := rs.(rowset.Rowset); ok && link == nil {
+		return r
 	}
 	return &meteredRowset{ctx: ctx, rs: rs, link: link, req: reqBytes}
 }
 
 type meteredRowset struct {
 	ctx    context.Context
-	rs     rowset.Rowset
+	rs     rowset.Cursor
 	link   *Link
 	req    int           // bytes the opening round trip carries out
 	opened bool          // the first fetch's round trip has been made
@@ -49,7 +51,7 @@ func (m *meteredRowset) Columns() []schema.Column { return m.rs.Columns() }
 // opens the rowset and is charged even when it comes back empty; a later
 // empty fetch, which only finds the end of the stream, costs no call.
 func (m *meteredRowset) NextBatch(b *rowset.Batch) error {
-	err := rowset.FillBatch(m.rs, b, nil)
+	err := m.rs.NextBatch(b)
 	rows, bytes := 0, 0
 	switch {
 	case err == nil:

@@ -49,7 +49,7 @@ func newRowsTarget(t *testing.T, n int) *rowsTarget {
 	return &rowsTarget{n: n, eng: eng}
 }
 
-func (r *rowsTarget) QuerySQL(context.Context, string, map[string]sqltypes.Value) (*rowset.Materialized, error) {
+func (r *rowsTarget) QuerySQL(context.Context, string, map[string]sqltypes.Value) (rowset.Cursor, error) {
 	return rowset.NewMaterialized(oneInt, intRows(r.n)), nil
 }
 func (r *rowsTarget) ExecSQL(string, map[string]sqltypes.Value) (int64, error) { return 0, nil }

@@ -175,6 +175,10 @@ func (m *messageRowset) Next() (rowset.Row, error) {
 	}, nil
 }
 
+// NextBatch implements rowset.BatchReader: the next messages, as many as
+// fit.
+func (m *messageRowset) NextBatch(b *rowset.Batch) error { return rowset.PullBatch(m, b, nil) }
+
 // Close implements rowset.Rowset.
 func (m *messageRowset) Close() error { return nil }
 

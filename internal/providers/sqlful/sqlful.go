@@ -22,11 +22,14 @@ import (
 // Target is the remote engine behind the provider; the engine package
 // implements it (each simulated server instance is a Target for its peers).
 type Target interface {
-	// QuerySQL executes a SELECT under the caller's context and returns
-	// its materialized result. In-process federation passes the remote
-	// call's context, so cancellation crosses the boundary and a member
-	// nests its statement span under the coordinator's remote-call span.
-	QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (*rowset.Materialized, error)
+	// QuerySQL opens a SELECT under the caller's context and returns it as
+	// an open cursor: each NextBatch runs the statement as far as one fetch
+	// needs, and Close ends it, so a consumer that stops reading stops the
+	// statement. In-process federation passes the remote call's context,
+	// so cancellation crosses the boundary and a member nests its
+	// statement span, which lasts until Close, under the coordinator's
+	// remote-call span.
+	QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Cursor, error)
 	// ExecSQL executes DML and returns the affected row count.
 	ExecSQL(sql string, params map[string]sqltypes.Value) (int64, error)
 	// NativeSession exposes the target's storage through the base rowset
@@ -144,11 +147,13 @@ func (s *session) callCtx() context.Context {
 	return context.Background()
 }
 
+// meter charges a native rowset's fetches to the link; every rowset the
+// native provider opens reads by batches.
 func (s *session) meter(rs rowset.Rowset, err error) (rowset.Rowset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link, 0), nil
+	return netsim.MeteredCtx(s.callCtx(), rs.(rowset.Cursor), s.p.link, 0), nil
 }
 
 // OpenRowset implements oledb.Session; rows ship across the link.
@@ -226,16 +231,17 @@ func (c *command) SetParam(name string, v sqltypes.Value) { c.params[name] = v }
 // and 16 bytes per parameter.
 func (c *command) requestBytes() int { return len(c.text) + len(c.params)*16 }
 
-// Execute implements oledb.Command: the statement executes remotely and its
-// result rows cross back a fetch at a time. The statement and parameters
-// ride the round trip that brings the first fetch back, so a result that
-// fits one fetch costs one call.
+// Execute implements oledb.Command: the statement opens remotely as a
+// cursor and its result rows cross back a fetch at a time, each fetch
+// running the remote statement only as far as it needs. The statement and
+// parameters ride the round trip that brings the first fetch back, so a
+// result that fits one fetch costs one call.
 func (c *command) Execute() (rowset.Rowset, error) {
-	m, err := c.s.p.target.QuerySQL(c.s.callCtx(), c.text, c.params)
+	cur, err := c.s.p.target.QuerySQL(c.s.callCtx(), c.text, c.params)
 	if err != nil {
 		return nil, fmt.Errorf("sqlful: remote execution failed: %w", err)
 	}
-	return netsim.MeteredCtx(c.s.callCtx(), m, c.s.p.link, c.requestBytes()), nil
+	return netsim.MeteredCtx(c.s.callCtx(), cur, c.s.p.link, c.requestBytes()), nil
 }
 
 // Describe reports the statement's output shape without executing it.

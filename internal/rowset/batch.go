@@ -338,9 +338,7 @@ type ProjectedBatchReader interface {
 }
 
 // FillBatch fills b from rs with the columns proj names (nil: all of them)
-// — directly when rs can batch-read that shape, otherwise by pulling rows
-// one at a time and projecting each straight into the columns. Returns
-// io.EOF when rs is exhausted and nothing was filled.
+// — directly when rs can batch-read that shape, otherwise by PullBatch.
 func FillBatch(rs Rowset, b *Batch, proj []int) error {
 	if pr, ok := rs.(ProjectedBatchReader); ok {
 		return pr.NextBatchProjected(b, proj)
@@ -348,6 +346,14 @@ func FillBatch(rs Rowset, b *Batch, proj []int) error {
 	if br, ok := rs.(BatchReader); ok && proj == nil {
 		return br.NextBatch(b)
 	}
+	return PullBatch(rs, b, proj)
+}
+
+// PullBatch fills b by pulling rows from rs one at a time, projecting each
+// straight into the columns proj names (nil: all of them): the batch read
+// of a rowset that has only Next. Returns io.EOF when rs is exhausted and
+// nothing was filled.
+func PullBatch(rs Rowset, b *Batch, proj []int) error {
 	b.Reset(len(proj))
 	for !b.Full() {
 		r, err := rs.Next()

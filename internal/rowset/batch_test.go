@@ -93,11 +93,24 @@ func TestFillBatchAndMaterializedRoundTrip(t *testing.T) {
 	if total != 10 || out.Len() != 10 {
 		t.Fatalf("round-tripped %d rows, stored %d, want 10", total, out.Len())
 	}
-	for i, r := range FromStore(cols, &out).Rows() {
+	for i, r := range storedRows(&out) {
 		if r[0].Int() != int64(i) || r[1].Int() != int64(100+i) {
 			t.Fatalf("row %d = %v", i, r)
 		}
 	}
+}
+
+// storedRows boxes every row of s, read back through Emit.
+func storedRows(s *Store) []Row {
+	var rows []Row
+	b := NewBatch(MaxBatchSize)
+	for from := 0; from < s.Len(); {
+		from += s.Emit(b, from)
+		for i := 0; i < b.Len(); i++ {
+			rows = append(rows, b.RowAt(i, nil))
+		}
+	}
+	return rows
 }
 
 // Func adapts a pull function into a Rowset with no BatchReader.
@@ -156,7 +169,7 @@ func TestStoreAddBatchHonorsSelection(t *testing.T) {
 	var s Store
 	s.Reset(1)
 	s.AddBatch(b)
-	rows := FromStore(cols("a"), &s).Rows()
+	rows := storedRows(&s)
 	if len(rows) != 2 || rows[0][0].Int() != 0 || rows[1][0].Int() != 2 {
 		t.Fatalf("AddBatch rows = %v", rows)
 	}

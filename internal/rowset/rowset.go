@@ -57,6 +57,15 @@ type Rowset interface {
 	Close() error
 }
 
+// Cursor is a rowset read a batch at a time only: NextBatch until io.EOF,
+// then Close. An open remote statement is one, and the link meter reads
+// every rowset it wraps this way.
+type Cursor interface {
+	Columns() []schema.Column
+	BatchReader
+	Close() error
+}
+
 // Bookmarked is implemented by rowsets whose rows carry stable bookmarks
 // (the paper's IRowsetLocate): base-table rowsets of index providers. The
 // bookmark of the most recently returned row enables remote fetch.
@@ -68,9 +77,9 @@ type Bookmarked interface {
 }
 
 // Materialized is a rowset held in memory as a Store that no longer
-// changes: a member's result crossing a link, a provider's rows, metadata
-// and statistics rowsets, test fixtures. Batch readers get read-only
-// windows onto its columns; Next and Rows box at the row-oriented edge.
+// changes: a provider's rows, metadata and statistics rowsets, test
+// fixtures. Batch readers get read-only windows onto its columns; Next and
+// Rows box at the row-oriented edge.
 type Materialized struct {
 	cols []schema.Column
 	s    Store
@@ -88,12 +97,6 @@ func NewMaterialized(cols []schema.Column, rows []Row) *Materialized {
 	}
 	m.s.n = len(rows)
 	return m
-}
-
-// FromStore makes a materialized rowset of s's rows, which it takes over:
-// nothing may change s afterwards.
-func FromStore(cols []schema.Column, s *Store) *Materialized {
-	return &Materialized{cols: cols, s: Store{cols: s.cols, n: s.n}}
 }
 
 // Columns implements Rowset.

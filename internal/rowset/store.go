@@ -69,10 +69,16 @@ func (s *Store) Emit(b *Batch, from int) int {
 	for id := from; id < from+k; id++ {
 		s.ids = append(s.ids, int32(id))
 	}
+	s.Gather(b, s.ids)
+	return k
+}
+
+// Gather copies the stored rows ids into b, in that order, replacing its
+// contents.
+func (s *Store) Gather(b *Batch, ids []int32) {
 	b.Reset(len(s.cols))
 	for j := range s.cols {
-		b.Col(j).Gather(0, &s.cols[j], s.ids, false)
+		b.Col(j).Gather(0, &s.cols[j], ids, false)
 	}
-	b.SetNumRows(k)
-	return k
+	b.SetNumRows(len(ids))
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sort"
 	"sync"
@@ -149,29 +150,33 @@ func (sess *session) sendError(qid int64, code, msg string) {
 	_ = sess.writeFrame(&Frame{Type: FrameError, QueryID: qid, Code: code, Msg: msg}, true)
 }
 
-// resultStream is a statement's engine.ResultSink: the cols frame, then
-// one rows frame per root batch, encoded from the batch's column vectors
-// into the session's buffered writer as the root iterator produces them.
-// Once the statement's context is cancelled it writes nothing more, so the
-// statement ends in its error frame on an intact stream.
-type resultStream struct {
-	ctx  context.Context
-	sess *session
-	qid  int64
-}
-
-func (st *resultStream) Columns(cols []schema.Column) error {
-	if err := st.ctx.Err(); err != nil {
+// streamResult writes a statement's result: the cols frame, then one rows
+// frame per batch next returns until io.EOF, each encoded from the batch's
+// column vectors into the session's buffered writer as it arrives. Once
+// ctx is cancelled it writes nothing more, so the statement ends in its
+// error frame on an intact stream.
+func (sess *session) streamResult(ctx context.Context, qid int64, cols []schema.Column, next func() (*rowset.Batch, error)) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return st.sess.writeFrame(&Frame{Type: FrameCols, QueryID: st.qid, Cols: encodeCols(cols)}, false)
-}
-
-func (st *resultStream) Batch(b *rowset.Batch) error {
-	if err := st.ctx.Err(); err != nil {
+	if err := sess.writeFrame(&Frame{Type: FrameCols, QueryID: qid, Cols: encodeCols(cols)}, false); err != nil {
 		return err
 	}
-	return st.sess.writeRows(st.qid, b.Cols(), b.Indices())
+	for {
+		b, err := next()
+		if err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err == nil {
+			err = sess.writeRows(qid, b.Cols(), b.Indices())
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // cancelWriteGrace is how long a write may still take once its statement is
@@ -395,7 +400,11 @@ func (s *Server) runStatement(sess *session, gen int64, f *Frame, qctx context.C
 		// the write in flight, then the outcome frame, by cancelWriteGrace.
 		stopWatch := context.AfterFunc(qctx, func() { sess.armWriteDeadline(gen) })
 		defer sess.disarmWriteDeadline(gen)
-		res, err := s.eng.QueryStreamContext(ectx, f.SQL, f.Params, &resultStream{ctx: qctx, sess: sess, qid: qid})
+		var res *engine.Result
+		cur, err := s.eng.OpenQuery(ectx, f.SQL, f.Params)
+		if err == nil {
+			res, err = cur.Finish(sess.streamResult(qctx, qid, cur.Columns(), cur.Pull))
+		}
 		if !stopWatch() {
 			sess.armWriteDeadline(gen) // a fresh window for the outcome frame
 		}
@@ -467,13 +476,9 @@ func (sess *session) sendStatementError(gen, qid int64, err error) {
 // sendResult sends a materialized result (a DMV) through the statement
 // encoder: cols, one rows frame per Materialized.NextBatch, then done.
 func (sess *session) sendResult(ctx context.Context, gen, qid int64, res *engine.Result) {
-	st := &resultStream{ctx: ctx, sess: sess, qid: qid}
-	err := st.Columns(res.Cols)
 	m := rowset.NewMaterialized(res.Cols, res.Rows)
 	b := rowset.NewBatch(rowset.DefaultBatchSize)
-	for err == nil && m.NextBatch(b) == nil {
-		err = st.Batch(b)
-	}
+	err := sess.streamResult(ctx, qid, res.Cols, func() (*rowset.Batch, error) { return b, m.NextBatch(b) })
 	if err != nil {
 		sess.sendStatementError(gen, qid, err)
 		return
