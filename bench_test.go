@@ -1050,7 +1050,7 @@ func BenchmarkKeyedDML(b *testing.B) {
 // sleep) and a pruned 4 000-row scan as a member runs it — report
 // B/stmt, and three gates that do not depend on host speed fail the
 // benchmark: the point read at SetBatchSize(4096) within 1.25x of
-// SetBatchSize(64), the point read at the default size ≤ 4 216 B and ≤ 52
+// SetBatchSize(64), the point read at the default size ≤ 2 720 B and ≤ 33
 // allocations, and the scatter ≤ 350 KiB per member touched.
 // ---------------------------------------------------------------------
 
@@ -1068,8 +1068,8 @@ func loadRows(b *testing.B, s *dhqp.Server, table string, n int, row func(i int)
 
 func BenchmarkStatementAllocs(b *testing.B) {
 	// A cached point read boxes its one row straight from the root batch:
-	// at most 4 216 B and 52 objects per statement.
-	const stmtsPerOp, pointBytesGate, pointAllocsGate = 50, 4216, 52
+	// at most 2 720 B and 33 objects per statement.
+	const stmtsPerOp, pointBytesGate, pointAllocsGate = 50, 2720, 33
 	// measure runs stmt stmtsPerOp times per op and returns bytes allocated
 	// per statement, process-wide (members allocate on their own goroutines);
 	// allocs receives the objects allocated per statement.
@@ -1437,7 +1437,7 @@ func sortedRows(res *dhqp.Result) string {
 // costs as the elastic view grows — 4, 32 and 128 members, a new text on
 // every compile so the plan cache never answers. Reports ns, allocations and
 // bytes per compile; two gates count objects, so they hold on any host: at
-// 32 members a compile allocates at most 24 000 objects, and each member
+// 32 members a compile allocates at most 17 400 objects, and each member
 // past the fourth adds at most 724. Only the plan's own remote statements
 // are written as SQL; every other pushable group is checked without text.
 // ---------------------------------------------------------------------
@@ -1446,7 +1446,7 @@ func BenchmarkScatterCompile(b *testing.B) {
 	const (
 		perMember       = 250
 		compilesPerOp   = 5
-		allocGate32     = 24_000
+		allocGate32     = 17_400
 		perMemberGate   = 724
 		scatterCompiled = `SELECT o_region, COUNT(o_id), SUM(amount), AVG(amount) FROM orders WHERE amount >= %d AND o_cust < %d GROUP BY o_region`
 	)

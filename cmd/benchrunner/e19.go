@@ -4,7 +4,12 @@ package main
 // claims reproduce here:
 //
 //  1. Scatter-gather through an elastic view scales to 128 members — the
-//     head fans a full-view aggregate out and merges partials.
+//     head fans a full-view scan out and gathers the members' rows. It is
+//     timed twice: over links that only count their latency (the head's
+//     and members' CPU) and over links that sleep it (1 ms a call, the
+//     latency-bound case the exchange's width is for), each as the median
+//     of e19Runs timed runs, every run kept in BENCH_E19.json with the
+//     provenance of the measurement.
 //  2. Partial-aggregation pushdown ships per-member partial rows instead
 //     of data rows: at 32 members the aggregate's link bytes must be
 //     under 10% of the row-shipping baseline (DisableAggSplit).
@@ -16,6 +21,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -76,35 +84,75 @@ func linkBytes(links []*dhqp.Link) int64 {
 }
 
 type e19point struct {
-	Members        int     `json:"members"`
-	ScanRowsPerSec float64 `json:"scatter_gather_rows_per_sec"`
-	AggBytes       int64   `json:"partial_agg_link_bytes"`
-	RowShipBytes   int64   `json:"row_shipping_link_bytes"`
-	AggBytesPct    float64 `json:"agg_bytes_pct_of_row_shipping"`
+	Members        int       `json:"members"`
+	ScanRowsPerSec float64   `json:"scatter_gather_rows_per_sec"`
+	ScanRuns       []float64 `json:"scatter_gather_rows_per_sec_runs"`
+	SleepRowsPerS  float64   `json:"latency_bound_rows_per_sec"`
+	SleepRuns      []float64 `json:"latency_bound_rows_per_sec_runs"`
+	AggBytes       int64     `json:"partial_agg_link_bytes"`
+	RowShipBytes   int64     `json:"row_shipping_link_bytes"`
+	AggBytesPct    float64   `json:"agg_bytes_pct_of_row_shipping"`
+}
+
+// e19Runs is how many timed runs of five scans each E19 takes per member
+// count and link mode; the point reports their median.
+const e19Runs = 5
+
+// gatherRate times e19Runs runs of five full-view scans and returns each
+// run's rows per second and their median.
+func gatherRate(head *dhqp.Server, rows int) (float64, []float64) {
+	scan := `SELECT o_id, amount FROM orders`
+	mustQ(head, scan, nil)
+	runs := make([]float64, e19Runs)
+	for r := range runs {
+		start := time.Now()
+		for i := 0; i < 5; i++ {
+			if res := mustQ(head, scan, nil); len(res.Rows) != rows {
+				panic("scatter-gather row count")
+			}
+		}
+		runs[r] = float64(rows*5) / time.Since(start).Seconds()
+	}
+	sorted := slices.Clone(runs)
+	slices.Sort(sorted)
+	return sorted[len(sorted)/2], runs
+}
+
+// e19Provenance says what measured BENCH_E19.json: the commit (marked
+// dirty when the tree differs from it), toolchain, cores and run count.
+func e19Provenance() map[string]any {
+	commit := "unknown"
+	if out, err := exec.Command("git", "describe", "--always", "--dirty", "--abbrev=40").Output(); err == nil {
+		commit = strings.TrimSpace(string(out))
+	}
+	return map[string]any{
+		"git_commit": commit, "go_version": runtime.Version(),
+		"nproc": runtime.NumCPU(), "gomaxprocs": runtime.GOMAXPROCS(0),
+		"runs": e19Runs, "scans_per_run": 5, "date": time.Now().UTC().Format(time.RFC3339),
+	}
 }
 
 func e19() {
 	header("E19", "elastic shard maps: scatter-gather scale, partial-agg bytes, online member add")
 	const rows = 6400
 	agg := `SELECT COUNT(o_id) AS n, SUM(amount) AS s, AVG(amount) AS a FROM orders`
-	fmt.Println("workload: full-view aggregate over an elastic view of", rows, "rows")
-	fmt.Printf("  %-8s %18s %18s %18s %8s\n", "members", "rows/s (gather)", "agg bytes", "row-ship bytes", "pct")
+	fmt.Println("workload: full-view scan and aggregate over an elastic view of", rows, "rows")
+	fmt.Printf("  %-8s %18s %18s %14s %14s %8s\n", "members", "rows/s (gather)", "rows/s (1ms/call)", "agg bytes", "row-ship bytes", "pct")
 	var points []e19point
 	var gatePct float64
 	for _, members := range []int{4, 32, 128} {
 		head, links := buildElasticFed(members, rows)
 
-		// Scatter-gather throughput: full-view scan, rows per second.
-		scan := `SELECT o_id, amount FROM orders`
-		mustQ(head, scan, nil)
-		const runs = 5
-		start := time.Now()
-		for i := 0; i < runs; i++ {
-			if res := mustQ(head, scan, nil); len(res.Rows) != rows {
-				panic("scatter-gather row count")
-			}
+		// Scatter-gather throughput: full-view scan, rows per second, over
+		// counting links and then over sleeping ones.
+		rowsPerSec, scanRuns := gatherRate(head, rows)
+		for _, l := range links {
+			l.Sleep = true
 		}
-		rowsPerSec := float64(rows*runs) / time.Since(start).Seconds()
+		sleepRowsPerSec, sleepRuns := gatherRate(head, rows)
+		for _, l := range links {
+			l.Sleep = false
+		}
 
 		// Partial-agg pushdown vs row shipping, by link bytes.
 		mustQ(head, agg, nil)
@@ -123,9 +171,10 @@ func e19() {
 		if members == 32 {
 			gatePct = pct
 		}
-		fmt.Printf("  %-8d %18.0f %18d %18d %7.1f%%\n", members, rowsPerSec, aggBytes, shipBytes, pct)
+		fmt.Printf("  %-8d %18.0f %18.0f %14d %14d %7.1f%%\n", members, rowsPerSec, sleepRowsPerSec, aggBytes, shipBytes, pct)
 		points = append(points, e19point{
-			Members: members, ScanRowsPerSec: rowsPerSec,
+			Members: members, ScanRowsPerSec: rowsPerSec, ScanRuns: scanRuns,
+			SleepRowsPerS: sleepRowsPerSec, SleepRuns: sleepRuns,
 			AggBytes: aggBytes, RowShipBytes: shipBytes, AggBytesPct: pct,
 		})
 	}
@@ -198,14 +247,15 @@ func e19() {
 	const gateLimit = 10.0
 	gate := gatePct < gateLimit && addOK
 	out, err := json.MarshalIndent(struct {
-		Rows          int        `json:"rows"`
-		Points        []e19point `json:"points"`
-		Gate32Pct     float64    `json:"agg_bytes_pct_at_32_members"`
-		GateLimitPct  float64    `json:"gate_limit_pct"`
-		MemberAddOK   bool       `json:"member_add_consistent"`
-		GatePass      bool       `json:"gate_pass"`
-		FinalRowCount int64      `json:"final_row_count"`
-	}{rows, points, gatePct, gateLimit, addOK, gate, finalCount}, "", "  ")
+		Provenance    map[string]any `json:"provenance"`
+		Rows          int            `json:"rows"`
+		Points        []e19point     `json:"points"`
+		Gate32Pct     float64        `json:"agg_bytes_pct_at_32_members"`
+		GateLimitPct  float64        `json:"gate_limit_pct"`
+		MemberAddOK   bool           `json:"member_add_consistent"`
+		GatePass      bool           `json:"gate_pass"`
+		FinalRowCount int64          `json:"final_row_count"`
+	}{e19Provenance(), rows, points, gatePct, gateLimit, addOK, gate, finalCount}, "", "  ")
 	must(err)
 	must(os.WriteFile("BENCH_E19.json", append(out, '\n'), 0o644))
 	fmt.Println("  wrote BENCH_E19.json")

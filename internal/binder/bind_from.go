@@ -1,7 +1,9 @@
 package binder
 
 import (
+	"errors"
 	"fmt"
+	"sync"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/parser"
@@ -9,6 +11,46 @@ import (
 
 // maxViewDepth bounds nested view expansion.
 const maxViewDepth = 16
+
+// viewCacheCap bounds the parsed view definitions; at the cap the cache
+// starts over.
+const viewCacheCap = 1024
+
+var (
+	viewMu    sync.RWMutex
+	viewCache = map[string]*parser.SelectStmt{}
+)
+
+// errViewNotSelect is a view definition that parses into something other
+// than a SELECT.
+var errViewNotSelect = errors.New("does not define a SELECT")
+
+// viewOf returns a view definition's parsed SELECT, parsing each text once:
+// the binder reads the statement and never writes it, so every compile that
+// names the view shares one. A text that does not parse is not cached.
+func viewOf(text string) (*parser.SelectStmt, error) {
+	viewMu.RLock()
+	sel := viewCache[text]
+	viewMu.RUnlock()
+	if sel != nil {
+		return sel, nil
+	}
+	st, err := parser.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := st.(*parser.SelectStmt)
+	if !ok {
+		return nil, errViewNotSelect
+	}
+	viewMu.Lock()
+	if len(viewCache) >= viewCacheCap {
+		clear(viewCache)
+	}
+	viewCache[text] = sel
+	viewMu.Unlock()
+	return sel, nil
+}
 
 // bindTableRef binds one FROM-clause entry, adding its relation(s) to the
 // scope and returning the logical subtree.
@@ -68,13 +110,9 @@ func (b *Binder) bindNamedTable(t *parser.NamedTable, sc *scope) (*algebra.Node,
 		if b.viewDepth >= maxViewDepth {
 			return nil, fmt.Errorf("binder: view nesting exceeds %d (cycle?)", maxViewDepth)
 		}
-		st, err := parser.Parse(res.ViewText)
+		sel, err := viewOf(res.ViewText)
 		if err != nil {
 			return nil, fmt.Errorf("binder: view %s: %w", t.Name(), err)
-		}
-		sel, ok := st.(*parser.SelectStmt)
-		if !ok {
-			return nil, fmt.Errorf("binder: view %s does not define a SELECT", t.Name())
 		}
 		b.viewDepth++
 		bound, err := b.bindSelect(sel, nil)

@@ -3,6 +3,7 @@ package binder
 import (
 	"dhqp/internal/rowset"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -534,4 +535,47 @@ func TestCheckPredicate(t *testing.T) {
 		t.Error("out-of-range row accepted")
 	}
 	_ = constraint.FullDomain() // keep import for doc parity
+}
+
+// TestViewParsedOnce binds statements through views whose definitions use
+// every construct the binder desugars, and checks that each definition is
+// parsed once and that binding leaves the shared parse as it found it.
+func TestViewParsedOnce(t *testing.T) {
+	cat := newFakeCatalog()
+	defs := map[string]string{
+		"vq1": `SELECT c_custkey AS k, c_acctbal FROM customer WHERE c_acctbal BETWEEN 1 AND 9 AND c_custkey IN (SELECT o_custkey FROM orders WHERE o_orderdate > '1995-01-01')`,
+		"vq2": `SELECT c_nationkey, COUNT(*) AS n, SUM(c_acctbal) AS s FROM customer WHERE NOT EXISTS (SELECT * FROM nation WHERE n_nationkey = c_nationkey) GROUP BY c_nationkey`,
+		"vq3": `SELECT c_custkey FROM customer WHERE c_name LIKE 'a%' UNION ALL SELECT o_custkey FROM orders`,
+	}
+	for name, text := range defs {
+		cat.views[name] = text
+	}
+	for _, q := range []string{
+		`SELECT k FROM vq1 WHERE k > 3 ORDER BY k`,
+		`SELECT v.c_nationkey, v.n FROM vq2 AS v, vq1 WHERE v.c_nationkey = vq1.k`,
+		`SELECT TOP 3 c_custkey FROM vq3`,
+	} {
+		for range 2 {
+			st, err := parser.Parse(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := New(cat).BindSelect(st.(*parser.SelectStmt)); err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+		}
+	}
+	for name, text := range defs {
+		cached, err := viewOf(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := viewOf(text); again != cached {
+			t.Errorf("%s: parsed twice", name)
+		}
+		fresh, _ := parser.Parse(text)
+		if !reflect.DeepEqual(cached, fresh) {
+			t.Errorf("%s: binding changed the shared parse of its definition", name)
+		}
+	}
 }

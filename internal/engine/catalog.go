@@ -331,6 +331,11 @@ func (md *metadata) TableCardinality(src *algebra.Source) float64 {
 			}
 		}
 	} else if l, err := s.linkedFor(src.Server); err == nil {
+		s.mu.Lock()
+		if l.stale { // writes through a view changed the cardinalities cached
+			l.tables = nil
+		}
+		s.mu.Unlock()
 		if tables, err := s.remoteTables(l); err == nil {
 			if ti, ok := tables[strings.ToLower(src.Catalog+"."+src.Table)]; ok {
 				card = float64(ti.Cardinality)
@@ -481,6 +486,33 @@ func (s *Server) invalidateTable(server string, def *schema.Table) {
 		return
 	}
 	s.dropStatsLocked(key)
+}
+
+// noteMemberWrite adds n rows a write changed in a linked server's table to
+// what the head knows changed since it fetched that server's catalog. Past
+// the auto-update threshold of tableMark (500 + 20 % of the cardinality
+// the catalog reported, any change of an empty table) the cached
+// cardinalities go stale, and the next compile that reads one fetches the
+// catalog again: the write itself pays no round trip.
+func (s *Server) noteMemberWrite(server string, def *schema.Table, n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	l, ok := s.linked[strings.ToLower(server)]
+	if !ok || l.tables == nil || n == 0 {
+		return // a catalog not fetched yet is fetched fresh
+	}
+	key := strings.ToLower(def.Catalog + "." + def.Name)
+	ti, ok := l.tables[key]
+	if !ok {
+		return
+	}
+	if l.changed == nil {
+		l.changed = map[string]int64{}
+	}
+	l.changed[key] += n
+	if past(l.changed[key], ti.Cardinality) {
+		l.stale = true
+	}
 }
 
 // dropStatsLocked drops the statistics cached under a "server|catalog|table"

@@ -56,7 +56,8 @@ type Config struct {
 	// always collects.
 	CollectStats bool
 	// MaxDOP caps exchange parallelism (the parallel UNION ALL fan-out): 0
-	// is min(children, GOMAXPROCS) per exchange, 1 is serial.
+	// puts every child of an exchange in flight at once, n caps the
+	// workers at n, 1 is serial.
 	MaxDOP int
 	// BatchSize is the ceiling on rows per batch between local operators,
 	// and the fetch size of a remote rowset; 0 is rowset.DefaultBatchSize,

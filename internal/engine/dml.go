@@ -537,7 +537,7 @@ func (s *Server) querySelect(cfg *Config, sel *parser.SelectStmt, params map[str
 	}
 	// INSERT ... SELECT has no standalone statement text; an empty key keeps
 	// it out of the query-stats registry.
-	return readAll(c.exec("", plan, cols, params, false))
+	return readAll(c.exec("", plan, cols, params, nil))
 }
 
 // reorderForTable maps named insert columns onto the table layout, filling
@@ -690,6 +690,9 @@ func (s *Server) applyWrites(col *telemetry.Collector, writes []*memberWrite) (i
 	for _, w := range writes {
 		n += w.n
 		s.invalidateTable(w.Table.Server, w.Table.Def)
+		if w.Table.Server != "" {
+			s.noteMemberWrite(w.Table.Server, w.Table.Def, w.n)
+		}
 		if w.Kind != decoder.Insert && w.Table.Server == "" {
 			affected += w.n
 		}

@@ -313,3 +313,31 @@ func TestElasticSplitMiddleMemberAndPrependShard(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestViewWritesRefreshMemberStatistics loads an elastic view whose members
+// the head first saw empty: the rows written through the view pass the
+// auto-update threshold, so the next compile costs the members at their
+// loaded size and pushes the filter to them, with no InvalidateRemoteSchema.
+func TestViewWritesRefreshMemberStatistics(t *testing.T) {
+	head, _ := buildElasticHead(t, 4)
+	var places []ShardPlacement
+	for i := 0; i < 4; i++ {
+		places = append(places, ShardPlacement{Server: "server" + itoa(i+1), Lo: int64(i * 100), Hi: int64(i*100 + 100)})
+	}
+	places[0].Lo, places[3].Hi = shardmap.NoLowerBound, shardmap.NoUpperBound
+	if err := head.CreateElasticView("orders", "o_id", orderCols(), places); err != nil {
+		t.Fatal(err)
+	}
+	seedElastic(t, head, "orders", 400)
+	plan, _, _, err := head.Plan(`SELECT o_id, amount FROM orders WHERE amount < 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := plan.String()
+	if strings.Contains(text, "Filter") || strings.Count(text, "WHERE") != 4 {
+		t.Errorf("the filter is not pushed to the four members:\n%s", text)
+	}
+	if res := q(t, head, `SELECT o_id, amount FROM orders WHERE amount < 10`); len(res.Rows) != 40 {
+		t.Errorf("%d rows, want 40", len(res.Rows))
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"dhqp/internal/algebra"
 	"dhqp/internal/circuit"
 	"dhqp/internal/cost"
+	"dhqp/internal/exec"
 	"dhqp/internal/lru"
 	"dhqp/internal/metrics"
 	"dhqp/internal/netsim"
@@ -115,11 +116,17 @@ type Server struct {
 }
 
 // cachedPlan is a compiled SELECT (plan, cols) or UPDATE or DELETE (write).
+// A SELECT's entry also keeps the operator trees of its finished
+// executions (kept, under mu), so a plan that runs again builds nothing;
+// the trees go with the entry when it is evicted or replaced.
 type cachedPlan struct {
 	plan  *algebra.Node
 	cols  []schema.Column
 	write *writePlan
 	gen   uint64 // Config.planGen it was compiled under
+
+	mu   sync.Mutex
+	kept []*exec.Run
 }
 
 type linkedServer struct {
@@ -131,6 +138,12 @@ type linkedServer struct {
 	// tables caches the remote schema (TablesInfo); DelayedValidation
 	// controls when mismatches surface.
 	tables map[string]*oledb.TableInfo
+	// changed counts the rows the head's writes changed in each of those
+	// tables since the fetch, and stale is set once a table's count passes
+	// the auto-update threshold against the cardinality fetched: the next
+	// compile that costs a table of this server fetches the catalog again.
+	changed map[string]int64
+	stale   bool
 }
 
 // NewServer creates an engine instance with one (default) database.
@@ -448,7 +461,7 @@ func (s *Server) remoteTables(l *linkedServer) (map[string]*oledb.TableInfo, err
 		m[strings.ToLower(ti.Def.Name)] = &ti
 	}
 	s.mu.Lock()
-	l.tables = m
+	l.tables, l.changed, l.stale = m, nil, false
 	s.mu.Unlock()
 	return m, nil
 }

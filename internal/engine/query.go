@@ -274,6 +274,7 @@ type Cursor struct {
 	unpin   func() // the shard-map statement pin, or nil
 	res     *Result
 	run     *exec.Run
+	plan    *cachedPlan // the cached plan the run is kept for, or nil
 	snap    storage.Snapshot
 	endSpan func()
 	cancel  context.CancelFunc
@@ -303,10 +304,12 @@ func (s *Server) newCursor(ctx context.Context, cfg *Config, col *telemetry.Coll
 // statements, but each statement observes only its own calls); under a
 // traced statement everything the plan does nests under one statement
 // span, which lasts until Finish; the snapshot makes every local read see
-// one commit sequence number.
-func (c *Cursor) exec(text string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cacheHit bool) (*Cursor, error) {
+// one commit sequence number. cached is the plan-cache entry a hit runs
+// (nil on a miss): its operator tree is taken from the entry's kept trees
+// when one fits, and kept there again by Finish.
+func (c *Cursor) exec(text string, plan *algebra.Node, cols []schema.Column, params map[string]sqltypes.Value, cached *cachedPlan) (*Cursor, error) {
 	s := c.s
-	c.res = &Result{Cols: cols, Stats: &telemetry.QueryStats{QueryText: text, PlanCacheHit: cacheHit}}
+	c.res = &Result{Cols: cols, Stats: &telemetry.QueryStats{QueryText: text, PlanCacheHit: cached != nil}}
 	qctx := netsim.WithObserver(c.base, c.col)
 	qctx, c.endSpan = telemetry.StartSpan(qctx, s.name, "statement", text)
 	if c.cfg.QueryTimeout > 0 {
@@ -315,10 +318,19 @@ func (c *Cursor) exec(text string, plan *algebra.Node, cols []schema.Column, par
 	c.snap = s.store.AcquireSnapshot()
 	ctx := s.execContext(qctx, c.cfg, params, s.nativeSess.(*native.Session).AtSnapshot(c.snap.CSN()), c.col)
 	c.start = time.Now()
-	c.run, c.err = exec.Open(plan, ctx)
+	if run := cached.take(ctx); run != nil {
+		if c.err = run.Reopen(ctx); c.err == nil {
+			c.run = run
+		}
+	} else {
+		c.run, c.err = exec.Open(plan, ctx)
+	}
 	c.pulling = time.Since(c.start)
 	if c.err != nil {
 		return nil, c.fail(c.err)
+	}
+	if c.run.Fits(ctx) {
+		c.plan = cached
 	}
 	return c, nil
 }
@@ -410,7 +422,9 @@ func (c *Cursor) Finish(err error) (*Result, error) {
 	}
 	if c.run != nil {
 		t0 := time.Now()
-		c.run.Close()
+		if cerr := c.run.Close(); cerr == nil && c.err == nil {
+			c.plan.keep(c.run)
+		}
 		c.pulling += time.Since(t0)
 	}
 	if c.err != nil {
@@ -504,7 +518,7 @@ func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sq
 		// Cache hit: no compile spans, but the decoded remote texts are
 		// a plan property, so collection still reports them.
 		c.col.CaptureRemoteSQL(cached.plan)
-		return c.exec(sql, cached.plan, cached.cols, params, true)
+		return c.exec(sql, cached.plan, cached.cols, params, cached)
 	}
 	s.notePlanMiss()
 	plan, cols, _, err := s.planSQL(cfg, sql, c.col)
@@ -512,7 +526,46 @@ func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sq
 		return nil, c.fail(err)
 	}
 	s.cachePlan(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
-	return c.exec(sql, plan, cols, params, false)
+	return c.exec(sql, plan, cols, params, nil)
+}
+
+// keptTrees bounds the operator trees a cached plan keeps between
+// executions: enough for the statement's concurrent executions on a busy
+// server, few enough that an idle entry holds little.
+const keptTrees = 4
+
+// take returns a kept operator tree that fits ctx, for this execution
+// alone, or nil: always under stats collection, whose shims a kept tree
+// lacks. A kept tree that does not fit otherwise (the batch size or MaxDOP
+// changed since it was built) is dropped. A nil plan keeps nothing.
+func (p *cachedPlan) take(ctx *exec.Context) *exec.Run {
+	if p == nil || ctx.Stats.Collecting() {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for n := len(p.kept); n > 0; n = len(p.kept) {
+		run := p.kept[n-1]
+		p.kept[n-1], p.kept = nil, p.kept[:n-1]
+		if run.Fits(ctx) {
+			return run
+		}
+	}
+	return nil
+}
+
+// keep releases a closed run's tree and keeps it for the plan's next
+// execution, unless keptTrees are kept already. A nil plan keeps nothing.
+func (p *cachedPlan) keep(run *exec.Run) {
+	if p == nil {
+		return
+	}
+	run.Release()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.kept) < keptTrees {
+		p.kept = append(p.kept, run)
+	}
 }
 
 // lookupPlan returns sql's cached plan of the kind the caller runs, a
@@ -587,7 +640,7 @@ func (s *Server) ExplainAnalyzeContext(ctx context.Context, sql string, params m
 	if err != nil {
 		return nil, c.fail(err)
 	}
-	res, err := readAll(c.exec(sql, plan, cols, params, false))
+	res, err := readAll(c.exec(sql, plan, cols, params, nil))
 	if err != nil {
 		return nil, err
 	}

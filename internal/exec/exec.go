@@ -40,8 +40,8 @@ type Context struct {
 	// today(); every expression an operator evaluates reads it.
 	expr.Env
 	// MaxDOP caps the degree of parallelism of exchange operators (the
-	// parallel Concat fan-out). 0 means the default,
-	// min(len(children), GOMAXPROCS); 1 disables parallel execution.
+	// parallel Concat fan-out). 0 means no cap: every child is in flight
+	// at once; 1 disables parallel execution.
 	MaxDOP int
 	// RemoteBatchSize is the number of keys per batched remote call: it
 	// caps how many outer rows a BatchLoopJoin buffers per probe and sizes
@@ -87,6 +87,15 @@ type Context struct {
 	// Server is the executing member's name, used to attribute trace
 	// spans opened by remote access operators ("" = unnamed).
 	Server string
+
+	// run numbers the executions of a kept tree: Run.Reopen bumps it, and
+	// an operator whose state outlives a re-Open (the spool's buffer)
+	// replays that state only within the execution that filled it.
+	run uint64
+	// batches lists every batch newBatch made for the tree, and forks the
+	// contexts fork made for exchange children: what Run.Release walks.
+	batches []*rowset.Batch
+	forks   []*Context
 }
 
 // remoteBatch returns the effective batched-remote-access size.
@@ -97,8 +106,15 @@ func (c *Context) remoteBatch() int {
 	return cost.DefaultRemoteBatch
 }
 
-// newBatch allocates a batch of this statement's batch size.
-func (c *Context) newBatch() *rowset.Batch { return rowset.NewBatch(c.BatchSize) }
+// newBatch allocates a batch of this statement's batch size, one an
+// operator keeps for the life of its tree.
+func (c *Context) newBatch() *rowset.Batch { return c.keep(rowset.NewBatch(c.BatchSize)) }
+
+// keep lists b among the tree's batches, for Run.Release, and returns it.
+func (c *Context) keep(b *rowset.Batch) *rowset.Batch {
+	c.batches = append(c.batches, b)
+	return b
+}
 
 // firstN grows seq to hold 0, 1, 2, … and returns its first n entries:
 // the identity selection over n rows.
@@ -116,22 +132,48 @@ func firstN(seq *[]int, n int) []int {
 // those are per-statement, not per-branch, and are themselves
 // concurrency-safe.
 func (c *Context) fork() *Context {
-	f := &Context{RT: c.RT, Env: expr.Env{Today: c.Today}, MaxDOP: c.MaxDOP,
-		RemoteBatchSize: c.RemoteBatchSize, BatchSize: c.BatchSize,
-		Ctx: c.Ctx, RetryAttempts: c.RetryAttempts, RetryBackoff: c.RetryBackoff,
-		BreakerFor: c.BreakerFor, PartialResults: c.PartialResults,
-		Stats: c.Stats, Server: c.Server}
-	f.syncParams(c)
+	f := &Context{}
+	f.inherit(c)
+	c.forks = append(c.forks, f)
 	return f
 }
 
-// syncParams resnapshots the parent's parameter values (called at each
-// exchange Open so re-opens under a parameterized parent see fresh values).
-func (c *Context) syncParams(parent *Context) {
-	c.Params = make(map[string]sqltypes.Value, len(parent.Params))
-	for k, v := range parent.Params {
-		c.Params[k] = v
+// inherit takes the parent's per-execution fields and a snapshot of its
+// parameter values (called at each exchange Open, so a re-open under a
+// parameterized parent, or the next execution of a kept tree, sees fresh
+// values), keeping its own parameter map, batches and forks.
+func (c *Context) inherit(parent *Context) {
+	params, batches, forks := c.Params, c.batches, c.forks
+	*c = *parent
+	c.batches, c.forks = batches, forks
+	if params == nil {
+		params = make(map[string]sqltypes.Value, len(parent.Params))
 	}
+	clear(params)
+	for k, v := range parent.Params {
+		params[k] = v
+	}
+	c.Params = params
+}
+
+// release drops the per-execution fields and every borrowed image window
+// in the context's batches, its forks' included.
+func (c *Context) release() {
+	for _, b := range c.batches {
+		b.Release()
+	}
+	for _, f := range c.forks {
+		f.release()
+	}
+	c.rebind(&Context{})
+}
+
+// rebind takes next's per-execution fields, keeping the tree's own
+// bookkeeping, and counts a new execution.
+func (c *Context) rebind(next *Context) {
+	run, batches, forks := c.run, c.batches, c.forks
+	*c = *next
+	c.run, c.batches, c.forks = run+1, batches, forks
 }
 
 // Iterator is one operator's cursor. Open (re)starts execution; NextBatch
@@ -256,11 +298,17 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 // Run is an executing plan read by pulls: Open builds and opens the
 // operator tree, each Pull returns the next non-empty root batch, and Close
 // closes the tree. A consumer holds O(batch) of the result, never all of it,
-// and one that stops pulling stops the plan.
+// and one that stops pulling stops the plan. A closed run can be released
+// and executed again (Reopen) on the same tree, so a cached plan that runs
+// often builds its operators and grows their scratch once.
 type Run struct {
 	it  Iterator
 	ctx *Context
 	b   *rowset.Batch
+
+	// The shape the tree was built for: its batch size and exchange
+	// widths.
+	batchSize, maxDOP int
 }
 
 // Open builds and opens the plan's operator tree.
@@ -269,12 +317,44 @@ func Open(n *algebra.Node, ctx *Context) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
+	r := &Run{it: it, ctx: ctx, b: ctx.newBatch(), batchSize: ctx.BatchSize, maxDOP: ctx.MaxDOP}
 	if err := it.Open(); err != nil {
 		it.Close()
 		return nil, err
 	}
-	return &Run{it: it, ctx: ctx, b: ctx.newBatch()}, nil
+	return r, nil
 }
+
+// Fits reports whether the run's tree may execute (again) under ctx: it
+// was built for the same batch size and degree of parallelism, and ctx
+// collects no per-operator statistics, whose shims record into the record
+// of the statement that built them — so a tree built under collection
+// fits no other execution either.
+func (r *Run) Fits(ctx *Context) bool {
+	return !ctx.Stats.Collecting() && r.batchSize == ctx.BatchSize && r.maxDOP == ctx.MaxDOP
+}
+
+// Reopen executes a released run's tree again under ctx's per-execution
+// fields (runtime and snapshot session, parameters, statement context,
+// record, retry and breaker settings), which it copies into the context
+// the operators hold; the exchanges pass them on to their children's
+// contexts at Open. On failure the tree is closed, as Open's is. The
+// caller checked Fits.
+func (r *Run) Reopen(ctx *Context) error {
+	r.ctx.rebind(ctx)
+	if err := r.it.Open(); err != nil {
+		r.it.Close()
+		return err
+	}
+	return nil
+}
+
+// Release readies a closed run for keeping: every batch of the tree drops
+// its borrowed windows onto table images, and every context its
+// per-execution fields, so a kept tree pins no snapshot, image, member
+// cursor or record. The operators' scratch stays, sized by the executions
+// so far.
+func (r *Run) Release() { r.ctx.release() }
 
 // Pull returns the next non-empty root batch, valid until the next Pull,
 // or io.EOF after the last. It checks the statement's cancellation first

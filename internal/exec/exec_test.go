@@ -36,6 +36,7 @@ func (rt *testRT) SessionFor(server string) (oledb.Session, error) {
 //	dept(id INT, name STRING) — 3 rows
 type fixture struct {
 	rt      *testRT
+	emp     *storage.Table
 	ctx     *Context
 	empSrc  *algebra.Source
 	deptSrc *algebra.Source
@@ -87,6 +88,7 @@ func newFixture(t *testing.T) *fixture {
 	rt := &testRT{sessions: map[string]oledb.Session{"": sess, "remoteA": sess}}
 	f := &fixture{
 		rt:  rt,
+		emp: emp,
 		ctx: &Context{RT: rt, Env: expr.Env{Params: map[string]sqltypes.Value{}}},
 		empSrc: &algebra.Source{
 			Catalog: "hr", Table: "emp", Def: empDef,
@@ -556,6 +558,60 @@ func TestSpoolReplays(t *testing.T) {
 	}
 	if got := count(); got != 8 {
 		t.Fatalf("second pass = %d", got)
+	}
+}
+
+// TestKeptSpoolSeesCommits: a spool filled in one execution of a kept tree
+// is not replayed by the next, even under the same parameter values — that
+// execution reads another snapshot — while within one execution a re-Open
+// still replays.
+func TestKeptSpoolSeesCommits(t *testing.T) {
+	f := newFixture(t)
+	minSalary := expr.NewBinary(expr.OpGe, expr.NewColRef(3, "salary"), expr.NewParam("min"))
+	plan := algebra.NewNode(&algebra.Spool{}, algebra.NewNode(&algebra.Filter{Pred: minSalary}, f.empScan()))
+	params := map[string]sqltypes.Value{"min": sqltypes.NewInt(100)}
+	execCtx := func() *Context { return &Context{RT: f.rt, Env: expr.Env{Params: params}} }
+	count := func(r *Run) int {
+		n := 0
+		for b, err := r.Pull(); err != io.EOF; b, err = r.Pull() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += b.Len()
+		}
+		return n
+	}
+	r, err := Open(plan, execCtx())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := count(r); got != 6 {
+		t.Fatalf("first execution: %d rows, want 6", got)
+	}
+	// Within the execution a re-Open replays what the spool holds.
+	f.emp.Insert(rowset.Row{sqltypes.NewInt(9), sqltypes.NewInt(10), sqltypes.NewInt(500)})
+	if err := r.it.Open(); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(r); got != 6 {
+		t.Errorf("re-Open within the execution: %d rows, want the 6 it spooled", got)
+	}
+	r.Close()
+	r.Release()
+	for exec, want := range []int{7, 8} {
+		ctx := execCtx()
+		if !r.Fits(ctx) {
+			t.Fatal("a released tree does not fit the context it was built for")
+		}
+		if err := r.Reopen(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := count(r); got != want {
+			t.Errorf("kept tree, execution %d, same parameters: %d rows, want %d", exec+2, got, want)
+		}
+		r.Close()
+		r.Release()
+		f.emp.Insert(rowset.Row{sqltypes.NewInt(int64(10 + exec)), sqltypes.NewInt(10), sqltypes.NewInt(600)})
 	}
 }
 

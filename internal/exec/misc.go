@@ -103,7 +103,7 @@ func (c *computeIter) Open() error { return c.child.Open() }
 // selection vector.
 func (c *computeIter) NextBatch(b *rowset.Batch) error {
 	if c.in == nil {
-		c.in = rowset.NewBatch(b.CapRows())
+		c.in = c.ctx.keep(rowset.NewBatch(b.CapRows()))
 	}
 	if err := c.child.NextBatch(c.in); err != nil {
 		return err
@@ -293,11 +293,12 @@ func (t *topIter) Close() error {
 
 // spoolIter materializes its child once; re-opens replay the buffer
 // without re-executing the child (§4.1.2's spool-over-remote). The replay
-// is only valid within one parameter binding: when the spool sits inside a
-// parameterized apply, the subtree's results change with the outer row's
-// bound values, so Open compares the current bindings against the ones the
-// buffer was filled under and refills on any difference. Rescans within
-// one binding (the common inner-loop amplification) still replay.
+// is only valid within one execution and one parameter binding: a kept
+// tree's next execution reads another snapshot, and when the spool sits
+// inside a parameterized apply, the subtree's results change with the outer
+// row's bound values. So Open refills unless the buffer was filled in this
+// execution under the current bindings. Rescans within one binding (the
+// common inner-loop amplification) still replay.
 type spoolIter struct {
 	ctx        *Context
 	child      Iterator
@@ -305,6 +306,7 @@ type spoolIter struct {
 	buf        rowset.Store
 	pos        int // the next row to replay
 	filled     bool
+	fillRun    uint64                    // the execution (Context.run) that filled it
 	fillParams map[string]sqltypes.Value // param bindings at fill time
 	in         *rowset.Batch
 }
@@ -325,7 +327,7 @@ func (s *spoolIter) staleBindings() bool {
 
 func (s *spoolIter) Open() error {
 	s.pos = 0
-	if s.filled && !s.staleBindings() {
+	if s.filled && s.fillRun == s.ctx.run && !s.staleBindings() {
 		return nil
 	}
 	s.filled = false
@@ -336,8 +338,11 @@ func (s *spoolIter) Open() error {
 	if err := drain(s.child, s.in, func() error { s.buf.AddBatch(s.in); return nil }); err != nil {
 		return err
 	}
-	s.filled = true
-	s.fillParams = make(map[string]sqltypes.Value, len(s.ctx.Params))
+	s.filled, s.fillRun = true, s.ctx.run
+	if s.fillParams == nil {
+		s.fillParams = make(map[string]sqltypes.Value, len(s.ctx.Params))
+	}
+	clear(s.fillParams)
 	for k, v := range s.ctx.Params {
 		s.fillParams[k] = v
 	}

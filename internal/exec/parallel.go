@@ -11,24 +11,22 @@ package exec
 
 import (
 	"io"
-	"runtime"
 	"sync"
 
 	"dhqp/internal/rowset"
 )
 
-// exchangeBatchesPerWorker sizes the exchange's batch pool: one batch for a
-// worker to fill while another waits in the channel for the consumer, so
-// producers stay busy while the consumer drains and memory stays bounded
-// on wide fan-outs.
-const exchangeBatchesPerWorker = 2
-
-// exchangeMinDOP floors the default worker count. Exchange children are
-// remote by construction and spend most of their time blocked on link round
-// trips rather than burning CPU, so the useful degree of parallelism tracks
-// the fan-out width, not the core count; without the floor a single-core
-// host would serialize a latency-bound fan-out for no benefit.
-const exchangeMinDOP = 8
+// The exchange's batch pool: one batch per worker to fill while another
+// waits in the channel for the consumer, so producers stay busy while the
+// consumer drains, up to a fixed budget. Every child is opened at once —
+// an open is a round trip that brings the first fetch back, so a
+// latency-bound fan-out pays one wave of round trips, not one per group of
+// workers — but the batches its later fetches fill are drawn from the
+// budget, so memory does not grow with the fan-out.
+const (
+	exchangeBatchesPerWorker = 2
+	exchangeBatchBudget      = 16
+)
 
 // parItem is one exchange message: a remapped batch or a child's error.
 type parItem struct {
@@ -36,8 +34,8 @@ type parItem struct {
 	err error
 }
 
-// parallelConcatIter is UNION ALL over concurrent children: a bounded
-// worker pool drives the children a batch at a time, remaps each batch to
+// parallelConcatIter is UNION ALL over concurrent children: a worker per
+// child (at most MaxDOP of them) drives the children a batch at a time, remaps each batch to
 // the output column order by moving its vectors, and feeds a shared
 // channel; the consumer takes a batch by swapping buffers with its own and
 // hands the spent one back to the pool. Row order is interleaved
@@ -56,7 +54,7 @@ type parallelConcatIter struct {
 	labels  []string   // per child: server(s) the branch reaches
 	dop     int
 
-	pool    []*rowset.Batch // the exchange's batches, exchangeBatchesPerWorker per worker
+	pool    []*rowset.Batch // the exchange's batches, within exchangeBatchBudget
 	ch      chan parItem
 	free    chan *rowset.Batch // pool batches waiting for a fill
 	cancel  chan struct{}
@@ -64,35 +62,28 @@ type parallelConcatIter struct {
 	err     error // sticky first error
 }
 
-// newParallelConcat assembles the exchange over already-built children.
+// newParallelConcat assembles the exchange over already-built children:
+// a worker per child unless MaxDOP caps them.
 func newParallelConcat(parent *Context, kids []Iterator, kidCtxs []*Context, maps [][]int, labels []string) *parallelConcatIter {
-	dop := parent.MaxDOP
-	if dop <= 0 {
-		dop = runtime.GOMAXPROCS(0)
-		if dop < exchangeMinDOP {
-			dop = exchangeMinDOP
-		}
+	dop := len(kids)
+	if parent.MaxDOP > 0 {
+		dop = min(dop, parent.MaxDOP)
 	}
-	if dop > len(kids) {
-		dop = len(kids)
-	}
-	if dop < 1 {
-		dop = 1
-	}
-	return &parallelConcatIter{parent: parent, kids: kids, kidCtxs: kidCtxs, maps: maps, labels: labels, dop: dop}
+	return &parallelConcatIter{parent: parent, kids: kids, kidCtxs: kidCtxs, maps: maps, labels: labels, dop: max(dop, 1)}
 }
 
 func (p *parallelConcatIter) Open() error {
 	p.stop() // tear down a previous run (re-Open after partial consumption)
 	p.err = nil
-	// Resnapshot parameters: a parameterized parent (loop join) may have
-	// rebound values since the children's contexts were forked.
+	// The children's contexts take this execution's fields and parameter
+	// values: a parameterized parent (loop join) may have rebound values
+	// since the last Open, and a kept tree runs under a new statement.
 	for _, kctx := range p.kidCtxs {
 		if kctx != nil && kctx != p.parent {
-			kctx.syncParams(p.parent)
+			kctx.inherit(p.parent)
 		}
 	}
-	for len(p.pool) < p.dop*exchangeBatchesPerWorker {
+	for len(p.pool) < min(p.dop*exchangeBatchesPerWorker, exchangeBatchBudget) {
 		p.pool = append(p.pool, p.parent.newBatch())
 	}
 	p.cancel = make(chan struct{})

@@ -237,7 +237,9 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 		if err != nil {
 			return err
 		}
-		first := r.ctx.newBatch()
+		// Not newBatch: the open's batch is handed over by swapping, so
+		// it is the consumer's spent one that this rowset drops.
+		first := rowset.NewBatch(r.ctx.BatchSize)
 		if err = rowset.FillBatch(rs, first, nil); err != nil && err != io.EOF {
 			rs.Close()
 			return err

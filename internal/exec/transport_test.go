@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"io"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -333,7 +335,8 @@ func TestFirstFetchEmptyResult(t *testing.T) {
 // children through the ways a consumer can walk away — early Close under a
 // TOP, a sibling's permanent error, re-Open after partial consumption — and
 // checks that every exchange goroutine (the executor's only ones) is gone
-// each time.
+// each time, over 4 children and over 128 at the default DOP, a worker per
+// child, whose pool still holds no more batches than its budget.
 func TestBatchExchangeLifecycle(t *testing.T) {
 	base := runtime.NumGoroutine()
 	fanOut := func(servers ...string) *algebra.Node {
@@ -345,25 +348,35 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 		}
 		return algebra.NewNode(&algebra.Concat{OutColsList: []algebra.OutCol{{ID: 9, Name: "k", Kind: sqltypes.KindInt}}, InMaps: in}, kids...)
 	}
-	for _, batch := range []int{1, 3, 64} {
+	for _, tc := range []struct{ kids, batch int }{{4, 1}, {4, 3}, {4, 64}, {128, 3}, {128, 64}} {
 		sessions := map[string]oledb.Session{}
-		for _, s := range []string{"a", "b", "c", "d"} {
-			sessions[s] = &scriptedSession{n: 100000}
+		var servers []string
+		for i := 0; i < tc.kids; i++ {
+			s := string(rune('a' + i%26))
+			if tc.kids > 26 {
+				s = "s" + strconv.Itoa(i)
+			}
+			servers = append(servers, s)
+			sessions[s] = &scriptedSession{n: 400000 / tc.kids}
 		}
-		ctx := &Context{RT: &testRT{sessions: sessions}, Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: batch, Stats: telemetry.NewCollector(false, nil, nil)}
+		ctx := &Context{RT: &testRT{sessions: sessions}, Env: expr.Env{Params: map[string]sqltypes.Value{}}, BatchSize: tc.batch, Stats: telemetry.NewCollector(false, nil, nil)}
 
 		// Early Close under TOP: 400 000 rows on offer, 10 taken.
-		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut("a", "b", "c", "d"))
+		top := algebra.NewNode(&algebra.TopN{N: 10}, fanOut(servers...))
 		m, err := materialize(top, ctx)
 		if err != nil || m.Len() != 10 {
-			t.Fatalf("batch=%d: TOP 10 = %d rows, %v", batch, m.Len(), err)
+			t.Fatalf("%+v: TOP 10 = %d rows, %v", tc, m.Len(), err)
 		}
 		settleGoroutines(t, base, "early Close under TOP")
 
 		// Re-Open after partial consumption, then Close mid-stream.
-		built, err := Build(fanOut("a", "b", "c", "d"), ctx)
+		built, err := Build(fanOut(servers...), ctx)
 		if err != nil {
 			t.Fatal(err)
+		}
+		p := built.(*parallelConcatIter)
+		if p.dop != tc.kids {
+			t.Errorf("%+v: %d workers, want one per child", tc, p.dop)
 		}
 		it := rowsOf(built)
 		for round := 0; round < 5; round++ {
@@ -375,18 +388,86 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if len(p.pool) > exchangeBatchBudget {
+				t.Errorf("%+v: %d pool batches, the budget is %d", tc, len(p.pool), exchangeBatchBudget)
+			}
 		}
 		it.Close()
 		settleGoroutines(t, base, "re-Open after partial consumption")
 
-		// First error cancels the siblings: c dies for good on its third fetch.
-		sessions["c"] = &scriptedSession{n: 100000, failFetch: map[int]int{0: 3, 1: 1, 2: 1, 3: 1}}
+		// First error cancels the siblings: one child dies for good on its
+		// third fetch.
+		bad := servers[2]
+		sessions[bad] = &scriptedSession{n: 400000 / tc.kids, failFetch: map[int]int{0: 3, 1: 1, 2: 1, 3: 1}}
 		ctx.RetryAttempts = 2
 		ctx.RetryBackoff = time.Microsecond
-		plan := fanOut("a", "b", "c", "d")
-		if _, err := materialize(plan, ctx); err == nil || !strings.Contains(err.Error(), "[c]") {
-			t.Fatalf("batch=%d: err = %v, want branch c's failure", batch, err)
+		plan := fanOut(servers...)
+		if _, err := materialize(plan, ctx); err == nil || !strings.Contains(err.Error(), "["+bad+"]") {
+			t.Fatalf("%+v: err = %v, want branch %s's failure", tc, err, bad)
 		}
 		settleGoroutines(t, base, "first-error cancel")
+	}
+}
+
+// gatedSession is a linked server whose OpenRowset returns only once every
+// one of a fan-out's n children has called it, or fails after a timeout.
+type gatedSession struct {
+	oledb.Session
+	gate *openGate
+}
+
+type openGate struct {
+	mu      sync.Mutex
+	n, seen int
+	all     chan struct{}
+}
+
+func (s *gatedSession) OpenRowset(string) (rowset.Rowset, error) {
+	g := s.gate
+	g.mu.Lock()
+	if g.seen++; g.seen == g.n {
+		close(g.all)
+	}
+	g.mu.Unlock()
+	select {
+	case <-g.all:
+		return &scriptedRowset{s: &scriptedSession{fetches: []int{0}}, n: 1}, nil
+	case <-time.After(5 * time.Second):
+		return nil, fmt.Errorf("only %d of %d children were opening at once", g.seen, g.n)
+	}
+}
+
+// TestExchangeOpensEveryChild: with MaxDOP 0 every child of a parallel
+// concat is opened at once — here each child's open returns only after all
+// 128 have started — so a latency-bound fan-out pays one wave of round
+// trips however wide it is; MaxDOP still caps the workers.
+func TestExchangeOpensEveryChild(t *testing.T) {
+	const kids = 128
+	gate := &openGate{n: kids, all: make(chan struct{})}
+	sessions := map[string]oledb.Session{}
+	var nodes []*algebra.Node
+	var in [][]expr.ColumnID
+	for i := 0; i < kids; i++ {
+		s := "s" + strconv.Itoa(i)
+		sessions[s] = &gatedSession{gate: gate}
+		nodes = append(nodes, scriptedScan(s))
+		in = append(in, []expr.ColumnID{1})
+	}
+	plan := algebra.NewNode(&algebra.Concat{OutColsList: []algebra.OutCol{{ID: 9, Name: "k", Kind: sqltypes.KindInt}}, InMaps: in}, nodes...)
+	ctx := &Context{RT: &testRT{sessions: sessions}, Env: expr.Env{Params: map[string]sqltypes.Value{}}, Stats: telemetry.NewCollector(false, nil, nil)}
+	m, err := materialize(plan, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() != kids {
+		t.Errorf("%d rows, want one per child", m.Len())
+	}
+	ctx.MaxDOP = 5
+	built, err := Build(plan, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := built.(*parallelConcatIter); p.dop != 5 || len(p.pool) != 0 {
+		t.Errorf("MaxDOP 5: %d workers, %d pool batches before Open", p.dop, len(p.pool))
 	}
 }

@@ -181,17 +181,37 @@ func (db *DB) fixed(name string, cols []Column, rows [][]Cell) *Table {
 	for lo := 0; lo < len(rows); lo += 100 {
 		vals := make([]string, 0, 100)
 		for _, r := range rows[lo:min(lo+100, len(rows))] {
-			lits := make([]string, len(r))
-			for j, c := range r {
-				lits[j] = c.literal()
-			}
-			vals = append(vals, "("+strings.Join(lits, ", ")+")")
+			vals = append(vals, rowLiteral(r))
 		}
 		t.Script = append(t.Script, "INSERT INTO "+name+" VALUES "+strings.Join(vals, ", "))
 	}
 	db.Tables = append(db.Tables, t)
 	db.byName[name] = t
 	return t
+}
+
+// rowLiteral renders a row as a VALUES tuple.
+func rowLiteral(r []Cell) string {
+	lits := make([]string, len(r))
+	for j, c := range r {
+		lits[j] = c.literal()
+	}
+	return "(" + strings.Join(lits, ", ") + ")"
+}
+
+// Insert adds row to the named table, and to every view over it, and
+// returns the INSERT that commits it to a loaded server: a test that
+// changes the data between statements keeps the oracle's answers in step.
+func (db *DB) Insert(name string, row []Cell) string {
+	t := db.Table(name)
+	t.Rows = append(t.Rows, row)
+	for _, v := range db.Views {
+		if slices.Contains(v.Members, name) {
+			u := db.byName[v.Name]
+			u.Rows = append(u.Rows, row)
+		}
+	}
+	return "INSERT INTO " + name + " VALUES " + rowLiteral(row)
 }
 
 func (db *DB) addView(v *View) {

@@ -467,10 +467,34 @@ func (db *DB) Eval(st *Stmt) [][]Cell {
 // them. (A TOP over a partial order is never drawn: neither is its answer
 // determined, nor is it simply any subset.)
 func (db *DB) Check(st *Stmt, got [][]Cell) error {
-	if q := st.Arms[0]; len(st.Arms) == 1 && q.Top > 0 && len(q.Order) == 0 {
+	if st.anyTop() {
 		return db.checkAnyTop(st, got)
 	}
-	want := db.Eval(st)
+	return compareAnswers(st, got, db.Eval(st))
+}
+
+// Agree compares two answers to st, got with want, by Check's rules; two
+// answers to an unordered TOP agree when they have as many rows (Check
+// holds each to the statement's rows).
+func Agree(st *Stmt, got, want [][]Cell) error {
+	if st.anyTop() {
+		if len(got) != len(want) {
+			return fmt.Errorf("%d rows, the other answer %d", len(got), len(want))
+		}
+		return nil
+	}
+	return compareAnswers(st, got, want)
+}
+
+// anyTop reports whether st is a TOP without ORDER BY.
+func (st *Stmt) anyTop() bool {
+	q := st.Arms[0]
+	return len(st.Arms) == 1 && q.Top > 0 && len(q.Order) == 0
+}
+
+// compareAnswers compares got with want: in order when st orders every
+// output column, otherwise as multisets, got sorted on st's keys.
+func compareAnswers(st *Stmt, got, want [][]Cell) error {
 	order, total := st.order()
 	if !total {
 		if order != nil {
@@ -484,7 +508,7 @@ func (db *DB) Check(st *Stmt, got [][]Cell) error {
 	}
 	for i := 0; i < max(len(got), len(want)); i++ {
 		if i >= len(got) || i >= len(want) || !slices.EqualFunc(got[i], want[i], Same) {
-			return fmt.Errorf("%d rows, oracle %d; first difference at row %d:\n  got  %s\n  want %s",
+			return fmt.Errorf("%d rows, want %d; first difference at row %d:\n  got  %s\n  want %s",
 				len(got), len(want), i, rowAt(got, i), rowAt(want, i))
 		}
 	}

@@ -127,6 +127,19 @@ func (b *Batch) setWidth(width int) {
 	b.cols = grown
 }
 
+// Release empties the batch and forgets every borrowed window it holds —
+// in its columns, their spare capacity and Project's scratch — so a batch
+// kept past its statement pins no table image. Owned buffers stay for the
+// next fill.
+func (b *Batch) Release() {
+	b.clear(0)
+	for _, cols := range [2][]Vec{b.cols[:cap(b.cols)], b.spare[:cap(b.spare)]} {
+		for j := range cols {
+			cols[j].drop()
+		}
+	}
+}
+
 // Truncate drops columns beyond width (projection of a wider provider
 // rowset down to the plan's scan width — O(1), no value movement).
 func (b *Batch) Truncate(width int) {

@@ -83,18 +83,18 @@ var implementationRules = []ImplementationRule{
 }
 
 // ImplGuidance enumerates implementation rules applicable to the operator
-// at the given phase.
+// at the given phase, in registry order; like Guidance's, the list is
+// computed once per (operator type, phase) and shared.
 func ImplGuidance(op algebra.Operator, phase Phase) []ImplementationRule {
-	var out []ImplementationRule
-	for _, r := range implementationRules {
-		if r.MinPhase() > phase {
-			continue
+	return implLists.get(op, phase, func() []ImplementationRule {
+		var out []ImplementationRule
+		for _, r := range implementationRules {
+			if r.MinPhase() <= phase && implMatches(r, op) {
+				out = append(out, r)
+			}
 		}
-		if implMatches(r, op) {
-			out = append(out, r)
-		}
-	}
-	return out
+		return out
+	})
 }
 
 func implMatches(r ImplementationRule, op algebra.Operator) bool {

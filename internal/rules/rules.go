@@ -13,6 +13,10 @@
 package rules
 
 import (
+	"reflect"
+	"slices"
+	"sync"
+
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
 	"dhqp/internal/memo"
@@ -103,15 +107,55 @@ type ExplorationRule interface {
 
 // Guidance returns the exploration rules that could match the operator —
 // "each operator contains a routine called Guidance that enumerates rules
-// that could match it" (§4.1.1) — filtered by phase, in promise order.
+// that could match it" (§4.1.1) — filtered by phase, in promise order. The
+// list is fixed by the operator's type and the phase, so it is computed
+// once per pair and shared: callers must not modify it.
 func Guidance(op algebra.Operator, phase Phase) []ExplorationRule {
-	var out []ExplorationRule
-	for _, r := range explorationRules {
-		if r.MinPhase() <= phase && ruleMatchesRoot(r, op) {
-			out = append(out, r)
+	return exploreLists.get(op, phase, func() []ExplorationRule {
+		var out []ExplorationRule
+		for _, r := range explorationRules {
+			if r.MinPhase() <= phase && ruleMatchesRoot(r, op) {
+				out = append(out, r)
+			}
 		}
+		return out
+	})
+}
+
+var (
+	exploreLists ruleLists[ExplorationRule]
+	implLists    ruleLists[ImplementationRule]
+)
+
+// ruleLists holds a registry's rule list per (operator type, phase), each
+// filtered in registry order on first use.
+type ruleLists[R any] struct {
+	mu    sync.RWMutex
+	lists map[ruleKey][]R
+}
+
+type ruleKey struct {
+	op    reflect.Type
+	phase Phase
+}
+
+// get returns op's list at phase, filtering it with filter the first time.
+func (c *ruleLists[R]) get(op algebra.Operator, phase Phase, filter func() []R) []R {
+	k := ruleKey{reflect.TypeOf(op), phase}
+	c.mu.RLock()
+	list, ok := c.lists[k]
+	c.mu.RUnlock()
+	if ok {
+		return list
 	}
-	return out
+	list = slices.Clip(filter()) // an append by a caller copies
+	c.mu.Lock()
+	if c.lists == nil {
+		c.lists = map[ruleKey][]R{}
+	}
+	c.lists[k] = list
+	c.mu.Unlock()
+	return list
 }
 
 // explorationRules is the registry, by promise, highest first: Guidance
