@@ -64,14 +64,11 @@ func buildElasticFed(members, rows int) (*dhqp.Server, []*dhqp.Link) {
 		}
 		fmt.Fprintf(&b, "(%d, %d)", i, i*7%100)
 	}
+	// The members were empty when the head first touched them; the load
+	// passes the statistics rule, so the next compile fetches the seeded
+	// row counts.
 	_, err := head.Exec(b.String())
 	must(err)
-	// The members were empty when the head first touched them; refresh the
-	// cached remote cardinalities (UPDATE STATISTICS, operator-style) so
-	// the optimizer sees the seeded row counts.
-	for i := 0; i < members; i++ {
-		head.InvalidateRemoteSchema(fmt.Sprintf("server%d", i+1))
-	}
 	return head, links
 }
 

@@ -189,9 +189,6 @@ func lifecycleFederation(t *testing.T, n int) (*Server, []*Server) {
 		t.Fatal(err)
 	}
 	seedElastic(t, head, "orders", n*100)
-	for i := range members {
-		head.InvalidateRemoteSchema("server" + itoa(i+1)) // the members were empty when the head first saw them
-	}
 	head.Configure(func(c *Config) { c.BatchSize = 16 })
 	return head, members
 }
