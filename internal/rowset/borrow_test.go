@@ -166,6 +166,33 @@ func TestProjectDuplicateOfBorrowed(t *testing.T) {
 	}
 }
 
+// TestReleaseDropsBorrowedWindows: after Release a batch holds no window
+// onto the image it borrowed from — not in its columns, not in the columns
+// a narrowing Project parked behind them, not in Project's scratch — and
+// it fills again as before.
+func TestReleaseDropsBorrowedWindows(t *testing.T) {
+	rows := reuseRows(rand.New(rand.NewSource(11)), 200, 0, -1)
+	img := reuseImage(reuseKinds[:4], rows)
+	b := NewBatch(64)
+	b.FillCols(img, nil, 0, 64)
+	b.Project([]int{2, 0})
+	b.Release()
+	if b.Width() != 0 || b.NumRows() != 0 {
+		t.Fatalf("released batch holds %d columns, %d rows", b.Width(), b.NumRows())
+	}
+	for _, cols := range [][]Vec{b.cols[:cap(b.cols)], b.spare[:cap(b.spare)]} {
+		for j := range cols {
+			if cols[j].borrowed {
+				t.Fatalf("column %d still borrows the image after Release", j)
+			}
+		}
+	}
+	b.FillCols(img, nil, 64, 64)
+	if b.Len() != 64 || sqltypes.Compare(b.Col(0).Value(0), rows[64][0]) != 0 {
+		t.Fatal("a released batch does not fill again")
+	}
+}
+
 // checkSameVec compares two columns element by element: kind, validity and
 // value over their whole length.
 func checkSameVec(t *testing.T, name string, got, want *Vec) {
