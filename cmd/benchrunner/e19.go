@@ -4,12 +4,9 @@ package main
 // claims reproduce here:
 //
 //  1. Scatter-gather through an elastic view scales to 128 members — the
-//     head fans a full-view scan out and gathers the members' rows. It is
-//     timed twice: over links that only count their latency (the head's
-//     and members' CPU) and over links that sleep it (1 ms a call, the
-//     latency-bound case the exchange's width is for), each as the median
-//     of e19Runs timed runs, every run kept in BENCH_E19.json with the
-//     provenance of the measurement.
+//     head fans a full-view scan out and gathers the members' rows, timed
+//     as the median of e19Runs runs, every run kept in BENCH_E19.json with
+//     the provenance of the measurement.
 //  2. Partial-aggregation pushdown ships per-member partial rows instead
 //     of data rows: at 32 members the aggregate's link bytes must be
 //     under 10% of the row-shipping baseline (DisableAggSplit).
@@ -84,15 +81,13 @@ type e19point struct {
 	Members        int       `json:"members"`
 	ScanRowsPerSec float64   `json:"scatter_gather_rows_per_sec"`
 	ScanRuns       []float64 `json:"scatter_gather_rows_per_sec_runs"`
-	SleepRowsPerS  float64   `json:"latency_bound_rows_per_sec"`
-	SleepRuns      []float64 `json:"latency_bound_rows_per_sec_runs"`
 	AggBytes       int64     `json:"partial_agg_link_bytes"`
 	RowShipBytes   int64     `json:"row_shipping_link_bytes"`
 	AggBytesPct    float64   `json:"agg_bytes_pct_of_row_shipping"`
 }
 
 // e19Runs is how many timed runs of five scans each E19 takes per member
-// count and link mode; the point reports their median.
+// count; the point reports their median.
 const e19Runs = 5
 
 // gatherRate times e19Runs runs of five full-view scans and returns each
@@ -134,22 +129,14 @@ func e19() {
 	const rows = 6400
 	agg := `SELECT COUNT(o_id) AS n, SUM(amount) AS s, AVG(amount) AS a FROM orders`
 	fmt.Println("workload: full-view scan and aggregate over an elastic view of", rows, "rows")
-	fmt.Printf("  %-8s %18s %18s %14s %14s %8s\n", "members", "rows/s (gather)", "rows/s (1ms/call)", "agg bytes", "row-ship bytes", "pct")
+	fmt.Printf("  %-8s %18s %18s %18s %8s\n", "members", "rows/s (gather)", "agg bytes", "row-ship bytes", "pct")
 	var points []e19point
 	var gatePct float64
 	for _, members := range []int{4, 32, 128} {
 		head, links := buildElasticFed(members, rows)
 
-		// Scatter-gather throughput: full-view scan, rows per second, over
-		// counting links and then over sleeping ones.
+		// Scatter-gather throughput: full-view scan, rows per second.
 		rowsPerSec, scanRuns := gatherRate(head, rows)
-		for _, l := range links {
-			l.Sleep = true
-		}
-		sleepRowsPerSec, sleepRuns := gatherRate(head, rows)
-		for _, l := range links {
-			l.Sleep = false
-		}
 
 		// Partial-agg pushdown vs row shipping, by link bytes.
 		mustQ(head, agg, nil)
@@ -168,10 +155,9 @@ func e19() {
 		if members == 32 {
 			gatePct = pct
 		}
-		fmt.Printf("  %-8d %18.0f %18.0f %14d %14d %7.1f%%\n", members, rowsPerSec, sleepRowsPerSec, aggBytes, shipBytes, pct)
+		fmt.Printf("  %-8d %18.0f %18d %18d %7.1f%%\n", members, rowsPerSec, aggBytes, shipBytes, pct)
 		points = append(points, e19point{
 			Members: members, ScanRowsPerSec: rowsPerSec, ScanRuns: scanRuns,
-			SleepRowsPerS: sleepRowsPerSec, SleepRuns: sleepRuns,
 			AggBytes: aggBytes, RowShipBytes: shipBytes, AggBytesPct: pct,
 		})
 	}

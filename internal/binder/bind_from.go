@@ -3,23 +3,17 @@ package binder
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"dhqp/internal/algebra"
+	"dhqp/internal/once"
 	"dhqp/internal/parser"
 )
 
 // maxViewDepth bounds nested view expansion.
 const maxViewDepth = 16
 
-// viewCacheCap bounds the parsed view definitions; at the cap the cache
-// starts over.
-const viewCacheCap = 1024
-
-var (
-	viewMu    sync.RWMutex
-	viewCache = map[string]*parser.SelectStmt{}
-)
+// viewCache holds each view definition text's parsed SELECT.
+var viewCache = once.New[string, *parser.SelectStmt](1024)
 
 // errViewNotSelect is a view definition that parses into something other
 // than a SELECT.
@@ -29,10 +23,7 @@ var errViewNotSelect = errors.New("does not define a SELECT")
 // the binder reads the statement and never writes it, so every compile that
 // names the view shares one. A text that does not parse is not cached.
 func viewOf(text string) (*parser.SelectStmt, error) {
-	viewMu.RLock()
-	sel := viewCache[text]
-	viewMu.RUnlock()
-	if sel != nil {
+	if sel, ok := viewCache.Get(text); ok {
 		return sel, nil
 	}
 	st, err := parser.Parse(text)
@@ -43,12 +34,7 @@ func viewOf(text string) (*parser.SelectStmt, error) {
 	if !ok {
 		return nil, errViewNotSelect
 	}
-	viewMu.Lock()
-	if len(viewCache) >= viewCacheCap {
-		clear(viewCache)
-	}
-	viewCache[text] = sel
-	viewMu.Unlock()
+	viewCache.Put(text, sel)
 	return sel, nil
 }
 

@@ -3,11 +3,11 @@ package binder
 import (
 	"slices"
 	"strings"
-	"sync"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/constraint"
 	"dhqp/internal/expr"
+	"dhqp/internal/once"
 	"dhqp/internal/parser"
 	"dhqp/internal/schema"
 )
@@ -33,13 +33,8 @@ type boundCheckText struct {
 	conj []constraint.ColDomain
 }
 
-// checkCacheCap bounds the cache; at the cap it starts over.
-const checkCacheCap = 4096
-
-var (
-	checkMu    sync.RWMutex
-	checkCache = map[string]*tableChecks{}
-)
+// checkCache holds each definition's bound CHECK constraints.
+var checkCache = once.New[string, *tableChecks](4096)
 
 // checksOf returns def's bound CHECK constraints, binding them on first
 // use. The cache key is everything the binding reads — the table's name,
@@ -55,19 +50,11 @@ func checksOf(def *schema.Table) *tableChecks {
 	for _, text := range def.Checks {
 		key = append(append(key, 1), text...)
 	}
-	checkMu.RLock()
-	tc := checkCache[string(key)]
-	checkMu.RUnlock()
-	if tc != nil {
+	if tc, ok := once.GetBytes(checkCache, key); ok {
 		return tc
 	}
-	tc = bindChecks(def)
-	checkMu.Lock()
-	if len(checkCache) >= checkCacheCap {
-		clear(checkCache)
-	}
-	checkCache[string(key)] = tc
-	checkMu.Unlock()
+	tc := bindChecks(def)
+	checkCache.Put(string(key), tc)
 	return tc
 }
 

@@ -184,6 +184,45 @@ func TestKeptTrees(t *testing.T) {
 	}
 }
 
+// TestKeptTreesHoldFewRows: a tree whose operators grew room for more
+// than keptRows rows is dropped when its execution ends, so a cached entry
+// holds no large hash build, group set or sort buffer between executions;
+// a small statement over the same table keeps its tree.
+func TestKeptTreesHoldFewRows(t *testing.T) {
+	s := NewServer("k", "db")
+	s.MustExec(`CREATE TABLE t (k INT, v INT)`)
+	const rows = (keptRows/1000 + 1) * 1000 // past keptRows
+	for lo := 0; lo < rows; lo += 1000 {
+		var b strings.Builder
+		b.WriteString("INSERT INTO t VALUES ")
+		for i := lo; i < lo+1000; i++ {
+			if i > lo {
+				b.WriteString(", ")
+			}
+			fmt.Fprintf(&b, "(%d, %d)", i, i%7)
+		}
+		s.MustExec(b.String())
+	}
+	for _, c := range []struct {
+		sql    string
+		groups int
+		kept   int
+	}{
+		{`SELECT k, COUNT(v) FROM t WHERE v >= @lo GROUP BY k`, rows, 0},
+		{`SELECT v, COUNT(k) FROM t WHERE v >= @lo GROUP BY v`, 7, 1},
+	} {
+		for range 3 {
+			res, err := s.Query(c.sql, map[string]sqltypes.Value{"lo": sqltypes.NewInt(0)})
+			if err != nil || len(res.Rows) != c.groups {
+				t.Fatalf("%s: %d groups, %v", c.sql, len(res.Rows), err)
+			}
+		}
+		if got := keptCount(s, c.sql); got != c.kept {
+			t.Errorf("%s: %d kept trees, want %d", c.sql, got, c.kept)
+		}
+	}
+}
+
 // reexecAllocs returns the objects one cached re-execution of a member's
 // pushed partial-aggregate statement allocates over rows rows.
 func reexecAllocs(tb testing.TB, rows int) float64 {

@@ -530,9 +530,18 @@ func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sq
 }
 
 // keptTrees bounds the operator trees a cached plan keeps between
-// executions: enough for the statement's concurrent executions on a busy
-// server, few enough that an idle entry holds little.
-const keptTrees = 4
+// executions, and keptRows the rows a kept tree may hold room for in its
+// operators' stores (Run.Held): a tree that grew past it is dropped, so an
+// idle entry holds little whatever its statement reads. Counted over the
+// repository benchmark's workloads (two clients each), no statement text
+// had more than two executions in flight at once, and the largest kept
+// tree held room for 8 192 rows (fed_row_ship; 2 024 in local_star_agg,
+// 32 in a scatter member's partial aggregate). An execution that finds no
+// kept tree builds one, as every execution did before trees were kept.
+const (
+	keptTrees = 2
+	keptRows  = 1 << 14
+)
 
 // take returns a kept operator tree that fits ctx, for this execution
 // alone, or nil: always under stats collection, whose shims a kept tree
@@ -555,9 +564,10 @@ func (p *cachedPlan) take(ctx *exec.Context) *exec.Run {
 }
 
 // keep releases a closed run's tree and keeps it for the plan's next
-// execution, unless keptTrees are kept already. A nil plan keeps nothing.
+// execution, unless it holds room for more than keptRows rows or keptTrees
+// are kept already. A nil plan keeps nothing.
 func (p *cachedPlan) keep(run *exec.Run) {
-	if p == nil {
+	if p == nil || run.Held() > keptRows {
 		return
 	}
 	run.Release()

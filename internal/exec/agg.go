@@ -140,7 +140,9 @@ func buildAgg(n *algebra.Node, groupCols []algebra.OutCol, aggs []algebra.AggSpe
 	if err != nil {
 		return nil, err
 	}
-	return &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos, stream: stream}, nil
+	h := &hashAggIter{ctx: ctx, child: child, gpos: gpos, specs: aggs, args: args, argPos: argPos, stream: stream}
+	ctx.hold(&h.groups)
+	return h, nil
 }
 
 // hashAggIter is both aggregates. It drains its child a batch at a time,

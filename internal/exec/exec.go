@@ -92,9 +92,17 @@ type Context struct {
 	// an operator whose state outlives a re-Open (the spool's buffer)
 	// replays that state only within the execution that filled it.
 	run uint64
-	// batches lists every batch newBatch made for the tree, and forks the
-	// contexts fork made for exchange children: what Run.Release walks.
+	// tree is the operator tree's own bookkeeping, which the context keeps
+	// when it takes another execution's fields (inherit, rebind).
+	tree treeParts
+}
+
+// treeParts lists what Run.Release and Run.Held walk: every batch newBatch
+// made for the tree, every store an operator keeps rows in, and the
+// contexts fork made for exchange children.
+type treeParts struct {
 	batches []*rowset.Batch
+	stores  []*rowset.Store
 	forks   []*Context
 }
 
@@ -112,8 +120,24 @@ func (c *Context) newBatch() *rowset.Batch { return c.keep(rowset.NewBatch(c.Bat
 
 // keep lists b among the tree's batches, for Run.Release, and returns it.
 func (c *Context) keep(b *rowset.Batch) *rowset.Batch {
-	c.batches = append(c.batches, b)
+	c.tree.batches = append(c.tree.batches, b)
 	return b
+}
+
+// hold lists an operator's row store among the tree's, for Run.Held.
+func (c *Context) hold(s *rowset.Store) { c.tree.stores = append(c.tree.stores, s) }
+
+// held sums the rows the stores of the context and its forks have room
+// for.
+func (c *Context) held() int {
+	n := 0
+	for _, s := range c.tree.stores {
+		n += s.Room()
+	}
+	for _, f := range c.tree.forks {
+		n += f.held()
+	}
+	return n
 }
 
 // firstN grows seq to hold 0, 1, 2, … and returns its first n entries:
@@ -134,18 +158,18 @@ func firstN(seq *[]int, n int) []int {
 func (c *Context) fork() *Context {
 	f := &Context{}
 	f.inherit(c)
-	c.forks = append(c.forks, f)
+	c.tree.forks = append(c.tree.forks, f)
 	return f
 }
 
 // inherit takes the parent's per-execution fields and a snapshot of its
 // parameter values (called at each exchange Open, so a re-open under a
 // parameterized parent, or the next execution of a kept tree, sees fresh
-// values), keeping its own parameter map, batches and forks.
+// values), keeping its own parameter map and tree bookkeeping.
 func (c *Context) inherit(parent *Context) {
-	params, batches, forks := c.Params, c.batches, c.forks
+	params, tree := c.Params, c.tree
 	*c = *parent
-	c.batches, c.forks = batches, forks
+	c.tree = tree
 	if params == nil {
 		params = make(map[string]sqltypes.Value, len(parent.Params))
 	}
@@ -157,13 +181,17 @@ func (c *Context) inherit(parent *Context) {
 }
 
 // release drops the per-execution fields and every borrowed image window
-// in the context's batches, its forks' included.
+// in the context's batches, its forks' included. A fork keeps its own
+// parameter map, emptied, for inherit to refill at the next execution.
 func (c *Context) release() {
-	for _, b := range c.batches {
+	for _, b := range c.tree.batches {
 		b.Release()
 	}
-	for _, f := range c.forks {
+	for _, f := range c.tree.forks {
+		params := f.Params
 		f.release()
+		clear(params)
+		f.Params = params
 	}
 	c.rebind(&Context{})
 }
@@ -171,9 +199,9 @@ func (c *Context) release() {
 // rebind takes next's per-execution fields, keeping the tree's own
 // bookkeeping, and counts a new execution.
 func (c *Context) rebind(next *Context) {
-	run, batches, forks := c.run, c.batches, c.forks
+	run, tree := c.run, c.tree
 	*c = *next
-	c.run, c.batches, c.forks = run+1, batches, forks
+	c.run, c.tree = run+1, tree
 }
 
 // Iterator is one operator's cursor. Open (re)starts execution; NextBatch
@@ -228,7 +256,9 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 		for i := range cpos {
 			cpos[i] = i
 		}
-		return &remoteFetchIter{ctx: ctx, op: op, feed: rowFeed{child: child}, keyPos: keyPos, cpos: cpos}, nil
+		r := &remoteFetchIter{ctx: ctx, op: op, feed: rowFeed{child: child}, keyPos: keyPos, cpos: cpos}
+		ctx.hold(&r.rows)
+		return r, nil
 	case *algebra.Filter:
 		child, err := Build(n.Kids[0], ctx)
 		if err != nil {
@@ -285,7 +315,9 @@ func buildOp(n *algebra.Node, ctx *Context) (Iterator, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &spoolIter{ctx: ctx, child: child, width: len(n.Kids[0].OutCols())}, nil
+		sp := &spoolIter{ctx: ctx, child: child, width: len(n.Kids[0].OutCols())}
+		ctx.hold(&sp.buf)
+		return sp, nil
 	case *algebra.ConstScan:
 		return buildConstScan(op, ctx)
 	case *algebra.EmptyScan:
@@ -356,6 +388,12 @@ func (r *Run) Reopen(ctx *Context) error {
 // so far.
 func (r *Run) Release() { r.ctx.release() }
 
+// Held reports the rows the tree's operators have room for in their row
+// stores — hash join builds, aggregate groups, sort and spool buffers —
+// which a kept tree holds between executions, and whatever it hashes or
+// heaps over them in proportion.
+func (r *Run) Held() int { return r.ctx.held() }
+
 // Pull returns the next non-empty root batch, valid until the next Pull,
 // or io.EOF after the last. It checks the statement's cancellation first
 // and counts every root batch in the record.
@@ -405,6 +443,8 @@ func buildTop(n *algebra.Node, order algebra.Ordering, limit int64, ctx *Context
 		return nil, err
 	}
 	t := &topIter{ctx: ctx, child: child, n: limit, width: len(n.Kids[0].OutCols()), ordinals: make([]int, len(order)), desc: make([]bool, len(order))}
+	ctx.hold(&t.rows)
+	ctx.hold(&t.spare)
 	for i, oc := range order {
 		if t.ordinals[i] = posOf(n.Kids[0].OutCols(), oc.Col); t.ordinals[i] < 0 {
 			return nil, fmt.Errorf("exec: ordering column col%d not in input", oc.Col)

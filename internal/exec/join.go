@@ -38,11 +38,13 @@ func buildHashJoin(n *algebra.Node, op *algebra.HashJoin, ctx *Context) (Iterato
 			return nil, err
 		}
 	}
-	return &hashJoinIter{
+	h := &hashJoinIter{
 		ctx: ctx, typ: op.Type, left: left, right: right,
 		lpos: lpos, rpos: rpos, residual: residual,
 		lwidth: len(lcols), rwidth: len(rcols),
-	}, nil
+	}
+	ctx.hold(&h.build)
+	return h, nil
 }
 
 type hashJoinIter struct {
@@ -305,6 +307,8 @@ func buildLoopJoin(n *algebra.Node, ctx *Context) (Iterator, error) {
 	}
 	lcols, rcols := n.Kids[0].OutCols(), n.Kids[1].OutCols()
 	j := &batchLoopJoinIter{ctx: ctx, left: rowFeed{child: left}, right: right, batch: 1, lwidth: len(lcols), rwidth: len(rcols)}
+	ctx.hold(&j.pending)
+	ctx.hold(&j.matches)
 	var on expr.Expr
 	switch op := n.Op.(type) {
 	case *algebra.LoopJoin:

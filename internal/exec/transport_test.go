@@ -471,3 +471,65 @@ func TestExchangeOpensEveryChild(t *testing.T) {
 		t.Errorf("MaxDOP 5: %d workers, %d pool batches before Open", p.dop, len(p.pool))
 	}
 }
+
+// TestKeptExchangeKeepsForkParams: a released exchange's children keep
+// their forked contexts' parameter maps, emptied, and the next execution
+// of the tree refills the same maps with its own values.
+func TestKeptExchangeKeepsForkParams(t *testing.T) {
+	servers := []string{"a", "b", "c", "d"}
+	sessions := map[string]oledb.Session{}
+	kids := make([]*algebra.Node, len(servers))
+	in := make([][]expr.ColumnID, len(servers))
+	for i, s := range servers {
+		sessions[s] = &scriptedSession{n: 10}
+		kids[i] = scriptedScan(s)
+		in[i] = []expr.ColumnID{1}
+	}
+	plan := algebra.NewNode(&algebra.Concat{OutColsList: []algebra.OutCol{{ID: 9, Name: "k", Kind: sqltypes.KindInt}}, InMaps: in}, kids...)
+	rt := &testRT{sessions: sessions}
+	execCtx := func(p int64) *Context {
+		return &Context{RT: rt, Env: expr.Env{Params: map[string]sqltypes.Value{"p": sqltypes.NewInt(p)}}}
+	}
+	drain := func(r *Run) {
+		t.Helper()
+		for _, err := r.Pull(); err != io.EOF; _, err = r.Pull() {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}
+	r, err := Open(plan, execCtx(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	forks := r.ctx.tree.forks
+	if len(forks) != len(servers) {
+		t.Fatalf("%d forked contexts, want %d", len(forks), len(servers))
+	}
+	maps := make([]string, len(forks))
+	for i, f := range forks {
+		maps[i] = fmt.Sprintf("%p", f.Params)
+	}
+	drain(r)
+	for i, f := range forks {
+		if f.Params == nil || len(f.Params) != 0 {
+			t.Fatalf("fork %d after Release: parameters %v, want an empty kept map", i, f.Params)
+		}
+	}
+	if err := r.Reopen(execCtx(2)); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range forks {
+		if got := fmt.Sprintf("%p", f.Params); got != maps[i] {
+			t.Errorf("fork %d: a new parameter map at the next execution", i)
+		}
+		if v := f.Params["p"]; v.Int() != 2 {
+			t.Errorf("fork %d: @p = %v, want the next execution's 2", i, v)
+		}
+	}
+	drain(r)
+}

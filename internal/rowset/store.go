@@ -19,6 +19,17 @@ func (s *Store) Len() int { return s.n }
 // stored rows.
 func (s *Store) Cols() []Vec { return s.cols }
 
+// Room reports how many rows the store's column buffers hold without
+// growing: what it keeps allocated once reset.
+func (s *Store) Room() int {
+	n := 0
+	for j := range s.cols {
+		_, c := s.cols[j].room()
+		n = max(n, c)
+	}
+	return n
+}
+
 // Reset empties the store to width columns, keeping their buffers.
 func (s *Store) Reset(width int) {
 	s.n = 0

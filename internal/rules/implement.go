@@ -86,7 +86,7 @@ var implementationRules = []ImplementationRule{
 // at the given phase, in registry order; like Guidance's, the list is
 // computed once per (operator type, phase) and shared.
 func ImplGuidance(op algebra.Operator, phase Phase) []ImplementationRule {
-	return implLists.get(op, phase, func() []ImplementationRule {
+	return ruleList(implLists, op, phase, func() []ImplementationRule {
 		var out []ImplementationRule
 		for _, r := range implementationRules {
 			if r.MinPhase() <= phase && implMatches(r, op) {

@@ -15,12 +15,12 @@ package rules
 import (
 	"reflect"
 	"slices"
-	"sync"
 
 	"dhqp/internal/algebra"
 	"dhqp/internal/expr"
 	"dhqp/internal/memo"
 	"dhqp/internal/oledb"
+	"dhqp/internal/once"
 )
 
 // Phase enumerates the optimization phases (§4.1.1): "transaction
@@ -111,7 +111,7 @@ type ExplorationRule interface {
 // list is fixed by the operator's type and the phase, so it is computed
 // once per pair and shared: callers must not modify it.
 func Guidance(op algebra.Operator, phase Phase) []ExplorationRule {
-	return exploreLists.get(op, phase, func() []ExplorationRule {
+	return ruleList(exploreLists, op, phase, func() []ExplorationRule {
 		var out []ExplorationRule
 		for _, r := range explorationRules {
 			if r.MinPhase() <= phase && ruleMatchesRoot(r, op) {
@@ -122,39 +122,28 @@ func Guidance(op algebra.Operator, phase Phase) []ExplorationRule {
 	})
 }
 
+// A registry's rule list per (operator type, phase), each filtered in
+// registry order on first use. The keys are fixed by the code, so the cap
+// is never reached.
 var (
-	exploreLists ruleLists[ExplorationRule]
-	implLists    ruleLists[ImplementationRule]
+	exploreLists = once.New[ruleKey, []ExplorationRule](1024)
+	implLists    = once.New[ruleKey, []ImplementationRule](1024)
 )
-
-// ruleLists holds a registry's rule list per (operator type, phase), each
-// filtered in registry order on first use.
-type ruleLists[R any] struct {
-	mu    sync.RWMutex
-	lists map[ruleKey][]R
-}
 
 type ruleKey struct {
 	op    reflect.Type
 	phase Phase
 }
 
-// get returns op's list at phase, filtering it with filter the first time.
-func (c *ruleLists[R]) get(op algebra.Operator, phase Phase, filter func() []R) []R {
+// ruleList returns op's list at phase from lists, filtering it with filter
+// the first time.
+func ruleList[R any](lists *once.Map[ruleKey, []R], op algebra.Operator, phase Phase, filter func() []R) []R {
 	k := ruleKey{reflect.TypeOf(op), phase}
-	c.mu.RLock()
-	list, ok := c.lists[k]
-	c.mu.RUnlock()
-	if ok {
+	if list, ok := lists.Get(k); ok {
 		return list
 	}
-	list = slices.Clip(filter()) // an append by a caller copies
-	c.mu.Lock()
-	if c.lists == nil {
-		c.lists = map[ruleKey][]R{}
-	}
-	c.lists[k] = list
-	c.mu.Unlock()
+	list := slices.Clip(filter()) // an append by a caller copies
+	lists.Put(k, list)
 	return list
 }
 
