@@ -103,12 +103,15 @@ func TestHeadStopStopsMember(t *testing.T) {
 }
 
 // TestMemberCursorHoldsOneFetch: opening a member's statement and taking
-// its first fetch allocates the same at 20 000 rows as at 200 000 — the
-// member holds a fetch, not its result.
+// its first fetch allocates the same at 66 000 rows as at 660 000 — the
+// member holds a fetch, not its result. Both sizes are past keptReads, so
+// both fetches build their operator tree: a kept tree at one size and a
+// built one at the other would differ by the tree, not by the rows.
 func TestMemberCursorHoldsOneFetch(t *testing.T) {
 	const query = `SELECT i, s FROM big WHERE i >= 0`
+	const small = (keptReads/1000 + 1) * 1000
 	bytes := map[int]uint64{}
-	for _, n := range []int{20_000, 200_000} {
+	for _, n := range []int{small, 10 * small} {
 		m := bigMember(t, n)
 		fetch := func() {
 			cur, err := m.QuerySQL(context.Background(), query, nil)
@@ -123,9 +126,9 @@ func TestMemberCursorHoldsOneFetch(t *testing.T) {
 		fetch() // compiles, and builds the image
 		bytes[n] = allocated(fetch)
 	}
-	small, large := float64(bytes[20_000]), float64(bytes[200_000])
-	if large > 1.1*small || small > 1.1*large {
-		t.Errorf("open + first fetch allocated %.0f B at 20 000 rows and %.0f B at 200 000: want within 10 %%", small, large)
+	few, many := float64(bytes[small]), float64(bytes[10*small])
+	if many > 1.1*few || few > 1.1*many {
+		t.Errorf("open + first fetch allocated %.0f B at %d rows and %.0f B at %d: want within 10 %%", few, small, many, 10*small)
 	}
 }
 

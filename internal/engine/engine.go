@@ -116,14 +116,16 @@ type Server struct {
 }
 
 // cachedPlan is a compiled SELECT (plan, cols) or UPDATE or DELETE (write).
-// A SELECT's entry also keeps the operator trees of its finished
-// executions (kept, under mu), so a plan that runs again builds nothing;
-// the trees go with the entry when it is evicted or replaced.
+// A SELECT's entry that reads few rows (keeps) also keeps the operator
+// trees of its finished executions (kept, under mu), so a plan that runs
+// again builds nothing; the trees go with the entry when it is evicted or
+// replaced.
 type cachedPlan struct {
 	plan  *algebra.Node
 	cols  []schema.Column
 	write *writePlan
 	gen   uint64 // Config.planGen it was compiled under
+	keeps bool   // the plan's trees are kept (keepsTrees)
 
 	mu   sync.Mutex
 	kept []*exec.Run

@@ -187,22 +187,28 @@ func TestKeptTrees(t *testing.T) {
 // TestKeptTreesHoldFewRows: a tree whose operators grew room for more
 // than keptRows rows is dropped when its execution ends, so a cached entry
 // holds no large hash build, group set or sort buffer between executions;
-// a small statement over the same table keeps its tree.
+// a plan estimated to read more than keptReads rows keeps no tree, however
+// little its operators hold; a small statement over the smaller table keeps
+// its tree.
 func TestKeptTreesHoldFewRows(t *testing.T) {
 	s := NewServer("k", "db")
-	s.MustExec(`CREATE TABLE t (k INT, v INT)`)
-	const rows = (keptRows/1000 + 1) * 1000 // past keptRows
-	for lo := 0; lo < rows; lo += 1000 {
-		var b strings.Builder
-		b.WriteString("INSERT INTO t VALUES ")
-		for i := lo; i < lo+1000; i++ {
-			if i > lo {
-				b.WriteString(", ")
+	fill := func(table string, rows int) {
+		s.MustExec(`CREATE TABLE ` + table + ` (k INT, v INT)`)
+		for lo := 0; lo < rows; lo += 1000 {
+			var b strings.Builder
+			b.WriteString("INSERT INTO " + table + " VALUES ")
+			for i := lo; i < lo+1000; i++ {
+				if i > lo {
+					b.WriteString(", ")
+				}
+				fmt.Fprintf(&b, "(%d, %d)", i, i%7)
 			}
-			fmt.Fprintf(&b, "(%d, %d)", i, i%7)
+			s.MustExec(b.String())
 		}
-		s.MustExec(b.String())
 	}
+	const rows = (keptRows/1000 + 1) * 1000 // past keptRows
+	fill("t", rows)
+	fill("big", (keptReads/1000+1)*1000) // past keptReads
 	for _, c := range []struct {
 		sql    string
 		groups int
@@ -210,6 +216,7 @@ func TestKeptTreesHoldFewRows(t *testing.T) {
 	}{
 		{`SELECT k, COUNT(v) FROM t WHERE v >= @lo GROUP BY k`, rows, 0},
 		{`SELECT v, COUNT(k) FROM t WHERE v >= @lo GROUP BY v`, 7, 1},
+		{`SELECT v, COUNT(k) FROM big WHERE v >= @lo GROUP BY v`, 7, 0},
 	} {
 		for range 3 {
 			res, err := s.Query(c.sql, map[string]sqltypes.Value{"lo": sqltypes.NewInt(0)})

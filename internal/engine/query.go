@@ -525,7 +525,7 @@ func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sq
 	if err != nil {
 		return nil, c.fail(err)
 	}
-	s.cachePlan(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen})
+	s.cachePlan(sql, &cachedPlan{plan: plan, cols: cols, gen: cfg.planGen, keeps: keepsTrees(plan)})
 	return c.exec(sql, plan, cols, params, nil)
 }
 
@@ -538,17 +538,53 @@ func (s *Server) openQuery(ctx context.Context, sql string, params map[string]sq
 // tree held room for 8 192 rows (fed_row_ship; 2 024 in local_star_agg,
 // 32 in a scatter member's partial aggregate). An execution that finds no
 // kept tree builds one, as every execution did before trees were kept.
+//
+// keptReads bounds the rows a plan whose trees are kept is estimated to
+// read (the estimated rows of its leaves). A kept tree saves a fixed cost
+// per execution, building the operators and growing their scratch, which
+// is much of a small statement's work: a point read (1 row), a scatter
+// member's partial aggregate (1 000), fed_row_ship's member scans (4 000)
+// and head join (16 520). A plan that reads hundreds of thousands of rows
+// spends its execution on them, and what a kept tree adds there is warm
+// caches, whose worth follows the host's load rather than the statement:
+// local_star_agg's star join (201 000 rows) ran faster in the median with
+// its tree kept, but its runs spread about twice as wide as with a tree
+// built per execution, wider than the benchmark can resolve.
 const (
 	keptTrees = 2
 	keptRows  = 1 << 14
+	keptReads = 1 << 16
 )
+
+// keepsTrees reports whether a cached plan keeps its operator trees: it is
+// estimated to read at most keptReads rows.
+func keepsTrees(plan *algebra.Node) bool {
+	return estReads(plan) <= keptReads
+}
+
+// estReads sums the estimated rows of the plan's leaves (0 where a node
+// carries no estimate).
+func estReads(n *algebra.Node) float64 {
+	if len(n.Kids) == 0 {
+		if n.Est == nil {
+			return 0
+		}
+		return n.Est.Rows
+	}
+	var rows float64
+	for _, k := range n.Kids {
+		rows += estReads(k)
+	}
+	return rows
+}
 
 // take returns a kept operator tree that fits ctx, for this execution
 // alone, or nil: always under stats collection, whose shims a kept tree
-// lacks. A kept tree that does not fit otherwise (the batch size or MaxDOP
-// changed since it was built) is dropped. A nil plan keeps nothing.
+// lacks, and for a plan that keeps no trees. A kept tree that does not fit
+// otherwise (the batch size or MaxDOP changed since it was built) is
+// dropped. A nil plan keeps nothing.
 func (p *cachedPlan) take(ctx *exec.Context) *exec.Run {
-	if p == nil || ctx.Stats.Collecting() {
+	if p == nil || !p.keeps || ctx.Stats.Collecting() {
 		return nil
 	}
 	p.mu.Lock()
@@ -564,10 +600,11 @@ func (p *cachedPlan) take(ctx *exec.Context) *exec.Run {
 }
 
 // keep releases a closed run's tree and keeps it for the plan's next
-// execution, unless it holds room for more than keptRows rows or keptTrees
-// are kept already. A nil plan keeps nothing.
+// execution, unless the plan keeps no trees, the tree holds room for more
+// than keptRows rows or keptTrees are kept already. A nil plan keeps
+// nothing.
 func (p *cachedPlan) keep(run *exec.Run) {
-	if p == nil || run.Held() > keptRows {
+	if p == nil || !p.keeps || run.Held() > keptRows {
 		return
 	}
 	run.Release()
