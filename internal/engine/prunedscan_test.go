@@ -74,9 +74,9 @@ func countPrunedScans(n *algebra.Node) int {
 // same at batch sizes 1, 3 and 1024 — over the
 // NULL-heavy mixed-kind table, over a table with deleted slots, and at a
 // historical snapshot, where a commit has landed after the statement's
-// snapshot was taken and the scan has to bypass the columnar image. No
-// statement writes into the image of a table it reads, and the DML
-// replaces images without writing into them either.
+// snapshot was taken and the scan reads the rewritten rows from the undo
+// tail. No statement writes into the image of a table it reads, and the
+// DML and merges replace images without writing into them either.
 func TestPrunedScanEquivalence(t *testing.T) {
 	s := prunedServer(t)
 	defer holdImages(t, s).check(t)
@@ -99,7 +99,10 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before[sql] = canonical(res, true)
+		// Compared as multisets: a scan returns the rows rewritten since
+		// the table's main image after main's, so a snapshot read of the
+		// same rows may order them differently.
+		before[sql] = canonical(res, false)
 	}
 	snap := s.store.AcquireSnapshot()
 	defer snap.Release()
@@ -147,10 +150,10 @@ func TestPrunedScanEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := canonical(res, true); strings.Join(got, "\n") != strings.Join(before[sql], "\n") {
+		if got := canonical(res, false); strings.Join(got, "\n") != strings.Join(before[sql], "\n") {
 			t.Errorf("%s at the snapshot:\n%s\nwant what it returned before the commits:\n%s", sql, strings.Join(got, "\n"), strings.Join(before[sql], "\n"))
 		}
-		if got := canonical(now, true); strings.Join(got, "\n") == strings.Join(before[sql], "\n") {
+		if got := canonical(now, false); strings.Join(got, "\n") == strings.Join(before[sql], "\n") {
 			t.Errorf("%s: the commits changed nothing it reads, the snapshot read tests nothing", sql)
 		}
 	}

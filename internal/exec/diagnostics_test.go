@@ -4,8 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"dhqp/internal/algebra"
 	"dhqp/internal/telemetry"
 )
+
+// branchOn is a fan-out branch that reaches server.
+func branchOn(server string) *algebra.Node {
+	return &algebra.Node{Op: &algebra.RemoteQuery{Server: server}}
+}
 
 // TestDiagnosticsSkippedDedupeSort: a server skipped by several fan-out
 // branches reports once in the statement's record, and the list comes back
@@ -13,7 +19,7 @@ import (
 func TestDiagnosticsSkippedDedupeSort(t *testing.T) {
 	ctx := &Context{Stats: telemetry.NewCollector(false, nil, nil)}
 	for _, s := range []string{"server3", "server1", "server3", "server2", "server1"} {
-		recordSkip(ctx, s)
+		recordSkip(ctx, branchOn(s))
 	}
 	want := []string{"server1", "server2", "server3"}
 	if got := ctx.Stats.Skipped(); !reflect.DeepEqual(got, want) {
@@ -49,7 +55,7 @@ func TestDiagnosticsNilSafe(t *testing.T) {
 	ctx.Stats.RecordBackoff(1)
 	ctx.Stats.RecordBatch(1)
 	ctx.Stats.RecordStartup(true)
-	recordSkip(ctx, "y")
+	recordSkip(ctx, branchOn("y"))
 	if n := ctx.Stats.Counts(); n.Retries != 0 || n.Batches != 0 || ctx.Stats.Skipped() != nil || ctx.Stats.Links() != nil {
 		t.Error("nil record returned data")
 	}

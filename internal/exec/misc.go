@@ -362,32 +362,28 @@ func (s *spoolIter) Close() error { return nil }
 // concatIter is UNION ALL: children in sequence, each remapped to the
 // output column order.
 type concatIter struct {
-	ctx    *Context
-	kids   []Iterator
-	maps   [][]int  // per child: output position -> child position
-	labels []string // per child: server(s) the branch reaches, or "local"
-	idx    int
-	open   bool
-	sent   int // rows emitted from the currently open child
+	ctx   *Context
+	kids  []Iterator
+	maps  [][]int         // per child: output position -> child position
+	nodes []*algebra.Node // per child: its plan, which names the branch in errors and skips
+	idx   int
+	open  bool
+	sent  int // rows emitted from the currently open child
 }
 
-// branchLabels names the server(s) each fan-out branch reaches, so branch
-// failures identify which linked server — which partition — went wrong.
-func branchLabels(kids []*algebra.Node) []string {
-	labels := make([]string, len(kids))
-	for i, k := range kids {
-		if servers := algebra.RemoteServers(k); len(servers) > 0 {
-			labels[i] = strings.Join(servers, "+")
-		} else {
-			labels[i] = "local"
-		}
+// branchLabel names the server(s) a fan-out branch reaches, so a branch
+// failure identifies which linked server — which partition — went wrong.
+// Only a failure or a skip asks for it.
+func branchLabel(kid *algebra.Node) string {
+	if servers := algebra.RemoteServers(kid); len(servers) > 0 {
+		return strings.Join(servers, "+")
 	}
-	return labels
+	return "local"
 }
 
 // branchErr tags a branch error with the server it came from.
-func branchErr(idx int, label string, err error) error {
-	return fmt.Errorf("exec: concat branch %d [%s]: %w", idx, label, err)
+func branchErr(idx int, kid *algebra.Node, err error) error {
+	return fmt.Errorf("exec: concat branch %d [%s]: %w", idx, branchLabel(kid), err)
 }
 
 // skippableBranch reports whether a failed branch may be skipped under
@@ -399,9 +395,10 @@ func skippableBranch(ctx *Context, err error, sent int) bool {
 	return ctx.PartialResults && sent == 0 && circuit.IsOpen(err)
 }
 
-// recordSkip records a skipped branch, mapping the label through the
+// recordSkip records a skipped branch, mapping its label through the
 // context's rewriter (shard-map attribution) when one is installed.
-func recordSkip(ctx *Context, label string) {
+func recordSkip(ctx *Context, kid *algebra.Node) {
+	label := branchLabel(kid)
 	if ctx.SkipLabelFor != nil {
 		label = ctx.SkipLabelFor(label)
 	}
@@ -449,11 +446,10 @@ func buildConcat(n *algebra.Node, op *algebra.Concat, ctx *Context) (Iterator, e
 		}
 		maps[i] = m
 	}
-	labels := branchLabels(n.Kids)
 	if parallel {
-		return newParallelConcat(ctx, kids, kidCtxs, maps, labels), nil
+		return newParallelConcat(ctx, kids, kidCtxs, maps, n.Kids), nil
 	}
-	return &concatIter{ctx: ctx, kids: kids, maps: maps, labels: labels}, nil
+	return &concatIter{ctx: ctx, kids: kids, maps: maps, nodes: n.Kids}, nil
 }
 
 type colNotFoundError expr.ColumnID
@@ -485,11 +481,11 @@ func (c *concatIter) NextBatch(b *rowset.Batch) error {
 			c.sent = 0
 			if err := kid.Open(); err != nil {
 				if skippableBranch(c.ctx, err, c.sent) {
-					recordSkip(c.ctx, c.labels[c.idx])
+					recordSkip(c.ctx, c.nodes[c.idx])
 					c.idx++
 					continue
 				}
-				return branchErr(c.idx, c.labels[c.idx], err)
+				return branchErr(c.idx, c.nodes[c.idx], err)
 			}
 			c.open = true
 		}
@@ -508,13 +504,13 @@ func (c *concatIter) NextBatch(b *rowset.Batch) error {
 			continue
 		}
 		if skippableBranch(c.ctx, err, c.sent) {
-			recordSkip(c.ctx, c.labels[c.idx])
+			recordSkip(c.ctx, c.nodes[c.idx])
 			c.open = false
 			_ = kid.Close()
 			c.idx++
 			continue
 		}
-		return branchErr(c.idx, c.labels[c.idx], err)
+		return branchErr(c.idx, c.nodes[c.idx], err)
 	}
 }
 

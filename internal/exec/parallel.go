@@ -13,6 +13,7 @@ import (
 	"io"
 	"sync"
 
+	"dhqp/internal/algebra"
 	"dhqp/internal/rowset"
 )
 
@@ -49,9 +50,9 @@ type parItem struct {
 type parallelConcatIter struct {
 	parent  *Context
 	kids    []Iterator
-	kidCtxs []*Context // forked per child; nil entries share parent
-	maps    [][]int    // per child: output position -> child position
-	labels  []string   // per child: server(s) the branch reaches
+	kidCtxs []*Context      // forked per child; nil entries share parent
+	maps    [][]int         // per child: output position -> child position
+	nodes   []*algebra.Node // per child: its plan, which names the branch in errors and skips
 	dop     int
 
 	pool    []*rowset.Batch // the exchange's batches, within exchangeBatchBudget
@@ -64,12 +65,12 @@ type parallelConcatIter struct {
 
 // newParallelConcat assembles the exchange over already-built children:
 // a worker per child unless MaxDOP caps them.
-func newParallelConcat(parent *Context, kids []Iterator, kidCtxs []*Context, maps [][]int, labels []string) *parallelConcatIter {
+func newParallelConcat(parent *Context, kids []Iterator, kidCtxs []*Context, maps [][]int, nodes []*algebra.Node) *parallelConcatIter {
 	dop := len(kids)
 	if parent.MaxDOP > 0 {
 		dop = min(dop, parent.MaxDOP)
 	}
-	return &parallelConcatIter{parent: parent, kids: kids, kidCtxs: kidCtxs, maps: maps, labels: labels, dop: max(dop, 1)}
+	return &parallelConcatIter{parent: parent, kids: kids, kidCtxs: kidCtxs, maps: maps, nodes: nodes, dop: max(dop, 1)}
 }
 
 func (p *parallelConcatIter) Open() error {
@@ -141,10 +142,10 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, free chan *rowse
 	kid := p.kids[idx]
 	if err := kid.Open(); err != nil {
 		if skippableBranch(p.parent, err, 0) {
-			recordSkip(p.parent, p.labels[idx])
+			recordSkip(p.parent, p.nodes[idx])
 			return false
 		}
-		sendItem(ch, cancel, parItem{err: branchErr(idx, p.labels[idx], err)})
+		sendItem(ch, cancel, parItem{err: branchErr(idx, p.nodes[idx], err)})
 		return true
 	}
 	defer kid.Close()
@@ -163,10 +164,10 @@ func (p *parallelConcatIter) runChild(idx int, ch chan parItem, free chan *rowse
 				return false
 			}
 			if skippableBranch(p.parent, err, sent) {
-				recordSkip(p.parent, p.labels[idx])
+				recordSkip(p.parent, p.nodes[idx])
 				return false
 			}
-			sendItem(ch, cancel, parItem{err: branchErr(idx, p.labels[idx], err)})
+			sendItem(ch, cancel, parItem{err: branchErr(idx, p.nodes[idx], err)})
 			return true
 		}
 		sent += b.Len()

@@ -164,7 +164,7 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 	}
 	maps := [][]int{{0}, {0}, {0}, {0}}
 	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}, MaxDOP: 4}
-	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
+	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []*algebra.Node{{}, {}, {}, {}})
 	rows := rowsOf(p)
 	if err := rows.Open(); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestParallelConcatOpenCloseNoGoroutineLeak(t *testing.T) {
 	}
 	maps := [][]int{{0}, {0}, {0}, {0}}
 	ctx := &Context{Env: expr.Env{Params: map[string]sqltypes.Value{}}}
-	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []string{"local", "local", "local", "local"})
+	p := newParallelConcat(ctx, kids, make([]*Context, len(kids)), maps, []*algebra.Node{{}, {}, {}, {}})
 	rows := rowsOf(p)
 	for i := 0; i < 25; i++ {
 		if err := rows.Open(); err != nil {

@@ -202,16 +202,7 @@ func (s *Session) FetchByBookmarks(table string, bms []int64) (rowset.Rowset, er
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]rowset.Row, 0, len(bms))
-	csn := s.readCSN()
-	for _, bm := range bms {
-		r, err := t.FetchAt(bm, csn)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r)
-	}
-	return rowset.NewMaterialized(t.Def().Columns, rows), nil
+	return t.FetchRowsAt(bms, s.readCSN())
 }
 
 // ColumnHistogram implements oledb.Session (the statistics extension,
@@ -229,7 +220,7 @@ func (s *Session) ColumnHistogram(table, column string) (rowset.Rowset, error) {
 	vals := make([]sqltypes.Value, 0, t.RowCount())
 	rs, b := t.Scan().(rowset.ProjectedBatchReader), rowset.NewBatch(rowset.MaxBatchSize)
 	for rs.NextBatchProjected(b, []int{ord}) == nil {
-		for i := range b.Len() {
+		for _, i := range b.Indices() {
 			vals = append(vals, b.Col(0).Value(i))
 		}
 	}

@@ -97,7 +97,7 @@ func mutate(e *Engine, tbl *Table, nextID *int64, rng *rand.Rand) {
 func (t *Table) slotCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return len(t.rows)
+	return len(t.csns)
 }
 
 type seekHit struct {
