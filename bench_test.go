@@ -995,7 +995,7 @@ func BenchmarkKeyedDML(b *testing.B) {
 			start := time.Now()
 			rs := pk.RangeAt(key, key, snap.CSN())
 			d := time.Since(start)
-			if _, err := rs.Next(); err != nil {
+			if err := rs.NextBatch(rowset.NewBatch(1)); err != nil {
 				b.Fatalf("seek at the snapshot found no row: %v", err)
 			}
 			return d

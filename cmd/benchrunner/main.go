@@ -20,6 +20,7 @@ import (
 	"dhqp"
 	"dhqp/internal/engine"
 	"dhqp/internal/oledb"
+	"dhqp/internal/rowset"
 	"dhqp/internal/storage"
 	"dhqp/internal/workload"
 )
@@ -796,11 +797,8 @@ func e13() {
 	rs2, err := cmd.Execute()
 	must(err)
 	n := 0
-	for {
-		if _, err := rs2.Next(); err != nil {
-			break
-		}
-		n++
+	for b := rowset.NewBatch(0); rs2.NextBatch(b) == nil; {
+		n += b.Len()
 	}
 	rs2.Close()
 	fmt.Printf("  ICommand::Execute         -> rowset with %d row(s)\n", n)

@@ -5,6 +5,7 @@ import (
 
 	"dhqp/internal/oracle"
 	"dhqp/internal/rowset"
+	"dhqp/internal/storage"
 )
 
 // TestStatementOracleThroughDelta runs the statement oracle's statements
@@ -29,21 +30,9 @@ func TestStatementOracleThroughDelta(t *testing.T) {
 			d, _ := s.Store().Database(name)
 			for _, tn := range d.Tables() {
 				tbl, _ := d.Table(tn)
-				var rows []rowset.Row
-				var bms []int64
-				rs := tbl.Scan()
-				for i := 0; ; i++ {
-					r, err := rs.Next()
-					if err != nil {
-						break
-					}
-					if i%20 == 3 {
-						rows, bms = append(rows, r), append(bms, rs.Bookmark())
-					}
-				}
-				rs.Close()
-				for i, r := range rows {
-					if err := tbl.Update(bms[i], r); err != nil {
+				rows, bms := tableRows(tbl)
+				for i := 3; i < len(rows); i += 20 {
+					if err := tbl.Update(bms[i], rows[i]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -59,4 +48,23 @@ func TestStatementOracleThroughDelta(t *testing.T) {
 			}
 		}
 	}
+}
+
+// tableRows reads every live row of tbl and its bookmark, the ordinal one
+// past the table's last column.
+func tableRows(tbl *storage.Table) (rows []rowset.Row, bms []int64) {
+	w := len(tbl.Def().Columns)
+	all := make([]int, w+1)
+	for j := range all {
+		all[j] = j
+	}
+	rs := tbl.Scan()
+	defer rs.Close()
+	for b := rowset.NewBatch(0); rs.(rowset.ProjectedBatchReader).NextBatchProjected(b, all) == nil; {
+		for i := 0; i < b.Len(); i++ {
+			r := b.RowAt(i, nil)
+			rows, bms = append(rows, r[:w:w]), append(bms, r[w].Int())
+		}
+	}
+	return rows, bms
 }

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,6 +33,7 @@ import (
 	"dhqp/internal/providers/email"
 	"dhqp/internal/providers/fulltext"
 	"dhqp/internal/providers/native"
+	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
 	"dhqp/internal/shardmap"
 	"dhqp/internal/sqltypes"
@@ -499,13 +501,24 @@ func (s *Server) CreateFullTextIndex(catalogName, table, column string) error {
 	cat := s.ftService.CreateCatalog(catalogName)
 	sc := t.Scan()
 	defer sc.Close()
+	// The text column and the bookmark, the ordinal past the last column.
+	proj, b := []int{ord, len(t.Def().Columns)}, rowset.NewBatch(0)
 	for {
-		r, err := sc.Next()
-		if err != nil {
+		err := sc.(rowset.ProjectedBatchReader).NextBatchProjected(b, proj)
+		if err == io.EOF {
 			break
 		}
-		if r[ord].Kind() == sqltypes.KindString {
-			cat.AddText(sc.Bookmark(), r[ord].Str(), nil)
+		if err != nil {
+			return err
+		}
+		text, bms := b.Col(0), b.Col(1).Int64s()
+		if text.Kind() != sqltypes.KindString {
+			continue
+		}
+		for _, i := range b.Indices() {
+			if text.Valid(i) {
+				cat.AddText(bms[i], text.Strings()[i], nil)
+			}
 		}
 	}
 	s.mu.Lock()

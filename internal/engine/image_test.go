@@ -32,7 +32,7 @@ func holdImages(t *testing.T, servers ...*Server) *heldImages {
 				var held []*rowset.Batch
 				for {
 					b := rowset.NewBatch(rowset.MaxBatchSize)
-					err := rs.(rowset.BatchReader).NextBatch(b)
+					err := rs.NextBatch(b)
 					if err == io.EOF {
 						break
 					}

@@ -341,7 +341,7 @@ func (c *Cursor) fail(err error) error {
 	return err
 }
 
-// Columns implements rowset.Cursor: the result's shape.
+// Columns implements rowset.Rowset: the result's shape.
 func (c *Cursor) Columns() []schema.Column { return c.res.Cols }
 
 // Pull returns the statement's next non-empty root batch, valid until the
@@ -362,7 +362,7 @@ func (c *Cursor) Pull() (*rowset.Batch, error) {
 	return b, err
 }
 
-// NextBatch implements rowset.Cursor, the member side of a link: it fills
+// NextBatch implements rowset.Rowset, the member side of a link: it fills
 // b to capacity by gathering rows out of as many root batches as that
 // takes, one gather per row, so a fetch is full however the plan cut its
 // batches (GetNextRows(cRows)). What a fetch leaves of a root batch waits
@@ -397,7 +397,7 @@ func (c *Cursor) NextBatch(b *rowset.Batch) error {
 	return nil
 }
 
-// Close implements rowset.Cursor: Finish with no failure of the consumer.
+// Close implements rowset.Rowset: Finish with no failure of the consumer.
 // The statement's own failure already reached the consumer from a pull.
 func (c *Cursor) Close() error {
 	c.Finish(nil)
@@ -733,7 +733,7 @@ func (s *Server) execContext(qctx context.Context, cfg *Config, params map[strin
 // member's plan as far as that fetch needs and crosses the link as the
 // typed columns the member's executor produced, and the head's Close ends
 // the member's statement.
-func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Cursor, error) {
+func (s *Server) QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Rowset, error) {
 	c, err := s.OpenQuery(ctx, sql, params)
 	if err != nil {
 		return nil, err

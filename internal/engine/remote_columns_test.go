@@ -109,7 +109,7 @@ func TestMemberResultOwnsItsColumns(t *testing.T) {
 	const want = "[(10, 3, one, 2024-01-01, 1) (20, NULL, two, 2024-02-29, 0) (30, 6.5, NULL, 2024-03-03, 1) (40, -8, four, NULL, 0) " +
 		"(50, 11, five, 2024-05-05, NULL) (60, 12, six, 2024-06-06, 1) (NULL, 15.5, seven, 2024-07-07, 0)]"
 	// fetch reads one fetch of three rows into rows and its size into fills.
-	fetch := func(cur rowset.Cursor, rows *[]rowset.Row, fills *[]int) error {
+	fetch := func(cur rowset.Rowset, rows *[]rowset.Row, fills *[]int) error {
 		b := rowset.NewBatch(3)
 		err := cur.NextBatch(b)
 		if err == nil {

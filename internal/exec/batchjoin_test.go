@@ -74,7 +74,7 @@ func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rows.Next(); !errors.Is(err, boom) {
+	if _, err := rows.NextRow(); !errors.Is(err, boom) {
 		t.Fatalf("first row: %v, want the inner's failure", err)
 	}
 	if !right.isOpen {
@@ -89,7 +89,7 @@ func TestLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	}
 	n := 0
 	for {
-		if _, err := rows.Next(); err == io.EOF {
+		if _, err := rows.NextRow(); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -120,7 +120,7 @@ func TestBatchLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, err := it.Next(); err != nil {
+		if _, err := it.NextRow(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +130,7 @@ func TestBatchLoopJoinReOpenClosesInFlightInner(t *testing.T) {
 	}
 	count := 0
 	for {
-		if _, err := it.Next(); err == io.EOF {
+		if _, err := it.NextRow(); err == io.EOF {
 			break
 		} else if err != nil {
 			t.Fatal(err)
@@ -179,7 +179,7 @@ func drainSorted(t *testing.T, it Iterator) []string {
 	var out []string
 	rows := rowsOf(it)
 	for {
-		r, err := rows.Next()
+		r, err := rows.NextRow()
 		if err == io.EOF {
 			break
 		}
@@ -254,7 +254,7 @@ func TestSpoolRefillsOnParamChange(t *testing.T) {
 	drain := func() int {
 		n := 0
 		for {
-			if _, err := sp.Next(); err != nil {
+			if _, err := sp.NextRow(); err != nil {
 				return n
 			}
 			n++

@@ -122,7 +122,7 @@ func TestRemoteFetchBadBookmark(t *testing.T) {
 	if err := it.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rowsOf(it).Next(); err == nil || err == io.EOF {
+	if _, err := rowsOf(it).NextRow(); err == nil || err == io.EOF {
 		t.Errorf("bad bookmark: err = %v", err)
 	}
 	it.Close()

@@ -161,8 +161,8 @@ func (r *rowReader) Open() error {
 	return r.Iterator.Open()
 }
 
-// Next returns the next row, io.EOF at the end.
-func (r *rowReader) Next() (rowset.Row, error) {
+// NextRow returns the next row, io.EOF at the end.
+func (r *rowReader) NextRow() (rowset.Row, error) {
 	for r.pos >= r.b.Len() {
 		r.pos = 0
 		if err := r.NextBatch(r.b); err != nil {
@@ -538,7 +538,7 @@ func TestSpoolReplays(t *testing.T) {
 	count := func() int {
 		n := 0
 		for {
-			_, err := it.Next()
+			_, err := it.NextRow()
 			if err != nil {
 				break
 			}

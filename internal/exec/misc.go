@@ -517,7 +517,7 @@ func (c *concatIter) NextBatch(b *rowset.Batch) error {
 func (c *concatIter) Close() error { return c.closeCurrent() }
 
 // closeCurrent closes the child that is currently open (at most one in the
-// serial iterator; exhausted children were closed as Next advanced past
+// serial iterator; exhausted children were closed as NextBatch advanced past
 // them), exactly once.
 func (c *concatIter) closeCurrent() error {
 	if c.open && c.idx < len(c.kids) {

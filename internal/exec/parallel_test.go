@@ -95,7 +95,7 @@ func collectInts(t *testing.T, it Iterator) []int64 {
 	var got []int64
 	rows := rowsOf(it)
 	for {
-		r, err := rows.Next()
+		r, err := rows.NextRow()
 		if err == io.EOF {
 			break
 		}
@@ -171,7 +171,7 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 	}
 	var got error
 	for {
-		_, err := rows.Next()
+		_, err := rows.NextRow()
 		if err == io.EOF {
 			break
 		}
@@ -184,7 +184,7 @@ func TestParallelConcatErrorCancelsSiblings(t *testing.T) {
 		t.Fatalf("surfaced error = %v, want boom", got)
 	}
 	// Sticky: later Nexts keep returning the error.
-	if _, err := rows.Next(); !errors.Is(err, boom) {
+	if _, err := rows.NextRow(); !errors.Is(err, boom) {
 		t.Errorf("second Next = %v, want sticky boom", err)
 	}
 	// Every child a worker opened has been closed; the siblings did not run
@@ -216,7 +216,7 @@ func TestParallelConcatOpenCloseNoGoroutineLeak(t *testing.T) {
 		}
 		// Partial consumption; alternate between Close and direct re-Open.
 		for j := 0; j < 5; j++ {
-			if _, err := rows.Next(); err != nil {
+			if _, err := rows.NextRow(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rows.Next(); err != nil {
+	if _, err := rows.NextRow(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rows.Open(); err != nil {
@@ -263,7 +263,7 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	// Full drain closes each child exactly once as it is exhausted.
 	n := 0
 	for {
-		_, err := rows.Next()
+		_, err := rows.NextRow()
 		if err == io.EOF {
 			break
 		}
@@ -289,7 +289,7 @@ func TestSerialConcatLifecycle(t *testing.T) {
 	if err := rows.Open(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rows.Next(); err != nil {
+	if _, err := rows.NextRow(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

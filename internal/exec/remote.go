@@ -240,7 +240,7 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 		// Not newBatch: the open's batch is handed over by swapping, so
 		// it is the consumer's spent one that this rowset drops.
 		first := rowset.NewBatch(r.ctx.BatchSize)
-		if err = rowset.FillBatch(rs, first, nil); err != nil && err != io.EOF {
+		if err = rs.NextBatch(first); err != nil && err != io.EOF {
 			rs.Close()
 			return err
 		}
@@ -250,7 +250,7 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 		}
 		skipped := int64(first.Len())
 		for err == nil && skipped < discard {
-			if err = rowset.FillBatch(rs, b, nil); err == nil {
+			if err = rs.NextBatch(b); err == nil {
 				skipped += int64(b.Len())
 			} else if err != io.EOF {
 				rs.Close()
@@ -266,7 +266,7 @@ func (r *retryRowset) reopen(b *rowset.Batch, discard int64) error {
 	})
 }
 
-// NextBatch implements rowset.BatchReader: the open's fetch first, then
+// NextBatch implements rowset.Rowset: the open's fetch first, then
 // one fetch per call.
 func (r *retryRowset) NextBatch(b *rowset.Batch) error {
 	for {
@@ -277,7 +277,7 @@ func (r *retryRowset) NextBatch(b *rowset.Batch) error {
 				b.Swap(first)
 			}
 		} else {
-			err = rowset.FillBatch(r.rs, b, nil)
+			err = r.rs.NextBatch(b)
 		}
 		if err == nil {
 			r.delivered += int64(b.Len())

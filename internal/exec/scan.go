@@ -376,7 +376,7 @@ func (r *remoteFetchIter) fetch() error {
 		}
 		defer rs.Close()
 		for got = 0; ; {
-			if err := rowset.FillBatch(rs, r.fetched, nil); err == io.EOF {
+			if err := rs.NextBatch(r.fetched); err == io.EOF {
 				return nil
 			} else if err != nil {
 				return err

@@ -63,9 +63,6 @@ type scriptedRowset struct {
 func (r *scriptedRowset) Columns() []schema.Column {
 	return []schema.Column{{Name: "k", Kind: sqltypes.KindInt}}
 }
-func (r *scriptedRowset) Next() (rowset.Row, error) {
-	panic("remote rowsets are read a batch at a time")
-}
 func (r *scriptedRowset) Close() error { return nil }
 
 func (r *scriptedRowset) NextBatch(b *rowset.Batch) error {
@@ -170,9 +167,6 @@ type locatedRows struct {
 
 func (r *locatedRows) Columns() []schema.Column {
 	return []schema.Column{{Name: "v", Kind: sqltypes.KindInt}}
-}
-func (r *locatedRows) Next() (rowset.Row, error) {
-	panic("located rows are read a batch at a time")
 }
 func (r *locatedRows) Close() error { return nil }
 
@@ -384,7 +378,7 @@ func TestBatchExchangeLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 100; i++ {
-				if _, err := it.Next(); err != nil {
+				if _, err := it.NextRow(); err != nil {
 					t.Fatal(err)
 				}
 			}

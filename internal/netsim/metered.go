@@ -17,7 +17,7 @@ import (
 // rows cost max(1, ⌈n / fetch⌉) calls. Providers wrap the rowsets they
 // return to the DHQP with it. Calls run without a cancellation context;
 // see MeteredCtx.
-func Metered(rs rowset.Cursor, link *Link) rowset.Rowset {
+func Metered(rs rowset.Rowset, link *Link) rowset.Rowset {
 	return MeteredCtx(context.Background(), rs, link, 0)
 }
 
@@ -26,26 +26,24 @@ func Metered(rs rowset.Cursor, link *Link) rowset.Rowset {
 // injected faults as fetch errors, and the first fetch's round trip also
 // carries reqBytes out (the statement text and parameters of a command).
 // With no link a rowset passes through unchanged.
-func MeteredCtx(ctx context.Context, rs rowset.Cursor, link *Link, reqBytes int) rowset.Rowset {
-	if r, ok := rs.(rowset.Rowset); ok && link == nil {
-		return r
+func MeteredCtx(ctx context.Context, rs rowset.Rowset, link *Link, reqBytes int) rowset.Rowset {
+	if link == nil {
+		return rs
 	}
 	return &meteredRowset{ctx: ctx, rs: rs, link: link, req: reqBytes}
 }
 
 type meteredRowset struct {
 	ctx    context.Context
-	rs     rowset.Cursor
+	rs     rowset.Rowset
 	link   *Link
-	req    int           // bytes the opening round trip carries out
-	opened bool          // the first fetch's round trip has been made
-	b      *rowset.Batch // the fetch a row-at-a-time consumer reads out of
-	pos    int           // the next live row of b to hand out
+	req    int  // bytes the opening round trip carries out
+	opened bool // the first fetch's round trip has been made
 }
 
 func (m *meteredRowset) Columns() []schema.Column { return m.rs.Columns() }
 
-// NextBatch implements rowset.BatchReader: one fetch, one round trip. A
+// NextBatch implements rowset.Rowset: one fetch, one round trip. A
 // fetch crosses whole or not at all — when the call fails the batch's
 // contents are not to be read. The first fetch is the round trip that
 // opens the rowset and is charged even when it comes back empty; a later
@@ -67,23 +65,6 @@ func (m *meteredRowset) NextBatch(b *rowset.Batch) error {
 		return cerr
 	}
 	return err
-}
-
-// Next serves rows out of default-sized fetches, each row freshly
-// allocated, so callers may keep it.
-func (m *meteredRowset) Next() (rowset.Row, error) {
-	if m.b == nil {
-		m.b = rowset.NewBatch(0)
-	}
-	for m.pos >= m.b.Len() {
-		m.pos = 0
-		if err := m.NextBatch(m.b); err != nil {
-			m.b.Reset(0) // a failed fetch's contents are not to be read
-			return nil, err
-		}
-	}
-	m.pos++
-	return m.b.RowAt(m.pos-1, nil), nil
 }
 
 func (m *meteredRowset) Close() error { return m.rs.Close() }

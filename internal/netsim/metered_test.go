@@ -28,7 +28,7 @@ func drainBatches(t *testing.T, rs rowset.Rowset, fetch int) []int {
 	b := rowset.NewBatch(fetch)
 	var fills []int
 	for {
-		err := rs.(rowset.BatchReader).NextBatch(b)
+		err := rs.NextBatch(b)
 		if err == io.EOF {
 			return fills
 		}
@@ -86,7 +86,7 @@ func TestMeteredFirstFetchAlwaysCrosses(t *testing.T) {
 		t.Errorf("empty result: %+v, want 1 call carrying the 40 request bytes", s)
 	}
 	link.SetDown(true)
-	err := Metered(sampleRowset(0), link).(rowset.BatchReader).NextBatch(rowset.NewBatch(0))
+	err := Metered(sampleRowset(0), link).NextBatch(rowset.NewBatch(0))
 	if err == nil || err == io.EOF {
 		t.Errorf("empty first fetch over a downed link returned %v, want the link's error", err)
 	}
@@ -128,23 +128,64 @@ func TestMeteredBytesMatchRowEncoding(t *testing.T) {
 	}
 }
 
-// Row-at-a-time consumers read out of the current fetch: the fetch crosses
-// whole when its first row is asked for, and an early Close owes nothing.
+// A fetch's rows come out of one call that carries them all, and an early
+// Close owes nothing.
 func TestMeteredRowsComeOutOfFetches(t *testing.T) {
 	link := &Link{}
 	rs := Metered(sampleRowset(3), link)
-	for want := int64(0); want < 2; want++ {
-		r, err := rs.Next()
-		if err != nil || r[0].Int() != want {
-			t.Fatalf("row %d = %v, %v", want, r, err)
-		}
+	b := rowset.NewBatch(0)
+	if err := rs.NextBatch(b); err != nil || b.Len() != 3 || b.RowAt(1, nil)[0].Int() != 1 {
+		t.Fatalf("fetch = %d rows, %v", b.Len(), err)
 	}
 	if s := link.Stats(); s.Rows != 3 || s.Calls != 1 {
-		t.Errorf("after two rows: %+v, want the whole 3-row fetch in 1 call", s)
+		t.Errorf("after one fetch: %+v, want the whole 3-row fetch in 1 call", s)
 	}
 	rs.Close()
 	if s := link.Stats(); s.Rows != 3 || s.Calls != 1 {
 		t.Errorf("Close charged the link: %+v", s)
+	}
+}
+
+// A metered fill through a projection — reordered, duplicated, narrower —
+// reads the projected rows of every fetch at the calls and bytes of the
+// full fetches.
+func TestMeteredFillBatchProjects(t *testing.T) {
+	cols := []schema.Column{{Name: "a", Kind: sqltypes.KindInt}, {Name: "b", Kind: sqltypes.KindString}}
+	var rows []rowset.Row
+	for i := int64(0); i < 10; i++ {
+		rows = append(rows, rowset.Row{sqltypes.NewInt(i), sqltypes.NewString(string(rune('a' + i)))})
+	}
+	for _, proj := range [][]int{{1, 0}, {0, 0, 1}, {1}} {
+		link := &Link{}
+		rs := Metered(rowset.NewMaterialized(cols, rows), link)
+		b := rowset.NewBatch(4)
+		var got []string
+		for {
+			err := rowset.FillBatch(rs, b, proj)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < b.Len(); i++ {
+				got = append(got, b.RowAt(i, nil).String())
+			}
+		}
+		var want []string
+		for _, r := range rows {
+			p := make(rowset.Row, len(proj))
+			for j, src := range proj {
+				p[j] = r[src]
+			}
+			want = append(want, p.String())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("proj %v: read %v, want %v", proj, got, want)
+		}
+		if s := link.Stats(); s.Calls != 3 || s.Rows != 10 || s.Bytes != 10*(2+8+5) {
+			t.Errorf("proj %v: link %+v, want 3 calls of the full rows", proj, s)
+		}
 	}
 }
 
@@ -159,10 +200,7 @@ type scriptRowset struct {
 var errScript = errors.New("scripted fetch failure")
 
 func (s *scriptRowset) Columns() []schema.Column { return nil }
-func (s *scriptRowset) Next() (rowset.Row, error) {
-	panic("a metered rowset reads its source a batch at a time")
-}
-func (s *scriptRowset) Close() error { return nil }
+func (s *scriptRowset) Close() error             { return nil }
 
 func (s *scriptRowset) NextBatch(b *rowset.Batch) error {
 	s.calls++
@@ -183,17 +221,17 @@ func (s *scriptRowset) NextBatch(b *rowset.Batch) error {
 	return nil
 }
 
-// A row-at-a-time reader of a metered rowset gets each fetched row once,
-// in order, across fetch boundaries and selections; a failed fetch
-// surfaces as an error instead of a row, leaves nothing of it readable,
-// and the next call fetches again.
+// A reader of a metered rowset gets each fetched row once, in order,
+// across fetch boundaries and selections; a failed fetch surfaces as an
+// error instead of rows, and the next call fetches again.
 func TestMeteredRowsServeEveryRowOnce(t *testing.T) {
 	src := &scriptRowset{rows: sampleRowset(200).Rows()}
 	rs := Metered(src, &Link{})
+	b := rowset.NewBatch(0)
 	var got []int64
 	failed := false
 	for {
-		r, err := rs.Next()
+		err := rs.NextBatch(b)
 		if err == io.EOF {
 			break
 		}
@@ -204,7 +242,9 @@ func TestMeteredRowsServeEveryRowOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, r[0].Int())
+		for i := 0; i < b.Len(); i++ {
+			got = append(got, b.RowAt(i, nil)[0].Int())
+		}
 	}
 	var want []int64
 	for i := int64(0); i < 200; i++ {
@@ -224,20 +264,20 @@ func TestMeteredFailedFetchShipsNothing(t *testing.T) {
 	link.SetFaults(Faults{FailAfter: 1})
 	rs := Metered(sampleRowset(10), link)
 	b := rowset.NewBatch(4)
-	if err := rs.(rowset.BatchReader).NextBatch(b); err != nil {
+	if err := rs.NextBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := rs.(rowset.BatchReader).NextBatch(b); err == nil {
+	if err := rs.NextBatch(b); err == nil {
 		t.Fatal("second fetch crossed a dead link")
 	}
 	if s := link.Stats(); s.Rows != 4 || s.Calls != 2 || s.Faults != 1 {
 		t.Errorf("stats = %+v, want 4 rows, 2 calls, 1 fault", s)
 	}
-	// The row view surfaces the same error instead of rows.
+	// A first fetch over a dead link surfaces the link's error.
 	link2 := &Link{}
 	link2.SetFaults(Faults{Down: true})
-	if _, err := Metered(sampleRowset(3), link2).Next(); err == nil {
-		t.Error("Next over a dead link returned a row")
+	if err := Metered(sampleRowset(3), link2).NextBatch(b); err == nil {
+		t.Error("a fetch over a dead link returned rows")
 	}
 }
 

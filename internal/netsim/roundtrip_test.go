@@ -49,7 +49,7 @@ func newRowsTarget(t *testing.T, n int) *rowsTarget {
 	return &rowsTarget{n: n, eng: eng}
 }
 
-func (r *rowsTarget) QuerySQL(context.Context, string, map[string]sqltypes.Value) (rowset.Cursor, error) {
+func (r *rowsTarget) QuerySQL(context.Context, string, map[string]sqltypes.Value) (rowset.Rowset, error) {
 	return rowset.NewMaterialized(oneInt, intRows(r.n)), nil
 }
 func (r *rowsTarget) ExecSQL(string, map[string]sqltypes.Value) (int64, error) { return 0, nil }
@@ -141,7 +141,7 @@ func TestEveryProviderPaysItsFirstRoundTrip(t *testing.T) {
 			b := rowset.NewBatch(fetch)
 			got := 0
 			for {
-				err := rs.(rowset.BatchReader).NextBatch(b)
+				err := rs.NextBatch(b)
 				if err == io.EOF {
 					break
 				}

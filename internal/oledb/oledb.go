@@ -131,8 +131,9 @@ type Session interface {
 	// TABLES_INFO schema rowset).
 	TablesInfo() ([]TableInfo, error)
 	// OpenIndexRange opens a rowset over an index restricted to a key
-	// range (IRowsetIndex seek/set-range). Rows come back in index order
-	// with bookmarks when the provider supports them.
+	// range (IRowsetIndex seek/set-range). Rows come back in index order;
+	// a provider that supports bookmarks reads each row's as the ordinal
+	// one past the table's last column.
 	OpenIndexRange(table, index string, lo, hi Bound) (rowset.Rowset, error)
 	// FetchByBookmarks materializes base-table rows for bookmarks
 	// (IRowsetLocate).

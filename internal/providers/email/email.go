@@ -116,7 +116,7 @@ func (s *session) OpenRowset(path string) (rowset.Rowset, error) {
 	if !ok {
 		return nil, fmt.Errorf("email: mailbox %q not found", path)
 	}
-	return netsim.Metered(&messageRowset{msgs: msgs, pos: -1}, s.p.link), nil
+	return netsim.Metered(&messageRowset{msgs: msgs}, s.p.link), nil
 }
 
 // CreateCommand implements oledb.Session.
@@ -144,71 +144,82 @@ func (s *session) ColumnHistogram(string, string) (rowset.Rowset, error) {
 func (s *session) Close() error { return nil }
 
 // messageRowset streams messages; it also implements the row-object
-// extension for heterogeneous per-message properties.
+// extension for heterogeneous per-message properties. A message's bookmark
+// is its ordinal in the mailbox, the order the rowset delivers it in.
 type messageRowset struct {
 	msgs []Message
-	pos  int
+	pos  int // the next message to deliver
 }
 
 // Columns implements rowset.Rowset.
 func (m *messageRowset) Columns() []schema.Column { return Columns() }
 
-// Next implements rowset.Rowset.
-func (m *messageRowset) Next() (rowset.Row, error) {
-	if m.pos+1 >= len(m.msgs) {
-		return nil, errEOF
+// NextBatch implements rowset.Rowset: the next messages, as many as fit,
+// written into typed columns.
+func (m *messageRowset) NextBatch(b *rowset.Batch) error {
+	msgs := m.msgs[m.pos:min(len(m.msgs), m.pos+b.CapRows())]
+	if len(msgs) == 0 {
+		return io.EOF
 	}
-	m.pos++
-	msg := m.msgs[m.pos]
-	reply := sqltypes.Null
-	if msg.InReplyTo != 0 {
-		reply = sqltypes.NewInt(msg.InReplyTo)
+	m.pos += len(msgs)
+	shape := Columns()
+	b.Reset(len(shape))
+	cols := b.Cols()
+	for j, c := range shape {
+		cols[j].ResetTyped(c.Kind, len(msgs))
 	}
-	return rowset.Row{
-		sqltypes.NewInt(msg.MsgID),
-		reply,
-		msg.Date,
-		sqltypes.NewString(msg.From),
-		sqltypes.NewString(msg.To),
-		sqltypes.NewString(msg.Subject),
-		sqltypes.NewString(msg.Body),
-	}, nil
+	id, reply := cols[0].Int64s(), cols[1].Int64s()
+	from, to, subject, body := cols[3].Strings(), cols[4].Strings(), cols[5].Strings(), cols[6].Strings()
+	for i, msg := range msgs {
+		id[i], reply[i] = msg.MsgID, msg.InReplyTo
+		if msg.InReplyTo == 0 {
+			cols[1].SetNull(i)
+		}
+		cols[2].SetValue(i, msg.Date)
+		from[i], to[i], subject[i], body[i] = msg.From, msg.To, msg.Subject, msg.Body
+	}
+	b.SetNumRows(len(msgs))
+	return nil
 }
-
-// NextBatch implements rowset.BatchReader: the next messages, as many as
-// fit.
-func (m *messageRowset) NextBatch(b *rowset.Batch) error { return rowset.PullBatch(m, b, nil) }
 
 // Close implements rowset.Rowset.
 func (m *messageRowset) Close() error { return nil }
 
+// at is the message at bookmark bm.
+func (m *messageRowset) at(bm int64) (*Message, error) {
+	if bm < 0 || bm >= int64(len(m.msgs)) {
+		return nil, fmt.Errorf("email: no message at bookmark %d", bm)
+	}
+	return &m.msgs[bm], nil
+}
+
 // Chapter implements rowset.Chaptered (§3.2.3): the "replies" chapter of a
 // message is the rowset of messages replying to it, modelling the mail
 // thread hierarchy.
-func (m *messageRowset) Chapter(name string) (rowset.Rowset, error) {
+func (m *messageRowset) Chapter(bm int64, name string) (rowset.Rowset, error) {
 	if !strings.EqualFold(name, "replies") {
 		return nil, fmt.Errorf("email: unknown chapter %q", name)
 	}
-	if m.pos < 0 || m.pos >= len(m.msgs) {
-		return nil, fmt.Errorf("email: no current row")
+	parent, err := m.at(bm)
+	if err != nil {
+		return nil, err
 	}
-	parent := m.msgs[m.pos].MsgID
 	var kids []Message
 	for _, msg := range m.msgs {
-		if msg.InReplyTo == parent {
+		if msg.InReplyTo == parent.MsgID {
 			kids = append(kids, msg)
 		}
 	}
-	return &messageRowset{msgs: kids, pos: -1}, nil
+	return &messageRowset{msgs: kids}, nil
 }
 
 // RowObject implements rowset.RowObjectProvider (§3.2.3).
-func (m *messageRowset) RowObject() (*rowset.RowObject, error) {
-	if m.pos < 0 || m.pos >= len(m.msgs) {
-		return nil, fmt.Errorf("email: no current row")
+func (m *messageRowset) RowObject(bm int64) (*rowset.RowObject, error) {
+	msg, err := m.at(bm)
+	if err != nil {
+		return nil, err
 	}
-	common, _ := (&messageRowset{msgs: m.msgs, pos: m.pos - 1}).Next()
-	return &rowset.RowObject{Common: common, Extra: m.msgs[m.pos].Extra}, nil
+	b := rowset.NewBatch(1)
+	(&messageRowset{msgs: []Message{*msg}}).NextBatch(b)
+	return &rowset.RowObject{Common: b.RowAt(0, nil), Extra: msg.Extra}, nil
 }
-
-var errEOF = io.EOF

@@ -86,13 +86,14 @@ func TestRowObject(t *testing.T) {
 	if !ok {
 		t.Fatalf("message rowset does not expose row objects: %T", rs)
 	}
-	if _, err := rop.RowObject(); err == nil {
-		t.Error("row object before first Next accepted")
+	if _, err := rop.RowObject(-1); err == nil {
+		t.Error("row object before the first row accepted")
 	}
-	if _, err := rs.Next(); err != nil {
+	b := rowset.NewBatch(1)
+	if err := rs.NextBatch(b); err != nil {
 		t.Fatal(err)
 	}
-	ro, err := rop.RowObject()
+	ro, err := rop.RowObject(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +105,16 @@ func TestRowObject(t *testing.T) {
 		t.Errorf("common row = %v", ro.Common)
 	}
 	// Second message has no extras.
-	rs.Next()
-	ro2, _ := rop.RowObject()
+	rs.NextBatch(b)
+	ro2, _ := rop.RowObject(1)
 	if _, ok := ro2.Get("attachment"); ok {
 		t.Error("extra leaked across rows")
 	}
-	if _, err := rs.Next(); err != io.EOF {
+	if err := rs.NextBatch(b); err != io.EOF {
 		t.Errorf("want EOF, got %v", err)
+	}
+	if _, err := rop.RowObject(2); err == nil {
+		t.Error("row object past the last row accepted")
 	}
 }
 
@@ -140,11 +144,10 @@ func TestChapteredReplies(t *testing.T) {
 	if !ok {
 		t.Fatalf("message rowset is not chaptered: %T", rs)
 	}
-	if _, err := ch.Chapter("replies"); err == nil {
+	if _, err := ch.Chapter(-1, "replies"); err == nil {
 		t.Error("chapter before first row accepted")
 	}
-	rs.Next() // message 1
-	replies, err := ch.Chapter("replies")
+	replies, err := ch.Chapter(0, "replies") // message 1
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,13 +156,12 @@ func TestChapteredReplies(t *testing.T) {
 		t.Fatalf("message 1 has %d replies", m.Len())
 	}
 	// Nested chapters: replies of message 2.
-	rs.Next() // message 2
-	replies, _ = ch.Chapter("replies")
+	replies, _ = ch.Chapter(1, "replies") // message 2
 	m, _ = rowset.ReadAll(replies)
 	if m.Len() != 1 || m.Rows()[0][0].Int() != 4 {
 		t.Errorf("message 2 replies = %v", m.Rows())
 	}
-	if _, err := ch.Chapter("attachments"); err == nil {
+	if _, err := ch.Chapter(0, "attachments"); err == nil {
 		t.Error("unknown chapter accepted")
 	}
 }

@@ -29,7 +29,7 @@ type Target interface {
 	// so cancellation crosses the boundary and a member nests its
 	// statement span, which lasts until Close, under the coordinator's
 	// remote-call span.
-	QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Cursor, error)
+	QuerySQL(ctx context.Context, sql string, params map[string]sqltypes.Value) (rowset.Rowset, error)
 	// ExecSQL executes DML and returns the affected row count.
 	ExecSQL(sql string, params map[string]sqltypes.Value) (int64, error)
 	// NativeSession exposes the target's storage through the base rowset
@@ -153,7 +153,7 @@ func (s *session) meter(rs rowset.Rowset, err error) (rowset.Rowset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.MeteredCtx(s.callCtx(), rs.(rowset.Cursor), s.p.link, 0), nil
+	return netsim.MeteredCtx(s.callCtx(), rs, s.p.link, 0), nil
 }
 
 // OpenRowset implements oledb.Session; rows ship across the link.

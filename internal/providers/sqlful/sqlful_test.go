@@ -42,7 +42,7 @@ func newFakeTarget(t *testing.T) *fakeTarget {
 	return &fakeTarget{eng: eng}
 }
 
-func (f *fakeTarget) QuerySQL(_ context.Context, sql string, params map[string]sqltypes.Value) (rowset.Cursor, error) {
+func (f *fakeTarget) QuerySQL(_ context.Context, sql string, params map[string]sqltypes.Value) (rowset.Rowset, error) {
 	f.lastSQL = sql
 	f.lastParam = params
 	return rowset.NewMaterialized(

@@ -8,11 +8,7 @@
 // column kinds, generic boxed vectors otherwise.
 package rowset
 
-import (
-	"io"
-
-	"dhqp/internal/sqltypes"
-)
+import "dhqp/internal/sqltypes"
 
 // Batch sizing. DefaultBatchSize balances cache residency against
 // amortization; MaxBatchSize caps memory per operator regardless of the
@@ -238,19 +234,6 @@ func (b *Batch) AppendRow(r Row) {
 	b.n++
 }
 
-// AppendProjected appends the row whose column j is r[proj[j]], proj
-// naming every column of the batch — a row-at-a-time source projects
-// straight into the columns.
-func (b *Batch) AppendProjected(r Row, proj []int) {
-	if b.n == b.room {
-		b.grow()
-	}
-	for j, src := range proj {
-		b.cols[j].SetValue(b.n, r[src])
-	}
-	b.n++
-}
-
 // grow makes room for more appended rows: minAppendRows, then appendGrowth
 // times the room so far, up to the ceiling.
 func (b *Batch) grow() {
@@ -334,56 +317,24 @@ func (b *Batch) RowAt(i int, buf Row) Row {
 	return buf
 }
 
-// BatchReader is implemented by rowsets that can fill a batch directly
-// (the storage engine's table scan, Materialized buffers). NextBatch fills
-// b with up to b.CapRows() rows and returns io.EOF only when no rows
-// remain (an empty fill).
-type BatchReader interface {
-	NextBatch(b *Batch) error
-}
-
-// ProjectedBatchReader is a BatchReader that can deliver a subset of its
+// ProjectedBatchReader is a Rowset that can deliver a subset of its
 // columns in the caller's order: output column j is source column proj[j]
 // (nil: every column). A pruned scan over such a rowset stays columnar
-// instead of projecting row by row.
+// without moving the columns it leaves out.
 type ProjectedBatchReader interface {
 	NextBatchProjected(b *Batch, proj []int) error
 }
 
 // FillBatch fills b from rs with the columns proj names (nil: all of them)
-// — directly when rs can batch-read that shape, otherwise by PullBatch.
+// — directly when rs can batch-read that shape, otherwise by a full fill
+// that Project then narrows.
 func FillBatch(rs Rowset, b *Batch, proj []int) error {
 	if pr, ok := rs.(ProjectedBatchReader); ok {
 		return pr.NextBatchProjected(b, proj)
 	}
-	if br, ok := rs.(BatchReader); ok && proj == nil {
-		return br.NextBatch(b)
+	err := rs.NextBatch(b)
+	if err == nil && proj != nil {
+		b.Project(proj)
 	}
-	return PullBatch(rs, b, proj)
-}
-
-// PullBatch fills b by pulling rows from rs one at a time, projecting each
-// straight into the columns proj names (nil: all of them): the batch read
-// of a rowset that has only Next. Returns io.EOF when rs is exhausted and
-// nothing was filled.
-func PullBatch(rs Rowset, b *Batch, proj []int) error {
-	b.Reset(len(proj))
-	for !b.Full() {
-		r, err := rs.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		if proj == nil {
-			b.AppendRow(r)
-		} else {
-			b.AppendProjected(r, proj)
-		}
-	}
-	if b.NumRows() == 0 {
-		return io.EOF
-	}
-	return nil
+	return err
 }

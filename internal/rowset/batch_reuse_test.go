@@ -157,12 +157,8 @@ func randomFill(rng *rand.Rand, capRows int) reuseFill {
 		}
 		return reuseFill{name("Reset+Append"), func(b *Batch) {
 			b.Reset(width)
-			for _, r := range rows {
-				if proj == nil {
-					b.AppendRow(r)
-				} else {
-					b.AppendProjected(r, proj)
-				}
+			for _, r := range project(rows) {
+				b.AppendRow(r)
 			}
 		}, project(rows)}
 	default:

@@ -113,18 +113,18 @@ func storedRows(s *Store) []Row {
 	return rows
 }
 
-// Func adapts a pull function into a Rowset with no BatchReader.
+// Func adapts a fill function into a Rowset with no projected read.
 type Func struct {
 	Cols    []schema.Column
-	NextFn  func() (Row, error)
+	NextFn  func(b *Batch) error
 	CloseFn func() error
 }
 
 // Columns implements Rowset.
 func (f *Func) Columns() []schema.Column { return f.Cols }
 
-// Next implements Rowset.
-func (f *Func) Next() (Row, error) { return f.NextFn() }
+// NextBatch implements Rowset.
+func (f *Func) NextBatch(b *Batch) error { return f.NextFn(b) }
 
 // Close implements Rowset.
 func (f *Func) Close() error {
@@ -134,28 +134,64 @@ func (f *Func) Close() error {
 	return nil
 }
 
-// funcRowset has no BatchReader, forcing FillBatch's pull path.
-func TestFillBatchPullPath(t *testing.T) {
-	i := int64(0)
-	f := &Func{
-		Cols: []schema.Column{{Name: "x", Kind: sqltypes.KindInt}},
-		NextFn: func() (Row, error) {
-			if i >= 5 {
-				return nil, io.EOF
+// intFills is a Func over rows, k rows per fill.
+func intFills(rows []Row, k int) *Func {
+	return &Func{
+		Cols: cols("a", "b", "c")[:len(rows[0])],
+		NextFn: func(b *Batch) error {
+			if len(rows) == 0 {
+				return io.EOF
 			}
-			i++
-			return intRow(i), nil
+			n := min(k, len(rows), b.CapRows())
+			b.ResetTyped([]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindInt, sqltypes.KindInt}[:len(rows[0])])
+			for _, r := range rows[:n] {
+				b.AppendRow(r)
+			}
+			rows = rows[n:]
+			return nil
 		},
 	}
-	b := NewBatch(8)
-	if err := FillBatch(f, b, nil); err != nil {
-		t.Fatal(err)
+}
+
+// TestFillBatchProjectsFullFill: a rowset with no projected read, filled
+// through a projection — reordered, duplicated, narrower — reads the
+// projected rows, fill after fill, as the projected read of Materialized
+// does.
+func TestFillBatchProjectsFullFill(t *testing.T) {
+	var rows []Row
+	for i := int64(0); i < 10; i++ {
+		rows = append(rows, intRow(i, 100+i, 200+i))
 	}
-	if b.Len() != 5 {
-		t.Fatalf("len = %d, want 5", b.Len())
-	}
-	if err := FillBatch(f, b, nil); err != io.EOF {
-		t.Fatalf("second fill err = %v, want io.EOF", err)
+	for _, proj := range [][]int{nil, {2, 0}, {1, 1, 0}, {2}, {0, 1, 2}} {
+		want := rows
+		if proj != nil {
+			want = make([]Row, len(rows))
+			for i, r := range rows {
+				for _, src := range proj {
+					want[i] = append(want[i], r[src])
+				}
+			}
+		}
+		for _, src := range []Rowset{intFills(rows, 4), NewMaterialized(cols("a", "b", "c"), rows)} {
+			b := NewBatch(3)
+			var got []Row
+			for {
+				err := FillBatch(src, b, proj)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w := len(proj); proj != nil && b.Width() != w {
+					t.Fatalf("%T proj %v: a fill %d columns wide", src, proj, b.Width())
+				}
+				got = append(got, liveRows(b)...)
+			}
+			if !sameRows(got, want) {
+				t.Fatalf("%T proj %v: read %v, want %v", src, proj, got, want)
+			}
+		}
 	}
 }
 

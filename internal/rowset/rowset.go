@@ -45,41 +45,24 @@ func (r Row) String() string {
 	return s + ")"
 }
 
-// Rowset is the core iteration interface. Next returns io.EOF after the last
-// row. Implementations may reuse the returned Row's backing array across
-// calls; consumers that retain rows must Clone them.
+// Rowset is the core iteration interface, the paper's IRowset: a consumer
+// reads it a block of rows at a time (GetNextRows) into a Batch, then
+// closes it. A rowset that carries bookmarks (IRowsetLocate) reads them as
+// the ordinal one past its last column through ProjectedBatchReader.
 type Rowset interface {
 	// Columns describes the shape of the rows.
 	Columns() []schema.Column
-	// Next returns the next row or io.EOF.
-	Next() (Row, error)
+	// NextBatch fills b with up to b.CapRows() rows and returns io.EOF only
+	// when no rows remain (an empty fill).
+	NextBatch(b *Batch) error
 	// Close releases resources. Close is idempotent.
 	Close() error
 }
 
-// Cursor is a rowset read a batch at a time only: NextBatch until io.EOF,
-// then Close. An open remote statement is one, and the link meter reads
-// every rowset it wraps this way.
-type Cursor interface {
-	Columns() []schema.Column
-	BatchReader
-	Close() error
-}
-
-// Bookmarked is implemented by rowsets whose rows carry stable bookmarks
-// (the paper's IRowsetLocate): base-table rowsets of index providers. The
-// bookmark of the most recently returned row enables remote fetch.
-type Bookmarked interface {
-	Rowset
-	// Bookmark returns the bookmark of the row most recently returned by
-	// Next.
-	Bookmark() int64
-}
-
 // Materialized is a rowset held in memory as a Store that no longer
 // changes: a provider's rows, metadata and statistics rowsets, test
-// fixtures. Batch readers get read-only windows onto its columns; Next and
-// Rows box at the row-oriented edge.
+// fixtures. Batch readers get read-only windows onto its columns; Rows
+// boxes at the row-oriented edge.
 type Materialized struct {
 	cols []schema.Column
 	s    Store
@@ -102,21 +85,7 @@ func NewMaterialized(cols []schema.Column, rows []Row) *Materialized {
 // Columns implements Rowset.
 func (m *Materialized) Columns() []schema.Column { return m.cols }
 
-// Next implements Rowset; each row is freshly boxed, so callers may keep
-// it.
-func (m *Materialized) Next() (Row, error) {
-	if m.pos >= m.s.n {
-		return nil, io.EOF
-	}
-	r := make(Row, len(m.s.cols))
-	for j := range m.s.cols {
-		r[j] = m.s.cols[j].Value(m.pos)
-	}
-	m.pos++
-	return r, nil
-}
-
-// NextBatch implements BatchReader: each column of b is a read-only window
+// NextBatch implements Rowset: each column of b is a read-only window
 // onto the stored column (see Batch.FillCols), so a fill moves no payload.
 func (m *Materialized) NextBatch(b *Batch) error {
 	if m.pos >= m.s.n {
@@ -155,16 +124,17 @@ func (m *Materialized) Rows() []Row {
 // ReadAll drains a rowset into a Materialized copy and closes it.
 func ReadAll(rs Rowset) (*Materialized, error) {
 	defer rs.Close()
-	var rows []Row
-	for {
-		r, err := rs.Next()
+	m := &Materialized{cols: rs.Columns()}
+	m.s.Reset(len(m.cols))
+	for b := NewBatch(0); ; {
+		err := rs.NextBatch(b)
 		if err == io.EOF {
-			return NewMaterialized(rs.Columns(), rows), nil
+			return m, nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, r.Clone())
+		m.s.AddBatch(b)
 	}
 }
 
@@ -184,22 +154,22 @@ func (ro *RowObject) Get(name string) (sqltypes.Value, bool) {
 	return v, ok
 }
 
-// RowObjectProvider is implemented by rowsets that can surface the current
-// row as a row object for heterogeneous navigation.
+// RowObjectProvider is implemented by rowsets that can surface a row as a
+// row object for heterogeneous navigation.
 type RowObjectProvider interface {
 	Rowset
-	// RowObject returns the row object for the most recently returned row.
-	RowObject() (*RowObject, error)
+	// RowObject returns the row object of the row at bookmark bm.
+	RowObject(bm int64) (*RowObject, error)
 }
 
 // Chaptered is implemented by rowsets that model containment relationships
 // in tree-structured sources (§3.2.3): "hierarchies of row and rowset
 // objects can be used to model containment relationships common in
 // tree-structured data sources via chaptered rowsets." Chapter returns the
-// child rowset of the most recently returned row under a named
-// relationship (e.g. a mail message's replies).
+// child rowset of the row at bookmark bm under a named relationship (e.g.
+// a mail message's replies).
 type Chaptered interface {
 	Rowset
-	// Chapter opens the named child rowset of the current row.
-	Chapter(name string) (Rowset, error)
+	// Chapter opens the named child rowset of the row at bookmark bm.
+	Chapter(bm int64, name string) (Rowset, error)
 }

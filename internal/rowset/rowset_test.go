@@ -27,15 +27,14 @@ func intRow(vs ...int64) Row {
 
 func TestMaterializedIteration(t *testing.T) {
 	m := NewMaterialized(cols("a", "b"), []Row{intRow(1, 2), intRow(3, 4)})
-	r, err := m.Next()
-	if err != nil || r[0].Int() != 1 {
-		t.Fatalf("first row: %v %v", r, err)
+	b := NewBatch(1)
+	if err := m.NextBatch(b); err != nil || b.Len() != 1 || b.RowAt(0, nil)[0].Int() != 1 {
+		t.Fatalf("first fill: %v %v", liveRows(b), err)
 	}
-	r, err = m.Next()
-	if err != nil || r[1].Int() != 4 {
-		t.Fatalf("second row: %v %v", r, err)
+	if err := m.NextBatch(b); err != nil || b.Len() != 1 || b.RowAt(0, nil)[1].Int() != 4 {
+		t.Fatalf("second fill: %v %v", liveRows(b), err)
 	}
-	if _, err = m.Next(); err != io.EOF {
+	if err := m.NextBatch(b); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
 	}
 	if m.Len() != 2 {
@@ -66,15 +65,17 @@ func TestRowEncodedSizeAndString(t *testing.T) {
 }
 
 // A materialized rowset holds its own columns: the rows it was built from
-// may change afterwards, and the rows Next hands out may be kept.
+// may change afterwards, and the rows it hands out may be kept.
 func TestMaterializedOwnsItsRows(t *testing.T) {
 	r := intRow(5)
 	m := NewMaterialized(cols("a"), []Row{r, intRow(6)})
 	r[0] = sqltypes.NewInt(7)
-	first, _ := m.Next()
-	second, _ := m.Next()
-	if first[0].Int() != 5 || second[0].Int() != 6 {
-		t.Errorf("rows %v %v, want (5) (6): NewMaterialized kept its input", first, second)
+	b := NewBatch(0)
+	if err := m.NextBatch(b); err != nil {
+		t.Fatal(err)
+	}
+	if got := liveRows(b); got[0][0].Int() != 5 || got[1][0].Int() != 6 {
+		t.Errorf("rows %v, want (5) (6): NewMaterialized kept its input", got)
 	}
 	if rows := m.Rows(); rows[0][0].Int() != 5 || rows[0][0].Kind() != sqltypes.KindInt {
 		t.Errorf("Rows()[0] = %v", rows[0])
@@ -94,29 +95,22 @@ func TestReadAll(t *testing.T) {
 
 func TestReadAllPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	f := &Func{Cols: cols("a"), NextFn: func() (Row, error) { return nil, boom }}
+	f := &Func{Cols: cols("a"), NextFn: func(*Batch) error { return boom }}
 	if _, err := ReadAll(f); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestFuncRowset(t *testing.T) {
-	n := 0
 	closed := false
-	f := &Func{
-		Cols: cols("a"),
-		NextFn: func() (Row, error) {
-			if n >= 3 {
-				return nil, io.EOF
-			}
-			n++
-			return intRow(int64(n)), nil
-		},
-		CloseFn: func() error { closed = true; return nil },
-	}
+	f := intFills([]Row{intRow(1), intRow(2), intRow(3)}, 1)
+	f.CloseFn = func() error { closed = true; return nil }
 	m, err := ReadAll(f)
 	if err != nil || m.Len() != 3 {
 		t.Fatalf("%v %v", m, err)
+	}
+	if rows := m.Rows(); rows[2][0].Int() != 3 || rows[2][0].Kind() != sqltypes.KindInt {
+		t.Errorf("ReadAll rows = %v", rows)
 	}
 	if !closed {
 		t.Error("ReadAll did not close source")
@@ -124,7 +118,7 @@ func TestFuncRowset(t *testing.T) {
 }
 
 func TestFuncRowsetNilClose(t *testing.T) {
-	f := &Func{Cols: cols("a"), NextFn: func() (Row, error) { return nil, io.EOF }}
+	f := &Func{Cols: cols("a"), NextFn: func(*Batch) error { return io.EOF }}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}

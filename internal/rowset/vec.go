@@ -4,9 +4,8 @@
 // native Go type plus a validity bitmap — so hot kernels (filter
 // comparisons, hash-key encoding, aggregate accumulation) run over machine
 // words without Kind dispatch or Value struct copies. Values cross back
-// into boxed form only at row-oriented edges: row-based providers, the
-// Rowset Next and Materialized.Rows views, the generic expression kernel
-// and the Top-N heap.
+// into boxed form only at row-oriented edges: Batch.RowAt, Materialized.Rows
+// and the generic expression kernel.
 package rowset
 
 import "dhqp/internal/sqltypes"

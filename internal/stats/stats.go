@@ -8,6 +8,7 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"slices"
 
 	"dhqp/internal/expr"
@@ -289,37 +290,35 @@ func literalOf(v sqltypes.Value) sqltypes.Value {
 	return sqltypes.NewString(v.String())
 }
 
-// FromRowset decodes a histogram rowset produced by ToRowset. kind gives
-// the column's value kind for key parsing.
+// FromRowset decodes a histogram rowset produced by ToRowset from its
+// columns, a batch at a time, and closes it. kind gives the column's value
+// kind for key parsing.
 func FromRowset(rs rowset.Rowset, kind sqltypes.Kind) (*Histogram, error) {
-	m, err := rowset.ReadAll(rs)
-	if err != nil {
-		return nil, err
-	}
-	if m.Len() == 0 {
-		return nil, fmt.Errorf("stats: empty histogram rowset")
-	}
-	rows := m.Rows()
-	h := &Histogram{}
-	mv, err := parseLiteral(rows[0][0], kind)
-	if err != nil {
-		return nil, err
-	}
-	h.MinValue = mv
-	h.TotalRows = rows[0][1].Int()
-	h.NullCount = rows[0][2].Int()
-	h.Distinct = rows[0][3].Int()
-	for _, r := range rows[1:] {
-		ub, err := parseLiteral(r[0], kind)
-		if err != nil {
+	defer rs.Close()
+	var h *Histogram
+	for b := rowset.NewBatch(0); ; {
+		if err := rs.NextBatch(b); err == io.EOF {
+			break
+		} else if err != nil {
 			return nil, err
 		}
-		h.Buckets = append(h.Buckets, Bucket{
-			UpperBound: ub,
-			Rows:       r[1].Int(),
-			UpperRows:  r[2].Int(),
-			Distinct:   r[3].Int(),
-		})
+		key, rows, eq, distinct := b.Col(0), b.Col(1), b.Col(2), b.Col(3)
+		for _, i := range b.Indices() {
+			v, err := parseLiteral(key.Value(i), kind)
+			if err != nil {
+				return nil, err
+			}
+			if h == nil {
+				// The first row carries the totals: MinValue, TotalRows,
+				// NullCount, Distinct.
+				h = &Histogram{MinValue: v, TotalRows: rows.Value(i).Int(), NullCount: eq.Value(i).Int(), Distinct: distinct.Value(i).Int()}
+				continue
+			}
+			h.Buckets = append(h.Buckets, Bucket{UpperBound: v, Rows: rows.Value(i).Int(), UpperRows: eq.Value(i).Int(), Distinct: distinct.Value(i).Int()})
+		}
+	}
+	if h == nil {
+		return nil, fmt.Errorf("stats: empty histogram rowset")
 	}
 	return h, nil
 }

@@ -39,7 +39,7 @@ func scanAll(rs rowset.Rowset, b *rowset.Batch) ([]rowset.Row, error) {
 	defer rs.Close()
 	var out []rowset.Row
 	for {
-		err := rs.(rowset.BatchReader).NextBatch(b)
+		err := rs.NextBatch(b)
 		if err == io.EOF {
 			return out, nil
 		}
@@ -78,7 +78,7 @@ func TestImageScanBorrows(t *testing.T) {
 		}
 		b := rowset.NewBatch(rowset.DefaultBatchSize)
 		for off := 0; ; off += b.NumRows() {
-			if err := rs.(rowset.BatchReader).NextBatch(b); err == io.EOF {
+			if err := rs.NextBatch(b); err == io.EOF {
 				break
 			}
 			for j := 0; j < b.Width(); j++ {
@@ -97,7 +97,7 @@ func TestImageScanBorrows(t *testing.T) {
 		rs.Close()
 		allocs[n] = testing.AllocsPerRun(5, func() {
 			rs := tbl.Scan()
-			for rs.(rowset.BatchReader).NextBatch(b) == nil {
+			for rs.NextBatch(b) == nil {
 			}
 			rs.Close()
 		})
@@ -153,27 +153,14 @@ func TestMergeKeepsNewerMain(t *testing.T) {
 	}
 }
 
-// TestImageRowScan reads a scan row at a time: the rows are boxed from the
-// images and the bookmarks are the table's slots, skipping deleted ones,
-// the same whether the rows come from the delta or from main.
+// TestImageRowScan reads a scan's rows with the bookmark column: the rows
+// and the bookmarks, the table's slots skipping deleted ones, are the same
+// whether they come from the delta or from main.
 func TestImageRowScan(t *testing.T) {
 	tbl := loadItems(t, 300)
 	for _, bm := range []int64{0, 5, 299} {
 		if err := tbl.Delete(bm); err != nil {
 			t.Fatal(err)
-		}
-	}
-	read := func(rs rowset.Bookmarked) (rows []rowset.Row, bms []int64) {
-		defer rs.Close()
-		for {
-			r, err := rs.Next()
-			if err == io.EOF {
-				return rows, bms
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, bms = append(rows, r), append(bms, rs.Bookmark())
 		}
 	}
 	tbl.mu.RLock()
@@ -182,9 +169,9 @@ func TestImageRowScan(t *testing.T) {
 	if fromDelta.main.n != 0 {
 		t.Fatal("300 inserted rows reached main without a scan")
 	}
-	wantRows, wantBMs := read(fromDelta)
+	wantRows, wantBMs := readRows(fromDelta)
 	merge(tbl)
-	gotRows, gotBMs := read(tbl.Scan())
+	gotRows, gotBMs := readRows(tbl.Scan())
 	if !slices.Equal(gotBMs, wantBMs) || len(gotRows) != 297 {
 		t.Fatalf("main row scan: %d rows, bookmarks equal %v", len(gotRows), slices.Equal(gotBMs, wantBMs))
 	}
@@ -211,7 +198,7 @@ func TestMergeUnderBorrowedScan(t *testing.T) {
 	}
 	b := rowset.NewBatch(256)
 	var got []rowset.Row
-	if err := rs.(rowset.BatchReader).NextBatch(b); err != nil {
+	if err := rs.NextBatch(b); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < b.Len(); i++ {
@@ -241,7 +228,7 @@ func TestMergeUnderBorrowedScan(t *testing.T) {
 	}()
 	for {
 		runtime.Gosched()
-		err := rs.(rowset.BatchReader).NextBatch(b)
+		err := rs.NextBatch(b)
 		if err == io.EOF {
 			break
 		}
@@ -290,7 +277,7 @@ func TestScanAfterWriteCostFlat(t *testing.T) {
 			}
 			if i%16 == 0 || i == epoch {
 				rs := tbl.Scan()
-				for rs.(rowset.BatchReader).NextBatch(b) == nil {
+				for rs.NextBatch(b) == nil {
 				}
 			}
 		}

@@ -92,8 +92,9 @@ type Bound struct {
 
 // Range returns a rowset of base-table rows whose index keys fall within
 // [lo, hi] per the bounds' inclusivity, in index order. The returned rowset
-// carries bookmarks. Keys may be prefixes of the full index key.
-func (ix *Index) Range(lo, hi Bound) rowset.Bookmarked {
+// reads each row's bookmark as the ordinal one past the table's last
+// column. Keys may be prefixes of the full index key.
+func (ix *Index) Range(lo, hi Bound) rowset.Rowset {
 	return ix.RangeAt(lo, hi, Latest)
 }
 
@@ -104,7 +105,7 @@ func (ix *Index) Range(lo, hi Bound) rowset.Bookmarked {
 // joins the range where that image's key sorts — the same rows in the same
 // (key, bookmark) order as filtering and sorting ScanAt(csn), at a cost of
 // O(matches + undo records newer than csn).
-func (ix *Index) RangeAt(lo, hi Bound, csn uint64) rowset.Bookmarked {
+func (ix *Index) RangeAt(lo, hi Bound, csn uint64) rowset.Rowset {
 	t := ix.table
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -180,7 +181,7 @@ func (ix *Index) searchLocked(lo, hi Bound) (start, end int) {
 }
 
 // Seek returns the rows whose index key equals key exactly.
-func (ix *Index) Seek(key rowset.Row) rowset.Bookmarked {
+func (ix *Index) Seek(key rowset.Row) rowset.Rowset {
 	return ix.Range(Bound{Key: key, Inclusive: true}, Bound{Key: key, Inclusive: true})
 }
 

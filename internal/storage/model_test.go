@@ -309,12 +309,12 @@ func (h *modelHarness) checkAt(where string, csn uint64, step int) {
 	for _, bm := range live {
 		want[bm] = h.m.at(bm, step).String()
 	}
-	// The full scan, row at a time and batch at a time with the bookmark
-	// column, at a drawn batch size.
+	// The full scan with the bookmark column, at the default batch size
+	// and at a drawn one.
 	got := map[int64]string{}
-	rs := h.tbl.ScanAt(csn)
-	for r, err := rs.Next(); err == nil; r, err = rs.Next() {
-		got[rs.Bookmark()] = r.String()
+	rows, bms := readRows(h.tbl.ScanAt(csn))
+	for i, r := range rows {
+		got[bms[i]] = r.String()
 	}
 	h.same(where, "ScanAt rows", csn, got, want)
 	got = map[int64]string{}
@@ -357,9 +357,9 @@ func (h *modelHarness) checkAt(where string, csn uint64, step int) {
 	}
 	ix, _ := h.tbl.Index("by_k")
 	var gotRange []string
-	rr := ix.RangeAt(lo.bound(), hi.bound(), csn)
-	for r, err := rr.Next(); err == nil; r, err = rr.Next() {
-		gotRange = append(gotRange, fmt.Sprintf("%d:%s", rr.Bookmark(), r.String()))
+	rows, bms = readRows(ix.RangeAt(lo.bound(), hi.bound(), csn))
+	for i, r := range rows {
+		gotRange = append(gotRange, fmt.Sprintf("%d:%s", bms[i], r.String()))
 	}
 	if !slices.Equal(gotRange, wantRange) {
 		h.t.Fatalf("%s: RangeAt(%v, %v, csn %d):\n got %s\nwant %s", where, lo.bound(), hi.bound(), csn,

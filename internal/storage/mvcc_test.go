@@ -50,17 +50,13 @@ func mustInsert(t *testing.T, tbl *Table, r rowset.Row) int64 {
 }
 
 // scanRows drains a scan into (bookmark, row) pairs.
-func scanRows(t *testing.T, rs rowset.Bookmarked) map[int64]string {
+func scanRows(t *testing.T, rs rowset.Rowset) map[int64]string {
 	t.Helper()
 	out := map[int64]string{}
-	for {
-		r, err := rs.Next()
-		if err != nil {
-			break
-		}
-		out[rs.Bookmark()] = r[1].Display()
+	rows, bms := readRows(rs)
+	for i, r := range rows {
+		out[bms[i]] = r[1].Display()
 	}
-	rs.Close()
 	return out
 }
 
@@ -77,20 +73,15 @@ func dumpEngine(e *Engine) string {
 				fmt.Fprintf(&sb, "%s:%d,", ix.Def().Name, ix.Len())
 			}
 			sb.WriteString(")[")
-			rs := t.Scan()
-			for {
-				r, err := rs.Next()
-				if err != nil {
-					break
-				}
-				fmt.Fprintf(&sb, "%d:", rs.Bookmark())
+			rows, bms := readRows(t.Scan())
+			for i, r := range rows {
+				fmt.Fprintf(&sb, "%d:", bms[i])
 				for _, v := range r {
 					sb.WriteString(v.String())
 					sb.WriteByte(',')
 				}
 				sb.WriteByte(';')
 			}
-			rs.Close()
 			sb.WriteString("]\n")
 		}
 	}
@@ -328,15 +319,8 @@ func TestConcurrentSnapshotReaders(t *testing.T) {
 			defer readerWG.Done()
 			for i := 0; i < 200; i++ {
 				snap := e.AcquireSnapshot()
-				count := 0
-				rs := tbl.ScanAt(snap.CSN())
-				for {
-					if _, err := rs.Next(); err != nil {
-						break
-					}
-					count++
-				}
-				rs.Close()
+				rows, _ := readRows(tbl.ScanAt(snap.CSN()))
+				count := len(rows)
 				snap.Release()
 				if count != n {
 					rmu.Lock()

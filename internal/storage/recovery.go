@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dhqp/internal/rowset"
 	"dhqp/internal/schema"
 )
 
@@ -376,10 +377,9 @@ func (e *Engine) checkpointRecords() []walRecord {
 			}
 			recs = append(recs, walRecord{kind: recCreateTable, txn: txn, table: dbName, def: defJSON})
 			t.mu.RLock()
-			s := t.readLocked(Latest).full()
-			for r, err := s.Next(); err == nil; r, err = s.Next() {
-				recs = append(recs, walRecord{kind: recInsert, txn: txn, table: t.walName(), bm: s.Bookmark(), row: r})
-			}
+			t.readLocked(Latest).full().eachRow(nil, func(r rowset.Row, bm int64) {
+				recs = append(recs, walRecord{kind: recInsert, txn: txn, table: t.walName(), bm: bm, row: r})
+			})
 			t.mu.RUnlock()
 		}
 	}

@@ -105,16 +105,13 @@ type seekHit struct {
 	row string
 }
 
-func drainHits(rs rowset.Bookmarked) []seekHit {
+func drainHits(rs rowset.Rowset) []seekHit {
 	var out []seekHit
-	for {
-		r, err := rs.Next()
-		if err != nil {
-			rs.Close()
-			return out
-		}
-		out = append(out, seekHit{rs.Bookmark(), r.String()})
+	rows, bms := readRows(rs)
+	for i, r := range rows {
+		out = append(out, seekHit{bms[i], r.String()})
 	}
+	return out
 }
 
 // oracleRange is RangeAt spelled out: every row of the snapshot scan whose
@@ -126,12 +123,8 @@ func oracleRange(tbl *Table, ix *Index, lo, hi Bound, csn uint64) []seekHit {
 		row rowset.Row
 	}
 	var cands []cand
-	rs := tbl.ScanAt(csn)
-	for {
-		r, err := rs.Next()
-		if err != nil {
-			break
-		}
+	rows, bms := readRows(tbl.ScanAt(csn))
+	for i, r := range rows {
 		key := ix.keyOf(r)
 		if lo.Key != nil {
 			if c := compareKeys(key, lo.Key); c < 0 || (c == 0 && !lo.Inclusive) {
@@ -143,9 +136,8 @@ func oracleRange(tbl *Table, ix *Index, lo, hi Bound, csn uint64) []seekHit {
 				continue
 			}
 		}
-		cands = append(cands, cand{key, rs.Bookmark(), r})
+		cands = append(cands, cand{key, bms[i], r})
 	}
-	rs.Close()
 	sort.Slice(cands, func(a, b int) bool {
 		if c := compareKeys(cands[a].key, cands[b].key); c != 0 {
 			return c < 0
@@ -239,15 +231,10 @@ func TestRangeAtEqualsFilteredScan(t *testing.T) {
 func checkIndexes(t *testing.T, tbl *Table) {
 	t.Helper()
 	live := map[int64]rowset.Row{}
-	rs := tbl.Scan()
-	for {
-		r, err := rs.Next()
-		if err != nil {
-			break
-		}
-		live[rs.Bookmark()] = r
+	rows, bms := readRows(tbl.Scan())
+	for i, r := range rows {
+		live[bms[i]] = r
 	}
-	rs.Close()
 	for _, ix := range tbl.Indexes() {
 		if len(ix.entries) != len(live) {
 			t.Errorf("%s: %d entries for %d live rows", ix.def.Name, len(ix.entries), len(live))

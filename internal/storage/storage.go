@@ -558,12 +558,16 @@ func (t *Table) FetchAt(bm int64, csn uint64) (rowset.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rs.Next()
+	b := rowset.NewBatch(1)
+	if err := rs.NextBatch(b); err != nil {
+		return nil, err
+	}
+	return b.RowAt(0, nil), nil
 }
 
 // FetchRowsAt returns the rows at bms, in that order, as of snapshot csn;
 // a dead or unknown bookmark fails the fetch.
-func (t *Table) FetchRowsAt(bms []int64, csn uint64) (rowset.Bookmarked, error) {
+func (t *Table) FetchRowsAt(bms []int64, csn uint64) (rowset.Rowset, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	s := t.readLocked(csn).list(len(bms))
@@ -576,14 +580,15 @@ func (t *Table) FetchRowsAt(bms []int64, csn uint64) (rowset.Bookmarked, error) 
 }
 
 // Scan returns a full-table rowset snapshot at the latest state. The
-// rowset carries bookmarks.
-func (t *Table) Scan() rowset.Bookmarked { return t.ScanAt(Latest) }
+// rowset reads each row's bookmark as the ordinal one past the table's
+// last column.
+func (t *Table) Scan() rowset.Rowset { return t.ScanAt(Latest) }
 
 // ScanAt returns a full-table rowset as of snapshot csn: main's rows in
 // place, less those the delta or a commit newer than csn rewrote, then the
 // delta's rows in write order, then those a newer commit rewrote as of
 // csn. A scan that finds the delta over its bound merges it first.
-func (t *Table) ScanAt(csn uint64) rowset.Bookmarked {
+func (t *Table) ScanAt(csn uint64) rowset.Rowset {
 	t.mu.RLock()
 	if t.scanMerges() {
 		t.mu.RUnlock()
@@ -637,26 +642,16 @@ type tableScan struct {
 	patch  *tableImage          // past's rows
 	seen   int32                // the delta entries the read sees: those written before it
 	listed bool
-	ids    []int32    // listed: a main position, main.n + a delta entry, or ^a patch row; full: scratch
-	drop   []int      // full: ascending main positions of past's slots
-	at     int        // next row: an index into ids, or a main position, then main.n + a delta entry, then main.n + seen + a patch row
-	cur    *rowCursor // Next's
-	sel    []int      // scratch
-	run    []int32    // scratch
+	ids    []int32 // listed: a main position, main.n + a delta entry, or ^a patch row; full: scratch
+	drop   []int   // full: ascending main positions of past's slots
+	at     int     // next row: an index into ids, or a main position, then main.n + a delta entry, then main.n + seen + a patch row
+	sel    []int   // scratch
+	run    []int32 // scratch
 
 	// Until sealed, under the table lock: the rows read so far from the
 	// undo tail, and their bookmarks.
 	rows []rowset.Row
 	bms  []int64
-}
-
-// rowCursor is Next's state: a batch of every column and the bookmark
-// (all), read from at, and the bookmark of the row Next last returned.
-type rowCursor struct {
-	b   *rowset.Batch
-	all []int
-	at  int
-	bm  int64
 }
 
 // noRows is the patch of a read that took no row from the undo tail.
@@ -742,34 +737,9 @@ func (s *tableScan) unlock() {
 
 func (s *tableScan) Columns() []schema.Column { return s.cols }
 
-// Next returns the next row, boxed from a batch of every column and the
-// bookmark that it refills a batch at a time (the row readers are cold).
-func (s *tableScan) Next() (rowset.Row, error) {
-	c := s.cur
-	if c == nil {
-		c = &rowCursor{b: rowset.NewBatch(rowset.DefaultBatchSize), all: make([]int, len(s.cols)+1)}
-		for j := range c.all {
-			c.all[j] = j
-		}
-		s.cur = c
-	}
-	if c.at == c.b.Len() {
-		if err := s.NextBatchProjected(c.b, c.all); err != nil {
-			return nil, err
-		}
-		c.at = 0
-	}
-	r := c.b.RowAt(c.at, nil)
-	c.at++
-	c.bm = r[len(s.cols)].Int()
-	return r[:len(s.cols):len(s.cols)], nil
-}
-
 func (s *tableScan) Close() error { return nil }
 
-// NextBatch implements rowset.BatchReader: the vectorized scan path fills
-// a whole column batch per call instead of paying an interface call per
-// row.
+// NextBatch implements rowset.Rowset with every column of the table.
 func (s *tableScan) NextBatch(b *rowset.Batch) error { return s.NextBatchProjected(b, nil) }
 
 // NextBatchProjected implements rowset.ProjectedBatchReader with the
@@ -823,6 +793,29 @@ func (s *tableScan) NextBatchProjected(b *rowset.Batch, proj []int) error {
 	s.at += k
 	b.FillCols(s.fill(s.patch, proj), proj, off, k)
 	return nil
+}
+
+// eachRow calls f with every row s reads, narrowed to the columns proj
+// names (nil: all of them), and its bookmark — a batch at a time, each
+// batch's rows boxed into one backing array that f may keep. The row
+// readers that are not executor scans (index backfill, checkpoint) read
+// the table this way.
+func (s *tableScan) eachRow(proj []int, f func(r rowset.Row, bm int64)) {
+	if proj == nil {
+		proj = make([]int, len(s.cols))
+		for j := range proj {
+			proj[j] = j
+		}
+	}
+	w := len(proj)
+	proj = append(slices.Clip(proj), len(s.cols))
+	for b := rowset.NewBatch(0); s.NextBatchProjected(b, proj) == nil; {
+		vals := make([]sqltypes.Value, b.Len()*(w+1))
+		for i := 0; i < b.Len(); i++ {
+			r := b.RowAt(i, vals[i*(w+1):(i+1)*(w+1)])
+			f(r[:w:w], r[w].Int())
+		}
+	}
 }
 
 // keep selects the rows of main's window [off, off+k), filled into b, that
@@ -924,14 +917,6 @@ func (s *tableScan) gather(cols []rowset.Vec, proj []int, ids []int32) {
 	}
 }
 
-// Bookmark implements rowset.Bookmarked.
-func (s *tableScan) Bookmark() int64 {
-	if s.cur == nil {
-		return -1
-	}
-	return s.cur.bm
-}
-
 // Index returns the named secondary index.
 func (t *Table) Index(name string) (*Index, bool) {
 	t.mu.RLock()
@@ -971,10 +956,10 @@ func (t *Table) AddIndex(def schema.Index) (*Index, error) {
 		}
 	}
 	ix := &Index{def: def, table: t}
-	s := t.readLocked(Latest).full()
-	for r, err := s.Next(); err == nil; r, err = s.Next() {
-		ix.insertLocked(r, s.Bookmark())
-	}
+	t.readLocked(Latest).full().eachRow(def.Columns, func(key rowset.Row, bm int64) {
+		ix.entries = append(ix.entries, indexEntry{key: key, bm: bm})
+	})
+	sort.Slice(ix.entries, func(a, b int) bool { return entryLess(ix.entries[a], ix.entries[b]) })
 	t.indexes = append(t.indexes, ix)
 	// The definition is replaced, never edited: a statement compiling
 	// against the one it read keeps a consistent copy.

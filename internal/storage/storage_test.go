@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"io"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +8,25 @@ import (
 	"dhqp/internal/schema"
 	"dhqp/internal/sqltypes"
 )
+
+// readRows drains rs, a read of a table, into its rows and their
+// bookmarks — the ordinal one past the table's last column — and closes
+// it.
+func readRows(rs rowset.Rowset) (rows []rowset.Row, bms []int64) {
+	defer rs.Close()
+	w := len(rs.Columns())
+	all := make([]int, w+1)
+	for j := range all {
+		all[j] = j
+	}
+	for b := rowset.NewBatch(0); rs.(rowset.ProjectedBatchReader).NextBatchProjected(b, all) == nil; {
+		for i := 0; i < b.Len(); i++ {
+			r := b.RowAt(i, nil)
+			rows, bms = append(rows, r[:w:w]), append(bms, r[w].Int())
+		}
+	}
+	return rows, bms
+}
 
 func testTable(t *testing.T) *Table {
 	if t != nil {
@@ -108,11 +126,9 @@ func TestScanBookmarks(t *testing.T) {
 	tbl := testTable(t)
 	tbl.Insert(row(1, "a", 1))
 	tbl.Insert(row(2, "b", 2))
-	sc := tbl.Scan()
-	r1, _ := sc.Next()
-	bm := sc.Bookmark()
-	fetched, err := tbl.Fetch(bm)
-	if err != nil || fetched[0].Int() != r1[0].Int() {
+	rows, bms := readRows(tbl.Scan())
+	fetched, err := tbl.Fetch(bms[0])
+	if err != nil || fetched[0].Int() != rows[0][0].Int() {
 		t.Fatalf("bookmark round-trip failed: %v %v", fetched, err)
 	}
 }
@@ -269,20 +285,16 @@ func TestIndexRangeBookmarksAndDeletes(t *testing.T) {
 	tbl.Insert(row(2, "b", 5))
 	tbl.Delete(bm)
 	ix, _ := tbl.Index("ix_qty")
-	rs := ix.Seek(rowset.Row{sqltypes.NewInt(5)})
-	r, err := rs.Next()
-	if err != nil {
-		t.Fatal(err)
+	rows, bms := readRows(ix.Seek(rowset.Row{sqltypes.NewInt(5)}))
+	if len(rows) != 1 {
+		t.Fatalf("seek read %v, want one row", rows)
 	}
-	if r[0].Int() != 2 {
-		t.Errorf("deleted row surfaced from index: %v", r)
+	if rows[0][0].Int() != 2 {
+		t.Errorf("deleted row surfaced from index: %v", rows[0])
 	}
-	got, err := tbl.Fetch(rs.Bookmark())
+	got, err := tbl.Fetch(bms[0])
 	if err != nil || got[0].Int() != 2 {
 		t.Errorf("bookmark fetch: %v %v", got, err)
-	}
-	if _, err := rs.Next(); err != io.EOF {
-		t.Errorf("want EOF, got %v", err)
 	}
 }
 
@@ -433,20 +445,9 @@ func TestColumnarImageInvalidation(t *testing.T) {
 		t.Fatalf("NULLs lost in typed scan: %v", r)
 	}
 
-	// A row-at-a-time read of the same table must see identical rows.
-	rs := tbl.Scan()
-	defer rs.Close()
-	var gen []rowset.Row
-	for {
-		r, err := rs.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen = append(gen, r.Clone())
-	}
+	// A read of the same table with the bookmark column must see
+	// identical rows.
+	gen, _ := readRows(tbl.Scan())
 	if len(gen) != len(got) {
 		t.Fatalf("row scan rows = %d, typed = %d", len(gen), len(got))
 	}
